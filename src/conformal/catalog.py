@@ -184,13 +184,14 @@ def make_tube(curve, radius: float) -> CatalogEntry:
         raise SelfIntersectingTube(
             f"radius {radius:g} >= minimal curvature radius "
             f"{1.0/curv_max:g} of the center curve")
+    # simplifying the Frenet frame (not the whole position) keeps the jets
+    # cheap to evaluate at a fraction of the compile time
     T = c.diff(u_s)
-    T = T/sp.sqrt(T.dot(T))
+    T = sp.simplify(T/sp.sqrt(T.dot(T)))
     N = T.diff(u_s)
-    N = N/sp.sqrt(N.dot(N))
-    Bn = T.cross(N)
+    N = sp.simplify(N/sp.sqrt(N.dot(N)))
+    Bn = sp.simplify(T.cross(N))
     expr = sp.Matrix(c + radius*(sp.cos(v)*N + sp.sin(v)*Bn))
-    expr = sp.simplify(expr)
     patch = SurfacePatch.from_sympy(expr, (u_s, v),
                                     [(-10.0, 10.0), (-10.0, 10.0)],
                                     name=f"tube[{curve[0]},r={radius:g}]")

@@ -1,15 +1,16 @@
 """Surface kernel: parametric patches, derivative jets, classical curvature
 data, and ambient Mobius transformations.
 
-Only the position map and its low-order partial derivatives are evaluated
-analytically (closed forms compiled once per patch).  Everything built on top
-of them (curvature gradients, invariant fields) lives in other modules and is
+Only the position map and its partial derivatives up to order 2 are evaluated
+analytically: one closed form per patch, compiled once.  A Mobius map acts on
+an analytic patch by pushing that order-2 jet through the chain rule, so a
+moved patch needs no symbolic work.  Everything built on top of the jets
+(curvature gradients, invariant fields) lives in other modules and is
 obtained by differencing the pointwise quantities, never by deeper jets.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from dataclasses import dataclass
 
 import numpy as np
 import sympy as sp
@@ -43,51 +44,54 @@ class Jet:
         return self.derivs[(i, j)]
 
 
-def _deriv_index(order: int) -> list:
-    return [(i, j) for n in range(order + 1) for i, j in
-            [(n - j, j) for j in range(n + 1)]]
+_JET_ORDER = 2
+_JET_IDX = [(0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2)]
 
 
 class SurfacePatch:
-    """Evaluable parametric surface r(u, v) with derivative jets.
+    """Evaluable parametric surface r(u, v) with order-2 derivative jets.
 
-    The jet source is either *analytic* (a compiled closed form, supplied with
-    a sympy position matrix) or *numeric* (central differences of a plain
-    position callable with step ``h_jet``).
+    The jet source is either *analytic*, a callable returning the partials in
+    ``_JET_IDX`` order (a compiled closed form, or one pushed through a Mobius
+    map), or *numeric* (central differences of a plain position callable with
+    step ``h_jet``).
     """
 
-    def __init__(self, domain, max_order=4, name="surface", expr=None,
-                 symbols=None, position_fn=None, h_jet=1e-4):
+    def __init__(self, domain, name="surface", jet_fn=None, position_fn=None,
+                 h_jet=1e-4):
         self.domain = tuple((float(a), float(b)) for a, b in domain)
-        self.max_order = int(max_order)
         self.name = name
-        self._expr = expr
-        self._symbols = symbols
+        self._jet_fn = jet_fn
         self._pos_fn = position_fn
         self.h_jet = float(h_jet)
-        self._jet_fn = None
-        if expr is not None:
-            idx = _deriv_index(self.max_order)
-            us, vs = symbols
-            flat = []
-            for (i, j) in idx:
-                d = sp.diff(expr, us, i, vs, j)
-                flat.extend([d[0], d[1], d[2]])
-            self._jet_idx = idx
-            self._jet_fn = sp.lambdify((us, vs), flat, "numpy")
 
     # -- constructors ------------------------------------------------------
     @classmethod
-    def from_sympy(cls, expr, symbols, domain, max_order=4, name="surface"):
-        return cls(domain, max_order=max_order, name=name,
-                   expr=sp.Matrix(expr), symbols=symbols)
+    def from_sympy(cls, expr, symbols, domain, name="surface"):
+        """Compile the order-2 partials of a sympy position matrix once."""
+        expr = sp.Matrix(expr)
+        us, vs = symbols
+        flat = []
+        for (i, j) in _JET_IDX:
+            d = sp.diff(expr, us, i, vs, j)
+            flat.extend([d[0], d[1], d[2]])
+        fn = sp.lambdify((us, vs), flat, "numpy")
+
+        def jet(u, v):
+            vals = fn(u, v)
+            return [np.asarray(vals[3*k:3*k + 3]) for k in range(len(_JET_IDX))]
+
+        return cls(domain, name=name, jet_fn=jet)
 
     @classmethod
-    def from_position(cls, fn, domain, h_jet=1e-4, max_order=3, name="surface"):
-        return cls(domain, max_order=max_order, name=name,
-                   position_fn=fn, h_jet=h_jet)
+    def from_position(cls, fn, domain, h_jet=1e-4, name="surface"):
+        return cls(domain, name=name, position_fn=fn, h_jet=h_jet)
 
     # -- basic queries -----------------------------------------------------
+    @property
+    def max_order(self) -> int:
+        return _JET_ORDER
+
     @property
     def analytic(self) -> bool:
         return self._jet_fn is not None
@@ -99,8 +103,8 @@ class SurfacePatch:
 
     def position(self, u, v) -> np.ndarray:
         if self.analytic:
-            vals = self._jet_fn(u, v)
-            return np.asarray(vals[:3], dtype=complex if np.iscomplexobj(u)
+            return np.asarray(self._jet_fn(u, v)[0],
+                              dtype=complex if np.iscomplexobj(u)
                               or np.iscomplexobj(v) else float)
         return np.asarray(self._pos_fn(u, v), dtype=float)
 
@@ -108,16 +112,12 @@ class SurfacePatch:
     def jet_raw(self, u, v, order=2) -> dict:
         """Jet derivatives without domain checks; supports complex (u, v) for
         analytic patches (used by the complex-step machinery upstream)."""
+        if order > _JET_ORDER:
+            raise OrderUnavailable(f"order {order} > max_order {_JET_ORDER}")
         if self.analytic:
-            if order > self.max_order:
-                raise OrderUnavailable(
-                    f"order {order} > max_order {self.max_order}")
             vals = self._jet_fn(u, v)
-            out = {}
-            for k, (i, j) in enumerate(self._jet_idx):
-                if i + j <= order:
-                    out[(i, j)] = np.asarray(vals[3*k:3*k + 3])
-            return out
+            return {ij: vals[k] for k, ij in enumerate(_JET_IDX)
+                    if sum(ij) <= order}
         return self._numeric_jet(u, v, order)
 
     def _numeric_jet(self, u, v, order) -> dict:
@@ -135,50 +135,14 @@ class SurfacePatch:
             out[(1, 1)] = (np.asarray(f(u + h, v + h)) - np.asarray(f(u + h, v - h))
                            - np.asarray(f(u - h, v + h))
                            + np.asarray(f(u - h, v - h))) / (4*h**2)
-        if order >= 3:
-            def du(a, b):
-                return (np.asarray(f(a + h, b)) - np.asarray(f(a - h, b))) / (2*h)
-            out[(3, 0)] = (du(u + h, v) - 2*out.get((1, 0)) + du(u - h, v)) / h**2
-            out[(2, 1)] = (out_p := None) or (
-                (np.asarray(f(u + h, v + h)) - 2*np.asarray(f(u, v + h))
-                 + np.asarray(f(u - h, v + h))
-                 - np.asarray(f(u + h, v - h)) + 2*np.asarray(f(u, v - h))
-                 - np.asarray(f(u - h, v - h))) / (2*h**3))
-            out[(1, 2)] = ((np.asarray(f(u + h, v + h)) - 2*np.asarray(f(u + h, v))
-                            + np.asarray(f(u + h, v - h))
-                            - np.asarray(f(u - h, v + h)) + 2*np.asarray(f(u - h, v))
-                            - np.asarray(f(u - h, v - h))) / (2*h**3))
-            def dv(a, b):
-                return (np.asarray(f(a, b + h)) - np.asarray(f(a, b - h))) / (2*h)
-            out[(0, 3)] = (dv(u, v + h) - 2*out.get((0, 1)) + dv(u, v - h)) / h**2
-        if order >= 4:
-            raise OrderUnavailable("numeric jets support order <= 3")
         return out
 
 
-def eval_jet(surface: SurfacePatch, u: float, v: float, order: int = 2,
-             richardson: bool = False) -> Jet:
-    """Evaluate the derivative jet of ``surface`` at an interior point.
-
-    For numeric sources, ``richardson=True`` combines steps h and h/2 for an
-    extra order of accuracy on each partial.
-    """
+def eval_jet(surface: SurfacePatch, u: float, v: float, order: int = 2) -> Jet:
+    """Evaluate the derivative jet of ``surface`` at an interior point."""
     if not surface.contains(u, v):
         raise OutOfDomain(f"({u}, {v}) outside {surface.domain}")
-    if order > surface.max_order:
-        raise OrderUnavailable(f"order {order} > max_order {surface.max_order}")
-    if richardson and not surface.analytic:
-        coarse = surface.jet_raw(u, v, order)
-        h0 = surface.h_jet
-        surface.h_jet = h0 / 2
-        try:
-            fine = surface.jet_raw(u, v, order)
-        finally:
-            surface.h_jet = h0
-        derivs = {k: (4*fine[k] - coarse[k]) / 3 for k in coarse}
-    else:
-        derivs = surface.jet_raw(u, v, order)
-    return Jet(u=u, v=v, order=order, derivs=derivs)
+    return Jet(u=u, v=v, order=order, derivs=surface.jet_raw(u, v, order))
 
 
 # --------------------------------------------------------------------------
@@ -338,19 +302,46 @@ class MobiusMap:
                 y = y / n2
         return y
 
-    def apply_sympy(self, x: sp.Matrix) -> sp.Matrix:
-        y = sp.Matrix(x)
+    def apply_jet(self, derivs) -> list:
+        """Push an order-2 jet (3-vectors in ``_JET_IDX`` order: r, r_u, r_v,
+        r_uu, r_uv, r_vv) through the map by the chain rule,
+
+            y_u = J r_u,    y_uv = J r_uv + D^2(r_u, r_v).
+
+        Every product is plain (non-conjugating), so complex-step inputs stay
+        analytic."""
+        r, ru, rv, ruu, ruv, rvv = derivs
         for prim in self.primitives:
             kind = prim[0]
             if kind == "rotation":
-                y = sp.Matrix(prim[1]) * y
+                O = prim[1]
+                r, ru, rv, ruu, ruv, rvv = (O @ r, O @ ru, O @ rv, O @ ruu,
+                                            O @ ruv, O @ rvv)
             elif kind == "translation":
-                y = y + sp.Matrix(prim[1])
+                r = r + prim[1]
             elif kind == "dilation":
-                y = prim[1] * y
+                s = prim[1]
+                r, ru, rv, ruu, ruv, rvv = (s*r, s*ru, s*rv, s*ruu, s*ruv,
+                                            s*rvv)
             else:
-                y = y / y.dot(y)
-        return y
+                # x -> x/n with n = |x|^2:
+                #   J p     = p/n - 2 x (x.p)/n^2
+                #   D2(p,q) = -2 [p (x.q) + q (x.p) + x (p.q)]/n^2
+                #             + 8 x (x.p)(x.q)/n^3
+                n = r @ r
+
+                def jac(p):
+                    return p/n - 2*r*(r @ p)/n**2
+
+                def d2(p, q):
+                    xp, xq = r @ p, r @ q
+                    return (-2*(p*xq + q*xp + r*(p @ q))/n**2
+                            + 8*r*xp*xq/n**3)
+
+                r, ru, rv, ruu, ruv, rvv = (
+                    r/n, jac(ru), jac(rv), jac(ruu) + d2(ru, ru),
+                    jac(ruv) + d2(ru, rv), jac(rvv) + d2(rv, rv))
+        return [r, ru, rv, ruu, ruv, rvv]
 
     @property
     def orientation_preserving(self) -> bool:
@@ -381,6 +372,8 @@ class MobiusMap:
 
 def _check_inversion_centers(surface: SurfacePatch, mmap: MobiusMap,
                              samples: int = 12) -> None:
+    if not any(prim[0] == "inversion" for prim in mmap.primitives):
+        return
     (u0, u1), (v0, v1) = surface.domain
     us = np.linspace(u0, u1, samples)
     vs = np.linspace(v0, v1, samples)
@@ -412,22 +405,24 @@ def _check_inversion_centers(surface: SurfacePatch, mmap: MobiusMap,
 def mobius_transform(surface: SurfacePatch, mmap: MobiusMap) -> SurfacePatch:
     """Surface whose position map is the composition ``mmap o r``.
 
-    Analytic patches stay analytic (the primitives are rational/orthogonal,
-    so the composed closed form is re-compiled); numeric patches compose the
-    position callable and re-difference.
+    Analytic patches stay analytic: the moved patch evaluates the base's
+    compiled order-2 jet and pushes it through the map by the chain rule
+    (:meth:`MobiusMap.apply_jet`), with no symbolic work.  Numeric patches
+    compose the position callable and re-difference.
     """
     _check_inversion_centers(surface, mmap)
     name = surface.name + "*"
     if surface.analytic:
-        new_expr = mmap.apply_sympy(surface._expr)
-        return SurfacePatch.from_sympy(new_expr, surface._symbols,
-                                       surface.domain,
-                                       max_order=surface.max_order, name=name)
+        base = surface._jet_fn
+
+        def moved_jet(u, v):
+            return mmap.apply_jet(base(u, v))
+
+        return SurfacePatch(surface.domain, name=name, jet_fn=moved_jet)
     fn = surface._pos_fn
 
     def moved(u, v):
         return mmap.apply(np.asarray(fn(u, v), dtype=float))
 
     return SurfacePatch.from_position(moved, surface.domain,
-                                      h_jet=surface.h_jet,
-                                      max_order=surface.max_order, name=name)
+                                      h_jet=surface.h_jet, name=name)

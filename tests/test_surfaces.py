@@ -82,8 +82,68 @@ def test_mobius_composition_and_inverse():
     assert np.allclose(back, x, atol=1e-12)
     xs = sp.Matrix([sp.Rational(3, 10), sp.Rational(12, 10),
                     sp.Rational(-7, 10)])
-    ys = np.array([float(t) for t in m.apply_sympy(xs)])
+    ys = np.array([float(t) for t in _apply_sympy(m, xs)])
     assert np.allclose(ys, y, atol=1e-12)
+
+
+def _apply_sympy(mmap, x):
+    """Reference: the map composed symbolically, primitive by primitive."""
+    y = sp.Matrix(x)
+    for prim in mmap.primitives:
+        if prim[0] == "rotation":
+            y = sp.Matrix(prim[1]) * y
+        elif prim[0] == "translation":
+            y = y + sp.Matrix(prim[1])
+        elif prim[0] == "dilation":
+            y = prim[1] * y
+        else:
+            y = y / y.dot(y)
+    return y
+
+
+_TORUS_DOMAIN = [(-np.pi, np.pi), (-np.pi, np.pi)]
+
+
+def _torus_expr():
+    u, v = sp.symbols("u v", real=True)
+    return sp.Matrix([(2 + sp.cos(v))*sp.cos(u), (2 + sp.cos(v))*sp.sin(u),
+                      sp.sin(v)]), (u, v)
+
+
+@pytest.mark.parametrize("kind", ["rotation", "reflection", "translation",
+                                  "dilation", "inversion", "composition"])
+def test_moved_jets_match_sympy_recompile(kind):
+    expr, uv = _torus_expr()
+    th = 0.9
+    rot = MobiusMap.rotation([[np.cos(th), 0.0, -np.sin(th)], [0.0, 1.0, 0.0],
+                              [np.sin(th), 0.0, np.cos(th)]])
+    m = {"rotation": rot,
+         "reflection": MobiusMap.rotation(np.diag([1.0, -1.0, 1.0])),
+         "translation": MobiusMap.translation([0.5, -1.0, 4.0]),
+         "dilation": MobiusMap.dilation(2.5),
+         "inversion": MobiusMap.inversion(),
+         "composition": (rot.then(MobiusMap.translation([0.5, -1.0, 4.0]))
+                         .then(MobiusMap.inversion())
+                         .then(MobiusMap.rotation(np.diag([1.0, -1.0, 1.0])))
+                         .then(MobiusMap.dilation(2.5))
+                         .then(MobiusMap.translation([1.0, 0.0, -0.5])))
+         }[kind]
+    moved = mobius_transform(SurfacePatch.from_sympy(expr, uv, _TORUS_DOMAIN),
+                             m)
+    ref = SurfacePatch.from_sympy(_apply_sympy(m, expr), uv, _TORUS_DOMAIN)
+    rng = np.random.default_rng(11)
+    h = 1e-20
+    for u, v in rng.uniform(-3.0, 3.0, (8, 2)):
+        for du, dv in [(0.0, 0.0), (1j*h, 0.0), (0.0, 1j*h)]:
+            got = moved.jet_raw(u + du, v + dv)
+            want = ref.jet_raw(u + du, v + dv)
+            assert got.keys() == want.keys()
+            for key in want:
+                scale = max(np.max(np.abs(want[key])), 1.0)
+                assert np.allclose(got[key].real, want[key].real,
+                                   rtol=0, atol=1e-12*scale)
+                assert np.allclose(got[key].imag/h, want[key].imag/h,
+                                   rtol=0, atol=1e-10*scale)
 
 
 def test_mobius_transform_moves_positions(torus):
