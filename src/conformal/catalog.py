@@ -153,20 +153,29 @@ def make_torus(R: float, r: float) -> CatalogEntry:
 
 
 def _center_curve(curve):
-    """Closed-form center curves: ('circle', R) or ('helix', A, B)."""
+    """Closed-form center curve, ('circle', R) or ('helix', A, B) with
+    A > 0, and its Frenet frame.  With a, b = (A, B)/sqrt(A^2 + B^2), or
+    a, b = 1, 0 for the circle: T = (-a sin u, a cos u, b),
+    N = (-cos u, -sin u, 0) and B = (b sin u, -b cos u, a)."""
     u = sp.symbols("u", real=True)
     kind = curve[0]
     if kind == "circle":
         R = float(curve[1])
         c = sp.Matrix([R*sp.cos(u), R*sp.sin(u), 0])
+        a, b = 1.0, 0.0
         curv_max = 1.0/R
     elif kind == "helix":
         A, Bp = float(curve[1]), float(curve[2])
         c = sp.Matrix([A*sp.cos(u), A*sp.sin(u), Bp*u])
+        norm = float(np.sqrt(A*A + Bp*Bp))
+        a, b = A/norm, Bp/norm
         curv_max = A/(A*A + Bp*Bp)
     else:
         raise ValueError(f"unsupported center curve kind '{kind}'")
-    return u, c, curv_max
+    frame = (sp.Matrix([-a*sp.sin(u), a*sp.cos(u), b]),
+             sp.Matrix([-1.0*sp.cos(u), -1.0*sp.sin(u), 0]),
+             sp.Matrix([b*sp.sin(u), -b*sp.cos(u), a]))
+    return u, c, frame, curv_max
 
 
 def make_tube(curve, radius: float) -> CatalogEntry:
@@ -174,8 +183,9 @@ def make_tube(curve, radius: float) -> CatalogEntry:
 
     The tube is parametrized by arc position u along the center curve and
     angle v in the normal plane spanned by the Frenet normal and binormal.
+    The frame is the closed form of :func:`_center_curve`.
     """
-    u_s, c, curv_max = _center_curve(curve)
+    u_s, c, (_, N, Bn), curv_max = _center_curve(curve)
     v = sp.symbols("v", real=True)
     radius = float(radius)
     if radius <= 0:
@@ -184,13 +194,6 @@ def make_tube(curve, radius: float) -> CatalogEntry:
         raise SelfIntersectingTube(
             f"radius {radius:g} >= minimal curvature radius "
             f"{1.0/curv_max:g} of the center curve")
-    # simplifying the Frenet frame (not the whole position) keeps the jets
-    # cheap to evaluate at a fraction of the compile time
-    T = c.diff(u_s)
-    T = sp.simplify(T/sp.sqrt(T.dot(T)))
-    N = T.diff(u_s)
-    N = sp.simplify(N/sp.sqrt(N.dot(N)))
-    Bn = sp.simplify(T.cross(N))
     expr = sp.Matrix(c + radius*(sp.cos(v)*N + sp.sin(v)*Bn))
     patch = SurfacePatch.from_sympy(expr, (u_s, v),
                                     [(-10.0, 10.0), (-10.0, 10.0)],

@@ -237,8 +237,8 @@ def cmd_invariants(surface_path, out, fmt, grid, rng, tol_canal):
                                  s.d, s.classification])
                 except UmbilicPoint:
                     rows.append([u, v] + [None]*11 + ["Umbilic"])
-                except ToolkitError:
-                    rows.append([u, v] + [None]*11 + ["Masked"])
+                except ToolkitError as exc:
+                    rows.append([u, v] + [None]*11 + [type(exc).__name__])
         _emit(rows, header, out, fmt,
               {"surface": surface_path, "grid": grid, "range": rng})
     _wrap(run)
@@ -266,6 +266,8 @@ def cmd_classify(surface_path, out, fmt, grid, rng, tol_canal):
                     rows.append([u, v, s.classification])
                 except UmbilicPoint:
                     rows.append([u, v, "Umbilic"])
+                except ToolkitError as exc:
+                    rows.append([u, v, type(exc).__name__])
         _emit(rows, ["u", "v", "class"], out, fmt,
               {"surface": surface_path, "grid": grid, "range": rng})
     _wrap(run)

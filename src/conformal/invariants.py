@@ -68,15 +68,14 @@ def _curv_grads(surface: SurfacePatch, u: float, v: float) -> dict:
         h = _CSTEP
         Su = _scalar_shape(surface, u + 1j*h, v)
         Sv = _scalar_shape(surface, u, v + 1j*h)
-        return {key: np.array([Su[key].imag / h, Sv[key].imag / h])
+        return {key: (Su[key].imag / h, Sv[key].imag / h)
                 for key in ("k1", "k2", "H")}
     h = max(10 * surface.h_jet, 1e-3)
     Sp = _scalar_shape(surface, u + h, v)
     Sm = _scalar_shape(surface, u - h, v)
     Tp = _scalar_shape(surface, u, v + h)
     Tm = _scalar_shape(surface, u, v - h)
-    return {key: np.array([(Sp[key] - Sm[key]) / (2*h),
-                           (Tp[key] - Tm[key]) / (2*h)])
+    return {key: ((Sp[key] - Sm[key]) / (2*h), (Tp[key] - Tm[key]) / (2*h))
             for key in ("k1", "k2", "H")}
 
 
@@ -87,9 +86,9 @@ def theta_state(surface: SurfacePatch, u: float, v: float, ref=None):
     X1, X2 = principal_directions(S, ref)
     gr = _curv_grads(surface, u, v)
     mu2 = S["mu"] ** 2
-    t1 = (X1 @ gr["k1"]) / mu2
-    t2 = (X2 @ gr["k2"]) / mu2
-    return t1, t2, X1, X2, S
+    (a1, b1), (a2, b2) = X1.tolist(), X2.tolist()
+    (k1u, k1v), (k2u, k2v) = gr["k1"], gr["k2"]
+    return (a1*k1u + b1*k1v) / mu2, (a2*k2u + b2*k2v) / mu2, X1, X2, S
 
 
 def conformal_curvatures(surface: SurfacePatch, u: float, v: float, ref=None):

@@ -60,21 +60,21 @@ class CriticalPoint:
 # --------------------------------------------------------------------------
 # Dupin field
 # --------------------------------------------------------------------------
-def _dupin_dir_state(surface, u, v, ref=None, tol=_TOL_DUPIN):
-    t1, t2, X1, X2, S = theta_state(surface, u, v, ref)
+def _dupin_dir(state, tol=_TOL_DUPIN):
+    """The field of :func:`dupin_field` from a :func:`theta_state` tuple."""
+    t1, t2, X1, X2, S = state
     if abs(t1) + abs(t2) < tol:
         raise DupinPoint(f"|theta1|+|theta2| = {abs(t1)+abs(t2):.3e}")
     V = np.cbrt(t2)*X1 + np.cbrt(t1)*X2
-    return V, (t1, t2, X1, X2, S)
+    Vamb = V[0]*S["ru"] + V[1]*S["rv"]
+    return V / np.linalg.norm(Vamb)
 
 
 def dupin_field(surface: SurfacePatch, u: float, v: float, ref=None,
                 tol: float = _TOL_DUPIN) -> np.ndarray:
     """Unoriented direction of cbrt(theta2) X1 + cbrt(theta1) X2,
     ambient-unit-normalized, in parameter coordinates."""
-    V, (t1, t2, X1, X2, S) = _dupin_dir_state(surface, u, v, ref, tol)
-    Vamb = V[0]*S["ru"] + V[1]*S["rv"]
-    return V / np.linalg.norm(Vamb)
+    return _dupin_dir(theta_state(surface, u, v, ref), tol)
 
 
 # --------------------------------------------------------------------------
@@ -89,17 +89,20 @@ def integrate_dupin_line(surface: SurfacePatch, seed, step: float = 0.01,
     |theta1| + |theta2| below ``tol_stop``), on closure, or at
     ``max_length``.  Transversal crossings of an isolated theta zero pass
     through: the field direction has a continuous unoriented limit there and
-    samples almost never land inside the tolerance band.
+    samples almost never land inside the tolerance band.  The theta state
+    at a step's start serves both the stop test and the first stage.
     """
     u0, v0 = seed
+    state = np.array([u0, v0], dtype=float)
+    ts = theta_state(surface, *state)
     try:
-        prev = dupin_field(surface, u0, v0)
+        prev = _dupin_dir(ts)
     except DupinPoint as exc:
         raise SeedIsDupinPoint(str(exc)) from exc
 
-    def f(u, v, prev_dir):
+    def f(u, v, prev_dir, ts=None):
         try:
-            d = dupin_field(surface, u, v)
+            d = _dupin_dir(theta_state(surface, u, v) if ts is None else ts)
         except DupinPoint:
             # transversal theta zero: the unoriented field has a continuous
             # limit, approximated by the direction half a step back
@@ -108,19 +111,18 @@ def integrate_dupin_line(surface: SurfacePatch, seed, step: float = 0.01,
             d = -d
         return d
 
-    uv = [np.array([u0, v0], dtype=float)]
+    uv = [state.copy()]
     pos = [np.asarray(surface.position(u0, v0), dtype=float)]
     termination = "ReachedLength"
     closed = False
     length = 0.0
-    state = uv[0].copy()
     while length < max_length:
-        t1, t2, *_ = theta_state(surface, *state)
+        t1, t2, *_ = ts
         if abs(t1) + abs(t2) < tol_stop:
             termination = "HitSingularPoint"
             break
         h = step
-        k1 = f(*state, prev)
+        k1 = f(*state, prev, ts)
         k2 = f(*(state + h/2*k1), k1)
         k3 = f(*(state + h/2*k2), k1)
         k4 = f(*(state + h*k3), k1)
@@ -136,6 +138,7 @@ def integrate_dupin_line(surface: SurfacePatch, seed, step: float = 0.01,
         if length > 4*step and np.linalg.norm(pos[-1] - pos[0]) < 1.5*step:
             closed = True
             break
+        ts = theta_state(surface, *state)
     return CurveTrace(uv=np.array(uv), positions=np.array(pos), step=step,
                       closed=closed, termination=termination)
 
@@ -182,18 +185,19 @@ def integrate_darboux_line(surface: SurfacePatch, seed, alpha0: float,
         return orient*np.array([vel[0], vel[1], da]), dk, (t1, t2, X1, X2)
 
     state = np.array([u0, v0, alpha0], dtype=float)
-    d0, dk0, fr0 = rhs(state)
+    # the first stage of each step is the last evaluation of the step before:
+    # the same point, aligned to the frame found there
+    k1v, dk, fr = rhs(state)
     uv = [state[:2].copy()]
     pos = [np.asarray(surface.position(u0, v0), dtype=float)]
     alphas = [alpha0]
     sigmas = [0.0]
-    dalphas = [d0[2]]
-    frames = [np.array(fr0[2:])]
+    dalphas = [k1v[2]]
+    frames = [np.array(fr[2:])]
     termination = "ReachedLength"
     length = 0.0
     h = step
     while length < max_length:
-        k1v, dk, fr = rhs(state)
         k2v, _, _ = rhs(state + h/2*k1v)
         k3v, _, _ = rhs(state + h/2*k2v)
         k4v, _, _ = rhs(state + h*k3v)
@@ -204,16 +208,15 @@ def integrate_darboux_line(surface: SurfacePatch, seed, alpha0: float,
         a = new[2] % np.pi
         if min(abs(np.sin(a)), abs(np.cos(a))) < angle_eps:
             termination = "HitSingularPoint"
-            state = new
-        dnew, dknew, frnew = rhs(new)
         state = new
         length += h
         uv.append(state[:2].copy())
         pos.append(np.asarray(surface.position(*state[:2]), dtype=float))
         alphas.append(state[2])
         sigmas.append(sigmas[-1] + fac*dk*h)
-        dalphas.append(dnew[2])
-        frames.append(np.array(frnew[2:]))
+        k1v, dk, fr = rhs(new)
+        dalphas.append(k1v[2])
+        frames.append(np.array(fr[2:]))
         if termination == "HitSingularPoint":
             break
     closed = (len(pos) > 4

@@ -68,13 +68,13 @@ class SurfacePatch:
     # -- constructors ------------------------------------------------------
     @classmethod
     def from_sympy(cls, expr, symbols, domain, name="surface"):
-        """Compile the order-2 partials of a sympy position matrix once."""
-        expr = sp.Matrix(expr)
+        """Compile the order-2 partials of a sympy position matrix once,
+        differentiating the first partials for the second (r_uv = d_v r_u)."""
         us, vs = symbols
-        flat = []
-        for (i, j) in _JET_IDX:
-            d = sp.diff(expr, us, i, vs, j)
-            flat.extend([d[0], d[1], d[2]])
+        r = list(sp.Matrix(expr))
+        ru, rv = [e.diff(us) for e in r], [e.diff(vs) for e in r]
+        flat = r + ru + rv + [e.diff(s) for d, s in ((ru, us), (ru, vs),
+                                                     (rv, vs)) for e in d]
         fn = sp.lambdify((us, vs), flat, "numpy")
 
         def jet(u, v):
@@ -170,28 +170,33 @@ class PrincipalData:
     rv: np.ndarray
 
 
+def _dot(p, q):
+    return p[0]*q[0] + p[1]*q[1] + p[2]*q[2]
+
+
 def shape_data(derivs: dict) -> dict:
-    """First/second fundamental forms and shape operator from order-2 jet
-    derivatives.  Works elementwise on complex inputs (all products are
-    plain, non-conjugating)."""
-    r0 = derivs[(0, 0)]
+    """First/second fundamental forms and shape operator at one point from
+    its order-2 jet derivatives, on Python scalars (one ``tolist`` per
+    3-vector).  Complex-capable: every product is plain (non-conjugating).
+    ``W``, ``n``, ``r``, ``ru`` and ``rv`` are arrays, the rest scalars."""
     ru, rv = derivs[(1, 0)], derivs[(0, 1)]
-    ruu, ruv, rvv = derivs[(2, 0)], derivs[(1, 1)], derivs[(0, 2)]
-    E = ru @ ru
-    F = ru @ rv
-    G = rv @ rv
+    (xu, yu, zu), (xv, yv, zv) = pu, pv = ru.tolist(), rv.tolist()
+    E, F, G = _dot(pu, pu), _dot(pu, pv), _dot(pv, pv)
     g = E*G - F*F
-    nv = np.cross(ru, rv)
-    n = nv / np.sqrt(nv @ nv)
-    L, M, N = ruu @ n, ruv @ n, rvv @ n
+    nx, ny, nz = yu*zv - zu*yv, zu*xv - xu*zv, xu*yv - yu*xv
+    # array divisions keep numpy's inf/nan semantics on a degenerate metric
+    n = np.array([nx, ny, nz]) / np.sqrt(nx*nx + ny*ny + nz*nz)
+    pn = n.tolist()
+    L, M, N = (_dot(derivs[k].tolist(), pn) for k in _JET_IDX[3:])
     W = np.array([[G*L - F*M, G*M - F*N],
                   [E*M - F*L, E*N - F*M]]) / g
-    H = (W[0, 0] + W[1, 1]) / 2
-    K = W[0, 0]*W[1, 1] - W[0, 1]*W[1, 0]
+    (w00, w01), (w10, w11) = W.tolist()
+    H = (w00 + w11) / 2
+    K = w00*w11 - w01*w10
     mu = np.sqrt(H*H - K)
     return dict(E=E, F=F, G=G, g=g, L=L, M=M, N=N, W=W, n=n,
                 H=H, K=K, mu=mu, k1=H + mu, k2=H - mu,
-                r=r0, ru=ru, rv=rv)
+                r=derivs[(0, 0)], ru=ru, rv=rv)
 
 
 def principal_directions(S: dict, ref=None):
@@ -201,23 +206,22 @@ def principal_directions(S: dict, ref=None):
     better-conditioned one is used.  Signs follow ``ref`` (a previous frame)
     when given, otherwise X1 aligns with the +u axis and X2 with +v.
     """
-    W, k1, k2 = S["W"], S["k1"], S["k2"]
-    cand1 = [np.array([W[0, 1], k1 - W[0, 0]]),
-             np.array([k1 - W[1, 1], W[1, 0]])]
-    cand2 = [np.array([k2 - W[1, 1], W[1, 0]]),
-             np.array([W[0, 1], k2 - W[0, 0]])]
-    out = []
+    (w00, w01), (w10, w11) = S["W"].tolist()
+    k1, k2, E, F, G = S["k1"], S["k2"], S["E"], S["F"], S["G"]
+    cands = (((w01, k1 - w00), (k1 - w11, w10)),
+             ((k2 - w11, w10), (w01, k2 - w00)))
     refs = (None, None) if ref is None else ref
-    for cands, rf, axis in zip((cand1, cand2), refs, (0, 1)):
-        w = max(cands, key=lambda c: abs(c[0]) + abs(c[1]))
-        nrm2 = S["E"]*w[0]**2 + 2*S["F"]*w[0]*w[1] + S["G"]*w[1]**2
-        w = w / np.sqrt(nrm2)
+    out = []
+    for (c, d), rf, axis in zip(cands, refs, (0, 1)):
+        a, b = c if abs(c[0]) + abs(c[1]) >= abs(d[0]) + abs(d[1]) else d
+        s = np.sqrt(E*a**2 + 2*F*a*b + G*b**2)
+        w = [a/s, b/s]
         if rf is not None:
-            if (w @ rf).real < 0:
-                w = -w
-        elif w[axis].real < 0 or (w[axis].real == 0 and w[1 - axis].real < 0):
-            w = -w
-        out.append(w)
+            flip = (w[0]*rf[0] + w[1]*rf[1]).real < 0
+        else:
+            flip = w[axis].real < 0 or (w[axis].real == 0
+                                        and w[1 - axis].real < 0)
+        out.append(np.array([-w[0], -w[1]] if flip else w))
     return out
 
 
@@ -385,7 +389,8 @@ def _check_inversion_centers(surface: SurfacePatch, mmap: MobiusMap,
         if prim[0] == "inversion":
             dists = np.linalg.norm(partial.apply(pts), axis=-1)
             k = int(np.argmin(dists))
-            # refine the closest sample: the center may sit between samples
+            # refine the closest sample: the center may sit between samples,
+            # and a search off the domain can find centers the patch misses
             part = partial
 
             def d2(x):
@@ -393,6 +398,7 @@ def _check_inversion_centers(surface: SurfacePatch, mmap: MobiusMap,
                     np.asarray(surface.position(x[0], x[1])))**2))
 
             res = minimize(d2, np.array(uv[k]), method="Nelder-Mead",
+                           bounds=surface.domain,
                            options={"xatol": 1e-10, "fatol": 1e-20})
             dmin = np.sqrt(max(res.fun, 0.0))
             scale = max(np.max(dists), 1.0)

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
+import sympy as sp
 
-from conformal.catalog import (isothermic_check, isothermic_residual,
-                               make_canonical, make_graph, make_helcat,
-                               make_torus, make_tube)
+from conformal.catalog import (_center_curve, isothermic_check,
+                               isothermic_residual, make_canonical,
+                               make_graph, make_helcat, make_torus, make_tube)
 from conformal.errors import CanalPoint, SelfIntersectingTube
 from conformal.invariants import (invariant_sample, psi_invariant,
                                   theta_state, xi_theta_derivs)
@@ -120,3 +121,18 @@ def test_isothermic_verdicts(catenoid, helcat_quarter, torus):
     assert isothermic_check(torus, [(0.5, 0.8), (1.0, 2.0)])
     r = isothermic_residual(catenoid.surface, 0.7, 0.4)
     assert abs(r) < 1e-4
+
+
+@pytest.mark.parametrize("curve", [("circle", 3.0), ("circle", 0.4),
+                                   ("helix", 2.0, 0.5), ("helix", 1.0, 1.0),
+                                   ("helix", 0.7, -1.3)])
+def test_closed_form_frames_are_frenet(curve):
+    # T = c'/|c'|, N = T'/|T'|, B = T x N, each against the closed form
+    u, c, (T, N, B), _ = _center_curve(curve)
+    f = sp.lambdify(u, [c.diff(u), T, T.diff(u), N, B], "numpy")
+    for x in np.random.default_rng(3).uniform(-10.0, 10.0, 25):
+        dc, t, dt, n, b = (np.asarray(m, dtype=float).ravel() * np.ones(3)
+                           for m in f(x))
+        assert np.allclose(t, dc/np.linalg.norm(dc), rtol=0, atol=1e-14)
+        assert np.allclose(n, dt/np.linalg.norm(dt), rtol=0, atol=1e-14)
+        assert np.allclose(b, np.cross(t, n), rtol=0, atol=1e-14)

@@ -89,6 +89,36 @@ def test_invariants_csv_masked_cells_empty(runner, specs):
     assert len(lines) == 65
 
 
+def test_invariants_rows_name_their_mask(runner, specs):
+    # the default 16x16 grid spans the whole domain: the first and last
+    # samples in each direction lie inside the differencing margin
+    res = runner.invoke(main, ["invariants", "--surface", specs["helcat"],
+                               "--format", "json"])
+    assert res.exit_code == 0
+    header, rows, _ = _rows(res)
+    assert len(rows) == 256
+    icls = header.index("class")
+    for r in rows:
+        edge = abs(r[0]) == 3.0 or abs(r[1]) == 7.0
+        assert (r[icls] == "BoundaryTooClose") == edge
+        if edge:
+            assert all(x is None for x in r[2:icls])
+
+
+def test_classify_rows_name_their_error(runner, specs):
+    # the last grid row sits on the pole of the sphere, where the metric
+    # degenerates; the sweep reports it per row instead of aborting
+    res = runner.invoke(main, ["classify", "--surface", specs["sphere"],
+                               "--grid", "8x8", "--range",
+                               f"-1:1,1.2:{np.pi/2!r}", "--format", "json"])
+    assert res.exit_code == 0
+    header, rows, _ = _rows(res)
+    icls = header.index("class")
+    pole = [r[icls] for r in rows if r[1] > 1.57]
+    assert pole == ["DegenerateMetric"]*8
+    assert "DegenerateMetric" not in [r[icls] for r in rows if r[1] < 1.57]
+
+
 def test_osculate(runner, specs):
     res = runner.invoke(main, ["osculate", "--surface", specs["helcat"],
                                "--seed", "1.0,0.3", "--format", "json"])

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from conformal import linefields
 from conformal.errors import SeedIsDupinPoint
 from conformal.linefields import (darboux_critical_points, fit_circle,
                                   integrate_darboux_line,
@@ -95,3 +96,29 @@ def test_darboux_trace_records_angles(helcat_quarter):
     n = len(tr.uv)
     assert len(tr.alpha) == n and len(tr.sigma) == n
     assert np.all(np.diff(tr.sigma) > 0)
+
+
+def test_each_step_evaluates_four_theta_states(monkeypatch, helical_tube,
+                                              helcat_quarter):
+    calls = []
+    orig = linefields.theta_state
+
+    def counted(*args, **kwargs):
+        calls.append(args[1:3])
+        return orig(*args, **kwargs)
+
+    monkeypatch.setattr(linefields, "theta_state", counted)
+    # a closed Dupin trace: the seed state, then three stages per step and
+    # the start of each later step, which serves the stop test and stage 1
+    tr = integrate_dupin_line(helical_tube.surface, (0.5, 1.2))
+    assert tr.closed
+    assert len(calls) == 4*(len(tr) - 1)
+    calls.clear()
+    # a Darboux trace: the seed, then three stages and the end of each step,
+    # which is the first stage of the next
+    s = helcat_quarter.surface
+    seed = (-0.05, 0.3)
+    a0 = _seed_alpha(s, seed)
+    tr = integrate_darboux_line(s, seed, a0, max_length=0.5)
+    assert tr.termination == "ReachedLength"
+    assert len(calls) == 1 + 4*(len(tr) - 1)

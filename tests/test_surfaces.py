@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
 import sympy as sp
+from hypothesis import given, settings, strategies as st
 
 from conformal.errors import (InversionCenterOnSurface, OrderUnavailable,
                               OutOfDomain, UmbilicPoint)
 from conformal.surfaces import (MobiusMap, SurfacePatch, eval_jet,
-                                mobius_transform, principal_data)
+                                mobius_transform, principal_data,
+                                principal_directions, shape_data)
 
 
 def _sphere(radius=1.0):
@@ -65,6 +67,91 @@ def test_principal_directions_metric_unit(helcat_quarter):
     amb1 = pd.X1[0]*ru + pd.X1[1]*rv
     amb2 = pd.X2[0]*ru + pd.X2[1]*rv
     assert abs(amb1 @ amb2) < 1e-10
+
+
+def _shape_ref(d):
+    """Reference shape data on numpy 3-vectors (np.cross, @)."""
+    ru, rv = d[(1, 0)], d[(0, 1)]
+    E, F, G = ru @ ru, ru @ rv, rv @ rv
+    nv = np.cross(ru, rv)
+    n = nv / np.sqrt(nv @ nv)
+    L, M, N = d[(2, 0)] @ n, d[(1, 1)] @ n, d[(0, 2)] @ n
+    g = E*G - F*F
+    W = np.array([[G*L - F*M, G*M - F*N], [E*M - F*L, E*N - F*M]]) / g
+    H = (W[0, 0] + W[1, 1]) / 2
+    K = W[0, 0]*W[1, 1] - W[0, 1]*W[1, 0]
+    mu = np.sqrt(H*H - K)
+    return dict(E=E, F=F, G=G, g=g, L=L, M=M, N=N, W=W, n=n, H=H, K=K,
+                mu=mu, k1=H + mu, k2=H - mu)
+
+
+def _dirs_ref(S, ref=None):
+    """Reference principal directions on numpy 2-vectors."""
+    W, k1, k2 = S["W"], S["k1"], S["k2"]
+    cands = ([np.array([W[0, 1], k1 - W[0, 0]]),
+              np.array([k1 - W[1, 1], W[1, 0]])],
+             [np.array([k2 - W[1, 1], W[1, 0]]),
+              np.array([W[0, 1], k2 - W[0, 0]])])
+    out = []
+    for cs, rf, axis in zip(cands, (None, None) if ref is None else ref,
+                            (0, 1)):
+        w = max(cs, key=lambda c: abs(c[0]) + abs(c[1]))
+        w = w / np.sqrt(S["E"]*w[0]**2 + 2*S["F"]*w[0]*w[1]
+                        + S["G"]*w[1]**2)
+        if rf is not None:
+            flip = (w @ rf).real < 0
+        else:
+            flip = w[axis].real < 0 or (w[axis].real == 0
+                                        and w[1 - axis].real < 0)
+        out.append(-w if flip else w)
+    return out
+
+
+_H_STEP = 1e-20
+
+
+def _close(got, want, scale, complex_step):
+    got, want = np.asarray(got), np.asarray(want)
+    assert np.allclose(got.real, want.real, rtol=0, atol=1e-12*scale)
+    if complex_step:
+        assert np.allclose(got.imag/_H_STEP, want.imag/_H_STEP, rtol=0,
+                           atol=1e-12*max(np.max(np.abs(want.imag/_H_STEP)),
+                                          1.0))
+
+
+@settings(max_examples=150, derandomize=True, database=None, deadline=None)
+@given(st.sampled_from(["helcat", "torus", "tube"]),
+       st.floats(0.02, 0.98), st.floats(0.02, 0.98),
+       st.sampled_from([None, "u", "v"]))
+def test_scalar_kernel_matches_numpy_reference(helcat_quarter, torus,
+                                               helical_tube, which, fu, fv,
+                                               step):
+    surface = {"helcat": helcat_quarter, "torus": torus,
+               "tube": helical_tube}[which].surface
+    (u0, u1), (v0, v1) = surface.domain
+    u, v = u0 + fu*(u1 - u0), v0 + fv*(v1 - v0)
+    u = u + 1j*_H_STEP if step == "u" else u
+    v = v + 1j*_H_STEP if step == "v" else v
+    d = surface.jet_raw(u, v)
+    got, want = shape_data(d), _shape_ref(d)
+    for key in want:
+        scale = max(np.max(np.abs(np.asarray(want[key]).real)), 1.0)
+        _close(got[key], want[key], scale, step is not None)
+    for key in ("r", "ru", "rv"):
+        assert got[key] is d[{"r": (0, 0), "ru": (1, 0), "rv": (0, 1)}[key]]
+    assert isinstance(got["W"], np.ndarray) and got["W"].shape == (2, 2)
+    assert isinstance(got["n"], np.ndarray) and got["n"].shape == (3,)
+    # with a reference frame the signs follow it; without one they follow
+    # the parameter axes, except where a direction is (to roundoff)
+    # perpendicular to its axis, as X1 on the helix tube, so the sign is
+    # set by the last bits of the jet
+    ref = _dirs_ref(want)
+    for X, Y in zip(principal_directions(got, ref), ref):
+        _close(X, Y, max(np.max(np.abs(Y.real)), 1.0), step is not None)
+    for axis, (X, Y) in enumerate(zip(principal_directions(got), ref)):
+        if abs(Y[axis].real) < 1e-12*np.max(np.abs(Y.real)):
+            X = X if (X @ Y).real > 0 else -X
+        _close(X, Y, max(np.max(np.abs(Y.real)), 1.0), step is not None)
 
 
 def test_mobius_composition_and_inverse():
@@ -160,3 +247,17 @@ def test_inversion_center_on_surface_rejected(torus):
     m = MobiusMap.translation(-p).then(MobiusMap.inversion())
     with pytest.raises(InversionCenterOnSurface):
         mobius_transform(torus.surface, m)
+
+
+def test_inversion_center_search_stays_in_domain(helcat_quarter):
+    # the composition is the identity; the partial image (the first
+    # inversion) tends to the second center only as (u, v) -> infinity,
+    # which an unbounded search would reach far outside the domain
+    s = helcat_quarter.surface
+    inv = MobiusMap.inversion()
+    moved = mobius_transform(s, inv.then(inv))
+    assert np.allclose(moved.position(0.8, 0.5), s.position(0.8, 0.5),
+                       rtol=0, atol=1e-12)
+    p = s.position(0.3, 0.2)
+    with pytest.raises(InversionCenterOnSurface):
+        mobius_transform(s, MobiusMap.translation(-p).then(inv))
