@@ -4,9 +4,11 @@ and the tangent-sphere section-angle law.
 Both surfaces are quartic graphs over the common tangent plane; their
 difference F(x, y) has no quadratic part, so the zero set near the origin is
 governed by the cubic (and, at special parameter values, quartic) terms.
-Curves are extracted by marching squares with per-edge root refinement to
-machine precision, with the origin cell subdivided because F vanishes to
-order >= 3 there.
+Curves are extracted by marching squares on a numpy sign mask: every grid
+edge whose end values differ in sign is refined once, all such edges
+together, by bisection to machine precision, and each cell's segments come
+from one case table.  The origin cell is subdivided 4x4 and traced the same
+way, because F vanishes to order >= 3 there.
 """
 from __future__ import annotations
 
@@ -67,10 +69,14 @@ def difference_eval(coeffs, psi_c):
     mono = difference_coeffs(coeffs, psi_c)
 
     def F(x, y):
+        # Horner in x over polynomials in y, also by Horner: few temporaries
+        # and no pow (numpy's x**3 and x**4 call pow per element)
         out = 0.0
-        for (i, j), w in mono.items():
-            if w != 0.0:
-                out = out + w * x**i * y**j
+        for i in range(4, -1, -1):
+            ci = 0.0
+            for j in range(4 - i, -1, -1):
+                ci = ci*y + mono.get((i, j), 0.0)
+            out = out*x + ci
         return out
     return F
 
@@ -87,43 +93,96 @@ def check_window(coeffs, window: float):
 
 
 # --------------------------------------------------------------------------
-# marching squares with root refinement
+# marching squares on a sign mask
 # --------------------------------------------------------------------------
-def _edge_root(F, p0, p1, f0, f1):
-    """Machine-precision zero of F restricted to the segment p0-p1."""
-    def g(s):
-        return F(p0[0] + s*(p1[0] - p0[0]), p0[1] + s*(p1[1] - p0[1]))
-    s = brentq(g, 0.0, 1.0, xtol=1e-15, rtol=8.9e-16)
-    return (p0[0] + s*(p1[0] - p0[0]), p0[1] + s*(p1[1] - p0[1]))
+# Cell (i, j) has corners c0..c3 = (i, j), (i+1, j), (i+1, j+1), (i, j+1), and
+# edge k joins c_k to c_(k+1 mod 4).  Row ``code + 16*centre`` of the table
+# lists a cell's segments as pairs of crossed edges, where bit k of ``code``
+# says c_k > 0 and ``centre`` says the cell centre is; -1 pads the second
+# slot.  Only the saddle codes 5 and 10 depend on the centre: a centre of the
+# sign of c0 pairs (0, 3) with (1, 2), otherwise (0, 1) with (2, 3).
+def _case_table():
+    table = np.full((32, 2, 2), -1)
+    for row in range(32):
+        code, centre = row % 16, row // 16
+        pos = [(code >> k) & 1 for k in range(4)]
+        crossed = [k for k in range(4) if pos[k] != pos[(k + 1) % 4]]
+        if len(crossed) == 4:
+            crossed = [0, 3, 1, 2] if centre == pos[0] else [0, 1, 2, 3]
+        table[row].flat[:len(crossed)] = crossed
+    return table
 
 
-def _cell_segments(F, corners, values):
-    """Marching-squares segments for one cell.
+_CASES = _case_table()
+# 64 halvings shrink an edge of length h to h*2^-64: adjacent floats for
+# every root larger than about h*2^-12 in magnitude, and an error below
+# h*2^-64 for the rest
+_BISECTIONS = 64
 
-    corners: (x0,y0),(x1,y0),(x1,y1),(x0,y1) counter-clockwise with values.
-    Returns a list of ((x,y), (x,y)) segments with refined endpoints.
+
+def _bisect(F, lo, hi, pos_lo):
+    """Zeros of F on many grid edges at once.
+
+    Edge k runs from point ``lo[k]`` to point ``hi[k]`` (rows of (n, 2)
+    arrays), and ``pos_lo[k]`` says F > 0 at ``lo[k]`` and not at ``hi[k]``.
+    Each bracket is halved ``_BISECTIONS`` times (the coordinate an edge
+    keeps fixed stays exact), and the end with the smaller |F| is returned.
     """
-    sgn = [1 if w > 0 else -1 for w in values]
-    if sgn[0] == sgn[1] == sgn[2] == sgn[3]:
-        return []
-    pts = []
-    for k in range(4):
-        k2 = (k + 1) % 4
-        if sgn[k] != sgn[k2]:
-            pts.append((k, _edge_root(F, corners[k], corners[k2],
-                                      values[k], values[k2])))
-    if len(pts) == 2:
-        return [(pts[0][1], pts[1][1])]
-    if len(pts) == 4:
-        # saddle cell: resolve the pairing with the center sign
-        cx = 0.5*(corners[0][0] + corners[2][0])
-        cy = 0.5*(corners[0][1] + corners[2][1])
-        center = F(cx, cy)
-        same_as_corner0 = (center > 0) == (values[0] > 0)
-        if same_as_corner0:
-            return [(pts[0][1], pts[3][1]), (pts[1][1], pts[2][1])]
-        return [(pts[0][1], pts[1][1]), (pts[2][1], pts[3][1])]
-    return []
+    def f(p):
+        return F(p[:, 0], p[:, 1])
+
+    for _ in range(_BISECTIONS):
+        mid = 0.5*(lo + hi)
+        up = ((f(mid) > 0) == pos_lo)[:, None]
+        lo, hi = np.where(up, mid, lo), np.where(up, hi, mid)
+    return np.where((np.abs(f(lo)) <= np.abs(f(hi)))[:, None], lo, hi)
+
+
+def _march(F, xs, ys, skip=None):
+    """Marching-squares segments of the zero set of F on the grid xs x ys.
+
+    A grid point counts as positive when F > 0 there.  Every edge whose ends
+    differ is refined once, by :func:`_bisect`, and both of its cells share
+    that root.  ``skip`` is a cell (i, j) to leave out.  Returns the
+    segments as an (m, 2, 2) array of endpoints in row-major cell order,
+    and the flat index of each segment's cell.
+    """
+    P = np.stack(np.meshgrid(xs, ys, indexing="ij"), axis=-1)
+    pos = F(P[..., 0], P[..., 1]) > 0
+    ix, jx = np.nonzero(pos[:-1, :] != pos[1:, :])     # edges along x
+    iy, jy = np.nonzero(pos[:, :-1] != pos[:, 1:])     # edges along y
+    nx = len(ix)
+    roots = _bisect(F, np.concatenate([P[ix, jx], P[iy, jy]]),
+                    np.concatenate([P[ix + 1, jx], P[iy, jy + 1]]),
+                    np.concatenate([pos[ix, jx], pos[iy, jy]]))
+    root_x = np.full((len(xs) - 1, len(ys)), -1)
+    root_x[ix, jx] = np.arange(nx)
+    root_y = np.full((len(xs), len(ys) - 1), -1)
+    root_y[iy, jy] = nx + np.arange(len(iy))
+
+    code = (pos[:-1, :-1] + 2*pos[1:, :-1] + 4*pos[1:, 1:]
+            + 8*pos[:-1, 1:])
+    if skip is not None:
+        code[skip] = 0
+    ci, cj = np.nonzero((code != 0) & (code != 15))
+    code = code[ci, cj]
+    saddle = (code == 5) | (code == 10)
+    si, sj = ci[saddle], cj[saddle]
+    code[saddle] += 16*(F(0.5*(xs[si] + xs[si + 1]),
+                          0.5*(ys[sj] + ys[sj + 1])) > 0)
+    edge_root = np.stack([root_x[ci, cj], root_y[ci + 1, cj],
+                          root_x[ci, cj + 1], root_y[ci, cj]], axis=1)
+    pairs = _CASES[code]                                # (m, 2 slots, 2)
+    ends = np.take_along_axis(edge_root, pairs.reshape(len(code), 4) % 4,
+                              axis=1).reshape(-1, 2)
+    used = pairs.reshape(-1, 2)[:, 0] >= 0
+    cell = np.repeat(ci*(len(ys) - 1) + cj, 2)[used]
+    return roots[ends[used]], cell
+
+
+# endpoints closer than this are one vertex to _stitch (_key rounds to 9
+# decimals)
+_JOIN_TOL = 1e-9
 
 
 def _key(p):
@@ -148,18 +207,23 @@ class _UnionFind:
 
 
 def _stitch(segments):
-    """Join segments into polylines by shared (rounded) endpoints; return
-    polylines plus a component label per polyline (components join wherever
-    any vertex is shared, including self-crossings)."""
+    """Join segments into polylines by shared endpoints; return polylines
+    plus a component label per polyline (components join wherever any vertex
+    is shared, including self-crossings).  Endpoints are matched by their
+    coordinates rounded to 9 decimals; the polylines carry the unrounded
+    coordinates."""
     uf = _UnionFind()
     adj = {}
-    for seg in segments:
-        ka, kb = _key(seg[0]), _key(seg[1])
+    at = {}
+    for pa, pb in segments:
+        ka, kb = _key(pa), _key(pb)
         if ka == kb:
             continue
         uf.union(ka, kb)
-        adj.setdefault(ka, []).append((kb, seg[1]))
-        adj.setdefault(kb, []).append((ka, seg[0]))
+        adj.setdefault(ka, []).append(kb)
+        adj.setdefault(kb, []).append(ka)
+        at.setdefault(ka, pa)
+        at.setdefault(kb, pb)
     used = set()
     polylines = []
 
@@ -168,26 +232,26 @@ def _stitch(segments):
         cur = start
         while True:
             nxt = None
-            for kb, pb in adj[cur]:
+            for kb in adj[cur]:
                 e = (min(cur, kb), max(cur, kb))
                 if e not in used:
-                    nxt = (kb, pb)
+                    nxt = kb
                     used.add(e)
                     break
             if nxt is None:
                 break
-            chain.append(nxt[0])
-            cur = nxt[0]
+            chain.append(nxt)
+            cur = nxt
         return chain
 
     # start walks at odd-degree vertices first (open curve endpoints)
     keys = sorted(adj.keys())
     for k in keys:
         if len(adj[k]) % 2 == 1:
-            while any((min(k, kb), max(k, kb)) not in used for kb, _ in adj[k]):
+            while any((min(k, kb), max(k, kb)) not in used for kb in adj[k]):
                 polylines.append(walk(k))
     for k in keys:
-        while any((min(k, kb), max(k, kb)) not in used for kb, _ in adj[k]):
+        while any((min(k, kb), max(k, kb)) not in used for kb in adj[k]):
             polylines.append(walk(k))
 
     comp_roots = []
@@ -197,7 +261,8 @@ def _stitch(segments):
         if root not in comp_roots:
             comp_roots.append(root)
         comp_of.append(comp_roots.index(root))
-    arrays = [np.array(chain, dtype=float) for chain in polylines]
+    arrays = [np.array([at[k] for k in chain], dtype=float)
+              for chain in polylines]
     return arrays, comp_of, len(comp_roots)
 
 
@@ -234,39 +299,26 @@ def trace_cyclide_intersection(coeffs, psi_c: float, window: float = 1.0,
     check_window(coeffs, window)
     F = difference_eval(coeffs, psi_c)
     xs = np.linspace(-window, window, cells + 1)
-    X, Y = np.meshgrid(xs, xs, indexing="ij")
-    V = F(X, Y)
     h = xs[1] - xs[0]
     # origin cell indices (origin strictly inside: grid point count is even)
     i0 = int(np.searchsorted(xs, 0.0)) - 1
-    segments = []
-    for i in range(cells):
-        for j in range(cells):
-            cs = [(xs[i], xs[j]), (xs[i+1], xs[j]),
-                  (xs[i+1], xs[j+1]), (xs[i], xs[j+1])]
-            vals = [V[i, j], V[i+1, j], V[i+1, j+1], V[i, j+1]]
-            if i == i0 and j == i0:
-                sub = np.linspace(xs[i], xs[i+1], 5)
-                suby = np.linspace(xs[j], xs[j+1], 5)
-                for a_ in range(4):
-                    for b_ in range(4):
-                        cs2 = [(sub[a_], suby[b_]), (sub[a_+1], suby[b_]),
-                               (sub[a_+1], suby[b_+1]), (sub[a_], suby[b_+1])]
-                        v2 = [F(*p) for p in cs2]
-                        segments.extend(_cell_segments(F, cs2, v2))
-            else:
-                segments.extend(_cell_segments(F, cs, vals))
+    segs, cell = _march(F, xs, xs, skip=(i0, i0))
+    sub = np.linspace(xs[i0], xs[i0 + 1], 5)
+    k = int(np.searchsorted(cell, i0*cells + i0))
+    segs = np.concatenate([segs[:k], _march(F, sub, sub)[0], segs[k:]])
     # cut the zero set at the origin (see docstring): drop segments whose
     # endpoints both fall inside a sub-cell-sized disk around it
     r_cut = 0.45 * h
-    segments = [s for s in segments
-                if max(np.hypot(*s[0]), np.hypot(*s[1])) > r_cut]
-    polylines, comp_of, ncomp = _stitch(segments)
+    segs = segs[np.hypot(segs[..., 0], segs[..., 1]).max(axis=1) > r_cut]
+    polylines, comp_of, ncomp = _stitch(segs.tolist())
     origin_idx = None
     best = np.inf
     for idx, pl in enumerate(polylines):
         dmin = float(np.min(np.hypot(pl[:, 0], pl[:, 1])))
-        if dmin < min(best, 1.5*h):
+        # distances within the join tolerance tie, and the first polyline
+        # keeps the origin (the two halves of a curve through the origin
+        # differ only by roundoff)
+        if dmin < min(best - _JOIN_TOL, 1.5*h):
             best = dmin
             origin_idx = comp_of[idx]
     return PlanarCurveSet(polylines=polylines, window=window,

@@ -2,11 +2,12 @@
 data, and ambient Mobius transformations.
 
 Only the position map and its partial derivatives up to order 2 are evaluated
-analytically: one closed form per patch, compiled once.  A Mobius map acts on
-an analytic patch by pushing that order-2 jet through the chain rule, so a
-moved patch needs no symbolic work.  Everything built on top of the jets
-(curvature gradients, invariant fields) lives in other modules and is
-obtained by differencing the pointwise quantities, never by deeper jets.
+analytically: one closed form per patch, compiled once, on first evaluation,
+so a patch whose jets are never read costs no symbolic work.  A Mobius map
+acts on an analytic patch by pushing that order-2 jet through the chain rule,
+so a moved patch needs no symbolic work either.  Everything built on top of
+the jets (curvature gradients, invariant fields) lives in other modules and
+is obtained by differencing the pointwise quantities, never by deeper jets.
 """
 from __future__ import annotations
 
@@ -68,16 +69,21 @@ class SurfacePatch:
     # -- constructors ------------------------------------------------------
     @classmethod
     def from_sympy(cls, expr, symbols, domain, name="surface"):
-        """Compile the order-2 partials of a sympy position matrix once,
-        differentiating the first partials for the second (r_uv = d_v r_u)."""
+        """Patch whose jets are the order-2 partials of a sympy position
+        matrix, compiled once, on first evaluation: a caller that never
+        evaluates a jet pays no ``sp.diff`` or ``lambdify``.  The second
+        partials differentiate the first (r_uv = d_v r_u)."""
         us, vs = symbols
         r = list(sp.Matrix(expr))
-        ru, rv = [e.diff(us) for e in r], [e.diff(vs) for e in r]
-        flat = r + ru + rv + [e.diff(s) for d, s in ((ru, us), (ru, vs),
-                                                     (rv, vs)) for e in d]
-        fn = sp.lambdify((us, vs), flat, "numpy")
+        fn = None
 
         def jet(u, v):
+            nonlocal fn
+            if fn is None:
+                ru, rv = [e.diff(us) for e in r], [e.diff(vs) for e in r]
+                flat = r + ru + rv + [e.diff(s) for d, s in (
+                    (ru, us), (ru, vs), (rv, vs)) for e in d]
+                fn = sp.lambdify((us, vs), flat, "numpy")
             vals = fn(u, v)
             return [np.asarray(vals[3*k:3*k + 3]) for k in range(len(_JET_IDX))]
 
@@ -229,14 +235,14 @@ def principal_data(jet: Jet, ref=None, tol_umb: float = _TOL_UMB) -> PrincipalDa
     """Eigen-decomposition of the shape operator at a jet point.
 
     Raises :class:`UmbilicPoint` when k1 - k2 falls under the (relative)
-    umbilic tolerance, :class:`DegenerateMetric` when the first fundamental
-    form is singular.
+    umbilic tolerance or is NaN (H*H - K rounded below 0),
+    :class:`DegenerateMetric` when the first fundamental form is singular.
     """
     S = shape_data(jet.derivs)
     scale = max(abs(S["E"]), abs(S["G"]))
     if not np.isfinite(S["g"]) or abs(S["g"]) < 1e-14 * scale**2:
         raise DegenerateMetric(f"det I = {S['g']!r}")
-    if S["mu"] < tol_umb * max(abs(S["k1"]), abs(S["k2"]), 1.0):
+    if not S["mu"] >= tol_umb * max(abs(S["k1"]), abs(S["k2"]), 1.0):
         raise UmbilicPoint(f"k1 = {S['k1']!r}, k2 = {S['k2']!r}")
     X1, X2 = principal_directions(S, ref)
     X1a = X1[0]*S["ru"] + X1[1]*S["rv"]

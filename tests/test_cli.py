@@ -245,3 +245,38 @@ def test_missing_surface_file_rejected(runner, tmp_path):
     res = runner.invoke(main, ["classify", "--surface",
                                str(tmp_path / "nope.spec")])
     assert res.exit_code != 0
+
+
+def test_invariants_sphere_nan_mu_rows_are_umbilic(runner, specs):
+    # H*H - K rounds below 0 at some sphere points; the NaN mu it gives
+    # must read as an umbilic, not as a Generic or Canal point
+    res = runner.invoke(main, ["invariants", "--surface", specs["sphere"],
+                               "--grid", "16x16", "--range",
+                               "-3:3,-1.2:1.2", "--format", "json"])
+    assert res.exit_code == 0
+    header, rows, _ = _rows(res)
+    imu, icls = header.index("mu"), header.index("class")
+    masked = [r[icls] for r in rows if r[imu] is None]
+    assert masked
+    assert not [c for c in masked if c == "Generic" or c.startswith("Canal")]
+
+
+@pytest.mark.parametrize("command,spec,compiles", [
+    (["intersect"], "canonical", 0),
+    (["prescribe", "--grid", "33x33"], "helcat", 0),
+    (["invariants", "--grid", "8x8", "--range", "-1:1,-1:1"], "helcat", 1),
+], ids=["intersect", "prescribe", "invariants"])
+def test_commands_compile_only_evaluated_patches(runner, specs, monkeypatch,
+                                                 command, spec, compiles):
+    import sympy
+    calls = []
+    lambdify = sympy.lambdify
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return lambdify(*args, **kwargs)
+
+    monkeypatch.setattr(sympy, "lambdify", counting)
+    res = runner.invoke(main, command + ["--surface", specs[spec]])
+    assert res.exit_code == 0
+    assert len(calls) == compiles

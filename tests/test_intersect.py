@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from scipy.optimize import brentq
 
 from conformal.errors import ResolutionTooLow, WindowTooLarge
-from conformal.intersect import (component_count_oracle, difference_coeffs,
-                                 difference_eval, measure_section_angle,
+from conformal.intersect import (_march, _stitch, component_count_oracle,
+                                 difference_coeffs, difference_eval,
+                                 measure_section_angle,
                                  origin_branch_directions,
                                  sphere_section_angle,
                                  trace_cyclide_intersection)
@@ -34,6 +37,117 @@ def test_vertices_lie_on_zero_set():
     cs = trace_cyclide_intersection(COEFFS, PSI_OSC, resolution=128)
     for pl in cs.polylines:
         assert np.max(np.abs(F(pl[:, 0], pl[:, 1]))) < 1e-9
+
+
+@pytest.mark.parametrize("dpsi", [0.0, 4.0, -4.0])
+def test_written_vertices_are_refined_roots(dpsi):
+    # polylines carry the refined edge roots, not the 9-decimal join keys
+    F = difference_eval(COEFFS, PSI_OSC + dpsi)
+    for n in (128, 256):
+        cs = trace_cyclide_intersection(COEFFS, PSI_OSC + dpsi, resolution=n)
+        xy = np.concatenate(cs.polylines)
+        assert np.max(np.abs(F(xy[:, 0], xy[:, 1]))) < 1e-12
+
+
+@pytest.mark.parametrize("dpsi,origin", [(0.0, 0), (4.0, 0), (-4.0, 2)])
+def test_origin_component_index_on_pencil(dpsi, origin):
+    # at dpsi = 0 the two halves of the curve through the origin are equally
+    # near it up to roundoff, and the first keeps the origin
+    for n in (64, 128, 256):
+        cs = trace_cyclide_intersection(COEFFS, PSI_OSC + dpsi, resolution=n)
+        assert cs.origin_component_index == origin
+
+
+# --------------------------------------------------------------------------
+# reference: the per-cell marching squares with two brentq calls per crossed
+# edge (one from each neighbouring cell) that the sign-mask tracer replaced
+# --------------------------------------------------------------------------
+def _ref_edge_root(F, p0, p1):
+    def g(s):
+        return F(p0[0] + s*(p1[0] - p0[0]), p0[1] + s*(p1[1] - p0[1]))
+    s = brentq(g, 0.0, 1.0, xtol=1e-15, rtol=8.9e-16)
+    return (p0[0] + s*(p1[0] - p0[0]), p0[1] + s*(p1[1] - p0[1]))
+
+
+def _ref_cell_segments(F, corners, values):
+    sgn = [1 if w > 0 else -1 for w in values]
+    if sgn[0] == sgn[1] == sgn[2] == sgn[3]:
+        return []
+    pts = []
+    for k in range(4):
+        k2 = (k + 1) % 4
+        if sgn[k] != sgn[k2]:
+            pts.append(_ref_edge_root(F, corners[k], corners[k2]))
+    if len(pts) == 2:
+        return [(pts[0], pts[1])]
+    cx = 0.5*(corners[0][0] + corners[2][0])
+    cy = 0.5*(corners[0][1] + corners[2][1])
+    if (F(cx, cy) > 0) == (values[0] > 0):
+        return [(pts[0], pts[3]), (pts[1], pts[2])]
+    return [(pts[0], pts[1]), (pts[2], pts[3])]
+
+
+def _ref_cells(F, xs, ys):
+    for i in range(len(xs) - 1):
+        for j in range(len(ys) - 1):
+            cs = [(xs[i], ys[j]), (xs[i+1], ys[j]),
+                  (xs[i+1], ys[j+1]), (xs[i], ys[j+1])]
+            yield i, j, cs, [F(*p) for p in cs]
+
+
+def _reference_trace(coeffs, psi_c, resolution):
+    F = difference_eval(coeffs, psi_c)
+    cells = resolution + 1 if resolution % 2 == 0 else resolution
+    xs = np.linspace(-1.0, 1.0, cells + 1)
+    i0 = int(np.searchsorted(xs, 0.0)) - 1
+    segments = []
+    for i, j, cs, vals in _ref_cells(F, xs, xs):
+        if i == i0 and j == i0:
+            sub = np.linspace(xs[i], xs[i+1], 5)
+            for _, _, cs2, v2 in _ref_cells(F, sub, sub):
+                segments.extend(_ref_cell_segments(F, cs2, v2))
+        else:
+            segments.extend(_ref_cell_segments(F, cs, vals))
+    r_cut = 0.45*(xs[1] - xs[0])
+    segments = [s for s in segments
+                if max(np.hypot(*s[0]), np.hypot(*s[1])) > r_cut]
+    return _stitch(segments)
+
+
+@settings(max_examples=15, derandomize=True, database=None, deadline=None)
+@given(dpsi=st.floats(-6.0, 6.0), resolution=st.sampled_from([64, 128, 256]))
+def test_sign_mask_tracer_matches_per_cell_reference(dpsi, resolution):
+    pc = PSI_OSC + dpsi
+    cs = trace_cyclide_intersection(COEFFS, pc, resolution=resolution)
+    ref_pl, ref_comp, ref_count = _reference_trace(COEFFS, pc, resolution)
+    assert cs.component_count == ref_count == component_count_oracle(COEFFS,
+                                                                      pc)
+    assert cs.component_of_polyline == ref_comp
+    assert [len(p) for p in cs.polylines] == [len(p) for p in ref_pl]
+    for got, want in zip(cs.polylines, ref_pl):
+        assert np.max(np.abs(got - want)) < 1e-9
+
+
+@pytest.mark.parametrize("code,centre", [(c, -1.0) for c in range(1, 15)]
+                         + [(5, 1.0), (10, 1.0)])
+def test_case_table_matches_reference_cell(code, centre):
+    # one cell with corner signs from the bits of ``code``; on a saddle
+    # (codes 5 and 10) the corners of the sign of ``centre`` weigh 3, so the
+    # bilinear F below has that sign at the cell centre
+    signs = [1.0 if (code >> k) & 1 else -1.0 for k in range(4)]
+    vals = [3.0*s if code in (5, 10) and s == centre else s for s in signs]
+
+    def F(x, y):
+        return (vals[0]*(1 - x)*(1 - y) + vals[1]*x*(1 - y)
+                + vals[2]*x*y + vals[3]*(1 - x)*y)
+
+    xs = np.array([0.0, 1.0])
+    want = _ref_cell_segments(F, [(0.0, 0.0), (1.0, 0.0), (1.0, 1.0),
+                                  (0.0, 1.0)], vals)
+    got, cell = _march(F, xs, xs)
+    assert len(got) == len(want) == (2 if code in (5, 10) else 1)
+    assert np.allclose(got, np.array(want), atol=1e-15)
+    assert list(cell) == [0]*len(want)
 
 
 def test_degenerate_difference_detected():

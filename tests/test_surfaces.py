@@ -261,3 +261,26 @@ def test_inversion_center_search_stays_in_domain(helcat_quarter):
     p = s.position(0.3, 0.2)
     with pytest.raises(InversionCenterOnSurface):
         mobius_transform(s, MobiusMap.translation(-p).then(inv))
+
+
+@pytest.mark.parametrize("mmap", [
+    MobiusMap.dilation(2.0).then(MobiusMap.translation([0.5, 0.0, 0.0])),
+    MobiusMap.translation([0.0, 0.0, 3.0]).then(MobiusMap.inversion()),
+], ids=["similarity", "inversion"])
+def test_moved_patch_compiles_its_base_once(monkeypatch, mmap):
+    calls = []
+    lambdify = sp.lambdify
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return lambdify(*args, **kwargs)
+
+    monkeypatch.setattr(sp, "lambdify", counting)
+    base = _sphere(2.0)
+    assert calls == []
+    moved = mobius_transform(base, mmap)
+    for _ in range(3):
+        got = moved.jet_raw(0.3, 0.2)
+        want = mmap.apply_jet(list(base.jet_raw(0.3, 0.2).values()))
+        assert all(np.array_equal(got[ij], w) for ij, w in zip(got, want))
+    assert len(calls) == 1
