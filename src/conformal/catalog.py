@@ -6,6 +6,12 @@ the conformal invariants.  Oracle agreement with the generic numerical
 pipeline is the backbone of the test suite: any disagreement beyond the
 stated tolerances is a hard failure, never averaged away.
 
+The helicoid-catenoid family, tori, spheres and polynomial graphs (and so
+the canonical normal forms) carry hand-written numpy order-2 jets: a dozen
+lines each, no symbolic work and no compile, evaluated alike on scalars,
+complex-step inputs and arrays of (u, v).  Tubes stay symbolic for now (see
+:func:`make_tube`), so sympy is imported only when one is built.
+
 The one-parameter minimal family (``make_helcat``) interpolates between the
 helicoid (parameter 0) and the catenoid (parameter pi/2); its invariants
 depend only on the first coordinate and are known in closed form, including
@@ -13,18 +19,18 @@ the constant direction ratio of the curvature fields.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Optional
 
 import numpy as np
-import sympy as sp
 
 from .errors import CanalPoint, SelfIntersectingTube, UmbilicPoint
-from .surfaces import SurfacePatch, eval_jet, principal_data
+from .surfaces import _JET_IDX, SurfacePatch, eval_jet, principal_data
 
 __all__ = [
-    "CatalogEntry", "make_helcat", "make_torus", "make_tube", "make_graph",
-    "make_canonical", "isothermic_check",
+    "CatalogEntry", "make_helcat", "make_torus", "make_sphere", "make_tube",
+    "make_graph", "make_canonical", "isothermic_check",
 ]
 
 
@@ -43,6 +49,17 @@ class CatalogEntry:
     oracle: Dict[str, Callable] = field(default_factory=dict)
     dupin_everywhere: bool = False
     canal_everywhere: bool = False
+
+
+def _pack(u, v, entries):
+    """The 18 jet entries (x, y, z of r, r_u, r_v, r_uu, r_uv, r_vv) as the
+    six 3-vectors a ``SurfacePatch`` jet returns.  Scalar (u, v), complex
+    steps included, give (3,) vectors; numpy arrays of points give (3, ...)
+    vectors, constant entries broadcast to the points' shape."""
+    if isinstance(u, np.ndarray) or isinstance(v, np.ndarray):
+        entries = np.broadcast_arrays(u, v, *entries)[2:]
+    out = np.array(entries)
+    return [out[k:k + 3] for k in range(0, 18, 3)]
 
 
 # --------------------------------------------------------------------------
@@ -77,17 +94,23 @@ def make_helcat(alpha_h: float, s_max: float = 3.0,
     """
     if not 0.0 <= alpha_h <= np.pi/2:
         raise ValueError("family parameter must lie in [0, pi/2]")
-    u, v = sp.symbols("u v", real=True)
-    ca_s, sa_s = sp.cos(alpha_h), sp.sin(alpha_h)
-    expr = sp.Matrix([
-        ca_s*sp.sinh(u)*sp.sin(v) + sa_s*sp.cosh(u)*sp.cos(v),
-        -ca_s*sp.sinh(u)*sp.cos(v) + sa_s*sp.cosh(u)*sp.sin(v),
-        sa_s*u + ca_s*v,
-    ])
-    patch = SurfacePatch.from_sympy(expr, (u, v),
-                                    [(-s_max, s_max), (-t_max, t_max)],
-                                    name=f"helcat[{alpha_h:.6g}]")
     ca, sa = float(np.cos(alpha_h)), float(np.sin(alpha_h))
+
+    def jet(u, v):
+        # r = (ca sinh u sin v + sa cosh u cos v,
+        #      sa cosh u sin v - ca sinh u cos v, sa u + ca v):
+        # r_v = (-y, x, ca), r_uu = (x, y, 0), r_uv = (-y_u, x_u, 0) and
+        # r_vv = (-x, -y, 0)
+        sh, ch, sv, cv = np.sinh(u), np.cosh(u), np.sin(v), np.cos(v)
+        x = ca*sh*sv + sa*ch*cv
+        y = sa*ch*sv - ca*sh*cv
+        xu = ca*ch*sv + sa*sh*cv
+        yu = sa*sh*sv - ca*ch*cv
+        return _pack(u, v, (x, y, sa*u + ca*v, xu, yu, sa, -y, x, ca,
+                            x, y, 0.0, -yu, xu, 0.0, -x, -y, 0.0))
+
+    patch = SurfacePatch([(-s_max, s_max), (-t_max, t_max)],
+                         name=f"helcat[{alpha_h:.6g}]", jet_fn=jet)
     B = 1.0 + sa
     root = np.sqrt(2.0*B)
 
@@ -138,18 +161,42 @@ def make_torus(R: float, r: float) -> CatalogEntry:
     """Torus of revolution (a cyclide: both curvature fields vanish)."""
     if not R > r > 0:
         raise ValueError("need R > r > 0")
-    u, v = sp.symbols("u v", real=True)
-    expr = sp.Matrix([(R + r*sp.cos(v))*sp.cos(u),
-                      (R + r*sp.cos(v))*sp.sin(u),
-                      r*sp.sin(v)])
-    patch = SurfacePatch.from_sympy(expr, (u, v),
-                                    [(-np.pi, np.pi), (-np.pi, np.pi)],
-                                    name=f"torus[{R:g},{r:g}]")
+    R, r = float(R), float(r)
+
+    def jet(u, v):
+        # r = (rho cos u, rho sin u, r sin v) with rho = R + r cos v
+        cu, su, cv, sv = np.cos(u), np.sin(u), np.cos(v), np.sin(v)
+        rho, rc, rs = R + r*cv, r*cv, r*sv
+        return _pack(u, v, (rho*cu, rho*su, rs, -rho*su, rho*cu, 0.0,
+                            -rs*cu, -rs*su, rc, -rho*cu, -rho*su, 0.0,
+                            rs*su, -rs*cu, 0.0, -rc*cu, -rc*su, -rs))
+
+    patch = SurfacePatch([(-np.pi, np.pi), (-np.pi, np.pi)],
+                         name=f"torus[{R:g},{r:g}]", jet_fn=jet)
     zero = lambda s, t=None: 0.0*np.asarray(s)
     return CatalogEntry(name=patch.name, surface=patch,
-                        params={"R": float(R), "r": float(r)},
+                        params={"R": R, "r": r},
                         oracle={"theta1": zero, "theta2": zero},
                         dupin_everywhere=True)
+
+
+def make_sphere(radius: float = 1.0) -> CatalogEntry:
+    """Round sphere r = radius (cos u cos v, sin u cos v, sin v), with the
+    latitude v kept 0.17 short of the poles.  Every point is umbilic."""
+    rad = float(radius)
+    if not rad > 0:
+        raise ValueError("radius must be positive")
+
+    def jet(u, v):
+        cu, su, cv, sv = np.cos(u), np.sin(u), np.cos(v), np.sin(v)
+        a, b = rad*cv, rad*sv
+        return _pack(u, v, (a*cu, a*su, b, -a*su, a*cu, 0.0,
+                            -b*cu, -b*su, a, -a*cu, -a*su, 0.0,
+                            b*su, -b*cu, 0.0, -a*cu, -a*su, -b))
+
+    patch = SurfacePatch([(-np.pi, np.pi), (-1.4, 1.4)], name="sphere",
+                         jet_fn=jet)
+    return CatalogEntry(name="sphere", surface=patch, params={"radius": rad})
 
 
 def _center_curve(curve):
@@ -157,6 +204,7 @@ def _center_curve(curve):
     A > 0, and its Frenet frame.  With a, b = (A, B)/sqrt(A^2 + B^2), or
     a, b = 1, 0 for the circle: T = (-a sin u, a cos u, b),
     N = (-cos u, -sin u, 0) and B = (b sin u, -b cos u, a)."""
+    import sympy as sp
     u = sp.symbols("u", real=True)
     kind = curve[0]
     if kind == "circle":
@@ -184,7 +232,16 @@ def make_tube(curve, radius: float) -> CatalogEntry:
     The tube is parametrized by arc position u along the center curve and
     angle v in the normal plane spanned by the Frenet normal and binormal.
     The frame is the closed form of :func:`_center_curve`.
+
+    Unlike the other families, the tube's jet is still compiled from sympy
+    (:meth:`SurfacePatch.from_sympy`): on the helix tube the principal
+    direction X1 is parallel to the v axis, so ``principal_directions``
+    takes its sign from a roundoff-sized u component, and a closed-form jet
+    (X1 = (0, +2.857) at (0.5, 1.0) instead of (1.5e-17, -2.857)) reverses
+    the Dupin trace from there.  It goes closed-form once that sign is
+    chosen from a quantity bounded away from zero.
     """
+    import sympy as sp
     u_s, c, (_, N, Bn), curv_max = _center_curve(curve)
     v = sp.symbols("v", real=True)
     radius = float(radius)
@@ -211,12 +268,25 @@ def make_tube(curve, radius: float) -> CatalogEntry:
 # --------------------------------------------------------------------------
 def make_graph(poly: Dict[tuple, float], window: float = 1.0) -> CatalogEntry:
     """Graph z = sum c_ij x^i y^j over a square window."""
-    x, y = sp.symbols("u v", real=True)
-    z = sum(float(cc)*x**i*y**j for (i, j), cc in poly.items())
-    expr = sp.Matrix([x, y, z])
-    patch = SurfacePatch.from_sympy(expr, (x, y),
-                                    [(-window, window), (-window, window)],
-                                    name="graph")
+    # monomials (coefficient, power of u, power of v) of z and of its
+    # partials z_u, z_v, z_uu, z_uv, z_vv; d^k/dx^k x^n = perm(n, k) x^(n-k)
+    parts = [[(float(cc)*math.perm(i, di)*math.perm(j, dj), i - di, j - dj)
+              for (i, j), cc in poly.items() if i >= di and j >= dj]
+             for di, dj in _JET_IDX]
+    deg = max((max(i, j) for i, j in poly), default=0)
+
+    def jet(u, v):
+        pu, pv = [1.0], [1.0]
+        for _ in range(deg):
+            pu.append(pu[-1]*u)
+            pv.append(pv[-1]*v)
+        z, zu, zv, zuu, zuv, zvv = (sum(cc*pu[i]*pv[j] for cc, i, j in part)
+                                    for part in parts)
+        return _pack(u, v, (u, v, z, 1.0, 0.0, zu, 0.0, 1.0, zv,
+                            0.0, 0.0, zuu, 0.0, 0.0, zuv, 0.0, 0.0, zvv))
+
+    patch = SurfacePatch([(-window, window), (-window, window)],
+                         name="graph", jet_fn=jet)
     return CatalogEntry(name="graph", surface=patch,
                         params={"poly": dict(poly)})
 

@@ -18,7 +18,7 @@ from . import __version__
 from .errors import (CanalPoint, DegenerateDenominator, DupinPoint,
                      ToolkitError, UmbilicPoint)
 from .catalog import (CatalogEntry, make_canonical, make_graph, make_helcat,
-                      make_torus, make_tube)
+                      make_sphere, make_torus, make_tube)
 from .intersect import trace_cyclide_intersection
 from .invariants import invariant_sample, psi_from_thetas
 from .linefields import (darboux_critical_points, integrate_darboux_line,
@@ -100,7 +100,8 @@ def _fail(exc: Exception, code: int):
 def load_surface_spec(path: str) -> CatalogEntry:
     """Parse a key = value spec file into a catalog entry.
 
-    Keys: kind (helcat|torus|tube|graph|canonical), alpha_h, R, r, radius,
+    Keys: kind (helcat|torus|sphere|tube|graph|canonical), alpha_h, R, r,
+    radius (sphere, default 1, or tube),
     curve ("circle <R>" or "helix <A> <B>"), coeffs (7 comma- or
     space-separated numbers for canonical; "i j c; ..." monomials for
     graph).
@@ -133,16 +134,7 @@ def load_surface_spec(path: str) -> CatalogEntry:
                 poly[(int(i), int(j))] = float(cc)
         return make_graph(poly)
     if kind == "sphere":
-        import sympy as sp
-        from .surfaces import SurfacePatch
-        rad = float(kv.get("radius", 1.0))
-        u, v = sp.symbols("u v", real=True)
-        expr = sp.Matrix([rad*sp.cos(u)*sp.cos(v), rad*sp.sin(u)*sp.cos(v),
-                          rad*sp.sin(v)])
-        patch = SurfacePatch.from_sympy(
-            expr, (u, v), [(-np.pi, np.pi), (-1.4, 1.4)], name="sphere")
-        return CatalogEntry(name="sphere", surface=patch,
-                            params={"radius": rad})
+        return make_sphere(float(kv.get("radius", 1.0)))
     if kind == "canonical":
         nums = [float(x) for x in kv["coeffs"].replace(",", " ").split()]
         if len(nums) != 7:

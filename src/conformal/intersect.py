@@ -98,9 +98,11 @@ def check_window(coeffs, window: float):
 # Cell (i, j) has corners c0..c3 = (i, j), (i+1, j), (i+1, j+1), (i, j+1), and
 # edge k joins c_k to c_(k+1 mod 4).  Row ``code + 16*centre`` of the table
 # lists a cell's segments as pairs of crossed edges, where bit k of ``code``
-# says c_k > 0 and ``centre`` says the cell centre is; -1 pads the second
-# slot.  Only the saddle codes 5 and 10 depend on the centre: a centre of the
-# sign of c0 pairs (0, 3) with (1, 2), otherwise (0, 1) with (2, 3).
+# says c_k > 0 and ``centre`` says F is at the cell's saddle point (see
+# _march); -1 pads the second slot.  Only the saddle codes 5 and 10 depend
+# on the centre.  A centre of the sign of c0 joins c0 to c2 across the
+# cell, so the zero set cuts off c1 and c3: it pairs (0, 1) with (2, 3),
+# otherwise (0, 3) with (1, 2).
 def _case_table():
     table = np.full((32, 2, 2), -1)
     for row in range(32):
@@ -108,7 +110,7 @@ def _case_table():
         pos = [(code >> k) & 1 for k in range(4)]
         crossed = [k for k in range(4) if pos[k] != pos[(k + 1) % 4]]
         if len(crossed) == 4:
-            crossed = [0, 3, 1, 2] if centre == pos[0] else [0, 1, 2, 3]
+            crossed = [0, 1, 2, 3] if centre == pos[0] else [0, 3, 1, 2]
         table[row].flat[:len(crossed)] = crossed
     return table
 
@@ -148,7 +150,8 @@ def _march(F, xs, ys, skip=None):
     and the flat index of each segment's cell.
     """
     P = np.stack(np.meshgrid(xs, ys, indexing="ij"), axis=-1)
-    pos = F(P[..., 0], P[..., 1]) > 0
+    f = F(P[..., 0], P[..., 1])
+    pos = f > 0
     ix, jx = np.nonzero(pos[:-1, :] != pos[1:, :])     # edges along x
     iy, jy = np.nonzero(pos[:, :-1] != pos[:, 1:])     # edges along y
     nx = len(ix)
@@ -167,9 +170,18 @@ def _march(F, xs, ys, skip=None):
     ci, cj = np.nonzero((code != 0) & (code != 15))
     code = code[ci, cj]
     saddle = (code == 5) | (code == 10)
+    # the asymptotic decider: the asymptotes of the cell's bilinear
+    # interpolant cross at its saddle point, strictly inside a saddle cell
+    # (the denominator has the strict sign of f00), and the sign of F there
+    # says which diagonal corners connect.  On a bilinear F that is the
+    # sign of the saddle value (f00 f11 - f10 f01)/(f00 + f11 - f10 - f01)
     si, sj = ci[saddle], cj[saddle]
-    code[saddle] += 16*(F(0.5*(xs[si] + xs[si + 1]),
-                          0.5*(ys[sj] + ys[sj + 1])) > 0)
+    f00, f10, f11, f01 = (f[si, sj], f[si + 1, sj], f[si + 1, sj + 1],
+                          f[si, sj + 1])
+    den = f00 + f11 - f10 - f01
+    code[saddle] += 16*(F(xs[si] + (f00 - f01)/den*(xs[si + 1] - xs[si]),
+                          ys[sj] + (f00 - f10)/den*(ys[sj + 1] - ys[sj]))
+                        > 0)
     edge_root = np.stack([root_x[ci, cj], root_y[ci + 1, cj],
                           root_x[ci, cj + 1], root_y[ci, cj]], axis=1)
     pairs = _CASES[code]                                # (m, 2 slots, 2)

@@ -2,9 +2,12 @@
 data, and ambient Mobius transformations.
 
 Only the position map and its partial derivatives up to order 2 are evaluated
-analytically: one closed form per patch, compiled once, on first evaluation,
-so a patch whose jets are never read costs no symbolic work.  A Mobius map
-acts on an analytic patch by pushing that order-2 jet through the chain rule,
+analytically, by one jet callable per patch.  The catalog families hand it a
+closed-form numpy jet; a patch built from a sympy expression
+(:meth:`SurfacePatch.from_sympy`, for user surfaces and tubes) compiles its
+jet once, on first evaluation, so a patch whose jets are never read costs no
+symbolic work, and sympy is imported only by that constructor.  A Mobius map
+acts on an analytic patch by pushing the order-2 jet through the chain rule,
 so a moved patch needs no symbolic work either.  Everything built on top of
 the jets (curvature gradients, invariant fields) lives in other modules and
 is obtained by differencing the pointwise quantities, never by deeper jets.
@@ -14,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import sympy as sp
 
 from .errors import (DegenerateMetric, InversionCenterOnSurface, OrderUnavailable,
                      OutOfDomain, UmbilicPoint)
@@ -53,9 +55,9 @@ class SurfacePatch:
     """Evaluable parametric surface r(u, v) with order-2 derivative jets.
 
     The jet source is either *analytic*, a callable returning the partials in
-    ``_JET_IDX`` order (a compiled closed form, or one pushed through a Mobius
-    map), or *numeric* (central differences of a plain position callable with
-    step ``h_jet``).
+    ``_JET_IDX`` order (a closed form, written in numpy or compiled from
+    sympy, or one pushed through a Mobius map), or *numeric* (central
+    differences of a plain position callable with step ``h_jet``).
     """
 
     def __init__(self, domain, name="surface", jet_fn=None, position_fn=None,
@@ -73,6 +75,7 @@ class SurfacePatch:
         matrix, compiled once, on first evaluation: a caller that never
         evaluates a jet pays no ``sp.diff`` or ``lambdify``.  The second
         partials differentiate the first (r_uv = d_v r_u)."""
+        import sympy as sp
         us, vs = symbols
         r = list(sp.Matrix(expr))
         fn = None
@@ -418,7 +421,7 @@ def mobius_transform(surface: SurfacePatch, mmap: MobiusMap) -> SurfacePatch:
     """Surface whose position map is the composition ``mmap o r``.
 
     Analytic patches stay analytic: the moved patch evaluates the base's
-    compiled order-2 jet and pushes it through the map by the chain rule
+    order-2 jet and pushes it through the map by the chain rule
     (:meth:`MobiusMap.apply_jet`), with no symbolic work.  Numeric patches
     compose the position callable and re-difference.
     """

@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
 import sympy as sp
+from hypothesis import given, settings, strategies as st
 
 from conformal.catalog import (_center_curve, isothermic_check,
                                isothermic_residual, make_canonical,
-                               make_graph, make_helcat, make_torus, make_tube)
+                               make_graph, make_helcat, make_sphere,
+                               make_torus, make_tube)
+from conformal.surfaces import SurfacePatch
 from conformal.errors import CanalPoint, SelfIntersectingTube
 from conformal.invariants import (invariant_sample, psi_invariant,
                                   theta_state, xi_theta_derivs)
@@ -136,3 +139,112 @@ def test_closed_form_frames_are_frenet(curve):
         assert np.allclose(t, dc/np.linalg.norm(dc), rtol=0, atol=1e-14)
         assert np.allclose(n, dt/np.linalg.norm(dt), rtol=0, atol=1e-14)
         assert np.allclose(b, np.cross(t, n), rtol=0, atol=1e-14)
+
+
+# --------------------------------------------------------------------------
+# closed-form jets against a sympy compile of the same position map
+# --------------------------------------------------------------------------
+_U, _V = sp.symbols("u v", real=True)
+
+
+def _helcat_expr(alpha):
+    ca, sa = sp.cos(alpha), sp.sin(alpha)
+    return [ca*sp.sinh(_U)*sp.sin(_V) + sa*sp.cosh(_U)*sp.cos(_V),
+            -ca*sp.sinh(_U)*sp.cos(_V) + sa*sp.cosh(_U)*sp.sin(_V),
+            sa*_U + ca*_V]
+
+
+def _torus_expr(R, r):
+    return [(R + r*sp.cos(_V))*sp.cos(_U), (R + r*sp.cos(_V))*sp.sin(_U),
+            r*sp.sin(_V)]
+
+
+def _sphere_expr(rad):
+    return [rad*sp.cos(_U)*sp.cos(_V), rad*sp.sin(_U)*sp.cos(_V),
+            rad*sp.sin(_V)]
+
+
+def _graph_expr(poly):
+    return [_U, _V, sum(c*_U**i*_V**j for (i, j), c in poly.items())]
+
+
+def _close(got, want):
+    # 1e-12 of each entry's scale
+    assert np.all(np.abs(got - want) <= 1e-12*np.maximum(1.0, np.abs(want)))
+
+
+def _check_jet(entry, expr, points):
+    """The entry's jet against a from_sympy compile of ``expr``: at real
+    points, at complex steps in u and in v (imaginary parts over h), and as
+    one array call against a loop of scalar calls."""
+    oracle = SurfacePatch.from_sympy(sp.Matrix(expr), (_U, _V),
+                                     entry.surface.domain)
+
+    def jet(u, v):
+        return list(entry.surface.jet_raw(u, v).values())
+
+    def ref(u, v):
+        return list(oracle.jet_raw(u, v).values())
+
+    h = 1e-20
+    for u, v in points:
+        for got, want in zip(jet(u, v), ref(u, v)):
+            assert got.shape == (3,) and not np.iscomplexobj(got)
+            _close(got, np.asarray(want, dtype=float))
+        for du, dv in ((1j*h, 0.0), (0.0, 1j*h)):
+            for got, want in zip(jet(u + du, v + dv), ref(u + du, v + dv)):
+                want = np.asarray(want, dtype=complex)
+                _close(got.real, want.real)
+                _close(got.imag/h, want.imag/h)
+    us, vs = np.array(points).T
+    batch = jet(us, vs)
+    for k, (u, v) in enumerate(points):
+        for got, want in zip(batch, jet(u, v)):
+            assert got.shape == (3, len(points))
+            _close(got[:, k], want)
+
+
+def _points(domain, n=3):
+    (u0, u1), (v0, v1) = domain
+    return st.lists(st.tuples(st.floats(u0, u1), st.floats(v0, v1)),
+                    min_size=n, max_size=n)
+
+
+_JET_SETTINGS = settings(max_examples=12, derandomize=True, database=None,
+                         deadline=None)
+
+
+@_JET_SETTINGS
+@given(alpha=st.floats(0.0, np.pi/2), pts=_points([(-3, 3), (-7, 7)]))
+def test_helcat_jet_matches_sympy(alpha, pts):
+    _check_jet(make_helcat(alpha), _helcat_expr(alpha), pts)
+
+
+@_JET_SETTINGS
+@given(R=st.floats(0.2, 5.0), frac=st.floats(0.05, 0.95),
+       pts=_points([(-np.pi, np.pi)]*2))
+def test_torus_jet_matches_sympy(R, frac, pts):
+    _check_jet(make_torus(R, frac*R), _torus_expr(R, frac*R), pts)
+
+
+@_JET_SETTINGS
+@given(rad=st.floats(0.1, 5.0), pts=_points([(-np.pi, np.pi), (-1.4, 1.4)]))
+def test_sphere_jet_matches_sympy(rad, pts):
+    _check_jet(make_sphere(rad), _sphere_expr(rad), pts)
+
+
+@_JET_SETTINGS
+@given(poly=st.dictionaries(
+    st.tuples(st.integers(0, 5), st.integers(0, 5)).filter(
+        lambda ij: sum(ij) <= 5), st.floats(-3.0, 3.0), min_size=1,
+    max_size=6), pts=_points([(-1, 1)]*2))
+def test_graph_jet_matches_sympy(poly, pts):
+    _check_jet(make_graph(poly), _graph_expr(poly), pts)
+
+
+@_JET_SETTINGS
+@given(vals=st.lists(st.floats(-5.0, 5.0), min_size=7, max_size=7),
+       pts=_points([(-0.4, 0.4)]*2))
+def test_canonical_jet_matches_sympy(vals, pts):
+    e = make_canonical(*vals)
+    _check_jet(e, _graph_expr(e.params["poly"]), pts)

@@ -264,10 +264,15 @@ def test_invariants_sphere_nan_mu_rows_are_umbilic(runner, specs):
 @pytest.mark.parametrize("command,spec,compiles", [
     (["intersect"], "canonical", 0),
     (["prescribe", "--grid", "33x33"], "helcat", 0),
-    (["invariants", "--grid", "8x8", "--range", "-1:1,-1:1"], "helcat", 1),
-], ids=["intersect", "prescribe", "invariants"])
+    (["invariants", "--grid", "8x8", "--range", "-1:1,-1:1"], "helcat", 0),
+    (["table1"], None, 0),
+    (["dupin-lines", "--seed", "0.5,1.2", "--max-length", "0.1"], "tube",
+     1),
+], ids=["intersect", "prescribe", "invariants", "table1", "dupin-lines"])
 def test_commands_compile_only_evaluated_patches(runner, specs, monkeypatch,
                                                  command, spec, compiles):
+    # the catalog's closed-form families compile nothing; a tube compiles
+    # once, on its first jet
     import sympy
     calls = []
     lambdify = sympy.lambdify
@@ -277,6 +282,25 @@ def test_commands_compile_only_evaluated_patches(runner, specs, monkeypatch,
         return lambdify(*args, **kwargs)
 
     monkeypatch.setattr(sympy, "lambdify", counting)
-    res = runner.invoke(main, command + ["--surface", specs[spec]])
+    surface = [] if spec is None else ["--surface", specs[spec]]
+    res = runner.invoke(main, command + surface)
     assert res.exit_code == 0
     assert len(calls) == compiles
+
+
+def test_cli_import_leaves_sympy_out():
+    # sympy is imported by the tube and by SurfacePatch.from_sympy only
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import conformal
+    src = str(Path(conformal.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    code = ("import sys, conformal.cli; "
+            "print(sorted(m for m in sys.modules if m.startswith('sympy')))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"

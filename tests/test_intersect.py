@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 from scipy.optimize import brentq
 
 from conformal.errors import ResolutionTooLow, WindowTooLarge
@@ -80,11 +80,16 @@ def _ref_cell_segments(F, corners, values):
             pts.append(_ref_edge_root(F, corners[k], corners[k2]))
     if len(pts) == 2:
         return [(pts[0], pts[1])]
-    cx = 0.5*(corners[0][0] + corners[2][0])
-    cy = 0.5*(corners[0][1] + corners[2][1])
-    if (F(cx, cy) > 0) == (values[0] > 0):
-        return [(pts[0], pts[3]), (pts[1], pts[2])]
-    return [(pts[0], pts[1]), (pts[2], pts[3])]
+    # saddle: the asymptotic decider.  When F at the bilinear interpolant's
+    # saddle point has the sign of c0, c0 and c2 connect across the cell and
+    # the zero set cuts off c1 (edges 0, 1) and c3 (edges 2, 3)
+    f00, f10, f11, f01 = values
+    den = f00 + f11 - f10 - f01
+    (x0, y0), (x1, y1) = corners[0], corners[2]
+    centre = F(x0 + (f00 - f01)/den*(x1 - x0), y0 + (f00 - f10)/den*(y1 - y0))
+    if (centre > 0) == (f00 > 0):
+        return [(pts[0], pts[1]), (pts[2], pts[3])]
+    return [(pts[0], pts[3]), (pts[1], pts[2])]
 
 
 def _ref_cells(F, xs, ys):
@@ -128,6 +133,15 @@ def test_sign_mask_tracer_matches_per_cell_reference(dpsi, resolution):
         assert np.max(np.abs(got - want)) < 1e-9
 
 
+def _bilinear(vals):
+    f00, f10, f11, f01 = vals
+
+    def F(x, y):
+        return (f00*(1 - x)*(1 - y) + f10*x*(1 - y) + f11*x*y
+                + f01*(1 - x)*y)
+    return F
+
+
 @pytest.mark.parametrize("code,centre", [(c, -1.0) for c in range(1, 15)]
                          + [(5, 1.0), (10, 1.0)])
 def test_case_table_matches_reference_cell(code, centre):
@@ -136,11 +150,7 @@ def test_case_table_matches_reference_cell(code, centre):
     # bilinear F below has that sign at the cell centre
     signs = [1.0 if (code >> k) & 1 else -1.0 for k in range(4)]
     vals = [3.0*s if code in (5, 10) and s == centre else s for s in signs]
-
-    def F(x, y):
-        return (vals[0]*(1 - x)*(1 - y) + vals[1]*x*(1 - y)
-                + vals[2]*x*y + vals[3]*(1 - x)*y)
-
+    F = _bilinear(vals)
     xs = np.array([0.0, 1.0])
     want = _ref_cell_segments(F, [(0.0, 0.0), (1.0, 0.0), (1.0, 1.0),
                                   (0.0, 1.0)], vals)
@@ -148,6 +158,52 @@ def test_case_table_matches_reference_cell(code, centre):
     assert len(got) == len(want) == (2 if code in (5, 10) else 1)
     assert np.allclose(got, np.array(want), atol=1e-15)
     assert list(cell) == [0]*len(want)
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(mags=st.lists(st.floats(0.01, 10.0), min_size=4, max_size=4),
+       code=st.sampled_from([5, 10]))
+# corners (3, -1, 3, -1), saddle point (1/2, 1/2): the old pairing's segment
+# from (3/4, 0) to (0, 3/4) crossed an asymptote; F at its midpoint is 9/8
+@example(mags=[3.0, 1.0, 3.0, 1.0], code=5)
+def test_saddle_segments_stay_in_one_asymptote_quadrant(mags, code):
+    # the zero set of a bilinear F is a hyperbola whose asymptotes cross at
+    # its saddle point, and each branch lies in one quadrant of them: both
+    # ends of each segment do too (unless the hyperbola degenerates into
+    # its asymptotes)
+    vals = [m if (code >> k) & 1 else -m for k, m in enumerate(mags)]
+    f00, f10, f11, f01 = vals
+    assume(abs(f00*f11 - f10*f01) > 1e-3*max(abs(f00*f11), abs(f10*f01)))
+    den = f00 + f11 - f10 - f01
+    sx, sy = (f00 - f01)/den, (f00 - f10)/den
+    xs = np.array([0.0, 1.0])
+    got, _ = _march(_bilinear(vals), xs, xs)
+    assert len(got) == 2
+    for (ax, ay), (bx, by) in got:
+        assert (ax - sx)*(bx - sx) > 0 and (ay - sy)*(by - sy) > 0
+
+
+# a pencil member (not the benchmark's) whose trace at 128 reaches one saddle
+# cell: the old pairing gave 5 components there, the oracle counts 4
+SADDLE_COEFFS = (-0.87, 0.08, 0.0, 0.2, 0.76, 0.32, 1.77)
+SADDLE_PSI_C = 6.06
+
+
+def test_trace_through_a_saddle_cell_matches_oracle():
+    F = difference_eval(SADDLE_COEFFS, SADDLE_PSI_C)
+    xs = np.linspace(-1.0, 1.0, 130)
+    codes = [sum(1 << k for k, w in enumerate(vals) if w > 0)
+             for _, _, _, vals in _ref_cells(F, xs, xs)]
+    assert codes.count(5) + codes.count(10) == 1
+    cs = trace_cyclide_intersection(SADDLE_COEFFS, SADDLE_PSI_C,
+                                    resolution=128)
+    assert cs.component_count == 4 == component_count_oracle(SADDLE_COEFFS,
+                                                              SADDLE_PSI_C)
+    ref_pl, ref_comp, _ = _reference_trace(SADDLE_COEFFS, SADDLE_PSI_C, 128)
+    assert cs.component_of_polyline == ref_comp
+    assert [len(p) for p in cs.polylines] == [len(p) for p in ref_pl]
+    for got, want in zip(cs.polylines, ref_pl):
+        assert np.max(np.abs(got - want)) < 1e-9
 
 
 def test_degenerate_difference_detected():
