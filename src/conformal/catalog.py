@@ -26,6 +26,7 @@ from typing import Callable, Dict, Optional
 import numpy as np
 
 from .errors import CanalPoint, SelfIntersectingTube, UmbilicPoint
+from .invariants import _lie_bracket
 from .surfaces import _JET_IDX, SurfacePatch, eval_jet, principal_data
 
 __all__ = [
@@ -331,12 +332,8 @@ def _bracket_pq(surface: SurfacePatch, u: float, v: float, ref,
                 h: float = 1e-5):
     """Decompose the commutator of the metric-unit curvature-direction
     fields as [X1, X2] = p X1 + q X2."""
-    du = (_unit_dirs(surface, u + h, v, ref)
-          - _unit_dirs(surface, u - h, v, ref))/(2*h)
-    dv = (_unit_dirs(surface, u, v + h, ref)
-          - _unit_dirs(surface, u, v - h, ref))/(2*h)
-    X1, X2 = _unit_dirs(surface, u, v, ref)
-    lie = (X1[0]*du[1] + X1[1]*dv[1]) - (X2[0]*du[0] + X2[1]*dv[0])
+    lie, X1, X2 = _lie_bracket(
+        lambda a, b: _unit_dirs(surface, a, b, ref), u, v, h)
     A = np.column_stack([X1, X2])
     p, q = np.linalg.solve(A, lie)
     return np.array([p, q])

@@ -9,6 +9,13 @@ edge whose end values differ in sign is refined once, all such edges
 together, by bisection to machine precision, and each cell's segments come
 from one case table.  The origin cell is subdivided 4x4 and traced the same
 way, because F vanishes to order >= 3 there.
+
+The tracer needs numpy only, and importing this module loads no scipy.
+scipy is imported on first use by the paths that need it:
+``component_count_oracle`` (``scipy.ndimage.label``), and
+``origin_branch_directions`` and ``measure_section_angle``
+(``scipy.optimize.brentq``, through this module's ``brentq``).  Nothing here
+imports sympy.
 """
 from __future__ import annotations
 
@@ -16,8 +23,6 @@ from dataclasses import dataclass
 from typing import List, Optional
 
 import numpy as np
-from scipy import ndimage
-from scipy.optimize import brentq
 
 from .errors import ResolutionTooLow, UmbilicPoint, WindowTooLarge
 
@@ -352,8 +357,18 @@ def component_count_oracle(coeffs, psi_c: float, window: float = 1.0,
     m = np.zeros_like(s, dtype=bool)
     m[:-1, :] |= s[:-1, :]*s[1:, :] < 0
     m[:, :-1] |= s[:, :-1]*s[:, 1:] < 0
+    from scipy import ndimage
     _, ncomp = ndimage.label(m, structure=np.ones((3, 3)))
     return int(ncomp)
+
+
+def brentq(f, a: float, b: float, **kwargs) -> float:
+    """``scipy.optimize.brentq``, imported on the first call: only
+    :func:`origin_branch_directions` and :func:`measure_section_angle` need
+    a scalar root finder, and importing scipy.optimize costs more than a
+    whole trace."""
+    from scipy.optimize import brentq as _brentq
+    return _brentq(f, a, b, **kwargs)
 
 
 def origin_branch_directions(coeffs, psi_c: float, tol: float = 1e-12):

@@ -356,8 +356,17 @@ def bracket_residual(surface: SurfacePatch, u: float, v: float,
         r1, r2, Y1, Y2, T = theta_state(surface, a, b, ref)
         return np.array([Y1/T["mu"], Y2/T["mu"]])
 
-    du = (xi_fields(u + h, v) - xi_fields(u - h, v)) / (2*h)
-    dv = (xi_fields(u, v + h) - xi_fields(u, v - h)) / (2*h)
-    xi1, xi2 = xi_fields(u, v)
-    lie = (xi1[0]*du[1] + xi1[1]*dv[1]) - (xi2[0]*du[0] + xi2[1]*dv[0])
+    lie, xi1, xi2 = _lie_bracket(xi_fields, u, v, h)
     return float(np.max(np.abs(lie + 0.5*(t2*xi1 + t1*xi2))))
+
+
+def _lie_bracket(fields, u: float, v: float, h: float):
+    """Central-difference Lie bracket [F1, F2] at (u, v) of two
+    parameter-space direction fields, ``fields(a, b) -> array([F1, F2])``
+    (each a (u, v) component pair).  Returns ``(bracket, F1, F2)`` with the
+    fields at (u, v)."""
+    du = (fields(u + h, v) - fields(u - h, v)) / (2*h)
+    dv = (fields(u, v + h) - fields(u, v - h)) / (2*h)
+    F1, F2 = fields(u, v)
+    lie = (F1[0]*du[1] + F1[1]*dv[1]) - (F2[0]*du[0] + F2[1]*dv[0])
+    return lie, F1, F2

@@ -242,6 +242,13 @@ def darboux_critical_points(trace: CurveTrace, surface: SurfacePatch,
     |angle| is the comparable quantity), the genericity derivative of
     log|theta1| + log|theta2| along the Dupin field is measured, and a
     discrete extremum test on alpha is run.
+
+    ``tangency_gap`` and ``genericity`` carry about 3 significant digits,
+    although they are printed with 12: the zero is linearly interpolated
+    between trace samples, and the genericity derivative is a central
+    difference with step ``h_gen`` (1e-4).  A jet change at roundoff level
+    moves them in the fourth digit; two criticals that differ by a symmetry
+    of the surface can differ there too.
     """
     if trace.dalpha is None:
         return []

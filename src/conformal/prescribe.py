@@ -17,6 +17,10 @@ excluded from every reported norm so that one-sided boundary stencils never
 influence a verdict.  The long compatibility expressions are written against
 an abstract derivative oracle so the identical code path can be exercised
 with exact symbolic derivatives in the test suite.
+
+The pipeline needs numpy only: ``f1`` is integrated by a cumulative
+trapezoid written in numpy, so neither importing this module nor running
+:func:`prescribe` loads scipy or sympy.
 """
 from __future__ import annotations
 
@@ -24,7 +28,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, Optional, Tuple
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid
 
 from .errors import (KappaZero, MarginTooSmall, MissingField,
                      NonPositiveResult)
@@ -153,8 +156,12 @@ def solve_f1(grid: FieldGrid, f1_boundary: np.ndarray) -> np.ndarray:
     boundary = np.asarray(f1_boundary, dtype=float)
     if np.any(boundary <= 0):
         raise NonPositiveResult("boundary row of f1 must be positive")
-    integrand = grid.d1(grid.f2) / kap
-    acc = cumulative_trapezoid(integrand, grid.x2, axis=1, initial=0.0)
+    y = grid.d1(grid.f2) / kap
+    # cumulative composite trapezoid along x2, starting from 0 (the
+    # arithmetic of scipy's cumulative_trapezoid, bit for bit)
+    acc = np.zeros_like(y)
+    np.cumsum(np.diff(grid.x2)*(y[:, 1:] + y[:, :-1])/2.0, axis=1,
+              out=acc[:, 1:])
     f1 = boundary[:, None] - acc
     if np.any(f1 <= 0):
         raise NonPositiveResult(

@@ -288,8 +288,9 @@ def test_commands_compile_only_evaluated_patches(runner, specs, monkeypatch,
     assert len(calls) == compiles
 
 
-def test_cli_import_leaves_sympy_out():
-    # sympy is imported by the tube and by SurfacePatch.from_sympy only
+def _fresh_python(code, *args):
+    """stdout of ``python -c code *args`` in a fresh process that imports
+    this checkout's ``conformal``."""
     import os
     import subprocess
     import sys
@@ -299,8 +300,48 @@ def test_cli_import_leaves_sympy_out():
     src = str(Path(conformal.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    return subprocess.run([sys.executable, "-c", code, *args], env=env,
+                          check=True, capture_output=True, text=True).stdout
+
+
+def test_cli_import_leaves_sympy_out():
+    # sympy is imported by the tube and by SurfacePatch.from_sympy only
     code = ("import sys, conformal.cli; "
             "print(sorted(m for m in sys.modules if m.startswith('sympy')))")
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True).stdout
-    assert out.strip() == "[]"
+    assert _fresh_python(code).strip() == "[]"
+
+
+def test_cli_import_leaves_scipy_out():
+    # scipy is imported by the intersection oracle, the branch-direction and
+    # section-angle root finder, and the inversion-center check only
+    code = ("import sys, conformal.cli; "
+            "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
+    assert _fresh_python(code).strip() == "[]"
+
+
+_RUN_AND_LIST_HEAVY = """
+import json, sys
+from conformal.cli import main
+try:
+    main(sys.argv[1:], prog_name="cycl")
+    code = 0
+except SystemExit as exc:
+    code = exc.code
+print(json.dumps([code, sorted(m for m in sys.modules
+                               if m.split(".")[0] in ("scipy", "sympy"))]))
+"""
+
+
+@pytest.mark.parametrize("command,spec", [
+    (["intersect", "--grid", "64x64"], "canonical"),
+    (["prescribe", "--grid", "65x65"], "helcat"),
+], ids=["intersect", "prescribe"])
+def test_planar_commands_load_neither_scipy_nor_sympy(specs, tmp_path,
+                                                      command, spec):
+    out = tmp_path / "out.txt"
+    stdout = _fresh_python(_RUN_AND_LIST_HEAVY, *command, "--surface",
+                           specs[spec], "--out", str(out))
+    code, heavy = json.loads(stdout)
+    assert code == 0
+    assert out.stat().st_size > 0
+    assert heavy == []

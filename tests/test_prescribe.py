@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
 import sympy as sp
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
+from scipy.integrate import cumulative_trapezoid
 
 from conformal.errors import (KappaZero, MarginTooSmall, MissingField,
                               NonPositiveResult)
@@ -45,6 +48,32 @@ def test_solve_f1_guards():
     g2 = FieldGrid(x1=x1, x2=x2, f2=1.0 + X1, kappa=1e-14*np.ones_like(X1))
     with pytest.raises(KappaZero):
         solve_f1(g2, 2.0*np.ones_like(x1))
+
+
+_ENTRY = st.floats(0.5, 2.0)
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(data=st.data(), n1=st.integers(3, 12), n2=st.integers(2, 40),
+       length1=st.floats(0.1, 3.0))
+def test_solve_f1_integral_matches_cumulative_trapezoid(data, n1, n2,
+                                                        length1):
+    # the numpy trapezoid is scipy's arithmetic: equal bit for bit on random
+    # shapes, integrands and non-uniform increasing x2
+    dx2 = data.draw(hnp.arrays(float, n2 - 1, elements=st.floats(1e-3, 1.0)))
+    x2 = np.concatenate([[data.draw(st.floats(-2.0, 2.0))], dx2]).cumsum()
+    assert np.all(np.diff(x2) > 0)
+    f2 = data.draw(hnp.arrays(float, (n1, n2), elements=_ENTRY))
+    kappa = data.draw(hnp.arrays(float, (n1, n2), elements=_ENTRY))
+    kappa *= data.draw(hnp.arrays(float, (n1, n2),
+                                  elements=st.sampled_from([-1.0, 1.0])))
+    g = FieldGrid(x1=np.linspace(0.0, length1, n1), x2=x2, f2=f2,
+                  kappa=kappa)
+    integrand = g.d1(g.f2) / g.kappa
+    boundary = 1.0 + np.max(np.abs(integrand), axis=1)*(x2[-1] - x2[0])
+    expected = boundary[:, None] - cumulative_trapezoid(
+        integrand, g.x2, axis=1, initial=0.0)
+    assert np.array_equal(solve_f1(g, boundary), expected)
 
 
 def test_solve_f1_reproduces_family_field():
