@@ -304,15 +304,26 @@ def psi_from_thetas(surface: SurfacePatch, u: float, v: float,
     x2x2x2t1 = D(2, lambda a, b: D(2, lambda p, q: D(2, th1, p, q, h1),
                                    a, b, h2), u, v, h3)
 
-    num = (-6*t1*t2 + 2*(x2t1 - x1t2)
-           + 4*(t2*t2*x2t1 - t1*t1*x1t2)
-           - 1.5*(t1*t2**3 + t2*t1**3)
-           - 3*x1t1*x1t2 - 3*x2t1*x2t2
-           + 3.5*t1*t2*(x2t2 - x1t1)
-           - 3.5*(t2*x2x2t1 + t1*x1x1t2)
-           - t1*x2x2t2 - t2*x1x1t1
-           + x2x2x2t1 - x1x1x1t2)
+    num = _psi_numerator(t1, t2, x1t1, x1t2, x2t1, x2t2, x1x1t1, x1x1t2,
+                         x2x2t1, x2x2t2, x1x1x1t2, x2x2x2t1)
     return num / den
+
+
+def _psi_numerator(t1, t2, x1t1, x1t2, x2t1, x2t2, x1x1t1, x1x1t2,
+                   x2x2t1, x2x2t2, x1x1x1t2, x2x2x2t1):
+    """Numerator of psi in terms of the thetas and their nested coframe
+    derivatives (``x1x1t2`` is xi1(xi1(theta2)), and so on); psi is this
+    over xi1(theta2) + xi2(theta1).  Works on scalars and on arrays; the
+    cubes are products because numpy's ``power`` is slow on negative
+    entries."""
+    return (-6*t1*t2 + 2*(x2t1 - x1t2)
+            + 4*(t2*t2*x2t1 - t1*t1*x1t2)
+            - 1.5*(t1*(t2*t2*t2) + t2*(t1*t1*t1))
+            - 3*x1t1*x1t2 - 3*x2t1*x2t2
+            + 3.5*t1*t2*(x2t2 - x1t1)
+            - 3.5*(t2*x2x2t1 + t1*x1x1t2)
+            - t1*x2x2t2 - t2*x1x1t1
+            + x2x2x2t1 - x1x1x1t2)
 
 
 # --------------------------------------------------------------------------

@@ -7,7 +7,10 @@ from scipy.integrate import cumulative_trapezoid
 
 from conformal.errors import (KappaZero, MarginTooSmall, MissingField,
                               NonPositiveResult)
-from conformal.prescribe import (FieldGrid, fourth_order_condition,
+from conformal import prescribe as prescribe_mod
+from conformal.invariants import _psi_numerator
+from conformal.prescribe import (FieldGrid, _by_rows, _grid_oracle,
+                                 fourth_order_condition,
                                  fourth_order_condition_const, helcat_grid,
                                  integrability_residuals, prescribe,
                                  psi_from_grid, recovered_kappa,
@@ -160,6 +163,16 @@ def test_psi_from_grid_against_symbolic():
     assert gap < 5e-2     # third-nested differences at h = 1/128
 
 
+def test_psi_numerator_same_on_scalars_and_arrays():
+    # the pointwise psi_from_thetas and the grid psi_from_grid share one
+    # numerator; its scalar and array evaluations agree bit for bit
+    rng = np.random.default_rng(8)
+    args = [rng.uniform(-3.0, 3.0, 50) for _ in range(12)]
+    grid = _psi_numerator(*args)
+    for j in range(50):
+        assert _psi_numerator(*[float(a[j]) for a in args]) == grid[j]
+
+
 # --------------------------------------------------------------------------
 # residual families
 # --------------------------------------------------------------------------
@@ -249,6 +262,80 @@ def test_conditions_vanish_on_exact_symbolic_data():
             assert abs(float(fn(p, q))) < 1e-10
 
 
+def _varying_grid(n=33):
+    g = helcat_grid(np.pi/4, n)
+    X1, X2 = np.meshgrid(g.x1, g.x2, indexing="ij")
+    return FieldGrid(x1=g.x1, x2=g.x2, f1=g.f1, f2=g.f2,
+                     kappa=g.kappa*(1.0 + 0.3*X1*X2))
+
+
+@pytest.mark.parametrize("varying, expected", [(False, 16), (True, 22)])
+def test_integrability_takes_each_difference_once(monkeypatch, varying,
+                                                  expected):
+    # 10 distinct differences of f1 and 6 of f2; a varying ratio adds 5 of
+    # kappa and d1 of 1/kappa.  Taking each chain from scratch costs 37
+    # and 47 one-axis differences.
+    g = _varying_grid() if varying else helcat_grid(np.pi/4, 33)
+    calls = []
+    for name in ("d1", "d2"):
+        def counted(self, arr, _diff=getattr(FieldGrid, name)):
+            calls.append(arr.shape)
+            return _diff(self, arr)
+        monkeypatch.setattr(FieldGrid, name, counted)
+    integrability_residuals(g)
+    assert len(calls) == expected
+
+
+@pytest.mark.parametrize("varying", [False, True])
+def test_grid_oracle_matches_explicit_chain(varying):
+    # every difference the conditions ask for is bit-identical to the
+    # explicit chain of one-axis differences, e.g. D(f1, 1, 1, 1, 2) is
+    # d2(d1(d1(d1(f1))))
+    g = _varying_grid() if varying else helcat_grid(np.pi/4, 33)
+    f1, f2, kap = g.f1, g.f2, g.kappa
+    D = _grid_oracle(g)
+    used = []
+
+    def recording(arr, *idx):
+        used.append((arr, idx))
+        return D(arr, *idx)
+
+    if varying:
+        second_order_condition(f1, f2, 1.0/kap, recording)
+        fourth_order_condition(f1, f2, kap, recording)
+    else:
+        k0 = float(kap[0, 0])
+        second_order_condition_const(f1, f2, 1.0/k0, recording)
+        fourth_order_condition_const(f1, f2, k0, recording)
+    assert len({(id(a), idx) for a, idx in used}) == (22 if varying else 16)
+    for arr, idx in used:
+        chain = arr
+        for i in idx:
+            chain = g.d1(chain) if i == 1 else g.d2(chain)
+        assert np.array_equal(D(arr, *idx), chain)
+
+
+@pytest.mark.parametrize("varying", [False, True])
+def test_row_blocks_match_whole_grid(monkeypatch, varying):
+    # the conditions and the psi numerator are elementwise, so evaluating
+    # them on blocks of rows gives the whole-grid values bit for bit
+    monkeypatch.setattr(prescribe_mod, "_BLOCK", 100)  # 3 rows of 33
+    g = _varying_grid() if varying else helcat_grid(np.pi/4, 33)
+    f1, f2, kap = g.f1, g.f2, g.kappa
+    k2, k4 = (1.0/kap, kap) if varying else (1.0/kap[0, 0], kap[0, 0])
+    conds = ((second_order_condition, fourth_order_condition) if varying
+             else (second_order_condition_const,
+                   fourth_order_condition_const))
+    for cond, k in zip(conds, (k2, k4)):
+        whole = cond(f1, f2, k, _grid_oracle(g))
+        blocked = _by_rows(cond, f1, f2, k, D=_grid_oracle(g))
+        assert np.array_equal(blocked, whole)
+    rng = np.random.default_rng(3)
+    args = [rng.uniform(-2.0, 2.0, f1.shape) for _ in range(12)]
+    assert np.array_equal(_by_rows(_psi_numerator, *args),
+                          _psi_numerator(*args))
+
+
 def test_perturbed_f1_breaks_integrability():
     g = helcat_grid(0.0, 65)
     base = integrability_residuals(g, margin=4).worst()
@@ -313,3 +400,104 @@ def test_pipeline_adversarial_ratio_returns_report():
                           2.0*np.ones_like(x1), x1, x2)
     assert set(rep.max_norm) >= {"structural_1", "structural_2"}
     assert "realizable" in rep.extra
+
+
+# --------------------------------------------------------------------------
+# regression battery: max-norm and RMS of every residual, recorded with the
+# conditions in their x**n form; a rewrite of their arithmetic must keep
+# them within 1e-10 relative
+# --------------------------------------------------------------------------
+NAN = float("nan")
+_STRUCTURAL = ("structural_1", "structural_2", "structural_3",
+               "structural_4")
+_PINNED_NAMES = {
+    "const": _STRUCTURAL + ("integrability_2nd_const",
+                            "integrability_4th_const"),
+    "varying": _STRUCTURAL + ("integrability_2nd", "integrability_4th"),
+}
+# (max_norm, rms) in _PINNED_NAMES order
+_PINNED = {
+    ("0", 65): (
+        [2.7755575615628914e-17, 3.288838644976977e-05, NAN, NAN,
+         5.372889703059158e-05, 0.00551676043388291],
+        [5.215104411520295e-18, 2.087521131688704e-05, NAN, NAN,
+         1.4515713359058848e-05, 0.003806659626350537]),
+    ("0", 129): (
+        [5.551115123125783e-17, 8.223489977865484e-06, NAN, NAN,
+         1.4519571796156594e-05, 0.0013814580277573527],
+        [5.024631108104251e-18, 5.370924172926349e-06, NAN, NAN,
+         3.953388638356005e-06, 0.0009405965142052972]),
+    ("pi/4", 65): (
+        [5.551115123125783e-17, 3.0386594402437295e-05, NAN, NAN,
+         0.0002450772074578648, 0.005177031975731709],
+        [1.5121621193864785e-17, 2.2930378798739807e-05, NAN, NAN,
+         0.00017005694548624992, 0.003627910490060435]),
+    ("pi/4", 129): (
+        [5.551115123125783e-17, 7.597630863914739e-06, NAN, NAN,
+         6.136477961167962e-05, 0.0012964797931533532],
+        [1.500598661822537e-17, 5.692802391358162e-06, NAN, NAN,
+         4.234874034271187e-05, 0.0009217969789364964]),
+    ("pi/3", 65): (
+        [5.551115123125783e-17, 2.2464700468918797e-05, NAN, NAN,
+         0.0003281522454810693, 0.004061422458776087],
+        [1.7027673635927156e-17, 1.770620552095324e-05, NAN, NAN,
+         0.00019882661988844996, 0.002918562415754831]),
+    ("pi/3", 129): (
+        [5.551115123125783e-17, 5.616851214571006e-06, NAN, NAN,
+         8.215593815431926e-05, 0.001017091623167591],
+        [1.7274261038204755e-17, 4.349851459995036e-06, NAN, NAN,
+         5.017108316135812e-05, 0.000746125575310003]),
+    ("varying", 257): (
+        [2.7755575615628914e-17, 2.2409473723894457e-07, 1588967.4978804954,
+         400509.7436145465, 0.2339693954852547, 0.4944608597662543],
+        [4.772348207960209e-18, 8.748187091181695e-08, 76071.15858646114,
+         13645.402973611312, 0.12867699352058953, 0.36826323202861383]),
+}
+_ALPHAS = {"0": 0.0, "pi/4": np.pi/4, "pi/3": np.pi/3}
+
+
+@pytest.mark.parametrize("case", list(_PINNED),
+                         ids=lambda c: f"{c[0]}:{c[1]}")
+def test_prescribe_reports_stay_pinned(case):
+    label, n = case
+    if label == "varying":
+        x = np.linspace(0.0, 1.0, n)
+        X1, X2 = np.meshgrid(x, x, indexing="ij")
+        _, rep = prescribe(1.0 + 0.3*X1*X2, np.exp(0.2*X1 - 0.1*X2),
+                           2.0*np.ones_like(x), x, x)
+        names, realizable = _PINNED_NAMES["varying"], 0.0
+    else:
+        g = helcat_grid(_ALPHAS[label], n)
+        _, rep = prescribe(g.kappa, g.f2, g.f1[:, 0], g.x1, g.x2)
+        names, realizable = _PINNED_NAMES["const"], 1.0
+    want_max, want_rms = _PINNED[case]
+    assert list(rep.max_norm) == list(names)
+    # NaN stays NaN (equal_nan), everything else within 1e-10 relative
+    np.testing.assert_allclose([rep.max_norm[k] for k in names], want_max,
+                               rtol=1e-10, atol=0.0)
+    np.testing.assert_allclose([rep.rms[k] for k in names], want_rms,
+                               rtol=1e-10, atol=0.0)
+    assert rep.extra["realizable"] == realizable
+
+
+def test_fourth_order_residual_crosses_tolerance_from_roundoff():
+    # Why the helcat pi/4 family stops being realizable between 769 and
+    # 1025: integrability_4th_const takes fourth differences, whose
+    # roundoff grows like eps/h^4, while tol_real = 250 h^2 falls.  From
+    # 513 to 1025 the residual rises ~9x where a truncation error would fall
+    # 4x, sits at a few eps/h^4, and crosses the falling tolerance (at 769
+    # it reads 0.9 tol_real).
+    res, tol, real = {}, {}, {}
+    for n in (513, 1025):
+        g = helcat_grid(np.pi/4, n)
+        _, rep = prescribe(g.kappa, g.f2, g.f1[:, 0], g.x1, g.x2)
+        res[n] = rep.max_norm["integrability_4th_const"]
+        tol[n], real[n] = rep.extra["tol_real"], rep.extra["realizable"]
+        assert rep.worst() == res[n]
+        del g, rep
+    h = 1.0/1024
+    assert res[1025] > 4.0*res[513]
+    assert 1.0 < res[1025]/(np.finfo(float).eps/h**4) < 20.0
+    assert tol[1025] == tol[513]/4.0
+    assert res[513] < tol[513] and real[513] == 1.0
+    assert res[1025] > tol[1025] and real[1025] == 0.0
