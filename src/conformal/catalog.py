@@ -27,6 +27,7 @@ import numpy as np
 
 from .errors import CanalPoint, SelfIntersectingTube, UmbilicPoint
 from .invariants import _lie_bracket
+from .osculation import normal_form_monomials
 from .surfaces import _JET_IDX, SurfacePatch, eval_jet, principal_data
 
 __all__ = [
@@ -308,11 +309,7 @@ def make_canonical(theta1: float, theta2: float, psi: float, a: float,
     vals = [float(x) for x in (theta1, theta2, psi, a, b, c, d)]
     if not all(np.isfinite(vals)):
         raise ValueError("canonical invariants must be finite")
-    t1, t2, ps, av, bv, cv, dv = vals
-    poly = {(2, 0): 0.5, (0, 2): -0.5,
-            (3, 0): t1/6.0, (0, 3): t2/6.0,
-            (4, 0): av/24.0, (3, 1): bv/6.0, (2, 2): ps/4.0,
-            (1, 3): cv/6.0, (0, 4): dv/24.0}
+    poly = normal_form_monomials(*vals)
     entry = make_graph(poly, window=window)
     params = {"invariants": tuple(vals), "poly": poly,
               "psi_offset_fields": "xi1(theta1) + xi2(theta2) at origin"}

@@ -23,7 +23,7 @@ from .intersect import trace_cyclide_intersection
 from .invariants import invariant_sample, psi_from_thetas
 from .linefields import (darboux_critical_points, integrate_darboux_line,
                          integrate_dupin_line)
-from .osculation import (_psi_c_from_profile, osculating_cyclide,
+from .osculation import (osculating_cyclide, osculating_psi_c,
                          verify_contact_order)
 from .prescribe import helcat_grid, prescribe
 
@@ -161,12 +161,12 @@ def _parse_range(text, surface):
     return u0, u1, v0, v1
 
 
-def _grid_points(surface, grid, rng):
-    n1, n2 = _parse_grid(grid)
-    u0, u1, v0, v1 = _parse_range(rng, surface)
-    us = np.linspace(u0, u1, n1)
-    vs = np.linspace(v0, v1, n2)
-    return us, vs
+def _square_grid(text):
+    """The side n of an ``nxn`` grid (the planar commands need n x n)."""
+    n1, n2 = _parse_grid(text)
+    if n1 != n2:
+        raise ValueError(f"grid must be square, got {text!r}")
+    return n1
 
 
 def _parse_seed(text):
@@ -203,6 +203,25 @@ def _wrap(fn, *args, **kwargs):
         _fail(exc, 2)
 
 
+def _sweep(surface_path, grid, rng, header, values, out, fmt):
+    """One row per grid point, u, v and ``values(surface, u, v)``; a
+    ToolkitError leaves the values empty and names itself in the last."""
+    entry = load_surface_spec(surface_path)
+    n1, n2 = _parse_grid(grid)
+    u0, u1, v0, v1 = _parse_range(rng, entry.surface)
+    rows = []
+    for u in np.linspace(u0, u1, n1):
+        for v in np.linspace(v0, v1, n2):
+            try:
+                rows.append([u, v] + values(entry.surface, u, v))
+            except ToolkitError as exc:
+                name = ("Umbilic" if isinstance(exc, UmbilicPoint)
+                        else type(exc).__name__)
+                rows.append([u, v] + [None]*(len(header) - 3) + [name])
+    _emit(rows, header, out, fmt,
+          {"surface": surface_path, "grid": grid, "range": rng})
+
+
 @main.command("invariants")
 @_surface_opt
 @_out_opt
@@ -212,28 +231,15 @@ def _wrap(fn, *args, **kwargs):
 @click.option("--tol-canal", default=1e-6, type=float)
 def cmd_invariants(surface_path, out, fmt, grid, rng, tol_canal):
     """Pointwise invariant sweep over a parameter grid."""
-    def run():
-        entry = load_surface_spec(surface_path)
-        us, vs = _grid_points(entry.surface, grid, rng)
-        header = ["u", "v", "k1", "k2", "H", "mu", "theta1", "theta2",
-                  "psi", "a", "b", "c", "d", "class"]
-        rows = []
-        for u in us:
-            for v in vs:
-                try:
-                    s = invariant_sample(entry.surface, u, v,
-                                         tol_canal=tol_canal)
-                    pd = s.pd
-                    rows.append([u, v, pd.k1, pd.k2, pd.H, pd.mu,
-                                 s.theta1, s.theta2, s.psi, s.a, s.b, s.c,
-                                 s.d, s.classification])
-                except UmbilicPoint:
-                    rows.append([u, v] + [None]*11 + ["Umbilic"])
-                except ToolkitError as exc:
-                    rows.append([u, v] + [None]*11 + [type(exc).__name__])
-        _emit(rows, header, out, fmt,
-              {"surface": surface_path, "grid": grid, "range": rng})
-    _wrap(run)
+    def values(surface, u, v):
+        s = invariant_sample(surface, u, v, tol_canal=tol_canal)
+        pd = s.pd
+        return [pd.k1, pd.k2, pd.H, pd.mu, s.theta1, s.theta2, s.psi, s.a,
+                s.b, s.c, s.d, s.classification]
+
+    _wrap(_sweep, surface_path, grid, rng,
+          ["u", "v", "k1", "k2", "H", "mu", "theta1", "theta2", "psi", "a",
+           "b", "c", "d", "class"], values, out, fmt)
 
 
 @main.command("classify")
@@ -245,24 +251,12 @@ def cmd_invariants(surface_path, out, fmt, grid, rng, tol_canal):
 @click.option("--tol-canal", default=1e-6, type=float)
 def cmd_classify(surface_path, out, fmt, grid, rng, tol_canal):
     """Point classification sweep (Generic/Canal/Dupin/Umbilic)."""
-    def run():
-        entry = load_surface_spec(surface_path)
-        us, vs = _grid_points(entry.surface, grid, rng)
-        rows = []
-        for u in us:
-            for v in vs:
-                try:
-                    s = invariant_sample(entry.surface, u, v,
-                                         tol_canal=tol_canal,
-                                         with_coeffs=False)
-                    rows.append([u, v, s.classification])
-                except UmbilicPoint:
-                    rows.append([u, v, "Umbilic"])
-                except ToolkitError as exc:
-                    rows.append([u, v, type(exc).__name__])
-        _emit(rows, ["u", "v", "class"], out, fmt,
-              {"surface": surface_path, "grid": grid, "range": rng})
-    _wrap(run)
+    def values(surface, u, v):
+        return [invariant_sample(surface, u, v, tol_canal=tol_canal,
+                                 with_coeffs=False).classification]
+
+    _wrap(_sweep, surface_path, grid, rng, ["u", "v", "class"], values, out,
+          fmt)
 
 
 @main.command("osculate")
@@ -387,14 +381,9 @@ def cmd_intersect(surface_path, out, fmt, psi_c, window, grid):
         coeffs = entry.params.get("invariants")
         if coeffs is None:
             raise ValueError("intersect needs a canonical surface spec")
-        if psi_c is None:
-            # osculating value straight from the prescribed invariants
-            t1, t2, ps, av, bv, cv, dv = coeffs
-            t_eff = -np.cbrt(t1/t2)
-            pc = float(_psi_c_from_profile((av, bv, cv, dv), ps, t_eff))
-        else:
-            pc = psi_c
-        n = _parse_grid(grid)[0]
+        # default: the osculating value from the prescribed invariants
+        pc = float(osculating_psi_c(coeffs)) if psi_c is None else psi_c
+        n = _square_grid(grid)
         cs = trace_cyclide_intersection(coeffs, pc, window=window,
                                         resolution=n)
         header = ["curve_id", "component", "k", "x", "y"]
@@ -422,7 +411,7 @@ def cmd_prescribe(surface_path, out, grid):
         alpha_h = entry.params.get("alpha_h")
         if alpha_h is None:
             raise ValueError("prescribe expects a helcat surface spec")
-        n = _parse_grid(grid)[0]
+        n = _square_grid(grid)
         g = helcat_grid(alpha_h, n)
         kap = float(g.kappa[0, 0])
         grid_out, rep = prescribe(g.kappa, g.f2, g.f1[:, 0], g.x1, g.x2)

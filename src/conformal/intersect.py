@@ -25,6 +25,7 @@ from typing import List, Optional
 import numpy as np
 
 from .errors import ResolutionTooLow, UmbilicPoint, WindowTooLarge
+from .osculation import cyclide_monomials, normal_form_monomials
 
 __all__ = [
     "PlanarCurveSet", "difference_coeffs", "difference_eval",
@@ -54,20 +55,14 @@ class PlanarCurveSet:
 def difference_coeffs(coeffs, psi_c):
     """Coefficients of F = z_surface - z_cyclide as a dict of monomials.
 
-    The quadratic parts coincide and cancel; the surface quartic block
-    carries weights (a, 4b, 6 psi, 4c, d)/24, the cyclide quartic is
-    (x^4 - y^4)/8 + psi_c x^2 y^2 / 6.
+    ``coeffs`` is the canonical 7-tuple (theta1, theta2, psi, a, b, c, d)
+    of :func:`conformal.osculation.normal_form_monomials`; the quadratic
+    parts coincide and cancel.
     """
-    th1, th2, psi, a, b, c, d = coeffs
-    return {
-        (3, 0): th1/6.0,
-        (0, 3): th2/6.0,
-        (4, 0): a/24.0 - 1.0/8.0,
-        (3, 1): b/6.0,
-        (2, 2): psi/4.0 - psi_c/6.0,
-        (1, 3): c/6.0,
-        (0, 4): d/24.0 + 1.0/8.0,
-    }
+    cyc = cyclide_monomials(psi_c)
+    return {k: w - cyc.get(k, 0.0)
+            for k, w in normal_form_monomials(*coeffs).items()
+            if k[0] + k[1] > 2}
 
 
 def difference_eval(coeffs, psi_c):
@@ -88,12 +83,14 @@ def difference_eval(coeffs, psi_c):
 
 def check_window(coeffs, window: float):
     """Truncation-validity check: the quartic block of the canonical graph
-    must stay below the quadratic one at the window edge."""
-    th1, th2, psi, a, b, c, d = coeffs
-    q4 = (abs(a) + 4*abs(b) + 6*abs(psi) + 4*abs(c) + abs(d)) / 24.0
-    if q4 * window**4 >= 0.5 * window**2:
+    (the sum of its |weights|) must stay below the quadratic one at the
+    window edge."""
+    mono = normal_form_monomials(*coeffs)
+    q4 = sum(abs(w) for (i, j), w in mono.items() if i + j == 4)
+    q2 = mono[(2, 0)]
+    if q4 * window**4 >= q2 * window**2:
         raise WindowTooLarge(
-            f"quartic bound {q4*window**4:.3g} >= quadratic {0.5*window**2:.3g} "
+            f"quartic bound {q4*window**4:.3g} >= quadratic {q2*window**2:.3g} "
             f"at window {window}")
 
 

@@ -16,7 +16,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import BoundaryTooClose, DegenerateDenominator
-from .surfaces import (PrincipalData, SurfacePatch, principal_data,
+from .surfaces import (Jet, PrincipalData, SurfacePatch, principal_data,
                        principal_directions, shape_data)
 
 __all__ = [
@@ -29,7 +29,8 @@ __all__ = [
 _H_FLD = 1e-5          # first outer-difference step for invariant fields
 _CSTEP = 1e-20         # complex step for curvature gradients (analytic jets)
 _TOL_CANAL = 1e-6
-_TOL_GEN = 1e-5
+_TOL_GEN = 1e-5        # relative floor of xi1(theta2) + xi2(theta1)
+_H_NEST = (1e-4, 2e-3, 1e-2)   # psi_from_thetas steps, by nesting depth
 
 
 @dataclass(frozen=True)
@@ -100,12 +101,11 @@ def conformal_curvatures(surface: SurfacePatch, u: float, v: float, ref=None):
     return t1, t2, X1 / mu, X2 / mu
 
 
-def principal_data_checked(surface: SurfacePatch, u: float, v: float,
-                           ref=None) -> PrincipalData:
+def principal_data_checked(surface: SurfacePatch, u: float, v: float
+                           ) -> PrincipalData:
     """Principal data with umbilic / degenerate-metric checks applied."""
-    from .surfaces import Jet
-    jet = Jet(u=u, v=v, order=2, derivs=surface.jet_raw(u, v, 2))
-    return principal_data(jet, ref=ref)
+    return principal_data(Jet(u=u, v=v, order=2,
+                              derivs=surface.jet_raw(u, v, 2)))
 
 
 # --------------------------------------------------------------------------
@@ -131,18 +131,22 @@ def _theta_param_grads(surface, u, v, ref, h):
     return du, dv
 
 
+def _unit_theta_derivs(surface: SurfacePatch, u: float, v: float, h: float):
+    """X_i . grad(theta_j) for i, j in {1, 2} (unit speed), together with
+    (theta1, theta2, X1, X2, shape-dict) at the point."""
+    t1, t2, X1, X2, S = theta_state(surface, u, v)
+    du, dv = _theta_param_grads(surface, u, v, (X1, X2), h)
+    D = {(i, j): X[0]*du[j - 1] + X[1]*dv[j - 1]
+         for i, X in ((1, X1), (2, X2)) for j in (1, 2)}
+    return D, t1, t2, X1, X2, S
+
+
 def xi_theta_derivs(surface: SurfacePatch, u: float, v: float,
                     h_fld: float = _H_FLD):
     """xi_i(theta_j) = X_i . grad(theta_j) / mu for i, j in {1, 2}, together
     with (theta1, theta2, X1, X2, shape-dict) at the point."""
-    t1, t2, X1, X2, S = theta_state(surface, u, v)
-    du, dv = _theta_param_grads(surface, u, v, (X1, X2), h_fld)
-    mu = S["mu"]
-    out = {}
-    for i, X in ((1, X1), (2, X2)):
-        for j in (1, 2):
-            out[(i, j)] = (X[0]*du[j - 1] + X[1]*dv[j - 1]) / mu
-    return out, t1, t2, X1, X2, S
+    D, t1, t2, X1, X2, S = _unit_theta_derivs(surface, u, v, h_fld)
+    return {k: d / S["mu"] for k, d in D.items()}, t1, t2, X1, X2, S
 
 
 def xi_apply(surface: SurfacePatch, field, i: int, u: float, v: float,
@@ -175,39 +179,41 @@ def _laplace_H(surface: SurfacePatch, u: float, v: float, h: float) -> float:
     return (dP + dQ) / np.sqrt(S0["g"])
 
 
-def psi_invariant(surface: SurfacePatch, u: float, v: float,
-                  h_fld: float = _H_FLD) -> float:
-    """Third conformal invariant.
-
-    Combines the mean-curvature part mu^-3 (Lap H + 2 mu^2 H) with the
-    quadratic theta correction -(theta1^2 - theta2^2)/2 and the directional
-    theta-derivative part (xi1(theta1) + xi2(theta2))/2.  The combination is
-    verified Mobius-invariant in the test suite; the mean-curvature part
-    alone is not an invariant of the theta fields.
-    """
-    principal_data_checked(surface, u, v)
-    _require_margin(surface, u, v, 2*h_fld)
-    xt, t1, t2, X1, X2, S = xi_theta_derivs(surface, u, v, h_fld)
+def _psi(surface: SurfacePatch, u: float, v: float, derivs) -> float:
+    """psi at (u, v) from ``derivs``, the :func:`xi_theta_derivs` tuple
+    there: mu^-3 (Lap H + 2 mu^2 H) - (theta1^2 - theta2^2)/2
+    + (xi1(theta1) + xi2(theta2))/2."""
+    xt, t1, t2, _, _, S = derivs
     mu = S["mu"]
-    lap = _laplace_H(surface, u, v, h_fld)
+    lap = _laplace_H(surface, u, v, _H_FLD)
     return ((lap + 2*mu**2*S["H"]) / mu**3 - (t1*t1 - t2*t2)/2
             + (xt[(1, 1)] + xt[(2, 2)])/2)
+
+
+def psi_invariant(surface: SurfacePatch, u: float, v: float) -> float:
+    """Third conformal invariant (see :func:`_psi`); the combination is
+    Mobius-invariant, while its mean-curvature part alone is not."""
+    principal_data_checked(surface, u, v)
+    _require_margin(surface, u, v, 2*_H_FLD)
+    return _psi(surface, u, v, xi_theta_derivs(surface, u, v))
 
 
 # --------------------------------------------------------------------------
 # fourth-order coefficients and classification
 # --------------------------------------------------------------------------
-def fourth_order_coeffs(surface: SurfacePatch, u: float, v: float,
-                        h_fld: float = _H_FLD):
+def _quartic(derivs):
+    """(a, b, c, d) in the invariant gauge from ``derivs``, the
+    :func:`xi_theta_derivs` tuple."""
+    xt, t1, t2, *_ = derivs
+    return (3 + t1*t1 + xt[(1, 1)], -t1*t2 + xt[(2, 1)],
+            t1*t2 + xt[(1, 2)], -3 - t2*t2 + xt[(2, 2)])
+
+
+def fourth_order_coeffs(surface: SurfacePatch, u: float, v: float):
     """Canonical quartic coefficients (a, b, c, d) in the invariant gauge
     (directional derivatives taken along xi_i = X_i/mu)."""
-    _require_margin(surface, u, v, 2*h_fld)
-    xt, t1, t2, *_ = xi_theta_derivs(surface, u, v, h_fld)
-    a = 3 + t1*t1 + xt[(1, 1)]
-    b = -t1*t2 + xt[(2, 1)]
-    c = t1*t2 + xt[(1, 2)]
-    d = -3 - t2*t2 + xt[(2, 2)]
-    return a, b, c, d
+    _require_margin(surface, u, v, 2*_H_FLD)
+    return _quartic(xi_theta_derivs(surface, u, v))
 
 
 def classify_point(theta1: float, theta2: float,
@@ -229,46 +235,38 @@ def classify_point(theta1: float, theta2: float,
 
 
 def invariant_sample(surface: SurfacePatch, u: float, v: float,
-                     h_fld: float = _H_FLD, tol_canal: float = _TOL_CANAL,
-                     scale: float = 1.0, with_coeffs: bool = True
+                     tol_canal: float = _TOL_CANAL, with_coeffs: bool = True
                      ) -> InvariantSample:
     """Assemble the full pointwise package (thetas, psi, a..d, class)."""
     pd = principal_data_checked(surface, u, v)
-    xt, t1, t2, X1, X2, S = xi_theta_derivs(surface, u, v, h_fld)
-    mu = S["mu"]
+    derivs = xi_theta_derivs(surface, u, v)
+    _, t1, t2, X1, X2, S = derivs
     psi = a = b = c = d = None
     if with_coeffs:
-        _require_margin(surface, u, v, 2*h_fld)
-        lap = _laplace_H(surface, u, v, h_fld)
-        psi = ((lap + 2*mu**2*S["H"]) / mu**3 - (t1*t1 - t2*t2)/2
-               + (xt[(1, 1)] + xt[(2, 2)])/2)
-        a = 3 + t1*t1 + xt[(1, 1)]
-        b = -t1*t2 + xt[(2, 1)]
-        c = t1*t2 + xt[(1, 2)]
-        d = -3 - t2*t2 + xt[(2, 2)]
+        _require_margin(surface, u, v, 2*_H_FLD)
+        psi = _psi(surface, u, v, derivs)
+        a, b, c, d = _quartic(derivs)
+    mu = S["mu"]
     return InvariantSample(u=u, v=v, theta1=t1, theta2=t2,
                            xi1=X1/mu, xi2=X2/mu, psi=psi,
                            a=a, b=b, c=c, d=d,
-                           classification=classify_point(
-                               t1, t2, tol_canal, scale),
+                           classification=classify_point(t1, t2, tol_canal),
                            pd=pd)
 
 
 # --------------------------------------------------------------------------
 # psi from the theta fields alone
 # --------------------------------------------------------------------------
-def psi_from_thetas(surface: SurfacePatch, u: float, v: float,
-                    tol_gen: float = _TOL_GEN,
-                    h1: float = 1e-4, h2: float = 2e-3, h3: float = 1e-2
-                    ) -> float:
+def psi_from_thetas(surface: SurfacePatch, u: float, v: float) -> float:
     """Recover psi from the theta fields by nested directional differencing.
 
     Requires the genericity quantity xi1(theta2) + xi2(theta1) to be bounded
     away from zero; raises :class:`DegenerateDenominator` otherwise (on
     Dupin cyclides and on the helically-symmetric minimal family the
     denominator vanishes identically and psi is not determined by thetas).
-    The steps grow with nesting depth because noise amplifies as h^-k.
+    The steps ``_H_NEST`` grow with nesting depth, as noise amplifies as h^-k.
     """
+    h1, h2, h3 = _H_NEST
     _require_margin(surface, u, v, 3*h3)
     t1, t2, X1c, X2c, Sc = theta_state(surface, u, v)
     ref = (X1c, X2c)
@@ -291,7 +289,7 @@ def psi_from_thetas(surface: SurfacePatch, u: float, v: float,
 
     scale = max(abs(x1t1), abs(x1t2), abs(x2t1), abs(x2t2), 1.0)
     den = x1t2 + x2t1
-    if abs(den) < tol_gen * scale:
+    if abs(den) < _TOL_GEN * scale:
         raise DegenerateDenominator(
             f"xi1(theta2) + xi2(theta1) = {den:.3e} below threshold")
 
@@ -335,15 +333,10 @@ def willmore_density(surface: SurfacePatch, u: float, v: float) -> float:
     return float(S["mu"] ** 2)
 
 
-def willmore_energy(surface: SurfacePatch, urange=None, vrange=None,
-                    n: int = 64) -> float:
-    """Grid quadrature of mu^2 dA over a sub-rectangle (defaults to the full
-    domain), midpoint rule in both directions."""
+def willmore_energy(surface: SurfacePatch, n: int = 64) -> float:
+    """Grid quadrature of mu^2 dA over the patch's domain, midpoint rule in
+    both directions."""
     (u0, u1), (v0, v1) = surface.domain
-    if urange is not None:
-        u0, u1 = urange
-    if vrange is not None:
-        v0, v1 = vrange
     hu, hv = (u1 - u0)/n, (v1 - v0)/n
     us = u0 + hu*(np.arange(n) + 0.5)
     vs = v0 + hv*(np.arange(n) + 0.5)
@@ -355,8 +348,7 @@ def willmore_energy(surface: SurfacePatch, urange=None, vrange=None,
     return total * hu * hv
 
 
-def bracket_residual(surface: SurfacePatch, u: float, v: float,
-                     h: float = _H_FLD) -> float:
+def bracket_residual(surface: SurfacePatch, u: float, v: float) -> float:
     """Max-norm residual of the commutator identity
     [xi1, xi2] + (theta2 xi1 + theta1 xi2)/2 = 0 in parameter coordinates,
     with the xi fields sign-aligned to the center frame."""
@@ -367,7 +359,7 @@ def bracket_residual(surface: SurfacePatch, u: float, v: float,
         r1, r2, Y1, Y2, T = theta_state(surface, a, b, ref)
         return np.array([Y1/T["mu"], Y2/T["mu"]])
 
-    lie, xi1, xi2 = _lie_bracket(xi_fields, u, v, h)
+    lie, xi1, xi2 = _lie_bracket(xi_fields, u, v, _H_FLD)
     return float(np.max(np.abs(lie + 0.5*(t2*xi1 + t1*xi2))))
 
 

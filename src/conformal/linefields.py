@@ -4,8 +4,8 @@ critical-angle analysis along Darboux traces.
 Both integrators are fixed-step classical fourth-order schemes in the
 parameter plane, advancing by ambient arc length; direction-field signs are
 disambiguated per step by continuity.  Darboux traces carry the angle
-variable alpha and the rescaled arc length sigma (d sigma = (k1 - k2) ds by
-default) alongside the position samples.
+variable alpha and the rescaled arc length sigma (d sigma = (k1 - k2) ds)
+alongside the position samples.
 """
 from __future__ import annotations
 
@@ -24,7 +24,9 @@ __all__ = [
     "CriticalPoint",
 ]
 
-_TOL_DUPIN = 1e-6
+_TOL_DUPIN = 1e-6     # |theta1| + |theta2| below this is the Dupin locus
+_ANGLE_EPS = 0.02     # a Darboux trace stops this close to alpha = 0, pi/2
+_H_GEN = 1e-4         # step of the genericity derivative at a critical
 
 
 @dataclass
@@ -60,33 +62,32 @@ class CriticalPoint:
 # --------------------------------------------------------------------------
 # Dupin field
 # --------------------------------------------------------------------------
-def _dupin_dir(state, tol=_TOL_DUPIN):
+def _dupin_dir(state):
     """The field of :func:`dupin_field` from a :func:`theta_state` tuple."""
     t1, t2, X1, X2, S = state
-    if abs(t1) + abs(t2) < tol:
+    if abs(t1) + abs(t2) < _TOL_DUPIN:
         raise DupinPoint(f"|theta1|+|theta2| = {abs(t1)+abs(t2):.3e}")
     V = np.cbrt(t2)*X1 + np.cbrt(t1)*X2
     Vamb = V[0]*S["ru"] + V[1]*S["rv"]
     return V / np.linalg.norm(Vamb)
 
 
-def dupin_field(surface: SurfacePatch, u: float, v: float, ref=None,
-                tol: float = _TOL_DUPIN) -> np.ndarray:
+def dupin_field(surface: SurfacePatch, u: float, v: float, ref=None
+                ) -> np.ndarray:
     """Unoriented direction of cbrt(theta2) X1 + cbrt(theta1) X2,
     ambient-unit-normalized, in parameter coordinates."""
-    return _dupin_dir(theta_state(surface, u, v, ref), tol)
+    return _dupin_dir(theta_state(surface, u, v, ref))
 
 
 # --------------------------------------------------------------------------
 # Dupin-line integration
 # --------------------------------------------------------------------------
 def integrate_dupin_line(surface: SurfacePatch, seed, step: float = 0.01,
-                         max_length: float = 10.0,
-                         tol_stop: float = 1e-6) -> CurveTrace:
+                         max_length: float = 10.0) -> CurveTrace:
     """Trace the Dupin line through ``seed`` with ambient-arc-length steps.
 
     Stops at the domain boundary, at the Dupin locus (a sample with
-    |theta1| + |theta2| below ``tol_stop``), on closure, or at
+    |theta1| + |theta2| below ``_TOL_DUPIN``), on closure, or at
     ``max_length``.  Transversal crossings of an isolated theta zero pass
     through: the field direction has a continuous unoriented limit there and
     samples almost never land inside the tolerance band.  The theta state
@@ -118,7 +119,7 @@ def integrate_dupin_line(surface: SurfacePatch, seed, step: float = 0.01,
     length = 0.0
     while length < max_length:
         t1, t2, *_ = ts
-        if abs(t1) + abs(t2) < tol_stop:
+        if abs(t1) + abs(t2) < _TOL_DUPIN:
             termination = "HitSingularPoint"
             break
         h = step
@@ -148,18 +149,17 @@ def integrate_dupin_line(surface: SurfacePatch, seed, step: float = 0.01,
 # --------------------------------------------------------------------------
 def integrate_darboux_line(surface: SurfacePatch, seed, alpha0: float,
                            step: float = 0.005, max_length: float = 5.0,
-                           sigma_mode: str = "k1k2",
-                           angle_eps: float = 0.02,
                            orient: int = 1) -> CurveTrace:
     """Integrate the coupled (position, alpha) system of the Darboux flow.
 
     State advances along cos(alpha) X1 + sin(alpha) X2 (ambient unit speed);
     alpha advances by (k1 - k2)(theta1 cos^3 a + theta2 sin^3 a) /
-    (12 sin a cos a) per unit ambient arc length (the (k1 - k2) factor is
-    the default sigma rescaling; ``sigma_mode="mu"`` uses mu instead, which
-    differs by the constant 2 and moves no critical point).  The principal
+    (12 sin a cos a) per unit ambient arc length, so by the second factor
+    per unit of sigma, d sigma = (k1 - k2) ds (a rescaling by mu would
+    differ by the constant 2 and move no critical point).  The principal
     frame is carried by continuity along the trace.  Halts with
-    HitSingularPoint when alpha degenerates toward 0 or pi/2.
+    HitSingularPoint when alpha comes within ``_ANGLE_EPS`` of 0 or pi/2,
+    where the rate is singular.
     ``orient=-1`` traverses the same Darboux line in the opposite direction.
     """
     u0, v0 = seed
@@ -170,8 +170,6 @@ def integrate_darboux_line(surface: SurfacePatch, seed, alpha0: float,
             raise AngleDegenerate(
                 "alpha0 at a degeneracy of the angle equation with nonzero "
                 "right side")
-    fac = 1.0 if sigma_mode == "k1k2" else 0.5
-
     ref_holder = {"ref": None}
 
     def rhs(state):
@@ -180,7 +178,7 @@ def integrate_darboux_line(surface: SurfacePatch, seed, alpha0: float,
         ref_holder["ref"] = (X1, X2)
         vel = np.cos(a)*X1 + np.sin(a)*X2
         dk = S["k1"] - S["k2"]
-        da = fac * dk * (t1*np.cos(a)**3 + t2*np.sin(a)**3) / \
+        da = dk * (t1*np.cos(a)**3 + t2*np.sin(a)**3) / \
             (12*np.sin(a)*np.cos(a))
         return orient*np.array([vel[0], vel[1], da]), dk, (t1, t2, X1, X2)
 
@@ -206,14 +204,14 @@ def integrate_darboux_line(surface: SurfacePatch, seed, alpha0: float,
             termination = "HitBoundary"
             break
         a = new[2] % np.pi
-        if min(abs(np.sin(a)), abs(np.cos(a))) < angle_eps:
+        if min(abs(np.sin(a)), abs(np.cos(a))) < _ANGLE_EPS:
             termination = "HitSingularPoint"
         state = new
         length += h
         uv.append(state[:2].copy())
         pos.append(np.asarray(surface.position(*state[:2]), dtype=float))
         alphas.append(state[2])
-        sigmas.append(sigmas[-1] + fac*dk*h)
+        sigmas.append(sigmas[-1] + dk*h)
         k1v, dk, fr = rhs(new)
         dalphas.append(k1v[2])
         frames.append(np.array(fr[2:]))
@@ -230,8 +228,8 @@ def integrate_darboux_line(surface: SurfacePatch, seed, alpha0: float,
 # --------------------------------------------------------------------------
 # critical points
 # --------------------------------------------------------------------------
-def darboux_critical_points(trace: CurveTrace, surface: SurfacePatch,
-                            h_gen: float = 1e-4) -> List[CriticalPoint]:
+def darboux_critical_points(trace: CurveTrace, surface: SurfacePatch
+                            ) -> List[CriticalPoint]:
     """Zeros of d alpha / d sigma along a Darboux trace.
 
     At each sign change of the stored derivative the zero is located by
@@ -246,7 +244,7 @@ def darboux_critical_points(trace: CurveTrace, surface: SurfacePatch,
     ``tangency_gap`` and ``genericity`` carry about 3 significant digits,
     although they are printed with 12: the zero is linearly interpolated
     between trace samples, and the genericity derivative is a central
-    difference with step ``h_gen`` (1e-4).  A jet change at roundoff level
+    difference with step ``_H_GEN`` (1e-4).  A jet change at roundoff level
     moves them in the fourth digit; two criticals that differ by a symmetry
     of the surface can differ there too.
     """
@@ -278,9 +276,9 @@ def darboux_critical_points(trace: CurveTrace, surface: SurfacePatch,
                 r1, r2, *_ = theta_state(surface, a, b, (X1, X2))
                 return np.log(abs(r1)) + np.log(abs(r2))
 
-            gen = (logth(uc[0] + h_gen*Vn[0], uc[1] + h_gen*Vn[1])
-                   - logth(uc[0] - h_gen*Vn[0], uc[1] - h_gen*Vn[1])) / \
-                (2*h_gen) / S["mu"]
+            gen = (logth(uc[0] + _H_GEN*Vn[0], uc[1] + _H_GEN*Vn[1])
+                   - logth(uc[0] - _H_GEN*Vn[0], uc[1] - _H_GEN*Vn[1])) / \
+                (2*_H_GEN) / S["mu"]
         else:
             gap = float("nan")
             gen = float("nan")

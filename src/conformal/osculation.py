@@ -1,38 +1,43 @@
 """Distinguished tangency direction and the osculating cyclide.
 
 Everything here works in the canonical graph normal form at the queried
-point: the surface contributes quartic-profile coefficients along the line
-y = t x of its tangent plane, the cyclide family contributes a one-parameter
-quartic, and order-4 contact pins the single free cyclide invariant.
+point (:func:`normal_form_jet`) and in the cyclide pencil's form
+(:func:`cyclide_monomials`), the definitions :mod:`conformal.catalog` and
+:mod:`conformal.intersect` build on too.  Along the line y = t x of the
+tangent plane both become quartic profiles, and order-4 contact pins the
+single free cyclide invariant psi_c.
 
 The profile coefficient set used for the published-table computation takes
 unit-speed directional derivatives of the theta fields (distinct from the
 invariant-gauge set in :mod:`conformal.invariants`, which divides by mu);
-both gauges are exposed and unit-tested.  The sign flag ``profile_sign``
-selects which of the two cube roots of the direction ratio is used in the
-profile matching; the default -1 is the choice under which the cubic profile
-terms cancel and the published values are reproduced.
+both gauges are exposed and unit-tested.  The profiles are matched along
+t_eff = -cbrt(theta1/theta2) (``_PROFILE_SIGN`` = -1): only there does the
+surface's cubic profile term (theta1 + theta2 t_eff^3)/6 vanish, as the
+cyclide's does, and it reproduces the published values.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import comb, factorial
 from typing import Optional
 
 import numpy as np
 
 from .errors import CanalPoint, DupinPoint, FitUnstable
-from .invariants import (_H_FLD, _theta_param_grads, psi_invariant,
-                         theta_state)
+from .invariants import (_H_FLD, _theta_param_grads, _unit_theta_derivs,
+                         psi_invariant, theta_state)
 from .surfaces import PrincipalData, SurfacePatch
 
 __all__ = [
     "CyclideContact", "CanonicalProfile", "profile_coeffs",
     "dupin_direction", "limit_direction_ratio", "osculating_cyclide",
     "canonical_profile", "cyclide_profile", "verify_contact_order",
-    "contact_order_details",
+    "contact_order_details", "normal_form_jet", "normal_form_monomials",
+    "cyclide_monomials", "osculating_psi_c",
 ]
 
 _TOL_THETA = 1e-6
+_PROFILE_SIGN = -1      # sign of the contact direction (module docstring)
 
 
 @dataclass(frozen=True)
@@ -46,7 +51,7 @@ class CyclideContact:
     v: float
     position: np.ndarray
     limit_derived: bool = False
-    profile_sign: int = -1
+    profile_sign: int = _PROFILE_SIGN
     # frozen profile data so verification needs no re-differencing
     theta1: float = 0.0
     theta2: float = 0.0
@@ -60,7 +65,6 @@ class CanonicalProfile:
     c2: float
     c3: float
     c4: float
-    kind: str                # "surface" or "cyclide"
 
     def eval(self, x):
         return self.c2*x**2 + self.c3*x**3 + self.c4*x**4
@@ -69,8 +73,7 @@ class CanonicalProfile:
 # --------------------------------------------------------------------------
 # profile coefficients (unit-speed gauge)
 # --------------------------------------------------------------------------
-def profile_coeffs(surface: SurfacePatch, u: float, v: float,
-                   h_fld: float = _H_FLD):
+def profile_coeffs(surface: SurfacePatch, u: float, v: float):
     """(a, b, c, d) with unit-speed directional derivatives D_i = X_i . grad
     of the theta fields (no division by mu):
 
@@ -80,10 +83,7 @@ def profile_coeffs(surface: SurfacePatch, u: float, v: float,
     This combination is invariant under either principal-direction sign flip,
     so it is frame-convention-free.
     """
-    t1, t2, X1, X2, S = theta_state(surface, u, v)
-    du, dv = _theta_param_grads(surface, u, v, (X1, X2), h_fld)
-    D = {(i, j): X[0]*du[j - 1] + X[1]*dv[j - 1]
-         for i, X in ((1, X1), (2, X2)) for j in (1, 2)}
+    D, t1, t2, *_ = _unit_theta_derivs(surface, u, v, _H_FLD)
     a = 3 + t1*t1 + D[(1, 1)]
     b = -t1*t2 - D[(2, 1)]
     c = t1*t2 + D[(1, 2)]
@@ -91,14 +91,14 @@ def profile_coeffs(surface: SurfacePatch, u: float, v: float,
     return (a, b, c, d), t1, t2
 
 
-def limit_direction_ratio(surface: SurfacePatch, u: float, v: float,
-                          h_fld: float = _H_FLD) -> float:
+def limit_direction_ratio(surface: SurfacePatch, u: float, v: float
+                          ) -> float:
     """Limit of theta1/theta2 at a point where both thetas vanish on a curve
     crossed transversally: ratio of the directional derivatives of the two
     fields along the unit gradient of theta2 (frame-consistent, so the
     relative sign of the two fields is preserved)."""
     t1, t2, X1, X2, S = theta_state(surface, u, v)
-    du, dv = _theta_param_grads(surface, u, v, (X1, X2), h_fld)
+    du, dv = _theta_param_grads(surface, u, v, (X1, X2), _H_FLD)
     g = np.array([du[1], dv[1]])
     norm = np.hypot(*g)
     if norm < 1e-12:
@@ -110,85 +110,67 @@ def limit_direction_ratio(surface: SurfacePatch, u: float, v: float,
 # --------------------------------------------------------------------------
 # direction and cyclide
 # --------------------------------------------------------------------------
-def dupin_direction(theta1: float, theta2: float, pd: PrincipalData,
-                    tol: float = _TOL_THETA, limit_ratio: Optional[float] = None):
+def dupin_direction(theta1: float, theta2: float, pd: PrincipalData):
     """Distinguished tangency direction.
 
     Returns (t, alpha, direction) with t = cbrt(theta1/theta2) using the
     real sign-preserving cube root, alpha = arctan|t| in [0, pi/2), and the
     unoriented parameter-plane direction cos(alpha) X1 + sin(alpha) sign(t) X2.
     When theta2 is below tolerance but theta1 is not, the index roles swap
-    and the direction is reported relative to X2.  When both vanish, a
-    caller-supplied limit ratio is accepted (flagged limit-derived upstream),
-    else DupinPoint is raised.
+    and the direction is reported relative to X2.  When both vanish,
+    DupinPoint is raised (:func:`osculating_cyclide` takes the transversal
+    limit there).
     """
     scale = max(abs(theta1), abs(theta2))
-    if scale < tol:
-        if limit_ratio is None:
-            raise DupinPoint("both conformal principal curvatures vanish")
-        ratio = limit_ratio
-    elif abs(theta2) < tol * scale:
+    if scale < _TOL_THETA:
+        raise DupinPoint("both conformal principal curvatures vanish")
+    if abs(theta2) < _TOL_THETA * scale:
         # swapped roles: parameter is cbrt(theta2/theta1) relative to X2
         t = np.cbrt(theta2 / theta1)
         alpha = np.arctan(abs(t))
         direction = np.cos(alpha)*pd.X2 + np.sin(alpha)*np.sign(t)*pd.X1
         return t, alpha, direction
-    else:
-        ratio = theta1 / theta2
-    t = np.cbrt(ratio)
+    t = np.cbrt(theta1 / theta2)
     alpha = np.arctan(abs(t))
     direction = np.cos(alpha)*pd.X1 + np.sin(alpha)*np.sign(t)*pd.X2
     return t, alpha, direction
 
 
-def _psi_c_from_profile(coeffs, psi, t_eff):
-    a, b, c, d = coeffs
-    P = a + 4*b*t_eff + 6*psi*t_eff**2 + 4*c*t_eff**3 + d*t_eff**4
-    return (6.0/t_eff**2) * (P/24.0 - (1.0 - t_eff**4)/8.0)
+def _contact_direction(theta1, theta2) -> float:
+    """t = cbrt(theta1/theta2); CanalPoint where one theta vanishes."""
+    if min(abs(theta1), abs(theta2)) < _TOL_THETA * max(abs(theta1),
+                                                        abs(theta2), 1.0):
+        raise CanalPoint(
+            f"one theta vanishes (theta1={theta1:.3e}, theta2={theta2:.3e});"
+            " quartic matching degenerates")
+    return float(np.cbrt(theta1 / theta2))
 
 
-def osculating_cyclide(surface: SurfacePatch, u: float, v: float,
-                       limit_ratio: Optional[float] = None,
-                       profile_sign: int = -1,
-                       tol: float = _TOL_THETA,
-                       h_fld: float = _H_FLD) -> CyclideContact:
+def osculating_cyclide(surface: SurfacePatch, u: float, v: float
+                       ) -> CyclideContact:
     """Unique cyclide with order-4 contact at a non-canal point.
 
-    The cyclide invariant solves the quartic-profile matching equation
-
-        psi_c = (6/t^2) [ (a + 4bt + 6 psi t^2 + 4ct^3 + dt^4)/24
-                          - (1 - t^4)/8 ]
-
-    evaluated at t_eff = profile_sign * cbrt(theta1/theta2).  At a point
-    where both thetas vanish transversally, pass ``limit_ratio`` (or rely on
-    the automatic transversal-limit estimate) — the result is flagged
-    limit-derived.
+    Its invariant is :func:`osculating_psi_c` of the unit-gauge profile
+    coefficients and psi.  Where both thetas are below ``_TOL_THETA``,
+    theta1/theta2 is replaced by its transversal limit,
+    :func:`limit_direction_ratio`, and the result is flagged
+    limit-derived; where only one is, :class:`CanalPoint` is raised.
     """
-    coeffs, t1, t2 = profile_coeffs(surface, u, v, h_fld)
-    psi = psi_invariant(surface, u, v, h_fld)
-    scale = max(abs(t1), abs(t2))
-    limit_derived = False
-    if scale < tol:
-        if limit_ratio is None:
-            limit_ratio = limit_direction_ratio(surface, u, v, h_fld)
-        ratio = limit_ratio
-        limit_derived = True
-    elif min(abs(t1), abs(t2)) < tol * max(scale, 1.0):
-        raise CanalPoint(
-            f"one theta vanishes (theta1={t1:.3e}, theta2={t2:.3e}); "
-            "quartic matching degenerates")
+    coeffs, t1, t2 = profile_coeffs(surface, u, v)
+    psi = psi_invariant(surface, u, v)
+    limit_derived = bool(max(abs(t1), abs(t2)) < _TOL_THETA)
+    if limit_derived:
+        t = float(np.cbrt(limit_direction_ratio(surface, u, v)))
     else:
-        ratio = t1 / t2
-    t = float(np.cbrt(ratio))
+        t = _contact_direction(t1, t2)
     if t == 0.0:
         raise CanalPoint("direction ratio zero")
-    t_eff = profile_sign * t
-    psi_c = _psi_c_from_profile(coeffs, psi, t_eff)
+    psi_c = osculating_psi_c((t1, t2, psi, *coeffs), t)
     return CyclideContact(
         t=t, alpha=float(np.arctan(abs(t))), psi_c=float(psi_c),
         contact_order=4, u=u, v=v,
         position=np.asarray(surface.position(u, v), dtype=float),
-        limit_derived=limit_derived, profile_sign=profile_sign,
+        limit_derived=limit_derived, profile_sign=_PROFILE_SIGN,
         theta1=float(t1), theta2=float(t2), psi=float(psi),
         coeffs=tuple(float(x) for x in coeffs))
 
@@ -196,23 +178,61 @@ def osculating_cyclide(surface: SurfacePatch, u: float, v: float,
 # --------------------------------------------------------------------------
 # profiles and contact order
 # --------------------------------------------------------------------------
+def normal_form_jet(theta1, theta2, psi, a, b, c, d) -> dict:
+    """The canonical graph z = (x^2 - y^2)/2 + (theta1 x^3 + theta2 y^3)/6
+    + (a x^4 + 4b x^3 y + 6 psi x^2 y^2 + 4c x y^3 + d y^4)/24 by its
+    derivatives at the origin, {(i, j): d^(i+j) z / dx^i dy^j}."""
+    return {(2, 0): 1.0, (0, 2): -1.0, (3, 0): theta1, (0, 3): theta2,
+            (4, 0): a, (3, 1): b, (2, 2): psi, (1, 3): c, (0, 4): d}
+
+
+def normal_form_monomials(theta1, theta2, psi, a, b, c, d) -> dict:
+    """The canonical graph as {(i, j): weight of x^i y^j = z_ij / i! j!}."""
+    return {(i, j): q/(factorial(i)*factorial(j)) for (i, j), q in
+            normal_form_jet(theta1, theta2, psi, a, b, c, d).items()}
+
+
+def cyclide_monomials(psi_c) -> dict:
+    """The cyclide of invariant ``psi_c``, z = (x^2 - y^2)/2 +
+    (x^4 - y^4)/8 + psi_c x^2 y^2/6, as {(i, j): weight of x^i y^j}."""
+    return {(2, 0): 0.5, (0, 2): -0.5,
+            (4, 0): 1.0/8.0, (2, 2): psi_c/6.0, (0, 4): -1.0/8.0}
+
+
+def _on_line(terms, t):
+    """[c0, ..., c4] with c_n the sum of terms[i, j] t^j over i + j = n."""
+    c = [0.0]*5
+    for (i, j), w in terms.items():
+        c[i + j] += w*t**j
+    return c
+
+
 def canonical_profile(theta1, theta2, psi, coeffs, t) -> CanonicalProfile:
-    """Surface profile along y = t x of the canonical graph form."""
-    a, b, c, d = coeffs
-    return CanonicalProfile(
-        c2=0.5*(1 - t*t),
-        c3=(theta1 + theta2*t**3)/6.0,
-        c4=(a + 4*b*t + 6*psi*t*t + 4*c*t**3 + d*t**4)/24.0,
-        kind="surface")
+    """Surface profile along y = t x of the canonical graph form: the n-th
+    derivative of z(x, t x) over n!, sum_j C(n, j) z_(n-j, j) t^j / n!."""
+    jet = normal_form_jet(theta1, theta2, psi, *coeffs)
+    c = _on_line({(i, j): comb(i + j, j)*q for (i, j), q in jet.items()}, t)
+    return CanonicalProfile(c2=c[2]/2, c3=c[3]/6, c4=c[4]/24)
 
 
 def cyclide_profile(psi_c, t) -> CanonicalProfile:
     """Cyclide profile along y = t x (no cubic term by construction)."""
-    return CanonicalProfile(
-        c2=0.5*(1 - t*t),
-        c3=0.0,
-        c4=(1 - t**4)/8.0 + psi_c*t*t/6.0,
-        kind="cyclide")
+    c = _on_line(cyclide_monomials(psi_c), t)
+    return CanonicalProfile(c2=c[2], c3=c[3], c4=c[4])
+
+
+def osculating_psi_c(invariants, t=None) -> float:
+    """psi_c of the cyclide with order-4 contact with the canonical graph of
+    ``invariants`` = (theta1, theta2, psi, a, b, c, d) along the direction
+    t^3 = theta1/theta2 (default: that cube root), with sign _PROFILE_SIGN:
+    psi_c enters the cyclide's quartic profile term as psi_c t^2/6."""
+    theta1, theta2, psi, *coeffs = invariants
+    if t is None:
+        t = _contact_direction(theta1, theta2)
+    t_eff = _PROFILE_SIGN * t
+    gap = (canonical_profile(theta1, theta2, psi, coeffs, t_eff).c4
+           - cyclide_profile(0.0, t_eff).c4)
+    return (6.0/t_eff**2) * gap
 
 
 def contact_order_details(prof_a: CanonicalProfile, prof_b: CanonicalProfile,

@@ -182,6 +182,16 @@ def test_intersect_default_psi_c(runner, specs):
     assert rows
 
 
+@pytest.mark.parametrize("coeffs", ["1, 0, 0, 3.5, 0.25, -0.5, -3.25",
+                                    "0, 2, 0, 3.5, 0.25, -0.5, -3.25"])
+def test_intersect_default_psi_c_canal_exits_3(runner, tmp_path, coeffs):
+    spec = tmp_path / "canal.spec"
+    spec.write_text(f"kind = canonical\ncoeffs = {coeffs}\n")
+    res = runner.invoke(main, ["intersect", "--surface", str(spec)])
+    assert res.exit_code == 3
+    assert "CanalPoint" in res.output
+
+
 def test_intersect_offset_counts(runner, specs):
     for dpsi, want in [(4.0, 3), (-4.0, 3)]:
         res = runner.invoke(main, ["intersect", "--surface",
@@ -191,6 +201,22 @@ def test_intersect_offset_counts(runner, specs):
         assert res.exit_code == 0
         _, _, payload = _rows(res)
         assert payload["config"]["component_count"] == want
+
+
+@pytest.mark.parametrize("grid", ["128x64", "64x128"])
+def test_intersect_rejects_non_square_grid(runner, specs, grid):
+    res = runner.invoke(main, ["intersect", "--surface", specs["canonical"],
+                               "--grid", grid])
+    assert res.exit_code == 2
+    assert json.loads(res.output.strip().splitlines()[-1])["error"] == \
+        "ValueError"
+
+
+def test_prescribe_rejects_non_square_grid(runner, specs):
+    res = runner.invoke(main, ["prescribe", "--surface", specs["helcat"],
+                               "--grid", "65x17"])
+    assert res.exit_code == 2
+    assert "square" in res.output
 
 
 def test_prescribe_realizable(runner, specs):

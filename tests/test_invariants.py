@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conformal.errors import (BoundaryTooClose, DegenerateDenominator,
                               UmbilicPoint)
@@ -126,3 +127,14 @@ def test_boundary_margin_enforced(helcat_quarter):
 def test_willmore_energy_positive(torus):
     w = willmore_energy(torus.surface, n=32)
     assert w > 0.0
+
+
+@settings(max_examples=12, derandomize=True, database=None, deadline=None)
+@given(which=st.sampled_from(["helcat", "torus"]),
+       u=st.floats(-2.5, 2.5), v=st.floats(-2.5, 2.5))
+def test_sample_matches_psi_and_coeffs_exactly(helcat_quarter, torus, which,
+                                               u, v):
+    surface = (helcat_quarter if which == "helcat" else torus).surface
+    s = invariant_sample(surface, u, v)
+    assert s.psi == psi_invariant(surface, u, v)
+    assert (s.a, s.b, s.c, s.d) == fourth_order_coeffs(surface, u, v)

@@ -1,10 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from conformal.catalog import make_canonical
 from conformal.errors import CanalPoint
+from conformal.intersect import difference_coeffs
 from conformal.osculation import (canonical_profile, contact_order_details,
-                                  cyclide_profile, dupin_direction,
-                                  limit_direction_ratio, osculating_cyclide,
+                                  cyclide_monomials, cyclide_profile,
+                                  dupin_direction, limit_direction_ratio,
+                                  osculating_cyclide, osculating_psi_c,
                                   profile_coeffs, verify_contact_order)
 
 _TABLE_SPOT = [
@@ -85,3 +89,54 @@ def test_dupin_direction_swaps_when_second_field_vanishes():
     # swapped role: parameter is relative to the second axis
     assert abs(t) < 1e-3
     assert np.isfinite(direction).all()
+
+
+def _on_line(mono, t):
+    """(c2, c3, c4) of a monomial dict restricted to y = t x."""
+    c = [0.0]*5
+    for (i, j), w in mono.items():
+        c[i + j] += w*t**j
+    return np.array(c[2:])
+
+
+@settings(max_examples=80, derandomize=True, database=None, deadline=None)
+@given(vals=st.lists(st.floats(-5.0, 5.0), min_size=7, max_size=7),
+       psi_c=st.floats(-20.0, 20.0), t=st.floats(0.1, 3.0),
+       sign=st.sampled_from([1.0, -1.0]),
+       xy=st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)))
+def test_normal_form_cyclide_and_difference_agree(vals, psi_c, t, sign, xy):
+    t *= sign
+    t1, t2, psi, a, b, c, d = vals
+    poly = make_canonical(*vals).params["poly"]
+    cyc = cyclide_monomials(psi_c)
+    # the monomials are the written-out normal form and cyclide
+    x, y = xy
+    z_surf = ((x*x - y*y)/2 + (t1*x**3 + t2*y**3)/6
+              + (a*x**4 + 4*b*x**3*y + 6*psi*x*x*y*y + 4*c*x*y**3
+                 + d*y**4)/24)
+    z_cyc = (x*x - y*y)/2 + (x**4 - y**4)/8 + psi_c*x*x*y*y/6
+    assert sum(w*x**i*y**j for (i, j), w in poly.items()) == \
+        pytest.approx(z_surf, rel=1e-12, abs=1e-12)
+    assert sum(w*x**i*y**j for (i, j), w in cyc.items()) == \
+        pytest.approx(z_cyc, rel=1e-12, abs=1e-12)
+    # surface minus cyclide is the difference polynomial, exactly; its
+    # quadratic part cancels
+    diff = difference_coeffs(vals, psi_c)
+    assert diff == {k: w - cyc.get(k, 0.0) for k, w in poly.items()
+                    if k[0] + k[1] > 2}
+    assert poly[(2, 0)] == cyc[(2, 0)] and poly[(0, 2)] == cyc[(0, 2)]
+    # on the line y = t x it is the surface profile minus the cyclide's
+    prof_s = canonical_profile(t1, t2, psi, (a, b, c, d), t)
+    prof_c = cyclide_profile(psi_c, t)
+    got = np.array([prof_s.c2 - prof_c.c2, prof_s.c3 - prof_c.c3,
+                    prof_s.c4 - prof_c.c4])
+    scale = 1e-12*(1.0 + abs(psi_c) + sum(map(abs, vals)))*max(1.0, t**4)
+    assert np.allclose(got, _on_line(diff, t), rtol=0, atol=scale)
+    # the matched psi_c zeroes the quartic term along t_eff = -t
+    pc = osculating_psi_c(vals, t)
+    gap = (canonical_profile(t1, t2, psi, (a, b, c, d), -t).c4
+           - cyclide_profile(pc, -t).c4)
+    assert abs(gap) <= scale
+    if min(abs(t1), abs(t2)) > 0.1:
+        assert osculating_psi_c(vals) == osculating_psi_c(
+            vals, np.cbrt(t1/t2))
