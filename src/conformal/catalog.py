@@ -1,4 +1,4 @@
-"""Built-in reference surfaces with analytic jets and closed-form oracles.
+"""Built-in reference surfaces with exact jets and closed-form oracles.
 
 Each entry wraps a :class:`~conformal.surfaces.SurfacePatch` together with
 its defining parameters and, where closed forms exist, oracle callables for
@@ -67,8 +67,7 @@ def _pack(u, v, entries):
 # --------------------------------------------------------------------------
 # helicoid-catenoid family
 # --------------------------------------------------------------------------
-def make_helcat(alpha_h: float, s_max: float = 3.0,
-                t_max: float = 7.0) -> CatalogEntry:
+def make_helcat(alpha_h: float) -> CatalogEntry:
     """Minimal surface of the associated helicoid-catenoid family.
 
     Parameters (u, v) = (s, t) are conformal coordinates.  Closed-form
@@ -111,7 +110,7 @@ def make_helcat(alpha_h: float, s_max: float = 3.0,
         return _pack(u, v, (x, y, sa*u + ca*v, xu, yu, sa, -y, x, ca,
                             x, y, 0.0, -yu, xu, 0.0, -x, -y, 0.0))
 
-    patch = SurfacePatch([(-s_max, s_max), (-t_max, t_max)],
+    patch = SurfacePatch([(-3.0, 3.0), (-7.0, 7.0)],
                          name=f"helcat[{alpha_h:.6g}]", jet_fn=jet)
     B = 1.0 + sa
     root = np.sqrt(2.0*B)
@@ -294,9 +293,9 @@ def make_graph(poly: Dict[tuple, float], window: float = 1.0) -> CatalogEntry:
 
 
 def make_canonical(theta1: float, theta2: float, psi: float, a: float,
-                   b: float, c: float, d: float,
-                   window: float = 0.4) -> CatalogEntry:
-    """Graph in canonical normal form with prescribed jet invariants:
+                   b: float, c: float, d: float) -> CatalogEntry:
+    """Graph over [-0.4, 0.4]^2 in canonical normal form with prescribed
+    jet invariants:
 
         z = (x^2 - y^2)/2 + (theta1 x^3 + theta2 y^3)/6
             + (a x^4 + 4 b x^3 y + 6 psi x^2 y^2 + 4 c x y^3 + d y^4)/24
@@ -310,7 +309,7 @@ def make_canonical(theta1: float, theta2: float, psi: float, a: float,
     if not all(np.isfinite(vals)):
         raise ValueError("canonical invariants must be finite")
     poly = normal_form_monomials(*vals)
-    entry = make_graph(poly, window=window)
+    entry = make_graph(poly, window=0.4)
     params = {"invariants": tuple(vals), "poly": poly,
               "psi_offset_fields": "xi1(theta1) + xi2(theta2) at origin"}
     return CatalogEntry(name="canonical", surface=entry.surface,
@@ -325,19 +324,17 @@ def _unit_dirs(surface: SurfacePatch, u: float, v: float, ref=None):
     return np.array([pd.X1, pd.X2])
 
 
-def _bracket_pq(surface: SurfacePatch, u: float, v: float, ref,
-                h: float = 1e-5):
+def _bracket_pq(surface: SurfacePatch, u: float, v: float, ref):
     """Decompose the commutator of the metric-unit curvature-direction
     fields as [X1, X2] = p X1 + q X2."""
     lie, X1, X2 = _lie_bracket(
-        lambda a, b: _unit_dirs(surface, a, b, ref), u, v, h)
+        lambda a, b: _unit_dirs(surface, a, b, ref), u, v, 1e-5)
     A = np.column_stack([X1, X2])
     p, q = np.linalg.solve(A, lie)
     return np.array([p, q])
 
 
-def isothermic_residual(surface: SurfacePatch, u: float, v: float,
-                        h_out: float = 1e-3) -> float:
+def isothermic_residual(surface: SurfacePatch, u: float, v: float) -> float:
     """Compatibility residual X1(p) + X2(q) of the first-order system for
     the conformal factor making the curvature-line parametrization
     conformal; zero iff such a factor exists locally."""
@@ -346,16 +343,17 @@ def isothermic_residual(surface: SurfacePatch, u: float, v: float,
     except np.linalg.LinAlgError as exc:
         raise UmbilicPoint(str(exc))
     X1, X2 = _unit_dirs(surface, u, v, ref)
-    dpu = (_bracket_pq(surface, u + h_out, v, ref)
-           - _bracket_pq(surface, u - h_out, v, ref))/(2*h_out)
-    dpv = (_bracket_pq(surface, u, v + h_out, ref)
-           - _bracket_pq(surface, u, v - h_out, ref))/(2*h_out)
+    h = 1e-3
+    dpu = (_bracket_pq(surface, u + h, v, ref)
+           - _bracket_pq(surface, u - h, v, ref))/(2*h)
+    dpv = (_bracket_pq(surface, u, v + h, ref)
+           - _bracket_pq(surface, u, v - h, ref))/(2*h)
     return float((X1[0]*dpu[0] + X1[1]*dpv[0])
                  + (X2[0]*dpu[1] + X2[1]*dpv[1]))
 
 
-def isothermic_check(entry: CatalogEntry, patch, tol: float = 1e-4) -> bool:
-    """True iff the compatibility residual stays below ``tol`` at every
+def isothermic_check(entry: CatalogEntry, patch) -> bool:
+    """True iff the compatibility residual stays below 1e-4 at every
     sample point of ``patch`` (an iterable of (u, v) pairs).
 
     This is a faithful numerical verdict: any surface admitting conformal
@@ -364,6 +362,6 @@ def isothermic_check(entry: CatalogEntry, patch, tol: float = 1e-4) -> bool:
     revolution.
     """
     for (u, v) in patch:
-        if abs(isothermic_residual(entry.surface, u, v)) >= tol:
+        if abs(isothermic_residual(entry.surface, u, v)) >= 1e-4:
             return False
     return True

@@ -76,6 +76,11 @@ def _emit(rows, header, out, fmt, meta=None):
                              (c if not _is_number(x) else float("%.12g" % x))
                              for x in row] for row in rows]}
         text = json.dumps(payload, indent=1, sort_keys=True) + "\n"
+    _write(text, out)
+
+
+def _write(text, out):
+    """Write ``text`` to the file ``out``, or to stdout when it is None."""
     if out:
         with open(out, "w") as fh:
             fh.write(text)
@@ -426,12 +431,7 @@ def cmd_prescribe(surface_path, out, grid):
             "extra": {k: _fmt(v) for k, v in rep.extra.items()},
             "realizable": bool(rep.extra["realizable"]),
         }
-        text = json.dumps(payload, indent=1, sort_keys=True) + "\n"
-        if out:
-            with open(out, "w") as fh:
-                fh.write(text)
-        else:
-            click.echo(text, nl=False)
+        _write(json.dumps(payload, indent=1, sort_keys=True) + "\n", out)
     _wrap(run)
 
 

@@ -296,8 +296,11 @@ def trace_cyclide_intersection(coeffs, psi_c: float, window: float = 1.0,
     components are counted with the origin removed (curves through the
     origin count one branch per side), matching the dense sign-sampling
     oracle.  Branch structure at the origin itself is reported separately by
-    :func:`origin_branch_directions`.
+    :func:`origin_branch_directions`.  Raises ValueError unless ``window``
+    is finite and positive.
     """
+    if not (np.isfinite(window) and window > 0):
+        raise ValueError(f"window must be finite and positive, got {window!r}")
     if resolution < 16:
         raise ResolutionTooLow(f"resolution {resolution} < 16")
     # an odd cell count gives an even number of grid points, so no gridline
@@ -343,12 +346,12 @@ def trace_cyclide_intersection(coeffs, psi_c: float, window: float = 1.0,
                           degenerate=False, psi_c=psi_c)
 
 
-def component_count_oracle(coeffs, psi_c: float, window: float = 1.0,
-                           n: int = 1601) -> int:
-    """Brute-force component count: dense sign sampling and labeling of the
-    sign-change mask with 8-connectivity."""
+def component_count_oracle(coeffs, psi_c: float) -> int:
+    """Brute-force component count on [-1, 1]^2: dense sign sampling (1601
+    points a side) and labeling of the sign-change mask with
+    8-connectivity."""
     F = difference_eval(coeffs, psi_c)
-    xs = np.linspace(-window, window, n)
+    xs = np.linspace(-1.0, 1.0, 1601)
     X, Y = np.meshgrid(xs, xs, indexing="ij")
     s = np.sign(F(X, Y))
     m = np.zeros_like(s, dtype=bool)
@@ -368,14 +371,14 @@ def brentq(f, a: float, b: float, **kwargs) -> float:
     return _brentq(f, a, b, **kwargs)
 
 
-def origin_branch_directions(coeffs, psi_c: float, tol: float = 1e-12):
+def origin_branch_directions(coeffs, psi_c: float):
     """Tangent directions of the zero set at the origin from the lowest
     nonvanishing homogeneous part of F: angles phi in [0, pi) where the part
-    vanishes on the unit circle."""
+    vanishes on the unit circle (weights up to 1e-12 count as zero)."""
     mono = difference_coeffs(coeffs, psi_c)
     for deg in (3, 4):
         part = {k: wt for k, wt in mono.items()
-                if k[0] + k[1] == deg and abs(wt) > tol}
+                if k[0] + k[1] == deg and abs(wt) > 1e-12}
         if part:
             break
     else:
@@ -414,22 +417,19 @@ def sphere_section_angle(k1: float, k2: float, alpha: float) -> float:
     return 2.0 * alpha
 
 
-def measure_section_angle(alpha: float, k1: float = 1.0, k2: float = -1.0,
-                          surface_fn=None, radius: float = 1e-3) -> float:
+def measure_section_angle(alpha: float) -> float:
     """Numerically measured branch-crossing angle at the origin.
 
     Intersects the tangent sphere of normal curvature
-    k = cos^2(alpha) k1 + sin^2(alpha) k2 with the surface graph (default:
-    the canonical quadratic z = (x^2 - y^2)/2) and measures the angle
-    between the two zero-branch lines on a small circle.  Tangential
-    (cusp-type) intersections, where the difference does not change sign,
-    report the angle between the |difference|-minimizing directions (0 for a
-    cusp).
+    k = cos^2(alpha) k1 + sin^2(alpha) k2 with the canonical quadratic
+    z = (x^2 - y^2)/2 (k1 = 1, k2 = -1) and measures the angle between the
+    two zero-branch lines on the circle of radius 1e-3.
+    Tangential (cusp-type) intersections, where the difference does not
+    change sign, report the angle between the |difference|-minimizing
+    directions (0 for a cusp).
     """
-    if surface_fn is None:
-        def surface_fn(x, y):
-            return 0.5*(x*x - y*y)
-    k = np.cos(alpha)**2 * k1 + np.sin(alpha)**2 * k2
+    radius = 1e-3
+    k = np.cos(alpha)**2 - np.sin(alpha)**2
 
     def G(x, y):
         r2 = x*x + y*y
@@ -437,7 +437,7 @@ def measure_section_angle(alpha: float, k1: float = 1.0, k2: float = -1.0,
             zs = 0.0
         else:
             zs = (1.0 - np.sqrt(1.0 - k*k*r2)) / k
-        return surface_fn(x, y) - zs
+        return 0.5*(x*x - y*y) - zs
 
     phis = np.linspace(0.0, 2*np.pi, 2001, endpoint=False)
     vals = np.array([G(radius*np.cos(p), radius*np.sin(p)) for p in phis])

@@ -4,9 +4,10 @@ The pipeline is two-layered: position jets up to order 2 feed the classical
 shape-operator data, and every higher invariant (theta gradients, the
 Laplacian of H, nested directional derivatives) is obtained by differencing
 the computed point fields over the parameter plane — never by deeper jets.
-Analytic patches use complex-step differentiation for the first field layer,
-which is exact to machine precision; outer layers use central differences
-with frame continuity enforced by sign alignment to the center frame.
+The first field layer (the curvature gradients) is a complex step through
+the exact jet, accurate to machine precision; outer layers use central
+differences with frame continuity enforced by sign alignment to the center
+frame.
 """
 from __future__ import annotations
 
@@ -20,14 +21,13 @@ from .surfaces import (Jet, PrincipalData, SurfacePatch, principal_data,
                        principal_directions, shape_data)
 
 __all__ = [
-    "InvariantSample", "conformal_curvatures", "psi_invariant",
-    "fourth_order_coeffs", "classify_point", "psi_from_thetas",
-    "willmore_density", "willmore_energy", "bracket_residual",
-    "invariant_sample", "theta_state",
+    "InvariantSample", "psi_invariant", "fourth_order_coeffs",
+    "classify_point", "psi_from_thetas", "willmore_energy",
+    "bracket_residual", "invariant_sample", "theta_state",
 ]
 
 _H_FLD = 1e-5          # first outer-difference step for invariant fields
-_CSTEP = 1e-20         # complex step for curvature gradients (analytic jets)
+_CSTEP = 1e-20         # complex step for curvature gradients
 _TOL_CANAL = 1e-6
 _TOL_GEN = 1e-5        # relative floor of xi1(theta2) + xi2(theta1)
 _H_NEST = (1e-4, 2e-3, 1e-2)   # psi_from_thetas steps, by nesting depth
@@ -56,27 +56,16 @@ class InvariantSample:
 # --------------------------------------------------------------------------
 def _scalar_shape(surface: SurfacePatch, u, v) -> dict:
     """Shape data from raw jets (no domain check; complex-capable)."""
-    return shape_data(surface.jet_raw(u, v, 2))
+    return shape_data(surface.jet_raw(u, v))
 
 
 def _curv_grads(surface: SurfacePatch, u: float, v: float) -> dict:
-    """Parameter-plane gradients of k1, k2 and H.
-
-    Complex step for analytic patches (exact), central differences with a
-    step tied to the jet step otherwise.
-    """
-    if surface.analytic:
-        h = _CSTEP
-        Su = _scalar_shape(surface, u + 1j*h, v)
-        Sv = _scalar_shape(surface, u, v + 1j*h)
-        return {key: (Su[key].imag / h, Sv[key].imag / h)
-                for key in ("k1", "k2", "H")}
-    h = max(10 * surface.h_jet, 1e-3)
-    Sp = _scalar_shape(surface, u + h, v)
-    Sm = _scalar_shape(surface, u - h, v)
-    Tp = _scalar_shape(surface, u, v + h)
-    Tm = _scalar_shape(surface, u, v - h)
-    return {key: ((Sp[key] - Sm[key]) / (2*h), (Tp[key] - Tm[key]) / (2*h))
+    """Parameter-plane gradients of k1, k2 and H by a complex step through
+    the jet: one jet per direction, exact to machine precision (no
+    subtractive cancellation)."""
+    Su = _scalar_shape(surface, u + 1j*_CSTEP, v)
+    Sv = _scalar_shape(surface, u, v + 1j*_CSTEP)
+    return {key: (Su[key].imag / _CSTEP, Sv[key].imag / _CSTEP)
             for key in ("k1", "k2", "H")}
 
 
@@ -92,20 +81,11 @@ def theta_state(surface: SurfacePatch, u: float, v: float, ref=None):
     return (a1*k1u + b1*k1v) / mu2, (a2*k2u + b2*k2v) / mu2, X1, X2, S
 
 
-def conformal_curvatures(surface: SurfacePatch, u: float, v: float, ref=None):
-    """(theta1, theta2, xi1, xi2) with xi_i = X_i / mu in parameter
-    coordinates.  Raises UmbilicPoint via the principal decomposition."""
-    principal_data_checked(surface, u, v)
-    t1, t2, X1, X2, S = theta_state(surface, u, v, ref)
-    mu = S["mu"]
-    return t1, t2, X1 / mu, X2 / mu
-
-
 def principal_data_checked(surface: SurfacePatch, u: float, v: float
                            ) -> PrincipalData:
     """Principal data with umbilic / degenerate-metric checks applied."""
     return principal_data(Jet(u=u, v=v, order=2,
-                              derivs=surface.jet_raw(u, v, 2)))
+                              derivs=surface.jet_raw(u, v)))
 
 
 # --------------------------------------------------------------------------
@@ -325,14 +305,8 @@ def _psi_numerator(t1, t2, x1t1, x1t2, x2t1, x2t2, x1x1t1, x1x1t2,
 
 
 # --------------------------------------------------------------------------
-# Willmore density and bracket residual
+# Willmore energy and bracket residual
 # --------------------------------------------------------------------------
-def willmore_density(surface: SurfacePatch, u: float, v: float) -> float:
-    """mu^2 at a point (zero at umbilics; no umbilic error here)."""
-    S = _scalar_shape(surface, u, v)
-    return float(S["mu"] ** 2)
-
-
 def willmore_energy(surface: SurfacePatch, n: int = 64) -> float:
     """Grid quadrature of mu^2 dA over the patch's domain, midpoint rule in
     both directions."""

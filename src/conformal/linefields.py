@@ -19,7 +19,7 @@ from .invariants import theta_state
 from .surfaces import SurfacePatch
 
 __all__ = [
-    "CurveTrace", "dupin_field", "integrate_dupin_line",
+    "CurveTrace", "integrate_dupin_line",
     "integrate_darboux_line", "darboux_critical_points", "fit_circle",
     "CriticalPoint",
 ]
@@ -63,7 +63,9 @@ class CriticalPoint:
 # Dupin field
 # --------------------------------------------------------------------------
 def _dupin_dir(state):
-    """The field of :func:`dupin_field` from a :func:`theta_state` tuple."""
+    """Unoriented direction of cbrt(theta2) X1 + cbrt(theta1) X2,
+    ambient-unit-normalized, in parameter coordinates, from a
+    :func:`theta_state` tuple."""
     t1, t2, X1, X2, S = state
     if abs(t1) + abs(t2) < _TOL_DUPIN:
         raise DupinPoint(f"|theta1|+|theta2| = {abs(t1)+abs(t2):.3e}")
@@ -72,16 +74,16 @@ def _dupin_dir(state):
     return V / np.linalg.norm(Vamb)
 
 
-def dupin_field(surface: SurfacePatch, u: float, v: float, ref=None
-                ) -> np.ndarray:
-    """Unoriented direction of cbrt(theta2) X1 + cbrt(theta1) X2,
-    ambient-unit-normalized, in parameter coordinates."""
-    return _dupin_dir(theta_state(surface, u, v, ref))
-
-
 # --------------------------------------------------------------------------
 # Dupin-line integration
 # --------------------------------------------------------------------------
+def _check_step(step):
+    """A trace advances by ``step`` of arc length a sample, so a zero step
+    never reaches ``max_length`` and a negative one walks backwards."""
+    if not (np.isfinite(step) and step > 0):
+        raise ValueError(f"step must be finite and positive, got {step!r}")
+
+
 def integrate_dupin_line(surface: SurfacePatch, seed, step: float = 0.01,
                          max_length: float = 10.0) -> CurveTrace:
     """Trace the Dupin line through ``seed`` with ambient-arc-length steps.
@@ -92,7 +94,9 @@ def integrate_dupin_line(surface: SurfacePatch, seed, step: float = 0.01,
     through: the field direction has a continuous unoriented limit there and
     samples almost never land inside the tolerance band.  The theta state
     at a step's start serves both the stop test and the first stage.
+    Raises ValueError unless ``step`` is finite and positive.
     """
+    _check_step(step)
     u0, v0 = seed
     state = np.array([u0, v0], dtype=float)
     ts = theta_state(surface, *state)
@@ -161,7 +165,12 @@ def integrate_darboux_line(surface: SurfacePatch, seed, alpha0: float,
     HitSingularPoint when alpha comes within ``_ANGLE_EPS`` of 0 or pi/2,
     where the rate is singular.
     ``orient=-1`` traverses the same Darboux line in the opposite direction.
+    Raises ValueError unless ``step`` is finite and positive and ``orient``
+    is 1 or -1.
     """
+    _check_step(step)
+    if orient not in (1, -1):
+        raise ValueError(f"orient must be 1 or -1, got {orient!r}")
     u0, v0 = seed
     if abs(np.sin(alpha0)*np.cos(alpha0)) < 1e-12:
         t1, t2, *_ = theta_state(surface, u0, v0)

@@ -235,9 +235,7 @@ def osculating_psi_c(invariants, t=None) -> float:
     return (6.0/t_eff**2) * gap
 
 
-def contact_order_details(prof_a: CanonicalProfile, prof_b: CanonicalProfile,
-                          h0: float = 0.5, levels: int = 8,
-                          fit_tol: float = 0.15):
+def contact_order_details(prof_a: CanonicalProfile, prof_b: CanonicalProfile):
     """Leading-order analysis of the profile difference on a dyadic ladder.
 
     Returns (order, slope, exact_through_quartic).  If all three coefficient
@@ -245,7 +243,8 @@ def contact_order_details(prof_a: CanonicalProfile, prof_b: CanonicalProfile,
     order 4; the generic remainder of the truncated expansions is then one
     order beyond the quartic, reported as slope 5 with the exact flag rather
     than a fit of machine noise.  Otherwise the log-log slope of
-    |difference| over x = h0 * 2^-k is fitted and order = round(slope) - 1.
+    |difference| over x = 0.5 * 2^-k, k < 8, is fitted and
+    order = round(slope) - 1; a fit residual above 0.15 is FitUnstable.
     """
     dc = np.array([prof_a.c2 - prof_b.c2,
                    prof_a.c3 - prof_b.c3,
@@ -253,7 +252,7 @@ def contact_order_details(prof_a: CanonicalProfile, prof_b: CanonicalProfile,
     scale = max(abs(prof_a.c2), abs(prof_a.c3), abs(prof_a.c4), 1.0)
     if np.all(np.abs(dc) < 1e-10 * scale):
         return 4, 5.0, True
-    xs = h0 * 0.5**np.arange(levels)
+    xs = 0.5 * 0.5**np.arange(8)
     ds = np.abs(prof_a.eval(xs) - prof_b.eval(xs))
     mask = ds > 0
     if mask.sum() < 3:
@@ -263,14 +262,13 @@ def contact_order_details(prof_a: CanonicalProfile, prof_b: CanonicalProfile,
     sol, res, *_ = np.linalg.lstsq(A, logd, rcond=None)
     slope = sol[0]
     resid = np.sqrt(res[0]/len(logx)) if len(res) else 0.0
-    if resid > fit_tol:
-        raise FitUnstable(f"log-log fit residual {resid:.3g} > {fit_tol}")
+    if resid > 0.15:
+        raise FitUnstable(f"log-log fit residual {resid:.3g} > 0.15")
     return int(round(slope)) - 1, float(slope), False
 
 
 def verify_contact_order(surface: SurfacePatch, contact: CyclideContact,
-                         psi_c: Optional[float] = None, h0: float = 0.5,
-                         levels: int = 8) -> int:
+                         psi_c: Optional[float] = None) -> int:
     """Numerically verified contact order between the surface and the
     cyclide with invariant ``psi_c`` (default: the contact's own value) in
     the contact direction."""
@@ -278,5 +276,5 @@ def verify_contact_order(surface: SurfacePatch, contact: CyclideContact,
     prof_s = canonical_profile(contact.theta1, contact.theta2, contact.psi,
                                contact.coeffs, t_eff)
     prof_c = cyclide_profile(contact.psi_c if psi_c is None else psi_c, t_eff)
-    order, _, _ = contact_order_details(prof_s, prof_c, h0, levels)
+    order, _, _ = contact_order_details(prof_s, prof_c)
     return order

@@ -47,6 +47,7 @@ _TOL_KAPPA = 1e-12
 # minimal-family grids (worst entry is the fourth-order compatibility
 # residual, ~23 h^2 at h = 1/64; see tol_real in `prescribe`)
 _BASELINE_C = 25.0
+_MARGIN = 4             # cells `prescribe` leaves out of every norm
 # floats per row block of an elementwise evaluation (see `_by_rows`)
 _BLOCK = 1 << 14
 
@@ -201,18 +202,16 @@ def bc_from_thetas(grid: FieldGrid):
     return b, c
 
 
-def psi_from_grid(grid: FieldGrid,
-                  tol_gen: Optional[float] = None) -> np.ndarray:
+def psi_from_grid(grid: FieldGrid) -> np.ndarray:
     """Fourth-order invariant recovered from the theta fields alone, using
     the coframe derivations xi_i = (1/f_i) d_i as grid differences.  Cells
     where the genericity denominator xi1(theta2) + xi2(theta1) falls below
-    ``tol_gen`` (relative to the local derivative scale) are masked NaN.
-    The default tolerance 2 h^2 sits a factor ~8 above the central-difference
-    noise floor of the denominator, so data on which the denominator
-    vanishes identically is masked rather than amplified into garbage.
+    2 h^2 (relative to the local derivative scale) are masked NaN.  That
+    tolerance sits a factor ~8 above the central-difference noise floor of
+    the denominator, so data on which the denominator vanishes identically
+    is masked rather than amplified into garbage.
     """
-    if tol_gen is None:
-        tol_gen = 2.0 * max(grid.h1, grid.h2)**2
+    tol_gen = 2.0 * max(grid.h1, grid.h2)**2
     grid.require("f1", "f2", "theta1", "theta2")
 
     def xi1(arr):
@@ -490,34 +489,33 @@ def integrability_residuals(grid: FieldGrid, margin: int = 4
 # --------------------------------------------------------------------------
 # pipeline
 # --------------------------------------------------------------------------
-def recovered_kappa(grid: FieldGrid, tol_theta: float = 1e-12) -> np.ndarray:
+def recovered_kappa(grid: FieldGrid) -> np.ndarray:
     """Direction ratio recovered from the theta fields (theta1/theta2),
-    NaN-masked where theta2 vanishes."""
+    NaN-masked where |theta2| < 1e-12."""
     grid.require("theta1", "theta2")
     t2 = np.asarray(grid.theta2, dtype=float)
-    safe = np.where(np.abs(t2) < tol_theta, np.nan, t2)
+    safe = np.where(np.abs(t2) < 1e-12, np.nan, t2)
     return grid.theta1 / safe
 
 
 def prescribe(kappa: np.ndarray, f2: np.ndarray, f1_boundary: np.ndarray,
               x1: np.ndarray, x2: np.ndarray,
-              tol_real: Optional[float] = None,
-              margin: int = 4,
               f1: Optional[np.ndarray] = None
               ) -> Tuple[FieldGrid, ResidualReport]:
     """Full construction-and-verification pipeline.
 
     Builds f1 by column integration, derives theta1/theta2, b, c and the
     fourth-order invariant, then evaluates the structural and integrability
-    residual families.  The returned report's ``extra`` carries the theta
-    consistency gap, the realizability tolerance, and ``realizable`` (1.0 or
-    0.0): all residual max-norms below ``tol_real``.  The default tolerance
-    is ten times the empirical h^2 envelope of the residuals measured on
-    grids sampled from an actual surface family.
+    residual families over all but ``_MARGIN`` cells at each edge.  The
+    returned report's ``extra`` carries the theta consistency gap, the
+    realizability tolerance ``tol_real``, and ``realizable`` (1.0 or 0.0):
+    all residual max-norms below ``tol_real``.  The tolerance is ten times
+    the empirical h^2 envelope of the residuals measured on grids sampled
+    from an actual surface family.
 
     That envelope holds only while truncation error dominates.  The
     fourth-order residual takes fourth differences, whose roundoff grows
-    like eps/h^4, while the default ``tol_real = 250 h^2`` falls.  On the
+    like eps/h^4, while ``tol_real = 250 h^2`` falls.  On the
     helicoid-catenoid grids at alpha = pi/4, ``integrability_4th_const``
     reads 1.44e-4, 3.80e-4 and 1.33e-3 at n = 513, 769 and 1025, against
     ``tol_real`` 9.5e-4, 4.2e-4 and 2.4e-4.  769 sits at 0.9 ``tol_real``,
@@ -540,13 +538,12 @@ def prescribe(kappa: np.ndarray, f2: np.ndarray, f1_boundary: np.ndarray,
     grid.b, grid.c = bc_from_thetas(grid)
     grid.psi = psi_from_grid(grid)
     h = max(grid.h1, grid.h2)
-    if tol_real is None:
-        tol_real = 10.0 * _BASELINE_C * h * h
-    rep = structural_residuals(grid, margin=margin).merged(
-        integrability_residuals(grid, margin=margin))
+    tol_real = 10.0 * _BASELINE_C * h * h
+    rep = structural_residuals(grid, margin=_MARGIN).merged(
+        integrability_residuals(grid, margin=_MARGIN))
     rep.extra["theta_consistency_gap"] = gap
     rep.extra["tol_real"] = float(tol_real)
-    core = grid.psi[margin:-margin, margin:-margin]
+    core = grid.psi[_MARGIN:-_MARGIN, _MARGIN:-_MARGIN]
     rep.extra["psi_masked_fraction"] = float(np.mean(~np.isfinite(core)))
     rep.extra["realizable"] = 1.0 if rep.worst() < tol_real else 0.0
     return grid, rep
@@ -555,11 +552,10 @@ def prescribe(kappa: np.ndarray, f2: np.ndarray, f1_boundary: np.ndarray,
 # --------------------------------------------------------------------------
 # reference grids from the helically-symmetric minimal family
 # --------------------------------------------------------------------------
-def helcat_grid(alpha_h: float, n: int, length: float = 1.0,
-                offset: float = 0.1) -> FieldGrid:
+def helcat_grid(alpha_h: float, n: int) -> FieldGrid:
     """Exact coframe data of the helicoid-catenoid family sampled on an
-    n x n grid over [0, length]^2 in the rotated curvature-line coordinates
-    (shifted by ``offset`` to avoid the symmetry axis).
+    n x n grid over [0, 1]^2 in the rotated curvature-line coordinates
+    (shifted by 0.1 to avoid the symmetry axis).
 
     Closed forms: with B = 1 + sin(alpha_h) and s the rotated coordinate,
     f1 = f2 = sech(s), kappa = cos(alpha_h)/B (constant),
@@ -568,8 +564,7 @@ def helcat_grid(alpha_h: float, n: int, length: float = 1.0,
     """
     ca, sa = np.cos(alpha_h), np.sin(alpha_h)
     B = 1.0 + sa
-    x1 = offset + np.linspace(0.0, length, n)
-    x2 = offset + np.linspace(0.0, length, n)
+    x1 = x2 = 0.1 + np.linspace(0.0, 1.0, n)
     X1, X2 = np.meshgrid(x1, x2, indexing="ij")
     # rotated coordinates: x1 = (B t - ca s)/sqrt(2B), x2 = (B s + ca t)/sqrt(2B)
     root = np.sqrt(2.0*B)

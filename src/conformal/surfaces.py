@@ -2,13 +2,13 @@
 data, and ambient Mobius transformations.
 
 Only the position map and its partial derivatives up to order 2 are evaluated
-analytically, by one jet callable per patch.  The catalog families hand it a
+exactly, by one jet callable per patch.  The catalog families hand it a
 closed-form numpy jet; a patch built from a sympy expression
 (:meth:`SurfacePatch.from_sympy`, for user surfaces and tubes) compiles its
 jet once, on first evaluation, so a patch whose jets are never read costs no
 symbolic work, and sympy is imported only by that constructor.  A Mobius map
-acts on an analytic patch by pushing the order-2 jet through the chain rule,
-so a moved patch needs no symbolic work either.  Everything built on top of
+acts on a patch by pushing the order-2 jet through the chain rule, so a
+moved patch needs no symbolic work either.  Everything built on top of
 the jets (curvature gradients, invariant fields) lives in other modules and
 is obtained by differencing the pointwise quantities, never by deeper jets.
 """
@@ -54,19 +54,15 @@ _JET_IDX = [(0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2)]
 class SurfacePatch:
     """Evaluable parametric surface r(u, v) with order-2 derivative jets.
 
-    The jet source is either *analytic*, a callable returning the partials in
-    ``_JET_IDX`` order (a closed form, written in numpy or compiled from
-    sympy, or one pushed through a Mobius map), or *numeric* (central
-    differences of a plain position callable with step ``h_jet``).
+    ``jet_fn(u, v)`` returns the partials in ``_JET_IDX`` order: a closed
+    form written in numpy, one compiled from sympy, or one pushed through a
+    Mobius map.  It is evaluated on real and complex-step (u, v) alike.
     """
 
-    def __init__(self, domain, name="surface", jet_fn=None, position_fn=None,
-                 h_jet=1e-4):
+    def __init__(self, domain, jet_fn, name="surface"):
         self.domain = tuple((float(a), float(b)) for a, b in domain)
         self.name = name
         self._jet_fn = jet_fn
-        self._pos_fn = position_fn
-        self.h_jet = float(h_jet)
 
     # -- constructors ------------------------------------------------------
     @classmethod
@@ -92,18 +88,10 @@ class SurfacePatch:
 
         return cls(domain, name=name, jet_fn=jet)
 
-    @classmethod
-    def from_position(cls, fn, domain, h_jet=1e-4, name="surface"):
-        return cls(domain, name=name, position_fn=fn, h_jet=h_jet)
-
     # -- basic queries -----------------------------------------------------
     @property
     def max_order(self) -> int:
         return _JET_ORDER
-
-    @property
-    def analytic(self) -> bool:
-        return self._jet_fn is not None
 
     def contains(self, u, v, margin=0.0):
         (u0, u1), (v0, v1) = self.domain
@@ -111,47 +99,24 @@ class SurfacePatch:
                 and v0 + margin <= v <= v1 - margin)
 
     def position(self, u, v) -> np.ndarray:
-        if self.analytic:
-            return np.asarray(self._jet_fn(u, v)[0],
-                              dtype=complex if np.iscomplexobj(u)
-                              or np.iscomplexobj(v) else float)
-        return np.asarray(self._pos_fn(u, v), dtype=float)
+        return np.asarray(self._jet_fn(u, v)[0],
+                          dtype=complex if np.iscomplexobj(u)
+                          or np.iscomplexobj(v) else float)
 
     # -- jets --------------------------------------------------------------
-    def jet_raw(self, u, v, order=2) -> dict:
-        """Jet derivatives without domain checks; supports complex (u, v) for
-        analytic patches (used by the complex-step machinery upstream)."""
-        if order > _JET_ORDER:
-            raise OrderUnavailable(f"order {order} > max_order {_JET_ORDER}")
-        if self.analytic:
-            vals = self._jet_fn(u, v)
-            return {ij: vals[k] for k, ij in enumerate(_JET_IDX)
-                    if sum(ij) <= order}
-        return self._numeric_jet(u, v, order)
-
-    def _numeric_jet(self, u, v, order) -> dict:
-        h = self.h_jet
-        f = self._pos_fn
-        out = {(0, 0): np.asarray(f(u, v), dtype=float)}
-        if order >= 1:
-            out[(1, 0)] = (np.asarray(f(u + h, v)) - np.asarray(f(u - h, v))) / (2*h)
-            out[(0, 1)] = (np.asarray(f(u, v + h)) - np.asarray(f(u, v - h))) / (2*h)
-        if order >= 2:
-            out[(2, 0)] = (np.asarray(f(u + h, v)) - 2*out[(0, 0)]
-                           + np.asarray(f(u - h, v))) / h**2
-            out[(0, 2)] = (np.asarray(f(u, v + h)) - 2*out[(0, 0)]
-                           + np.asarray(f(u, v - h))) / h**2
-            out[(1, 1)] = (np.asarray(f(u + h, v + h)) - np.asarray(f(u + h, v - h))
-                           - np.asarray(f(u - h, v + h))
-                           + np.asarray(f(u - h, v - h))) / (4*h**2)
-        return out
+    def jet_raw(self, u, v) -> dict:
+        """Order-2 jet derivatives without domain checks; supports complex
+        (u, v) (used by the complex-step machinery upstream)."""
+        return dict(zip(_JET_IDX, self._jet_fn(u, v)))
 
 
 def eval_jet(surface: SurfacePatch, u: float, v: float, order: int = 2) -> Jet:
     """Evaluate the derivative jet of ``surface`` at an interior point."""
     if not surface.contains(u, v):
         raise OutOfDomain(f"({u}, {v}) outside {surface.domain}")
-    return Jet(u=u, v=v, order=order, derivs=surface.jet_raw(u, v, order))
+    if order > _JET_ORDER:
+        raise OrderUnavailable(f"order {order} > max_order {_JET_ORDER}")
+    return Jet(u=u, v=v, order=order, derivs=surface.jet_raw(u, v))
 
 
 # --------------------------------------------------------------------------
@@ -234,7 +199,7 @@ def principal_directions(S: dict, ref=None):
     return out
 
 
-def principal_data(jet: Jet, ref=None, tol_umb: float = _TOL_UMB) -> PrincipalData:
+def principal_data(jet: Jet, ref=None) -> PrincipalData:
     """Eigen-decomposition of the shape operator at a jet point.
 
     Raises :class:`UmbilicPoint` when k1 - k2 falls under the (relative)
@@ -245,7 +210,7 @@ def principal_data(jet: Jet, ref=None, tol_umb: float = _TOL_UMB) -> PrincipalDa
     scale = max(abs(S["E"]), abs(S["G"]))
     if not np.isfinite(S["g"]) or abs(S["g"]) < 1e-14 * scale**2:
         raise DegenerateMetric(f"det I = {S['g']!r}")
-    if not S["mu"] >= tol_umb * max(abs(S["k1"]), abs(S["k2"]), 1.0):
+    if not S["mu"] >= _TOL_UMB * max(abs(S["k1"]), abs(S["k2"]), 1.0):
         raise UmbilicPoint(f"k1 = {S['k1']!r}, k2 = {S['k2']!r}")
     X1, X2 = principal_directions(S, ref)
     X1a = X1[0]*S["ru"] + X1[1]*S["rv"]
@@ -322,7 +287,7 @@ class MobiusMap:
             y_u = J r_u,    y_uv = J r_uv + D^2(r_u, r_v).
 
         Every product is plain (non-conjugating), so complex-step inputs stay
-        analytic."""
+        holomorphic."""
         r, ru, rv, ruu, ruv, rvv = derivs
         for prim in self.primitives:
             kind = prim[0]
@@ -383,13 +348,12 @@ class MobiusMap:
         return MobiusMap(tuple(out))
 
 
-def _check_inversion_centers(surface: SurfacePatch, mmap: MobiusMap,
-                             samples: int = 12) -> None:
+def _check_inversion_centers(surface: SurfacePatch, mmap: MobiusMap) -> None:
     if not any(prim[0] == "inversion" for prim in mmap.primitives):
         return
     (u0, u1), (v0, v1) = surface.domain
-    us = np.linspace(u0, u1, samples)
-    vs = np.linspace(v0, v1, samples)
+    us = np.linspace(u0, u1, 12)
+    vs = np.linspace(v0, v1, 12)
     pts = np.array([surface.position(a, b) for a in us for b in vs])
     from scipy.optimize import minimize
     uv = [(a, b) for a in us for b in vs]
@@ -420,24 +384,15 @@ def _check_inversion_centers(surface: SurfacePatch, mmap: MobiusMap,
 def mobius_transform(surface: SurfacePatch, mmap: MobiusMap) -> SurfacePatch:
     """Surface whose position map is the composition ``mmap o r``.
 
-    Analytic patches stay analytic: the moved patch evaluates the base's
-    order-2 jet and pushes it through the map by the chain rule
-    (:meth:`MobiusMap.apply_jet`), with no symbolic work.  Numeric patches
-    compose the position callable and re-difference.
+    The moved patch evaluates the base's order-2 jet and pushes it through
+    the map by the chain rule (:meth:`MobiusMap.apply_jet`), with no
+    symbolic work.
     """
     _check_inversion_centers(surface, mmap)
-    name = surface.name + "*"
-    if surface.analytic:
-        base = surface._jet_fn
+    base = surface._jet_fn
 
-        def moved_jet(u, v):
-            return mmap.apply_jet(base(u, v))
+    def moved_jet(u, v):
+        return mmap.apply_jet(base(u, v))
 
-        return SurfacePatch(surface.domain, name=name, jet_fn=moved_jet)
-    fn = surface._pos_fn
-
-    def moved(u, v):
-        return mmap.apply(np.asarray(fn(u, v), dtype=float))
-
-    return SurfacePatch.from_position(moved, surface.domain,
-                                      h_jet=surface.h_jet, name=name)
+    return SurfacePatch(surface.domain, name=surface.name + "*",
+                        jet_fn=moved_jet)

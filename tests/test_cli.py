@@ -212,6 +212,15 @@ def test_intersect_rejects_non_square_grid(runner, specs, grid):
         "ValueError"
 
 
+@pytest.mark.parametrize("window", ["-0.4", "0"])
+def test_intersect_rejects_nonpositive_window(runner, specs, window):
+    res = runner.invoke(main, ["intersect", "--surface", specs["canonical"],
+                               f"--window={window}"])
+    assert res.exit_code == 2
+    assert json.loads(res.output.strip().splitlines()[-1])["error"] == \
+        "ValueError"
+
+
 def test_prescribe_rejects_non_square_grid(runner, specs):
     res = runner.invoke(main, ["prescribe", "--surface", specs["helcat"],
                                "--grid", "65x17"])
@@ -327,7 +336,8 @@ def _fresh_python(code, *args):
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
     return subprocess.run([sys.executable, "-c", code, *args], env=env,
-                          check=True, capture_output=True, text=True).stdout
+                          check=True, capture_output=True, text=True,
+                          timeout=60).stdout
 
 
 def test_cli_import_leaves_sympy_out():
@@ -371,3 +381,23 @@ def test_planar_commands_load_neither_scipy_nor_sympy(specs, tmp_path,
     assert code == 0
     assert out.stat().st_size > 0
     assert heavy == []
+
+
+# without the checks a zero step never reaches --max-length: the subprocess's
+# timeout turns such a hang into a failure instead of stalling the suite
+@pytest.mark.parametrize("command", [
+    ["dupin-lines", "--step", "0"],
+    ["dupin-lines", "--step", "-0.01"],
+    ["darboux", "--step", "0"],
+    ["darboux", "--step", "-0.01"],
+    ["darboux", "--orient", "0"],
+    ["darboux", "--orient", "3"],
+], ids=["dupin-step0", "dupin-step-neg", "darboux-step0", "darboux-step-neg",
+        "darboux-orient0", "darboux-orient3"])
+def test_line_tracers_reject_bad_step_and_orient(specs, tmp_path, command):
+    stdout = _fresh_python(_RUN_AND_LIST_HEAVY, *command, "--surface",
+                           specs["helcat"], "--seed", "0.4,0.3",
+                           "--max-length", "0.2", "--out",
+                           str(tmp_path / "trace.csv"))
+    code, _ = json.loads(stdout)
+    assert code == 2

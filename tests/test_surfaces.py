@@ -19,19 +19,6 @@ def _sphere(radius=1.0):
                                    [(-np.pi, np.pi), (-1.4, 1.4)])
 
 
-def test_analytic_vs_numeric_jets(helcat_quarter):
-    s = helcat_quarter.surface
-
-    def fn(u, v):
-        return s.position(u, v)
-
-    numeric = SurfacePatch.from_position(fn, s.domain, h_jet=1e-4)
-    ja = eval_jet(s, 0.5, 0.3, 2)
-    jn = eval_jet(numeric, 0.5, 0.3, 2)
-    for key in ja.derivs:
-        assert np.allclose(ja.derivs[key], jn.derivs[key], atol=5e-7)
-
-
 def test_jet_domain_and_order_checks(helcat_quarter):
     s = helcat_quarter.surface
     with pytest.raises(OutOfDomain):
