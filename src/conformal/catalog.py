@@ -7,10 +7,13 @@ pipeline is the backbone of the test suite: any disagreement beyond the
 stated tolerances is a hard failure, never averaged away.
 
 The helicoid-catenoid family, tori, spheres and polynomial graphs (and so
-the canonical normal forms) carry hand-written numpy order-2 jets: a dozen
-lines each, no symbolic work and no compile, evaluated alike on scalars,
-complex-step inputs and arrays of (u, v).  Tubes stay symbolic for now (see
-:func:`make_tube`), so sympy is imported only when one is built.
+the canonical normal forms) carry hand-written order-2 jets: a dozen lines
+each, no symbolic work and no compile, evaluated alike on scalars,
+complex-step inputs and arrays of (u, v).  One body serves all three: its
+sin, cos, sinh and cosh come from ``math`` on a real scalar, ``cmath`` on a
+complex step and numpy on arrays (``surfaces._lib``).  Tubes stay symbolic
+for now (see :func:`make_tube`), so sympy is imported only when one is
+built.
 
 The one-parameter minimal family (``make_helcat``) interpolates between the
 helicoid (parameter 0) and the catenoid (parameter pi/2); its invariants
@@ -28,7 +31,8 @@ import numpy as np
 from .errors import CanalPoint, SelfIntersectingTube, UmbilicPoint
 from .invariants import _lie_bracket
 from .osculation import normal_form_monomials
-from .surfaces import _JET_IDX, SurfacePatch, eval_jet, principal_data
+from .surfaces import (_JET_IDX, SurfacePatch, _lib, _pack, eval_jet,
+                       principal_data)
 
 __all__ = [
     "CatalogEntry", "make_helcat", "make_torus", "make_sphere", "make_tube",
@@ -51,17 +55,6 @@ class CatalogEntry:
     oracle: Dict[str, Callable] = field(default_factory=dict)
     dupin_everywhere: bool = False
     canal_everywhere: bool = False
-
-
-def _pack(u, v, entries):
-    """The 18 jet entries (x, y, z of r, r_u, r_v, r_uu, r_uv, r_vv) as the
-    six 3-vectors a ``SurfacePatch`` jet returns.  Scalar (u, v), complex
-    steps included, give (3,) vectors; numpy arrays of points give (3, ...)
-    vectors, constant entries broadcast to the points' shape."""
-    if isinstance(u, np.ndarray) or isinstance(v, np.ndarray):
-        entries = np.broadcast_arrays(u, v, *entries)[2:]
-    out = np.array(entries)
-    return [out[k:k + 3] for k in range(0, 18, 3)]
 
 
 # --------------------------------------------------------------------------
@@ -102,7 +95,8 @@ def make_helcat(alpha_h: float) -> CatalogEntry:
         #      sa cosh u sin v - ca sinh u cos v, sa u + ca v):
         # r_v = (-y, x, ca), r_uu = (x, y, 0), r_uv = (-y_u, x_u, 0) and
         # r_vv = (-x, -y, 0)
-        sh, ch, sv, cv = np.sinh(u), np.cosh(u), np.sin(v), np.cos(v)
+        fu, fv = _lib(u), _lib(v)
+        sh, ch, sv, cv = fu.sinh(u), fu.cosh(u), fv.sin(v), fv.cos(v)
         x = ca*sh*sv + sa*ch*cv
         y = sa*ch*sv - ca*sh*cv
         xu = ca*ch*sv + sa*sh*cv
@@ -166,7 +160,8 @@ def make_torus(R: float, r: float) -> CatalogEntry:
 
     def jet(u, v):
         # r = (rho cos u, rho sin u, r sin v) with rho = R + r cos v
-        cu, su, cv, sv = np.cos(u), np.sin(u), np.cos(v), np.sin(v)
+        fu, fv = _lib(u), _lib(v)
+        cu, su, cv, sv = fu.cos(u), fu.sin(u), fv.cos(v), fv.sin(v)
         rho, rc, rs = R + r*cv, r*cv, r*sv
         return _pack(u, v, (rho*cu, rho*su, rs, -rho*su, rho*cu, 0.0,
                             -rs*cu, -rs*su, rc, -rho*cu, -rho*su, 0.0,
@@ -189,7 +184,8 @@ def make_sphere(radius: float = 1.0) -> CatalogEntry:
         raise ValueError("radius must be positive")
 
     def jet(u, v):
-        cu, su, cv, sv = np.cos(u), np.sin(u), np.cos(v), np.sin(v)
+        fu, fv = _lib(u), _lib(v)
+        cu, su, cv, sv = fu.cos(u), fu.sin(u), fv.cos(v), fv.sin(v)
         a, b = rad*cv, rad*sv
         return _pack(u, v, (a*cu, a*su, b, -a*su, a*cu, 0.0,
                             -b*cu, -b*su, a, -a*cu, -a*su, 0.0,

@@ -350,7 +350,9 @@ def cmd_darboux(surface_path, out, fmt, seeds, alpha0, step, max_length,
             if alpha0 is None:
                 from .invariants import theta_state
                 t1, t2, *_ = theta_state(entry.surface, *uv)
-                a0 = -np.arctan(np.cbrt(-t1/t2))
+                # numpy's division: NaN, not ZeroDivisionError, where
+                # both thetas vanish
+                a0 = -np.arctan(np.cbrt(np.divide(-t1, t2)))
             else:
                 a0 = alpha0
             tr = integrate_darboux_line(entry.surface, uv, a0, step=step,

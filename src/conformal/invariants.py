@@ -16,8 +16,9 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import BoundaryTooClose, DegenerateDenominator
-from .surfaces import (Jet, PrincipalData, SurfacePatch, principal_data,
+from .errors import BoundaryTooClose, DegenerateDenominator, OutOfDomain
+from .surfaces import (Jet, PrincipalData, SurfacePatch, _divisor,
+                       _jet_forms, _sqrt, principal_data,
                        principal_directions, shape_data)
 
 __all__ = [
@@ -54,30 +55,28 @@ class InvariantSample:
 # --------------------------------------------------------------------------
 # first layer: curvature gradients and thetas
 # --------------------------------------------------------------------------
-def _scalar_shape(surface: SurfacePatch, u, v) -> dict:
-    """Shape data from raw jets (no domain check; complex-capable)."""
-    return shape_data(surface.jet_raw(u, v))
-
-
-def _curv_grads(surface: SurfacePatch, u: float, v: float) -> dict:
-    """Parameter-plane gradients of k1, k2 and H by a complex step through
-    the jet: one jet per direction, exact to machine precision (no
-    subtractive cancellation)."""
-    Su = _scalar_shape(surface, u + 1j*_CSTEP, v)
-    Sv = _scalar_shape(surface, u, v + 1j*_CSTEP)
-    return {key: (Su[key].imag / _CSTEP, Sv[key].imag / _CSTEP)
-            for key in ("k1", "k2", "H")}
+def _curv_grads(surface: SurfacePatch, u: float, v: float):
+    """Parameter-plane gradients ((k1_u, k1_v), (k2_u, k2_v), (H_u, H_v))
+    by a complex step through the jet: one jet per direction, exact to
+    machine precision (no subtractive cancellation).  Each step reads H and
+    mu from the scalar fundamental-form core (``surfaces._forms``), with no
+    shape dict and no arrays."""
+    *_, Hu, _, mu_u = _jet_forms(surface.jet_raw(u + 1j*_CSTEP, v))
+    *_, Hv, _, mu_v = _jet_forms(surface.jet_raw(u, v + 1j*_CSTEP))
+    h = _CSTEP
+    return (((Hu + mu_u).imag/h, (Hv + mu_v).imag/h),
+            ((Hu - mu_u).imag/h, (Hv - mu_v).imag/h),
+            (Hu.imag/h, Hv.imag/h))
 
 
 def theta_state(surface: SurfacePatch, u: float, v: float, ref=None):
     """(theta1, theta2, X1, X2, shape-dict) at a point, frame-aligned to
     ``ref`` (a pair of previous principal directions) when given."""
-    S = _scalar_shape(surface, u, v)
+    S = shape_data(surface.jet_raw(u, v))
     X1, X2 = principal_directions(S, ref)
-    gr = _curv_grads(surface, u, v)
-    mu2 = S["mu"] ** 2
+    (k1u, k1v), (k2u, k2v), _ = _curv_grads(surface, u, v)
+    mu2 = _divisor(S["mu"]*S["mu"])
     (a1, b1), (a2, b2) = X1.tolist(), X2.tolist()
-    (k1u, k1v), (k2u, k2v) = gr["k1"], gr["k2"]
     return (a1*k1u + b1*k1v) / mu2, (a2*k2u + b2*k2v) / mu2, X1, X2, S
 
 
@@ -92,6 +91,10 @@ def principal_data_checked(surface: SurfacePatch, u: float, v: float
 # field differencing helpers
 # --------------------------------------------------------------------------
 def _require_margin(surface: SurfacePatch, u: float, v: float, margin: float):
+    """OutOfDomain outside the domain, BoundaryTooClose inside it but closer
+    than ``margin`` to its edge."""
+    if not surface.contains(u, v):
+        raise OutOfDomain(f"({u}, {v}) outside {surface.domain}")
     if not surface.contains(u, v, margin=margin):
         raise BoundaryTooClose(
             f"point ({u}, {v}) closer than {margin:g} to the domain edge")
@@ -146,17 +149,15 @@ def xi_apply(surface: SurfacePatch, field, i: int, u: float, v: float,
 def _laplace_H(surface: SurfacePatch, u: float, v: float, h: float) -> float:
     """Laplace–Beltrami of the mean-curvature field in divergence form."""
     def flux(a, b):
-        S = _scalar_shape(surface, a, b)
-        gr = _curv_grads(surface, a, b)
-        Hu, Hv = gr["H"]
-        sg = np.sqrt(S["g"])
-        return (sg*(S["G"]*Hu - S["F"]*Hv)/S["g"],
-                sg*(S["E"]*Hv - S["F"]*Hu)/S["g"])
+        E, F, G, g, *_ = _jet_forms(surface.jet_raw(a, b))
+        _, _, (Hu, Hv) = _curv_grads(surface, a, b)
+        sg, gd = _sqrt(g), _divisor(g)
+        return sg*(G*Hu - F*Hv)/gd, sg*(E*Hv - F*Hu)/gd
 
-    S0 = _scalar_shape(surface, u, v)
+    g0 = _jet_forms(surface.jet_raw(u, v))[3]
     dP = (flux(u + h, v)[0] - flux(u - h, v)[0]) / (2*h)
     dQ = (flux(u, v + h)[1] - flux(u, v - h)[1]) / (2*h)
-    return (dP + dQ) / np.sqrt(S0["g"])
+    return (dP + dQ) / _divisor(_sqrt(g0))
 
 
 def _psi(surface: SurfacePatch, u: float, v: float, derivs) -> float:
@@ -166,7 +167,7 @@ def _psi(surface: SurfacePatch, u: float, v: float, derivs) -> float:
     xt, t1, t2, _, _, S = derivs
     mu = S["mu"]
     lap = _laplace_H(surface, u, v, _H_FLD)
-    return ((lap + 2*mu**2*S["H"]) / mu**3 - (t1*t1 - t2*t2)/2
+    return ((lap + 2*mu*mu*S["H"]) / mu**3 - (t1*t1 - t2*t2)/2
             + (xt[(1, 1)] + xt[(2, 2)])/2)
 
 
@@ -317,8 +318,8 @@ def willmore_energy(surface: SurfacePatch, n: int = 64) -> float:
     total = 0.0
     for a in us:
         for b in vs:
-            S = _scalar_shape(surface, a, b)
-            total += S["mu"]**2 * np.sqrt(S["g"])
+            _, _, _, g, *_, mu = _jet_forms(surface.jet_raw(a, b))
+            total += mu*mu * _sqrt(g)
     return total * hu * hv
 
 

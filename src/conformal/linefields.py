@@ -14,7 +14,8 @@ from typing import List, Optional
 
 import numpy as np
 
-from .errors import AngleDegenerate, DupinPoint, SeedIsDupinPoint
+from .errors import (AngleDegenerate, DupinPoint, OutOfDomain,
+                     SeedIsDupinPoint)
 from .invariants import theta_state
 from .surfaces import SurfacePatch
 
@@ -77,11 +78,18 @@ def _dupin_dir(state):
 # --------------------------------------------------------------------------
 # Dupin-line integration
 # --------------------------------------------------------------------------
-def _check_step(step):
+def _check_trace_args(surface, seed, step, max_length):
     """A trace advances by ``step`` of arc length a sample, so a zero step
-    never reaches ``max_length`` and a negative one walks backwards."""
+    never reaches ``max_length`` and a negative one walks backwards; a
+    ``max_length`` that is not finite and positive would end the trace at
+    its seed, and a seed outside the domain has no trace at all."""
     if not (np.isfinite(step) and step > 0):
         raise ValueError(f"step must be finite and positive, got {step!r}")
+    if not (np.isfinite(max_length) and max_length > 0):
+        raise ValueError(
+            f"max_length must be finite and positive, got {max_length!r}")
+    if not surface.contains(*seed):
+        raise OutOfDomain(f"seed {tuple(seed)} outside {surface.domain}")
 
 
 def integrate_dupin_line(surface: SurfacePatch, seed, step: float = 0.01,
@@ -94,9 +102,10 @@ def integrate_dupin_line(surface: SurfacePatch, seed, step: float = 0.01,
     through: the field direction has a continuous unoriented limit there and
     samples almost never land inside the tolerance band.  The theta state
     at a step's start serves both the stop test and the first stage.
-    Raises ValueError unless ``step`` is finite and positive.
+    Raises ValueError unless ``step`` and ``max_length`` are finite and
+    positive, and OutOfDomain for a seed outside the domain.
     """
-    _check_step(step)
+    _check_trace_args(surface, seed, step, max_length)
     u0, v0 = seed
     state = np.array([u0, v0], dtype=float)
     ts = theta_state(surface, *state)
@@ -165,10 +174,11 @@ def integrate_darboux_line(surface: SurfacePatch, seed, alpha0: float,
     HitSingularPoint when alpha comes within ``_ANGLE_EPS`` of 0 or pi/2,
     where the rate is singular.
     ``orient=-1`` traverses the same Darboux line in the opposite direction.
-    Raises ValueError unless ``step`` is finite and positive and ``orient``
-    is 1 or -1.
+    Raises ValueError unless ``step`` and ``max_length`` are finite and
+    positive and ``orient`` is 1 or -1, and OutOfDomain for a seed outside
+    the domain.
     """
-    _check_step(step)
+    _check_trace_args(surface, seed, step, max_length)
     if orient not in (1, -1):
         raise ValueError(f"orient must be 1 or -1, got {orient!r}")
     u0, v0 = seed

@@ -11,9 +11,22 @@ acts on a patch by pushing the order-2 jet through the chain rule, so a
 moved patch needs no symbolic work either.  Everything built on top of
 the jets (curvature gradients, invariant fields) lives in other modules and
 is obtained by differencing the pointwise quantities, never by deeper jets.
+
+Between a jet and the curvature scalars the point kernel holds no arrays.
+:func:`_forms` is the one copy of the fundamental-form arithmetic (E, F, G,
+the normal, L, M, N, the shape operator, H, K and mu).  It works on Python
+scalars, one ``tolist`` per 3-vector, real or complex-step alike, with
+``math``/``cmath`` square roots; it is elementwise, so arrays of points go
+through it unchanged.  :func:`shape_data` wraps it in a dict for one real
+point; the complex steps of the curvature gradients read H and mu from it
+directly.  A degenerate metric or a roundoff-negative H^2 - K gives NaN, as
+numpy's arrays did, so :func:`principal_data` still raises
+:class:`DegenerateMetric` or :class:`UmbilicPoint` there.
 """
 from __future__ import annotations
 
+import cmath
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,6 +40,7 @@ __all__ = [
 ]
 
 _TOL_UMB = 1e-8
+_NAN = float("nan")
 
 
 # --------------------------------------------------------------------------
@@ -51,12 +65,35 @@ _JET_ORDER = 2
 _JET_IDX = [(0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2)]
 
 
+def _lib(x):
+    """The module whose sin, cos, sinh and cosh evaluate ``x``: numpy for
+    an array of points, cmath for a complex step, math for a real scalar
+    (on one float, math is 3-4x faster than numpy)."""
+    if isinstance(x, np.ndarray):
+        return np
+    return cmath if isinstance(x, complex) else math
+
+
+def _pack(u, v, entries):
+    """The 18 jet entries (x, y, z of r, r_u, r_v, r_uu, r_uv, r_vv) as the
+    six 3-vectors a jet returns, views of one array.  Scalar (u, v),
+    complex steps included, give (3,) vectors; numpy arrays of points give
+    (3, ...) vectors, constant entries broadcast to the points' shape."""
+    if isinstance(u, np.ndarray) or isinstance(v, np.ndarray):
+        out = np.array(np.broadcast_arrays(u, v, *entries)[2:])
+    else:
+        out = np.array(entries, complex if isinstance(u, complex)
+                       or isinstance(v, complex) else float)
+    return [out[0:3], out[3:6], out[6:9], out[9:12], out[12:15], out[15:18]]
+
+
 class SurfacePatch:
     """Evaluable parametric surface r(u, v) with order-2 derivative jets.
 
-    ``jet_fn(u, v)`` returns the partials in ``_JET_IDX`` order: a closed
-    form written in numpy, one compiled from sympy, or one pushed through a
-    Mobius map.  It is evaluated on real and complex-step (u, v) alike.
+    ``jet_fn(u, v)`` returns the partials in ``_JET_IDX`` order, as (3,)
+    arrays: a closed form (see :func:`_lib` and :func:`_pack`), one
+    compiled from sympy, or one pushed through a Mobius map.  It is
+    evaluated on real and complex-step (u, v) alike.
     """
 
     def __init__(self, domain, jet_fn, name="surface"):
@@ -83,8 +120,7 @@ class SurfacePatch:
                 flat = r + ru + rv + [e.diff(s) for d, s in (
                     (ru, us), (ru, vs), (rv, vs)) for e in d]
                 fn = sp.lambdify((us, vs), flat, "numpy")
-            vals = fn(u, v)
-            return [np.asarray(vals[3*k:3*k + 3]) for k in range(len(_JET_IDX))]
+            return _pack(u, v, fn(u, v))
 
         return cls(domain, name=name, jet_fn=jet)
 
@@ -144,33 +180,73 @@ class PrincipalData:
     rv: np.ndarray
 
 
-def _dot(p, q):
-    return p[0]*q[0] + p[1]*q[1] + p[2]*q[2]
+def _sqrt(x):
+    """numpy's square root on one Python scalar or array: the principal
+    root of a complex, NaN (not a ValueError) for a negative float, as
+    where H^2 - K rounds below 0 at an umbilic."""
+    if x.__class__ is float:
+        return math.sqrt(x) if x >= 0 else _NAN
+    if x.__class__ is complex:
+        return cmath.sqrt(x)
+    return np.sqrt(x)
+
+
+def _divisor(d):
+    """``d`` to divide by: a Python zero becomes NaN, so a degenerate point
+    gives NaN as numpy's division does, not ZeroDivisionError.  Arrays and
+    numpy scalars divide as numpy does and pass unchanged."""
+    return _NAN if d.__class__ in (float, complex) and not d else d
+
+
+def _forms(ru, rv, ruu, ruv, rvv):
+    """Fundamental forms and shape operator from the x, y, z components of
+    r_u, r_v, r_uu, r_uv and r_vv: ``(E, F, G, g, n, L, M, N, w, H, K, mu)``
+    with g = EG - F^2, the unit normal n = (nx, ny, nz) and the shape
+    operator w = (w00, w01, w10, w11), row-major in the (r_u, r_v) basis.
+
+    This is the one copy of the fundamental-form arithmetic.  It is
+    elementwise: the components may be Python scalars (one ``tolist`` per
+    3-vector, see :func:`_jet_forms`), complex-step scalars (every product
+    is plain, non-conjugating) or numpy arrays of points.  A degenerate
+    metric (g = 0 or |n| = 0) gives NaN, never an exception."""
+    (xu, yu, zu), (xv, yv, zv) = ru, rv
+    E = xu*xu + yu*yu + zu*zu
+    F = xu*xv + yu*yv + zu*zv
+    G = xv*xv + yv*yv + zv*zv
+    g = E*G - F*F
+    nx, ny, nz = yu*zv - zu*yv, zu*xv - xu*zv, xu*yv - yu*xv
+    s = _divisor(_sqrt(nx*nx + ny*ny + nz*nz))
+    nx, ny, nz = nx/s, ny/s, nz/s
+    L = ruu[0]*nx + ruu[1]*ny + ruu[2]*nz
+    M = ruv[0]*nx + ruv[1]*ny + ruv[2]*nz
+    N = rvv[0]*nx + rvv[1]*ny + rvv[2]*nz
+    gd = _divisor(g)
+    w00, w01 = (G*L - F*M)/gd, (G*M - F*N)/gd
+    w10, w11 = (E*M - F*L)/gd, (E*N - F*M)/gd
+    H = (w00 + w11)/2
+    K = w00*w11 - w01*w10
+    return (E, F, G, g, (nx, ny, nz), L, M, N, (w00, w01, w10, w11), H, K,
+            _sqrt(H*H - K))
+
+
+def _jet_forms(derivs: dict):
+    """:func:`_forms` at one point from its jet dict."""
+    return _forms(derivs[(1, 0)].tolist(), derivs[(0, 1)].tolist(),
+                  derivs[(2, 0)].tolist(), derivs[(1, 1)].tolist(),
+                  derivs[(0, 2)].tolist())
 
 
 def shape_data(derivs: dict) -> dict:
     """First/second fundamental forms and shape operator at one point from
-    its order-2 jet derivatives, on Python scalars (one ``tolist`` per
-    3-vector).  Complex-capable: every product is plain (non-conjugating).
-    ``W``, ``n``, ``r``, ``ru`` and ``rv`` are arrays, the rest scalars."""
-    ru, rv = derivs[(1, 0)], derivs[(0, 1)]
-    (xu, yu, zu), (xv, yv, zv) = pu, pv = ru.tolist(), rv.tolist()
-    E, F, G = _dot(pu, pu), _dot(pu, pv), _dot(pv, pv)
-    g = E*G - F*F
-    nx, ny, nz = yu*zv - zu*yv, zu*xv - xu*zv, xu*yv - yu*xv
-    # array divisions keep numpy's inf/nan semantics on a degenerate metric
-    n = np.array([nx, ny, nz]) / np.sqrt(nx*nx + ny*ny + nz*nz)
-    pn = n.tolist()
-    L, M, N = (_dot(derivs[k].tolist(), pn) for k in _JET_IDX[3:])
-    W = np.array([[G*L - F*M, G*M - F*N],
-                  [E*M - F*L, E*N - F*M]]) / g
-    (w00, w01), (w10, w11) = W.tolist()
-    H = (w00 + w11) / 2
-    K = w00*w11 - w01*w10
-    mu = np.sqrt(H*H - K)
-    return dict(E=E, F=F, G=G, g=g, L=L, M=M, N=N, W=W, n=n,
+    its order-2 jet derivatives: :func:`_forms` on Python scalars, real or
+    complex-step, packed in a dict.  ``W``, ``n``, ``r``, ``ru`` and ``rv``
+    are arrays (``r``, ``ru`` and ``rv`` are the jet's own), ``w`` holds
+    the entries of ``W`` as scalars, and the rest are scalars."""
+    E, F, G, g, n, L, M, N, w, H, K, mu = _jet_forms(derivs)
+    return dict(E=E, F=F, G=G, g=g, L=L, M=M, N=N,
+                W=np.array(w).reshape(2, 2), w=w, n=np.array(n),
                 H=H, K=K, mu=mu, k1=H + mu, k2=H - mu,
-                r=derivs[(0, 0)], ru=ru, rv=rv)
+                r=derivs[(0, 0)], ru=derivs[(1, 0)], rv=derivs[(0, 1)])
 
 
 def principal_directions(S: dict, ref=None):
@@ -180,7 +256,7 @@ def principal_directions(S: dict, ref=None):
     better-conditioned one is used.  Signs follow ``ref`` (a previous frame)
     when given, otherwise X1 aligns with the +u axis and X2 with +v.
     """
-    (w00, w01), (w10, w11) = S["W"].tolist()
+    w00, w01, w10, w11 = S["w"]
     k1, k2, E, F, G = S["k1"], S["k2"], S["E"], S["F"], S["G"]
     cands = (((w01, k1 - w00), (k1 - w11, w10)),
              ((k2 - w11, w10), (w01, k2 - w00)))
@@ -188,7 +264,7 @@ def principal_directions(S: dict, ref=None):
     out = []
     for (c, d), rf, axis in zip(cands, refs, (0, 1)):
         a, b = c if abs(c[0]) + abs(c[1]) >= abs(d[0]) + abs(d[1]) else d
-        s = np.sqrt(E*a**2 + 2*F*a*b + G*b**2)
+        s = _divisor(_sqrt(E*a**2 + 2*F*a*b + G*b**2))
         w = [a/s, b/s]
         if rf is not None:
             flip = (w[0]*rf[0] + w[1]*rf[1]).real < 0
@@ -205,12 +281,13 @@ def principal_data(jet: Jet, ref=None) -> PrincipalData:
     Raises :class:`UmbilicPoint` when k1 - k2 falls under the (relative)
     umbilic tolerance or is NaN (H*H - K rounded below 0),
     :class:`DegenerateMetric` when the first fundamental form is singular.
+    On a complex-step jet the tolerance applies to the real part of mu.
     """
     S = shape_data(jet.derivs)
     scale = max(abs(S["E"]), abs(S["G"]))
     if not np.isfinite(S["g"]) or abs(S["g"]) < 1e-14 * scale**2:
         raise DegenerateMetric(f"det I = {S['g']!r}")
-    if not S["mu"] >= _TOL_UMB * max(abs(S["k1"]), abs(S["k2"]), 1.0):
+    if not S["mu"].real >= _TOL_UMB * max(abs(S["k1"]), abs(S["k2"]), 1.0):
         raise UmbilicPoint(f"k1 = {S['k1']!r}, k2 = {S['k2']!r}")
     X1, X2 = principal_directions(S, ref)
     X1a = X1[0]*S["ru"] + X1[1]*S["rv"]

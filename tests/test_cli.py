@@ -401,3 +401,41 @@ def test_line_tracers_reject_bad_step_and_orient(specs, tmp_path, command):
                            str(tmp_path / "trace.csv"))
     code, _ = json.loads(stdout)
     assert code == 2
+
+
+@pytest.mark.parametrize("command", ["dupin-lines", "darboux"])
+@pytest.mark.parametrize("max_length", ["nan", "-1", "0", "inf"])
+def test_line_tracers_reject_bad_max_length(runner, specs, command,
+                                            max_length):
+    # a length that is not finite and positive would end the trace at its
+    # seed and report it as ReachedLength
+    res = runner.invoke(main, [command, "--surface", specs["helcat"],
+                               "--seed", "0.4,0.3",
+                               f"--max-length={max_length}"])
+    assert res.exit_code == 2
+    assert json.loads(res.output.strip().splitlines()[-1])["error"] == \
+        "ValueError"
+
+
+@pytest.mark.parametrize("command", ["dupin-lines", "darboux", "osculate",
+                                     "verify"])
+def test_seed_outside_domain_is_out_of_domain(runner, specs, command):
+    # helcat's domain is [-3, 3] x [-7, 7]: (9, 9) is outside it, not near
+    # its edge, and has no trace
+    res = runner.invoke(main, [command, "--surface", specs["helcat"],
+                               "--seed", "9,9"])
+    assert res.exit_code == 3
+    assert json.loads(res.output.strip().splitlines()[-1])["error"] == \
+        "OutOfDomain"
+
+
+def test_darboux_default_angle_at_a_theta_zero(runner, specs):
+    # both thetas are exactly 0 on helcat at (0, 0): the default alpha0
+    # divides 0 by 0, which gives NaN and a one-sample trace, not an
+    # uncaught ZeroDivisionError
+    res = runner.invoke(main, ["darboux", "--surface", specs["helcat"],
+                               "--seed", "0,0", "--max-length", "0.02",
+                               "--format", "json"])
+    assert res.exit_code == 0
+    header, rows, _ = _rows(res)
+    assert len(rows) == 1 and rows[0][header.index("alpha")] is None

@@ -3,9 +3,11 @@ import pytest
 import sympy as sp
 from hypothesis import given, settings, strategies as st
 
-from conformal.errors import (InversionCenterOnSurface, OrderUnavailable,
-                              OutOfDomain, UmbilicPoint)
-from conformal.surfaces import (MobiusMap, SurfacePatch, eval_jet,
+from conformal.errors import (DegenerateMetric, InversionCenterOnSurface,
+                              OrderUnavailable, OutOfDomain, UmbilicPoint)
+from conformal.invariants import _curv_grads, theta_state
+from conformal.surfaces import (_JET_IDX, Jet, MobiusMap, SurfacePatch,
+                                _forms, _jet_forms, eval_jet,
                                 mobius_transform, principal_data,
                                 principal_directions, shape_data)
 
@@ -139,6 +141,99 @@ def test_scalar_kernel_matches_numpy_reference(helcat_quarter, torus,
         if abs(Y[axis].real) < 1e-12*np.max(np.abs(Y.real)):
             X = X if (X @ Y).real > 0 else -X
         _close(X, Y, max(np.max(np.abs(Y.real)), 1.0), step is not None)
+
+
+@settings(max_examples=150, derandomize=True, database=None, deadline=None)
+@given(st.sampled_from(["helcat", "torus", "tube"]),
+       st.floats(0.02, 0.98), st.floats(0.02, 0.98),
+       st.sampled_from([None, "u", "v"]))
+def test_curvature_core_matches_numpy_reference(helcat_quarter, torus,
+                                                helical_tube, which, fu, fv,
+                                                step):
+    # the complex steps of the curvature gradients read k1, k2 and H from
+    # the core directly, with no shape dict
+    surface = {"helcat": helcat_quarter, "torus": torus,
+               "tube": helical_tube}[which].surface
+    (u0, u1), (v0, v1) = surface.domain
+    u, v = u0 + fu*(u1 - u0), v0 + fv*(v1 - v0)
+    u = u + 1j*_H_STEP if step == "u" else u
+    v = v + 1j*_H_STEP if step == "v" else v
+    d = surface.jet_raw(u, v)
+    E, F, G, g, n, L, M, N, w, H, K, mu = _jet_forms(d)
+    want = _shape_ref(d)
+    for key, got in (("E", E), ("F", F), ("G", G), ("g", g), ("H", H),
+                     ("K", K), ("mu", mu), ("k1", H + mu), ("k2", H - mu),
+                     ("W", np.reshape(w, (2, 2))), ("n", n)):
+        scale = max(np.max(np.abs(np.asarray(want[key]).real)), 1.0)
+        _close(got, want[key], scale, step is not None)
+    assert all(type(x) is (float if step is None else complex)
+               for x in (E, F, G, g, L, M, N, H, K, mu, *n, *w))
+
+
+@pytest.mark.parametrize("which", ["helcat", "torus", "tube"])
+def test_core_is_elementwise(helcat_quarter, torus, helical_tube, which):
+    # the core on (3, n) arrays of points equals the core point by point,
+    # bit for bit, so a batched layer can call it unchanged
+    surface = {"helcat": helcat_quarter, "torus": torus,
+               "tube": helical_tube}[which].surface
+    us, vs = np.random.default_rng(5).uniform(-2.0, 2.0, (2, 7))
+    jets = [surface.jet_raw(u, v) for u, v in zip(us, vs)]
+    batched = _forms(*(np.stack([j[k] for j in jets], axis=-1)
+                       for k in _JET_IDX[1:]))
+    for k, j in enumerate(jets):
+        for got, want in zip(batched, _jet_forms(j)):
+            assert np.array_equal(np.asarray(got)[..., k], want)
+
+
+def _vectors(*rows):
+    return [np.array(r) for r in rows]
+
+
+def _parallel_jet(u, v):
+    # r = (u + 2v, u^2/2, 0): r_v = 2 r_u everywhere
+    z = 0*(u + v)
+    return _vectors((u + 2*v, u*u/2, z), (1 + z, u, z), (2 + z, 2*u, z),
+                    (z, 1 + z, z), (z, z, z), (z, z, z))
+
+
+def _still_jet(u, v):
+    # r = (v, v^2, 0): r_u = 0 everywhere
+    z = 0*(u + v)
+    return _vectors((v, v*v, z), (z, z, z), (1 + z, 2*v, z), (z, z, z),
+                    (z, z, z), (z, 2 + z, z))
+
+
+def _umbilic_jet(u, v):
+    # the paraboloid z = (u^2 + v^2)/2, umbilic at the origin
+    z = 0*(u + v)
+    return _vectors((u, v, (u*u + v*v)/2), (1 + z, z, u), (z, 1 + z, v),
+                    (z, z, 1 + z), (z, z, z), (z, z, 1 + z))
+
+
+@pytest.mark.parametrize("jet_fn,error", [
+    (_parallel_jet, DegenerateMetric),
+    (_still_jet, DegenerateMetric),
+    (_umbilic_jet, UmbilicPoint),
+], ids=["parallel", "still", "umbilic"])
+@pytest.mark.parametrize("step", [None, "u", "v"])
+def test_degenerate_jets_raise_typed_errors(jet_fn, error, step):
+    # the scalar core divides by zero here (g = 0, |n| = 0, or a zero
+    # eigenvector candidate at the umbilic): the outcome is a typed error
+    # from principal_data and NaN thetas from theta_state, as with numpy's
+    # arrays, never a ZeroDivisionError or a math domain ValueError
+    patch = SurfacePatch([(-1.0, 1.0), (-1.0, 1.0)], jet_fn)
+    u = 1j*_H_STEP if step == "u" else 0.0
+    v = 1j*_H_STEP if step == "v" else 0.0
+    with pytest.raises(error):
+        principal_data(Jet(u=u, v=v, order=2, derivs=patch.jet_raw(u, v)))
+    S = shape_data(patch.jet_raw(u, v))
+    principal_directions(S)
+    if step is None:
+        t1, t2, X1, X2, _ = theta_state(patch, 0.0, 0.0)
+        assert np.isnan(t1) and np.isnan(t2)
+        assert np.isnan(X1).all() and np.isnan(X2).all()
+        # the complex steps go through the core without raising
+        assert np.array(_curv_grads(patch, 0.0, 0.0)).shape == (3, 2)
 
 
 def test_mobius_composition_and_inverse():
