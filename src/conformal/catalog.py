@@ -6,14 +6,14 @@ the conformal invariants.  Oracle agreement with the generic numerical
 pipeline is the backbone of the test suite: any disagreement beyond the
 stated tolerances is a hard failure, never averaged away.
 
-The helicoid-catenoid family, tori, spheres and polynomial graphs (and so
-the canonical normal forms) carry hand-written order-2 jets: a dozen lines
-each, no symbolic work and no compile, evaluated alike on scalars,
-complex-step inputs and arrays of (u, v).  One body serves all three: its
-sin, cos, sinh and cosh come from ``math`` on a real scalar, ``cmath`` on a
-complex step and numpy on arrays (``surfaces._lib``).  Tubes stay symbolic
-for now (see :func:`make_tube`), so sympy is imported only when one is
-built.
+Every family (the helicoid-catenoid family, tori, spheres, tubes around
+circles and helices, and polynomial graphs, so the canonical normal forms)
+carries a hand-written order-2 jet: a dozen lines each, no symbolic work
+and no compile, evaluated alike on scalars, complex-step inputs and arrays
+of (u, v).  One body serves all three: its sin, cos, sinh and cosh come
+from ``math`` on a real scalar, ``cmath`` on a complex step and numpy on
+arrays (``surfaces._lib``).  Building or evaluating a catalog surface
+imports no sympy.
 
 The one-parameter minimal family (``make_helcat``) interpolates between the
 helicoid (parameter 0) and the catenoid (parameter pi/2); its invariants
@@ -196,51 +196,32 @@ def make_sphere(radius: float = 1.0) -> CatalogEntry:
     return CatalogEntry(name="sphere", surface=patch, params={"radius": rad})
 
 
-def _center_curve(curve):
-    """Closed-form center curve, ('circle', R) or ('helix', A, B) with
-    A > 0, and its Frenet frame.  With a, b = (A, B)/sqrt(A^2 + B^2), or
-    a, b = 1, 0 for the circle: T = (-a sin u, a cos u, b),
-    N = (-cos u, -sin u, 0) and B = (b sin u, -b cos u, a)."""
-    import sympy as sp
-    u = sp.symbols("u", real=True)
+def make_tube(curve, radius: float) -> CatalogEntry:
+    """Constant-radius tube around a circle or helix (canal surface).
+
+    The center curve is ('circle', R), c = (R cos u, R sin u, 0), or
+    ('helix', A, B) with A > 0, c = (A cos u, A sin u, B u).  The tube
+
+        r = c(u) + radius (cos v N(u) + sin v B(u))
+
+    is parametrized by the curve parameter u and the angle v in the normal
+    plane of the closed-form Frenet frame: with a, b = (A, B)/sqrt(A^2 +
+    B^2), or a, b = 1, 0 for the circle, N = (-cos u, -sin u, 0) and
+    B = (b sin u, -b cos u, a).  Its v-circles are the characteristic
+    circles, the Dupin lines of the canal surface.
+    """
     kind = curve[0]
     if kind == "circle":
-        R = float(curve[1])
-        c = sp.Matrix([R*sp.cos(u), R*sp.sin(u), 0])
+        A, Bp = float(curve[1]), 0.0
         a, b = 1.0, 0.0
-        curv_max = 1.0/R
+        curv_max = 1.0/A
     elif kind == "helix":
         A, Bp = float(curve[1]), float(curve[2])
-        c = sp.Matrix([A*sp.cos(u), A*sp.sin(u), Bp*u])
-        norm = float(np.sqrt(A*A + Bp*Bp))
+        norm = math.sqrt(A*A + Bp*Bp)
         a, b = A/norm, Bp/norm
         curv_max = A/(A*A + Bp*Bp)
     else:
         raise ValueError(f"unsupported center curve kind '{kind}'")
-    frame = (sp.Matrix([-a*sp.sin(u), a*sp.cos(u), b]),
-             sp.Matrix([-1.0*sp.cos(u), -1.0*sp.sin(u), 0]),
-             sp.Matrix([b*sp.sin(u), -b*sp.cos(u), a]))
-    return u, c, frame, curv_max
-
-
-def make_tube(curve, radius: float) -> CatalogEntry:
-    """Constant-radius tube around a circle or helix (canal surface).
-
-    The tube is parametrized by arc position u along the center curve and
-    angle v in the normal plane spanned by the Frenet normal and binormal.
-    The frame is the closed form of :func:`_center_curve`.
-
-    Unlike the other families, the tube's jet is still compiled from sympy
-    (:meth:`SurfacePatch.from_sympy`): on the helix tube the principal
-    direction X1 is parallel to the v axis, so ``principal_directions``
-    takes its sign from a roundoff-sized u component, and a closed-form jet
-    (X1 = (0, +2.857) at (0.5, 1.0) instead of (1.5e-17, -2.857)) reverses
-    the Dupin trace from there.  It goes closed-form once that sign is
-    chosen from a quantity bounded away from zero.
-    """
-    import sympy as sp
-    u_s, c, (_, N, Bn), curv_max = _center_curve(curve)
-    v = sp.symbols("v", real=True)
     radius = float(radius)
     if radius <= 0:
         raise ValueError("radius must be positive")
@@ -248,10 +229,25 @@ def make_tube(curve, radius: float) -> CatalogEntry:
         raise SelfIntersectingTube(
             f"radius {radius:g} >= minimal curvature radius "
             f"{1.0/curv_max:g} of the center curve")
-    expr = sp.Matrix(c + radius*(sp.cos(v)*N + sp.sin(v)*Bn))
-    patch = SurfacePatch.from_sympy(expr, (u_s, v),
-                                    [(-10.0, 10.0), (-10.0, 10.0)],
-                                    name=f"tube[{curve[0]},r={radius:g}]")
+    ra, rb = radius*a, radius*b
+
+    def jet(u, v):
+        # with p = A - radius cos v and q = radius b sin v,
+        # r = (p cos u + q sin u, p sin u - q cos u, B u + radius a sin v):
+        # r_u = (-y, x, B), r_uu = (-x, -y, 0), r_uv = (-y_v, x_v, 0), and
+        # r_v, r_vv take (p, q) to (p_v, q_v) = radius (sin v, b cos v) and
+        # (p_vv, q_vv) = (radius cos v, -q)
+        fu, fv = _lib(u), _lib(v)
+        cu, su, cv, sv = fu.cos(u), fu.sin(u), fv.cos(v), fv.sin(v)
+        p, q, pv, qv, pvv = A - radius*cv, rb*sv, radius*sv, rb*cv, radius*cv
+        x, y = p*cu + q*su, p*su - q*cu
+        xv, yv = pv*cu + qv*su, pv*su - qv*cu
+        return _pack(u, v, (x, y, Bp*u + ra*sv, -y, x, Bp, xv, yv, ra*cv,
+                            -x, -y, 0.0, -yv, xv, 0.0,
+                            pvv*cu - q*su, pvv*su + q*cu, -ra*sv))
+
+    patch = SurfacePatch([(-10.0, 10.0), (-10.0, 10.0)],
+                         name=f"tube[{kind},r={radius:g}]", jet_fn=jet)
     zero = lambda s, t=None: 0.0*np.asarray(s)
     return CatalogEntry(name=patch.name, surface=patch,
                         params={"curve": tuple(curve), "radius": radius},

@@ -21,8 +21,8 @@ from .catalog import (CatalogEntry, make_canonical, make_graph, make_helcat,
                       make_sphere, make_torus, make_tube)
 from .intersect import trace_cyclide_intersection
 from .invariants import invariant_sample, psi_from_thetas
-from .linefields import (darboux_critical_points, integrate_darboux_line,
-                         integrate_dupin_line)
+from .linefields import (darboux_critical_points, dupin_angle,
+                         integrate_darboux_line, integrate_dupin_line)
 from .osculation import (osculating_cyclide, osculating_psi_c,
                          verify_contact_order)
 from .prescribe import helcat_grid, prescribe
@@ -347,14 +347,7 @@ def cmd_darboux(surface_path, out, fmt, seeds, alpha0, step, max_length,
         crit_rows = []
         for s in seeds:
             uv = _parse_seed(s)
-            if alpha0 is None:
-                from .invariants import theta_state
-                t1, t2, *_ = theta_state(entry.surface, *uv)
-                # numpy's division: NaN, not ZeroDivisionError, where
-                # both thetas vanish
-                a0 = -np.arctan(np.cbrt(np.divide(-t1, t2)))
-            else:
-                a0 = alpha0
+            a0 = dupin_angle(entry.surface, uv) if alpha0 is None else alpha0
             tr = integrate_darboux_line(entry.surface, uv, a0, step=step,
                                         max_length=max_length, orient=orient)
             for cp in darboux_critical_points(tr, entry.surface):

@@ -17,15 +17,16 @@ import numpy as np
 from .errors import (AngleDegenerate, DupinPoint, OutOfDomain,
                      SeedIsDupinPoint)
 from .invariants import theta_state
-from .surfaces import SurfacePatch
+from .surfaces import SurfacePatch, _require_frame
 
 __all__ = [
-    "CurveTrace", "integrate_dupin_line",
-    "integrate_darboux_line", "darboux_critical_points", "fit_circle",
+    "CurveTrace", "integrate_dupin_line", "integrate_darboux_line",
+    "dupin_angle", "darboux_critical_points", "fit_circle",
     "CriticalPoint",
 ]
 
 _TOL_DUPIN = 1e-6     # |theta1| + |theta2| below this is the Dupin locus
+_MAX_TURN = np.pi/4   # a Dupin direction turning further in one step jumps
 _ANGLE_EPS = 0.02     # a Darboux trace stops this close to alpha = 0, pi/2
 _H_GEN = 1e-4         # step of the genericity derivative at a critical
 
@@ -75,68 +76,101 @@ def _dupin_dir(state):
     return V / np.linalg.norm(Vamb)
 
 
+def _turn(d, carried, S):
+    """Unoriented ambient angle between parameter directions ``d`` and
+    ``carried`` at the point of shape dict ``S``."""
+    a = d[0]*S["ru"] + d[1]*S["rv"]
+    b = carried[0]*S["ru"] + carried[1]*S["rv"]
+    cos = abs(a @ b)/(np.linalg.norm(a)*np.linalg.norm(b))
+    return float(np.arccos(min(cos, 1.0)))
+
+
 # --------------------------------------------------------------------------
 # Dupin-line integration
 # --------------------------------------------------------------------------
-def _check_trace_args(surface, seed, step, max_length):
+def _check_trace_args(step, max_length):
     """A trace advances by ``step`` of arc length a sample, so a zero step
     never reaches ``max_length`` and a negative one walks backwards; a
     ``max_length`` that is not finite and positive would end the trace at
-    its seed, and a seed outside the domain has no trace at all."""
+    its seed."""
     if not (np.isfinite(step) and step > 0):
         raise ValueError(f"step must be finite and positive, got {step!r}")
     if not (np.isfinite(max_length) and max_length > 0):
         raise ValueError(
             f"max_length must be finite and positive, got {max_length!r}")
-    if not surface.contains(*seed):
-        raise OutOfDomain(f"seed {tuple(seed)} outside {surface.domain}")
+
+
+def _seed_state(surface, u, v):
+    """:func:`theta_state` at a trace's seed.  A seed outside the domain
+    has no trace at all (OutOfDomain), and at an umbilic the principal
+    frame, and so every line field built on it, is undefined (UmbilicPoint,
+    or DegenerateMetric where the metric is singular)."""
+    if not surface.contains(u, v):
+        raise OutOfDomain(f"seed {(u, v)} outside {surface.domain}")
+    ts = theta_state(surface, u, v)
+    _require_frame(ts[4])
+    return ts
 
 
 def integrate_dupin_line(surface: SurfacePatch, seed, step: float = 0.01,
                          max_length: float = 10.0) -> CurveTrace:
     """Trace the Dupin line through ``seed`` with ambient-arc-length steps.
 
-    Stops at the domain boundary, at the Dupin locus (a sample with
-    |theta1| + |theta2| below ``_TOL_DUPIN``), on closure, or at
-    ``max_length``.  Transversal crossings of an isolated theta zero pass
-    through: the field direction has a continuous unoriented limit there and
-    samples almost never land inside the tolerance band.  The theta state
-    at a step's start serves both the stop test and the first stage.
+    Stops at the domain boundary, on closure, at ``max_length``, or at the
+    Dupin locus (HitSingularPoint).  Transversal crossings of an isolated
+    theta zero pass through: the field direction has a continuous
+    unoriented limit there, so a step whose start sample lies inside the
+    tolerance band (|theta1| + |theta2| below ``_TOL_DUPIN``) takes the
+    carried direction as its first stage, as its other stages already do
+    inside the band.  Where the next step-start sample is in the band too,
+    or where the sample's unoriented ambient direction turns from the
+    carried one by more than ``_MAX_TURN``, the field has no such limit and
+    the trace stops.  The theta state at a step's start serves both tests
+    and the first stage.
     Raises ValueError unless ``step`` and ``max_length`` are finite and
-    positive, and OutOfDomain for a seed outside the domain.
+    positive, OutOfDomain for a seed outside the domain, UmbilicPoint at an
+    umbilic seed and SeedIsDupinPoint on the Dupin locus.
     """
-    _check_trace_args(surface, seed, step, max_length)
+    _check_trace_args(step, max_length)
     u0, v0 = seed
     state = np.array([u0, v0], dtype=float)
-    ts = theta_state(surface, *state)
+    ts = _seed_state(surface, u0, v0)
     try:
         prev = _dupin_dir(ts)
     except DupinPoint as exc:
         raise SeedIsDupinPoint(str(exc)) from exc
 
-    def f(u, v, prev_dir, ts=None):
+    def f(u, v, prev_dir):
         try:
-            d = _dupin_dir(theta_state(surface, u, v) if ts is None else ts)
+            d = _dupin_dir(theta_state(surface, u, v))
         except DupinPoint:
             # transversal theta zero: the unoriented field has a continuous
             # limit, approximated by the direction half a step back
             return prev_dir
-        if d @ prev_dir < 0:
-            d = -d
-        return d
+        return -d if d @ prev_dir < 0 else d
 
     uv = [state.copy()]
     pos = [np.asarray(surface.position(u0, v0), dtype=float)]
     termination = "ReachedLength"
     closed = False
+    in_band = False
     length = 0.0
     while length < max_length:
-        t1, t2, *_ = ts
-        if abs(t1) + abs(t2) < _TOL_DUPIN:
-            termination = "HitSingularPoint"
-            break
+        try:
+            k1 = _dupin_dir(ts)
+        except DupinPoint:
+            if in_band:
+                termination = "HitSingularPoint"
+                break
+            in_band, k1 = True, prev
+        else:
+            in_band = False
+            if _turn(k1, prev, ts[4]) > _MAX_TURN:
+                termination = "HitSingularPoint"
+                break
+            if k1 @ prev < 0:
+                k1 = -k1
         h = step
-        k1 = f(*state, prev, ts)
         k2 = f(*(state + h/2*k1), k1)
         k3 = f(*(state + h/2*k2), k1)
         k4 = f(*(state + h*k3), k1)
@@ -175,15 +209,16 @@ def integrate_darboux_line(surface: SurfacePatch, seed, alpha0: float,
     where the rate is singular.
     ``orient=-1`` traverses the same Darboux line in the opposite direction.
     Raises ValueError unless ``step`` and ``max_length`` are finite and
-    positive and ``orient`` is 1 or -1, and OutOfDomain for a seed outside
-    the domain.
+    positive and ``orient`` is 1 or -1, OutOfDomain for a seed outside the
+    domain, and UmbilicPoint at an umbilic seed.
     """
-    _check_trace_args(surface, seed, step, max_length)
+    _check_trace_args(step, max_length)
     if orient not in (1, -1):
         raise ValueError(f"orient must be 1 or -1, got {orient!r}")
     u0, v0 = seed
+    ts = _seed_state(surface, u0, v0)
     if abs(np.sin(alpha0)*np.cos(alpha0)) < 1e-12:
-        t1, t2, *_ = theta_state(surface, u0, v0)
+        t1, t2, *_ = ts
         num = t1*np.cos(alpha0)**3 + t2*np.sin(alpha0)**3
         if abs(num) > 1e-12:
             raise AngleDegenerate(
@@ -191,9 +226,11 @@ def integrate_darboux_line(surface: SurfacePatch, seed, alpha0: float,
                 "right side")
     ref_holder = {"ref": None}
 
-    def rhs(state):
+    def rhs(state, ts=None):
         su, sv, a = state
-        t1, t2, X1, X2, S = theta_state(surface, su, sv, ref_holder["ref"])
+        if ts is None:
+            ts = theta_state(surface, su, sv, ref_holder["ref"])
+        t1, t2, X1, X2, S = ts
         ref_holder["ref"] = (X1, X2)
         vel = np.cos(a)*X1 + np.sin(a)*X2
         dk = S["k1"] - S["k2"]
@@ -204,7 +241,7 @@ def integrate_darboux_line(surface: SurfacePatch, seed, alpha0: float,
     state = np.array([u0, v0, alpha0], dtype=float)
     # the first stage of each step is the last evaluation of the step before:
     # the same point, aligned to the frame found there
-    k1v, dk, fr = rhs(state)
+    k1v, dk, fr = rhs(state, ts)
     uv = [state[:2].copy()]
     pos = [np.asarray(surface.position(u0, v0), dtype=float)]
     alphas = [alpha0]
@@ -242,6 +279,19 @@ def integrate_darboux_line(surface: SurfacePatch, seed, alpha0: float,
                       closed=closed, termination=termination,
                       alpha=np.array(alphas), sigma=np.array(sigmas),
                       dalpha=np.array(dalphas), frames=np.array(frames))
+
+
+def dupin_angle(surface: SurfacePatch, seed) -> float:
+    """Angle alpha of the Dupin direction cbrt(theta2) X1 + cbrt(theta1) X2
+    against X1 at ``seed``, tan(alpha) = cbrt(theta1/theta2), in
+    [-pi/2, pi/2]: the default start angle of a Darboux line.  Raises
+    UmbilicPoint at an umbilic seed and SeedIsDupinPoint where both thetas
+    vanish, so the direction is undefined."""
+    t1, t2, *_ = _seed_state(surface, *seed)
+    if abs(t1) + abs(t2) < _TOL_DUPIN:
+        raise SeedIsDupinPoint(f"|theta1|+|theta2| = {abs(t1)+abs(t2):.3e}")
+    # numpy's division: theta2 = 0 gives an infinite slope, not an error
+    return float(-np.arctan(np.cbrt(np.divide(-t1, t2))))
 
 
 # --------------------------------------------------------------------------

@@ -2,15 +2,15 @@
 data, and ambient Mobius transformations.
 
 Only the position map and its partial derivatives up to order 2 are evaluated
-exactly, by one jet callable per patch.  The catalog families hand it a
-closed-form numpy jet; a patch built from a sympy expression
-(:meth:`SurfacePatch.from_sympy`, for user surfaces and tubes) compiles its
-jet once, on first evaluation, so a patch whose jets are never read costs no
-symbolic work, and sympy is imported only by that constructor.  A Mobius map
-acts on a patch by pushing the order-2 jet through the chain rule, so a
-moved patch needs no symbolic work either.  Everything built on top of
-the jets (curvature gradients, invariant fields) lives in other modules and
-is obtained by differencing the pointwise quantities, never by deeper jets.
+exactly, by one jet callable per patch.  The catalog families, tubes
+included, hand it a closed-form jet; a patch built from a user's sympy
+expression (:meth:`SurfacePatch.from_sympy`) compiles its jet once, on first
+evaluation, so a patch whose jets are never read costs no symbolic work, and
+sympy is imported only by that constructor.  A Mobius map acts on a patch by
+pushing the order-2 jet through the chain rule, so a moved patch needs no
+symbolic work either.  Everything built on top of the jets (curvature
+gradients, invariant fields) lives in other modules and is obtained by
+differencing the pointwise quantities, never by deeper jets.
 
 Between a jet and the curvature scalars the point kernel holds no arrays.
 :func:`_forms` is the one copy of the fundamental-form arithmetic (E, F, G,
@@ -255,6 +255,11 @@ def principal_directions(S: dict, ref=None):
     Of the two eigenvector candidate expressions for each eigenvalue the
     better-conditioned one is used.  Signs follow ``ref`` (a previous frame)
     when given, otherwise X1 aligns with the +u axis and X2 with +v.
+
+    Where X1 is parallel to the v axis (on a helix tube, everywhere) its
+    sign comes from a roundoff-sized u component, so two jets that differ
+    by roundoff can give opposite X1, and a Dupin trace from the same seed
+    can run the other way round its circle.
     """
     w00, w01, w10, w11 = S["w"]
     k1, k2, E, F, G = S["k1"], S["k2"], S["E"], S["F"], S["G"]
@@ -275,20 +280,27 @@ def principal_directions(S: dict, ref=None):
     return out
 
 
-def principal_data(jet: Jet, ref=None) -> PrincipalData:
-    """Eigen-decomposition of the shape operator at a jet point.
-
-    Raises :class:`UmbilicPoint` when k1 - k2 falls under the (relative)
-    umbilic tolerance or is NaN (H*H - K rounded below 0),
-    :class:`DegenerateMetric` when the first fundamental form is singular.
-    On a complex-step jet the tolerance applies to the real part of mu.
-    """
-    S = shape_data(jet.derivs)
+def _require_frame(S: dict) -> None:
+    """Raise :class:`DegenerateMetric` where the first fundamental form of
+    shape dict ``S`` is singular, and :class:`UmbilicPoint` where k1 - k2
+    falls under the (relative) umbilic tolerance or is NaN (H*H - K
+    rounded below 0), so the principal frame is undefined.  On a
+    complex-step jet the tolerance applies to the real part of mu."""
     scale = max(abs(S["E"]), abs(S["G"]))
     if not np.isfinite(S["g"]) or abs(S["g"]) < 1e-14 * scale**2:
         raise DegenerateMetric(f"det I = {S['g']!r}")
     if not S["mu"].real >= _TOL_UMB * max(abs(S["k1"]), abs(S["k2"]), 1.0):
         raise UmbilicPoint(f"k1 = {S['k1']!r}, k2 = {S['k2']!r}")
+
+
+def principal_data(jet: Jet, ref=None) -> PrincipalData:
+    """Eigen-decomposition of the shape operator at a jet point.
+
+    Raises :class:`UmbilicPoint` or :class:`DegenerateMetric` where
+    :func:`_require_frame` does.
+    """
+    S = shape_data(jet.derivs)
+    _require_frame(S)
     X1, X2 = principal_directions(S, ref)
     X1a = X1[0]*S["ru"] + X1[1]*S["rv"]
     X2a = X2[0]*S["ru"] + X2[1]*S["rv"]

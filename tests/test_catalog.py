@@ -1,18 +1,18 @@
 import numpy as np
 import pytest
 import sympy as sp
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from conformal.catalog import (_center_curve, isothermic_check,
-                               isothermic_residual, make_canonical,
-                               make_graph, make_helcat, make_sphere,
-                               make_torus, make_tube)
+from conformal.catalog import (isothermic_check, isothermic_residual,
+                               make_canonical, make_graph, make_helcat,
+                               make_sphere, make_torus, make_tube)
 from conformal.surfaces import SurfacePatch
 from conformal.errors import CanalPoint, SelfIntersectingTube
 from conformal.invariants import (invariant_sample, psi_invariant,
                                   theta_state, xi_theta_derivs)
 from conformal.osculation import osculating_cyclide
 
+_U, _V = sp.symbols("u v", real=True)
 _PTS = [(-2.0, 0.0), (-1.0, 1.3), (-0.3, 3.0), (0.5, 0.0), (1.5, 1.3),
         (2.0, 3.0)]
 
@@ -126,12 +126,34 @@ def test_isothermic_verdicts(catenoid, helcat_quarter, torus):
     assert abs(r) < 1e-4
 
 
+def _center_curve(curve):
+    """Sympy center curve, ('circle', R) or ('helix', A, B) with A > 0, and
+    the closed-form Frenet frame ``make_tube`` writes out.  With a, b =
+    (A, B)/sqrt(A^2 + B^2), or a, b = 1, 0 for the circle:
+    T = (-a sin u, a cos u, b), N = (-cos u, -sin u, 0) and
+    B = (b sin u, -b cos u, a)."""
+    u = _U
+    if curve[0] == "circle":
+        R = float(curve[1])
+        c = sp.Matrix([R*sp.cos(u), R*sp.sin(u), 0])
+        a, b = 1.0, 0.0
+    else:
+        A, Bp = float(curve[1]), float(curve[2])
+        c = sp.Matrix([A*sp.cos(u), A*sp.sin(u), Bp*u])
+        norm = float(np.sqrt(A*A + Bp*Bp))
+        a, b = A/norm, Bp/norm
+    frame = (sp.Matrix([-a*sp.sin(u), a*sp.cos(u), b]),
+             sp.Matrix([-1.0*sp.cos(u), -1.0*sp.sin(u), 0]),
+             sp.Matrix([b*sp.sin(u), -b*sp.cos(u), a]))
+    return u, c, frame
+
+
 @pytest.mark.parametrize("curve", [("circle", 3.0), ("circle", 0.4),
                                    ("helix", 2.0, 0.5), ("helix", 1.0, 1.0),
                                    ("helix", 0.7, -1.3)])
 def test_closed_form_frames_are_frenet(curve):
     # T = c'/|c'|, N = T'/|T'|, B = T x N, each against the closed form
-    u, c, (T, N, B), _ = _center_curve(curve)
+    u, c, (T, N, B) = _center_curve(curve)
     f = sp.lambdify(u, [c.diff(u), T, T.diff(u), N, B], "numpy")
     for x in np.random.default_rng(3).uniform(-10.0, 10.0, 25):
         dc, t, dt, n, b = (np.asarray(m, dtype=float).ravel() * np.ones(3)
@@ -144,9 +166,6 @@ def test_closed_form_frames_are_frenet(curve):
 # --------------------------------------------------------------------------
 # closed-form jets against a sympy compile of the same position map
 # --------------------------------------------------------------------------
-_U, _V = sp.symbols("u v", real=True)
-
-
 def _helcat_expr(alpha):
     ca, sa = sp.cos(alpha), sp.sin(alpha)
     return [ca*sp.sinh(_U)*sp.sin(_V) + sa*sp.cosh(_U)*sp.cos(_V),
@@ -162,6 +181,11 @@ def _torus_expr(R, r):
 def _sphere_expr(rad):
     return [rad*sp.cos(_U)*sp.cos(_V), rad*sp.sin(_U)*sp.cos(_V),
             rad*sp.sin(_V)]
+
+
+def _tube_expr(curve, radius):
+    _, c, (_, N, B) = _center_curve(curve)
+    return c + radius*(sp.cos(_V)*N + sp.sin(_V)*B)
 
 
 def _graph_expr(poly):
@@ -231,6 +255,22 @@ def test_torus_jet_matches_sympy(R, frac, pts):
 @given(rad=st.floats(0.1, 5.0), pts=_points([(-np.pi, np.pi), (-1.4, 1.4)]))
 def test_sphere_jet_matches_sympy(rad, pts):
     _check_jet(make_sphere(rad), _sphere_expr(rad), pts)
+
+
+@_JET_SETTINGS
+@given(A=st.floats(0.2, 5.0), pitch=st.floats(-3.0, 3.0),
+       circle=st.booleans(), frac=st.floats(0.05, 0.95),
+       pts=_points([(-10, 10)]*2))
+@example(A=2.0, pitch=-0.5, circle=False, frac=0.5,
+         pts=[(0.5, 1.0), (-7.0, 3.0), (9.0, -9.5)])
+@example(A=2.0, pitch=0.0, circle=True, frac=0.25,
+         pts=[(0.5, 1.0), (-7.0, 3.0), (9.0, -9.5)])
+def test_tube_jet_matches_sympy(A, pitch, circle, frac, pts):
+    # circles, and helices of either handedness; the radius stays below the
+    # center curve's curvature radius (A^2 + B^2)/A
+    curve = ("circle", A) if circle else ("helix", A, pitch)
+    radius = frac*(A if circle else (A*A + pitch*pitch)/A)
+    _check_jet(make_tube(curve, radius), _tube_expr(curve, radius), pts)
 
 
 @_JET_SETTINGS

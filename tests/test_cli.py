@@ -302,12 +302,14 @@ def test_invariants_sphere_nan_mu_rows_are_umbilic(runner, specs):
     (["invariants", "--grid", "8x8", "--range", "-1:1,-1:1"], "helcat", 0),
     (["table1"], None, 0),
     (["dupin-lines", "--seed", "0.5,1.2", "--max-length", "0.1"], "tube",
-     1),
-], ids=["intersect", "prescribe", "invariants", "table1", "dupin-lines"])
+     0),
+    (["verify", "--seed", "0.5,1.2"], "tube", 0),
+], ids=["intersect", "prescribe", "invariants", "table1", "dupin-lines",
+        "verify"])
 def test_commands_compile_only_evaluated_patches(runner, specs, monkeypatch,
                                                  command, spec, compiles):
-    # the catalog's closed-form families compile nothing; a tube compiles
-    # once, on its first jet
+    # every catalog family, the tube included, has a closed-form jet and
+    # compiles nothing
     import sympy
     calls = []
     lambdify = sympy.lambdify
@@ -341,7 +343,7 @@ def _fresh_python(code, *args):
 
 
 def test_cli_import_leaves_sympy_out():
-    # sympy is imported by the tube and by SurfacePatch.from_sympy only
+    # sympy is imported by SurfacePatch.from_sympy only
     code = ("import sys, conformal.cli; "
             "print(sorted(m for m in sys.modules if m.startswith('sympy')))")
     assert _fresh_python(code).strip() == "[]"
@@ -368,10 +370,14 @@ print(json.dumps([code, sorted(m for m in sys.modules
 """
 
 
+# the planar commands, and the tube's line commands: the tube's jet is
+# closed-form, as every catalog family's is
 @pytest.mark.parametrize("command,spec", [
     (["intersect", "--grid", "64x64"], "canonical"),
     (["prescribe", "--grid", "65x65"], "helcat"),
-], ids=["intersect", "prescribe"])
+    (["dupin-lines", "--seed", "0.5,1.2"], "tube"),
+    (["verify", "--seed", "0.5,1.2"], "tube"),
+], ids=["intersect", "prescribe", "dupin-lines-tube", "verify-tube"])
 def test_planar_commands_load_neither_scipy_nor_sympy(specs, tmp_path,
                                                       command, spec):
     out = tmp_path / "out.txt"
@@ -429,13 +435,17 @@ def test_seed_outside_domain_is_out_of_domain(runner, specs, command):
         "OutOfDomain"
 
 
-def test_darboux_default_angle_at_a_theta_zero(runner, specs):
-    # both thetas are exactly 0 on helcat at (0, 0): the default alpha0
-    # divides 0 by 0, which gives NaN and a one-sample trace, not an
-    # uncaught ZeroDivisionError
-    res = runner.invoke(main, ["darboux", "--surface", specs["helcat"],
-                               "--seed", "0,0", "--max-length", "0.02",
-                               "--format", "json"])
-    assert res.exit_code == 0
-    header, rows, _ = _rows(res)
-    assert len(rows) == 1 and rows[0][header.index("alpha")] is None
+@pytest.mark.parametrize("command,spec,seed,error", [
+    ("dupin-lines", "sphere", "0.3,0.2", "UmbilicPoint"),
+    ("darboux", "sphere", "0.3,0.2", "UmbilicPoint"),
+    ("darboux", "helcat", "0,0", "SeedIsDupinPoint"),
+], ids=["dupin-lines-umbilic", "darboux-umbilic", "darboux-dupin-point"])
+def test_tracer_seed_without_a_field_exits_3(runner, specs, command, spec,
+                                             seed, error):
+    # every sphere point is umbilic, so it has no principal frame; on helcat
+    # both thetas are exactly 0 at (0, 0), so the default Darboux angle
+    # (the Dupin direction's) is undefined.  Neither is a one-sample trace
+    res = runner.invoke(main, [command, "--surface", specs[spec],
+                               "--seed", seed, "--max-length", "0.02"])
+    assert res.exit_code == 3
+    assert json.loads(res.output.strip().splitlines()[-1])["error"] == error

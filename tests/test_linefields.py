@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from conformal import linefields
 from conformal.errors import SeedIsDupinPoint
+from conformal.invariants import theta_state
 from conformal.linefields import (darboux_critical_points, fit_circle,
                                   integrate_darboux_line,
                                   integrate_dupin_line)
@@ -21,13 +23,21 @@ def test_fit_circle_exact():
     assert resid < 1e-10
 
 
-def test_tube_traces_close_on_circles(helical_tube):
-    for seed in [(0.5, 1.2), (1.5, 2.5), (-2.0, 0.7)]:
-        tr = integrate_dupin_line(helical_tube.surface, seed)
-        assert tr.closed
-        c, r, resid = fit_circle(tr.positions)
-        assert abs(r - 0.35) < 1e-3
-        assert resid < 1e-4
+@settings(max_examples=15, derandomize=True, database=None, deadline=None)
+@given(u=st.floats(-3.0, 3.0),
+       v=st.floats(-3.0, 3.0).filter(lambda v: abs(np.sin(v)) > 1e-3))
+@example(u=0.5, v=1.2)
+@example(u=1.5, v=2.5)
+@example(u=-2.0, v=0.7)
+@example(u=-1.6360888490345513, v=2.372689436484756)
+def test_tube_traces_close_on_circles(helical_tube, u, v):
+    # the characteristic circles of the tube, from any seed off the zero
+    # circles v = 0, pi of theta2, where both thetas vanish
+    tr = integrate_dupin_line(helical_tube.surface, (u, v))
+    assert tr.closed
+    c, r, resid = fit_circle(tr.positions)
+    assert abs(r - 0.35) < 1e-3
+    assert resid < 1e-4
 
 
 def test_helicoid_dupin_lines_run_along_constant_first_coordinate(helicoid):
@@ -50,12 +60,66 @@ def test_helcat_trace_passes_through_degenerate_locus(helcat_quarter):
     assert signs.min() < 0 < signs.max()
 
 
-def test_trace_stops_on_exact_zero_sample(helical_tube):
-    # this seed phase makes a step land on the zero circle of the second
-    # field to within the stop tolerance
+def test_trace_crosses_a_theta_zero_circle_and_closes(helical_tube):
+    # theta2 vanishes on the circles v = 0 and v = pi; from this seed the
+    # trace runs once around v, through one of each, and closes
     tr = integrate_dupin_line(helical_tube.surface, (0.5, 1.0))
-    assert tr.termination == "HitSingularPoint"
-    assert abs(tr.uv[-1, 1]) < 1e-4
+    assert tr.closed
+    assert np.ptp(np.floor(tr.uv[:, 1]/np.pi)) >= 2
+    _, r, resid = fit_circle(tr.positions)
+    assert abs(r - 0.35) < 1e-3
+    assert resid < 1e-4
+
+
+def test_step_start_samples_on_the_zero_circles_do_not_stop_a_trace(
+        helical_tube):
+    # a v-step of pi/110 puts a step-start sample on each zero circle,
+    # inside the tolerance band, whichever way the trace runs: those steps
+    # carry the direction through, and the trace closes
+    s = helical_tube.surface
+    h = np.pi/110
+    tr = integrate_dupin_line(s, (0.5, 5*h), step=0.35*h)
+    assert tr.closed
+    band = [abs(t1) + abs(t2) < linefields._TOL_DUPIN
+            for t1, t2, *_ in (theta_state(s, *p) for p in tr.uv)]
+    assert sum(band) == 2
+    _, r, _ = fit_circle(tr.positions)
+    assert abs(r - 0.35) < 1e-3
+
+
+@pytest.mark.parametrize("edits,stop", [
+    ({2: "band"}, None),
+    ({2: "band", 3: "band"}, 3),
+    ({2: "turn"}, 2),
+], ids=["one-band-sample", "two-band-samples", "turn"])
+def test_dupin_trace_stop_rule(monkeypatch, helical_tube, edits, stop):
+    # the theta state at step-start sample k is call 4k: the seed, then
+    # three stages and the start of the next step.  "band" puts both thetas
+    # at 0; "turn" swaps them, which turns the Dupin direction on the tube
+    # (theta1 = 0) from X1 to X2
+    orig = linefields.theta_state
+    calls = []
+
+    def edited(*args, **kwargs):
+        t1, t2, X1, X2, S = orig(*args, **kwargs)
+        k, stage = divmod(len(calls), 4)
+        calls.append(k)
+        edit = edits.get(k) if stage == 0 else None
+        if edit == "band":
+            return 0.0, 0.0, X1, X2, S
+        if edit == "turn":
+            return t2, t1, X1, X2, S
+        return t1, t2, X1, X2, S
+
+    monkeypatch.setattr(linefields, "theta_state", edited)
+    tr = integrate_dupin_line(helical_tube.surface, (0.5, 1.2),
+                              max_length=0.1)
+    if stop is None:
+        assert tr.termination == "ReachedLength"
+        assert len(tr) > 10
+    else:
+        assert tr.termination == "HitSingularPoint"
+        assert len(tr) == stop + 1
 
 
 def test_seed_on_degenerate_locus_rejected(helcat_quarter):
@@ -64,7 +128,6 @@ def test_seed_on_degenerate_locus_rejected(helcat_quarter):
 
 
 def _seed_alpha(surface, seed):
-    from conformal.invariants import theta_state
     t1, t2, *_ = theta_state(surface, *seed)
     return -np.arctan(np.cbrt(-t1/t2))
 
