@@ -31,8 +31,7 @@ import numpy as np
 from .errors import CanalPoint, SelfIntersectingTube, UmbilicPoint
 from .invariants import _lie_bracket
 from .osculation import normal_form_monomials
-from .surfaces import (_JET_IDX, SurfacePatch, _lib, _pack, eval_jet,
-                       principal_data)
+from .surfaces import _JET_IDX, SurfacePatch, _lib, eval_jet, principal_data
 
 __all__ = [
     "CatalogEntry", "make_helcat", "make_torus", "make_sphere", "make_tube",
@@ -101,8 +100,8 @@ def make_helcat(alpha_h: float) -> CatalogEntry:
         y = sa*ch*sv - ca*sh*cv
         xu = ca*ch*sv + sa*sh*cv
         yu = sa*sh*sv - ca*ch*cv
-        return _pack(u, v, (x, y, sa*u + ca*v, xu, yu, sa, -y, x, ca,
-                            x, y, 0.0, -yu, xu, 0.0, -x, -y, 0.0))
+        return (x, y, sa*u + ca*v, xu, yu, sa, -y, x, ca,
+                x, y, 0.0, -yu, xu, 0.0, -x, -y, 0.0)
 
     patch = SurfacePatch([(-3.0, 3.0), (-7.0, 7.0)],
                          name=f"helcat[{alpha_h:.6g}]", jet_fn=jet)
@@ -163,9 +162,9 @@ def make_torus(R: float, r: float) -> CatalogEntry:
         fu, fv = _lib(u), _lib(v)
         cu, su, cv, sv = fu.cos(u), fu.sin(u), fv.cos(v), fv.sin(v)
         rho, rc, rs = R + r*cv, r*cv, r*sv
-        return _pack(u, v, (rho*cu, rho*su, rs, -rho*su, rho*cu, 0.0,
-                            -rs*cu, -rs*su, rc, -rho*cu, -rho*su, 0.0,
-                            rs*su, -rs*cu, 0.0, -rc*cu, -rc*su, -rs))
+        return (rho*cu, rho*su, rs, -rho*su, rho*cu, 0.0,
+                -rs*cu, -rs*su, rc, -rho*cu, -rho*su, 0.0,
+                rs*su, -rs*cu, 0.0, -rc*cu, -rc*su, -rs)
 
     patch = SurfacePatch([(-np.pi, np.pi), (-np.pi, np.pi)],
                          name=f"torus[{R:g},{r:g}]", jet_fn=jet)
@@ -187,9 +186,9 @@ def make_sphere(radius: float = 1.0) -> CatalogEntry:
         fu, fv = _lib(u), _lib(v)
         cu, su, cv, sv = fu.cos(u), fu.sin(u), fv.cos(v), fv.sin(v)
         a, b = rad*cv, rad*sv
-        return _pack(u, v, (a*cu, a*su, b, -a*su, a*cu, 0.0,
-                            -b*cu, -b*su, a, -a*cu, -a*su, 0.0,
-                            b*su, -b*cu, 0.0, -a*cu, -a*su, -b))
+        return (a*cu, a*su, b, -a*su, a*cu, 0.0,
+                -b*cu, -b*su, a, -a*cu, -a*su, 0.0,
+                b*su, -b*cu, 0.0, -a*cu, -a*su, -b)
 
     patch = SurfacePatch([(-np.pi, np.pi), (-1.4, 1.4)], name="sphere",
                          jet_fn=jet)
@@ -242,9 +241,9 @@ def make_tube(curve, radius: float) -> CatalogEntry:
         p, q, pv, qv, pvv = A - radius*cv, rb*sv, radius*sv, rb*cv, radius*cv
         x, y = p*cu + q*su, p*su - q*cu
         xv, yv = pv*cu + qv*su, pv*su - qv*cu
-        return _pack(u, v, (x, y, Bp*u + ra*sv, -y, x, Bp, xv, yv, ra*cv,
-                            -x, -y, 0.0, -yv, xv, 0.0,
-                            pvv*cu - q*su, pvv*su + q*cu, -ra*sv))
+        return (x, y, Bp*u + ra*sv, -y, x, Bp, xv, yv, ra*cv,
+                -x, -y, 0.0, -yv, xv, 0.0,
+                pvv*cu - q*su, pvv*su + q*cu, -ra*sv)
 
     patch = SurfacePatch([(-10.0, 10.0), (-10.0, 10.0)],
                          name=f"tube[{kind},r={radius:g}]", jet_fn=jet)
@@ -273,10 +272,10 @@ def make_graph(poly: Dict[tuple, float], window: float = 1.0) -> CatalogEntry:
         for _ in range(deg):
             pu.append(pu[-1]*u)
             pv.append(pv[-1]*v)
-        z, zu, zv, zuu, zuv, zvv = (sum(cc*pu[i]*pv[j] for cc, i, j in part)
-                                    for part in parts)
-        return _pack(u, v, (u, v, z, 1.0, 0.0, zu, 0.0, 1.0, zv,
-                            0.0, 0.0, zuu, 0.0, 0.0, zuv, 0.0, 0.0, zvv))
+        z, zu, zv, zuu, zuv, zvv = (
+            sum((cc*pu[i]*pv[j] for cc, i, j in part), 0.0) for part in parts)
+        return (u, v, z, 1.0, 0.0, zu, 0.0, 1.0, zv,
+                0.0, 0.0, zuu, 0.0, 0.0, zuv, 0.0, 0.0, zvv)
 
     patch = SurfacePatch([(-window, window), (-window, window)],
                          name="graph", jet_fn=jet)

@@ -423,7 +423,8 @@ def cmd_prescribe(surface_path, out, grid):
             "rms": {k: _fmt(v) for k, v in rep.rms.items()},
             "margin": rep.margin,
             "order": rep.order,
-            "extra": {k: _fmt(v) for k, v in rep.extra.items()},
+            "extra": {k: _fmt(v) for k, v in rep.extra.items()
+                      if k != "realizable"},
             "realizable": bool(rep.extra["realizable"]),
         }
         _write(json.dumps(payload, indent=1, sort_keys=True) + "\n", out)

@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import BoundaryTooClose, DegenerateDenominator, OutOfDomain
 from .surfaces import (Jet, PrincipalData, SurfacePatch, _divisor,
-                       _jet_forms, _sqrt, principal_data,
+                       _jet_forms, _pack, _sqrt, principal_data,
                        principal_directions, shape_data)
 
 __all__ = [
@@ -84,7 +84,7 @@ def principal_data_checked(surface: SurfacePatch, u: float, v: float
                            ) -> PrincipalData:
     """Principal data with umbilic / degenerate-metric checks applied."""
     return principal_data(Jet(u=u, v=v, order=2,
-                              derivs=surface.jet_raw(u, v)))
+                              derivs=_pack(surface.jet_raw(u, v))))
 
 
 # --------------------------------------------------------------------------

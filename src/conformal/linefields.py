@@ -26,6 +26,7 @@ __all__ = [
 ]
 
 _TOL_DUPIN = 1e-6     # |theta1| + |theta2| below this is the Dupin locus
+_THETA_FLOOR = 1e-12  # a |theta_i| below this is roundoff: 0 in the direction
 _MAX_TURN = np.pi/4   # a Dupin direction turning further in one step jumps
 _ANGLE_EPS = 0.02     # a Darboux trace stops this close to alpha = 0, pi/2
 _H_GEN = 1e-4         # step of the genericity derivative at a critical
@@ -38,7 +39,7 @@ class CurveTrace:
     positions: np.ndarray             # (n, 3) ambient samples
     step: float
     closed: bool
-    termination: str                  # ReachedLength | HitBoundary | HitSingularPoint
+    termination: str      # ReachedLength | Closed | HitBoundary | HitSingularPoint
     alpha: Optional[np.ndarray] = None
     sigma: Optional[np.ndarray] = None
     dalpha: Optional[np.ndarray] = None    # d alpha / d sigma at samples
@@ -67,10 +68,12 @@ class CriticalPoint:
 def _dupin_dir(state):
     """Unoriented direction of cbrt(theta2) X1 + cbrt(theta1) X2,
     ambient-unit-normalized, in parameter coordinates, from a
-    :func:`theta_state` tuple."""
+    :func:`theta_state` tuple.  A theta under ``_THETA_FLOOR`` is roundoff
+    (on a canal surface, 1e-15, whose cube root 1e-5 would turn V): 0."""
     t1, t2, X1, X2, S = state
     if abs(t1) + abs(t2) < _TOL_DUPIN:
         raise DupinPoint(f"|theta1|+|theta2| = {abs(t1)+abs(t2):.3e}")
+    t1, t2 = (0.0 if abs(t) < _THETA_FLOOR else t for t in (t1, t2))
     V = np.cbrt(t2)*X1 + np.cbrt(t1)*X2
     Vamb = V[0]*S["ru"] + V[1]*S["rv"]
     return V / np.linalg.norm(Vamb)
@@ -116,9 +119,9 @@ def integrate_dupin_line(surface: SurfacePatch, seed, step: float = 0.01,
                          max_length: float = 10.0) -> CurveTrace:
     """Trace the Dupin line through ``seed`` with ambient-arc-length steps.
 
-    Stops at the domain boundary, on closure, at ``max_length``, or at the
-    Dupin locus (HitSingularPoint).  Transversal crossings of an isolated
-    theta zero pass through: the field direction has a continuous
+    Stops at the domain boundary, on closure (Closed), at ``max_length``,
+    or at the Dupin locus (HitSingularPoint).  Transversal crossings of an
+    isolated theta zero pass through: the field direction has a continuous
     unoriented limit there, so a step whose start sample lies inside the
     tolerance band (|theta1| + |theta2| below ``_TOL_DUPIN``) takes the
     carried direction as its first stage, as its other stages already do
@@ -184,7 +187,7 @@ def integrate_dupin_line(surface: SurfacePatch, seed, step: float = 0.01,
         uv.append(state.copy())
         pos.append(np.asarray(surface.position(*state), dtype=float))
         if length > 4*step and np.linalg.norm(pos[-1] - pos[0]) < 1.5*step:
-            closed = True
+            closed, termination = True, "Closed"
             break
         ts = theta_state(surface, *state)
     return CurveTrace(uv=np.array(uv), positions=np.array(pos), step=step,

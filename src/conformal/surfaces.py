@@ -12,16 +12,18 @@ symbolic work either.  Everything built on top of the jets (curvature
 gradients, invariant fields) lives in other modules and is obtained by
 differencing the pointwise quantities, never by deeper jets.
 
-Between a jet and the curvature scalars the point kernel holds no arrays.
+A jet is flat: its 18 entries, x, y, z of r, r_u, r_v, r_uu, r_uv, r_vv
+(``_JET_IDX`` order), are Python floats (complex at a complex step), so
+between a jet and the curvature scalars the point kernel holds no arrays.
 :func:`_forms` is the one copy of the fundamental-form arithmetic (E, F, G,
-the normal, L, M, N, the shape operator, H, K and mu).  It works on Python
-scalars, one ``tolist`` per 3-vector, real or complex-step alike, with
-``math``/``cmath`` square roots; it is elementwise, so arrays of points go
-through it unchanged.  :func:`shape_data` wraps it in a dict for one real
-point; the complex steps of the curvature gradients read H and mu from it
-directly.  A degenerate metric or a roundoff-negative H^2 - K gives NaN, as
-numpy's arrays did, so :func:`principal_data` still raises
-:class:`DegenerateMetric` or :class:`UmbilicPoint` there.
+the normal, L, M, N, the shape operator, H, K and mu), on those scalars
+with ``math``/``cmath`` square roots, and elementwise on arrays of points.
+:func:`shape_data` wraps it in a dict for one real point; the complex steps
+of the curvature gradients read H and mu from it directly.  A degenerate
+metric or a roundoff-negative H^2 - K gives NaN, as numpy's arrays did, so
+:func:`principal_data` raises :class:`DegenerateMetric` or
+:class:`UmbilicPoint` there.  :func:`eval_jet` packs a jet in the public
+:class:`Jet`, a dict of 3-vectors.
 """
 from __future__ import annotations
 
@@ -74,26 +76,20 @@ def _lib(x):
     return cmath if isinstance(x, complex) else math
 
 
-def _pack(u, v, entries):
-    """The 18 jet entries (x, y, z of r, r_u, r_v, r_uu, r_uv, r_vv) as the
-    six 3-vectors a jet returns, views of one array.  Scalar (u, v),
-    complex steps included, give (3,) vectors; numpy arrays of points give
-    (3, ...) vectors, constant entries broadcast to the points' shape."""
-    if isinstance(u, np.ndarray) or isinstance(v, np.ndarray):
-        out = np.array(np.broadcast_arrays(u, v, *entries)[2:])
-    else:
-        out = np.array(entries, complex if isinstance(u, complex)
-                       or isinstance(v, complex) else float)
-    return [out[0:3], out[3:6], out[6:9], out[9:12], out[12:15], out[15:18]]
+def _pack(jet) -> dict:
+    """A flat scalar jet as the dict of six 3-vectors (views of one array)
+    that :class:`Jet` holds: the public format, built only at that edge."""
+    out = np.array(jet)
+    return {ij: out[k:k + 3] for ij, k in zip(_JET_IDX, range(0, 18, 3))}
 
 
 class SurfacePatch:
     """Evaluable parametric surface r(u, v) with order-2 derivative jets.
 
-    ``jet_fn(u, v)`` returns the partials in ``_JET_IDX`` order, as (3,)
-    arrays: a closed form (see :func:`_lib` and :func:`_pack`), one
-    compiled from sympy, or one pushed through a Mobius map.  It is
-    evaluated on real and complex-step (u, v) alike.
+    ``jet_fn(u, v)`` returns the 18 entries of the flat jet (Python floats,
+    complex at a complex step; at arrays of points, arrays or constants):
+    a closed form (see :func:`_lib`), one compiled from sympy, or one
+    pushed through a Mobius map.
     """
 
     def __init__(self, domain, jet_fn, name="surface"):
@@ -120,7 +116,9 @@ class SurfacePatch:
                 flat = r + ru + rv + [e.diff(s) for d, s in (
                     (ru, us), (ru, vs), (rv, vs)) for e in d]
                 fn = sp.lambdify((us, vs), flat, "numpy")
-            return _pack(u, v, fn(u, v))
+            out, lib = fn(u, v), _lib(u + v)
+            return out if lib is np else [
+                (complex if lib is cmath else float)(e) for e in out]
 
         return cls(domain, name=name, jet_fn=jet)
 
@@ -135,15 +133,14 @@ class SurfacePatch:
                 and v0 + margin <= v <= v1 - margin)
 
     def position(self, u, v) -> np.ndarray:
-        return np.asarray(self._jet_fn(u, v)[0],
-                          dtype=complex if np.iscomplexobj(u)
-                          or np.iscomplexobj(v) else float)
+        return np.array(self._jet_fn(u, v)[:3])
 
     # -- jets --------------------------------------------------------------
-    def jet_raw(self, u, v) -> dict:
-        """Order-2 jet derivatives without domain checks; supports complex
-        (u, v) (used by the complex-step machinery upstream)."""
-        return dict(zip(_JET_IDX, self._jet_fn(u, v)))
+    def jet_raw(self, u, v):
+        """The flat order-2 jet without domain checks, at real or complex
+        (u, v); a numpy scalar coordinate goes in as a Python scalar."""
+        return self._jet_fn(u.item() if isinstance(u, np.generic) else u,
+                            v.item() if isinstance(v, np.generic) else v)
 
 
 def eval_jet(surface: SurfacePatch, u: float, v: float, order: int = 2) -> Jet:
@@ -152,7 +149,7 @@ def eval_jet(surface: SurfacePatch, u: float, v: float, order: int = 2) -> Jet:
         raise OutOfDomain(f"({u}, {v}) outside {surface.domain}")
     if order > _JET_ORDER:
         raise OrderUnavailable(f"order {order} > max_order {_JET_ORDER}")
-    return Jet(u=u, v=v, order=order, derivs=surface.jet_raw(u, v))
+    return Jet(u=u, v=v, order=order, derivs=_pack(surface.jet_raw(u, v)))
 
 
 # --------------------------------------------------------------------------
@@ -205,8 +202,8 @@ def _forms(ru, rv, ruu, ruv, rvv):
     operator w = (w00, w01, w10, w11), row-major in the (r_u, r_v) basis.
 
     This is the one copy of the fundamental-form arithmetic.  It is
-    elementwise: the components may be Python scalars (one ``tolist`` per
-    3-vector, see :func:`_jet_forms`), complex-step scalars (every product
+    elementwise: the components may be Python scalars (slices of a flat
+    jet, see :func:`_jet_forms`), complex-step scalars (every product
     is plain, non-conjugating) or numpy arrays of points.  A degenerate
     metric (g = 0 or |n| = 0) gives NaN, never an exception."""
     (xu, yu, zu), (xv, yv, zv) = ru, rv
@@ -229,24 +226,23 @@ def _forms(ru, rv, ruu, ruv, rvv):
             _sqrt(H*H - K))
 
 
-def _jet_forms(derivs: dict):
-    """:func:`_forms` at one point from its jet dict."""
-    return _forms(derivs[(1, 0)].tolist(), derivs[(0, 1)].tolist(),
-                  derivs[(2, 0)].tolist(), derivs[(1, 1)].tolist(),
-                  derivs[(0, 2)].tolist())
+def _jet_forms(jet):
+    """:func:`_forms` at one point from its flat jet."""
+    return _forms(jet[3:6], jet[6:9], jet[9:12], jet[12:15], jet[15:18])
 
 
-def shape_data(derivs: dict) -> dict:
+def shape_data(jet) -> dict:
     """First/second fundamental forms and shape operator at one point from
-    its order-2 jet derivatives: :func:`_forms` on Python scalars, real or
+    its flat order-2 jet: :func:`_forms` on Python scalars, real or
     complex-step, packed in a dict.  ``W``, ``n``, ``r``, ``ru`` and ``rv``
-    are arrays (``r``, ``ru`` and ``rv`` are the jet's own), ``w`` holds
-    the entries of ``W`` as scalars, and the rest are scalars."""
-    E, F, G, g, n, L, M, N, w, H, K, mu = _jet_forms(derivs)
+    are arrays (the last three views of one), ``w`` holds the entries of
+    ``W`` as scalars, and the rest are scalars."""
+    E, F, G, g, n, L, M, N, w, H, K, mu = _jet_forms(jet)
+    r = np.array(jet[:9])
     return dict(E=E, F=F, G=G, g=g, L=L, M=M, N=N,
                 W=np.array(w).reshape(2, 2), w=w, n=np.array(n),
                 H=H, K=K, mu=mu, k1=H + mu, k2=H - mu,
-                r=derivs[(0, 0)], ru=derivs[(1, 0)], rv=derivs[(0, 1)])
+                r=r[0:3], ru=r[3:6], rv=r[6:9])
 
 
 def principal_directions(S: dict, ref=None):
@@ -299,7 +295,8 @@ def principal_data(jet: Jet, ref=None) -> PrincipalData:
     Raises :class:`UmbilicPoint` or :class:`DegenerateMetric` where
     :func:`_require_frame` does.
     """
-    S = shape_data(jet.derivs)
+    S = shape_data(np.concatenate(
+        [jet.derivs[ij] for ij in _JET_IDX]).tolist())
     _require_frame(S)
     X1, X2 = principal_directions(S, ref)
     X1a = X1[0]*S["ru"] + X1[1]*S["rv"]
@@ -475,13 +472,14 @@ def mobius_transform(surface: SurfacePatch, mmap: MobiusMap) -> SurfacePatch:
 
     The moved patch evaluates the base's order-2 jet and pushes it through
     the map by the chain rule (:meth:`MobiusMap.apply_jet`), with no
-    symbolic work.
+    symbolic work; ``tolist`` keeps the moved entries Python scalars.
     """
     _check_inversion_centers(surface, mmap)
     base = surface._jet_fn
 
     def moved_jet(u, v):
-        return mmap.apply_jet(base(u, v))
+        return np.concatenate(
+            mmap.apply_jet(np.reshape(base(u, v), (6, 3)))).tolist()
 
     return SurfacePatch(surface.domain, name=surface.name + "*",
                         jet_fn=moved_jet)

@@ -4,6 +4,14 @@ import pytest
 from conformal.catalog import make_helcat, make_torus, make_tube
 
 
+def jet_vectors(jet):
+    """The six 3-vectors r, r_u, r_v, r_uu, r_uv, r_vv of a flat jet (18
+    entries, x, y, z of each).  At arrays of points each vector is
+    (3, ...), its constant entries broadcast to the points' shape."""
+    flat = np.array(np.broadcast_arrays(*jet))
+    return [flat[k:k + 3] for k in range(0, 18, 3)]
+
+
 @pytest.fixture(scope="session")
 def helcat_quarter():
     return make_helcat(np.pi/4)

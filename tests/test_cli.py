@@ -236,6 +236,16 @@ def test_prescribe_realizable(runner, specs):
     assert "integrability_4th_const" in payload["max_norm"]
 
 
+def test_prescribe_prints_realizable_once(runner, specs):
+    # the verdict is a top-level boolean; ``extra`` does not repeat it
+    res = runner.invoke(main, ["prescribe", "--surface", specs["helcat0"]])
+    assert res.exit_code == 0
+    assert res.output.count('"realizable"') == 1
+    payload = json.loads(res.output)
+    assert "realizable" not in payload["extra"]
+    assert {"theta_consistency_gap", "tol_real"} <= set(payload["extra"])
+
+
 def test_verify_degenerate_status(runner, specs):
     res = runner.invoke(main, ["verify", "--surface", specs["helcat"],
                                "--seed", "0.8,0.5", "--format", "json"])

@@ -40,6 +40,25 @@ def test_tube_traces_close_on_circles(helical_tube, u, v):
     assert resid < 1e-4
 
 
+@pytest.mark.parametrize("seed", [(0.5, 1.2), (1.5, 2.5), (-2.0, 0.7)])
+def test_tube_traces_fit_their_circles_to_roundoff(helical_tube, seed):
+    # theta1 vanishes identically on the tube and evaluates to roundoff
+    # (-1.4e-15 at (0.5, 1.2)); its cube root (1.1e-5) must not enter the
+    # direction, or the traced circle drifts by about 5e-6 per turn
+    tr = integrate_dupin_line(helical_tube.surface, seed)
+    assert tr.closed
+    _, r, resid = fit_circle(tr.positions)
+    assert resid < 1e-12
+    assert abs(r - 0.35) < 1e-12
+
+
+def test_closing_dupin_trace_reports_closed(helical_tube):
+    # the trace is back at its seed after 2.19 of the 10 allowed
+    tr = integrate_dupin_line(helical_tube.surface, (0.5, 1.2))
+    assert tr.closed and tr.termination == "Closed"
+    assert len(tr) == 220
+
+
 def test_helicoid_dupin_lines_run_along_constant_first_coordinate(helicoid):
     # one curvature field vanishes identically, so the traced direction is
     # the second-coordinate bisector: traces stay on constant first

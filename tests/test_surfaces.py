@@ -3,6 +3,9 @@ import pytest
 import sympy as sp
 from hypothesis import given, settings, strategies as st
 
+from conftest import jet_vectors
+from conformal.catalog import (make_canonical, make_graph, make_helcat,
+                               make_sphere, make_torus, make_tube)
 from conformal.errors import (DegenerateMetric, InversionCenterOnSurface,
                               OrderUnavailable, OutOfDomain, UmbilicPoint)
 from conformal.invariants import _curv_grads, theta_state
@@ -58,13 +61,13 @@ def test_principal_directions_metric_unit(helcat_quarter):
     assert abs(amb1 @ amb2) < 1e-10
 
 
-def _shape_ref(d):
+def _shape_ref(jet):
     """Reference shape data on numpy 3-vectors (np.cross, @)."""
-    ru, rv = d[(1, 0)], d[(0, 1)]
+    _, ru, rv, ruu, ruv, rvv = jet_vectors(jet)
     E, F, G = ru @ ru, ru @ rv, rv @ rv
     nv = np.cross(ru, rv)
     n = nv / np.sqrt(nv @ nv)
-    L, M, N = d[(2, 0)] @ n, d[(1, 1)] @ n, d[(0, 2)] @ n
+    L, M, N = ruu @ n, ruv @ n, rvv @ n
     g = E*G - F*F
     W = np.array([[G*L - F*M, G*M - F*N], [E*M - F*L, E*N - F*M]]) / g
     H = (W[0, 0] + W[1, 1]) / 2
@@ -126,8 +129,8 @@ def test_scalar_kernel_matches_numpy_reference(helcat_quarter, torus,
     for key in want:
         scale = max(np.max(np.abs(np.asarray(want[key]).real)), 1.0)
         _close(got[key], want[key], scale, step is not None)
-    for key in ("r", "ru", "rv"):
-        assert got[key] is d[{"r": (0, 0), "ru": (1, 0), "rv": (0, 1)}[key]]
+    for key, k in (("r", 0), ("ru", 3), ("rv", 6)):
+        assert got[key].tolist() == list(d[k:k + 3])
     assert isinstance(got["W"], np.ndarray) and got["W"].shape == (2, 2)
     assert isinstance(got["n"], np.ndarray) and got["n"].shape == (3,)
     # with a reference frame the signs follow it; without one they follow
@@ -178,36 +181,37 @@ def test_core_is_elementwise(helcat_quarter, torus, helical_tube, which):
                "tube": helical_tube}[which].surface
     us, vs = np.random.default_rng(5).uniform(-2.0, 2.0, (2, 7))
     jets = [surface.jet_raw(u, v) for u, v in zip(us, vs)]
-    batched = _forms(*(np.stack([j[k] for j in jets], axis=-1)
-                       for k in _JET_IDX[1:]))
+    vecs = [jet_vectors(j) for j in jets]
+    batched = _forms(*(np.stack([vs[k] for vs in vecs], axis=-1)
+                       for k in range(1, 6)))
     for k, j in enumerate(jets):
         for got, want in zip(batched, _jet_forms(j)):
             assert np.array_equal(np.asarray(got)[..., k], want)
 
 
-def _vectors(*rows):
-    return [np.array(r) for r in rows]
+def _flat(*rows):
+    return [x for r in rows for x in r]
 
 
 def _parallel_jet(u, v):
     # r = (u + 2v, u^2/2, 0): r_v = 2 r_u everywhere
     z = 0*(u + v)
-    return _vectors((u + 2*v, u*u/2, z), (1 + z, u, z), (2 + z, 2*u, z),
-                    (z, 1 + z, z), (z, z, z), (z, z, z))
+    return _flat((u + 2*v, u*u/2, z), (1 + z, u, z), (2 + z, 2*u, z),
+                 (z, 1 + z, z), (z, z, z), (z, z, z))
 
 
 def _still_jet(u, v):
     # r = (v, v^2, 0): r_u = 0 everywhere
     z = 0*(u + v)
-    return _vectors((v, v*v, z), (z, z, z), (1 + z, 2*v, z), (z, z, z),
-                    (z, z, z), (z, 2 + z, z))
+    return _flat((v, v*v, z), (z, z, z), (1 + z, 2*v, z), (z, z, z),
+                 (z, z, z), (z, 2 + z, z))
 
 
 def _umbilic_jet(u, v):
     # the paraboloid z = (u^2 + v^2)/2, umbilic at the origin
     z = 0*(u + v)
-    return _vectors((u, v, (u*u + v*v)/2), (1 + z, z, u), (z, 1 + z, v),
-                    (z, z, 1 + z), (z, z, z), (z, z, 1 + z))
+    return _flat((u, v, (u*u + v*v)/2), (1 + z, z, u), (z, 1 + z, v),
+                 (z, z, 1 + z), (z, z, z), (z, z, 1 + z))
 
 
 @pytest.mark.parametrize("jet_fn,error", [
@@ -225,7 +229,8 @@ def test_degenerate_jets_raise_typed_errors(jet_fn, error, step):
     u = 1j*_H_STEP if step == "u" else 0.0
     v = 1j*_H_STEP if step == "v" else 0.0
     with pytest.raises(error):
-        principal_data(Jet(u=u, v=v, order=2, derivs=patch.jet_raw(u, v)))
+        principal_data(Jet(u=u, v=v, order=2, derivs=dict(
+            zip(_JET_IDX, jet_vectors(patch.jet_raw(u, v))))))
     S = shape_data(patch.jet_raw(u, v))
     principal_directions(S)
     if step is None:
@@ -306,13 +311,12 @@ def test_moved_jets_match_sympy_recompile(kind):
         for du, dv in [(0.0, 0.0), (1j*h, 0.0), (0.0, 1j*h)]:
             got = moved.jet_raw(u + du, v + dv)
             want = ref.jet_raw(u + du, v + dv)
-            assert got.keys() == want.keys()
-            for key in want:
-                scale = max(np.max(np.abs(want[key])), 1.0)
-                assert np.allclose(got[key].real, want[key].real,
-                                   rtol=0, atol=1e-12*scale)
-                assert np.allclose(got[key].imag/h, want[key].imag/h,
-                                   rtol=0, atol=1e-10*scale)
+            assert len(got) == len(want)
+            for g, w in zip(jet_vectors(got), jet_vectors(want)):
+                scale = max(np.max(np.abs(w)), 1.0)
+                assert np.allclose(g.real, w.real, rtol=0, atol=1e-12*scale)
+                assert np.allclose(g.imag/h, w.imag/h, rtol=0,
+                                   atol=1e-10*scale)
 
 
 def test_mobius_transform_moves_positions(torus):
@@ -362,7 +366,49 @@ def test_moved_patch_compiles_its_base_once(monkeypatch, mmap):
     assert calls == []
     moved = mobius_transform(base, mmap)
     for _ in range(3):
-        got = moved.jet_raw(0.3, 0.2)
-        want = mmap.apply_jet(list(base.jet_raw(0.3, 0.2).values()))
-        assert all(np.array_equal(got[ij], w) for ij, w in zip(got, want))
+        got = jet_vectors(moved.jet_raw(0.3, 0.2))
+        want = mmap.apply_jet(jet_vectors(base.jet_raw(0.3, 0.2)))
+        assert all(np.array_equal(g, w) for g, w in zip(got, want))
     assert len(calls) == 1
+
+
+_TORUS = make_torus(2.0, 1.0).surface
+_SCALAR_PATCHES = {
+    "helcat": lambda: make_helcat(np.pi/4).surface,
+    "torus": lambda: _TORUS,
+    "sphere": lambda: make_sphere(1.5).surface,
+    "tube-circle": lambda: make_tube(("circle", 2.0), 0.5).surface,
+    "tube-helix": lambda: make_tube(("helix", 2.0, 0.5), 0.35).surface,
+    "graph": lambda: make_graph({(0, 0): 1.0, (2, 0): 0.5,
+                                 (1, 2): -1.0}).surface,
+    "canonical": lambda: make_canonical(1.0, 2.0, 0.0, 3.5, 0.25, -0.5,
+                                        -3.25).surface,
+    "sympy": lambda: _sphere(2.0),
+    "moved-similarity": lambda: mobius_transform(_TORUS, MobiusMap.dilation(
+        2.0).then(MobiusMap.translation([0.5, 0.0, 0.0]))),
+    "moved-inversion": lambda: mobius_transform(_TORUS, MobiusMap.translation(
+        [0.0, 0.0, 5.0]).then(MobiusMap.inversion())),
+}
+
+
+@pytest.mark.parametrize("which", list(_SCALAR_PATCHES))
+def test_jets_are_python_scalars(which):
+    # the jet reaches the scalar core as 18 Python numbers, never numpy
+    # scalars (whose complex square root differs from cmath's in the last
+    # bits), also where the point's coordinates are numpy scalars
+    surface = _SCALAR_PATCHES[which]()
+    h = 1e-20
+    for u, v in [(0.3, 0.2), (np.float64(-0.25), np.float64(0.35))]:
+        jet = surface.jet_raw(u, v)
+        assert len(jet) == 18
+        assert all(type(x) is float for x in jet)
+        # the public Jet holds the same entries, bit for bit
+        derivs = eval_jet(surface, u, v).derivs
+        assert list(derivs) == _JET_IDX
+        assert (np.concatenate([derivs[ij] for ij in _JET_IDX]).tobytes()
+                == np.array(jet, dtype=float).tobytes())
+        for du, dv in [(1j*h, 0.0), (0.0, 1j*h)]:
+            jet = surface.jet_raw(u + du, v + dv)
+            assert len(jet) == 18
+            kinds = {type(x) for x in jet}
+            assert complex in kinds and kinds <= {float, complex}
