@@ -311,7 +311,7 @@ def make_canonical(theta1: float, theta2: float, psi: float, a: float,
 # isothermic test
 # --------------------------------------------------------------------------
 def _unit_dirs(surface: SurfacePatch, u: float, v: float, ref=None):
-    pd = principal_data(eval_jet(surface, u, v, 2), ref=ref)
+    pd = principal_data(eval_jet(surface, u, v), ref=ref)
     return np.array([pd.X1, pd.X2])
 
 

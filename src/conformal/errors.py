@@ -14,10 +14,6 @@ class OutOfDomain(ToolkitError):
     """Requested parameter point lies outside the patch domain."""
 
 
-class OrderUnavailable(ToolkitError):
-    """Requested jet order exceeds what the surface can provide."""
-
-
 class UmbilicPoint(ToolkitError):
     """Principal curvatures coincide; the conformal machinery is undefined."""
 

@@ -17,9 +17,9 @@ from typing import Optional
 import numpy as np
 
 from .errors import BoundaryTooClose, DegenerateDenominator, OutOfDomain
-from .surfaces import (Jet, PrincipalData, SurfacePatch, _divisor,
-                       _jet_forms, _pack, _sqrt, principal_data,
-                       principal_directions, shape_data)
+from .surfaces import (PrincipalData, SurfacePatch, _divisor, _jet_forms,
+                       _sqrt, principal_data, principal_directions,
+                       shape_data)
 
 __all__ = [
     "InvariantSample", "psi_invariant", "fourth_order_coeffs",
@@ -78,13 +78,6 @@ def theta_state(surface: SurfacePatch, u: float, v: float, ref=None):
     mu2 = _divisor(S["mu"]*S["mu"])
     (a1, b1), (a2, b2) = X1.tolist(), X2.tolist()
     return (a1*k1u + b1*k1v) / mu2, (a2*k2u + b2*k2v) / mu2, X1, X2, S
-
-
-def principal_data_checked(surface: SurfacePatch, u: float, v: float
-                           ) -> PrincipalData:
-    """Principal data with umbilic / degenerate-metric checks applied."""
-    return principal_data(Jet(u=u, v=v, order=2,
-                              derivs=_pack(surface.jet_raw(u, v))))
 
 
 # --------------------------------------------------------------------------
@@ -174,7 +167,7 @@ def _psi(surface: SurfacePatch, u: float, v: float, derivs) -> float:
 def psi_invariant(surface: SurfacePatch, u: float, v: float) -> float:
     """Third conformal invariant (see :func:`_psi`); the combination is
     Mobius-invariant, while its mean-curvature part alone is not."""
-    principal_data_checked(surface, u, v)
+    principal_data(surface.jet_raw(u, v))
     _require_margin(surface, u, v, 2*_H_FLD)
     return _psi(surface, u, v, xi_theta_derivs(surface, u, v))
 
@@ -219,7 +212,7 @@ def invariant_sample(surface: SurfacePatch, u: float, v: float,
                      tol_canal: float = _TOL_CANAL, with_coeffs: bool = True
                      ) -> InvariantSample:
     """Assemble the full pointwise package (thetas, psi, a..d, class)."""
-    pd = principal_data_checked(surface, u, v)
+    pd = principal_data(surface.jet_raw(u, v))
     derivs = xi_theta_derivs(surface, u, v)
     _, t1, t2, X1, X2, S = derivs
     psi = a = b = c = d = None

@@ -9,6 +9,7 @@ alongside the position samples.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import List, Optional
 
@@ -65,27 +66,38 @@ class CriticalPoint:
 # --------------------------------------------------------------------------
 # Dupin field
 # --------------------------------------------------------------------------
+def _floor_thetas(t1, t2):
+    """(theta1, theta2) with a value under ``_THETA_FLOOR`` (roundoff: on a
+    canal surface, 1e-15, whose cube root 1e-5 would turn the Dupin
+    direction) set to 0."""
+    return tuple(0.0 if abs(t) < _THETA_FLOOR else t for t in (t1, t2))
+
+
 def _dupin_dir(state):
-    """Unoriented direction of cbrt(theta2) X1 + cbrt(theta1) X2,
-    ambient-unit-normalized, in parameter coordinates, from a
-    :func:`theta_state` tuple.  A theta under ``_THETA_FLOOR`` is roundoff
-    (on a canal surface, 1e-15, whose cube root 1e-5 would turn V): 0."""
-    t1, t2, X1, X2, S = state
+    """Unoriented direction of cbrt(theta2) X1 + cbrt(theta1) X2 (thetas
+    floored by :func:`_floor_thetas`), ambient-unit-normalized, in parameter
+    coordinates, from a :func:`theta_state` tuple.  X1 and X2 are
+    orthonormal in the first fundamental form, so the ambient length of
+    c2 X1 + c1 X2 is hypot(c1, c2)."""
+    t1, t2, X1, X2, _ = state
     if abs(t1) + abs(t2) < _TOL_DUPIN:
         raise DupinPoint(f"|theta1|+|theta2| = {abs(t1)+abs(t2):.3e}")
-    t1, t2 = (0.0 if abs(t) < _THETA_FLOOR else t for t in (t1, t2))
-    V = np.cbrt(t2)*X1 + np.cbrt(t1)*X2
-    Vamb = V[0]*S["ru"] + V[1]*S["rv"]
-    return V / np.linalg.norm(Vamb)
+    c1, c2 = (np.cbrt(t) for t in _floor_thetas(t1, t2))
+    return (c2*X1 + c1*X2) / math.hypot(c1, c2)
 
 
 def _turn(d, carried, S):
     """Unoriented ambient angle between parameter directions ``d`` and
-    ``carried`` at the point of shape dict ``S``."""
-    a = d[0]*S["ru"] + d[1]*S["rv"]
-    b = carried[0]*S["ru"] + carried[1]*S["rv"]
-    cos = abs(a @ b)/(np.linalg.norm(a)*np.linalg.norm(b))
-    return float(np.arccos(min(cos, 1.0)))
+    ``carried`` at the point of shape dict ``S``, with the inner product
+    of the first fundamental form (E, F, G)."""
+    E, F, G = S["E"], S["F"], S["G"]
+
+    def form(p, q):
+        return E*p[0]*q[0] + F*(p[0]*q[1] + p[1]*q[0]) + G*p[1]*q[1]
+
+    a, b = d.tolist(), carried.tolist()
+    cos = abs(form(a, b)) / math.sqrt(form(a, a)*form(b, b))
+    return math.acos(min(cos, 1.0))
 
 
 # --------------------------------------------------------------------------
@@ -213,7 +225,10 @@ def integrate_darboux_line(surface: SurfacePatch, seed, alpha0: float,
     ``orient=-1`` traverses the same Darboux line in the opposite direction.
     Raises ValueError unless ``step`` and ``max_length`` are finite and
     positive and ``orient`` is 1 or -1, OutOfDomain for a seed outside the
-    domain, and UmbilicPoint at an umbilic seed.
+    domain, UmbilicPoint at an umbilic seed, and AngleDegenerate where
+    |sin(alpha0) cos(alpha0)| < 1e-12: there the rate is singular, or 0/0
+    where the right side vanishes too (on a canal surface, whose Dupin
+    angle is 0).
     """
     _check_trace_args(step, max_length)
     if orient not in (1, -1):
@@ -221,12 +236,8 @@ def integrate_darboux_line(surface: SurfacePatch, seed, alpha0: float,
     u0, v0 = seed
     ts = _seed_state(surface, u0, v0)
     if abs(np.sin(alpha0)*np.cos(alpha0)) < 1e-12:
-        t1, t2, *_ = ts
-        num = t1*np.cos(alpha0)**3 + t2*np.sin(alpha0)**3
-        if abs(num) > 1e-12:
-            raise AngleDegenerate(
-                "alpha0 at a degeneracy of the angle equation with nonzero "
-                "right side")
+        raise AngleDegenerate(
+            f"alpha0 = {alpha0!r} at a degeneracy of the angle equation")
     ref_holder = {"ref": None}
 
     def rhs(state, ts=None):
@@ -287,12 +298,14 @@ def integrate_darboux_line(surface: SurfacePatch, seed, alpha0: float,
 def dupin_angle(surface: SurfacePatch, seed) -> float:
     """Angle alpha of the Dupin direction cbrt(theta2) X1 + cbrt(theta1) X2
     against X1 at ``seed``, tan(alpha) = cbrt(theta1/theta2), in
-    [-pi/2, pi/2]: the default start angle of a Darboux line.  Raises
+    [-pi/2, pi/2]: the default start angle of a Darboux line, on thetas
+    floored as in :func:`_dupin_dir`.  Raises
     UmbilicPoint at an umbilic seed and SeedIsDupinPoint where both thetas
     vanish, so the direction is undefined."""
     t1, t2, *_ = _seed_state(surface, *seed)
     if abs(t1) + abs(t2) < _TOL_DUPIN:
         raise SeedIsDupinPoint(f"|theta1|+|theta2| = {abs(t1)+abs(t2):.3e}")
+    t1, t2 = _floor_thetas(t1, t2)
     # numpy's division: theta2 = 0 gives an infinite slope, not an error
     return float(-np.arctan(np.cbrt(np.divide(-t1, t2))))
 

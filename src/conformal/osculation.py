@@ -26,11 +26,11 @@ import numpy as np
 from .errors import CanalPoint, DupinPoint, FitUnstable
 from .invariants import (_H_FLD, _theta_param_grads, _unit_theta_derivs,
                          psi_invariant, theta_state)
-from .surfaces import PrincipalData, SurfacePatch
+from .surfaces import SurfacePatch
 
 __all__ = [
     "CyclideContact", "CanonicalProfile", "profile_coeffs",
-    "dupin_direction", "limit_direction_ratio", "osculating_cyclide",
+    "limit_direction_ratio", "osculating_cyclide",
     "canonical_profile", "cyclide_profile", "verify_contact_order",
     "contact_order_details", "normal_form_jet", "normal_form_monomials",
     "cyclide_monomials", "osculating_psi_c",
@@ -110,32 +110,6 @@ def limit_direction_ratio(surface: SurfacePatch, u: float, v: float
 # --------------------------------------------------------------------------
 # direction and cyclide
 # --------------------------------------------------------------------------
-def dupin_direction(theta1: float, theta2: float, pd: PrincipalData):
-    """Distinguished tangency direction.
-
-    Returns (t, alpha, direction) with t = cbrt(theta1/theta2) using the
-    real sign-preserving cube root, alpha = arctan|t| in [0, pi/2), and the
-    unoriented parameter-plane direction cos(alpha) X1 + sin(alpha) sign(t) X2.
-    When theta2 is below tolerance but theta1 is not, the index roles swap
-    and the direction is reported relative to X2.  When both vanish,
-    DupinPoint is raised (:func:`osculating_cyclide` takes the transversal
-    limit there).
-    """
-    scale = max(abs(theta1), abs(theta2))
-    if scale < _TOL_THETA:
-        raise DupinPoint("both conformal principal curvatures vanish")
-    if abs(theta2) < _TOL_THETA * scale:
-        # swapped roles: parameter is cbrt(theta2/theta1) relative to X2
-        t = np.cbrt(theta2 / theta1)
-        alpha = np.arctan(abs(t))
-        direction = np.cos(alpha)*pd.X2 + np.sin(alpha)*np.sign(t)*pd.X1
-        return t, alpha, direction
-    t = np.cbrt(theta1 / theta2)
-    alpha = np.arctan(abs(t))
-    direction = np.cos(alpha)*pd.X1 + np.sin(alpha)*np.sign(t)*pd.X2
-    return t, alpha, direction
-
-
 def _contact_direction(theta1, theta2) -> float:
     """t = cbrt(theta1/theta2); CanalPoint where one theta vanishes."""
     if min(abs(theta1), abs(theta2)) < _TOL_THETA * max(abs(theta1),

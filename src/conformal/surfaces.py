@@ -12,18 +12,19 @@ symbolic work either.  Everything built on top of the jets (curvature
 gradients, invariant fields) lives in other modules and is obtained by
 differencing the pointwise quantities, never by deeper jets.
 
-A jet is flat: its 18 entries, x, y, z of r, r_u, r_v, r_uu, r_uv, r_vv
-(``_JET_IDX`` order), are Python floats (complex at a complex step), so
-between a jet and the curvature scalars the point kernel holds no arrays.
-:func:`_forms` is the one copy of the fundamental-form arithmetic (E, F, G,
-the normal, L, M, N, the shape operator, H, K and mu), on those scalars
-with ``math``/``cmath`` square roots, and elementwise on arrays of points.
-:func:`shape_data` wraps it in a dict for one real point; the complex steps
-of the curvature gradients read H and mu from it directly.  A degenerate
-metric or a roundoff-negative H^2 - K gives NaN, as numpy's arrays did, so
+A jet is flat, the one jet format: its 18 entries, x, y, z of r, r_u,
+r_v, r_uu, r_uv, r_vv (``_JET_IDX`` order), are Python floats (complex at
+a complex step), so between a jet and the curvature scalars the point
+kernel holds no arrays.  :func:`_forms` is the one copy of the
+fundamental-form arithmetic (E, F, G, the normal, L, M, N, the shape
+operator, H, K and mu), on those scalars with ``math``/``cmath`` square
+roots, and elementwise on arrays of points.  :func:`shape_data` wraps its
+scalars in a dict for one real point; the complex steps of the curvature
+gradients read H and mu from it directly.  A degenerate metric or a
+roundoff-negative H^2 - K gives NaN, as numpy's arrays did, so
 :func:`principal_data` raises :class:`DegenerateMetric` or
-:class:`UmbilicPoint` there.  :func:`eval_jet` packs a jet in the public
-:class:`Jet`, a dict of 3-vectors.
+:class:`UmbilicPoint` there.  :func:`eval_jet` is :meth:`SurfacePatch.jet_raw`
+with a domain check.
 """
 from __future__ import annotations
 
@@ -33,11 +34,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (DegenerateMetric, InversionCenterOnSurface, OrderUnavailable,
-                     OutOfDomain, UmbilicPoint)
+from .errors import (DegenerateMetric, InversionCenterOnSurface, OutOfDomain,
+                     UmbilicPoint)
 
 __all__ = [
-    "SurfacePatch", "Jet", "PrincipalData", "MobiusMap",
+    "SurfacePatch", "PrincipalData", "MobiusMap",
     "eval_jet", "principal_data", "mobius_transform",
 ]
 
@@ -48,22 +49,6 @@ _NAN = float("nan")
 # --------------------------------------------------------------------------
 # jets
 # --------------------------------------------------------------------------
-@dataclass(frozen=True)
-class Jet:
-    """Partial derivatives of the position map at one parameter point.
-
-    ``derivs[(i, j)]`` is the 3-vector d^(i+j) r / du^i dv^j for i + j <= order.
-    """
-    u: float
-    v: float
-    order: int
-    derivs: dict
-
-    def d(self, i: int, j: int) -> np.ndarray:
-        return self.derivs[(i, j)]
-
-
-_JET_ORDER = 2
 _JET_IDX = [(0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2)]
 
 
@@ -74,13 +59,6 @@ def _lib(x):
     if isinstance(x, np.ndarray):
         return np
     return cmath if isinstance(x, complex) else math
-
-
-def _pack(jet) -> dict:
-    """A flat scalar jet as the dict of six 3-vectors (views of one array)
-    that :class:`Jet` holds: the public format, built only at that edge."""
-    out = np.array(jet)
-    return {ij: out[k:k + 3] for ij, k in zip(_JET_IDX, range(0, 18, 3))}
 
 
 class SurfacePatch:
@@ -123,10 +101,6 @@ class SurfacePatch:
         return cls(domain, name=name, jet_fn=jet)
 
     # -- basic queries -----------------------------------------------------
-    @property
-    def max_order(self) -> int:
-        return _JET_ORDER
-
     def contains(self, u, v, margin=0.0):
         (u0, u1), (v0, v1) = self.domain
         return (u0 + margin <= u <= u1 - margin
@@ -143,13 +117,11 @@ class SurfacePatch:
                             v.item() if isinstance(v, np.generic) else v)
 
 
-def eval_jet(surface: SurfacePatch, u: float, v: float, order: int = 2) -> Jet:
-    """Evaluate the derivative jet of ``surface`` at an interior point."""
+def eval_jet(surface: SurfacePatch, u: float, v: float):
+    """The flat order-2 jet of ``surface`` at an interior point."""
     if not surface.contains(u, v):
         raise OutOfDomain(f"({u}, {v}) outside {surface.domain}")
-    if order > _JET_ORDER:
-        raise OrderUnavailable(f"order {order} > max_order {_JET_ORDER}")
-    return Jet(u=u, v=v, order=order, derivs=_pack(surface.jet_raw(u, v)))
+    return surface.jet_raw(u, v)
 
 
 # --------------------------------------------------------------------------
@@ -165,16 +137,6 @@ class PrincipalData:
     mu: float
     X1: np.ndarray       # parameter coordinates, metric-unit
     X2: np.ndarray
-    X1_amb: np.ndarray   # ambient 3-vectors, unit
-    X2_amb: np.ndarray
-    normal: np.ndarray
-    E: float
-    F: float
-    G: float
-    W: np.ndarray        # shape operator in the (ru, rv) basis
-    r: np.ndarray
-    ru: np.ndarray
-    rv: np.ndarray
 
 
 def _sqrt(x):
@@ -234,15 +196,11 @@ def _jet_forms(jet):
 def shape_data(jet) -> dict:
     """First/second fundamental forms and shape operator at one point from
     its flat order-2 jet: :func:`_forms` on Python scalars, real or
-    complex-step, packed in a dict.  ``W``, ``n``, ``r``, ``ru`` and ``rv``
-    are arrays (the last three views of one), ``w`` holds the entries of
-    ``W`` as scalars, and the rest are scalars."""
-    E, F, G, g, n, L, M, N, w, H, K, mu = _jet_forms(jet)
-    r = np.array(jet[:9])
-    return dict(E=E, F=F, G=G, g=g, L=L, M=M, N=N,
-                W=np.array(w).reshape(2, 2), w=w, n=np.array(n),
-                H=H, K=K, mu=mu, k1=H + mu, k2=H - mu,
-                r=r[0:3], ru=r[3:6], rv=r[6:9])
+    complex-step, in a dict of scalars; ``w`` holds the shape operator's
+    entries (w00, w01, w10, w11)."""
+    E, F, G, g, _, L, M, N, w, H, K, mu = _jet_forms(jet)
+    return dict(E=E, F=F, G=G, g=g, L=L, M=M, N=N, w=w,
+                H=H, K=K, mu=mu, k1=H + mu, k2=H - mu)
 
 
 def principal_directions(S: dict, ref=None):
@@ -289,22 +247,19 @@ def _require_frame(S: dict) -> None:
         raise UmbilicPoint(f"k1 = {S['k1']!r}, k2 = {S['k2']!r}")
 
 
-def principal_data(jet: Jet, ref=None) -> PrincipalData:
-    """Eigen-decomposition of the shape operator at a jet point.
+def principal_data(jet, ref=None) -> PrincipalData:
+    """Curvatures and principal directions at a point from its flat jet,
+    with the directions' signs set as :func:`principal_directions` sets
+    them.
 
     Raises :class:`UmbilicPoint` or :class:`DegenerateMetric` where
     :func:`_require_frame` does.
     """
-    S = shape_data(np.concatenate(
-        [jet.derivs[ij] for ij in _JET_IDX]).tolist())
+    S = shape_data(jet)
     _require_frame(S)
     X1, X2 = principal_directions(S, ref)
-    X1a = X1[0]*S["ru"] + X1[1]*S["rv"]
-    X2a = X2[0]*S["ru"] + X2[1]*S["rv"]
-    return PrincipalData(k1=S["k1"], k2=S["k2"], H=S["H"], K=S["K"], mu=S["mu"],
-                         X1=X1, X2=X2, X1_amb=X1a, X2_amb=X2a, normal=S["n"],
-                         E=S["E"], F=S["F"], G=S["G"], W=S["W"],
-                         r=S["r"], ru=S["ru"], rv=S["rv"])
+    return PrincipalData(k1=S["k1"], k2=S["k2"], H=S["H"], K=S["K"],
+                         mu=S["mu"], X1=X1, X2=X2)
 
 
 # --------------------------------------------------------------------------

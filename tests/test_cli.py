@@ -445,6 +445,19 @@ def test_seed_outside_domain_is_out_of_domain(runner, specs, command):
         "OutOfDomain"
 
 
+@pytest.mark.parametrize("alpha0", [[], ["--alpha0", "0"]],
+                         ids=["dupin-angle", "alpha0-zero"])
+def test_darboux_on_canal_tube_exits_3(runner, specs, alpha0):
+    # theta1 vanishes on the tube, so its Dupin angle is exactly 0, where
+    # the angle equation is 0/0: no trace starts there
+    res = runner.invoke(main, ["darboux", "--surface", specs["tube"],
+                               "--seed", "0.5,1.2", "--max-length", "1",
+                               *alpha0])
+    assert res.exit_code == 3
+    assert json.loads(res.output.strip().splitlines()[-1])["error"] == \
+        "AngleDegenerate"
+
+
 @pytest.mark.parametrize("command,spec,seed,error", [
     ("dupin-lines", "sphere", "0.3,0.2", "UmbilicPoint"),
     ("darboux", "sphere", "0.3,0.2", "UmbilicPoint"),

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
+from conftest import jet_vectors
 from conformal import linefields
-from conformal.errors import SeedIsDupinPoint
+from conformal.errors import AngleDegenerate, DupinPoint, SeedIsDupinPoint
 from conformal.invariants import theta_state
 from conformal.linefields import (darboux_critical_points, fit_circle,
                                   integrate_darboux_line,
@@ -50,6 +51,17 @@ def test_tube_traces_fit_their_circles_to_roundoff(helical_tube, seed):
     _, r, resid = fit_circle(tr.positions)
     assert resid < 1e-12
     assert abs(r - 0.35) < 1e-12
+
+
+@pytest.mark.parametrize("seed", [(0.5, 1.2), (1.5, 2.5), (-2.0, 0.7)])
+def test_tube_dupin_angle_is_zero_and_degenerate(helical_tube, seed):
+    # the roundoff theta1 (-1.4e-15 at (0.5, 1.2)) is floored as in the
+    # Dupin direction, so the angle is 0, where the angle equation is 0/0
+    s = helical_tube.surface
+    a0 = linefields.dupin_angle(s, seed)
+    assert a0 == 0.0
+    with pytest.raises(AngleDegenerate):
+        integrate_darboux_line(s, seed, a0)
 
 
 def test_closing_dupin_trace_reports_closed(helical_tube):
@@ -139,6 +151,38 @@ def test_dupin_trace_stop_rule(monkeypatch, helical_tube, edits, stop):
     else:
         assert tr.termination == "HitSingularPoint"
         assert len(tr) == stop + 1
+
+
+@settings(max_examples=100, derandomize=True, database=None, deadline=None)
+@given(st.sampled_from(["helcat", "tube"]), st.floats(0.02, 0.98),
+       st.floats(0.02, 0.98), st.floats(0.01, np.pi/2))
+def test_dupin_dir_and_turn_match_ambient_vectors(helcat_quarter,
+                                                  helical_tube, which, fu,
+                                                  fv, phi):
+    # the tracer measures in the first fundamental form; the reference
+    # builds the ambient vectors d_u r_u + d_v r_v from the jet
+    surface = {"helcat": helcat_quarter, "tube": helical_tube}[which].surface
+    (u0, u1), (v0, v1) = surface.domain
+    u, v = u0 + fu*(u1 - u0), v0 + fv*(v1 - v0)
+    ts = theta_state(surface, u, v)
+    try:
+        d = linefields._dupin_dir(ts)
+    except DupinPoint:
+        assume(False)
+    _, ru, rv, *_ = jet_vectors(surface.jet_raw(u, v))
+
+    def amb(p):
+        return p[0]*ru + p[1]*rv
+
+    assert abs(np.linalg.norm(amb(d)) - 1.0) < 1e-12
+    # d turned by phi in the tangent plane: X1 and X2 are orthonormal, and
+    # d = p X1 + q X2 with p^2 + q^2 = 1
+    X1, X2 = ts[2], ts[3]
+    p, q = np.linalg.solve(np.column_stack([X1, X2]), d)
+    carried = np.cos(phi)*d + np.sin(phi)*(-q*X1 + p*X2)
+    a, b = amb(d), amb(carried)
+    want = np.arccos(abs(a @ b)/(np.linalg.norm(a)*np.linalg.norm(b)))
+    assert abs(linefields._turn(d, carried, ts[4]) - want) < 1e-12
 
 
 def test_seed_on_degenerate_locus_rejected(helcat_quarter):

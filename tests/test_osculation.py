@@ -7,9 +7,9 @@ from conformal.errors import CanalPoint
 from conformal.intersect import difference_coeffs
 from conformal.osculation import (canonical_profile, contact_order_details,
                                   cyclide_monomials, cyclide_profile,
-                                  dupin_direction, limit_direction_ratio,
-                                  osculating_cyclide, osculating_psi_c,
-                                  profile_coeffs, verify_contact_order)
+                                  limit_direction_ratio, osculating_cyclide,
+                                  osculating_psi_c, profile_coeffs,
+                                  verify_contact_order)
 
 _TABLE_SPOT = [
     (np.pi/6, 1.0, 5.84),
@@ -78,17 +78,6 @@ def test_profile_coeffs_frame_insensitive(helcat_quarter):
     # theta ratio equals the constant of the family
     kap = np.cos(np.pi/4)/(1.0 + np.sin(np.pi/4))
     assert abs(abs(t1/t2) - kap) < 1e-9
-
-
-def test_dupin_direction_swaps_when_second_field_vanishes():
-    from conformal.surfaces import eval_jet, principal_data
-    from conformal.catalog import make_helcat
-    s = make_helcat(np.pi/4).surface
-    pd = principal_data(eval_jet(s, 0.9, 0.4, 2))
-    t, alpha, direction = dupin_direction(0.5, 1e-12, pd)
-    # swapped role: parameter is relative to the second axis
-    assert abs(t) < 1e-3
-    assert np.isfinite(direction).all()
 
 
 def _on_line(mono, t):

@@ -7,11 +7,10 @@ from conftest import jet_vectors
 from conformal.catalog import (make_canonical, make_graph, make_helcat,
                                make_sphere, make_torus, make_tube)
 from conformal.errors import (DegenerateMetric, InversionCenterOnSurface,
-                              OrderUnavailable, OutOfDomain, UmbilicPoint)
+                              OutOfDomain, UmbilicPoint)
 from conformal.invariants import _curv_grads, theta_state
-from conformal.surfaces import (_JET_IDX, Jet, MobiusMap, SurfacePatch,
-                                _forms, _jet_forms, eval_jet,
-                                mobius_transform, principal_data,
+from conformal.surfaces import (MobiusMap, SurfacePatch, _forms, _jet_forms,
+                                eval_jet, mobius_transform, principal_data,
                                 principal_directions, shape_data)
 
 
@@ -24,18 +23,16 @@ def _sphere(radius=1.0):
                                    [(-np.pi, np.pi), (-1.4, 1.4)])
 
 
-def test_jet_domain_and_order_checks(helcat_quarter):
+def test_jet_domain_check(helcat_quarter):
     s = helcat_quarter.surface
     with pytest.raises(OutOfDomain):
-        eval_jet(s, 100.0, 0.0, 2)
-    with pytest.raises(OrderUnavailable):
-        eval_jet(s, 0.5, 0.3, s.max_order + 1)
+        eval_jet(s, 100.0, 0.0)
 
 
 def test_torus_principal_curvatures(torus):
     R, r = 2.0, 1.0
     for (u, v) in [(0.3, 0.5), (1.0, 2.0), (-1.2, -0.7)]:
-        pd = principal_data(eval_jet(torus.surface, u, v, 2))
+        pd = principal_data(eval_jet(torus.surface, u, v))
         want = sorted([1.0/r, np.cos(v)/(R + r*np.cos(v))],
                       key=abs)
         got = sorted([pd.k1, pd.k2], key=abs)
@@ -46,13 +43,13 @@ def test_torus_principal_curvatures(torus):
 def test_sphere_is_umbilic():
     s = _sphere(2.0)
     with pytest.raises(UmbilicPoint):
-        principal_data(eval_jet(s, 0.3, 0.2, 2))
+        principal_data(eval_jet(s, 0.3, 0.2))
 
 
 def test_principal_directions_metric_unit(helcat_quarter):
-    j = eval_jet(helcat_quarter.surface, 0.7, 0.4, 2)
+    j = eval_jet(helcat_quarter.surface, 0.7, 0.4)
     pd = principal_data(j)
-    ru, rv = j.d(1, 0), j.d(0, 1)
+    _, ru, rv, *_ = jet_vectors(j)
     for X in (pd.X1, pd.X2):
         amb = X[0]*ru + X[1]*rv
         assert abs(np.linalg.norm(amb) - 1.0) < 1e-10
@@ -126,13 +123,17 @@ def test_scalar_kernel_matches_numpy_reference(helcat_quarter, torus,
     v = v + 1j*_H_STEP if step == "v" else v
     d = surface.jet_raw(u, v)
     got, want = shape_data(d), _shape_ref(d)
-    for key in want:
-        scale = max(np.max(np.abs(np.asarray(want[key]).real)), 1.0)
-        _close(got[key], want[key], scale, step is not None)
-    for key, k in (("r", 0), ("ru", 3), ("rv", 6)):
-        assert got[key].tolist() == list(d[k:k + 3])
-    assert isinstance(got["W"], np.ndarray) and got["W"].shape == (2, 2)
-    assert isinstance(got["n"], np.ndarray) and got["n"].shape == (3,)
+    # the record is scalar: of the reference's W and n arrays it keeps
+    # only W's entries, as w
+    assert set(got) == set(want) - {"W", "n"} | {"w"}
+    kind = float if step is None else complex
+    assert all(type(x) is kind for key, x in got.items() if key != "w")
+    assert len(got["w"]) == 4 and all(type(x) is kind for x in got["w"])
+    for key in got:
+        ref = want["W"] if key == "w" else want[key]
+        scale = max(np.max(np.abs(np.asarray(ref).real)), 1.0)
+        _close(np.reshape(got[key], np.shape(ref)), ref, scale,
+               step is not None)
     # with a reference frame the signs follow it; without one they follow
     # the parameter axes, except where a direction is (to roundoff)
     # perpendicular to its axis, as X1 on the helix tube, so the sign is
@@ -229,8 +230,7 @@ def test_degenerate_jets_raise_typed_errors(jet_fn, error, step):
     u = 1j*_H_STEP if step == "u" else 0.0
     v = 1j*_H_STEP if step == "v" else 0.0
     with pytest.raises(error):
-        principal_data(Jet(u=u, v=v, order=2, derivs=dict(
-            zip(_JET_IDX, jet_vectors(patch.jet_raw(u, v))))))
+        principal_data(patch.jet_raw(u, v))
     S = shape_data(patch.jet_raw(u, v))
     principal_directions(S)
     if step is None:
@@ -402,13 +402,26 @@ def test_jets_are_python_scalars(which):
         jet = surface.jet_raw(u, v)
         assert len(jet) == 18
         assert all(type(x) is float for x in jet)
-        # the public Jet holds the same entries, bit for bit
-        derivs = eval_jet(surface, u, v).derivs
-        assert list(derivs) == _JET_IDX
-        assert (np.concatenate([derivs[ij] for ij in _JET_IDX]).tobytes()
-                == np.array(jet, dtype=float).tobytes())
+        # eval_jet is the same flat jet, bit for bit
+        checked = eval_jet(surface, u, v)
+        assert [type(x) for x in checked] == [float]*18
+        assert np.array(checked).tobytes() == np.array(jet).tobytes()
         for du, dv in [(1j*h, 0.0), (0.0, 1j*h)]:
             jet = surface.jet_raw(u + du, v + dv)
             assert len(jet) == 18
             kinds = {type(x) for x in jet}
             assert complex in kinds and kinds <= {float, complex}
+
+
+@pytest.mark.parametrize("which", ["helcat", "torus", "tube"])
+def test_principal_data_gives_theta_state_frame(helcat_quarter, torus,
+                                                helical_tube, which):
+    # one frame per point: principal_data and theta_state read X1 and X2
+    # off the same jet by the same rule, bit for bit
+    surface = {"helcat": helcat_quarter, "torus": torus,
+               "tube": helical_tube}[which].surface
+    for u, v in np.random.default_rng(3).uniform(-1.5, 1.5, (6, 2)):
+        pd = principal_data(surface.jet_raw(u, v))
+        _, _, X1, X2, _ = theta_state(surface, u, v)
+        assert pd.X1.tobytes() == X1.tobytes()
+        assert pd.X2.tobytes() == X2.tobytes()
