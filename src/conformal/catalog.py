@@ -24,12 +24,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Optional
+from typing import Callable, Dict
 
 import numpy as np
 
 from .errors import CanalPoint, SelfIntersectingTube, UmbilicPoint
-from .invariants import _lie_bracket
+from .invariants import _grad, _lie_bracket
 from .osculation import normal_form_monomials
 from .surfaces import _JET_IDX, SurfacePatch, _lib, eval_jet, principal_data
 
@@ -334,11 +334,8 @@ def isothermic_residual(surface: SurfacePatch, u: float, v: float) -> float:
     except np.linalg.LinAlgError as exc:
         raise UmbilicPoint(str(exc))
     X1, X2 = _unit_dirs(surface, u, v, ref)
-    h = 1e-3
-    dpu = (_bracket_pq(surface, u + h, v, ref)
-           - _bracket_pq(surface, u - h, v, ref))/(2*h)
-    dpv = (_bracket_pq(surface, u, v + h, ref)
-           - _bracket_pq(surface, u, v - h, ref))/(2*h)
+    dpu, dpv = _grad(lambda a, b: _bracket_pq(surface, a, b, ref), u, v,
+                     1e-3)
     return float((X1[0]*dpu[0] + X1[1]*dpv[0])
                  + (X2[0]*dpu[1] + X2[1]*dpv[1]))
 

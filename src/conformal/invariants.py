@@ -7,7 +7,9 @@ the computed point fields over the parameter plane — never by deeper jets.
 The first field layer (the curvature gradients) is a complex step through
 the exact jet, accurate to machine precision; outer layers use central
 differences with frame continuity enforced by sign alignment to the center
-frame.
+frame.  Every central difference of a point field is one of two stencils:
+:func:`_grad` (along u and along v) or :func:`_along` (along a parameter
+direction).
 """
 from __future__ import annotations
 
@@ -41,8 +43,6 @@ class InvariantSample:
     v: float
     theta1: float
     theta2: float
-    xi1: np.ndarray          # X1/mu in parameter coordinates
-    xi2: np.ndarray
     psi: Optional[float]
     a: Optional[float]
     b: Optional[float]
@@ -93,6 +93,21 @@ def _require_margin(surface: SurfacePatch, u: float, v: float, margin: float):
             f"point ({u}, {v}) closer than {margin:g} to the domain edge")
 
 
+def _grad(field, u: float, v: float, h: float):
+    """Central differences (d/du, d/dv) of ``field`` at (u, v), step h; the
+    field is evaluated at (u + h, v), (u - h, v), (u, v + h), (u, v - h),
+    in that order."""
+    return ((field(u + h, v) - field(u - h, v)) / (2*h),
+            (field(u, v + h) - field(u, v - h)) / (2*h))
+
+
+def _along(field, u: float, v: float, X, h: float):
+    """Central difference of ``field`` at (u, v) along the parameter
+    direction X, step h."""
+    return (field(u + h*X[0], v + h*X[1])
+            - field(u - h*X[0], v - h*X[1])) / (2*h)
+
+
 def _theta_field(surface: SurfacePatch, ref):
     def th(a, b):
         r1, r2, *_ = theta_state(surface, a, b, ref)
@@ -100,18 +115,11 @@ def _theta_field(surface: SurfacePatch, ref):
     return th
 
 
-def _theta_param_grads(surface, u, v, ref, h):
-    th = _theta_field(surface, ref)
-    du = (th(u + h, v) - th(u - h, v)) / (2*h)
-    dv = (th(u, v + h) - th(u, v - h)) / (2*h)
-    return du, dv
-
-
 def _unit_theta_derivs(surface: SurfacePatch, u: float, v: float, h: float):
     """X_i . grad(theta_j) for i, j in {1, 2} (unit speed), together with
     (theta1, theta2, X1, X2, shape-dict) at the point."""
     t1, t2, X1, X2, S = theta_state(surface, u, v)
-    du, dv = _theta_param_grads(surface, u, v, (X1, X2), h)
+    du, dv = _grad(_theta_field(surface, (X1, X2)), u, v, h)
     D = {(i, j): X[0]*du[j - 1] + X[1]*dv[j - 1]
          for i, X in ((1, X1), (2, X2)) for j in (1, 2)}
     return D, t1, t2, X1, X2, S
@@ -125,17 +133,6 @@ def xi_theta_derivs(surface: SurfacePatch, u: float, v: float,
     return {k: d / S["mu"] for k, d in D.items()}, t1, t2, X1, X2, S
 
 
-def xi_apply(surface: SurfacePatch, field, i: int, u: float, v: float,
-             h: float, ref) -> float:
-    """Directional derivative of a scalar field along xi_i = X_i/mu, with the
-    local frame sign-aligned to ``ref``."""
-    t1, t2, X1, X2, S = theta_state(surface, u, v, ref)
-    X = X1 if i == 1 else X2
-    fp = field(u + h*X[0], v + h*X[1])
-    fm = field(u - h*X[0], v - h*X[1])
-    return (fp - fm) / (2*h) / S["mu"]
-
-
 # --------------------------------------------------------------------------
 # psi
 # --------------------------------------------------------------------------
@@ -145,12 +142,11 @@ def _laplace_H(surface: SurfacePatch, u: float, v: float, h: float) -> float:
         E, F, G, g, *_ = _jet_forms(surface.jet_raw(a, b))
         _, _, (Hu, Hv) = _curv_grads(surface, a, b)
         sg, gd = _sqrt(g), _divisor(g)
-        return sg*(G*Hu - F*Hv)/gd, sg*(E*Hv - F*Hu)/gd
+        return np.array([sg*(G*Hu - F*Hv)/gd, sg*(E*Hv - F*Hu)/gd])
 
     g0 = _jet_forms(surface.jet_raw(u, v))[3]
-    dP = (flux(u + h, v)[0] - flux(u - h, v)[0]) / (2*h)
-    dQ = (flux(u, v + h)[1] - flux(u, v - h)[1]) / (2*h)
-    return (dP + dQ) / _divisor(_sqrt(g0))
+    du, dv = _grad(flux, u, v, h)
+    return (du[0] + dv[1]) / _divisor(_sqrt(g0))
 
 
 def _psi(surface: SurfacePatch, u: float, v: float, derivs) -> float:
@@ -177,7 +173,8 @@ def psi_invariant(surface: SurfacePatch, u: float, v: float) -> float:
 # --------------------------------------------------------------------------
 def _quartic(derivs):
     """(a, b, c, d) in the invariant gauge from ``derivs``, the
-    :func:`xi_theta_derivs` tuple."""
+    :func:`xi_theta_derivs` tuple; ``osculation.profile_coeffs`` passes
+    unit-speed derivatives with the D_2 row negated for the unit gauge."""
     xt, t1, t2, *_ = derivs
     return (3 + t1*t1 + xt[(1, 1)], -t1*t2 + xt[(2, 1)],
             t1*t2 + xt[(1, 2)], -3 - t2*t2 + xt[(2, 2)])
@@ -214,15 +211,13 @@ def invariant_sample(surface: SurfacePatch, u: float, v: float,
     """Assemble the full pointwise package (thetas, psi, a..d, class)."""
     pd = principal_data(surface.jet_raw(u, v))
     derivs = xi_theta_derivs(surface, u, v)
-    _, t1, t2, X1, X2, S = derivs
+    _, t1, t2, *_ = derivs
     psi = a = b = c = d = None
     if with_coeffs:
         _require_margin(surface, u, v, 2*_H_FLD)
         psi = _psi(surface, u, v, derivs)
         a, b, c, d = _quartic(derivs)
-    mu = S["mu"]
-    return InvariantSample(u=u, v=v, theta1=t1, theta2=t2,
-                           xi1=X1/mu, xi2=X2/mu, psi=psi,
+    return InvariantSample(u=u, v=v, theta1=t1, theta2=t2, psi=psi,
                            a=a, b=b, c=c, d=d,
                            classification=classify_point(t1, t2, tol_canal),
                            pd=pd)
@@ -252,9 +247,11 @@ def psi_from_thetas(surface: SurfacePatch, u: float, v: float) -> float:
     def th2(a, b):
         return th(a, b)[1]
 
-    # pure nested powers xi_i^k(theta_j), k <= 3
+    # pure nested powers xi_i^k(theta_j), k <= 3: f differenced along
+    # xi_i = X_i/mu, the frame at (a, b) sign-aligned to the centre's
     def D(i, f, a, b, h):
-        return xi_apply(surface, f, i, a, b, h, ref)
+        _, _, X1, X2, S = theta_state(surface, a, b, ref)
+        return _along(f, a, b, X1 if i == 1 else X2, h) / S["mu"]
 
     x1t1 = D(1, th1, u, v, h1)
     x1t2 = D(1, th2, u, v, h1)
@@ -336,8 +333,7 @@ def _lie_bracket(fields, u: float, v: float, h: float):
     parameter-space direction fields, ``fields(a, b) -> array([F1, F2])``
     (each a (u, v) component pair).  Returns ``(bracket, F1, F2)`` with the
     fields at (u, v)."""
-    du = (fields(u + h, v) - fields(u - h, v)) / (2*h)
-    dv = (fields(u, v + h) - fields(u, v - h)) / (2*h)
+    du, dv = _grad(fields, u, v, h)
     F1, F2 = fields(u, v)
     lie = (F1[0]*du[1] + F1[1]*dv[1]) - (F2[0]*du[0] + F2[1]*dv[0])
     return lie, F1, F2

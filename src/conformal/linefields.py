@@ -10,14 +10,14 @@ alongside the position samples.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional
 
 import numpy as np
 
 from .errors import (AngleDegenerate, DupinPoint, OutOfDomain,
                      SeedIsDupinPoint)
-from .invariants import theta_state
+from .invariants import _along, theta_state
 from .surfaces import SurfacePatch, _require_frame
 
 __all__ = [
@@ -361,9 +361,7 @@ def darboux_critical_points(trace: CurveTrace, surface: SurfacePatch
                 r1, r2, *_ = theta_state(surface, a, b, (X1, X2))
                 return np.log(abs(r1)) + np.log(abs(r2))
 
-            gen = (logth(uc[0] + _H_GEN*Vn[0], uc[1] + _H_GEN*Vn[1])
-                   - logth(uc[0] - _H_GEN*Vn[0], uc[1] - _H_GEN*Vn[1])) / \
-                (2*_H_GEN) / S["mu"]
+            gen = _along(logth, uc[0], uc[1], Vn, _H_GEN) / S["mu"]
         else:
             gap = float("nan")
             gen = float("nan")

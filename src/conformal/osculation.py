@@ -24,8 +24,8 @@ from typing import Optional
 import numpy as np
 
 from .errors import CanalPoint, DupinPoint, FitUnstable
-from .invariants import (_H_FLD, _theta_param_grads, _unit_theta_derivs,
-                         psi_invariant, theta_state)
+from .invariants import (_H_FLD, _grad, _quartic, _theta_field,
+                         _unit_theta_derivs, psi_invariant, theta_state)
 from .surfaces import SurfacePatch
 
 __all__ = [
@@ -46,10 +46,8 @@ class CyclideContact:
     t: float                 # direction parameter, t^3 = theta1/theta2
     alpha: float             # angle with X1, in [0, pi/2)
     psi_c: float             # cyclide invariant
-    contact_order: int
     u: float
     v: float
-    position: np.ndarray
     limit_derived: bool = False
     profile_sign: int = _PROFILE_SIGN
     # frozen profile data so verification needs no re-differencing
@@ -81,14 +79,13 @@ def profile_coeffs(surface: SurfacePatch, u: float, v: float):
         c = theta1 theta2 + D1 theta2     d = -3 - theta2^2 - D2 theta2
 
     This combination is invariant under either principal-direction sign flip,
-    so it is frame-convention-free.
+    so it is frame-convention-free.  It is the invariant-gauge assembly
+    ``invariants._quartic`` with D_2 negated (x - y and x + (-y) round
+    alike).
     """
     D, t1, t2, *_ = _unit_theta_derivs(surface, u, v, _H_FLD)
-    a = 3 + t1*t1 + D[(1, 1)]
-    b = -t1*t2 - D[(2, 1)]
-    c = t1*t2 + D[(1, 2)]
-    d = -3 - t2*t2 - D[(2, 2)]
-    return (a, b, c, d), t1, t2
+    D = {k: -d if k[0] == 2 else d for k, d in D.items()}
+    return _quartic((D, t1, t2)), t1, t2
 
 
 def limit_direction_ratio(surface: SurfacePatch, u: float, v: float
@@ -98,7 +95,7 @@ def limit_direction_ratio(surface: SurfacePatch, u: float, v: float
     fields along the unit gradient of theta2 (frame-consistent, so the
     relative sign of the two fields is preserved)."""
     t1, t2, X1, X2, S = theta_state(surface, u, v)
-    du, dv = _theta_param_grads(surface, u, v, (X1, X2), _H_FLD)
+    du, dv = _grad(_theta_field(surface, (X1, X2)), u, v, _H_FLD)
     g = np.array([du[1], dv[1]])
     norm = np.hypot(*g)
     if norm < 1e-12:
@@ -142,9 +139,7 @@ def osculating_cyclide(surface: SurfacePatch, u: float, v: float
     psi_c = osculating_psi_c((t1, t2, psi, *coeffs), t)
     return CyclideContact(
         t=t, alpha=float(np.arctan(abs(t))), psi_c=float(psi_c),
-        contact_order=4, u=u, v=v,
-        position=np.asarray(surface.position(u, v), dtype=float),
-        limit_derived=limit_derived, profile_sign=_PROFILE_SIGN,
+        u=u, v=v, limit_derived=limit_derived, profile_sign=_PROFILE_SIGN,
         theta1=float(t1), theta2=float(t2), psi=float(psi),
         coeffs=tuple(float(x) for x in coeffs))
 

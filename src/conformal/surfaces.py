@@ -210,10 +210,10 @@ def principal_directions(S: dict, ref=None):
     better-conditioned one is used.  Signs follow ``ref`` (a previous frame)
     when given, otherwise X1 aligns with the +u axis and X2 with +v.
 
-    Where X1 is parallel to the v axis (on a helix tube, everywhere) its
-    sign comes from a roundoff-sized u component, so two jets that differ
-    by roundoff can give opposite X1, and a Dupin trace from the same seed
-    can run the other way round its circle.
+    A component no larger than 1e-12 times the other counts as 0 there, and
+    the sign comes from the other component: where X1 is parallel to the v
+    axis (on a helix tube, everywhere) its u component is roundoff, and X1
+    points along +v whatever sign that roundoff takes.
     """
     w00, w01, w10, w11 = S["w"]
     k1, k2, E, F, G = S["k1"], S["k2"], S["E"], S["F"], S["G"]
@@ -228,8 +228,8 @@ def principal_directions(S: dict, ref=None):
         if rf is not None:
             flip = (w[0]*rf[0] + w[1]*rf[1]).real < 0
         else:
-            flip = w[axis].real < 0 or (w[axis].real == 0
-                                        and w[1 - axis].real < 0)
+            p, q = w[axis].real, w[1 - axis].real
+            flip = q < 0 if abs(p) <= 1e-12*abs(q) else p < 0
         out.append(np.array([-w[0], -w[1]] if flip else w))
     return out
 
@@ -270,8 +270,9 @@ class MobiusMap:
     """Composition of primitive ambient maps, applied left to right.
 
     Primitives: ``("rotation", O)`` with orthonormal 3x3 O (any sign of
-    determinant), ``("translation", t)``, ``("dilation", s)`` with s > 0 and
-    ``("inversion",)`` for x -> x / |x|^2.
+    determinant), ``("translation", t)`` with a finite 3-vector t,
+    ``("dilation", s)`` with finite s > 0 and ``("inversion",)`` for
+    x -> x / |x|^2.  The constructors raise ValueError on other inputs.
     """
     primitives: tuple
 
@@ -289,12 +290,15 @@ class MobiusMap:
 
     @staticmethod
     def translation(t) -> "MobiusMap":
-        return MobiusMap((("translation", np.asarray(t, dtype=float)),))
+        t = np.asarray(t, dtype=float)
+        if t.shape != (3,) or not np.isfinite(t).all():
+            raise ValueError("translation must be a finite 3-vector")
+        return MobiusMap((("translation", t),))
 
     @staticmethod
     def dilation(s: float) -> "MobiusMap":
-        if not s > 0:
-            raise ValueError("dilation factor must be positive")
+        if not (math.isfinite(s) and s > 0):
+            raise ValueError("dilation factor must be finite and positive")
         return MobiusMap((("dilation", float(s)),))
 
     @staticmethod

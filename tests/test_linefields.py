@@ -48,6 +48,9 @@ def test_tube_traces_fit_their_circles_to_roundoff(helical_tube, seed):
     # direction, or the traced circle drifts by about 5e-6 per turn
     tr = integrate_dupin_line(helical_tube.surface, seed)
     assert tr.closed
+    # it starts along X1, which points along +v whatever the sign of its
+    # roundoff u component
+    assert tr.uv[1, 1] > tr.uv[0, 1]
     _, r, resid = fit_circle(tr.positions)
     assert resid < 1e-12
     assert abs(r - 0.35) < 1e-12

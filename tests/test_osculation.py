@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conformal.catalog import make_canonical
+from conformal.catalog import make_canonical, make_helcat
 from conformal.errors import CanalPoint
 from conformal.intersect import difference_coeffs
+from conformal.invariants import fourth_order_coeffs, theta_state
 from conformal.osculation import (canonical_profile, contact_order_details,
                                   cyclide_monomials, cyclide_profile,
                                   limit_direction_ratio, osculating_cyclide,
@@ -78,6 +79,36 @@ def test_profile_coeffs_frame_insensitive(helcat_quarter):
     # theta ratio equals the constant of the family
     kap = np.cos(np.pi/4)/(1.0 + np.sin(np.pi/4))
     assert abs(abs(t1/t2) - kap) < 1e-9
+
+
+@settings(max_examples=12, derandomize=True, database=None, deadline=None)
+@given(which=st.sampled_from(["helcat", "canonical"]),
+       param=st.floats(0.0, np.pi/2),
+       vals=st.lists(st.floats(-2.0, 2.0), min_size=7, max_size=7),
+       fu=st.floats(-1.0, 1.0), fv=st.floats(-1.0, 1.0))
+def test_profile_and_invariant_gauges_differ_by_mu(which, param, vals, fu,
+                                                   fv):
+    # D_i = mu xi_i, and the unit gauge negates the D_2 row:
+    #   a_p - 3 - t1^2 =  mu (a_i - 3 - t1^2)
+    #   b_p + t1 t2    = -mu (b_i + t1 t2)
+    #   c_p - t1 t2    =  mu (c_i - t1 t2)
+    #   d_p + 3 + t2^2 = -mu (d_i + 3 + t2^2)
+    if which == "helcat":
+        surface, u, v = make_helcat(param).surface, 2.5*fu, 6.0*fv
+    else:
+        surface, u, v = make_canonical(*vals).surface, 0.1*fu, 0.1*fv
+    (ap, bp, cp, dp), t1, t2 = profile_coeffs(surface, u, v)
+    ai, bi, ci, di = fourth_order_coeffs(surface, u, v)
+    s1, s2, *_, S = theta_state(surface, u, v)
+    assert (s1, s2) == (t1, t2)
+    mu = S["mu"]
+    pairs = [(ap - 3 - t1*t1, mu*(ai - 3 - t1*t1)),
+             (bp + t1*t2, -mu*(bi + t1*t2)),
+             (cp - t1*t2, mu*(ci - t1*t2)),
+             (dp + 3 + t2*t2, -mu*(di + 3 + t2*t2))]
+    scale = max(1.0, *(abs(x) for x in (ap, bp, cp, dp, t1*t1, t2*t2)))
+    for got, want in pairs:
+        assert abs(got - want) <= 1e-12*scale
 
 
 def _on_line(mono, t):

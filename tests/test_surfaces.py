@@ -58,6 +58,40 @@ def test_principal_directions_metric_unit(helcat_quarter):
     assert abs(amb1 @ amb2) < 1e-10
 
 
+@pytest.mark.parametrize("w01", [3e-17, -3e-17, 0.0])
+def test_direction_sign_ignores_a_roundoff_component(w01):
+    # shape operator [[-1, w01], [0, 1]] in an orthonormal parameter frame:
+    # X1 = (w01/2, 1) to first order, so its u component is w01's roundoff
+    S = dict(w=(-1.0, w01, 0.0, 1.0), k1=1.0, k2=-1.0, E=1.0, F=0.0, G=1.0)
+    X1, X2 = principal_directions(S)
+    assert X1[1] > 0 and X2[0] > 0
+    # a u component above the roundoff floor still sets the sign
+    for big in (1e-6, -1e-6):
+        X1, _ = principal_directions(dict(S, w=(-1.0, big, 0.0, 1.0)))
+        assert X1[0] > 0
+
+
+@pytest.mark.parametrize("seed", [(0.5, 1.2), (1.5, 2.5), (-2.0, 0.7)])
+def test_tube_x1_points_along_plus_v(helical_tube, seed):
+    # X1 is parallel to the v axis on the helix tube; its u component is
+    # roundoff of either sign (1.5e-17 in size at (1.5, 2.5))
+    X1 = principal_data(eval_jet(helical_tube.surface, *seed)).X1
+    assert abs(X1[0]) <= 1e-12*abs(X1[1])
+    assert X1[1] > 0
+
+
+def test_mobius_map_rejects_bad_inputs():
+    for s in (np.inf, np.nan, 0.0, -2.0):
+        with pytest.raises(ValueError):
+            MobiusMap.dilation(s)
+    for t in (1.0, [1.0, np.nan, 0.0], [np.inf, 0.0, 0.0], [1.0, 2.0],
+              [[1.0, 2.0, 3.0]]):
+        with pytest.raises(ValueError):
+            MobiusMap.translation(t)
+    m = MobiusMap.translation((1, 2, 3)).then(MobiusMap.dilation(2))
+    assert np.array_equal(m.apply([0.0, 0.0, 0.0]), [2.0, 4.0, 6.0])
+
+
 def _shape_ref(jet):
     """Reference shape data on numpy 3-vectors (np.cross, @)."""
     _, ru, rv, ruu, ruv, rvv = jet_vectors(jet)
@@ -89,9 +123,10 @@ def _dirs_ref(S, ref=None):
                         + S["G"]*w[1]**2)
         if rf is not None:
             flip = (w @ rf).real < 0
+        elif abs(w[axis].real) <= 1e-12*abs(w[1 - axis].real):
+            flip = w[1 - axis].real < 0
         else:
-            flip = w[axis].real < 0 or (w[axis].real == 0
-                                        and w[1 - axis].real < 0)
+            flip = w[axis].real < 0
         out.append(-w if flip else w)
     return out
 
@@ -135,15 +170,12 @@ def test_scalar_kernel_matches_numpy_reference(helcat_quarter, torus,
         _close(np.reshape(got[key], np.shape(ref)), ref, scale,
                step is not None)
     # with a reference frame the signs follow it; without one they follow
-    # the parameter axes, except where a direction is (to roundoff)
-    # perpendicular to its axis, as X1 on the helix tube, so the sign is
-    # set by the last bits of the jet
+    # the parameter axes, or the other axis where a direction is (to
+    # roundoff) perpendicular to its own, as X1 on the helix tube
     ref = _dirs_ref(want)
     for X, Y in zip(principal_directions(got, ref), ref):
         _close(X, Y, max(np.max(np.abs(Y.real)), 1.0), step is not None)
-    for axis, (X, Y) in enumerate(zip(principal_directions(got), ref)):
-        if abs(Y[axis].real) < 1e-12*np.max(np.abs(Y.real)):
-            X = X if (X @ Y).real > 0 else -X
+    for X, Y in zip(principal_directions(got), ref):
         _close(X, Y, max(np.max(np.abs(Y.real)), 1.0), step is not None)
 
 
