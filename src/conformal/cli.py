@@ -281,7 +281,7 @@ def cmd_osculate(surface_path, out, fmt, seeds):
             try:
                 c = osculating_cyclide(entry.surface, u, v)
                 rows.append([u, v, c.t, c.alpha, c.psi_c,
-                             verify_contact_order(entry.surface, c),
+                             verify_contact_order(c),
                              c.limit_derived])
             except (CanalPoint, DupinPoint):
                 rows.append([u, v, None, None, None, None, None])
@@ -438,7 +438,11 @@ def cmd_prescribe(surface_path, out, grid):
 @click.option("--seed", "seeds", multiple=True, required=True)
 @click.option("--tol-xcheck", default=1e-2, type=float)
 def cmd_verify(surface_path, out, fmt, seeds, tol_xcheck):
-    """Cross-check the two independent fourth-invariant paths at seeds."""
+    """Compare psi_invariant with psi_from_thetas at seeds.
+
+    The theta path recovers the canonical normal form's psi, which differs
+    from psi_invariant by xi1(theta1) + xi2(theta2); the two agree only
+    where that offset is below the tolerance."""
     def run():
         entry = load_surface_spec(surface_path)
         header = ["u", "v", "psi_field", "psi_thetas", "gap", "status"]

@@ -115,21 +115,20 @@ def _theta_field(surface: SurfacePatch, ref):
     return th
 
 
-def _unit_theta_derivs(surface: SurfacePatch, u: float, v: float, h: float):
-    """X_i . grad(theta_j) for i, j in {1, 2} (unit speed), together with
-    (theta1, theta2, X1, X2, shape-dict) at the point."""
+def _unit_theta_derivs(surface: SurfacePatch, u: float, v: float):
+    """X_i . grad(theta_j) for i, j in {1, 2} (unit speed, step ``_H_FLD``),
+    together with (theta1, theta2, X1, X2, shape-dict) at the point."""
     t1, t2, X1, X2, S = theta_state(surface, u, v)
-    du, dv = _grad(_theta_field(surface, (X1, X2)), u, v, h)
+    du, dv = _grad(_theta_field(surface, (X1, X2)), u, v, _H_FLD)
     D = {(i, j): X[0]*du[j - 1] + X[1]*dv[j - 1]
          for i, X in ((1, X1), (2, X2)) for j in (1, 2)}
     return D, t1, t2, X1, X2, S
 
 
-def xi_theta_derivs(surface: SurfacePatch, u: float, v: float,
-                    h_fld: float = _H_FLD):
+def xi_theta_derivs(surface: SurfacePatch, u: float, v: float):
     """xi_i(theta_j) = X_i . grad(theta_j) / mu for i, j in {1, 2}, together
     with (theta1, theta2, X1, X2, shape-dict) at the point."""
-    D, t1, t2, X1, X2, S = _unit_theta_derivs(surface, u, v, h_fld)
+    D, t1, t2, X1, X2, S = _unit_theta_derivs(surface, u, v)
     return {k: d / S["mu"] for k, d in D.items()}, t1, t2, X1, X2, S
 
 
@@ -188,14 +187,12 @@ def fourth_order_coeffs(surface: SurfacePatch, u: float, v: float):
 
 
 def classify_point(theta1: float, theta2: float,
-                   tol_canal: float = _TOL_CANAL,
-                   scale: float = 1.0) -> str:
-    """One of Generic / CanalTheta1 / CanalTheta2 / Dupin; the threshold is
-    relative to the supplied theta field scale so dilated surfaces classify
-    identically."""
-    thr = tol_canal * max(scale, 1e-300)
-    small1 = abs(theta1) < thr
-    small2 = abs(theta2) < thr
+                   tol_canal: float = _TOL_CANAL) -> str:
+    """One of Generic / CanalTheta1 / CanalTheta2 / Dupin: a theta below
+    ``tol_canal`` in absolute value counts as 0.  The thetas are
+    Mobius-invariant, so one absolute threshold serves every scale."""
+    small1 = abs(theta1) < tol_canal
+    small2 = abs(theta2) < tol_canal
     if small1 and small2:
         return "Dupin"
     if small1:
@@ -234,29 +231,24 @@ def psi_from_thetas(surface: SurfacePatch, u: float, v: float) -> float:
     Dupin cyclides and on the helically-symmetric minimal family the
     denominator vanishes identically and psi is not determined by thetas).
     The steps ``_H_NEST`` grow with nesting depth, as noise amplifies as h^-k.
+    Each of the 45 points of the nested stencils is evaluated once.
     """
-    h1, h2, h3 = _H_NEST
-    _require_margin(surface, u, v, 3*h3)
-    t1, t2, X1c, X2c, Sc = theta_state(surface, u, v)
-    ref = (X1c, X2c)
-    th = _theta_field(surface, ref)
+    _require_margin(surface, u, v, 3*_H_NEST[2])
+    centre = theta_state(surface, u, v)
+    t1, t2, *ref, _ = centre
 
-    def th1(a, b):
-        return th(a, b)[0]
+    # xi_i^k of the pair (theta1, theta2) at (a, b), whose theta state is
+    # ``state``: differenced along xi_i = X_i/mu, every frame sign-aligned
+    # to the centre's
+    def D(i, k, state, a, b):
+        if k == 0:
+            return np.array(state[:2])
+        return _along(lambda p, q: D(i, k - 1, theta_state(surface, p, q, ref),
+                                     p, q),
+                      a, b, state[1 + i], _H_NEST[k - 1]) / state[4]["mu"]
 
-    def th2(a, b):
-        return th(a, b)[1]
-
-    # pure nested powers xi_i^k(theta_j), k <= 3: f differenced along
-    # xi_i = X_i/mu, the frame at (a, b) sign-aligned to the centre's
-    def D(i, f, a, b, h):
-        _, _, X1, X2, S = theta_state(surface, a, b, ref)
-        return _along(f, a, b, X1 if i == 1 else X2, h) / S["mu"]
-
-    x1t1 = D(1, th1, u, v, h1)
-    x1t2 = D(1, th2, u, v, h1)
-    x2t1 = D(2, th1, u, v, h1)
-    x2t2 = D(2, th2, u, v, h1)
+    x1t1, x1t2 = D(1, 1, centre, u, v)
+    x2t1, x2t2 = D(2, 1, centre, u, v)
 
     scale = max(abs(x1t1), abs(x1t2), abs(x2t1), abs(x2t2), 1.0)
     den = x1t2 + x2t1
@@ -264,17 +256,11 @@ def psi_from_thetas(surface: SurfacePatch, u: float, v: float) -> float:
         raise DegenerateDenominator(
             f"xi1(theta2) + xi2(theta1) = {den:.3e} below threshold")
 
-    x1x1t2 = D(1, lambda a, b: D(1, th2, a, b, h1), u, v, h2)
-    x2x2t1 = D(2, lambda a, b: D(2, th1, a, b, h1), u, v, h2)
-    x1x1t1 = D(1, lambda a, b: D(1, th1, a, b, h1), u, v, h2)
-    x2x2t2 = D(2, lambda a, b: D(2, th2, a, b, h1), u, v, h2)
-    x1x1x1t2 = D(1, lambda a, b: D(1, lambda p, q: D(1, th2, p, q, h1),
-                                   a, b, h2), u, v, h3)
-    x2x2x2t1 = D(2, lambda a, b: D(2, lambda p, q: D(2, th1, p, q, h1),
-                                   a, b, h2), u, v, h3)
-
+    x1x1t1, x1x1t2 = D(1, 2, centre, u, v)
+    x2x2t1, x2x2t2 = D(2, 2, centre, u, v)
     num = _psi_numerator(t1, t2, x1t1, x1t2, x2t1, x2t2, x1x1t1, x1x1t2,
-                         x2x2t1, x2x2t2, x1x1x1t2, x2x2x2t1)
+                         x2x2t1, x2x2t2, D(1, 3, centre, u, v)[1],
+                         D(2, 3, centre, u, v)[0])
     return num / den
 
 

@@ -83,7 +83,7 @@ def profile_coeffs(surface: SurfacePatch, u: float, v: float):
     ``invariants._quartic`` with D_2 negated (x - y and x + (-y) round
     alike).
     """
-    D, t1, t2, *_ = _unit_theta_derivs(surface, u, v, _H_FLD)
+    D, t1, t2, *_ = _unit_theta_derivs(surface, u, v)
     D = {k: -d if k[0] == 2 else d for k, d in D.items()}
     return _quartic((D, t1, t2)), t1, t2
 
@@ -236,7 +236,7 @@ def contact_order_details(prof_a: CanonicalProfile, prof_b: CanonicalProfile):
     return int(round(slope)) - 1, float(slope), False
 
 
-def verify_contact_order(surface: SurfacePatch, contact: CyclideContact,
+def verify_contact_order(contact: CyclideContact,
                          psi_c: Optional[float] = None) -> int:
     """Numerically verified contact order between the surface and the
     cyclide with invariant ``psi_c`` (default: the contact's own value) in

@@ -105,7 +105,7 @@ def test_canonical_psi_offset_identity():
     vals = (1.0, 2.0, 0.0, 3.5, 0.25, -0.5, -3.25)
     e = make_canonical(*vals)
     samp = invariant_sample(e.surface, 0.0, 0.0)
-    xt, *_ = xi_theta_derivs(e.surface, 0.0, 0.0, 1e-4)
+    xt, *_ = xi_theta_derivs(e.surface, 0.0, 0.0)
     offset = xt[(1, 1)] + xt[(2, 2)]
     assert abs(samp.psi - vals[2] - offset) < 1e-6
     assert "psi_offset_fields" in e.params

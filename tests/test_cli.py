@@ -380,19 +380,28 @@ print(json.dumps([code, sorted(m for m in sys.modules
 """
 
 
-# the planar commands, and the tube's line commands: the tube's jet is
-# closed-form, as every catalog family's is
+# every command, and every spec kind at least once: no command loads scipy
+# or sympy (sympy is not a runtime dependency; scipy is, for library paths
+# that no command reaches)
 @pytest.mark.parametrize("command,spec", [
     (["intersect", "--grid", "64x64"], "canonical"),
     (["prescribe", "--grid", "65x65"], "helcat"),
     (["dupin-lines", "--seed", "0.5,1.2"], "tube"),
     (["verify", "--seed", "0.5,1.2"], "tube"),
-], ids=["intersect", "prescribe", "dupin-lines-tube", "verify-tube"])
-def test_planar_commands_load_neither_scipy_nor_sympy(specs, tmp_path,
-                                                      command, spec):
+    (["invariants", "--grid", "8x8"], "torus"),
+    (["classify", "--grid", "8x8"], "sphere"),
+    (["osculate", "--seed", "0.1,0.1"], "graph"),
+    (["darboux", "--seed", "0.4,0.3", "--max-length", "0.05"], "helcat"),
+    (["table1"], None),
+], ids=["intersect", "prescribe", "dupin-lines-tube", "verify-tube",
+        "invariants-torus", "classify-sphere", "osculate-graph",
+        "darboux-helcat", "table1"])
+def test_commands_load_neither_scipy_nor_sympy(specs, tmp_path, command,
+                                               spec):
     out = tmp_path / "out.txt"
-    stdout = _fresh_python(_RUN_AND_LIST_HEAVY, *command, "--surface",
-                           specs[spec], "--out", str(out))
+    surface = [] if spec is None else ["--surface", specs[spec]]
+    stdout = _fresh_python(_RUN_AND_LIST_HEAVY, *command, *surface,
+                           "--out", str(out))
     code, heavy = json.loads(stdout)
     assert code == 0
     assert out.stat().st_size > 0

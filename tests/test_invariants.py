@@ -2,13 +2,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conformal import invariants
+from conformal.catalog import make_canonical
 from conformal.errors import (BoundaryTooClose, DegenerateDenominator,
                               UmbilicPoint)
 from conformal.invariants import (bracket_residual, classify_point,
                                   fourth_order_coeffs, invariant_sample,
                                   psi_from_thetas, psi_invariant,
-                                  theta_state, willmore_energy)
-from conformal.surfaces import MobiusMap, mobius_transform
+                                  theta_state, willmore_energy,
+                                  xi_theta_derivs)
+from conformal.surfaces import MobiusMap, SurfacePatch, mobius_transform
 
 
 def _helcat_psi(alpha, s):
@@ -42,8 +45,6 @@ def test_classify_point_thresholds():
     assert classify_point(0.0, 2.0) == "CanalTheta1"
     assert classify_point(1.0, 1e-9) == "CanalTheta2"
     assert classify_point(1e-9, 1e-9) == "Dupin"
-    # relative thresholding: a dilated field classifies identically
-    assert classify_point(1e-3, 2e3, scale=1e4) == "CanalTheta1"
 
 
 def test_invariant_sample_fields(helcat_quarter):
@@ -116,6 +117,41 @@ def test_psi_from_thetas_canal_identity(helical_tube):
         p1 = psi_invariant(s, u, v)
         p2 = psi_from_thetas(s, u, v)
         assert abs(p1 - p2) < 1e-2
+
+
+def test_psi_from_thetas_evaluates_each_point_once(helical_tube, monkeypatch):
+    # 45 points of the nested stencils (the centre, 4 first-level, 12
+    # second-level and 28 third-level neighbours), each one theta state:
+    # a real jet and two complex steps
+    calls = []
+    jet_raw = SurfacePatch.jet_raw
+
+    def counted(self, u, v):
+        calls.append((u, v))
+        return jet_raw(self, u, v)
+
+    monkeypatch.setattr(SurfacePatch, "jet_raw", counted)
+    psi_from_thetas(helical_tube.surface, 0.5, 1.2)
+    assert len(calls) == 135
+    assert len(set(calls)) == 135
+
+
+@pytest.mark.parametrize("point", [(0.1, 0.1), (0.0, 0.0)])
+def test_psi_from_thetas_converges_to_normal_form_psi(monkeypatch, point):
+    # the theta path recovers the canonical normal form's psi, which is
+    # psi_invariant - (xi1(theta1) + xi2(theta2)); its error is
+    # second order in the nested steps
+    surface = make_canonical(1.0, 2.0, 0.0, 3.5, 0.25, -0.5, -3.25).surface
+    xt, *_ = xi_theta_derivs(surface, *point)
+    target = psi_invariant(surface, *point) - (xt[(1, 1)] + xt[(2, 2)])
+    base = invariants._H_NEST
+    errs = []
+    for scale in (1.0, 0.5, 0.25):
+        monkeypatch.setattr(invariants, "_H_NEST",
+                            tuple(scale*h for h in base))
+        errs.append(abs(psi_from_thetas(surface, *point) - target))
+    assert errs[0] >= 3.5*errs[1] and errs[1] >= 3.5*errs[2]
+    assert errs[2] < 0.01
 
 
 def test_boundary_margin_enforced(helcat_quarter):
