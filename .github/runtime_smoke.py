@@ -1,0 +1,72 @@
+"""Every ``cycl`` command once, on small inputs, and one Mobius map with an
+inversion, on an install of the declared runtime alone (numpy and click).
+
+    pip install -e . && python .github/runtime_smoke.py
+
+It fails if scipy or sympy can be imported (the install is not the bare
+runtime), if a command exits non-zero or writes nothing, or if anything
+loaded either of them.
+"""
+import importlib
+import sys
+import tempfile
+from pathlib import Path
+
+HEAVY = ("scipy", "sympy")
+
+for name in HEAVY:
+    try:
+        importlib.import_module(name)
+    except ImportError:
+        continue
+    sys.exit(f"{name} is importable: install without extras to run this")
+
+from conformal.catalog import make_torus
+from conformal.cli import main
+from conformal.surfaces import MobiusMap, mobius_transform
+
+SPECS = {
+    "helcat": "kind = helcat\nalpha_h = 0.7853981633974483\n",
+    "tube": "kind = tube\ncurve = helix 2.0 0.5\nradius = 0.35\n",
+    "torus": "kind = torus\nR = 2\nr = 1\n",
+    "canonical": ("kind = canonical\n"
+                  "coeffs = 1, 2, 0, 3.5, 0.25, -0.5, -3.25\n"),
+}
+COMMANDS = [
+    (["table1"], None),
+    (["invariants", "--grid", "8x8"], "torus"),
+    (["classify", "--grid", "8x8"], "helcat"),
+    (["osculate", "--seed", "0.7,0.4"], "helcat"),
+    (["dupin-lines", "--seed", "0.5,1.2"], "tube"),
+    (["darboux", "--seed", "0.4,0.3", "--max-length", "0.05"], "helcat"),
+    (["verify", "--seed", "0.5,1.2"], "tube"),
+    (["intersect", "--grid", "64x64"], "canonical"),
+    (["prescribe", "--grid", "65x65"], "helcat"),
+]
+
+with tempfile.TemporaryDirectory() as tmp:
+    tmp = Path(tmp)
+    for name, text in SPECS.items():
+        (tmp / f"{name}.spec").write_text(text)
+    for args, spec in COMMANDS:
+        out = tmp / f"{args[0]}.out"
+        surface = ([] if spec is None
+                   else ["--surface", str(tmp / f"{spec}.spec")])
+        code = 0
+        try:
+            main([*args, *surface, "--out", str(out)], prog_name="cycl")
+        except SystemExit as exc:
+            code = exc.code
+        if code != 0 or not out.exists() or out.stat().st_size == 0:
+            sys.exit(f"cycl {' '.join(args)}: exit {code}")
+        print(f"cycl {args[0]}: ok")
+
+inversion = MobiusMap.translation([0.0, 0.0, 5.0]).then(MobiusMap.inversion())
+moved = mobius_transform(make_torus(2.0, 1.0).surface, inversion)
+print(f"mobius_transform with an inversion: ok, r(0.3, 0.4) = "
+      f"{moved.position(0.3, 0.4)}")
+
+loaded = sorted(m for m in sys.modules if m.split(".")[0] in HEAVY)
+if loaded:
+    sys.exit(f"loaded {loaded}")
+print("neither scipy nor sympy was loaded")

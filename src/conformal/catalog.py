@@ -153,9 +153,9 @@ def make_helcat(alpha_h: float) -> CatalogEntry:
 # --------------------------------------------------------------------------
 def make_torus(R: float, r: float) -> CatalogEntry:
     """Torus of revolution (a cyclide: both curvature fields vanish)."""
-    if not R > r > 0:
-        raise ValueError("need R > r > 0")
     R, r = float(R), float(r)
+    if not (math.isfinite(R) and R > r > 0):
+        raise ValueError("need finite R > r > 0")
 
     def jet(u, v):
         # r = (rho cos u, rho sin u, r sin v) with rho = R + r cos v
@@ -179,8 +179,8 @@ def make_sphere(radius: float = 1.0) -> CatalogEntry:
     """Round sphere r = radius (cos u cos v, sin u cos v, sin v), with the
     latitude v kept 0.17 short of the poles.  Every point is umbilic."""
     rad = float(radius)
-    if not rad > 0:
-        raise ValueError("radius must be positive")
+    if not 0 < rad < math.inf:
+        raise ValueError("radius must be finite and positive")
 
     def jet(u, v):
         fu, fv = _lib(u), _lib(v)
@@ -209,25 +209,22 @@ def make_tube(curve, radius: float) -> CatalogEntry:
     B = (b sin u, -b cos u, a).  Its v-circles are the characteristic
     circles, the Dupin lines of the canal surface.
     """
-    kind = curve[0]
-    if kind == "circle":
-        A, Bp = float(curve[1]), 0.0
-        a, b = 1.0, 0.0
-        curv_max = 1.0/A
-    elif kind == "helix":
-        A, Bp = float(curve[1]), float(curve[2])
-        norm = math.sqrt(A*A + Bp*Bp)
-        a, b = A/norm, Bp/norm
-        curv_max = A/(A*A + Bp*Bp)
-    else:
-        raise ValueError(f"unsupported center curve kind '{kind}'")
+    kind, *args = curve
+    if (kind, len(args)) not in (("circle", 1), ("helix", 2)):
+        raise ValueError(f"center curve must be ('circle', R) or "
+                         f"('helix', A, B), got {tuple(curve)!r}")
+    A, Bp = float(args[0]), (float(args[1]) if kind == "helix" else 0.0)
     radius = float(radius)
-    if radius <= 0:
-        raise ValueError("radius must be positive")
-    if radius >= 1.0/curv_max:
+    if not (0 < A < math.inf and math.isfinite(Bp) and 0 < radius < math.inf):
+        raise ValueError(f"need a finite R or A > 0, a finite B and a finite "
+                         f"radius > 0, got {tuple(curve)!r}, {radius!r}")
+    rho = (A*A + Bp*Bp)/A       # the center curve's least curvature radius
+    if radius >= rho:
         raise SelfIntersectingTube(
-            f"radius {radius:g} >= minimal curvature radius "
-            f"{1.0/curv_max:g} of the center curve")
+            f"radius {radius:g} >= minimal curvature radius {rho:g} of the "
+            "center curve")
+    norm = math.sqrt(A*A + Bp*Bp)
+    a, b = A/norm, Bp/norm
     ra, rb = radius*a, radius*b
 
     def jet(u, v):
@@ -260,6 +257,10 @@ def make_tube(curve, radius: float) -> CatalogEntry:
 # --------------------------------------------------------------------------
 def make_graph(poly: Dict[tuple, float], window: float = 1.0) -> CatalogEntry:
     """Graph z = sum c_ij x^i y^j over a square window."""
+    if not all(min(i, j) >= 0 and math.isfinite(cc)
+               for (i, j), cc in poly.items()):
+        raise ValueError("graph needs finite coefficients of x^i y^j, "
+                         "i, j >= 0")
     # monomials (coefficient, power of u, power of v) of z and of its
     # partials z_u, z_v, z_uu, z_uv, z_vv; d^k/dx^k x^n = perm(n, k) x^(n-k)
     parts = [[(float(cc)*math.perm(i, di)*math.perm(j, dj), i - di, j - dj)
@@ -297,8 +298,6 @@ def make_canonical(theta1: float, theta2: float, psi: float, a: float,
     normalizations, stored under params['psi_offset_fields']).
     """
     vals = [float(x) for x in (theta1, theta2, psi, a, b, c, d)]
-    if not all(np.isfinite(vals)):
-        raise ValueError("canonical invariants must be finite")
     poly = normal_form_monomials(*vals)
     entry = make_graph(poly, window=0.4)
     params = {"invariants": tuple(vals), "poly": poly,

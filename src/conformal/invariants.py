@@ -108,27 +108,22 @@ def _along(field, u: float, v: float, X, h: float):
             - field(u - h*X[0], v - h*X[1])) / (2*h)
 
 
-def _theta_field(surface: SurfacePatch, ref):
-    def th(a, b):
-        r1, r2, *_ = theta_state(surface, a, b, ref)
-        return np.array([r1, r2])
-    return th
-
-
 def _unit_theta_derivs(surface: SurfacePatch, u: float, v: float):
     """X_i . grad(theta_j) for i, j in {1, 2} (unit speed, step ``_H_FLD``),
-    together with (theta1, theta2, X1, X2, shape-dict) at the point."""
+    together with (theta1, theta2, X1, X2, shape-dict) at the point and the
+    central differences (du, dv) of (theta1, theta2) they project."""
     t1, t2, X1, X2, S = theta_state(surface, u, v)
-    du, dv = _grad(_theta_field(surface, (X1, X2)), u, v, _H_FLD)
+    du, dv = _grad(lambda a, b: np.array(theta_state(
+        surface, a, b, (X1, X2))[:2]), u, v, _H_FLD)
     D = {(i, j): X[0]*du[j - 1] + X[1]*dv[j - 1]
          for i, X in ((1, X1), (2, X2)) for j in (1, 2)}
-    return D, t1, t2, X1, X2, S
+    return D, t1, t2, X1, X2, S, (du, dv)
 
 
 def xi_theta_derivs(surface: SurfacePatch, u: float, v: float):
     """xi_i(theta_j) = X_i . grad(theta_j) / mu for i, j in {1, 2}, together
     with (theta1, theta2, X1, X2, shape-dict) at the point."""
-    D, t1, t2, X1, X2, S = _unit_theta_derivs(surface, u, v)
+    D, t1, t2, X1, X2, S, _ = _unit_theta_derivs(surface, u, v)
     return {k: d / S["mu"] for k, d in D.items()}, t1, t2, X1, X2, S
 
 

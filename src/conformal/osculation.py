@@ -24,8 +24,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import CanalPoint, DupinPoint, FitUnstable
-from .invariants import (_H_FLD, _grad, _quartic, _theta_field,
-                         _unit_theta_derivs, psi_invariant, theta_state)
+from .invariants import _quartic, _unit_theta_derivs, psi_invariant
 from .surfaces import SurfacePatch
 
 __all__ = [
@@ -83,7 +82,12 @@ def profile_coeffs(surface: SurfacePatch, u: float, v: float):
     ``invariants._quartic`` with D_2 negated (x - y and x + (-y) round
     alike).
     """
-    D, t1, t2, *_ = _unit_theta_derivs(surface, u, v)
+    return _profile_coeffs(_unit_theta_derivs(surface, u, v))
+
+
+def _profile_coeffs(derivs):
+    """:func:`profile_coeffs` from a ``_unit_theta_derivs`` result."""
+    D, t1, t2, *_ = derivs
     D = {k: -d if k[0] == 2 else d for k, d in D.items()}
     return _quartic((D, t1, t2)), t1, t2
 
@@ -94,8 +98,12 @@ def limit_direction_ratio(surface: SurfacePatch, u: float, v: float
     crossed transversally: ratio of the directional derivatives of the two
     fields along the unit gradient of theta2 (frame-consistent, so the
     relative sign of the two fields is preserved)."""
-    t1, t2, X1, X2, S = theta_state(surface, u, v)
-    du, dv = _grad(_theta_field(surface, (X1, X2)), u, v, _H_FLD)
+    return _limit_ratio(_unit_theta_derivs(surface, u, v))
+
+
+def _limit_ratio(derivs):
+    """:func:`limit_direction_ratio` from a ``_unit_theta_derivs`` result."""
+    du, dv = derivs[-1]
     g = np.array([du[1], dv[1]])
     norm = np.hypot(*g)
     if norm < 1e-12:
@@ -125,13 +133,15 @@ def osculating_cyclide(surface: SurfacePatch, u: float, v: float
     coefficients and psi.  Where both thetas are below ``_TOL_THETA``,
     theta1/theta2 is replaced by its transversal limit,
     :func:`limit_direction_ratio`, and the result is flagged
-    limit-derived; where only one is, :class:`CanalPoint` is raised.
+    limit-derived (from the same theta gradients as the coefficients);
+    where only one is, :class:`CanalPoint` is raised.
     """
-    coeffs, t1, t2 = profile_coeffs(surface, u, v)
+    derivs = _unit_theta_derivs(surface, u, v)
+    coeffs, t1, t2 = _profile_coeffs(derivs)
     psi = psi_invariant(surface, u, v)
     limit_derived = bool(max(abs(t1), abs(t2)) < _TOL_THETA)
     if limit_derived:
-        t = float(np.cbrt(limit_direction_ratio(surface, u, v)))
+        t = float(np.cbrt(_limit_ratio(derivs)))
     else:
         t = _contact_direction(t1, t2)
     if t == 0.0:

@@ -8,9 +8,11 @@ expression (:meth:`SurfacePatch.from_sympy`) compiles its jet once, on first
 evaluation, so a patch whose jets are never read costs no symbolic work, and
 sympy is imported only by that constructor.  A Mobius map acts on a patch by
 pushing the order-2 jet through the chain rule, so a moved patch needs no
-symbolic work either.  Everything built on top of the jets (curvature
-gradients, invariant fields) lives in other modules and is obtained by
-differencing the pointwise quantities, never by deeper jets.
+symbolic work either; :func:`mobius_transform` refuses an inversion
+centered on the patch by Gauss-Newton steps on the same pushed jet, with
+numpy only.  Everything built on top of the jets (curvature gradients,
+invariant fields) lives in other modules and is obtained by differencing
+the pointwise quantities, never by deeper jets.
 
 A jet is flat, the one jet format: its 18 entries, x, y, z of r, r_u,
 r_v, r_uu, r_uv, r_vv (``_JET_IDX`` order), are Python floats (complex at
@@ -394,33 +396,34 @@ class MobiusMap:
 
 
 def _check_inversion_centers(surface: SurfacePatch, mmap: MobiusMap) -> None:
+    """Raise InversionCenterOnSurface where y = P(r(u, v)), P the primitives
+    before an inversion, comes within 1e-6 (relative) of 0: from each of the
+    4 nearest samples of a 24x24 grid, 8 Gauss-Newton steps x -= lstsq([y_u
+    y_v], y) on the jet pushed through P, clamped to the domain, stopping at
+    |y| = 0 or NaN (an earlier center); the least |y| seen is the distance."""
     if not any(prim[0] == "inversion" for prim in mmap.primitives):
         return
-    (u0, u1), (v0, v1) = surface.domain
-    us = np.linspace(u0, u1, 12)
-    vs = np.linspace(v0, v1, 12)
-    pts = np.array([surface.position(a, b) for a in us for b in vs])
-    from scipy.optimize import minimize
-    uv = [(a, b) for a in us for b in vs]
+    lo, hi = np.array(surface.domain).T
+    uv = [(a, b) for a in np.linspace(lo[0], hi[0], 24)
+          for b in np.linspace(lo[1], hi[1], 24)]
+    pts = np.array([surface.position(a, b) for a, b in uv])
     partial = MobiusMap(())
     for prim in mmap.primitives:
         if prim[0] == "inversion":
             dists = np.linalg.norm(partial.apply(pts), axis=-1)
-            k = int(np.argmin(dists))
-            # refine the closest sample: the center may sit between samples,
-            # and a search off the domain can find centers the patch misses
-            part = partial
-
-            def d2(x):
-                return float(np.sum(part.apply(
-                    np.asarray(surface.position(x[0], x[1])))**2))
-
-            res = minimize(d2, np.array(uv[k]), method="Nelder-Mead",
-                           bounds=surface.domain,
-                           options={"xatol": 1e-10, "fatol": 1e-20})
-            dmin = np.sqrt(max(res.fun, 0.0))
-            scale = max(np.max(dists), 1.0)
-            if dmin < 1e-6 * scale:
+            dmin = math.inf
+            for k in np.argsort(dists)[:4]:
+                x = np.array(uv[k])
+                for _ in range(8):
+                    y, yu, yv = partial.apply_jet(
+                        np.reshape(surface.jet_raw(*x), (6, 3)))[:3]
+                    d = math.sqrt(y @ y)
+                    dmin = min(dmin, d)
+                    if not d > 0:
+                        break
+                    x = np.clip(x - np.linalg.lstsq(
+                        np.column_stack([yu, yv]), y, rcond=None)[0], lo, hi)
+            if dmin < 1e-6 * max(np.max(dists), 1.0):
                 raise InversionCenterOnSurface(
                     f"surface passes within {dmin:g} of an inversion center")
         partial = partial.then(MobiusMap((prim,)))

@@ -360,9 +360,20 @@ def test_cli_import_leaves_sympy_out():
 
 
 def test_cli_import_leaves_scipy_out():
-    # scipy is imported by the intersection oracle, the branch-direction and
-    # section-angle root finder, and the inversion-center check only
+    # scipy is imported only by the intersection oracle and the
+    # branch-direction and section-angle root finder, which no command calls
     code = ("import sys, conformal.cli; "
+            "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
+    assert _fresh_python(code).strip() == "[]"
+
+
+def test_inversion_center_check_leaves_scipy_out():
+    # the check refines its samples by Gauss-Newton on the pushed jet
+    code = ("import sys\n"
+            "from conformal.catalog import make_torus\n"
+            "from conformal.surfaces import MobiusMap, mobius_transform\n"
+            "mobius_transform(make_torus(2.0, 1.0).surface, MobiusMap"
+            ".translation([0.0, 0.0, 5.0]).then(MobiusMap.inversion()))\n"
             "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
     assert _fresh_python(code).strip() == "[]"
 
@@ -406,6 +417,34 @@ def test_commands_load_neither_scipy_nor_sympy(specs, tmp_path, command,
     assert code == 0
     assert out.stat().st_size > 0
     assert heavy == []
+
+
+# a bad center curve, radius or coefficient is a ValueError (exit 2), not a
+# ZeroDivisionError or IndexError traceback, a SelfIntersectingTube with a
+# negative curvature radius, a sweep whose every row reads DegenerateMetric,
+# or a graph that silently drops a term of negative power
+@pytest.mark.parametrize("text", [
+    "kind = tube\ncurve = circle 0\nradius = 0.35\n",
+    "kind = tube\ncurve = helix 0 0\nradius = 0.35\n",
+    "kind = tube\ncurve = helix -2 0.5\nradius = 0.35\n",
+    "kind = tube\ncurve = helix 2 nan\nradius = 0.35\n",
+    "kind = tube\ncurve = helix 2\nradius = 0.35\n",
+    "kind = tube\ncurve = helix 2 0.5\nradius = nan\n",
+    "kind = torus\nR = inf\nr = 1\n",
+    "kind = graph\ncoeffs = 2 0 nan; 0 2 -0.5\n",
+    "kind = graph\ncoeffs = 2 0 0.5; -1 2 1\n",
+    "kind = sphere\nradius = inf\n",
+], ids=["circle-0", "helix-0-0", "helix-negative", "helix-nan-pitch",
+        "helix-no-pitch", "tube-nan-radius", "torus-inf", "graph-nan",
+        "graph-negative-power", "sphere-inf"])
+def test_bad_catalog_parameters_exit_2(runner, tmp_path, text):
+    spec = tmp_path / "bad.spec"
+    spec.write_text(text)
+    res = runner.invoke(main, ["classify", "--surface", str(spec),
+                               "--grid", "8x8"])
+    assert res.exit_code == 2
+    assert json.loads(res.output.strip().splitlines()[-1])["error"] == \
+        "ValueError"
 
 
 # without the checks a zero step never reaches --max-length: the subprocess's

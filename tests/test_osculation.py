@@ -11,6 +11,7 @@ from conformal.osculation import (canonical_profile, contact_order_details,
                                   limit_direction_ratio, osculating_cyclide,
                                   osculating_psi_c, profile_coeffs,
                                   verify_contact_order)
+from conformal.surfaces import SurfacePatch
 
 _TABLE_SPOT = [
     (np.pi/6, 1.0, 5.84),
@@ -37,6 +38,23 @@ def test_limit_path_at_field_zero(helcat_quarter):
     kap = np.cos(np.pi/4)/(1.0 + np.sin(np.pi/4))
     assert abs(abs(ratio) - kap) < 1e-6
     assert abs(c.psi_c - 2.17) < 0.02
+
+
+def test_limit_derived_cyclide_jet_count(helcat_quarter, monkeypatch):
+    # one theta-gradient pass (15 jets: the centre and its four neighbours,
+    # each real and at two complex steps) serves the profile coefficients
+    # and the limit ratio; psi_invariant takes the other 29, so a
+    # limit-derived cyclide costs what a generic one does
+    calls = []
+    jet_raw = SurfacePatch.jet_raw
+
+    def counted(self, u, v):
+        calls.append((u, v))
+        return jet_raw(self, u, v)
+
+    monkeypatch.setattr(SurfacePatch, "jet_raw", counted)
+    assert osculating_cyclide(helcat_quarter.surface, 0.0, 0.3).limit_derived
+    assert len(calls) == 44
 
 
 def test_canal_point_rejected(catenoid):

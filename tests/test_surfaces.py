@@ -381,6 +381,33 @@ def test_inversion_center_search_stays_in_domain(helcat_quarter):
         mobius_transform(s, MobiusMap.translation(-p).then(inv))
 
 
+_CENTER_SURFACES = {
+    "helcat": make_helcat(np.pi/4).surface,
+    "torus": make_torus(2.0, 1.0).surface,
+    "tube-helix": make_tube(("helix", 2.0, 0.5), 0.35).surface,
+    "canonical": make_canonical(1.0, 2.0, 0.0, 3.5, 0.25, -0.5,
+                                -3.25).surface,
+}
+
+
+@pytest.mark.parametrize("which", list(_CENTER_SURFACES))
+@settings(max_examples=25, derandomize=True, database=None, deadline=None)
+@given(st.floats(0.0, 1.0), st.floats(0.0, 1.0))
+def test_inversion_center_at_any_surface_point_rejected(which, fu, fv):
+    # the center at a surface point is refused wherever the point lies, not
+    # only near the closest grid sample; 1e-3 off along the normal it is not
+    s = _CENTER_SURFACES[which]
+    (u0, u1), (v0, v1) = s.domain
+    r, ru, rv, *_ = jet_vectors(s.jet_raw(u0 + fu*(u1 - u0),
+                                          v0 + fv*(v1 - v0)))
+    n = np.cross(ru, rv)
+    inv = MobiusMap.inversion()
+    with pytest.raises(InversionCenterOnSurface):
+        mobius_transform(s, MobiusMap.translation(-r).then(inv))
+    mobius_transform(s, MobiusMap.translation(
+        -(r + 1e-3*n/np.linalg.norm(n))).then(inv))
+
+
 @pytest.mark.parametrize("mmap", [
     MobiusMap.dilation(2.0).then(MobiusMap.translation([0.5, 0.0, 0.0])),
     MobiusMap.translation([0.0, 0.0, 3.0]).then(MobiusMap.inversion()),
