@@ -43,14 +43,15 @@ __all__ = [
 class CatalogEntry:
     """Immutable catalog surface: patch + parameters + optional oracles.
 
-    ``oracle`` maps field names ('theta1', 'theta2', 'psi', 'kappa', 'xi1',
-    'xi2', 'psi_c') to callables of the surface parameters (u, v).  Flags mark
-    structural special cases: ``dupin_everywhere`` (both curvature fields
-    vanish identically) and ``canal_everywhere`` (exactly one vanishes).
+    ``oracle`` maps field names ('theta1', 'theta2', 'psi', 'kappa',
+    'psi_c') to callables of the first surface parameter u (every oracle in
+    the catalog is constant in v; 'kappa', a constant, takes no argument).
+    Flags mark structural special cases: ``dupin_everywhere`` (both
+    curvature fields vanish identically) and ``canal_everywhere`` (exactly
+    one vanishes).
     """
-    name: str
     surface: SurfacePatch
-    params: Dict[str, object] = field(default_factory=dict)
+    params: Dict[str, object]
     oracle: Dict[str, Callable] = field(default_factory=dict)
     dupin_everywhere: bool = False
     canal_everywhere: bool = False
@@ -68,8 +69,7 @@ def make_helcat(alpha_h: float) -> CatalogEntry:
         theta1 = sqrt(2(1 - sin a)) sinh s     theta2 = sqrt(2B) sinh s
         psi    = sin a (3 cosh^2 s - 2)        kappa  = cos a / B  (constant)
 
-    and the invariant-gauge derivation fields xi_i = X_i / mu with
-    mu = sech^2 s, returned as parameter-plane vectors.
+    each a callable of s (kappa of nothing).
 
     The osculating-cyclide invariant ``psi_c`` (default profile sign) follows
     from these: the unit-speed derivatives D_i theta_j are constants, so with
@@ -108,28 +108,19 @@ def make_helcat(alpha_h: float) -> CatalogEntry:
     B = 1.0 + sa
     root = np.sqrt(2.0*B)
 
-    def theta1(s, t=None):
+    def theta1(s):
         return np.sqrt(2.0*(1.0 - sa))*np.sinh(s)
 
-    def theta2(s, t=None):
+    def theta2(s):
         return root*np.sinh(s)
 
-    def psi(s, t=None):
+    def psi(s):
         return sa*(3.0*np.cosh(s)**2 - 2.0)
 
-    def kappa(s=None, t=None):
+    def kappa():
         return ca/B
 
-    # curvature-line directions in the (s, t) plane: the constant rotation
-    # sending (s, t) to the curvature-line coordinates is the involution
-    # [[-ca, B], [B, ca]]/sqrt(2B); metric factor cosh^2 s, mu = sech^2 s
-    def xi1(s, t=None):
-        return np.array([-ca, B])/root * np.cosh(s)
-
-    def xi2(s, t=None):
-        return np.array([B, ca])/root * np.cosh(s)
-
-    def psi_c(s, t=None):
+    def psi_c(s):
         if ca/B < 1e-12:
             raise CanalPoint("theta1 vanishes identically on the catenoid")
         S = np.sinh(s)**2
@@ -142,57 +133,50 @@ def make_helcat(alpha_h: float) -> CatalogEntry:
         return (6.0/w**2)*(quartic/24.0 - (1.0 - w**4)/8.0)
 
     return CatalogEntry(
-        name=patch.name, surface=patch,
-        params={"alpha_h": float(alpha_h)},
+        surface=patch, params={"alpha_h": float(alpha_h)},
         oracle={"theta1": theta1, "theta2": theta2, "psi": psi,
-                "kappa": kappa, "xi1": xi1, "xi2": xi2, "psi_c": psi_c})
+                "kappa": kappa, "psi_c": psi_c})
 
 
 # --------------------------------------------------------------------------
 # cyclides and canal surfaces
 # --------------------------------------------------------------------------
-def make_torus(R: float, r: float) -> CatalogEntry:
-    """Torus of revolution (a cyclide: both curvature fields vanish)."""
-    R, r = float(R), float(r)
-    if not (math.isfinite(R) and R > r > 0):
-        raise ValueError("need finite R > r > 0")
-
+def _revolution_jet(R: float, r: float):
+    """Jet of the surface of revolution (rho cos u, rho sin u, r sin v) with
+    rho = R + r cos v: a torus, and for R = 0 the sphere of radius r."""
     def jet(u, v):
-        # r = (rho cos u, rho sin u, r sin v) with rho = R + r cos v
         fu, fv = _lib(u), _lib(v)
         cu, su, cv, sv = fu.cos(u), fu.sin(u), fv.cos(v), fv.sin(v)
         rho, rc, rs = R + r*cv, r*cv, r*sv
         return (rho*cu, rho*su, rs, -rho*su, rho*cu, 0.0,
                 -rs*cu, -rs*su, rc, -rho*cu, -rho*su, 0.0,
                 rs*su, -rs*cu, 0.0, -rc*cu, -rc*su, -rs)
+    return jet
 
+
+def make_torus(R: float, r: float) -> CatalogEntry:
+    """Torus of revolution (a cyclide: both curvature fields vanish)."""
+    R, r = float(R), float(r)
+    if not (math.isfinite(R) and R > r > 0):
+        raise ValueError("need finite R > r > 0")
     patch = SurfacePatch([(-np.pi, np.pi), (-np.pi, np.pi)],
-                         name=f"torus[{R:g},{r:g}]", jet_fn=jet)
-    zero = lambda s, t=None: 0.0*np.asarray(s)
-    return CatalogEntry(name=patch.name, surface=patch,
-                        params={"R": R, "r": r},
+                         name=f"torus[{R:g},{r:g}]",
+                         jet_fn=_revolution_jet(R, r))
+    zero = lambda s: 0.0*np.asarray(s)
+    return CatalogEntry(surface=patch, params={"R": R, "r": r},
                         oracle={"theta1": zero, "theta2": zero},
                         dupin_everywhere=True)
 
 
-def make_sphere(radius: float = 1.0) -> CatalogEntry:
+def make_sphere(radius: float) -> CatalogEntry:
     """Round sphere r = radius (cos u cos v, sin u cos v, sin v), with the
     latitude v kept 0.17 short of the poles.  Every point is umbilic."""
     rad = float(radius)
     if not 0 < rad < math.inf:
         raise ValueError("radius must be finite and positive")
-
-    def jet(u, v):
-        fu, fv = _lib(u), _lib(v)
-        cu, su, cv, sv = fu.cos(u), fu.sin(u), fv.cos(v), fv.sin(v)
-        a, b = rad*cv, rad*sv
-        return (a*cu, a*su, b, -a*su, a*cu, 0.0,
-                -b*cu, -b*su, a, -a*cu, -a*su, 0.0,
-                b*su, -b*cu, 0.0, -a*cu, -a*su, -b)
-
     patch = SurfacePatch([(-np.pi, np.pi), (-1.4, 1.4)], name="sphere",
-                         jet_fn=jet)
-    return CatalogEntry(name="sphere", surface=patch, params={"radius": rad})
+                         jet_fn=_revolution_jet(0.0, rad))
+    return CatalogEntry(surface=patch, params={"radius": rad})
 
 
 def make_tube(curve, radius: float) -> CatalogEntry:
@@ -244,8 +228,8 @@ def make_tube(curve, radius: float) -> CatalogEntry:
 
     patch = SurfacePatch([(-10.0, 10.0), (-10.0, 10.0)],
                          name=f"tube[{kind},r={radius:g}]", jet_fn=jet)
-    zero = lambda s, t=None: 0.0*np.asarray(s)
-    return CatalogEntry(name=patch.name, surface=patch,
+    zero = lambda s: 0.0*np.asarray(s)
+    return CatalogEntry(surface=patch,
                         params={"curve": tuple(curve), "radius": radius},
                         oracle={"theta1": zero},
                         canal_everywhere=True,
@@ -280,8 +264,7 @@ def make_graph(poly: Dict[tuple, float], window: float = 1.0) -> CatalogEntry:
 
     patch = SurfacePatch([(-window, window), (-window, window)],
                          name="graph", jet_fn=jet)
-    return CatalogEntry(name="graph", surface=patch,
-                        params={"poly": dict(poly)})
+    return CatalogEntry(surface=patch, params={"poly": dict(poly)})
 
 
 def make_canonical(theta1: float, theta2: float, psi: float, a: float,
@@ -294,16 +277,15 @@ def make_canonical(theta1: float, theta2: float, psi: float, a: float,
 
     The generic pipeline at the origin recovers (theta1, theta2, a, b, c, d)
     exactly; its fourth-order invariant equals psi + (xi1 theta1 +
-    xi2 theta2) evaluated at the origin (a documented offset of the two
-    normalizations, stored under params['psi_offset_fields']).
+    xi2 theta2) evaluated at the origin, an offset between the two
+    normalizations that the field-based invariant carries and the normal
+    form does not.
     """
     vals = [float(x) for x in (theta1, theta2, psi, a, b, c, d)]
     poly = normal_form_monomials(*vals)
     entry = make_graph(poly, window=0.4)
-    params = {"invariants": tuple(vals), "poly": poly,
-              "psi_offset_fields": "xi1(theta1) + xi2(theta2) at origin"}
-    return CatalogEntry(name="canonical", surface=entry.surface,
-                        params=params)
+    return CatalogEntry(surface=entry.surface,
+                        params={"invariants": tuple(vals), "poly": poly})
 
 
 # --------------------------------------------------------------------------

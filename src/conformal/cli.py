@@ -45,6 +45,8 @@ _TABLE_ROWS = [
 # transposed, so the plain discrepancy note and its gap describe it, and the
 # table's output format (one flagged cell) is unchanged.
 _FLAGGED_CELL = ("pi/2.01", 1)
+# largest |psi_invariant - psi_from_thetas| that `verify` reports as ok
+_TOL_XCHECK = 1e-2
 
 
 # --------------------------------------------------------------------------
@@ -64,13 +66,13 @@ def _fmt(x) -> str:
     return str(x)
 
 
-def _emit(rows, header, out, fmt, meta=None):
+def _emit(rows, header, out, fmt, meta):
     if fmt == "csv":
         lines = [",".join(header)]
         lines += [",".join(_fmt(x) for x in row) for row in rows]
         text = "\n".join(lines) + "\n"
     else:
-        payload = {"version": __version__, "config": meta or {},
+        payload = {"version": __version__, "config": meta,
                    "header": list(header),
                    "rows": [[None if (c := _fmt(x)) == "" else
                              (c if not _is_number(x) else float("%.12g" % x))
@@ -233,11 +235,10 @@ def _sweep(surface_path, grid, rng, header, values, out, fmt):
 @_fmt_opt
 @click.option("--grid", default="16x16")
 @click.option("--range", "rng", default=None)
-@click.option("--tol-canal", default=1e-6, type=float)
-def cmd_invariants(surface_path, out, fmt, grid, rng, tol_canal):
+def cmd_invariants(surface_path, out, fmt, grid, rng):
     """Pointwise invariant sweep over a parameter grid."""
     def values(surface, u, v):
-        s = invariant_sample(surface, u, v, tol_canal=tol_canal)
+        s = invariant_sample(surface, u, v)
         pd = s.pd
         return [pd.k1, pd.k2, pd.H, pd.mu, s.theta1, s.theta2, s.psi, s.a,
                 s.b, s.c, s.d, s.classification]
@@ -253,11 +254,10 @@ def cmd_invariants(surface_path, out, fmt, grid, rng, tol_canal):
 @_fmt_opt
 @click.option("--grid", default="16x16")
 @click.option("--range", "rng", default=None)
-@click.option("--tol-canal", default=1e-6, type=float)
-def cmd_classify(surface_path, out, fmt, grid, rng, tol_canal):
+def cmd_classify(surface_path, out, fmt, grid, rng):
     """Point classification sweep (Generic/Canal/Dupin/Umbilic)."""
     def values(surface, u, v):
-        return [invariant_sample(surface, u, v, tol_canal=tol_canal,
+        return [invariant_sample(surface, u, v,
                                  with_coeffs=False).classification]
 
     _wrap(_sweep, surface_path, grid, rng, ["u", "v", "class"], values, out,
@@ -436,13 +436,12 @@ def cmd_prescribe(surface_path, out, grid):
 @_out_opt
 @_fmt_opt
 @click.option("--seed", "seeds", multiple=True, required=True)
-@click.option("--tol-xcheck", default=1e-2, type=float)
-def cmd_verify(surface_path, out, fmt, seeds, tol_xcheck):
+def cmd_verify(surface_path, out, fmt, seeds):
     """Compare psi_invariant with psi_from_thetas at seeds.
 
     The theta path recovers the canonical normal form's psi, which differs
     from psi_invariant by xi1(theta1) + xi2(theta2); the two agree only
-    where that offset is below the tolerance."""
+    where that offset is below ``_TOL_XCHECK``."""
     def run():
         entry = load_surface_spec(surface_path)
         header = ["u", "v", "psi_field", "psi_thetas", "gap", "status"]
@@ -454,8 +453,8 @@ def cmd_verify(surface_path, out, fmt, seeds, tol_xcheck):
             try:
                 p2 = psi_from_thetas(entry.surface, u, v)
                 gap = abs(s.psi - p2)
-                status = "ok" if gap < tol_xcheck else "mismatch"
-                ok = ok and gap < tol_xcheck
+                status = "ok" if gap < _TOL_XCHECK else "mismatch"
+                ok = ok and gap < _TOL_XCHECK
                 rows.append([u, v, s.psi, p2, gap, status])
             except DegenerateDenominator:
                 rows.append([u, v, s.psi, None, None, "degenerate"])

@@ -40,13 +40,10 @@ class PlanarCurveSet:
     """Zero-set polylines of the surface-cyclide difference in the tangent
     plane."""
     polylines: List[np.ndarray]     # each (m, 2)
-    window: float
-    resolution: int
     origin_component_index: Optional[int]
     component_count: int
     component_of_polyline: List[int]
-    degenerate: bool = False        # F identically zero (surface IS cyclide)
-    psi_c: float = 0.0
+    degenerate: bool                # F identically zero (surface IS cyclide)
 
 
 # --------------------------------------------------------------------------
@@ -308,11 +305,9 @@ def trace_cyclide_intersection(coeffs, psi_c: float, window: float = 1.0,
     cells = resolution + 1 if resolution % 2 == 0 else resolution
     mono = difference_coeffs(coeffs, psi_c)
     if all(abs(wt) < 1e-14 for wt in mono.values()):
-        return PlanarCurveSet(polylines=[], window=window,
-                              resolution=resolution,
-                              origin_component_index=None,
+        return PlanarCurveSet(polylines=[], origin_component_index=None,
                               component_count=0, component_of_polyline=[],
-                              degenerate=True, psi_c=psi_c)
+                              degenerate=True)
     check_window(coeffs, window)
     F = difference_eval(coeffs, psi_c)
     xs = np.linspace(-window, window, cells + 1)
@@ -338,12 +333,11 @@ def trace_cyclide_intersection(coeffs, psi_c: float, window: float = 1.0,
         if dmin < min(best - _JOIN_TOL, 1.5*h):
             best = dmin
             origin_idx = comp_of[idx]
-    return PlanarCurveSet(polylines=polylines, window=window,
-                          resolution=resolution,
+    return PlanarCurveSet(polylines=polylines,
                           origin_component_index=origin_idx,
                           component_count=ncomp,
                           component_of_polyline=comp_of,
-                          degenerate=False, psi_c=psi_c)
+                          degenerate=False)
 
 
 def component_count_oracle(coeffs, psi_c: float) -> int:

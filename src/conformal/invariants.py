@@ -31,7 +31,7 @@ __all__ = [
 
 _H_FLD = 1e-5          # first outer-difference step for invariant fields
 _CSTEP = 1e-20         # complex step for curvature gradients
-_TOL_CANAL = 1e-6
+_TOL_CANAL = 1e-6      # a |theta| below this counts as 0 in classify_point
 _TOL_GEN = 1e-5        # relative floor of xi1(theta2) + xi2(theta1)
 _H_NEST = (1e-4, 2e-3, 1e-2)   # psi_from_thetas steps, by nesting depth
 
@@ -39,8 +39,6 @@ _H_NEST = (1e-4, 2e-3, 1e-2)   # psi_from_thetas steps, by nesting depth
 @dataclass(frozen=True)
 class InvariantSample:
     """Full pointwise conformal package at one parameter point."""
-    u: float
-    v: float
     theta1: float
     theta2: float
     psi: Optional[float]
@@ -49,7 +47,7 @@ class InvariantSample:
     c: Optional[float]
     d: Optional[float]
     classification: str
-    pd: Optional[PrincipalData] = None
+    pd: PrincipalData
 
 
 # --------------------------------------------------------------------------
@@ -181,13 +179,12 @@ def fourth_order_coeffs(surface: SurfacePatch, u: float, v: float):
     return _quartic(xi_theta_derivs(surface, u, v))
 
 
-def classify_point(theta1: float, theta2: float,
-                   tol_canal: float = _TOL_CANAL) -> str:
+def classify_point(theta1: float, theta2: float) -> str:
     """One of Generic / CanalTheta1 / CanalTheta2 / Dupin: a theta below
-    ``tol_canal`` in absolute value counts as 0.  The thetas are
+    ``_TOL_CANAL`` (1e-6) in absolute value counts as 0.  The thetas are
     Mobius-invariant, so one absolute threshold serves every scale."""
-    small1 = abs(theta1) < tol_canal
-    small2 = abs(theta2) < tol_canal
+    small1 = abs(theta1) < _TOL_CANAL
+    small2 = abs(theta2) < _TOL_CANAL
     if small1 and small2:
         return "Dupin"
     if small1:
@@ -198,8 +195,7 @@ def classify_point(theta1: float, theta2: float,
 
 
 def invariant_sample(surface: SurfacePatch, u: float, v: float,
-                     tol_canal: float = _TOL_CANAL, with_coeffs: bool = True
-                     ) -> InvariantSample:
+                     with_coeffs: bool = True) -> InvariantSample:
     """Assemble the full pointwise package (thetas, psi, a..d, class)."""
     pd = principal_data(surface.jet_raw(u, v))
     derivs = xi_theta_derivs(surface, u, v)
@@ -209,9 +205,9 @@ def invariant_sample(surface: SurfacePatch, u: float, v: float,
         _require_margin(surface, u, v, 2*_H_FLD)
         psi = _psi(surface, u, v, derivs)
         a, b, c, d = _quartic(derivs)
-    return InvariantSample(u=u, v=v, theta1=t1, theta2=t2, psi=psi,
+    return InvariantSample(theta1=t1, theta2=t2, psi=psi,
                            a=a, b=b, c=c, d=d,
-                           classification=classify_point(t1, t2, tol_canal),
+                           classification=classify_point(t1, t2),
                            pd=pd)
 
 
@@ -279,9 +275,9 @@ def _psi_numerator(t1, t2, x1t1, x1t2, x2t1, x2t2, x1x1t1, x1x1t2,
 # --------------------------------------------------------------------------
 # Willmore energy and bracket residual
 # --------------------------------------------------------------------------
-def willmore_energy(surface: SurfacePatch, n: int = 64) -> float:
-    """Grid quadrature of mu^2 dA over the patch's domain, midpoint rule in
-    both directions."""
+def willmore_energy(surface: SurfacePatch, n: int) -> float:
+    """Grid quadrature of mu^2 dA over the patch's domain, midpoint rule on
+    n x n cells."""
     (u0, u1), (v0, v1) = surface.domain
     hu, hv = (u1 - u0)/n, (v1 - v0)/n
     us = u0 + hu*(np.arange(n) + 0.5)

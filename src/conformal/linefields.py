@@ -38,7 +38,6 @@ class CurveTrace:
     """Ordered samples of an integrated line-field trace."""
     uv: np.ndarray                    # (n, 2) parameter samples
     positions: np.ndarray             # (n, 3) ambient samples
-    step: float
     closed: bool
     termination: str      # ReachedLength | Closed | HitBoundary | HitSingularPoint
     alpha: Optional[np.ndarray] = None
@@ -59,7 +58,7 @@ class CriticalPoint:
     alpha: float
     relation_residual: float  # theta2 tan^3(alpha) + theta1
     tangency_gap: float       # radians, unoriented-angle convention
-    genericity: float         # V(log|theta1| + log|theta2|)
+    genericity: float         # V(log|theta1| + log|theta2|) / mu
     is_extremum: bool
 
 
@@ -73,17 +72,24 @@ def _floor_thetas(t1, t2):
     return tuple(0.0 if abs(t) < _THETA_FLOOR else t for t in (t1, t2))
 
 
-def _dupin_dir(state):
-    """Unoriented direction of cbrt(theta2) X1 + cbrt(theta1) X2 (thetas
-    floored by :func:`_floor_thetas`), ambient-unit-normalized, in parameter
-    coordinates, from a :func:`theta_state` tuple.  X1 and X2 are
+def _dupin_vector(t1, t2, X1, X2):
+    """cbrt(theta2) X1 + cbrt(theta1) X2 (thetas floored by
+    :func:`_floor_thetas`), ambient-unit-normalized, in parameter
+    coordinates; None where both floored thetas are 0.  X1 and X2 are
     orthonormal in the first fundamental form, so the ambient length of
-    c2 X1 + c1 X2 is hypot(c1, c2)."""
+    c2 X1 + c1 X2 is hypot(c1, c2), whatever the parametrization."""
+    c1, c2 = (np.cbrt(t) for t in _floor_thetas(t1, t2))
+    norm = math.hypot(c1, c2)
+    return None if norm == 0.0 else (c2*X1 + c1*X2) / norm
+
+
+def _dupin_dir(state):
+    """Unoriented :func:`_dupin_vector` from a :func:`theta_state` tuple;
+    DupinPoint where |theta1| + |theta2| is below ``_TOL_DUPIN``."""
     t1, t2, X1, X2, _ = state
     if abs(t1) + abs(t2) < _TOL_DUPIN:
         raise DupinPoint(f"|theta1|+|theta2| = {abs(t1)+abs(t2):.3e}")
-    c1, c2 = (np.cbrt(t) for t in _floor_thetas(t1, t2))
-    return (c2*X1 + c1*X2) / math.hypot(c1, c2)
+    return _dupin_vector(t1, t2, X1, X2)
 
 
 def _turn(d, carried, S):
@@ -202,7 +208,7 @@ def integrate_dupin_line(surface: SurfacePatch, seed, step: float = 0.01,
             closed, termination = True, "Closed"
             break
         ts = theta_state(surface, *state)
-    return CurveTrace(uv=np.array(uv), positions=np.array(pos), step=step,
+    return CurveTrace(uv=np.array(uv), positions=np.array(pos),
                       closed=closed, termination=termination)
 
 
@@ -289,7 +295,7 @@ def integrate_darboux_line(surface: SurfacePatch, seed, alpha0: float,
             break
     closed = (len(pos) > 4
               and np.linalg.norm(pos[-1] - pos[0]) < 2*step)
-    return CurveTrace(uv=np.array(uv), positions=np.array(pos), step=step,
+    return CurveTrace(uv=np.array(uv), positions=np.array(pos),
                       closed=closed, termination=termination,
                       alpha=np.array(alphas), sigma=np.array(sigmas),
                       dalpha=np.array(dalphas), frames=np.array(frames))
@@ -323,8 +329,11 @@ def darboux_critical_points(trace: CurveTrace, surface: SurfacePatch
     compared with the Dupin field as unoriented angles against X1 (the
     documented convention: the two lines are mirror images across X1, so
     |angle| is the comparable quantity), the genericity derivative of
-    log|theta1| + log|theta2| along the Dupin field is measured, and a
-    discrete extremum test on alpha is run.
+    log|theta1| + log|theta2| is measured, and a discrete extremum test on
+    alpha is run.  The genericity derivative is taken along the metric-unit
+    Dupin direction of :func:`_dupin_vector` and divided by mu, so it does
+    not depend on the parametrization; it is NaN where both floored thetas
+    are 0, and ``tangency_gap`` is NaN where theta2 is 0.
 
     ``tangency_gap`` and ``genericity`` carry about 3 significant digits,
     although they are printed with 12: the zero is linearly interpolated
@@ -346,25 +355,22 @@ def darboux_critical_points(trace: CurveTrace, surface: SurfacePatch
         ref = tuple(trace.frames[i]) if trace.frames is not None else None
         t1, t2, X1, X2, S = theta_state(surface, uc[0], uc[1], ref)
         rel = t2*np.tan(ac)**3 + t1
+        gap = gen = float("nan")
         # unoriented tangency with the Dupin field; the theta ratio stays
         # accurate arbitrarily close to the Dupin locus
-        if t2 != 0.0 and abs(t1) + abs(t2) > 0.0:
+        if t2 != 0.0:
             ang_dupin = np.arctan(abs(np.cbrt(t1/t2)))
             a_red = abs(ac) % np.pi
             if a_red > np.pi/2:
                 a_red = np.pi - a_red
             gap = abs(a_red - ang_dupin)
-            V = np.cbrt(t2)*X1 + np.cbrt(t1)*X2
-            Vn = V / np.hypot(*V)
-
+        V = _dupin_vector(t1, t2, X1, X2)
+        if V is not None:
             def logth(a, b):
                 r1, r2, *_ = theta_state(surface, a, b, (X1, X2))
                 return np.log(abs(r1)) + np.log(abs(r2))
 
-            gen = _along(logth, uc[0], uc[1], Vn, _H_GEN) / S["mu"]
-        else:
-            gap = float("nan")
-            gen = float("nan")
+            gen = _along(logth, uc[0], uc[1], V, _H_GEN) / S["mu"]
         j0, j1 = max(i - 1, 0), min(i + 2, len(d) - 1)
         window = trace.alpha[j0:j1 + 1]
         is_ext = bool(len(window) >= 3

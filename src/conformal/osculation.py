@@ -45,15 +45,12 @@ class CyclideContact:
     t: float                 # direction parameter, t^3 = theta1/theta2
     alpha: float             # angle with X1, in [0, pi/2)
     psi_c: float             # cyclide invariant
-    u: float
-    v: float
-    limit_derived: bool = False
-    profile_sign: int = _PROFILE_SIGN
+    limit_derived: bool
     # frozen profile data so verification needs no re-differencing
-    theta1: float = 0.0
-    theta2: float = 0.0
-    psi: float = 0.0
-    coeffs: tuple = (3.0, 0.0, 0.0, -3.0)   # unit-gauge (a, b, c, d)
+    theta1: float
+    theta2: float
+    psi: float
+    coeffs: tuple            # unit-gauge (a, b, c, d)
 
 
 @dataclass(frozen=True)
@@ -149,7 +146,7 @@ def osculating_cyclide(surface: SurfacePatch, u: float, v: float
     psi_c = osculating_psi_c((t1, t2, psi, *coeffs), t)
     return CyclideContact(
         t=t, alpha=float(np.arctan(abs(t))), psi_c=float(psi_c),
-        u=u, v=v, limit_derived=limit_derived, profile_sign=_PROFILE_SIGN,
+        limit_derived=limit_derived,
         theta1=float(t1), theta2=float(t2), psi=float(psi),
         coeffs=tuple(float(x) for x in coeffs))
 
@@ -250,8 +247,8 @@ def verify_contact_order(contact: CyclideContact,
                          psi_c: Optional[float] = None) -> int:
     """Numerically verified contact order between the surface and the
     cyclide with invariant ``psi_c`` (default: the contact's own value) in
-    the contact direction."""
-    t_eff = contact.profile_sign * contact.t
+    the contact direction, signed by ``_PROFILE_SIGN``."""
+    t_eff = _PROFILE_SIGN * contact.t
     prof_s = canonical_profile(contact.theta1, contact.theta2, contact.psi,
                                contact.coeffs, t_eff)
     prof_c = cyclide_profile(contact.psi_c if psi_c is None else psi_c, t_eff)

@@ -242,7 +242,7 @@ def psi_from_grid(grid: FieldGrid) -> np.ndarray:
 # --------------------------------------------------------------------------
 # structural residuals (first-order relations)
 # --------------------------------------------------------------------------
-def structural_residuals(grid: FieldGrid, margin: int = 2) -> ResidualReport:
+def structural_residuals(grid: FieldGrid, margin: int) -> ResidualReport:
     """Residuals of the four first-order relations:
 
         R1 =  d2(f1) + (1/2) f1 f2 theta2
@@ -250,13 +250,11 @@ def structural_residuals(grid: FieldGrid, margin: int = 2) -> ResidualReport:
         R3 =  f1 d2(psi) - f2 d1(c) - f1 f2 (c theta1 + theta2 (psi + 2))
         R4 = -f1 d2(b) + f2 d1(psi) + f1 f2 (b theta2 + theta1 (psi - 2))
 
-    ``b`` and ``c`` are taken from the grid when present, else derived from
-    the theta fields.
+    over all but ``margin`` cells at each edge.  Every field must be on the
+    grid (:func:`bc_from_thetas` derives ``b`` and ``c``).
     """
-    grid.require("f1", "f2", "theta1", "theta2", "psi")
+    grid.require("f1", "f2", "theta1", "theta2", "psi", "b", "c")
     b, c = grid.b, grid.c
-    if b is None or c is None:
-        b, c = bc_from_thetas(grid)
     f1, f2, t1, t2, psi = grid.f1, grid.f2, grid.theta1, grid.theta2, grid.psi
     res = {
         "structural_1": grid.d2(f1) + 0.5*f1*f2*t2,
@@ -453,19 +451,18 @@ def _by_rows(fn: Callable, *args, D: Optional[Callable] = None
     return out
 
 
-def integrability_residuals(grid: FieldGrid, margin: int = 4
-                            ) -> ResidualReport:
+def integrability_residuals(grid: FieldGrid) -> ResidualReport:
     """Residuals of the second- and fourth-order compatibility conditions on
-    (f1, f2, kappa).  When kappa is constant to 1e-12 the dedicated
-    constant-ratio forms are used; the second-order condition takes the
-    reciprocal 1/kappa as its ratio argument, the fourth-order condition
-    takes kappa itself.
+    (f1, f2, kappa), over all but ``_MARGIN`` cells at each edge.  When
+    kappa is constant to 1e-12 the dedicated constant-ratio forms are used;
+    the second-order condition takes the reciprocal 1/kappa as its ratio
+    argument, the fourth-order condition takes kappa itself.
     """
     grid.require("f1", "f2", "kappa")
     n1, n2 = grid.shape
-    if n1 <= 2*margin + 1 or n2 <= 2*margin + 1:
+    if n1 <= 2*_MARGIN + 1 or n2 <= 2*_MARGIN + 1:
         raise MarginTooSmall(
-            f"grid {n1}x{n2} too small for margin {margin}")
+            f"grid {n1}x{n2} too small for margin {_MARGIN}")
     D = _grid_oracle(grid)
     f1 = np.asarray(grid.f1, dtype=float)
     f2 = np.asarray(grid.f2, dtype=float)
@@ -482,8 +479,8 @@ def integrability_residuals(grid: FieldGrid, margin: int = 4
         names = ("integrability_2nd", "integrability_4th")
     mx, rms = {}, {}
     for name, r in zip(names, (r2, r4)):
-        mx[name], rms[name] = _norms(np.asarray(r, dtype=float), margin)
-    return ResidualReport(max_norm=mx, rms=rms, margin=margin)
+        mx[name], rms[name] = _norms(np.asarray(r, dtype=float), _MARGIN)
+    return ResidualReport(max_norm=mx, rms=rms, margin=_MARGIN)
 
 
 # --------------------------------------------------------------------------
@@ -540,7 +537,7 @@ def prescribe(kappa: np.ndarray, f2: np.ndarray, f1_boundary: np.ndarray,
     h = max(grid.h1, grid.h2)
     tol_real = 10.0 * _BASELINE_C * h * h
     rep = structural_residuals(grid, margin=_MARGIN).merged(
-        integrability_residuals(grid, margin=_MARGIN))
+        integrability_residuals(grid))
     rep.extra["theta_consistency_gap"] = gap
     rep.extra["tol_real"] = float(tol_real)
     core = grid.psi[_MARGIN:-_MARGIN, _MARGIN:-_MARGIN]

@@ -24,8 +24,9 @@ from conformal.invariants import (bracket_residual, fourth_order_coeffs,
 from conformal.linefields import (darboux_critical_points, fit_circle,
                                   integrate_darboux_line,
                                   integrate_dupin_line)
-from conformal.osculation import (canonical_profile, contact_order_details,
-                                  cyclide_profile, osculating_cyclide)
+from conformal.osculation import (_PROFILE_SIGN, canonical_profile,
+                                  contact_order_details, cyclide_profile,
+                                  osculating_cyclide)
 from conformal.prescribe import (helcat_grid, integrability_residuals,
                                  prescribe, structural_residuals)
 from conformal.surfaces import MobiusMap, mobius_transform
@@ -142,7 +143,7 @@ def test_contact_orders_generic_points(helcat_quarter):
             continue
         count += 1
         c = osculating_cyclide(helcat_quarter.surface, u, v)
-        t_eff = c.profile_sign * c.t
+        t_eff = _PROFILE_SIGN * c.t
         prof_s = canonical_profile(c.theta1, c.theta2, c.psi, c.coeffs,
                                    t_eff)
         order, slope, exact = contact_order_details(
@@ -306,7 +307,7 @@ def test_pipeline_convergence_and_verdicts():
     for n in (17, 33, 65):
         g = helcat_grid(np.pi/4, n)
         worst_s.append(structural_residuals(g, margin=2).worst())
-        worst_i.append(integrability_residuals(g, margin=4).worst())
+        worst_i.append(integrability_residuals(g).worst())
     for w in (worst_s, worst_i):
         assert np.log2(w[0]/w[1]) > 1.8
         assert np.log2(w[1]/w[2]) > 1.8

@@ -108,7 +108,6 @@ def test_canonical_psi_offset_identity():
     xt, *_ = xi_theta_derivs(e.surface, 0.0, 0.0)
     offset = xt[(1, 1)] + xt[(2, 2)]
     assert abs(samp.psi - vals[2] - offset) < 1e-6
-    assert "psi_offset_fields" in e.params
 
 
 def test_canonical_rejects_nonfinite():
@@ -125,6 +124,15 @@ def test_isothermic_verdicts(catenoid, helcat_quarter, torus):
     assert isothermic_check(torus, [(0.5, 0.8), (1.0, 2.0)])
     r = isothermic_residual(catenoid.surface, 0.7, 0.4)
     assert abs(r) < 1e-4
+
+
+def test_isothermic_check_fails_off_the_isothermic_class():
+    # a generic canonical graph has no conformal curvature-line coordinates:
+    # its residual is 0.06-0.26 at every sample, far above the 1e-4 bound
+    e = make_canonical(1.0, 2.0, 0.0, 3.5, 0.25, -0.5, -3.25)
+    pts = [(0.05, -0.1), (0.1, 0.1), (0.2, 0.15)]
+    assert all(abs(isothermic_residual(e.surface, *p)) > 0.05 for p in pts)
+    assert not isothermic_check(e, pts)
 
 
 def _center_curve(curve):

@@ -392,8 +392,8 @@ print(json.dumps([code, sorted(m for m in sys.modules
 
 
 # every command, and every spec kind at least once: no command loads scipy
-# or sympy (sympy is not a runtime dependency; scipy is, for library paths
-# that no command reaches)
+# or sympy (neither is a runtime dependency: both are in the `test` extra,
+# for the oracles and library paths that no command reaches)
 @pytest.mark.parametrize("command,spec", [
     (["intersect", "--grid", "64x64"], "canonical"),
     (["prescribe", "--grid", "65x65"], "helcat"),
@@ -520,3 +520,37 @@ def test_tracer_seed_without_a_field_exits_3(runner, specs, command, spec,
                                "--seed", seed, "--max-length", "0.02"])
     assert res.exit_code == 3
     assert json.loads(res.output.strip().splitlines()[-1])["error"] == error
+
+
+# each option a command takes has a caller that sets it; a tolerance that
+# every caller leaves at its default is a module constant, not a flag
+_OPTIONS = {
+    "invariants": ["--format", "--grid", "--out", "--range", "--surface"],
+    "classify": ["--format", "--grid", "--out", "--range", "--surface"],
+    "osculate": ["--format", "--out", "--seed", "--surface"],
+    "dupin-lines": ["--format", "--max-length", "--out", "--seed", "--step",
+                    "--surface"],
+    "darboux": ["--alpha0", "--format", "--max-length", "--orient", "--out",
+                "--seed", "--step", "--surface"],
+    "intersect": ["--format", "--grid", "--out", "--psi-c", "--surface",
+                  "--window"],
+    "prescribe": ["--grid", "--out", "--surface"],
+    "verify": ["--format", "--out", "--seed", "--surface"],
+    "table1": ["--format", "--out"],
+}
+
+
+def test_command_options_are_pinned():
+    assert {name: sorted(o for p in cmd.params for o in p.opts)
+            for name, cmd in main.commands.items()} == _OPTIONS
+
+
+@pytest.mark.parametrize("command,spec,flag", [
+    (["invariants", "--grid", "8x8"], "helcat", ["--tol-canal", "1e-3"]),
+    (["classify", "--grid", "8x8"], "helcat", ["--tol-canal", "1e-3"]),
+    (["verify", "--seed", "0.5,1.2"], "tube", ["--tol-xcheck", "1e-3"]),
+], ids=["invariants", "classify", "verify"])
+def test_removed_tolerance_flags_exit_2(runner, specs, command, spec, flag):
+    res = runner.invoke(main, [*command, "--surface", specs[spec], *flag])
+    assert res.exit_code == 2
+    assert "No such option" in res.output

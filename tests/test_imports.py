@@ -39,3 +39,50 @@ def test_unused_imports_are_found():
 @pytest.mark.parametrize("module", sorted(p.name for p in SRC.glob("*.py")))
 def test_no_unused_imports(module):
     assert unused_imports((SRC / module).read_text()) == []
+
+
+def _is_dataclass(decorator) -> bool:
+    if isinstance(decorator, ast.Call):
+        decorator = decorator.func
+    return (isinstance(decorator, ast.Name) and decorator.id == "dataclass"
+            or isinstance(decorator, ast.Attribute)
+            and decorator.attr == "dataclass")
+
+
+def unread_fields(sources, readers) -> list:
+    """``Class.field`` for each field of a ``@dataclass`` in ``sources`` whose
+    name no module in ``readers`` reads as an attribute (``x.field`` in a
+    load, not only in an assignment).  The check goes by name, not type: a
+    field that shares its name with one read elsewhere passes."""
+    read = {n.attr for text in readers for n in ast.walk(ast.parse(text))
+            if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)}
+    found = []
+    for text in sources:
+        for node in ast.walk(ast.parse(text)):
+            if (isinstance(node, ast.ClassDef)
+                    and any(map(_is_dataclass, node.decorator_list))):
+                found += [f"{node.name}.{st.target.id}" for st in node.body
+                          if isinstance(st, ast.AnnAssign)
+                          and isinstance(st.target, ast.Name)
+                          and st.target.id not in read]
+    return sorted(found)
+
+
+def test_unread_fields_are_found():
+    src = ("import dataclasses\nfrom dataclasses import dataclass\n"
+           "@dataclass(frozen=True)\nclass A:\n    x: int\n    y: int = 0\n"
+           "    z: int = 1\n"
+           "@dataclasses.dataclass\nclass B:\n    w: int\n"
+           "class C:\n    q: int\n"
+           "def f(a, b):\n    a.z = 2\n    return a.x + b.w\n")
+    assert unread_fields([src], [src]) == ["A.y", "A.z"]
+
+
+def test_no_unread_dataclass_fields():
+    # a record field that no module of the package, its tests or its
+    # benchmark reads is dead weight on every record built
+    root = SRC.parents[1]
+    readers = [p.read_text() for d in ("src", "tests", "perfbench")
+               for p in sorted((root / d).rglob("*.py"))]
+    sources = [p.read_text() for p in sorted(SRC.glob("*.py"))]
+    assert unread_fields(sources, readers) == []

@@ -6,9 +6,10 @@ from conftest import jet_vectors
 from conformal import linefields
 from conformal.errors import AngleDegenerate, DupinPoint, SeedIsDupinPoint
 from conformal.invariants import theta_state
-from conformal.linefields import (darboux_critical_points, fit_circle,
-                                  integrate_darboux_line,
+from conformal.linefields import (CurveTrace, darboux_critical_points,
+                                  fit_circle, integrate_darboux_line,
                                   integrate_dupin_line)
+from conformal.surfaces import SurfacePatch
 
 
 def test_fit_circle_exact():
@@ -215,6 +216,67 @@ def test_darboux_critical_point(helcat_quarter):
     assert cp.relation_residual < 1e-3
     assert cp.tangency_gap < 1e-2
     assert cp.is_extremum or abs(cp.genericity) <= 0.1
+
+
+def _genericity_at(surface, u, v):
+    """genericity of a critical placed at (u, v): a two-sample trace whose
+    d alpha / d sigma changes sign there."""
+    tr = CurveTrace(uv=np.array([[u, v], [u, v]]), positions=np.zeros((2, 3)),
+                    closed=False, termination="ReachedLength",
+                    alpha=np.array([0.3, 0.3]), dalpha=np.array([1.0, -1.0]))
+    (cp,) = darboux_critical_points(tr, surface)
+    return cp.genericity
+
+
+@pytest.mark.parametrize("u,v", [(0.3, 0.4), (0.7, -1.0), (-0.05, 0.3)])
+def test_darboux_genericity_does_not_depend_on_the_parametrization(
+        helcat_quarter, u, v):
+    # the same helcat with u -> 2u: r2(u, v) = r(2u, v), so r2_u = 2 r_u,
+    # r2_uu = 4 r_uu and r2_uv = 2 r_uv
+    base = helcat_quarter.surface
+
+    def jet(a, b):
+        scale = (1, 2, 1, 4, 2, 1)
+        return tuple(x*scale[k//3]
+                     for k, x in enumerate(base.jet_raw(2*a, b)))
+
+    stretched = SurfacePatch([(-1.5, 1.5), (-7.0, 7.0)], jet_fn=jet)
+    gen = _genericity_at(base, u, v)
+    assert abs(_genericity_at(stretched, u/2, v) - gen) < 1e-9*abs(gen)
+    # closed form: log|theta1| + log|theta2| = 2 log|sinh s| + const, and
+    # the metric-unit Dupin direction divided by mu = sech^2 s has the
+    # s-component +-cosh(s) (B c1 - cos(a) c2)/(sqrt(2B) hypot(c1, c2)),
+    # with c_i the cube roots of the s-free factors of theta_i (see
+    # make_helcat); its sign follows the frame's
+    sa = ca = np.sqrt(0.5)
+    B = 1.0 + sa
+    c1, c2 = np.cbrt(np.sqrt(2.0*(1.0 - sa))), np.cbrt(np.sqrt(2.0*B))
+    want = (2.0/np.tanh(u)*np.cosh(u)*(B*c1 - ca*c2)
+            / (np.sqrt(2.0*B)*np.hypot(c1, c2)))
+    assert abs(abs(gen) - abs(want)) < 1e-6*abs(want)
+
+
+def test_darboux_trace_stops_at_the_domain_boundary(helcat_quarter):
+    s = helcat_quarter.surface
+    tr = integrate_darboux_line(s, (2.9, 0.3), 0.7, orient=1)
+    assert tr.termination == "HitBoundary" and not tr.closed
+    assert len(tr) == 216
+    # the last sample is inside, one step short of the edge u = 3
+    assert s.contains(*tr.uv[-1]) and 3.0 - tr.uv[-1, 0] < 0.005
+
+
+def test_darboux_trace_stops_near_a_singular_angle(helcat_quarter):
+    tr = integrate_darboux_line(helcat_quarter.surface, (0.5, 0.3), 0.1)
+    assert tr.termination == "HitSingularPoint"
+    assert len(tr) == 21
+
+    def gap(a):
+        a = a % np.pi
+        return min(abs(np.sin(a)), abs(np.cos(a)))
+
+    # the trace stops at the first sample within _ANGLE_EPS of alpha = 0
+    assert gap(tr.alpha[-1]) < linefields._ANGLE_EPS <= gap(tr.alpha[-2])
+    assert len(tr.alpha) == len(tr.dalpha) == len(tr.frames) == 21
 
 
 def test_darboux_trace_records_angles(helcat_quarter):

@@ -6,11 +6,11 @@ from conformal.catalog import make_canonical, make_helcat
 from conformal.errors import CanalPoint
 from conformal.intersect import difference_coeffs
 from conformal.invariants import fourth_order_coeffs, theta_state
-from conformal.osculation import (canonical_profile, contact_order_details,
-                                  cyclide_monomials, cyclide_profile,
-                                  limit_direction_ratio, osculating_cyclide,
-                                  osculating_psi_c, profile_coeffs,
-                                  verify_contact_order)
+from conformal.osculation import (_PROFILE_SIGN, canonical_profile,
+                                  contact_order_details, cyclide_monomials,
+                                  cyclide_profile, limit_direction_ratio,
+                                  osculating_cyclide, osculating_psi_c,
+                                  profile_coeffs, verify_contact_order)
 from conformal.surfaces import SurfacePatch
 
 _TABLE_SPOT = [
@@ -64,7 +64,7 @@ def test_canal_point_rejected(catenoid):
 
 def test_contact_order_exact_and_perturbed(helcat_quarter):
     c = osculating_cyclide(helcat_quarter.surface, 1.0, 0.3)
-    t_eff = c.profile_sign * c.t
+    t_eff = _PROFILE_SIGN * c.t
     prof_s = canonical_profile(c.theta1, c.theta2, c.psi, c.coeffs, t_eff)
     prof_c = cyclide_profile(c.psi_c, t_eff)
     order, slope, exact = contact_order_details(prof_s, prof_c)
@@ -82,7 +82,7 @@ def test_cubic_profile_cancellation(helcat_quarter):
     # at the distinguished direction parameter the cubic term of the
     # surface profile vanishes, matching the cyclide's cubic-free profile
     c = osculating_cyclide(helcat_quarter.surface, 1.0, 0.3)
-    t_eff = c.profile_sign * c.t
+    t_eff = _PROFILE_SIGN * c.t
     prof = canonical_profile(c.theta1, c.theta2, c.psi, c.coeffs, t_eff)
     scale = max(abs(c.theta1), abs(c.theta2))
     assert abs(prof.c3) < 1e-9 * scale

@@ -108,6 +108,11 @@ def test_missing_field_raises():
     g = FieldGrid(x1=x1, x2=x2, f2=np.ones_like(X1))
     with pytest.raises(MissingField):
         thetas_from_f(g)
+    # the structural residuals read b and c from the grid, never derive them
+    g = helcat_grid(np.pi/4, 17)
+    g.b = None
+    with pytest.raises(MissingField):
+        structural_residuals(g, margin=2)
 
 
 # --------------------------------------------------------------------------
@@ -181,7 +186,7 @@ def test_structural_residuals_zero_on_flat_data():
     z = np.zeros_like(X1)
     g = FieldGrid(x1=x1, x2=x2, f1=np.ones_like(X1), f2=np.ones_like(X1),
                   theta1=z, theta2=z, psi=z + 1.0, b=z, c=z)
-    rep = structural_residuals(g)
+    rep = structural_residuals(g, margin=2)
     assert rep.worst() == 0.0
 
 
@@ -220,7 +225,7 @@ def test_integrability_convergence():
     prev = None
     for n in (17, 33, 65):
         g = helcat_grid(np.pi/4, n)
-        rep = integrability_residuals(g, margin=4)
+        rep = integrability_residuals(g)
         worst = rep.worst()
         if prev is not None:
             assert np.log2(prev/worst) > 1.8
@@ -230,7 +235,7 @@ def test_integrability_convergence():
 def test_margin_guard():
     g = helcat_grid(np.pi/4, 9)
     with pytest.raises(MarginTooSmall):
-        integrability_residuals(g, margin=4)
+        integrability_residuals(g)
 
 
 def test_conditions_vanish_on_exact_symbolic_data():
@@ -338,12 +343,12 @@ def test_row_blocks_match_whole_grid(monkeypatch, varying):
 
 def test_perturbed_f1_breaks_integrability():
     g = helcat_grid(0.0, 65)
-    base = integrability_residuals(g, margin=4).worst()
+    base = integrability_residuals(g).worst()
     X1, X2 = np.meshgrid(g.x1, g.x2, indexing="ij")
     g2 = FieldGrid(x1=g.x1, x2=g.x2,
                    f1=g.f1*(1.0 + 0.1*np.sin(3*X1)*np.sin(3*X2)),
                    f2=g.f2, kappa=g.kappa)
-    pert = integrability_residuals(g2, margin=4).worst()
+    pert = integrability_residuals(g2).worst()
     assert pert > 10.0*base
 
 
