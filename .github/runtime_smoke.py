@@ -42,14 +42,16 @@ COMMANDS = [
     (["verify", "--seed", "0.5,1.2"], "tube"),
     (["intersect", "--grid", "64x64"], "canonical"),
     (["prescribe", "--grid", "65x65"], "helcat"),
+    # more rows than one block of the prescribe pipeline holds
+    (["prescribe", "--grid", "257x257"], "helcat"),
 ]
 
 with tempfile.TemporaryDirectory() as tmp:
     tmp = Path(tmp)
     for name, text in SPECS.items():
         (tmp / f"{name}.spec").write_text(text)
-    for args, spec in COMMANDS:
-        out = tmp / f"{args[0]}.out"
+    for i, (args, spec) in enumerate(COMMANDS):
+        out = tmp / f"{i}-{args[0]}.out"
         surface = ([] if spec is None
                    else ["--surface", str(tmp / f"{spec}.spec")])
         code = 0
@@ -59,7 +61,7 @@ with tempfile.TemporaryDirectory() as tmp:
             code = exc.code
         if code != 0 or not out.exists() or out.stat().st_size == 0:
             sys.exit(f"cycl {' '.join(args)}: exit {code}")
-        print(f"cycl {args[0]}: ok")
+        print(f"cycl {' '.join(args)}: ok")
 
 inversion = MobiusMap.translation([0.0, 0.0, 5.0]).then(MobiusMap.inversion())
 moved = mobius_transform(make_torus(2.0, 1.0).surface, inversion)

@@ -25,7 +25,7 @@ from .linefields import (darboux_critical_points, dupin_angle,
                          integrate_darboux_line, integrate_dupin_line)
 from .osculation import (osculating_cyclide, osculating_psi_c,
                          verify_contact_order)
-from .prescribe import helcat_grid, prescribe
+from .prescribe import helcat_coframe, prescribe
 
 _TABLE_ROWS = [
     ("0", 0.0, (1.5, 1.5, 1.5)),
@@ -412,13 +412,13 @@ def cmd_prescribe(surface_path, out, grid):
         if alpha_h is None:
             raise ValueError("prescribe expects a helcat surface spec")
         n = _square_grid(grid)
-        g = helcat_grid(alpha_h, n)
-        kap = float(g.kappa[0, 0])
-        grid_out, rep = prescribe(g.kappa, g.f2, g.f1[:, 0], g.x1, g.x2)
+        # the coframe alone: prescribe reads nothing else of helcat_grid
+        x1, x2, f, kap = helcat_coframe(alpha_h, n)[:4]
+        _, rep = prescribe(kap, f, f[:, 0], x1, x2)
         payload = {
             "version": __version__,
             "config": {"surface": surface_path, "grid": grid,
-                       "kappa": kap},
+                       "kappa": float(kap)},
             "max_norm": {k: _fmt(v) for k, v in rep.max_norm.items()},
             "rms": {k: _fmt(v) for k, v in rep.rms.items()},
             "margin": rep.margin,

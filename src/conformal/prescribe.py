@@ -18,12 +18,22 @@ influence a verdict.  The long compatibility expressions are written against
 an abstract derivative oracle so the identical code path can be exercised
 with exact symbolic derivatives in the test suite.
 
+:func:`prescribe` keeps f1, f2, kappa and the thetas as whole grids and
+runs every later stage (b and c, psi, both residual families) on blocks of
+``_BLOCK`` rows, each with ``_HALO`` = 4 more rows on either side where the
+grid has them.  A one-sided stencil at a block's cut spoils one more row
+with each nested x1 difference, and the deepest nesting is 4: structural_4
+takes d1(psi), and psi holds xi1(xi1(xi1(theta2))).  So a block's own rows
+get the whole grid's central differences, and with its spacing the same
+floats, while every temporary is block-sized.
+
 The pipeline needs numpy only: ``f1`` is integrated by a cumulative
 trapezoid written in numpy, so neither importing this module nor running
 :func:`prescribe` loads scipy or sympy.
 """
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Optional, Tuple
 
@@ -36,20 +46,19 @@ from .invariants import _psi_numerator
 __all__ = [
     "FieldGrid", "ResidualReport", "solve_f1", "thetas_from_f",
     "psi_from_grid", "structural_residuals", "integrability_residuals",
-    "prescribe", "helcat_grid", "recovered_kappa",
+    "prescribe", "helcat_coframe", "helcat_grid", "recovered_kappa",
     "second_order_condition", "fourth_order_condition",
     "second_order_condition_const", "fourth_order_condition_const",
 ]
 
-_TOL_GEN = 1e-5
 _TOL_KAPPA = 1e-12
 # empirical h^2 constant of the residual max-norms on helically-symmetric
 # minimal-family grids (worst entry is the fourth-order compatibility
 # residual, ~23 h^2 at h = 1/64; see tol_real in `prescribe`)
 _BASELINE_C = 25.0
 _MARGIN = 4             # cells `prescribe` leaves out of every norm
-# floats per row block of an elementwise evaluation (see `_by_rows`)
-_BLOCK = 1 << 14
+_BLOCK = 64             # rows per block of `prescribe`'s later stages
+_HALO = 4               # rows a block carries on either side (see above)
 
 
 # --------------------------------------------------------------------------
@@ -73,10 +82,14 @@ class FieldGrid:
     b: Optional[np.ndarray] = None
     c: Optional[np.ndarray] = None
     kappa: Optional[np.ndarray] = None
+    h1: float = field(init=False, repr=False)
+    h2: float = field(init=False, repr=False)
 
     def __post_init__(self):
         self.x1 = np.asarray(self.x1, dtype=float)
         self.x2 = np.asarray(self.x2, dtype=float)
+        self.h1 = float(self.x1[1] - self.x1[0])
+        self.h2 = float(self.x2[1] - self.x2[0])
         for name in ("f1", "f2"):
             arr = getattr(self, name)
             if arr is not None and np.any(np.asarray(arr) <= 0):
@@ -84,13 +97,16 @@ class FieldGrid:
         if self.kappa is not None and np.any(np.asarray(self.kappa) == 0):
             raise KappaZero("kappa vanishes on the grid")
 
-    @property
-    def h1(self) -> float:
-        return float(self.x1[1] - self.x1[0])
-
-    @property
-    def h2(self) -> float:
-        return float(self.x2[1] - self.x2[0])
+    def rows(self, lo: int, hi: int) -> "FieldGrid":
+        """Rows [lo, hi) of every field, as views, with this grid's h1 and
+        h2: on a linspace axis the block's own x1[1] - x1[0] can differ in
+        the last bit, and then so would every difference taken on it."""
+        part = copy.copy(self)
+        part.x1 = self.x1[lo:hi]
+        for name, arr in vars(self).items():
+            if np.ndim(arr) == 2:
+                setattr(part, name, arr[lo:hi])
+        return part
 
     @property
     def shape(self) -> Tuple[int, int]:
@@ -121,26 +137,23 @@ class ResidualReport:
         vals = [v for v in self.max_norm.values() if np.isfinite(v)]
         return max(vals) if vals else 0.0
 
-    def merged(self, other: "ResidualReport") -> "ResidualReport":
-        return ResidualReport(
-            max_norm={**self.max_norm, **other.max_norm},
-            rms={**self.rms, **other.rms},
-            margin=max(self.margin, other.margin),
-            order=self.order,
-            extra={**self.extra, **other.extra})
 
-
-def _norms(res: np.ndarray, margin: int):
-    """Interior max-norm and RMS, ignoring masked (NaN) cells; all-masked
-    residuals report NaN norms and are excluded from verdicts."""
-    core = res[margin:res.shape[0]-margin, margin:res.shape[1]-margin]
-    if core.size == 0:
-        raise MarginTooSmall(
-            f"margin {margin} leaves no interior cells on shape {res.shape}")
-    if not np.any(np.isfinite(core)):
-        return float("nan"), float("nan")
-    return (float(np.nanmax(np.abs(core))),
-            float(np.sqrt(np.nanmean(core**2))))
+def _norms(res: Dict[str, np.ndarray], margin: int) -> ResidualReport:
+    """Interior max-norm and RMS of each residual, ignoring masked (NaN)
+    cells; all-masked residuals report NaN norms and are excluded from
+    verdicts."""
+    mx, rms = {}, {}
+    for name, r in res.items():
+        core = r[margin:r.shape[0]-margin, margin:r.shape[1]-margin]
+        if core.size == 0:
+            raise MarginTooSmall(
+                f"margin {margin} leaves no interior cells on shape {r.shape}")
+        if not np.any(np.isfinite(core)):
+            mx[name] = rms[name] = float("nan")
+        else:
+            mx[name] = float(np.nanmax(np.abs(core)))
+            rms[name] = float(np.sqrt(np.nanmean(core**2)))
+    return ResidualReport(max_norm=mx, rms=rms, margin=margin)
 
 
 # --------------------------------------------------------------------------
@@ -228,8 +241,8 @@ def psi_from_grid(grid: FieldGrid) -> np.ndarray:
     x1x1x1t2 = xi1(x1x1t2)
     x2x2x2t1 = xi2(x2x2t1)
 
-    num = _by_rows(_psi_numerator, t1, t2, x1t1, x1t2, x2t1, x2t2, x1x1t1,
-                   x1x1t2, x2x2t1, x2x2t2, x1x1x1t2, x2x2x2t1)
+    num = _psi_numerator(t1, t2, x1t1, x1t2, x2t1, x2t2, x1x1t1, x1x1t2,
+                         x2x2t1, x2x2t2, x1x1x1t2, x2x2x2t1)
     den = x1t2 + x2t1
     # pairwise maxima, so that no (5, n1, n2) stack is built
     scale = np.maximum(np.maximum(np.abs(x1t1), np.abs(x1t2)),
@@ -253,10 +266,15 @@ def structural_residuals(grid: FieldGrid, margin: int) -> ResidualReport:
     over all but ``margin`` cells at each edge.  Every field must be on the
     grid (:func:`bc_from_thetas` derives ``b`` and ``c``).
     """
+    return _norms(_structural(grid), margin)
+
+
+def _structural(grid: FieldGrid) -> Dict[str, np.ndarray]:
+    """The arrays R1..R4 of :func:`structural_residuals`."""
     grid.require("f1", "f2", "theta1", "theta2", "psi", "b", "c")
     b, c = grid.b, grid.c
     f1, f2, t1, t2, psi = grid.f1, grid.f2, grid.theta1, grid.theta2, grid.psi
-    res = {
+    return {
         "structural_1": grid.d2(f1) + 0.5*f1*f2*t2,
         "structural_2": grid.d1(f2) - 0.5*f1*f2*t1,
         "structural_3": f1*grid.d2(psi) - f2*grid.d1(c)
@@ -264,10 +282,6 @@ def structural_residuals(grid: FieldGrid, margin: int) -> ResidualReport:
         "structural_4": -f1*grid.d2(b) + f2*grid.d1(psi)
                         + f1*f2*(b*t2 + t1*(psi - 2.0)),
     }
-    mx, rms = {}, {}
-    for name, r in res.items():
-        mx[name], rms[name] = _norms(np.asarray(r, dtype=float), margin)
-    return ResidualReport(max_norm=mx, rms=rms, margin=margin)
 
 
 # --------------------------------------------------------------------------
@@ -277,19 +291,24 @@ def structural_residuals(grid: FieldGrid, margin: int) -> ResidualReport:
 # the mixed partial of f in the listed coordinate directions (1 or 2), so
 # the same expression code runs on grid arrays and on symbolic inputs.
 # --------------------------------------------------------------------------
-def _pw(x, n: int):
-    """x**n for an integer n >= 2, as the product x*x*...*x.
+def _powers(x, n: int) -> list:
+    """[1, x, x**2, ..., x**n], each power the product x*x*...*x.
 
     numpy runs ``x**3`` and higher through its general ``power`` loop, which
     is about 40x slower on a grid whose entries are negative (as most of
-    f1_2 and f2_2 are) than on a positive one; n - 1 multiplies, all but the
-    first in place, cost less than either.  ``*=`` falls back to ``*`` on
-    scalars and sympy expressions, so the conditions still run on those.
+    f1_2 and f2_2 are) than on a positive one; n - 1 multiplies cost less
+    than either.  Products work on scalars and sympy expressions too, so
+    the conditions still run on those.
     """
-    r = x*x
-    for _ in range(n - 2):
-        r *= x
-    return r
+    p = [1, x]
+    for _ in range(n - 1):
+        p.append(p[-1]*x)
+    return p
+
+
+def _pw(x, n: int):
+    """x**n for an integer n >= 2, as the product x*x*...*x."""
+    return _powers(x, n)[n]
 
 
 def second_order_condition_const(f1, f2, k, D: Callable):
@@ -317,35 +336,36 @@ def fourth_order_condition_const(f1, f2, k, D: Callable):
     f2_1, f2_2 = D(f2, 1), D(f2, 2)
     f2_11, f2_22 = D(f2, 1, 1), D(f2, 2, 2)
     f2_111, f2_222 = D(f2, 1, 1, 1), D(f2, 2, 2, 2)
-    U = (k*_pw(f1, 6)*(-2*_pw(f2, 4)*f1_2*f2_2 - 15*f1_2*_pw(f2_2, 3)
-                       + 2*_pw(f2, 5)*f1_22
-                       + 5*f2*f2_2*(3*f2_2*f1_22 + 2*f1_2*f2_22)
-                       - f2**2*(4*f1_22*f2_22 + 6*f2_2*f1_222 + f1_2*f2_222)
-                       + _pw(f2, 3)*f1_2222)
-         + 15*_pw(f2, 6)*f1_2*_pw(f1_1, 3)
-         + _pw(f1, 4)*f2**2*f1_2*(-3*k*f1_2**2*f2_2 + 3*k*f2*f1_2*f1_22
-                                  + 2*_pw(f2, 4)*f1_1)
-         + _pw(f1, 5)*f2*(8*k*_pw(f2, 4)*f1_2**2 + 18*k*f1_2**2*f2_2**2
-                          - k*f2*f1_2*(21*f2_2*f1_22 + 5*f1_2*f2_22)
-                          + k*f2**2*(3*f1_22**2 + 5*f1_2*f1_222)
-                          - 2*_pw(f2, 5)*f1_12)
-         + f1*_pw(f2, 5)*f1_1*(30*k*f1_2**2*f1_1 - 15*f2*f1_1*f1_12
-                               + 2*f1_2*(6*f1_1*f2_1 - 5*f2*f1_11))
-         + f1**2*_pw(f2, 4)*(24*k**2*_pw(f1_2, 3)*f1_1
-                             + f1_2**2*(30*k*f1_1*f2_1 - 8*k*f2*f1_11)
-                             + f2*(4*f2*f1_12*f1_11
-                                   + f1_1*(-9*f2_1*f1_12 + 6*f2*f1_112))
-                             + f1_2*(f1_1*(9*f2_1**2
-                                           - 6*f2*(6*k*f1_12 + f2_11))
-                                     + f2*(-3*f2_1*f1_11 + f2*f1_111)))
-         + _pw(f1, 3)*_pw(f2, 3)*(
+    F1, F2 = _powers(f1, 6), _powers(f2, 6)   # F1[n] is f1**n
+    U = (k*F1[6]*(-2*F2[4]*f1_2*f2_2 - 15*f1_2*_pw(f2_2, 3)
+                  + 2*F2[5]*f1_22
+                  + 5*f2*f2_2*(3*f2_2*f1_22 + 2*f1_2*f2_22)
+                  - F2[2]*(4*f1_22*f2_22 + 6*f2_2*f1_222 + f1_2*f2_222)
+                  + F2[3]*f1_2222)
+         + 15*F2[6]*f1_2*_pw(f1_1, 3)
+         + F1[4]*F2[2]*f1_2*(-3*k*f1_2**2*f2_2 + 3*k*f2*f1_2*f1_22
+                             + 2*F2[4]*f1_1)
+         + F1[5]*f2*(8*k*F2[4]*f1_2**2 + 18*k*f1_2**2*f2_2**2
+                     - k*f2*f1_2*(21*f2_2*f1_22 + 5*f1_2*f2_22)
+                     + k*F2[2]*(3*f1_22**2 + 5*f1_2*f1_222)
+                     - 2*F2[5]*f1_12)
+         + f1*F2[5]*f1_1*(30*k*f1_2**2*f1_1 - 15*f2*f1_1*f1_12
+                          + 2*f1_2*(6*f1_1*f2_1 - 5*f2*f1_11))
+         + F1[2]*F2[4]*(24*k**2*_pw(f1_2, 3)*f1_1
+                        + f1_2**2*(30*k*f1_1*f2_1 - 8*k*f2*f1_11)
+                        + f2*(4*f2*f1_12*f1_11
+                              + f1_1*(-9*f2_1*f1_12 + 6*f2*f1_112))
+                        + f1_2*(f1_1*(9*f2_1**2
+                                      - 6*f2*(6*k*f1_12 + f2_11))
+                                + f2*(-3*f2_1*f1_11 + f2*f1_111)))
+         + F1[3]*F2[3]*(
              8*_pw(k, 3)*_pw(f1_2, 4) + 20*k**2*_pw(f1_2, 3)*f2_1
              - 8*k*f1_2**2*(-2*f2_1**2 + f2*(3*k*f1_12 + f2_11))
              + f1_2*(4*_pw(f2_1, 3) - f2*f2_1*(22*k*f1_12 + 5*f2_11)
-                     + f2**2*(8*k*f1_112 + f2_111))
+                     + F2[2]*(8*k*f1_112 + f2_111))
              + f2*(-4*f2_1**2*f1_12 + 2*f2*f2_1*f1_112
                    + f2*(6*k*f1_12**2 + 3*f1_12*f2_11 - f2*f1_1112))))
-    return -2/(_pw(f1, 6)*_pw(f2, 6))*U
+    return -2/(F1[6]*F2[6])*U
 
 
 def fourth_order_condition(f1, f2, k, D: Callable):
@@ -357,98 +377,99 @@ def fourth_order_condition(f1, f2, k, D: Callable):
     f2_1, f2_2 = D(f2, 1), D(f2, 2)
     f2_11, f2_22 = D(f2, 1, 1), D(f2, 2, 2)
     f2_111, f2_222 = D(f2, 1, 1, 1), D(f2, 2, 2, 2)
+    F1, F2 = _powers(f1, 6), _powers(f2, 6)   # F1[n] is f1**n
     k_1, k_2 = D(k, 1), D(k, 2)
     k_11, k_22 = D(k, 1, 1), D(k, 2, 2)
     k_222 = D(k, 2, 2, 2)
-    T = (-15*_pw(f2, 6)*f1_2*_pw(f1_1, 3)
-         - _pw(f1, 4)*f2**2*f1_2*(2*_pw(f2, 4)*f1_1 + 3*f1_2*f2_2*f2_1
-                                  + f2*(2*k_2*f1_2**2 - 3*f1_22*f2_1))
-         - _pw(f1, 6)*(2*_pw(f2, 5)*(k_2*f1_2 + k*f1_22)
-                       + _pw(f2, 3)*(3*k_22*f1_22 + f1_2*k_222
-                                     + 3*k_2*f1_222 + k*f1_2222)
-                       + 2*_pw(f2, 4)*f2_2*f2_1 + 15*_pw(f2_2, 3)*f2_1
-                       + 5*f2*f2_2*(3*k_2*f1_2*f2_2 + 3*k*f2_2*f1_22
-                                    - 2*f2_22*f2_1)
-                       - f2**2*(12*k_2*f2_2*f1_22
-                                + f1_2*(6*f2_2*k_22 + 4*k_2*f2_22)
-                                + k*(4*f1_22*f2_22 + 6*f2_2*f1_222)
-                                - f2_222*f2_1))
-         + _pw(f1, 5)*f2*(f2*f1_2**2*(15*k_2*f2_2 - 4*f2*k_22)
-                          - 11*f2**2*k_2*f1_2*f1_22
-                          - 3*k*f2**2*f1_22**2
-                          + f1_2*(8*_pw(f2, 4) + 18*f2_2**2
-                                  - 5*f2*f2_22)*f2_1
-                          + f2*(-21*f2_2*f1_22 + 5*f2*f1_222)*f2_1
-                          + 2*_pw(f2, 5)*f1_12)
-         + f1*_pw(f2, 5)*f1_1*(15*f2*f1_1*f1_12
-                               + 2*f1_2*(9*f1_1*f2_1 + 5*f2*f1_11))
-         - f1**2*_pw(f2, 4)*(3*f1_2*f1_1*f2_1**2
-                             + f2*(-12*f1_2**2*k_1*f1_1
-                                   + 27*f1_1*f2_1*f1_12
-                                   + f1_2*(5*f2_1*f1_11 - 6*f1_1*f2_11))
-                             + f2**2*(4*f1_12*f1_11 + 6*f1_1*f1_112
-                                      + f1_2*f1_111))
-         + _pw(f1, 3)*_pw(f2, 4)*(6*f2_1**2*f1_12
-                                  - 2*f1_2**2*(2*k_1*f2_1 + f2*k_11)
-                                  + 6*f2*f2_1*f1_112
-                                  - f1_2*(3*f2_1*f2_11
-                                          + f2*(10*k_1*f1_12 + f2_111))
-                                  + f2*(-6*k*f1_12**2 - 3*f1_12*f2_11
-                                        + f2*f1_1112)))
-    return 2/(_pw(f1, 6)*_pw(f2, 6))*T
+    T = (-15*F2[6]*f1_2*_pw(f1_1, 3)
+         - F1[4]*F2[2]*f1_2*(2*F2[4]*f1_1 + 3*f1_2*f2_2*f2_1
+                             + f2*(2*k_2*f1_2**2 - 3*f1_22*f2_1))
+         - F1[6]*(2*F2[5]*(k_2*f1_2 + k*f1_22)
+                  + F2[3]*(3*k_22*f1_22 + f1_2*k_222
+                           + 3*k_2*f1_222 + k*f1_2222)
+                  + 2*F2[4]*f2_2*f2_1 + 15*_pw(f2_2, 3)*f2_1
+                  + 5*f2*f2_2*(3*k_2*f1_2*f2_2 + 3*k*f2_2*f1_22
+                               - 2*f2_22*f2_1)
+                  - F2[2]*(12*k_2*f2_2*f1_22
+                           + f1_2*(6*f2_2*k_22 + 4*k_2*f2_22)
+                           + k*(4*f1_22*f2_22 + 6*f2_2*f1_222)
+                           - f2_222*f2_1))
+         + F1[5]*f2*(f2*f1_2**2*(15*k_2*f2_2 - 4*f2*k_22)
+                     - 11*F2[2]*k_2*f1_2*f1_22
+                     - 3*k*F2[2]*f1_22**2
+                     + f1_2*(8*F2[4] + 18*f2_2**2
+                             - 5*f2*f2_22)*f2_1
+                     + f2*(-21*f2_2*f1_22 + 5*f2*f1_222)*f2_1
+                     + 2*F2[5]*f1_12)
+         + f1*F2[5]*f1_1*(15*f2*f1_1*f1_12
+                          + 2*f1_2*(9*f1_1*f2_1 + 5*f2*f1_11))
+         - F1[2]*F2[4]*(3*f1_2*f1_1*f2_1**2
+                        + f2*(-12*f1_2**2*k_1*f1_1
+                              + 27*f1_1*f2_1*f1_12
+                              + f1_2*(5*f2_1*f1_11 - 6*f1_1*f2_11))
+                        + F2[2]*(4*f1_12*f1_11 + 6*f1_1*f1_112
+                                 + f1_2*f1_111))
+         + F1[3]*F2[4]*(6*f2_1**2*f1_12
+                        - 2*f1_2**2*(2*k_1*f2_1 + f2*k_11)
+                        + 6*f2*f2_1*f1_112
+                        - f1_2*(3*f2_1*f2_11
+                                + f2*(10*k_1*f1_12 + f2_111))
+                        + f2*(-6*k*f1_12**2 - 3*f1_12*f2_11
+                              + f2*f1_1112)))
+    return 2/(F1[6]*F2[6])*T
 
 
 def _grid_oracle(grid: FieldGrid) -> Callable:
     """D(arr, *idx): the differences of ``arr`` along ``idx``, taken left to
     right.  Every prefix is cached, so each distinct difference is taken
     once.  The empty prefix caches ``arr`` itself, which keeps it alive so
-    that no other array can reuse its ``id`` while the oracle lives."""
+    that no other array can reuse its ``id`` while the oracle lives.  D
+    walks the prefixes in a loop rather than calling itself, so it holds no
+    reference to itself, and its cache goes when the caller drops it."""
     cache = {}
 
     def D(arr, *idx):
-        key = (id(arr), idx)
-        if key not in cache:
-            if not idx:
-                cache[key] = arr
-            else:
-                prev = D(arr, *idx[:-1])
-                cache[key] = grid.d1(prev) if idx[-1] == 1 else grid.d2(prev)
-        return cache[key]
+        prev = cache.setdefault((id(arr), ()), arr)
+        for k in range(1, len(idx) + 1):
+            key = (id(arr), idx[:k])
+            if key not in cache:
+                cache[key] = grid.d1(prev) if idx[k-1] == 1 else grid.d2(prev)
+            prev = cache[key]
+        return prev
 
     return D
 
 
-def _by_rows(fn: Callable, *args, D: Optional[Callable] = None
-             ) -> np.ndarray:
-    """``fn(*args)``, or ``fn(*args, D)``, evaluated on blocks of rows.
+def _constant_ratio(grid: FieldGrid) -> Optional[float]:
+    """kappa's mean if kappa is constant to 1e-12, else None.  It picks the
+    forms of the conditions, so it is taken on the whole grid, never on a
+    block; a grid with no cell inside the margin raises MarginTooSmall."""
+    grid.require("f1", "f2", "kappa")
+    n1, n2 = grid.shape
+    if n1 <= 2*_MARGIN + 1 or n2 <= 2*_MARGIN + 1:
+        raise MarginTooSmall(
+            f"grid {n1}x{n2} too small for margin {_MARGIN}")
+    kap = np.asarray(grid.kappa, dtype=float)
+    if float(np.max(kap) - np.min(kap)) < _TOL_KAPPA:
+        return float(np.mean(kap))
+    return None
 
-    ``fn`` is elementwise in its arguments (grid arrays or scalars) and in
-    the differences D returns, so every value is the one a whole-grid
-    evaluation gives, bit for bit; D still takes each difference once on
-    the whole grid and hands ``fn`` the block of it.  What changes is the
-    size of the temporaries: each is ``_BLOCK`` floats instead of a whole
-    grid (4.7 MB at 769^2), so they stay in cache and malloc reuses them
-    instead of having fresh pages faulted in for each.
-    """
-    n1, n2 = next(np.shape(a) for a in args if np.ndim(a))
-    rows = max(1, _BLOCK // n2)
-    out = np.empty((n1, n2))
-    for lo in range(0, n1, rows):
-        blk = slice(lo, lo + rows)
-        full = {}   # id of a block view -> the grid array it cuts
 
-        def cut(a):
-            if np.ndim(a) == 0:
-                return a
-            part = a[blk]
-            full[id(part)] = a
-            return part
-
-        parts = [cut(a) for a in args]
-        if D is not None:
-            parts.append(lambda arr, *idx: D(full[id(arr)], *idx)[blk])
-        out[blk] = fn(*parts)
-    return out
+def _compatibility(grid: FieldGrid, k0: Optional[float]
+                   ) -> Dict[str, np.ndarray]:
+    """Both conditions on the grid through one oracle: the constant-ratio
+    forms at kappa = ``k0``, or the varying ones if ``k0`` is None."""
+    D = _grid_oracle(grid)
+    f1 = np.asarray(grid.f1, dtype=float)
+    f2 = np.asarray(grid.f2, dtype=float)
+    if k0 is not None:
+        return {"integrability_2nd_const":
+                second_order_condition_const(f1, f2, 1.0/k0, D),
+                "integrability_4th_const":
+                fourth_order_condition_const(f1, f2, k0, D)}
+    kap = np.asarray(grid.kappa, dtype=float)
+    return {"integrability_2nd": second_order_condition(f1, f2, 1.0/kap, D),
+            "integrability_4th": fourth_order_condition(f1, f2, kap, D)}
 
 
 def integrability_residuals(grid: FieldGrid) -> ResidualReport:
@@ -458,29 +479,7 @@ def integrability_residuals(grid: FieldGrid) -> ResidualReport:
     the second-order condition takes the reciprocal 1/kappa as its ratio
     argument, the fourth-order condition takes kappa itself.
     """
-    grid.require("f1", "f2", "kappa")
-    n1, n2 = grid.shape
-    if n1 <= 2*_MARGIN + 1 or n2 <= 2*_MARGIN + 1:
-        raise MarginTooSmall(
-            f"grid {n1}x{n2} too small for margin {_MARGIN}")
-    D = _grid_oracle(grid)
-    f1 = np.asarray(grid.f1, dtype=float)
-    f2 = np.asarray(grid.f2, dtype=float)
-    kap = np.asarray(grid.kappa, dtype=float)
-    const = float(np.max(kap) - np.min(kap)) < _TOL_KAPPA
-    if const:
-        k0 = float(np.mean(kap))
-        r2 = _by_rows(second_order_condition_const, f1, f2, 1.0/k0, D=D)
-        r4 = _by_rows(fourth_order_condition_const, f1, f2, k0, D=D)
-        names = ("integrability_2nd_const", "integrability_4th_const")
-    else:
-        r2 = _by_rows(second_order_condition, f1, f2, 1.0/kap, D=D)
-        r4 = _by_rows(fourth_order_condition, f1, f2, kap, D=D)
-        names = ("integrability_2nd", "integrability_4th")
-    mx, rms = {}, {}
-    for name, r in zip(names, (r2, r4)):
-        mx[name], rms[name] = _norms(np.asarray(r, dtype=float), _MARGIN)
-    return ResidualReport(max_norm=mx, rms=rms, margin=_MARGIN)
+    return _norms(_compatibility(grid, _constant_ratio(grid)), _MARGIN)
 
 
 # --------------------------------------------------------------------------
@@ -501,14 +500,15 @@ def prescribe(kappa: np.ndarray, f2: np.ndarray, f1_boundary: np.ndarray,
               ) -> Tuple[FieldGrid, ResidualReport]:
     """Full construction-and-verification pipeline.
 
-    Builds f1 by column integration, derives theta1/theta2, b, c and the
-    fourth-order invariant, then evaluates the structural and integrability
-    residual families over all but ``_MARGIN`` cells at each edge.  The
-    returned report's ``extra`` carries the theta consistency gap, the
-    realizability tolerance ``tol_real``, and ``realizable`` (1.0 or 0.0):
-    all residual max-norms below ``tol_real``.  The tolerance is ten times
-    the empirical h^2 envelope of the residuals measured on grids sampled
-    from an actual surface family.
+    Builds f1 by column integration and derives theta1/theta2 on the whole
+    grid; then, block by block of rows, b, c, the fourth-order invariant
+    and the structural and integrability residual families, whose norms
+    leave out ``_MARGIN`` cells at each edge.  The returned report's
+    ``extra`` carries the theta consistency gap, the realizability
+    tolerance ``tol_real``, and ``realizable`` (1.0 or 0.0): all residual
+    max-norms below ``tol_real``.  The tolerance is ten times the empirical
+    h^2 envelope of the residuals measured on grids sampled from an actual
+    surface family.
 
     That envelope holds only while truncation error dominates.  The
     fourth-order residual takes fourth differences, whose roundoff grows
@@ -530,14 +530,27 @@ def prescribe(kappa: np.ndarray, f2: np.ndarray, f1_boundary: np.ndarray,
     # externally supplied coframe data is compatible)
     grid.f1 = solve_f1(grid, f1_boundary) if f1 is None else np.asarray(
         f1, dtype=float)
-    t1, t2, gap = thetas_from_f(grid)
-    grid.theta1, grid.theta2 = t1, t2
-    grid.b, grid.c = bc_from_thetas(grid)
-    grid.psi = psi_from_grid(grid)
+    grid.theta1, grid.theta2, gap = thetas_from_f(grid)
+    k0 = _constant_ratio(grid)
+    n1 = len(x1)
+    out = {}    # name -> the whole-grid array the blocks fill
+    for lo in range(0, n1, _BLOCK):
+        hi = min(lo + _BLOCK, n1)
+        top = max(lo - _HALO, 0)
+        blk = grid.rows(top, min(hi + _HALO, n1))
+        blk.b, blk.c = bc_from_thetas(blk)
+        blk.psi = psi_from_grid(blk)
+        keep = slice(lo - top, hi - top)
+        for name, arr in {"b": blk.b, "c": blk.c, "psi": blk.psi,
+                          **_structural(blk),
+                          **_compatibility(blk, k0)}.items():
+            if name not in out:
+                out[name] = np.empty(grid.shape)
+            out[name][lo:hi] = arr[keep]
+    grid.b, grid.c, grid.psi = out.pop("b"), out.pop("c"), out.pop("psi")
     h = max(grid.h1, grid.h2)
     tol_real = 10.0 * _BASELINE_C * h * h
-    rep = structural_residuals(grid, margin=_MARGIN).merged(
-        integrability_residuals(grid))
+    rep = _norms(out, _MARGIN)
     rep.extra["theta_consistency_gap"] = gap
     rep.extra["tol_real"] = float(tol_real)
     core = grid.psi[_MARGIN:-_MARGIN, _MARGIN:-_MARGIN]
@@ -549,32 +562,34 @@ def prescribe(kappa: np.ndarray, f2: np.ndarray, f1_boundary: np.ndarray,
 # --------------------------------------------------------------------------
 # reference grids from the helically-symmetric minimal family
 # --------------------------------------------------------------------------
-def helcat_grid(alpha_h: float, n: int) -> FieldGrid:
-    """Exact coframe data of the helicoid-catenoid family sampled on an
-    n x n grid over [0, 1]^2 in the rotated curvature-line coordinates
-    (shifted by 0.1 to avoid the symmetry axis).
-
-    Closed forms: with B = 1 + sin(alpha_h) and s the rotated coordinate,
-    f1 = f2 = sech(s), kappa = cos(alpha_h)/B (constant),
-    theta2 = sqrt(2B) sinh(s), theta1 = kappa*theta2,
-    psi = sin(alpha_h) (3 cosh^2 s - 2).
+def helcat_coframe(alpha_h: float, n: int):
+    """(x1, x2, f, kappa, s) of the helicoid-catenoid family on an n x n
+    grid over [0, 1]^2 in the rotated curvature-line coordinates (shifted
+    by 0.1 to avoid the symmetry axis): s is the rotated coordinate,
+    f1 = f2 = f = sech(s), and kappa = cos(alpha_h)/(1 + sin(alpha_h)).
     """
     ca, sa = np.cos(alpha_h), np.sin(alpha_h)
     B = 1.0 + sa
     x1 = x2 = 0.1 + np.linspace(0.0, 1.0, n)
-    X1, X2 = np.meshgrid(x1, x2, indexing="ij")
     # rotated coordinates: x1 = (B t - ca s)/sqrt(2B), x2 = (B s + ca t)/sqrt(2B)
-    root = np.sqrt(2.0*B)
-    M = np.array([[-ca, B], [B, ca]]) / root
+    M = np.array([[-ca, B], [B, ca]]) / np.sqrt(2.0*B)
     Minv = np.linalg.inv(M)
-    S = Minv[0, 0]*X1 + Minv[0, 1]*X2
-    f = 1.0/np.cosh(S)
-    kap = ca/B
-    theta2 = root*np.sinh(S)
-    theta1 = kap*theta2
-    psi = sa*(3.0*np.cosh(S)**2 - 2.0)
-    grid = FieldGrid(x1=x1 - x1[0], x2=x2 - x2[0], f1=f.copy(), f2=f.copy(),
-                     theta1=theta1, theta2=theta2, psi=psi,
+    S = Minv[0, 0]*x1[:, None] + Minv[0, 1]*x2
+    return x1 - x1[0], x2 - x2[0], 1.0/np.cosh(S), ca/B, S
+
+
+def helcat_grid(alpha_h: float, n: int) -> FieldGrid:
+    """Exact coframe data of the helicoid-catenoid family on the grid of
+    :func:`helcat_coframe`, with the closed forms (B = 1 + sin(alpha_h))
+    theta2 = sqrt(2B) sinh(s), theta1 = kappa*theta2,
+    psi = sin(alpha_h) (3 cosh^2 s - 2), and b and c from the thetas.
+    """
+    x1, x2, f, kap, S = helcat_coframe(alpha_h, n)
+    sa = np.sin(alpha_h)
+    theta2 = np.sqrt(2.0*(1.0 + sa))*np.sinh(S)
+    grid = FieldGrid(x1=x1, x2=x2, f1=f.copy(), f2=f.copy(),
+                     theta1=kap*theta2, theta2=theta2,
+                     psi=sa*(3.0*np.cosh(S)**2 - 2.0),
                      kappa=kap + np.zeros_like(f))
     grid.b, grid.c = bc_from_thetas(grid)
     return grid

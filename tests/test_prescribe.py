@@ -1,3 +1,6 @@
+import gc
+import tracemalloc
+
 import numpy as np
 import pytest
 import sympy as sp
@@ -9,9 +12,10 @@ from conformal.errors import (KappaZero, MarginTooSmall, MissingField,
                               NonPositiveResult)
 from conformal import prescribe as prescribe_mod
 from conformal.invariants import _psi_numerator
-from conformal.prescribe import (FieldGrid, _by_rows, _grid_oracle,
+from conformal.prescribe import (FieldGrid, _grid_oracle,
                                  fourth_order_condition,
-                                 fourth_order_condition_const, helcat_grid,
+                                 fourth_order_condition_const,
+                                 helcat_coframe, helcat_grid,
                                  integrability_residuals, prescribe,
                                  psi_from_grid, recovered_kappa,
                                  second_order_condition,
@@ -320,25 +324,88 @@ def test_grid_oracle_matches_explicit_chain(varying):
         assert np.array_equal(D(arr, *idx), chain)
 
 
-@pytest.mark.parametrize("varying", [False, True])
-def test_row_blocks_match_whole_grid(monkeypatch, varying):
-    # the conditions and the psi numerator are elementwise, so evaluating
-    # them on blocks of rows gives the whole-grid values bit for bit
-    monkeypatch.setattr(prescribe_mod, "_BLOCK", 100)  # 3 rows of 33
-    g = _varying_grid() if varying else helcat_grid(np.pi/4, 33)
-    f1, f2, kap = g.f1, g.f2, g.kappa
-    k2, k4 = (1.0/kap, kap) if varying else (1.0/kap[0, 0], kap[0, 0])
-    conds = ((second_order_condition, fourth_order_condition) if varying
-             else (second_order_condition_const,
-                   fourth_order_condition_const))
-    for cond, k in zip(conds, (k2, k4)):
-        whole = cond(f1, f2, k, _grid_oracle(g))
-        blocked = _by_rows(cond, f1, f2, k, D=_grid_oracle(g))
-        assert np.array_equal(blocked, whole)
-    rng = np.random.default_rng(3)
-    args = [rng.uniform(-2.0, 2.0, f1.shape) for _ in range(12)]
-    assert np.array_equal(_by_rows(_psi_numerator, *args),
-                          _psi_numerator(*args))
+def _prescribe_case(case):
+    """prescribe's arguments on 33 x 33: a constant ratio, a varying one,
+    and an explicit f1 that is not compatible."""
+    g = helcat_grid(np.pi/4, 33)
+    X1, X2 = np.meshgrid(g.x1, g.x2, indexing="ij")
+    if case == "varying":
+        return (1.0 + 0.3*X1*X2, np.exp(0.2*X1 - 0.1*X2),
+                2.0*np.ones_like(g.x1), g.x1, g.x2), {}
+    args = (g.kappa, g.f2, g.f1[:, 0], g.x1, g.x2)
+    if case == "const":
+        return args, {}
+    return args, {"f1": g.f1*(1.0 + 0.1*np.sin(3*X1)*np.sin(3*X2))}
+
+
+@pytest.mark.parametrize("rows", [3, 10])
+@pytest.mark.parametrize("case", ["const", "varying", "explicit-f1"])
+def test_prescribe_blocks_match_one_block(monkeypatch, case, rows):
+    # blocks of 3 rows, each shorter than the 4-row halo, and of 10 rows,
+    # whose last block has 3: every field and every report entry is the
+    # one a single block over the whole grid gives, bit for bit
+    args, kwargs = _prescribe_case(case)
+    monkeypatch.setattr(prescribe_mod, "_BLOCK", 33)
+    whole, rep_whole = prescribe(*args, **kwargs)
+    monkeypatch.setattr(prescribe_mod, "_BLOCK", rows)
+    blocked, rep = prescribe(*args, **kwargs)
+    for name in ("f1", "theta1", "theta2", "b", "c", "psi"):
+        assert np.array_equal(getattr(blocked, name), getattr(whole, name),
+                              equal_nan=True), name
+    for part in ("max_norm", "rms", "extra"):
+        got, want = getattr(rep, part), getattr(rep_whole, part)
+        assert list(got) == list(want)
+        assert np.array_equal(list(got.values()), list(want.values()),
+                              equal_nan=True), part
+    assert rep.margin == rep_whole.margin
+
+
+@pytest.mark.parametrize("stage", ["integrability_residuals", "prescribe"])
+def test_stage_frees_its_grids_without_gc(stage):
+    # the difference oracle holds no reference to itself, so its cache of
+    # whole-grid differences goes when the call returns, without waiting
+    # for the cyclic garbage collector
+    g = helcat_grid(np.pi/4, 257)
+    run = {"integrability_residuals": lambda: integrability_residuals(g),
+           "prescribe": lambda: prescribe(g.kappa, g.f2, g.f1[:, 0],
+                                          g.x1, g.x2)}[stage]
+    run()
+    gc.disable()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        run()
+        after = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+        gc.enable()
+    assert after - before < g.f1.nbytes
+
+
+def test_prescribe_peak_memory_in_grids():
+    # tracemalloc's peak inside prescribe at 513, in n^2 float grids: f1,
+    # f2, kappa, the thetas and the loop's nine whole-grid outputs, plus
+    # the temporaries of one block (19.9); stages taken on whole grids
+    # peaked at 28.2
+    g = helcat_grid(np.pi/4, 513)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        prescribe(g.kappa, g.f2, g.f1[:, 0], g.x1, g.x2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (peak - before)/g.f1.nbytes <= 22.0
+
+
+@pytest.mark.parametrize("alpha", [0.0, np.pi/4, np.pi/3],
+                         ids=["0", "pi/4", "pi/3"])
+def test_helcat_grid_carries_helcat_coframe(alpha):
+    x1, x2, f, kap, _ = helcat_coframe(alpha, 33)
+    g = helcat_grid(alpha, 33)
+    for got, want in ((g.x1, x1), (g.x2, x2), (g.f1, f), (g.f2, f),
+                      (g.kappa, np.full_like(f, kap))):
+        assert np.array_equal(got, want)
 
 
 def test_perturbed_f1_breaks_integrability():
