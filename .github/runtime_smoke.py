@@ -44,6 +44,8 @@ COMMANDS = [
     (["prescribe", "--grid", "65x65"], "helcat"),
     # more rows than one block of the prescribe pipeline holds
     (["prescribe", "--grid", "257x257"], "helcat"),
+    # the benchmark's size; its last block is shorter than the halo
+    (["prescribe", "--grid", "769x769"], "helcat"),
 ]
 
 with tempfile.TemporaryDirectory() as tmp:

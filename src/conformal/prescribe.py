@@ -18,14 +18,20 @@ influence a verdict.  The long compatibility expressions are written against
 an abstract derivative oracle so the identical code path can be exercised
 with exact symbolic derivatives in the test suite.
 
-:func:`prescribe` keeps f1, f2, kappa and the thetas as whole grids and
-runs every later stage (b and c, psi, both residual families) on blocks of
-``_BLOCK`` rows, each with ``_HALO`` = 4 more rows on either side where the
-grid has them.  A one-sided stencil at a block's cut spoils one more row
-with each nested x1 difference, and the deepest nesting is 4: structural_4
-takes d1(psi), and psi holds xi1(xi1(xi1(theta2))).  So a block's own rows
-get the whole grid's central differences, and with its spacing the same
-floats, while every temporary is block-sized.
+:func:`prescribe` keeps whole grids of the six fields it returns only
+(f1, the thetas, b, c and psi); f2 and kappa are read-only views of the
+caller's arrays.  It runs every stage on blocks of ``_BLOCK`` rows, each
+with ``_HALO`` = 4 more rows on either side where the grid has them, in two
+passes: the first integrates f1 and derives the thetas, the second b and c,
+psi and both residual families.  A one-sided stencil at a block's cut
+spoils one more row with each nested x1 difference.  The first pass nests
+one, d1(f2); the second nests 4: structural_4 takes d1(psi), and psi holds
+xi1(xi1(xi1(theta2))).  So a block's own rows get the whole grid's central
+differences, and with its spacing the same floats, while every temporary
+is block-sized.  No residual array becomes a whole grid either: each
+block's interior rows are reduced to their maxima, sums of squares and
+counts at once, and the rows are combined in row order at the end, so the
+norms do not depend on the blocks.
 
 The pipeline needs numpy only: ``f1`` is integrated by a cumulative
 trapezoid written in numpy, so neither importing this module nor running
@@ -57,7 +63,7 @@ _TOL_KAPPA = 1e-12
 # residual, ~23 h^2 at h = 1/64; see tol_real in `prescribe`)
 _BASELINE_C = 25.0
 _MARGIN = 4             # cells `prescribe` leaves out of every norm
-_BLOCK = 64             # rows per block of `prescribe`'s later stages
+_BLOCK = 48             # rows per block of `prescribe`
 _HALO = 4               # rows a block carries on either side (see above)
 
 
@@ -69,8 +75,8 @@ class FieldGrid:
     """Rectangular grid over [0, L1] x [0, L2] with optional scalar fields.
 
     Arrays are indexed [i, j] with i along x1 and j along x2.  ``f1`` and
-    ``f2`` must be strictly positive where present; ``kappa`` must be
-    nonzero where present.
+    ``f2`` must be finite and strictly positive where present; ``kappa``
+    must be finite and nonzero where present.
     """
     x1: np.ndarray
     x2: np.ndarray
@@ -92,10 +98,13 @@ class FieldGrid:
         self.h2 = float(self.x2[1] - self.x2[0])
         for name in ("f1", "f2"):
             arr = getattr(self, name)
-            if arr is not None and np.any(np.asarray(arr) <= 0):
-                raise NonPositiveResult(f"{name} must be positive everywhere")
-        if self.kappa is not None and np.any(np.asarray(self.kappa) == 0):
-            raise KappaZero("kappa vanishes on the grid")
+            if arr is not None and not _positive(arr):
+                raise NonPositiveResult(
+                    f"{name} must be positive and finite everywhere")
+        if self.kappa is not None:
+            kap = np.asarray(self.kappa)
+            if np.any(kap == 0) or not np.all(np.isfinite(kap)):
+                raise KappaZero("kappa vanishes or is not finite on the grid")
 
     def rows(self, lo: int, hi: int) -> "FieldGrid":
         """Rows [lo, hi) of every field, as views, with this grid's h1 and
@@ -118,10 +127,32 @@ class FieldGrid:
                 raise MissingField(f"field '{name}' is not present")
 
     def d1(self, arr: np.ndarray) -> np.ndarray:
-        return np.gradient(arr, self.h1, axis=0, edge_order=2)
+        return _difference(arr, self.h1, 0)
 
     def d2(self, arr: np.ndarray) -> np.ndarray:
-        return np.gradient(arr, self.h2, axis=1, edge_order=2)
+        return _difference(arr, self.h2, 1)
+
+
+def _positive(arr) -> bool:
+    """Every entry above 0 and below inf; NaN is neither."""
+    arr = np.asarray(arr)
+    return bool(np.all(arr > 0) and np.all(arr < np.inf))
+
+
+def _difference(arr, h: float, axis: int) -> np.ndarray:
+    """np.gradient(arr, h, axis=axis, edge_order=2), the same floats, with
+    the central difference taken into the output array and divided there,
+    then its two second-order one-sided edge rows."""
+    f = np.asarray(arr, dtype=float).swapaxes(0, axis)
+    if len(f) < 3:
+        raise ValueError(f"a difference needs 3 points along axis {axis}")
+    out = np.empty(np.shape(arr))
+    o = out.swapaxes(0, axis)
+    np.subtract(f[2:], f[:-2], out=o[1:-1])
+    o[1:-1] /= 2.0*h
+    o[0] = (-1.5/h)*f[0] + (2.0/h)*f[1] + (-0.5/h)*f[2]
+    o[-1] = (0.5/h)*f[-3] + (-2.0/h)*f[-2] + (1.5/h)*f[-1]
+    return out
 
 
 @dataclass
@@ -138,68 +169,116 @@ class ResidualReport:
         return max(vals) if vals else 0.0
 
 
-def _norms(res: Dict[str, np.ndarray], margin: int) -> ResidualReport:
-    """Interior max-norm and RMS of each residual, ignoring masked (NaN)
-    cells; all-masked residuals report NaN norms and are excluded from
-    verdicts."""
-    mx, rms = {}, {}
-    for name, r in res.items():
-        core = r[margin:r.shape[0]-margin, margin:r.shape[1]-margin]
-        if core.size == 0:
+class _RowNorms:
+    """Interior max-norm and RMS of residuals that arrive in blocks of rows.
+
+    Each interior row is reduced as soon as it arrives, to its max |r| with
+    NaN skipped, its sum of r^2 over finite cells and its count of them.
+    :meth:`report` combines the rows in row order, so the result does not
+    depend on how the rows came in blocks.
+    """
+
+    def __init__(self, shape: Tuple[int, int], margin: int):
+        n1, n2 = shape
+        if n1 <= 2*margin or n2 <= 2*margin:
             raise MarginTooSmall(
-                f"margin {margin} leaves no interior cells on shape {r.shape}")
-        if not np.any(np.isfinite(core)):
-            mx[name] = rms[name] = float("nan")
-        else:
-            mx[name] = float(np.nanmax(np.abs(core)))
-            rms[name] = float(np.sqrt(np.nanmean(core**2)))
-    return ResidualReport(max_norm=mx, rms=rms, margin=margin)
+                f"margin {margin} leaves no interior cells on shape {shape}")
+        self.shape, self.margin = shape, margin
+        self.rows = {}      # name -> (3, interior rows): max, sum, count
+
+    def add(self, res: Dict[str, np.ndarray], lo: int, keep: slice):
+        """Reduce rows ``keep`` of each residual array, which are the grid's
+        rows from ``lo`` on."""
+        (n1, n2), m = self.shape, self.margin
+        for name, r in res.items():
+            rows = self.rows.setdefault(name, np.empty((3, n1 - 2*m)))
+            r = r[keep]
+            a, b = max(lo, m), min(lo + len(r), n1 - m)
+            if a >= b:
+                continue
+            core = r[a - lo:b - lo, m:n2 - m]
+            out = rows[:, a - m:b - m]
+            np.fmax.reduce(np.abs(core), axis=1, out=out[0])
+            finite = np.isfinite(core)
+            np.add.reduce(np.where(finite, core*core, 0.0), axis=1,
+                          out=out[1])
+            out[2] = np.count_nonzero(finite, axis=1)
+
+    def report(self) -> ResidualReport:
+        """All-masked residuals report NaN norms and are excluded from
+        verdicts."""
+        mx, rms = {}, {}
+        for name, (rmax, rsum, count) in self.rows.items():
+            n = count.sum()
+            if n == 0:
+                mx[name] = rms[name] = float("nan")
+            else:
+                mx[name] = float(np.fmax.reduce(rmax))
+                rms[name] = float(np.sqrt(rsum.sum()/n))
+        return ResidualReport(max_norm=mx, rms=rms, margin=self.margin)
+
+
+def _norms(res: Dict[str, np.ndarray], margin: int) -> ResidualReport:
+    """Interior max-norm and RMS of each whole-grid residual, ignoring
+    masked (NaN) cells: :class:`_RowNorms` fed one block."""
+    norms = _RowNorms(next(iter(res.values())).shape, margin)
+    norms.add(res, 0, slice(None))
+    return norms.report()
 
 
 # --------------------------------------------------------------------------
 # construction pipeline
 # --------------------------------------------------------------------------
-def solve_f1(grid: FieldGrid, f1_boundary: np.ndarray) -> np.ndarray:
+def solve_f1(grid: FieldGrid, f1_boundary: np.ndarray,
+             keep: slice = slice(None)) -> np.ndarray:
     """Integrate f1 down the columns from its values on the row x2 = 0:
 
         f1(x1, x2) = f1(x1, 0) - int_0^{x2} d1(f2)/kappa dx2'
 
-    with a central-difference d1 and composite trapezoid in x2.
+    with a central-difference d1 and composite trapezoid in x2.  Only the
+    grid's rows ``keep`` are integrated and checked, and ``f1_boundary``
+    holds their values: on a block, the halo rows at its cuts carry
+    one-sided x1 differences.
     """
     grid.require("f2", "kappa")
-    kap = np.asarray(grid.kappa, dtype=float)
+    kap = np.asarray(grid.kappa, dtype=float)[keep]
     if np.min(np.abs(kap)) < _TOL_KAPPA:
         raise KappaZero("kappa below tolerance on the grid")
     boundary = np.asarray(f1_boundary, dtype=float)
-    if np.any(boundary <= 0):
-        raise NonPositiveResult("boundary row of f1 must be positive")
-    y = grid.d1(grid.f2) / kap
+    if not _positive(boundary):
+        raise NonPositiveResult(
+            "boundary row of f1 must be positive and finite")
+    y = grid.d1(grid.f2)[keep] / kap
     # cumulative composite trapezoid along x2, starting from 0 (the
     # arithmetic of scipy's cumulative_trapezoid, bit for bit)
     acc = np.zeros_like(y)
     np.cumsum(np.diff(grid.x2)*(y[:, 1:] + y[:, :-1])/2.0, axis=1,
               out=acc[:, 1:])
     f1 = boundary[:, None] - acc
-    if np.any(f1 <= 0):
+    if not _positive(f1):
         raise NonPositiveResult(
-            "integrated f1 crossed zero; data left the admissible cone")
+            "integrated f1 crossed zero or overflowed; data left the "
+            "admissible cone")
     return f1
 
 
-def thetas_from_f(grid: FieldGrid):
-    """(theta1, theta2, consistency_gap) from the coframe fields:
+def thetas_from_f(grid: FieldGrid, keep: slice = slice(None)):
+    """(theta1, theta2, consistency_gap) on the grid's rows ``keep`` from
+    the coframe fields:
 
         theta2 = -2 d2(f1) / (f1 f2),
 
     cross-checked against 2 d1(f2) / (kappa f1 f2) (max abs gap returned,
-    not thrown), and theta1 = kappa * theta2.
+    not thrown), and theta1 = kappa * theta2.  Only rows ``keep`` of f1 are
+    read.
     """
     grid.require("f1", "f2", "kappa")
-    ff = grid.f1 * grid.f2
-    theta2 = -2.0 * grid.d2(grid.f1) / ff
-    cross = 2.0 * grid.d1(grid.f2) / (grid.kappa * ff)
+    f1, f2, kap = grid.f1[keep], grid.f2[keep], grid.kappa[keep]
+    ff = f1 * f2
+    theta2 = -2.0 * grid.d2(f1) / ff
+    cross = 2.0 * grid.d1(grid.f2)[keep] / (kap * ff)
     gap = float(np.max(np.abs(theta2 - cross)))
-    theta1 = grid.kappa * theta2
+    theta1 = kap * theta2
     return theta1, theta2, gap
 
 
@@ -494,21 +573,40 @@ def recovered_kappa(grid: FieldGrid) -> np.ndarray:
     return grid.theta1 / safe
 
 
+def _blocks(grid: FieldGrid):
+    """(block, keep, lo, hi) for each block of ``_BLOCK`` rows [lo, hi):
+    the block is a view of those rows and ``_HALO`` more on either side
+    where the grid has them, and ``keep`` picks rows [lo, hi) out of it."""
+    n1 = grid.shape[0]
+    for lo in range(0, n1, _BLOCK):
+        hi = min(lo + _BLOCK, n1)
+        top = max(lo - _HALO, 0)
+        yield (grid.rows(top, min(hi + _HALO, n1)), slice(lo - top, hi - top),
+               lo, hi)
+
+
 def prescribe(kappa: np.ndarray, f2: np.ndarray, f1_boundary: np.ndarray,
               x1: np.ndarray, x2: np.ndarray,
               f1: Optional[np.ndarray] = None
               ) -> Tuple[FieldGrid, ResidualReport]:
     """Full construction-and-verification pipeline.
 
-    Builds f1 by column integration and derives theta1/theta2 on the whole
-    grid; then, block by block of rows, b, c, the fourth-order invariant
-    and the structural and integrability residual families, whose norms
-    leave out ``_MARGIN`` cells at each edge.  The returned report's
-    ``extra`` carries the theta consistency gap, the realizability
-    tolerance ``tol_real``, and ``realizable`` (1.0 or 0.0): all residual
-    max-norms below ``tol_real``.  The tolerance is ten times the empirical
-    h^2 envelope of the residuals measured on grids sampled from an actual
-    surface family.
+    Block by block of rows (see the module docstring), builds f1 by
+    column integration and derives theta1/theta2; then b, c, the
+    fourth-order invariant and the structural and integrability residual
+    families, whose norms leave out ``_MARGIN`` cells at each edge.  Each
+    norm is reduced row by row as the blocks come, so no residual array is
+    kept.  The returned grid's ``f2`` and ``kappa`` are read-only views of
+    the arguments, broadcast to the grid, not copies; an explicit ``f1`` is
+    kept as given.  f1, f2, kappa and ``f1_boundary`` must be finite: NaN
+    or inf raises NonPositiveResult (f1, f2, the boundary) or KappaZero
+    (kappa), as a non-positive f or a vanishing kappa does.
+
+    The returned report's ``extra`` carries the theta consistency gap, the
+    realizability tolerance ``tol_real``, and ``realizable`` (1.0 or 0.0):
+    all residual max-norms below ``tol_real``.  The tolerance is ten times
+    the empirical h^2 envelope of the residuals measured on grids sampled
+    from an actual surface family.
 
     That envelope holds only while truncation error dominates.  The
     fourth-order residual takes fourth differences, whose roundoff grows
@@ -521,37 +619,45 @@ def prescribe(kappa: np.ndarray, f2: np.ndarray, f1_boundary: np.ndarray,
     """
     x1 = np.asarray(x1, dtype=float)
     x2 = np.asarray(x2, dtype=float)
-    kappa = np.broadcast_to(np.asarray(kappa, dtype=float),
-                            (len(x1), len(x2))).copy()
-    f2 = np.broadcast_to(np.asarray(f2, dtype=float),
-                         (len(x1), len(x2))).copy()
-    grid = FieldGrid(x1=x1, x2=x2, f2=f2, kappa=kappa)
+    shape = (len(x1), len(x2))
     # an explicit f1 bypasses the column integration (used to test whether
     # externally supplied coframe data is compatible)
-    grid.f1 = solve_f1(grid, f1_boundary) if f1 is None else np.asarray(
-        f1, dtype=float)
-    grid.theta1, grid.theta2, gap = thetas_from_f(grid)
+    grid = FieldGrid(x1=x1, x2=x2,
+                     f1=None if f1 is None else np.asarray(f1, dtype=float),
+                     f2=np.broadcast_to(np.asarray(f2, dtype=float), shape),
+                     kappa=np.broadcast_to(np.asarray(kappa, dtype=float),
+                                           shape))
+    boundary = np.asarray(f1_boundary, dtype=float)
+    if f1 is None:
+        grid.f1 = np.empty(shape)
+    for name in ("theta1", "theta2", "b", "c", "psi"):
+        setattr(grid, name, np.empty(shape))
+    gaps = []
+    for blk, keep, lo, hi in _blocks(grid):
+        if f1 is None:
+            grid.f1[lo:hi] = solve_f1(blk, boundary[lo:hi], keep)
+        grid.theta1[lo:hi], grid.theta2[lo:hi], gap = thetas_from_f(blk,
+                                                                    keep)
+        gaps.append(gap)
     k0 = _constant_ratio(grid)
-    n1 = len(x1)
-    out = {}    # name -> the whole-grid array the blocks fill
-    for lo in range(0, n1, _BLOCK):
-        hi = min(lo + _BLOCK, n1)
-        top = max(lo - _HALO, 0)
-        blk = grid.rows(top, min(hi + _HALO, n1))
+    norms = _RowNorms(shape, _MARGIN)
+    for blk, keep, lo, hi in _blocks(grid):
+        # the conditions first: their ~35 temporaries are the block's
+        # largest, and with the two arrays they return alive after them,
+        # glibc keeps that space on the heap for the later stages.  Taken
+        # last, the heap shrank and regrew by about 6 MB in every block
+        # (at 769, 48k minor faults a call against 6.7k)
+        compat = _compatibility(blk, k0)
         blk.b, blk.c = bc_from_thetas(blk)
         blk.psi = psi_from_grid(blk)
-        keep = slice(lo - top, hi - top)
-        for name, arr in {"b": blk.b, "c": blk.c, "psi": blk.psi,
-                          **_structural(blk),
-                          **_compatibility(blk, k0)}.items():
-            if name not in out:
-                out[name] = np.empty(grid.shape)
-            out[name][lo:hi] = arr[keep]
-    grid.b, grid.c, grid.psi = out.pop("b"), out.pop("c"), out.pop("psi")
+        grid.b[lo:hi], grid.c[lo:hi] = blk.b[keep], blk.c[keep]
+        grid.psi[lo:hi] = blk.psi[keep]
+        norms.add(_structural(blk), lo, keep)
+        norms.add(compat, lo, keep)
     h = max(grid.h1, grid.h2)
     tol_real = 10.0 * _BASELINE_C * h * h
-    rep = _norms(out, _MARGIN)
-    rep.extra["theta_consistency_gap"] = gap
+    rep = norms.report()
+    rep.extra["theta_consistency_gap"] = float(np.max(gaps))
     rep.extra["tol_real"] = float(tol_real)
     core = grid.psi[_MARGIN:-_MARGIN, _MARGIN:-_MARGIN]
     rep.extra["psi_masked_fraction"] = float(np.mean(~np.isfinite(core)))

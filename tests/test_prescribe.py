@@ -12,8 +12,8 @@ from conformal.errors import (KappaZero, MarginTooSmall, MissingField,
                               NonPositiveResult)
 from conformal import prescribe as prescribe_mod
 from conformal.invariants import _psi_numerator
-from conformal.prescribe import (FieldGrid, _grid_oracle,
-                                 fourth_order_condition,
+from conformal.prescribe import (FieldGrid, _RowNorms, _grid_oracle,
+                                 _norms, fourth_order_condition,
                                  fourth_order_condition_const,
                                  helcat_coframe, helcat_grid,
                                  integrability_residuals, prescribe,
@@ -117,6 +117,41 @@ def test_missing_field_raises():
     g.b = None
     with pytest.raises(MissingField):
         structural_residuals(g, margin=2)
+
+
+def _difference_cases():
+    rng = np.random.default_rng(20)
+    whole = rng.standard_normal((40, 29))
+    return {
+        "c-ordered": whole,
+        "3-row block": whole[17:20],
+        "row slice": rng.standard_normal((61, 33))[5:50:3],
+        "broadcast scalar": np.broadcast_to(np.asarray(0.7), (9, 11)),
+    }
+
+
+@pytest.mark.parametrize("case", list(_difference_cases()))
+def test_differences_match_np_gradient(case):
+    # d1 and d2 take the central difference into their output array; the
+    # floats are np.gradient's, edge rows included
+    arr = _difference_cases()[case]
+    x1 = np.linspace(0.0, 1.3, arr.shape[0])
+    x2 = 0.2 + np.linspace(0.0, 0.7, arr.shape[1])
+    g = FieldGrid(x1=x1, x2=x2)
+    for d, h, axis in ((g.d1, g.h1, 0), (g.d2, g.h2, 1)):
+        assert np.array_equal(d(arr), np.gradient(arr, h, axis=axis,
+                                                  edge_order=2))
+
+
+@pytest.mark.parametrize("field", ["f1", "f2", "kappa"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_field_grid_rejects_non_finite(field, bad):
+    x1, x2, (X1, X2) = _uniform(9)
+    fields = {"f1": 1.0 + X1, "f2": 1.0 + X2, "kappa": 0.5 + X1*X2}
+    fields[field][3, 5] = bad
+    error = KappaZero if field == "kappa" else NonPositiveResult
+    with pytest.raises(error):
+        FieldGrid(x1=x1, x2=x2, **fields)
 
 
 # --------------------------------------------------------------------------
@@ -271,6 +306,66 @@ def test_conditions_vanish_on_exact_symbolic_data():
             assert abs(float(fn(p, q))) < 1e-10
 
 
+def _masked_residuals(seed, shape=(37, 23)):
+    rng = np.random.default_rng(seed)
+    res = {}
+    for name, frac in (("sparse", 0.05), ("dense", 0.6)):
+        r = rng.standard_normal(shape)*10.0**rng.uniform(-8, 2, shape)
+        r[rng.random(shape) < frac] = np.nan
+        res[name] = r
+    return res
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_norms_match_nan_reductions(seed):
+    # max |r| with NaN skipped is nanmax's, bit for bit; the RMS sums rows
+    # first, so it may differ from nanmean's order in the last bits
+    res = _masked_residuals(seed)
+    m = 3
+    rep = _norms(res, m)
+    for name, r in res.items():
+        core = r[m:-m, m:-m]
+        assert rep.max_norm[name] == np.nanmax(np.abs(core))
+        np.testing.assert_array_max_ulp(
+            rep.rms[name], np.sqrt(np.nanmean(core**2)), maxulp=4)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_norms_do_not_depend_on_blocks(seed):
+    # fed in row blocks of random sizes, through a row slice that drops
+    # each block's halo, the report is the one-block report bit for bit
+    res = _masked_residuals(seed)
+    rng = np.random.default_rng(100 + seed)
+    whole = _norms(res, 4)
+    norms = _RowNorms((37, 23), 4)
+    lo = 0
+    while lo < 37:
+        hi = min(lo + int(rng.integers(1, 9)), 37)
+        top = max(lo - 2, 0)
+        norms.add({k: r[top:hi + 2] for k, r in res.items()}, lo,
+                  slice(lo - top, hi - top))
+        lo = hi
+    got = norms.report()
+    assert got.max_norm == whole.max_norm and got.rms == whole.rms
+
+
+def test_norms_all_masked_and_margin_guard():
+    r = np.full((12, 12), np.nan)
+    r[0, 0] = 1.0      # outside the interior
+    row = np.ones((12, 12))
+    row[5] = np.nan
+    rep = _norms({"masked": r, "zero": np.zeros((12, 12)), "row": row}, 2)
+    assert np.isnan(rep.max_norm["masked"]) and np.isnan(rep.rms["masked"])
+    assert rep.max_norm["zero"] == rep.rms["zero"] == 0.0
+    assert rep.max_norm["row"] == rep.rms["row"] == 1.0
+    assert rep.worst() == 1.0
+    for shape in ((4, 12), (12, 4), (3, 3)):
+        with pytest.raises(MarginTooSmall):
+            _norms({"r": np.zeros(shape)}, 2)
+    with pytest.raises(MarginTooSmall):
+        structural_residuals(helcat_grid(np.pi/4, 17), margin=9)
+
+
 def _varying_grid(n=33):
     g = helcat_grid(np.pi/4, n)
     X1, X2 = np.meshgrid(g.x1, g.x2, indexing="ij")
@@ -383,19 +478,26 @@ def test_stage_frees_its_grids_without_gc(stage):
 
 
 def test_prescribe_peak_memory_in_grids():
-    # tracemalloc's peak inside prescribe at 513, in n^2 float grids: f1,
-    # f2, kappa, the thetas and the loop's nine whole-grid outputs, plus
-    # the temporaries of one block (19.9); stages taken on whole grids
-    # peaked at 28.2
+    # tracemalloc's peak inside prescribe at 513, in n^2 float grids: the
+    # six fields it returns (f1, theta1, theta2, b, c and psi) plus the
+    # temporaries of one block.  f2 and kappa are views of the arguments,
+    # and no residual array is a whole grid.  With copies of the inputs,
+    # whole-grid f1 and theta stages and six residual grids it read 19.9
     g = helcat_grid(np.pi/4, 513)
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        prescribe(g.kappa, g.f2, g.f1[:, 0], g.x1, g.x2)
+        grid, _ = prescribe(g.kappa, g.f2, g.f1[:, 0], g.x1, g.x2)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert (peak - before)/g.f1.nbytes <= 22.0
+    assert (peak - before)/g.f1.nbytes <= 12.5
+    assert np.shares_memory(grid.f2, g.f2)
+    assert np.shares_memory(grid.kappa, g.kappa)
+    assert not grid.f2.flags.writeable and not grid.kappa.flags.writeable
+    # a scalar kappa, as the CLI passes it, stays a scalar
+    grid, _ = prescribe(float(g.kappa[0, 0]), g.f2, g.f1[:, 0], g.x1, g.x2)
+    assert grid.kappa.strides == (0, 0)
 
 
 @pytest.mark.parametrize("alpha", [0.0, np.pi/4, np.pi/3],
@@ -472,6 +574,21 @@ def test_pipeline_adversarial_ratio_returns_report():
                           2.0*np.ones_like(x1), x1, x2)
     assert set(rep.max_norm) >= {"structural_1", "structural_2"}
     assert "realizable" in rep.extra
+
+
+@pytest.mark.parametrize("field", ["f1", "f2", "kappa", "f1_boundary"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_prescribe_rejects_non_finite_input(field, bad):
+    # one bad cell in one input: a NaN in f2 used to run down f1's column
+    # and drop out of every norm, and the report read realizable
+    g = helcat_grid(np.pi/4, 65)
+    args = {"kappa": g.kappa.copy(), "f2": g.f2.copy(),
+            "f1_boundary": g.f1[:, 0].copy(),
+            "f1": g.f1.copy() if field == "f1" else None}
+    args[field][(30, 40)[:args[field].ndim]] = bad
+    error = KappaZero if field == "kappa" else NonPositiveResult
+    with pytest.raises(error):
+        prescribe(x1=g.x1, x2=g.x2, **args)
 
 
 # --------------------------------------------------------------------------
