@@ -4,10 +4,13 @@ inversion, on an install of the declared runtime alone (numpy and click).
     pip install -e . && python .github/runtime_smoke.py
 
 It fails if scipy or sympy can be imported (the install is not the bare
-runtime), if a command exits non-zero or writes nothing, or if anything
-loaded either of them.
+runtime), if a command exits non-zero or writes nothing, if a ``prescribe``
+report does not read realizable (the helcat data comes from a real surface,
+at 769 points a side too, the benchmark's size), or if anything loaded
+either of them.
 """
 import importlib
+import json
 import sys
 import tempfile
 from pathlib import Path
@@ -63,6 +66,11 @@ with tempfile.TemporaryDirectory() as tmp:
             code = exc.code
         if code != 0 or not out.exists() or out.stat().st_size == 0:
             sys.exit(f"cycl {' '.join(args)}: exit {code}")
+        if args[0] == "prescribe":
+            report = json.loads(out.read_text())
+            if report["realizable"] is not True:
+                sys.exit(f"cycl {' '.join(args)}: not realizable, max-norms "
+                         f"{report['max_norm']}")
         print(f"cycl {' '.join(args)}: ok")
 
 inversion = MobiusMap.translation([0.0, 0.0, 5.0]).then(MobiusMap.inversion())

@@ -58,7 +58,7 @@ class CriticalPoint:
     alpha: float
     relation_residual: float  # theta2 tan^3(alpha) + theta1
     tangency_gap: float       # radians, unoriented-angle convention
-    genericity: float         # V(log|theta1| + log|theta2|) / mu
+    genericity: float         # |V(log|theta1| + log|theta2|)| / mu
     is_extremum: bool
 
 
@@ -332,8 +332,11 @@ def darboux_critical_points(trace: CurveTrace, surface: SurfacePatch
     log|theta1| + log|theta2| is measured, and a discrete extremum test on
     alpha is run.  The genericity derivative is taken along the metric-unit
     Dupin direction of :func:`_dupin_vector` and divided by mu, so it does
-    not depend on the parametrization; it is NaN where both floored thetas
-    are 0, and ``tangency_gap`` is NaN where theta2 is 0.
+    not depend on the parametrization.  Its absolute value is reported: the
+    direction, and so the sign, follows the principal frame the trace
+    carries (flipping X1 or X2 flips V), not the surface.  It is NaN where
+    both floored thetas are 0, and ``tangency_gap`` is NaN where theta2 is
+    0.
 
     ``tangency_gap`` and ``genericity`` carry about 3 significant digits,
     although they are printed with 12: the zero is linearly interpolated
@@ -370,7 +373,7 @@ def darboux_critical_points(trace: CurveTrace, surface: SurfacePatch
                 r1, r2, *_ = theta_state(surface, a, b, (X1, X2))
                 return np.log(abs(r1)) + np.log(abs(r2))
 
-            gen = _along(logth, uc[0], uc[1], V, _H_GEN) / S["mu"]
+            gen = abs(_along(logth, uc[0], uc[1], V, _H_GEN)) / S["mu"]
         j0, j1 = max(i - 1, 0), min(i + 2, len(d) - 1)
         window = trace.alpha[j0:j1 + 1]
         is_ext = bool(len(window) >= 3

@@ -218,14 +218,34 @@ def test_darboux_critical_point(helcat_quarter):
     assert cp.is_extremum or abs(cp.genericity) <= 0.1
 
 
-def _genericity_at(surface, u, v):
+def _genericity_at(surface, u, v, frame=None):
     """genericity of a critical placed at (u, v): a two-sample trace whose
-    d alpha / d sigma changes sign there."""
+    d alpha / d sigma changes sign there, carrying ``frame`` (X1, X2) if
+    given."""
     tr = CurveTrace(uv=np.array([[u, v], [u, v]]), positions=np.zeros((2, 3)),
                     closed=False, termination="ReachedLength",
-                    alpha=np.array([0.3, 0.3]), dalpha=np.array([1.0, -1.0]))
+                    alpha=np.array([0.3, 0.3]), dalpha=np.array([1.0, -1.0]),
+                    frames=None if frame is None else np.array([frame]*2))
     (cp,) = darboux_critical_points(tr, surface)
     return cp.genericity
+
+
+@settings(max_examples=20, derandomize=True, database=None, deadline=None)
+@given(u=st.floats(-2.5, 2.5).filter(lambda u: abs(u) > 0.05),
+       v=st.floats(-6.0, 6.0),
+       flip=st.sampled_from([(-1.0, 1.0), (1.0, -1.0), (-1.0, -1.0)]))
+@example(u=0.3, v=0.4, flip=(-1.0, 1.0))
+@example(u=0.3, v=0.4, flip=(1.0, -1.0))
+def test_darboux_genericity_does_not_depend_on_the_frame(helcat_quarter, u,
+                                                         v, flip):
+    # flipping X1 or X2 flips the Dupin direction V and with it the sign of
+    # the derivative along V; the reported genericity is its absolute value
+    s = helcat_quarter.surface
+    _, _, X1, X2, _ = theta_state(s, u, v)
+    gen = _genericity_at(s, u, v, (X1, X2))
+    assert gen > 0.0
+    flipped = _genericity_at(s, u, v, (flip[0]*X1, flip[1]*X2))
+    assert abs(flipped - gen) <= 1e-12*gen
 
 
 @pytest.mark.parametrize("u,v", [(0.3, 0.4), (0.7, -1.0), (-0.05, 0.3)])

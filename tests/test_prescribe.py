@@ -127,6 +127,14 @@ def _difference_cases():
         "3-row block": whole[17:20],
         "row slice": rng.standard_normal((61, 33))[5:50:3],
         "broadcast scalar": np.broadcast_to(np.asarray(0.7), (9, 11)),
+        # d2 of a C-contiguous array runs on the flat index; these layouts
+        # take the strided path, and the small ones have one interior entry
+        # per row or column
+        "fortran-ordered": np.asfortranarray(whole),
+        "transposed view": whole.T,
+        "non-contiguous rows": whole[:, 2:30],
+        "3x3": whole[:3, :3].copy(),
+        "3 columns": whole[:, :3].copy(),
     }
 
 
@@ -141,6 +149,29 @@ def test_differences_match_np_gradient(case):
     for d, h, axis in ((g.d1, g.h1, 0), (g.d2, g.h2, 1)):
         assert np.array_equal(d(arr), np.gradient(arr, h, axis=axis,
                                                   edge_order=2))
+
+
+@pytest.mark.parametrize("axis", ["x1", "x2"])
+@pytest.mark.parametrize("fault", ["non-finite", "two points", "non-uniform"])
+def test_prescribe_rejects_a_non_uniform_axis(axis, fault):
+    # every difference takes the first step of its axis, so an axis whose
+    # steps differ gave a report with wrong differences in it
+    x = np.linspace(0.0, 1.0, 33)
+    bad = {"non-finite": np.where(np.arange(33) == 20, np.nan, x),
+           "two points": x[:2],
+           "non-uniform": x**2}[fault]
+    axes = {"x1": x, "x2": x, axis: bad}
+    n1, n2 = len(axes["x1"]), len(axes["x2"])
+    with pytest.raises(ValueError, match=axis):
+        prescribe(0.5, np.ones((n1, n2)), 2.0*np.ones(n1), **axes)
+
+
+def test_prescribe_accepts_linspace_axes():
+    # a linspace axis's steps differ in the last bits only
+    for n in (33, 1025):
+        x = 0.1 + np.linspace(0.0, 1.0, n)
+        assert np.ptp(np.diff(x)) > 0.0
+        prescribe_mod._uniform_axis(x, "x1")
 
 
 @pytest.mark.parametrize("field", ["f1", "f2", "kappa"])
@@ -388,6 +419,43 @@ def test_integrability_takes_each_difference_once(monkeypatch, varying,
         monkeypatch.setattr(FieldGrid, name, counted)
     integrability_residuals(g)
     assert len(calls) == expected
+
+
+@pytest.mark.parametrize("case, expected", [("const", 32), ("varying", 38),
+                                            ("explicit-f1", 32)])
+def test_prescribe_takes_each_difference_once(monkeypatch, case, expected):
+    # one block over 33 x 33.  The first pass takes d1(f2) once for f1 and
+    # the thetas, and d2(f1): 2.  The second takes the conditions' 16 (22
+    # with a varying ratio), psi's 10, of which b and c read xi2(theta1)
+    # and xi1(theta2), and R3 and R4's 4; R1 and R2 read the conditions'
+    # d2(f1) and d1(f2).  Stage by stage it would be 37 and 43.
+    args, kwargs = _prescribe_case(case)
+    calls = []
+    for name in ("d1", "d2"):
+        def counted(self, arr, _diff=getattr(FieldGrid, name)):
+            calls.append(arr.shape)
+            return _diff(self, arr)
+        monkeypatch.setattr(FieldGrid, name, counted)
+    prescribe(*args, **kwargs)
+    assert len(calls) == expected
+
+
+@pytest.mark.parametrize("varying", [False, True])
+def test_grid_oracle_on_kept_rows_matches_whole_grid(varying):
+    # rows 5..20 of every difference the conditions ask for, from an oracle
+    # handed those rows of f1 and f2 (and kappa): the whole grid's floats
+    g = _varying_grid() if varying else helcat_grid(np.pi/4, 33)
+    keep = slice(5, 21)
+    whole = [g.f1, g.f2] + ([g.kappa] if varying else [])
+    rows = [(arr[keep], arr) for arr in whole]
+    D, D_whole = _grid_oracle(g, keep, rows), _grid_oracle(g)
+    idxs = [(1,), (2,), (1, 1), (1, 2), (2, 2), (1, 1, 1), (1, 1, 2),
+            (2, 2, 2), (1, 1, 1, 2), (2, 2, 2, 2), (2, 1)]
+    for (part, arr) in rows:
+        for idx in idxs:
+            got = D(part, *idx)
+            assert got.shape == part.shape
+            assert np.array_equal(got, D_whole(arr, *idx)[keep]), idx
 
 
 @pytest.mark.parametrize("varying", [False, True])
