@@ -33,18 +33,14 @@ block's interior rows are reduced to their maxima, sums of squares and
 counts at once, and the rows are combined in row order at the end, so the
 norms do not depend on the blocks.
 
-Each stage computes only the rows it needs, and each difference once a
-block.  The first pass takes d1(f2) on the whole block, once for both
-stages, and integrates f1 and derives the thetas on the block's own rows.
-In the second, the compatibility conditions take their x1 differences on
-the whole block; an x2 difference stays in its row, so one with no x1
-difference after it, and all their other arithmetic, run on the own rows.
-R1 and R2 follow at once, from the conditions' d2(f1) and d1(f2).  psi, b
-and c cover the whole block, since R3 and R4 take x1 differences of them;
-b and c reuse psi's xi2(theta1) and xi1(theta2).  R3 and R4, but for those
-x1 differences, run on the own rows.  An x2 difference of a C-contiguous
-array, as every array made here and its row blocks are, runs on the flat
-index (see :func:`_difference`).
+The terminal stages compute only the rows they keep.  The compatibility
+conditions and the structural residuals take their x1 differences on the
+whole block, halo rows included, and do the rest of their arithmetic on the
+block's own rows: an x2 difference stays in its row.  The first pass
+integrates f1 and derives the thetas on the own rows too.  psi, b and c
+cover the whole block, since R3 and R4 take x1 differences of them.  An x2
+difference of a C-contiguous array, as every array made here and its row
+blocks are, runs on the flat index (see :func:`_difference`).
 
 The pipeline needs numpy only: ``f1`` is integrated by a cumulative
 trapezoid written in numpy, so neither importing this module nor running
@@ -145,14 +141,6 @@ class FieldGrid:
     def d2(self, arr: np.ndarray) -> np.ndarray:
         return _difference(arr, self.h2, 1)
 
-    def xi1(self, arr: np.ndarray) -> np.ndarray:
-        """The coframe derivation (1/f1) d1."""
-        return self.d1(arr) / self.f1
-
-    def xi2(self, arr: np.ndarray) -> np.ndarray:
-        """The coframe derivation (1/f2) d2."""
-        return self.d2(arr) / self.f2
-
 
 def _positive(arr) -> bool:
     """Every entry above 0 and below inf; NaN is neither."""
@@ -217,14 +205,12 @@ class _RowNorms:
         self.shape, self.margin = shape, margin
         self.rows = {}      # name -> (3, interior rows): max, sum, count
 
-    def add(self, res: Dict[str, np.ndarray], lo: int,
-            keep: slice = slice(None)):
-        """Reduce rows ``keep`` of each residual array, which are the grid's
-        rows from ``lo`` on."""
+    def add(self, res: Dict[str, np.ndarray], lo: int):
+        """Reduce each residual array, whose rows are the grid's rows from
+        ``lo`` on."""
         (n1, n2), m = self.shape, self.margin
         for name, r in res.items():
             rows = self.rows.setdefault(name, np.empty((3, n1 - 2*m)))
-            r = r[keep]
             a, b = max(lo, m), min(lo + len(r), n1 - m)
             if a >= b:
                 continue
@@ -262,8 +248,7 @@ def _norms(res: Dict[str, np.ndarray], margin: int) -> ResidualReport:
 # construction pipeline
 # --------------------------------------------------------------------------
 def solve_f1(grid: FieldGrid, f1_boundary: np.ndarray,
-             keep: slice = slice(None),
-             f2_1: Optional[np.ndarray] = None) -> np.ndarray:
+             keep: slice = slice(None)) -> np.ndarray:
     """Integrate f1 down the columns from its values on the row x2 = 0:
 
         f1(x1, x2) = f1(x1, 0) - int_0^{x2} d1(f2)/kappa dx2'
@@ -271,8 +256,7 @@ def solve_f1(grid: FieldGrid, f1_boundary: np.ndarray,
     with a central-difference d1 and composite trapezoid in x2.  Only the
     grid's rows ``keep`` are integrated and checked, and ``f1_boundary``
     holds their values: on a block, the halo rows at its cuts carry
-    one-sided x1 differences.  ``f2_1`` is rows ``keep`` of d1(f2), taken
-    here unless the caller holds it.
+    one-sided x1 differences.
     """
     grid.require("f2", "kappa")
     kap = np.asarray(grid.kappa, dtype=float)[keep]
@@ -282,9 +266,7 @@ def solve_f1(grid: FieldGrid, f1_boundary: np.ndarray,
     if not _positive(boundary):
         raise NonPositiveResult(
             "boundary row of f1 must be positive and finite")
-    if f2_1 is None:
-        f2_1 = grid.d1(grid.f2)[keep]
-    y = f2_1 / kap
+    y = grid.d1(grid.f2)[keep] / kap
     # cumulative composite trapezoid along x2, starting from 0 (the
     # arithmetic of scipy's cumulative_trapezoid, bit for bit)
     acc = np.zeros_like(y)
@@ -298,8 +280,7 @@ def solve_f1(grid: FieldGrid, f1_boundary: np.ndarray,
     return f1
 
 
-def thetas_from_f(grid: FieldGrid, keep: slice = slice(None),
-                  f2_1: Optional[np.ndarray] = None):
+def thetas_from_f(grid: FieldGrid, keep: slice = slice(None)):
     """(theta1, theta2, consistency_gap) on the grid's rows ``keep`` from
     the coframe fields:
 
@@ -307,59 +288,51 @@ def thetas_from_f(grid: FieldGrid, keep: slice = slice(None),
 
     cross-checked against 2 d1(f2) / (kappa f1 f2) (max abs gap returned,
     not thrown), and theta1 = kappa * theta2.  Only rows ``keep`` of f1 are
-    read.  ``f2_1`` is rows ``keep`` of d1(f2), taken here unless the
-    caller holds it.
+    read.
     """
     grid.require("f1", "f2", "kappa")
     f1, f2, kap = grid.f1[keep], grid.f2[keep], grid.kappa[keep]
     ff = f1 * f2
     theta2 = -2.0 * grid.d2(f1) / ff
-    if f2_1 is None:
-        f2_1 = grid.d1(grid.f2)[keep]
-    cross = 2.0 * f2_1 / (kap * ff)
+    cross = 2.0 * grid.d1(grid.f2)[keep] / (kap * ff)
     gap = float(np.max(np.abs(theta2 - cross)))
     theta1 = kap * theta2
     return theta1, theta2, gap
 
 
-def _cross_xi(grid: FieldGrid):
-    """(xi2(theta1), xi1(theta2)): b and c read them, and so does psi's
-    genericity denominator."""
-    return grid.xi2(grid.theta1), grid.xi1(grid.theta2)
-
-
-def bc_from_thetas(grid: FieldGrid, xi=None):
+def bc_from_thetas(grid: FieldGrid):
     """Off-diagonal invariants from the theta fields:
 
         b = -theta1 theta2 + d2(theta1)/f2
         c =  theta1 theta2 + d1(theta2)/f1
-
-    ``xi`` is (xi2(theta1), xi1(theta2)) on the grid, taken here unless the
-    caller holds it.
     """
     grid.require("f1", "f2", "theta1", "theta2")
-    x2t1, x1t2 = _cross_xi(grid) if xi is None else xi
-    tt = grid.theta1*grid.theta2
-    # x - tt is x + (-tt), and -tt is (-theta1)*theta2: the same floats
-    return x2t1 - tt, tt + x1t2
+    b = -grid.theta1*grid.theta2 + grid.d2(grid.theta1)/grid.f2
+    c = grid.theta1*grid.theta2 + grid.d1(grid.theta2)/grid.f1
+    return b, c
 
 
-def psi_from_grid(grid: FieldGrid, xi=None) -> np.ndarray:
+def psi_from_grid(grid: FieldGrid) -> np.ndarray:
     """Fourth-order invariant recovered from the theta fields alone, using
     the coframe derivations xi_i = (1/f_i) d_i as grid differences.  Cells
     where the genericity denominator xi1(theta2) + xi2(theta1) falls below
     2 h^2 (relative to the local derivative scale) are masked NaN.  That
     tolerance sits a factor ~8 above the central-difference noise floor of
     the denominator, so data on which the denominator vanishes identically
-    is masked rather than amplified into garbage.  ``xi`` is as for
-    :func:`bc_from_thetas`.
+    is masked rather than amplified into garbage.
     """
     tol_gen = 2.0 * max(grid.h1, grid.h2)**2
     grid.require("f1", "f2", "theta1", "theta2")
-    xi1, xi2 = grid.xi1, grid.xi2
+
+    def xi1(arr):
+        return grid.d1(arr) / grid.f1
+
+    def xi2(arr):
+        return grid.d2(arr) / grid.f2
+
     t1, t2 = grid.theta1, grid.theta2
-    x2t1, x1t2 = _cross_xi(grid) if xi is None else xi
-    x1t1, x2t2 = xi1(t1), xi2(t2)
+    x1t1, x1t2 = xi1(t1), xi1(t2)
+    x2t1, x2t2 = xi2(t1), xi2(t2)
     x1x1t1, x1x1t2 = xi1(x1t1), xi1(x1t2)
     x2x2t1, x2x2t2 = xi2(x2t1), xi2(x2t2)
     x1x1x1t2 = xi1(x1x1t2)
@@ -390,38 +363,20 @@ def structural_residuals(grid: FieldGrid, margin: int) -> ResidualReport:
     over all but ``margin`` cells at each edge.  Every field must be on the
     grid (:func:`bc_from_thetas` derives ``b`` and ``c``).
     """
-    return _norms({**_coframe_relations(grid), **_invariant_relations(grid)},
-                  margin)
+    return _norms(_structural(grid, slice(None)), margin)
 
 
-def _coframe_relations(grid: FieldGrid, keep: slice = slice(None),
-                       f1_2: Optional[np.ndarray] = None,
-                       f2_1: Optional[np.ndarray] = None
-                       ) -> Dict[str, np.ndarray]:
-    """R1 and R2 on the grid's rows ``keep``: they read no psi, b or c.
-    ``f1_2`` and ``f2_1`` are rows ``keep`` of d2(f1) and d1(f2), taken here
-    unless the caller holds them."""
-    grid.require("f1", "f2", "theta1", "theta2")
-    f1, f2, t1, t2 = (getattr(grid, name)[keep]
-                      for name in ("f1", "f2", "theta1", "theta2"))
-    if f1_2 is None:
-        f1_2 = grid.d2(f1)
-    if f2_1 is None:
-        f2_1 = grid.d1(grid.f2)[keep]
-    return {"structural_1": f1_2 + 0.5*f1*f2*t2,
-            "structural_2": f2_1 - 0.5*f1*f2*t1}
-
-
-def _invariant_relations(grid: FieldGrid, keep: slice = slice(None)
-                         ) -> Dict[str, np.ndarray]:
-    """R3 and R4 on the grid's rows ``keep``.  An x1 difference is taken on
-    the whole grid; an x2 difference stays in its row, so it and all the
-    rest run on rows ``keep`` only."""
+def _structural(grid: FieldGrid, keep: slice) -> Dict[str, np.ndarray]:
+    """The arrays R1..R4 of :func:`structural_residuals` on the grid's rows
+    ``keep``.  An x1 difference is taken on the whole grid; an x2 difference
+    stays in its row, so it and all the rest run on rows ``keep`` only."""
     grid.require("f1", "f2", "theta1", "theta2", "psi", "b", "c")
     f1, f2, t1, t2, psi, b, c = (
         getattr(grid, name)[keep]
         for name in ("f1", "f2", "theta1", "theta2", "psi", "b", "c"))
     return {
+        "structural_1": grid.d2(f1) + 0.5*f1*f2*t2,
+        "structural_2": grid.d1(grid.f2)[keep] - 0.5*f1*f2*t1,
         "structural_3": f1*grid.d2(psi) - f2*grid.d1(grid.c)[keep]
                         - f1*f2*(c*t1 + t2*(psi + 2.0)),
         "structural_4": -f1*grid.d2(b) + f2*grid.d1(grid.psi)[keep]
@@ -482,36 +437,33 @@ def fourth_order_condition_const(f1, f2, k, D: Callable):
     f2_11, f2_22 = D(f2, 1, 1), D(f2, 2, 2)
     f2_111, f2_222 = D(f2, 1, 1, 1), D(f2, 2, 2, 2)
     F1, F2 = _powers(f1, 6), _powers(f2, 6)   # F1[n] is f1**n
-    # the powers of f1_2 and f2_1 that recur, each formed once; a square
-    # x**2 is x*x, so they are the floats of the powers they stand for
-    P12, P21 = _powers(f1_2, 3), _powers(f2_1, 2)
     U = (k*F1[6]*(-2*F2[4]*f1_2*f2_2 - 15*f1_2*_pw(f2_2, 3)
                   + 2*F2[5]*f1_22
                   + 5*f2*f2_2*(3*f2_2*f1_22 + 2*f1_2*f2_22)
                   - F2[2]*(4*f1_22*f2_22 + 6*f2_2*f1_222 + f1_2*f2_222)
                   + F2[3]*f1_2222)
          + 15*F2[6]*f1_2*_pw(f1_1, 3)
-         + F1[4]*F2[2]*f1_2*(-3*k*P12[2]*f2_2 + 3*k*f2*f1_2*f1_22
+         + F1[4]*F2[2]*f1_2*(-3*k*f1_2**2*f2_2 + 3*k*f2*f1_2*f1_22
                              + 2*F2[4]*f1_1)
-         + F1[5]*f2*(8*k*F2[4]*P12[2] + 18*k*P12[2]*f2_2**2
+         + F1[5]*f2*(8*k*F2[4]*f1_2**2 + 18*k*f1_2**2*f2_2**2
                      - k*f2*f1_2*(21*f2_2*f1_22 + 5*f1_2*f2_22)
                      + k*F2[2]*(3*f1_22**2 + 5*f1_2*f1_222)
                      - 2*F2[5]*f1_12)
-         + f1*F2[5]*f1_1*(30*k*P12[2]*f1_1 - 15*f2*f1_1*f1_12
+         + f1*F2[5]*f1_1*(30*k*f1_2**2*f1_1 - 15*f2*f1_1*f1_12
                           + 2*f1_2*(6*f1_1*f2_1 - 5*f2*f1_11))
-         + F1[2]*F2[4]*(24*k**2*P12[3]*f1_1
-                        + P12[2]*(30*k*f1_1*f2_1 - 8*k*f2*f1_11)
+         + F1[2]*F2[4]*(24*k**2*_pw(f1_2, 3)*f1_1
+                        + f1_2**2*(30*k*f1_1*f2_1 - 8*k*f2*f1_11)
                         + f2*(4*f2*f1_12*f1_11
                               + f1_1*(-9*f2_1*f1_12 + 6*f2*f1_112))
-                        + f1_2*(f1_1*(9*P21[2]
+                        + f1_2*(f1_1*(9*f2_1**2
                                       - 6*f2*(6*k*f1_12 + f2_11))
                                 + f2*(-3*f2_1*f1_11 + f2*f1_111)))
          + F1[3]*F2[3]*(
-             8*_pw(k, 3)*(P12[3]*f1_2) + 20*k**2*P12[3]*f2_1
-             - 8*k*P12[2]*(-2*P21[2] + f2*(3*k*f1_12 + f2_11))
-             + f1_2*(4*(P21[2]*f2_1) - f2*f2_1*(22*k*f1_12 + 5*f2_11)
+             8*_pw(k, 3)*_pw(f1_2, 4) + 20*k**2*_pw(f1_2, 3)*f2_1
+             - 8*k*f1_2**2*(-2*f2_1**2 + f2*(3*k*f1_12 + f2_11))
+             + f1_2*(4*_pw(f2_1, 3) - f2*f2_1*(22*k*f1_12 + 5*f2_11)
                      + F2[2]*(8*k*f1_112 + f2_111))
-             + f2*(-4*P21[2]*f1_12 + 2*f2*f2_1*f1_112
+             + f2*(-4*f2_1**2*f1_12 + 2*f2*f2_1*f1_112
                    + f2*(6*k*f1_12**2 + 3*f1_12*f2_11 - f2*f1_1112))))
     return -2/(F1[6]*F2[6])*U
 
@@ -567,33 +519,27 @@ def fourth_order_condition(f1, f2, k, D: Callable):
     return 2/(F1[6]*F2[6])*T
 
 
-def _grid_oracle(grid: FieldGrid, keep: slice = slice(None),
-                 rows=()) -> Callable:
+def _grid_oracle(grid: FieldGrid, keep: slice, rows) -> Callable:
     """D(arr, *idx): rows ``keep`` of the differences of ``arr`` along
-    ``idx``, taken left to right on the grid.
+    ``idx``, taken left to right on the whole grid.
 
     ``rows`` pairs arrays that are rows ``keep`` of a grid array with that
-    array, whose differences D then takes.  A d2 with no d1 after it in
-    ``idx`` runs on rows ``keep`` only: an x2 difference stays in its row.
-    Every prefix is cached, so each distinct difference is taken once.  The
-    empty prefix caches ``arr`` with the array it stands for, which keeps
-    ``arr`` alive so that no other array can reuse its ``id`` while the
-    oracle lives.  D walks the prefixes in a loop rather than calling
-    itself, so it holds no reference to itself, and its cache goes when the
-    caller drops it."""
+    array, whose differences D then takes.  Every prefix is cached, so each
+    distinct difference is taken once.  The empty prefix caches ``arr`` with
+    the array it stands for, which keeps ``arr`` alive so that no other
+    array can reuse its ``id`` while the oracle lives.  D walks the prefixes
+    in a loop rather than calling itself, so it holds no reference to
+    itself, and its cache goes when the caller drops it."""
     cache = {(id(part), ()): (part, whole) for part, whole in rows}
 
     def D(arr, *idx):
         prev = cache.setdefault((id(arr), ()), (arr, arr))[1]
-        cut = False         # prev holds rows ``keep`` only
         for k in range(1, len(idx) + 1):
-            was_cut, cut = cut, idx[k-1] == 2 and 1 not in idx[k:]
-            key = (id(arr), idx[:k], cut)
+            key = (id(arr), idx[:k])
             if key not in cache:
-                src = prev[keep] if cut and not was_cut else prev
-                cache[key] = grid.d1(src) if idx[k-1] == 1 else grid.d2(src)
+                cache[key] = grid.d1(prev) if idx[k-1] == 1 else grid.d2(prev)
             prev = cache[key]
-        return prev if cut else prev[keep]
+        return prev[keep]
 
     return D
 
@@ -613,14 +559,12 @@ def _constant_ratio(grid: FieldGrid) -> Optional[float]:
     return None
 
 
-def _compatibility(grid: FieldGrid, k0: Optional[float],
-                   keep: slice = slice(None)):
+def _compatibility(grid: FieldGrid, k0: Optional[float], keep: slice
+                   ) -> Dict[str, np.ndarray]:
     """Both conditions on the grid's rows ``keep`` through one oracle: the
     constant-ratio forms at kappa = ``k0``, or the varying ones if ``k0``
     is None.  The oracle takes the differences (see :func:`_grid_oracle`);
-    the conditions' own arithmetic runs on rows ``keep`` only.  Returns the
-    two residual arrays, then rows ``keep`` of d2(f1) and d1(f2), which the
-    oracle holds and the structural residuals read."""
+    the conditions' own arithmetic runs on rows ``keep`` only."""
     whole = [np.asarray(grid.f1, dtype=float),
              np.asarray(grid.f2, dtype=float)]
     if k0 is None:
@@ -630,16 +574,12 @@ def _compatibility(grid: FieldGrid, k0: Optional[float],
     D = _grid_oracle(grid, keep, rows)
     f1, f2, *ratios = (part for part, _ in rows)
     if k0 is not None:
-        res = {"integrability_2nd_const":
-               second_order_condition_const(f1, f2, 1.0/k0, D),
-               "integrability_4th_const":
-               fourth_order_condition_const(f1, f2, k0, D)}
-    else:
-        res = {"integrability_2nd": second_order_condition(f1, f2, ratios[0],
-                                                           D),
-               "integrability_4th": fourth_order_condition(f1, f2, ratios[1],
-                                                           D)}
-    return res, D(f1, 2), D(f2, 1)
+        return {"integrability_2nd_const":
+                second_order_condition_const(f1, f2, 1.0/k0, D),
+                "integrability_4th_const":
+                fourth_order_condition_const(f1, f2, k0, D)}
+    return {"integrability_2nd": second_order_condition(f1, f2, ratios[0], D),
+            "integrability_4th": fourth_order_condition(f1, f2, ratios[1], D)}
 
 
 def integrability_residuals(grid: FieldGrid) -> ResidualReport:
@@ -649,7 +589,8 @@ def integrability_residuals(grid: FieldGrid) -> ResidualReport:
     the second-order condition takes the reciprocal 1/kappa as its ratio
     argument, the fourth-order condition takes kappa itself.
     """
-    return _norms(_compatibility(grid, _constant_ratio(grid))[0], _MARGIN)
+    return _norms(_compatibility(grid, _constant_ratio(grid), slice(None)),
+                  _MARGIN)
 
 
 # --------------------------------------------------------------------------
@@ -742,33 +683,25 @@ def prescribe(kappa: np.ndarray, f2: np.ndarray, f1_boundary: np.ndarray,
         setattr(grid, name, np.empty(shape))
     gaps = []
     for blk, keep, lo, hi in _blocks(grid):
-        f2_1 = blk.d1(blk.f2)[keep]
         if f1 is None:
-            grid.f1[lo:hi] = solve_f1(blk, boundary[lo:hi], keep, f2_1)
-        grid.theta1[lo:hi], grid.theta2[lo:hi], gap = thetas_from_f(
-            blk, keep, f2_1)
+            grid.f1[lo:hi] = solve_f1(blk, boundary[lo:hi], keep)
+        grid.theta1[lo:hi], grid.theta2[lo:hi], gap = thetas_from_f(blk,
+                                                                    keep)
         gaps.append(gap)
     k0 = _constant_ratio(grid)
     norms = _RowNorms(shape, _MARGIN)
     for blk, keep, lo, hi in _blocks(grid):
         # the conditions first: their ~35 temporaries are the block's
-        # largest, and with the arrays they return alive after them, glibc
-        # keeps that space on the heap for the later stages.  Taken last,
-        # the heap shrank and regrew by about 6 MB in every block (at 769,
-        # 48k minor faults a call against 6.7k)
-        compat, f1_2, f2_1 = _compatibility(blk, k0, keep)
-        # R1 and R2 from the conditions' d2(f1) and d1(f2), reduced at
-        # once: held through psi, those two raised the peak RSS.  The
-        # report keeps the order in which the first block adds residuals
-        norms.add(_coframe_relations(blk, keep, f1_2, f2_1), lo)
-        del f1_2, f2_1
-        xi = _cross_xi(blk)
-        blk.b, blk.c = bc_from_thetas(blk, xi)
-        blk.psi = psi_from_grid(blk, xi)
-        del xi
+        # largest, and with the two arrays they return alive after them,
+        # glibc keeps that space on the heap for the later stages.  Taken
+        # last, the heap shrank and regrew by about 6 MB in every block
+        # (at 769, 48k minor faults a call against 6.7k)
+        compat = _compatibility(blk, k0, keep)
+        blk.b, blk.c = bc_from_thetas(blk)
+        blk.psi = psi_from_grid(blk)
         grid.b[lo:hi], grid.c[lo:hi] = blk.b[keep], blk.c[keep]
         grid.psi[lo:hi] = blk.psi[keep]
-        norms.add(_invariant_relations(blk, keep), lo)
+        norms.add(_structural(blk, keep), lo)
         norms.add(compat, lo)
     h = max(grid.h1, grid.h2)
     tol_real = 10.0 * _BASELINE_C * h * h

