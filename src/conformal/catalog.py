@@ -46,15 +46,12 @@ class CatalogEntry:
     ``oracle`` maps field names ('theta1', 'theta2', 'psi', 'kappa',
     'psi_c') to callables of the first surface parameter u (every oracle in
     the catalog is constant in v; 'kappa', a constant, takes no argument).
-    Flags mark structural special cases: ``dupin_everywhere`` (both
-    curvature fields vanish identically) and ``canal_everywhere`` (exactly
-    one vanishes).
+    Oracles that read 0 mark the special cases: both thetas on the torus
+    (a Dupin cyclide), theta1 on a tube (a canal surface).
     """
     surface: SurfacePatch
     params: Dict[str, object]
     oracle: Dict[str, Callable] = field(default_factory=dict)
-    dupin_everywhere: bool = False
-    canal_everywhere: bool = False
 
 
 # --------------------------------------------------------------------------
@@ -103,8 +100,7 @@ def make_helcat(alpha_h: float) -> CatalogEntry:
         return (x, y, sa*u + ca*v, xu, yu, sa, -y, x, ca,
                 x, y, 0.0, -yu, xu, 0.0, -x, -y, 0.0)
 
-    patch = SurfacePatch([(-3.0, 3.0), (-7.0, 7.0)],
-                         name=f"helcat[{alpha_h:.6g}]", jet_fn=jet)
+    patch = SurfacePatch([(-3.0, 3.0), (-7.0, 7.0)], jet_fn=jet)
     B = 1.0 + sa
     root = np.sqrt(2.0*B)
 
@@ -160,12 +156,10 @@ def make_torus(R: float, r: float) -> CatalogEntry:
     if not (math.isfinite(R) and R > r > 0):
         raise ValueError("need finite R > r > 0")
     patch = SurfacePatch([(-np.pi, np.pi), (-np.pi, np.pi)],
-                         name=f"torus[{R:g},{r:g}]",
                          jet_fn=_revolution_jet(R, r))
     zero = lambda s: 0.0*np.asarray(s)
     return CatalogEntry(surface=patch, params={"R": R, "r": r},
-                        oracle={"theta1": zero, "theta2": zero},
-                        dupin_everywhere=True)
+                        oracle={"theta1": zero, "theta2": zero})
 
 
 def make_sphere(radius: float) -> CatalogEntry:
@@ -174,7 +168,7 @@ def make_sphere(radius: float) -> CatalogEntry:
     rad = float(radius)
     if not 0 < rad < math.inf:
         raise ValueError("radius must be finite and positive")
-    patch = SurfacePatch([(-np.pi, np.pi), (-1.4, 1.4)], name="sphere",
+    patch = SurfacePatch([(-np.pi, np.pi), (-1.4, 1.4)],
                          jet_fn=_revolution_jet(0.0, rad))
     return CatalogEntry(surface=patch, params={"radius": rad})
 
@@ -226,14 +220,11 @@ def make_tube(curve, radius: float) -> CatalogEntry:
                 -x, -y, 0.0, -yv, xv, 0.0,
                 pvv*cu - q*su, pvv*su + q*cu, -ra*sv)
 
-    patch = SurfacePatch([(-10.0, 10.0), (-10.0, 10.0)],
-                         name=f"tube[{kind},r={radius:g}]", jet_fn=jet)
+    patch = SurfacePatch([(-10.0, 10.0), (-10.0, 10.0)], jet_fn=jet)
     zero = lambda s: 0.0*np.asarray(s)
     return CatalogEntry(surface=patch,
                         params={"curve": tuple(curve), "radius": radius},
-                        oracle={"theta1": zero},
-                        canal_everywhere=True,
-                        dupin_everywhere=(curve[0] == "circle"))
+                        oracle={"theta1": zero})
 
 
 # --------------------------------------------------------------------------
@@ -262,8 +253,7 @@ def make_graph(poly: Dict[tuple, float], window: float = 1.0) -> CatalogEntry:
         return (u, v, z, 1.0, 0.0, zu, 0.0, 1.0, zv,
                 0.0, 0.0, zuu, 0.0, 0.0, zuv, 0.0, 0.0, zvv)
 
-    patch = SurfacePatch([(-window, window), (-window, window)],
-                         name="graph", jet_fn=jet)
+    patch = SurfacePatch([(-window, window), (-window, window)], jet_fn=jet)
     return CatalogEntry(surface=patch, params={"poly": dict(poly)})
 
 

@@ -25,7 +25,6 @@ from .linefields import (darboux_critical_points, dupin_angle,
                          integrate_darboux_line, integrate_dupin_line)
 from .osculation import (osculating_cyclide, osculating_psi_c,
                          verify_contact_order)
-from .prescribe import helcat_coframe, prescribe
 
 _TABLE_ROWS = [
     ("0", 0.0, (1.5, 1.5, 1.5)),
@@ -406,6 +405,9 @@ def cmd_intersect(surface_path, out, fmt, psi_c, window, grid):
 @click.option("--grid", default="65x65")
 def cmd_prescribe(surface_path, out, grid):
     """Run the coframe construction pipeline and report realizability."""
+    # imported here: no other command runs the pipeline
+    from .prescribe import helcat_coframe, prescribe
+
     def run():
         entry = load_surface_spec(surface_path)
         alpha_h = entry.params.get("alpha_h")

@@ -356,13 +356,13 @@ def component_count_oracle(coeffs, psi_c: float) -> int:
     return int(ncomp)
 
 
-def brentq(f, a: float, b: float, **kwargs) -> float:
+def brentq(f, a: float, b: float) -> float:
     """``scipy.optimize.brentq``, imported on the first call: only
     :func:`origin_branch_directions` and :func:`measure_section_angle` need
     a scalar root finder, and importing scipy.optimize costs more than a
     whole trace."""
     from scipy.optimize import brentq as _brentq
-    return _brentq(f, a, b, **kwargs)
+    return _brentq(f, a, b)
 
 
 def origin_branch_directions(coeffs, psi_c: float):

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import comb, factorial
-from typing import Optional
 
 import numpy as np
 
@@ -243,14 +242,13 @@ def contact_order_details(prof_a: CanonicalProfile, prof_b: CanonicalProfile):
     return int(round(slope)) - 1, float(slope), False
 
 
-def verify_contact_order(contact: CyclideContact,
-                         psi_c: Optional[float] = None) -> int:
-    """Numerically verified contact order between the surface and the
-    cyclide with invariant ``psi_c`` (default: the contact's own value) in
-    the contact direction, signed by ``_PROFILE_SIGN``."""
+def verify_contact_order(contact: CyclideContact) -> int:
+    """Numerically verified contact order between the surface and its
+    osculating cyclide (``contact.psi_c``) in the contact direction, signed
+    by ``_PROFILE_SIGN``."""
     t_eff = _PROFILE_SIGN * contact.t
     prof_s = canonical_profile(contact.theta1, contact.theta2, contact.psi,
                                contact.coeffs, t_eff)
-    prof_c = cyclide_profile(contact.psi_c if psi_c is None else psi_c, t_eff)
+    prof_c = cyclide_profile(contact.psi_c, t_eff)
     order, _, _ = contact_order_details(prof_s, prof_c)
     return order

@@ -54,6 +54,7 @@ from typing import Callable, Dict, Optional, Tuple
 
 import numpy as np
 
+from .catalog import make_helcat
 from .errors import (KappaZero, MarginTooSmall, MissingField,
                      NonPositiveResult)
 from .invariants import _psi_numerator
@@ -83,9 +84,10 @@ _HALO = 4               # rows a block carries on either side (see above)
 class FieldGrid:
     """Rectangular grid over [0, L1] x [0, L2] with optional scalar fields.
 
-    Arrays are indexed [i, j] with i along x1 and j along x2.  ``f1`` and
-    ``f2`` must be finite and strictly positive where present; ``kappa``
-    must be finite and nonzero where present.
+    Arrays are indexed [i, j] with i along x1 and j along x2.  ``x1`` and
+    ``x2`` must be uniform axes (:func:`_uniform_axis`).  ``f1`` and ``f2``
+    must be finite and strictly positive where present; ``kappa`` must be
+    finite and nonzero where present.
     """
     x1: np.ndarray
     x2: np.ndarray
@@ -101,8 +103,8 @@ class FieldGrid:
     h2: float = field(init=False, repr=False)
 
     def __post_init__(self):
-        self.x1 = np.asarray(self.x1, dtype=float)
-        self.x2 = np.asarray(self.x2, dtype=float)
+        self.x1 = _uniform_axis(self.x1, "x1")
+        self.x2 = _uniform_axis(self.x2, "x2")
         self.h1 = float(self.x1[1] - self.x1[0])
         self.h2 = float(self.x2[1] - self.x2[0])
         for name in ("f1", "f2"):
@@ -118,7 +120,8 @@ class FieldGrid:
     def rows(self, lo: int, hi: int) -> "FieldGrid":
         """Rows [lo, hi) of every field, as views, with this grid's h1 and
         h2: on a linspace axis the block's own x1[1] - x1[0] can differ in
-        the last bit, and then so would every difference taken on it."""
+        the last bit, and then so would every difference taken on it.  A
+        copy, so the part is not checked again."""
         part = copy.copy(self)
         part.x1 = self.x1[lo:hi]
         for name, arr in vars(self).items():
@@ -140,6 +143,22 @@ class FieldGrid:
 
     def d2(self, arr: np.ndarray) -> np.ndarray:
         return _difference(arr, self.h2, 1)
+
+
+def _uniform_axis(x, name: str) -> np.ndarray:
+    """``x`` as a float axis, or ValueError unless it is finite, has at
+    least 3 points and a nonzero step, and every step is the first to 1e-9
+    of it: every difference uses the first step (a linspace axis passes)."""
+    x = np.asarray(x, dtype=float)
+    if x.ndim != 1 or len(x) < 3:
+        raise ValueError(f"{name} must be an axis of at least 3 points")
+    if not np.all(np.isfinite(x)):
+        raise ValueError(f"{name} has a non-finite entry")
+    step = np.diff(x)
+    if step[0] == 0 or np.any(np.abs(step - step[0]) > 1e-9*abs(step[0])):
+        raise ValueError(f"{name} is not a uniform axis: its steps run from "
+                         f"{step.min():.6g} to {step.max():.6g}")
+    return x
 
 
 def _positive(arr) -> bool:
@@ -605,22 +624,6 @@ def recovered_kappa(grid: FieldGrid) -> np.ndarray:
     return grid.theta1 / safe
 
 
-def _uniform_axis(x, name: str) -> np.ndarray:
-    """``x`` as a float axis, or ValueError unless it is finite, has at
-    least 3 points and a nonzero step, and every step is the first to 1e-9
-    of it: every difference uses the first step (a linspace axis passes)."""
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 1 or len(x) < 3:
-        raise ValueError(f"{name} must be an axis of at least 3 points")
-    if not np.all(np.isfinite(x)):
-        raise ValueError(f"{name} has a non-finite entry")
-    step = np.diff(x)
-    if step[0] == 0 or np.any(np.abs(step - step[0]) > 1e-9*abs(step[0])):
-        raise ValueError(f"{name} is not a uniform axis: its steps run from "
-                         f"{step.min():.6g} to {step.max():.6g}")
-    return x
-
-
 def _blocks(grid: FieldGrid):
     """(block, keep, lo, hi) for each block of ``_BLOCK`` rows [lo, hi):
     the block is a view of those rows and ``_HALO`` more on either side
@@ -634,23 +637,22 @@ def _blocks(grid: FieldGrid):
 
 
 def prescribe(kappa: np.ndarray, f2: np.ndarray, f1_boundary: np.ndarray,
-              x1: np.ndarray, x2: np.ndarray,
-              f1: Optional[np.ndarray] = None
+              x1: np.ndarray, x2: np.ndarray
               ) -> Tuple[FieldGrid, ResidualReport]:
     """Full construction-and-verification pipeline.
 
     Block by block of rows (see the module docstring), builds f1 by
-    column integration and derives theta1/theta2; then b, c, the
-    fourth-order invariant and the structural and integrability residual
-    families, whose norms leave out ``_MARGIN`` cells at each edge.  Each
-    norm is reduced row by row as the blocks come, so no residual array is
-    kept.  The returned grid's ``f2`` and ``kappa`` are read-only views of
-    the arguments, broadcast to the grid, not copies; an explicit ``f1`` is
-    kept as given.  f1, f2, kappa and ``f1_boundary`` must be finite: NaN
-    or inf raises NonPositiveResult (f1, f2, the boundary) or KappaZero
-    (kappa), as a non-positive f or a vanishing kappa does.  ``x1`` and
-    ``x2`` must be uniform axes (see :func:`_uniform_axis`), or ValueError
-    is raised: every difference is taken with the first step of its axis.
+    column integration from ``f1_boundary`` and derives theta1/theta2;
+    then b, c, the fourth-order invariant and the structural and
+    integrability residual families, whose norms leave out ``_MARGIN``
+    cells at each edge.  Each norm is reduced row by row as the blocks
+    come, so no residual array is kept.  The returned grid's ``f2`` and
+    ``kappa`` are read-only views of the arguments, broadcast to the grid,
+    not copies.  f2, kappa and ``f1_boundary`` must be finite: NaN or inf
+    raises NonPositiveResult (f2, the boundary) or KappaZero (kappa), as a
+    non-positive f or a vanishing kappa does.  A non-uniform axis raises
+    ValueError (see :class:`FieldGrid`).  Given (f1, f2, kappa) data are
+    checked by :func:`integrability_residuals` on a :class:`FieldGrid`.
 
     The returned report's ``extra`` carries the theta consistency gap, the
     realizability tolerance ``tol_real``, and ``realizable`` (1.0 or 0.0):
@@ -667,24 +669,17 @@ def prescribe(kappa: np.ndarray, f2: np.ndarray, f1_boundary: np.ndarray,
     and from about 1025 up data from a real surface is reported not
     realizable, from roundoff alone.
     """
-    x1, x2 = _uniform_axis(x1, "x1"), _uniform_axis(x2, "x2")
-    shape = (len(x1), len(x2))
-    # an explicit f1 bypasses the column integration (used to test whether
-    # externally supplied coframe data is compatible)
+    shape = (np.size(x1), np.size(x2))    # FieldGrid checks the axes
     grid = FieldGrid(x1=x1, x2=x2,
-                     f1=None if f1 is None else np.asarray(f1, dtype=float),
                      f2=np.broadcast_to(np.asarray(f2, dtype=float), shape),
                      kappa=np.broadcast_to(np.asarray(kappa, dtype=float),
                                            shape))
     boundary = np.asarray(f1_boundary, dtype=float)
-    if f1 is None:
-        grid.f1 = np.empty(shape)
-    for name in ("theta1", "theta2", "b", "c", "psi"):
+    for name in ("f1", "theta1", "theta2", "b", "c", "psi"):
         setattr(grid, name, np.empty(shape))
     gaps = []
     for blk, keep, lo, hi in _blocks(grid):
-        if f1 is None:
-            grid.f1[lo:hi] = solve_f1(blk, boundary[lo:hi], keep)
+        grid.f1[lo:hi] = solve_f1(blk, boundary[lo:hi], keep)
         grid.theta1[lo:hi], grid.theta2[lo:hi], gap = thetas_from_f(blk,
                                                                     keep)
         gaps.append(gap)
@@ -735,16 +730,15 @@ def helcat_coframe(alpha_h: float, n: int):
 
 def helcat_grid(alpha_h: float, n: int) -> FieldGrid:
     """Exact coframe data of the helicoid-catenoid family on the grid of
-    :func:`helcat_coframe`, with the closed forms (B = 1 + sin(alpha_h))
-    theta2 = sqrt(2B) sinh(s), theta1 = kappa*theta2,
-    psi = sin(alpha_h) (3 cosh^2 s - 2), and b and c from the thetas.
+    :func:`helcat_coframe`: theta2 and psi are :func:`make_helcat`'s
+    oracles at the rotated coordinate s, theta1 = kappa*theta2, and b and
+    c come from the thetas.
     """
     x1, x2, f, kap, S = helcat_coframe(alpha_h, n)
-    sa = np.sin(alpha_h)
-    theta2 = np.sqrt(2.0*(1.0 + sa))*np.sinh(S)
+    oracle = make_helcat(alpha_h).oracle
+    theta2 = oracle["theta2"](S)
     grid = FieldGrid(x1=x1, x2=x2, f1=f.copy(), f2=f.copy(),
-                     theta1=kap*theta2, theta2=theta2,
-                     psi=sa*(3.0*np.cosh(S)**2 - 2.0),
+                     theta1=kap*theta2, theta2=theta2, psi=oracle["psi"](S),
                      kappa=kap + np.zeros_like(f))
     grid.b, grid.c = bc_from_thetas(grid)
     return grid

@@ -72,14 +72,13 @@ class SurfacePatch:
     pushed through a Mobius map.
     """
 
-    def __init__(self, domain, jet_fn, name="surface"):
+    def __init__(self, domain, jet_fn):
         self.domain = tuple((float(a), float(b)) for a, b in domain)
-        self.name = name
         self._jet_fn = jet_fn
 
     # -- constructors ------------------------------------------------------
     @classmethod
-    def from_sympy(cls, expr, symbols, domain, name="surface"):
+    def from_sympy(cls, expr, symbols, domain):
         """Patch whose jets are the order-2 partials of a sympy position
         matrix, compiled once, on first evaluation: a caller that never
         evaluates a jet pays no ``sp.diff`` or ``lambdify``.  The second
@@ -100,7 +99,7 @@ class SurfacePatch:
             return out if lib is np else [
                 (complex if lib is cmath else float)(e) for e in out]
 
-        return cls(domain, name=name, jet_fn=jet)
+        return cls(domain, jet_fn=jet)
 
     # -- basic queries -----------------------------------------------------
     def contains(self, u, v, margin=0.0):
@@ -443,5 +442,4 @@ def mobius_transform(surface: SurfacePatch, mmap: MobiusMap) -> SurfacePatch:
         return np.concatenate(
             mmap.apply_jet(np.reshape(base(u, v), (6, 3)))).tolist()
 
-    return SurfacePatch(surface.domain, name=surface.name + "*",
-                        jet_fn=moved_jet)
+    return SurfacePatch(surface.domain, jet_fn=moved_jet)

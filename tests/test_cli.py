@@ -352,18 +352,15 @@ def _fresh_python(code, *args):
                           timeout=60).stdout
 
 
-def test_cli_import_leaves_sympy_out():
-    # sympy is imported by SurfacePatch.from_sympy only
+@pytest.mark.parametrize("module", ["sympy", "scipy", "conformal.prescribe"])
+def test_cli_import_leaves_out(module):
+    # sympy is imported by SurfacePatch.from_sympy only; scipy only by the
+    # intersection oracle and the branch-direction and section-angle root
+    # finder, which no command calls; the prescribe pipeline by its own
+    # command when it runs
     code = ("import sys, conformal.cli; "
-            "print(sorted(m for m in sys.modules if m.startswith('sympy')))")
-    assert _fresh_python(code).strip() == "[]"
-
-
-def test_cli_import_leaves_scipy_out():
-    # scipy is imported only by the intersection oracle and the
-    # branch-direction and section-angle root finder, which no command calls
-    code = ("import sys, conformal.cli; "
-            "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
+            f"print(sorted(m for m in sys.modules if m == {module!r} "
+            f"or m.startswith({module + '.'!r})))")
     assert _fresh_python(code).strip() == "[]"
 
 

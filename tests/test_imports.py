@@ -86,3 +86,76 @@ def test_no_unread_dataclass_fields():
                for p in sorted((root / d).rglob("*.py"))]
     sources = [p.read_text() for p in sorted(SRC.glob("*.py"))]
     assert unread_fields(sources, readers) == []
+
+
+def _called_name(func):
+    if isinstance(func, ast.Name):
+        return func.id
+    return func.attr if isinstance(func, ast.Attribute) else None
+
+
+def unset_defaults(sources, callers) -> list:
+    """``function.parameter`` for each defaulted parameter of a function in
+    ``sources`` that no call in ``callers`` passes: by keyword, by position
+    or through ``*`` or ``**``.  A call goes by the name it calls (``f`` in
+    ``f(...)`` and ``a.b.f(...)``), and a call of a class counts for its
+    ``__init__``.  A method's first parameter is bound, so a call's first
+    positional argument is its second parameter."""
+    positional, keywords = {}, {}
+    for text in callers:
+        for node in ast.walk(ast.parse(text)):
+            if not isinstance(node, ast.Call):
+                continue
+            name = _called_name(node.func)
+            n = (float("inf") if any(isinstance(a, ast.Starred)
+                                     for a in node.args)
+                 else len(node.args))
+            positional[name] = max(positional.get(name, 0), n)
+            keywords.setdefault(name, set()).update(
+                k.arg or "**" for k in node.keywords)
+    found = []
+    for text in sources:
+        tree = ast.parse(text)
+        owner = {id(st): node for node in ast.walk(tree)
+                 if isinstance(node, ast.ClassDef) for st in node.body}
+        for fn in ast.walk(tree):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            cls = owner.get(id(fn))
+            name = cls.name if cls and fn.name == "__init__" else fn.name
+            params = fn.args.posonlyargs + fn.args.args
+            bound = cls is not None and not any(
+                isinstance(d, ast.Name) and d.id == "staticmethod"
+                for d in fn.decorator_list)
+            defaulted = [(i - bound, p.arg) for i, p in enumerate(params)
+                         if i >= len(params) - len(fn.args.defaults)]
+            defaulted += [(None, p.arg) for p, d in zip(
+                fn.args.kwonlyargs, fn.args.kw_defaults) if d is not None]
+            kws = keywords.get(name, set())
+            found += [f"{name}.{arg}" for i, arg in defaulted
+                      if arg not in kws and "**" not in kws
+                      and (i is None or positional.get(name, 0) <= i)]
+    return sorted(found)
+
+
+def test_unset_defaults_are_found():
+    src = ("class A:\n"
+           "    def __init__(self, x, y=0, z=1):\n        pass\n"
+           "    def m(self, p=0, *, q=1):\n        pass\n"
+           "    @staticmethod\n    def s(p=0, r=1):\n        pass\n"
+           "def f(a, b=1, c=2, *, d=3):\n    pass\n"
+           "def g(a=1):\n    pass\n"
+           "def h(a=1, b=2):\n    pass\n")
+    calls = ("A(1, 2)\nA(1).m(q=2)\nA.s(5)\nimport mod\nmod.f(0, 1, d=1)\n"
+             "g(**opts)\nh(*args)\n")
+    assert unset_defaults([src], [calls]) == ["A.z", "f.c", "m.p", "s.r"]
+
+
+def test_no_unset_defaults():
+    # a default that no call of the package, its benchmark or its CI
+    # script overrides is an option only a test sets, or none does
+    root = SRC.parents[1]
+    callers = [p.read_text() for d in ("src", "perfbench", ".github")
+               for p in sorted((root / d).rglob("*.py"))]
+    sources = [p.read_text() for p in sorted(SRC.glob("*.py"))]
+    assert unset_defaults(sources, callers) == []

@@ -75,7 +75,6 @@ def test_contact_order_exact_and_perturbed(helcat_quarter):
         assert order == 3 and not exact
         assert 3.8 <= slope <= 4.2
     assert verify_contact_order(c) == 4
-    assert verify_contact_order(c, psi_c=c.psi_c + 1.0) == 3
 
 
 def test_cubic_profile_cancellation(helcat_quarter):

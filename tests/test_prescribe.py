@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy.integrate import cumulative_trapezoid
 
+from conformal.catalog import make_helcat
 from conformal.errors import (KappaZero, MarginTooSmall, MissingField,
                               NonPositiveResult)
 from conformal import prescribe as prescribe_mod
@@ -61,15 +62,14 @@ _ENTRY = st.floats(0.5, 2.0)
 
 
 @settings(max_examples=60, derandomize=True, database=None, deadline=None)
-@given(data=st.data(), n1=st.integers(3, 12), n2=st.integers(2, 40),
-       length1=st.floats(0.1, 3.0))
-def test_solve_f1_integral_matches_cumulative_trapezoid(data, n1, n2,
-                                                        length1):
+@given(data=st.data(), n1=st.integers(3, 12), n2=st.integers(3, 40),
+       length1=st.floats(0.1, 3.0), start2=st.floats(-2.0, 2.0),
+       length2=st.floats(0.1, 20.0))
+def test_solve_f1_integral_matches_cumulative_trapezoid(data, n1, n2, length1,
+                                                        start2, length2):
     # the numpy trapezoid is scipy's arithmetic: equal bit for bit on random
-    # shapes, integrands and non-uniform increasing x2
-    dx2 = data.draw(hnp.arrays(float, n2 - 1, elements=st.floats(1e-3, 1.0)))
-    x2 = np.concatenate([[data.draw(st.floats(-2.0, 2.0))], dx2]).cumsum()
-    assert np.all(np.diff(x2) > 0)
+    # shapes, integrands and uniform x2 (a FieldGrid axis is uniform)
+    x2 = np.linspace(start2, start2 + length2, n2)
     f2 = data.draw(hnp.arrays(float, (n1, n2), elements=_ENTRY))
     kappa = data.draw(hnp.arrays(float, (n1, n2), elements=_ENTRY))
     kappa *= data.draw(hnp.arrays(float, (n1, n2),
@@ -151,19 +151,36 @@ def test_differences_match_np_gradient(case):
                                                   edge_order=2))
 
 
-@pytest.mark.parametrize("axis", ["x1", "x2"])
-@pytest.mark.parametrize("fault", ["non-finite", "two points", "non-uniform"])
-def test_prescribe_rejects_a_non_uniform_axis(axis, fault):
-    # every difference takes the first step of its axis, so an axis whose
-    # steps differ gave a report with wrong differences in it
+def _bad_axes(axis, fault):
     x = np.linspace(0.0, 1.0, 33)
     bad = {"non-finite": np.where(np.arange(33) == 20, np.nan, x),
            "two points": x[:2],
-           "non-uniform": x**2}[fault]
-    axes = {"x1": x, "x2": x, axis: bad}
-    n1, n2 = len(axes["x1"]), len(axes["x2"])
+           "non-uniform": x**2,
+           "scalar": 0.5}[fault]
+    return {"x1": x, "x2": x, axis: bad}
+
+
+@pytest.mark.parametrize("axis", ["x1", "x2"])
+@pytest.mark.parametrize("fault", ["non-finite", "two points", "non-uniform",
+                                   "scalar"])
+def test_prescribe_rejects_a_non_uniform_axis(axis, fault):
+    # every difference takes the first step of its axis, so an axis whose
+    # steps differ gave a report with wrong differences in it
+    axes = _bad_axes(axis, fault)
+    n1, n2 = np.size(axes["x1"]), np.size(axes["x2"])
     with pytest.raises(ValueError, match=axis):
         prescribe(0.5, np.ones((n1, n2)), 2.0*np.ones(n1), **axes)
+
+
+@pytest.mark.parametrize("axis", ["x1", "x2"])
+@pytest.mark.parametrize("fault", ["non-finite", "two points", "non-uniform",
+                                   "scalar"])
+def test_field_grid_rejects_a_non_uniform_axis(axis, fault):
+    # FieldGrid checks its axes, so the residual families, which take a
+    # grid from the caller, reject them too (with x1 = x1[-1]*t**2 the
+    # compatibility residuals of helcat pi/4 at 65 read 1.1e2 and 1.6e5)
+    with pytest.raises(ValueError, match=axis):
+        FieldGrid(**_bad_axes(axis, fault))
 
 
 def test_prescribe_accepts_linspace_axes():
@@ -419,21 +436,20 @@ def test_integrability_takes_each_difference_once(monkeypatch, varying,
     assert len(calls) == expected
 
 
-@pytest.mark.parametrize("case, expected", [("const", 37), ("varying", 43),
-                                            ("explicit-f1", 36)])
+@pytest.mark.parametrize("case, expected", [("const", 37), ("varying", 43)])
 def test_prescribe_difference_count(monkeypatch, case, expected):
     # one block over 33 x 33.  The first pass takes d1(f2) for f1, and
-    # d2(f1) and d1(f2) for the thetas: 3 (2 with an explicit f1).  The
-    # second takes the conditions' 16 (22 with a varying ratio), b and c's
-    # 2, psi's 10 and R1..R4's 6.
-    args, kwargs = _prescribe_case(case)
+    # d2(f1) and d1(f2) for the thetas: 3.  The second takes the
+    # conditions' 16 (22 with a varying ratio), b and c's 2, psi's 10 and
+    # R1..R4's 6.
+    args = _prescribe_case(case)
     calls = []
     for name in ("d1", "d2"):
         def counted(self, arr, _diff=getattr(FieldGrid, name)):
             calls.append(arr.shape)
             return _diff(self, arr)
         monkeypatch.setattr(FieldGrid, name, counted)
-    prescribe(*args, **kwargs)
+    prescribe(*args)
     assert len(calls) == expected
 
 
@@ -486,30 +502,27 @@ def test_grid_oracle_matches_explicit_chain(varying):
 
 
 def _prescribe_case(case):
-    """prescribe's arguments on 33 x 33: a constant ratio, a varying one,
-    and an explicit f1 that is not compatible."""
+    """prescribe's arguments on 33 x 33: a constant ratio or a varying
+    one."""
     g = helcat_grid(np.pi/4, 33)
-    X1, X2 = np.meshgrid(g.x1, g.x2, indexing="ij")
-    if case == "varying":
-        return (1.0 + 0.3*X1*X2, np.exp(0.2*X1 - 0.1*X2),
-                2.0*np.ones_like(g.x1), g.x1, g.x2), {}
-    args = (g.kappa, g.f2, g.f1[:, 0], g.x1, g.x2)
     if case == "const":
-        return args, {}
-    return args, {"f1": g.f1*(1.0 + 0.1*np.sin(3*X1)*np.sin(3*X2))}
+        return g.kappa, g.f2, g.f1[:, 0], g.x1, g.x2
+    X1, X2 = np.meshgrid(g.x1, g.x2, indexing="ij")
+    return (1.0 + 0.3*X1*X2, np.exp(0.2*X1 - 0.1*X2),
+            2.0*np.ones_like(g.x1), g.x1, g.x2)
 
 
 @pytest.mark.parametrize("rows", [3, 10])
-@pytest.mark.parametrize("case", ["const", "varying", "explicit-f1"])
+@pytest.mark.parametrize("case", ["const", "varying"])
 def test_prescribe_blocks_match_one_block(monkeypatch, case, rows):
     # blocks of 3 rows, each shorter than the 4-row halo, and of 10 rows,
     # whose last block has 3: every field and every report entry is the
     # one a single block over the whole grid gives, bit for bit
-    args, kwargs = _prescribe_case(case)
+    args = _prescribe_case(case)
     monkeypatch.setattr(prescribe_mod, "_BLOCK", 33)
-    whole, rep_whole = prescribe(*args, **kwargs)
+    whole, rep_whole = prescribe(*args)
     monkeypatch.setattr(prescribe_mod, "_BLOCK", rows)
-    blocked, rep = prescribe(*args, **kwargs)
+    blocked, rep = prescribe(*args)
     for name in ("f1", "theta1", "theta2", "b", "c", "psi"):
         assert np.array_equal(getattr(blocked, name), getattr(whole, name),
                               equal_nan=True), name
@@ -569,10 +582,16 @@ def test_prescribe_peak_memory_in_grids():
 @pytest.mark.parametrize("alpha", [0.0, np.pi/4, np.pi/3],
                          ids=["0", "pi/4", "pi/3"])
 def test_helcat_grid_carries_helcat_coframe(alpha):
-    x1, x2, f, kap, _ = helcat_coframe(alpha, 33)
+    # the coframe, and make_helcat's oracles at the rotated coordinate s
+    x1, x2, f, kap, s = helcat_coframe(alpha, 33)
     g = helcat_grid(alpha, 33)
+    oracle = make_helcat(alpha).oracle
+    assert kap == oracle["kappa"]()
     for got, want in ((g.x1, x1), (g.x2, x2), (g.f1, f), (g.f2, f),
-                      (g.kappa, np.full_like(f, kap))):
+                      (g.kappa, np.full_like(f, kap)),
+                      (g.theta2, oracle["theta2"](s)),
+                      (g.theta1, kap*oracle["theta2"](s)),
+                      (g.psi, oracle["psi"](s))):
         assert np.array_equal(got, want)
 
 
@@ -609,14 +628,16 @@ def test_pipeline_constant_ratio_family():
 
 
 def test_pipeline_rejects_perturbed_f1():
+    # the perturbed coframe's compatibility residuals against the
+    # pipeline's realizability tolerance (worst 30.2 against 0.061)
     g0 = helcat_grid(0.0, 65)
-    grid, _ = prescribe(np.ones_like(g0.f2), g0.f2, g0.f1[:, 0],
-                        g0.x1, g0.x2)
+    grid, rep = prescribe(np.ones_like(g0.f2), g0.f2, g0.f1[:, 0],
+                          g0.x1, g0.x2)
     X1, X2 = np.meshgrid(g0.x1, g0.x2, indexing="ij")
-    pert = grid.f1*(1.0 + 0.1*np.sin(3*X1)*np.sin(3*X2))
-    _, rep = prescribe(np.ones_like(g0.f2), g0.f2, g0.f1[:, 0],
-                       g0.x1, g0.x2, f1=pert)
-    assert rep.extra["realizable"] == 0.0
+    pert = FieldGrid(x1=g0.x1, x2=g0.x2,
+                     f1=grid.f1*(1.0 + 0.1*np.sin(3*X1)*np.sin(3*X2)),
+                     f2=g0.f2, kappa=np.ones_like(g0.f2))
+    assert integrability_residuals(pert).worst() > rep.extra["tol_real"]
 
 
 def test_pipeline_scaling_keeps_recovered_ratio():
@@ -642,15 +663,14 @@ def test_pipeline_adversarial_ratio_returns_report():
     assert "realizable" in rep.extra
 
 
-@pytest.mark.parametrize("field", ["f1", "f2", "kappa", "f1_boundary"])
+@pytest.mark.parametrize("field", ["f2", "kappa", "f1_boundary"])
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_prescribe_rejects_non_finite_input(field, bad):
     # one bad cell in one input: a NaN in f2 used to run down f1's column
     # and drop out of every norm, and the report read realizable
     g = helcat_grid(np.pi/4, 65)
     args = {"kappa": g.kappa.copy(), "f2": g.f2.copy(),
-            "f1_boundary": g.f1[:, 0].copy(),
-            "f1": g.f1.copy() if field == "f1" else None}
+            "f1_boundary": g.f1[:, 0].copy()}
     args[field][(30, 40)[:args[field].ndim]] = bad
     error = KappaZero if field == "kappa" else NonPositiveResult
     with pytest.raises(error):
