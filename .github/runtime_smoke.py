@@ -4,10 +4,12 @@ inversion, on an install of the declared runtime alone (numpy and click).
     pip install -e . && python .github/runtime_smoke.py
 
 It fails if scipy or sympy can be imported (the install is not the bare
-runtime), if a command exits non-zero or writes nothing, if a ``prescribe``
-report does not read realizable (the helcat data comes from a real surface,
-at 769 points a side too, the benchmark's size), or if anything loaded
-either of them.
+runtime), if a command exits non-zero or writes nothing, if a JSON report
+does not parse or has no rows or a row narrower or wider than its header
+(the writer assembles the rows' JSON text itself), if a ``prescribe``
+report does not read realizable (the helcat data comes from a real
+surface, at 769 points a side too, the benchmark's size), or if anything
+loaded either of them.
 """
 import importlib
 import json
@@ -44,6 +46,10 @@ COMMANDS = [
     (["darboux", "--seed", "0.4,0.3", "--max-length", "0.05"], "helcat"),
     (["verify", "--seed", "0.5,1.2"], "tube"),
     (["intersect", "--grid", "64x64"], "canonical"),
+    (["invariants", "--grid", "8x8", "--format", "json"], "torus"),
+    (["darboux", "--seed", "0.4,0.3", "--max-length", "0.05", "--format",
+      "json"], "helcat"),
+    (["intersect", "--grid", "64x64", "--format", "json"], "canonical"),
     (["prescribe", "--grid", "65x65"], "helcat"),
     # more rows than one block of the prescribe pipeline holds
     (["prescribe", "--grid", "257x257"], "helcat"),
@@ -66,6 +72,12 @@ with tempfile.TemporaryDirectory() as tmp:
             code = exc.code
         if code != 0 or not out.exists() or out.stat().st_size == 0:
             sys.exit(f"cycl {' '.join(args)}: exit {code}")
+        if "json" in args:
+            report = json.loads(out.read_text())
+            width = len(report["header"])
+            if not report["rows"] or any(len(row) != width
+                                         for row in report["rows"]):
+                sys.exit(f"cycl {' '.join(args)}: rows not {width} wide")
         if args[0] == "prescribe":
             report = json.loads(out.read_text())
             if report["realizable"] is not True:

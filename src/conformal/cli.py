@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import sys
+from json.encoder import encode_basestring_ascii
 
 import click
 import numpy as np
@@ -65,18 +66,60 @@ def _fmt(x) -> str:
     return str(x)
 
 
-def _emit(rows, header, out, fmt, meta):
+# the cell types a column is formatted whole for, and the %.12g text of a
+# non-finite float (a masked numeric cell is formatted as nan)
+_FLOATS = {float, np.float64, type(None)}
+_NUMBERS = _FLOATS | {int, np.int64}
+_TEXT = {str, bool, np.bool_}
+_BLANK = dict.fromkeys(("nan", "inf", "-inf"), "")
+_NULL = dict.fromkeys(("nan", "inf", "-inf"), "null")
+
+
+def _token(x) -> str:
+    """The JSON text of one cell: null where :func:`_fmt` leaves it empty, a
+    number re-parsed from %.12g, else the string :func:`_fmt` gives."""
+    c = _fmt(x)
+    if c == "":
+        return "null"
+    return json.dumps(float("%.12g" % x) if _is_number(x) else c)
+
+
+def _column(col, fmt):
+    """Each cell of one column as :func:`_fmt` (csv) or :func:`_token`
+    (json) writes it.  A column of floats and None (in json, ints too) is
+    formatted by one %.12g call, json strings by the C string encoder."""
+    kinds = set(map(type, col))
+    if kinds <= (_FLOATS if fmt == "csv" else _NUMBERS):
+        if type(None) in kinds:
+            col = [np.nan if x is None else x for x in col]
+        text = ("%.12g," * len(col) % tuple(col))[:-1].split(",")
+        if fmt == "csv":
+            return list(map(_BLANK.get, text, text))
+        return list(map(_NULL.get, text, map(repr, map(float, text))))
     if fmt == "csv":
-        lines = [",".join(header)]
-        lines += [",".join(_fmt(x) for x in row) for row in rows]
-        text = "\n".join(lines) + "\n"
+        return list(map(_fmt, col))
+    if kinds <= _TEXT:
+        text = list(map(_fmt, col))
+        return list(map({"": "null"}.get, text,
+                        map(encode_basestring_ascii, text)))
+    return list(map(_token, col))
+
+
+def _emit(rows, header, out, fmt, meta):
+    """Write ``rows`` under ``header`` as CSV or as a JSON report, a column
+    at a time; the JSON layout is ``json.dumps(..., indent=1,
+    sort_keys=True)`` of the report, with the rows assembled here."""
+    cells = zip(*[_column(c, fmt) for c in zip(*rows, strict=True)])
+    if fmt == "csv":
+        text = "\n".join([",".join(header), *map(",".join, cells)]) + "\n"
     else:
-        payload = {"version": __version__, "config": meta,
-                   "header": list(header),
-                   "rows": [[None if (c := _fmt(x)) == "" else
-                             (c if not _is_number(x) else float("%.12g" % x))
-                             for x in row] for row in rows]}
-        text = json.dumps(payload, indent=1, sort_keys=True) + "\n"
+        body = ",\n  ".join(map("[\n   {}\n  ]".format,
+                                map(",\n   ".join, cells)))
+        text = json.dumps({"version": __version__, "config": meta,
+                           "header": list(header), "rows": None},
+                          indent=1, sort_keys=True).replace(
+            '\n "rows": null',
+            '\n "rows": ' + (f"[\n  {body}\n ]" if rows else "[]"), 1) + "\n"
     _write(text, out)
 
 
@@ -216,8 +259,8 @@ def _sweep(surface_path, grid, rng, header, values, out, fmt):
     n1, n2 = _parse_grid(grid)
     u0, u1, v0, v1 = _parse_range(rng, entry.surface)
     rows = []
-    for u in np.linspace(u0, u1, n1):
-        for v in np.linspace(v0, v1, n2):
+    for u in np.linspace(u0, u1, n1).tolist():
+        for v in np.linspace(v0, v1, n2).tolist():
             try:
                 rows.append([u, v] + values(entry.surface, u, v))
             except ToolkitError as exc:

@@ -63,18 +63,30 @@ def difference_coeffs(coeffs, psi_c):
 
 
 def difference_eval(coeffs, psi_c):
+    """F(x, y) = z_surface - z_cyclide at points x, y of one shape (or at
+    scalars), by Horner in x over polynomials in y, also by Horner: few
+    temporaries and no pow (numpy's x**3 and x**4 call pow per element).
+    The steps that are exact no-ops, 0*y + c and + 0.0, are skipped: they
+    could change only the sign of a zero."""
     mono = difference_coeffs(coeffs, psi_c)
+    # rows[k]: the coefficients of x^(4-k) y^j, highest j first
+    rows = [[mono.get((i, j), 0.0) for j in range(4 - i, -1, -1)]
+            for i in range(4, -1, -1)]
 
     def F(x, y):
-        # Horner in x over polynomials in y, also by Horner: few temporaries
-        # and no pow (numpy's x**3 and x**4 call pow per element)
-        out = 0.0
-        for i in range(4, -1, -1):
-            ci = 0.0
-            for j in range(4 - i, -1, -1):
-                ci = ci*y + mono.get((i, j), 0.0)
-            out = out*x + ci
-        return out
+        out = None                      # None: still exactly 0
+        for row in rows:
+            ci = None
+            for c in row:
+                if ci is not None:
+                    ci = ci*y
+                if c:
+                    ci = c if ci is None else ci + c
+            if out is not None:
+                out = out*x
+            if ci is not None:
+                out = ci if out is None else out + ci
+        return 0.0*(x*y) if out is None else out
     return F
 
 
@@ -294,10 +306,12 @@ def trace_cyclide_intersection(coeffs, psi_c: float, window: float = 1.0,
     origin count one branch per side), matching the dense sign-sampling
     oracle.  Branch structure at the origin itself is reported separately by
     :func:`origin_branch_directions`.  Raises ValueError unless ``window``
-    is finite and positive.
+    is finite and positive and ``psi_c`` is finite.
     """
     if not (np.isfinite(window) and window > 0):
         raise ValueError(f"window must be finite and positive, got {window!r}")
+    if not np.isfinite(psi_c):
+        raise ValueError(f"psi_c must be finite, got {psi_c!r}")
     if resolution < 16:
         raise ResolutionTooLow(f"resolution {resolution} < 16")
     # an odd cell count gives an even number of grid points, so no gridline

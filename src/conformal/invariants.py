@@ -69,7 +69,10 @@ def _curv_grads(surface: SurfacePatch, u: float, v: float):
 
 def theta_state(surface: SurfacePatch, u: float, v: float, ref=None):
     """(theta1, theta2, X1, X2, shape-dict) at a point, frame-aligned to
-    ``ref`` (a pair of previous principal directions) when given."""
+    ``ref`` (a pair of previous principal directions) when given.  The
+    coordinates go on as Python floats, so the jets and the complex steps
+    around them run no numpy-scalar arithmetic."""
+    u, v = float(u), float(v)
     S = shape_data(surface.jet_raw(u, v))
     X1, X2 = principal_directions(S, ref)
     (k1u, k1v), (k2u, k2v), _ = _curv_grads(surface, u, v)
@@ -155,6 +158,7 @@ def _psi(surface: SurfacePatch, u: float, v: float, derivs) -> float:
 def psi_invariant(surface: SurfacePatch, u: float, v: float) -> float:
     """Third conformal invariant (see :func:`_psi`); the combination is
     Mobius-invariant, while its mean-curvature part alone is not."""
+    u, v = float(u), float(v)
     principal_data(surface.jet_raw(u, v))
     _require_margin(surface, u, v, 2*_H_FLD)
     return _psi(surface, u, v, xi_theta_derivs(surface, u, v))

@@ -230,15 +230,17 @@ def integrate_darboux_line(surface: SurfacePatch, seed, alpha0: float,
     where the rate is singular.
     ``orient=-1`` traverses the same Darboux line in the opposite direction.
     Raises ValueError unless ``step`` and ``max_length`` are finite and
-    positive and ``orient`` is 1 or -1, OutOfDomain for a seed outside the
-    domain, UmbilicPoint at an umbilic seed, and AngleDegenerate where
-    |sin(alpha0) cos(alpha0)| < 1e-12: there the rate is singular, or 0/0
-    where the right side vanishes too (on a canal surface, whose Dupin
-    angle is 0).
+    positive, ``alpha0`` is finite and ``orient`` is 1 or -1, OutOfDomain
+    for a seed outside the domain, UmbilicPoint at an umbilic seed, and
+    AngleDegenerate where |sin(alpha0) cos(alpha0)| < 1e-12: there the rate
+    is singular, or 0/0 where the right side vanishes too (on a canal
+    surface, whose Dupin angle is 0).
     """
     _check_trace_args(step, max_length)
     if orient not in (1, -1):
         raise ValueError(f"orient must be 1 or -1, got {orient!r}")
+    if not np.isfinite(alpha0):
+        raise ValueError(f"alpha0 must be finite, got {alpha0!r}")
     u0, v0 = seed
     ts = _seed_state(surface, u0, v0)
     if abs(np.sin(alpha0)*np.cos(alpha0)) < 1e-12:

@@ -221,6 +221,17 @@ def test_intersect_rejects_nonpositive_window(runner, specs, window):
         "ValueError"
 
 
+@pytest.mark.parametrize("psi_c", ["nan", "inf", "-inf"])
+def test_intersect_rejects_non_finite_psi_c(runner, specs, psi_c):
+    # a NaN psi_c used to read 0 components (-inf: 4) and put the non-JSON
+    # token NaN in the meta
+    res = runner.invoke(main, ["intersect", "--surface", specs["canonical"],
+                               f"--psi-c={psi_c}", "--format", "json"])
+    assert res.exit_code == 2
+    assert json.loads(res.output.strip().splitlines()[-1])["error"] == \
+        "ValueError"
+
+
 def test_prescribe_rejects_non_square_grid(runner, specs):
     res = runner.invoke(main, ["prescribe", "--surface", specs["helcat"],
                                "--grid", "65x17"])
@@ -478,6 +489,16 @@ def test_line_tracers_reject_bad_max_length(runner, specs, command,
         "ValueError"
 
 
+@pytest.mark.parametrize("alpha0", ["nan", "inf", "-inf"])
+def test_darboux_rejects_non_finite_alpha0(runner, specs, alpha0):
+    # a non-finite start angle used to give a one-sample HitBoundary trace
+    res = runner.invoke(main, ["darboux", "--surface", specs["helcat"],
+                               "--seed", "0.4,0.3", f"--alpha0={alpha0}"])
+    assert res.exit_code == 2
+    assert json.loads(res.output.strip().splitlines()[-1])["error"] == \
+        "ValueError"
+
+
 @pytest.mark.parametrize("command", ["dupin-lines", "darboux", "osculate",
                                      "verify"])
 def test_seed_outside_domain_is_out_of_domain(runner, specs, command):
@@ -551,3 +572,100 @@ def test_removed_tolerance_flags_exit_2(runner, specs, command, spec, flag):
     res = runner.invoke(main, [*command, "--surface", specs[spec], *flag])
     assert res.exit_code == 2
     assert "No such option" in res.output
+
+
+# --------------------------------------------------------------------------
+# the writer
+# --------------------------------------------------------------------------
+def _reference_text(rows, header, fmt, meta):
+    """The text of ``_emit`` as a per-value join of ``_fmt`` (csv) and one
+    ``json.dumps`` of the whole report (json) give it."""
+    from conformal import __version__
+    from conformal.cli import _fmt
+    if fmt == "csv":
+        lines = [",".join(header)]
+        lines += [",".join(_fmt(x) for x in row) for row in rows]
+        return "\n".join(lines) + "\n"
+
+    def number(x):
+        return isinstance(x, (int, float, np.integer, np.floating)) \
+            and not isinstance(x, (bool, np.bool_))
+
+    payload = {"version": __version__, "config": meta,
+               "header": list(header),
+               "rows": [[None if (c := _fmt(x)) == "" else
+                         (float("%.12g" % x) if number(x) else c)
+                         for x in row] for row in rows]}
+    return json.dumps(payload, indent=1, sort_keys=True) + "\n"
+
+
+# one column per kind of cell the commands write, and one that mixes them
+_WRITER_COLUMNS = {
+    "float": [0.5, None, float("nan"), float("inf"), -float("inf"), -0.0,
+              1e-300, 12345678901234.5],
+    "float64": [np.float64(x) for x in (1/3, -0.0, 2.5e-17, 7.0,
+                                        float("nan"), float("-inf"), 1e15,
+                                        -123.456)],
+    "float_and_float64": [1/3, np.float64(2/3), None, 1.0, np.float64(-0.0),
+                          float("inf"), np.float64(float("nan")), 1e21],
+    "int": [0, -3, 10**12, 7, 123456789012345, 1, 2, 3],
+    "int64": [np.int64(x) for x in (10**13, 0, -5, 999999999999, 10**12,
+                                    4, 5, 6)],
+    "int_and_none": [1, None, 10**12, np.int64(3), None, 0, -1, 2],
+    "str": ['a "q"', "x,y", "na\u00efve \u2192", "", "nan", "Generic",
+            "back\\slash", "tab\there"],
+    "bool": [True, False, True, True, False, False, True, False],
+    "bool_": [np.bool_(True), np.bool_(False)]*4,
+    "mixed": [None, 1, 2.5, "s", True, np.bool_(False), np.float32(0.1),
+              np.int32(4)],
+}
+_DARBOUX_META = {"surface": "helcat.spec", "seeds": ["0.4,0.3", "-0.05,1"],
+                 "alpha0": None, "step": 0.005, "max_length": 1.0,
+                 "criticals_header": ["curve_id", "index", "u"],
+                 "criticals": [["0", "40", "-7.01003153908e-11"],
+                               ["1", "", "true"]],
+                 "rows": None, "nested": {"rows": [], "k": [[1, [2.5]]]}}
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("rows,meta", [
+    ([list(r) for r in zip(*_WRITER_COLUMNS.values())], {"grid": "8x8"}),
+    ([], {"seeds": []}),
+    ([[1.5, "Generic"]], {}),
+    ([list(r) for r in zip(*_WRITER_COLUMNS.values())], _DARBOUX_META),
+], ids=["every-kind", "no-rows", "one-row", "darboux-meta"])
+def test_emit_matches_reference(tmp_path, fmt, rows, meta):
+    from conformal.cli import _emit
+    header = (list(_WRITER_COLUMNS) if not rows or len(rows[0]) > 2
+              else ["x", "class"])
+    out = tmp_path / f"out.{fmt}"
+    _emit(rows, header, str(out), fmt, meta)
+    assert out.read_text() == _reference_text(rows, header, fmt, meta)
+
+
+@pytest.mark.parametrize("command,spec", [
+    (["invariants", "--grid", "8x8"], "helcat"),
+    (["classify", "--grid", "8x8"], "helcat"),
+    (["osculate", "--seed", "0.7,0.4"], "helcat"),
+    (["dupin-lines", "--seed", "0.5,1.2", "--max-length", "0.1"], "tube"),
+    (["darboux", "--seed", "-0.05,0.3", "--orient", "-1", "--max-length",
+      "0.1"], "helcat"),
+    (["verify", "--seed", "0.5,1.2"], "tube"),
+], ids=["invariants", "classify", "osculate", "dupin-lines", "darboux",
+        "verify"])
+def test_jets_see_python_scalars(runner, specs, monkeypatch, command, spec):
+    # coordinates become Python floats where they enter the pointwise
+    # layer, so no jet, neighbour offset or complex step runs numpy-scalar
+    # arithmetic
+    from conformal.surfaces import SurfacePatch
+    kinds = set()
+    jet_raw = SurfacePatch.jet_raw
+
+    def recording(self, u, v):
+        kinds.update((type(u), type(v)))
+        return jet_raw(self, u, v)
+
+    monkeypatch.setattr(SurfacePatch, "jet_raw", recording)
+    res = runner.invoke(main, [*command, "--surface", specs[spec]])
+    assert res.exit_code == 0
+    assert kinds and kinds <= {float, complex}

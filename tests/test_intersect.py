@@ -15,6 +15,45 @@ COEFFS = (1.0, 2.0, 0.0, 3.5, 0.25, -0.5, -3.25)
 PSI_OSC = 0.2409225992051419
 
 
+def _full_horner(mono, x, y):
+    """F by Horner in x over Horner in y with every step done, zero
+    coefficients included."""
+    out = 0.0
+    for i in range(4, -1, -1):
+        ci = 0.0
+        for j in range(4 - i, -1, -1):
+            ci = ci*y + mono.get((i, j), 0.0)
+        out = out*x + ci
+    return out
+
+
+_DEGREE_3_4 = [(i, d - i) for d in (3, 4) for i in range(d + 1)]
+_weight = st.one_of(st.sampled_from([0.0, -0.0, 1.0]),
+                    st.floats(-10.0, 10.0))
+_coord = st.floats(-2.0, 2.0)
+
+
+@settings(max_examples=80, derandomize=True, database=None, deadline=None)
+@given(weights=st.lists(_weight, min_size=9, max_size=9),
+       zero_rows=st.sets(st.integers(0, 4)),
+       xy=st.lists(_coord, min_size=10, max_size=10))
+def test_difference_eval_matches_full_horner(weights, zero_rows, xy):
+    # the skipped steps (0*y + c, + 0.0) are exact no-ops: F equals the
+    # full Horner bit for bit, but for the sign of a zero, which == ignores
+    from unittest import mock
+    mono = {k: 0.0 if k[0] in zero_rows else w
+            for k, w in zip(_DEGREE_3_4, weights)}
+    with mock.patch("conformal.intersect.difference_coeffs",
+                    lambda coeffs, psi_c: mono):
+        F = difference_eval(COEFFS, PSI_OSC)
+    x, y = np.array(xy[:5]), np.array(xy[5:])
+    for a, b in ((xy[0], xy[1]), (x, y), (x.reshape(5, 1), y.reshape(5, 1))):
+        got, want = F(a, b), _full_horner(mono, a, b)
+        assert type(got) is type(want)
+        assert np.shape(got) == np.shape(want)
+        assert np.array_equal(got, want)
+
+
 def test_difference_coeffs_structure():
     mono = difference_coeffs(COEFFS, PSI_OSC)
     assert mono[(3, 0)] == pytest.approx(COEFFS[0]/6.0)
