@@ -2,14 +2,17 @@
 
 Output is deterministic: fixed row order, floats rendered with %.12g,
 masked values as empty CSV fields; JSON reports embed the tool version and
-the fully resolved configuration.  Tool errors exit with code 3 and a
-machine-readable JSON error record on stderr; configuration errors exit
-with code 2.
+the fully resolved configuration.  The ``cycl`` group is the one error
+boundary of its commands: tool errors exit with code 3 and configuration
+errors with code 2, each with a machine-readable JSON error record on
+stderr.
 """
 from __future__ import annotations
 
 import json
+import math
 import sys
+import warnings
 from json.encoder import encode_basestring_ascii
 
 import click
@@ -200,14 +203,21 @@ def _parse_grid(text):
     return n1, n2
 
 
+def _pair(text, sep):
+    """The two numbers of ``a<sep>b``; a ValueError unless both are
+    finite (a seed ``u,v`` and each side ``lo:hi`` of a range)."""
+    a, b = (float(x) for x in text.split(sep))
+    if not (math.isfinite(a) and math.isfinite(b)):
+        raise ValueError(f"coordinates must be finite, got {text!r}")
+    return a, b
+
+
 def _parse_range(text, surface):
     if text is None:
         (u0, u1), (v0, v1) = surface.domain
         return float(u0), float(u1), float(v0), float(v1)
     upart, vpart = text.split(",")
-    u0, u1 = (float(x) for x in upart.split(":"))
-    v0, v1 = (float(x) for x in vpart.split(":"))
-    return u0, u1, v0, v1
+    return _pair(upart, ":") + _pair(vpart, ":")
 
 
 def _square_grid(text):
@@ -218,15 +228,26 @@ def _square_grid(text):
     return n1
 
 
-def _parse_seed(text):
-    a, b = text.split(",")
-    return float(a), float(b)
-
-
 # --------------------------------------------------------------------------
 # CLI group
 # --------------------------------------------------------------------------
-@click.group()
+class _Boundary(click.Group):
+    """The one error boundary of every command: floating-point warnings
+    are off, a ToolkitError exits 3 and a configuration error (ValueError,
+    KeyError, OSError) exits 2, each after a JSON error record."""
+
+    def invoke(self, ctx):
+        try:
+            with np.errstate(all="ignore"), warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)
+                return super().invoke(ctx)
+        except ToolkitError as exc:
+            _fail(exc, 3)
+        except (ValueError, KeyError, OSError) as exc:
+            _fail(exc, 2)
+
+
+@click.group(cls=_Boundary)
 @click.version_option(version=__version__)
 def main():
     """Conformal-geometry toolkit command line."""
@@ -238,24 +259,32 @@ _out_opt = click.option("--out", "out", default=None,
                         type=click.Path(dir_okay=False))
 _fmt_opt = click.option("--format", "fmt", default="csv",
                         type=click.Choice(["csv", "json"]))
+_seed_opt = click.option("--seed", "seeds", multiple=True, required=True)
+_sweep_opts = (click.option("--grid", default="16x16"),
+               click.option("--range", "rng", default=None))
 
 
-def _wrap(fn, *args, **kwargs):
-    import warnings
-    try:
-        with np.errstate(all="ignore"), warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            return fn(*args, **kwargs)
-    except ToolkitError as exc:
-        _fail(exc, 3)
-    except (ValueError, KeyError, OSError) as exc:
-        _fail(exc, 2)
+def _table(name, *options):
+    """Register ``fn(entry, **options) -> (rows, header, meta)`` as the
+    command ``name``, with ``--surface``, ``--out`` and ``--format``: it
+    loads the spec and writes the rows, the spec path in their config."""
+    def register(fn):
+        def command(surface_path, out, fmt, **kwargs):
+            # module globals, read at each call: a rebinding of either
+            # (a tracer's wrapper) is the one called
+            rows, header, meta = fn(load_surface_spec(surface_path),
+                                    **kwargs)
+            _emit(rows, header, out, fmt, {"surface": surface_path, **meta})
+        for option in reversed((_surface_opt, _out_opt, _fmt_opt) + options):
+            command = option(command)
+        main.command(name, help=fn.__doc__)(command)
+        return fn
+    return register
 
 
-def _sweep(surface_path, grid, rng, header, values, out, fmt):
+def _sweep(entry, grid, rng, header, values):
     """One row per grid point, u, v and ``values(surface, u, v)``; a
     ToolkitError leaves the values empty and names itself in the last."""
-    entry = load_surface_spec(surface_path)
     n1, n2 = _parse_grid(grid)
     u0, u1, v0, v1 = _parse_range(rng, entry.surface)
     rows = []
@@ -267,69 +296,49 @@ def _sweep(surface_path, grid, rng, header, values, out, fmt):
                 name = ("Umbilic" if isinstance(exc, UmbilicPoint)
                         else type(exc).__name__)
                 rows.append([u, v] + [None]*(len(header) - 3) + [name])
-    _emit(rows, header, out, fmt,
-          {"surface": surface_path, "grid": grid, "range": rng})
+    return rows, header, {"grid": grid, "range": rng}
 
 
-@main.command("invariants")
-@_surface_opt
-@_out_opt
-@_fmt_opt
-@click.option("--grid", default="16x16")
-@click.option("--range", "rng", default=None)
-def cmd_invariants(surface_path, out, fmt, grid, rng):
+def _invariant_cells(surface, u, v):
+    s = invariant_sample(surface, u, v)
+    pd = s.pd
+    return [pd.k1, pd.k2, pd.H, pd.mu, s.theta1, s.theta2, s.psi, s.a, s.b,
+            s.c, s.d, s.classification]
+
+
+def _class_cells(surface, u, v):
+    return [invariant_sample(surface, u, v, with_coeffs=False).classification]
+
+
+@_table("invariants", *_sweep_opts)
+def cmd_invariants(entry, grid, rng):
     """Pointwise invariant sweep over a parameter grid."""
-    def values(surface, u, v):
-        s = invariant_sample(surface, u, v)
-        pd = s.pd
-        return [pd.k1, pd.k2, pd.H, pd.mu, s.theta1, s.theta2, s.psi, s.a,
-                s.b, s.c, s.d, s.classification]
-
-    _wrap(_sweep, surface_path, grid, rng,
-          ["u", "v", "k1", "k2", "H", "mu", "theta1", "theta2", "psi", "a",
-           "b", "c", "d", "class"], values, out, fmt)
+    return _sweep(entry, grid, rng,
+                  ["u", "v", "k1", "k2", "H", "mu", "theta1", "theta2",
+                   "psi", "a", "b", "c", "d", "class"], _invariant_cells)
 
 
-@main.command("classify")
-@_surface_opt
-@_out_opt
-@_fmt_opt
-@click.option("--grid", default="16x16")
-@click.option("--range", "rng", default=None)
-def cmd_classify(surface_path, out, fmt, grid, rng):
+@_table("classify", *_sweep_opts)
+def cmd_classify(entry, grid, rng):
     """Point classification sweep (Generic/Canal/Dupin/Umbilic)."""
-    def values(surface, u, v):
-        return [invariant_sample(surface, u, v,
-                                 with_coeffs=False).classification]
-
-    _wrap(_sweep, surface_path, grid, rng, ["u", "v", "class"], values, out,
-          fmt)
+    return _sweep(entry, grid, rng, ["u", "v", "class"], _class_cells)
 
 
-@main.command("osculate")
-@_surface_opt
-@_out_opt
-@_fmt_opt
-@click.option("--seed", "seeds", multiple=True, required=True)
-def cmd_osculate(surface_path, out, fmt, seeds):
+@_table("osculate", _seed_opt)
+def cmd_osculate(entry, seeds):
     """Osculating-cyclide data at the given seed points."""
-    def run():
-        entry = load_surface_spec(surface_path)
-        header = ["u", "v", "t", "alpha", "psi_c", "contact_order",
-                  "limit_derived"]
-        rows = []
-        for text in seeds:
-            u, v = _parse_seed(text)
-            try:
-                c = osculating_cyclide(entry.surface, u, v)
-                rows.append([u, v, c.t, c.alpha, c.psi_c,
-                             verify_contact_order(c),
-                             c.limit_derived])
-            except (CanalPoint, DupinPoint):
-                rows.append([u, v, None, None, None, None, None])
-        _emit(rows, header, out, fmt,
-              {"surface": surface_path, "seeds": list(seeds)})
-    _wrap(run)
+    rows = []
+    for text in seeds:
+        u, v = _pair(text, ",")
+        try:
+            c = osculating_cyclide(entry.surface, u, v)
+            rows.append([u, v, c.t, c.alpha, c.psi_c, verify_contact_order(c),
+                         c.limit_derived])
+        except (CanalPoint, DupinPoint):
+            rows.append([u, v, None, None, None, None, None])
+    header = ["u", "v", "t", "alpha", "psi_c", "contact_order",
+              "limit_derived"]
+    return rows, header, {"seeds": list(seeds)}
 
 
 def _trace_rows(traces, with_angles=False):
@@ -350,96 +359,68 @@ def _trace_rows(traces, with_angles=False):
     return rows, header
 
 
-@main.command("dupin-lines")
-@_surface_opt
-@_out_opt
-@_fmt_opt
-@click.option("--seed", "seeds", multiple=True, required=True)
-@click.option("--step", default=0.01, type=float)
-@click.option("--max-length", default=10.0, type=float)
-def cmd_dupin_lines(surface_path, out, fmt, seeds, step, max_length):
+@_table("dupin-lines", _seed_opt,
+        click.option("--step", default=0.01, type=float),
+        click.option("--max-length", default=10.0, type=float))
+def cmd_dupin_lines(entry, seeds, step, max_length):
     """Integrate the distinguished tangency direction field."""
-    def run():
-        entry = load_surface_spec(surface_path)
-        traces = [integrate_dupin_line(entry.surface, _parse_seed(s),
-                                       step=step, max_length=max_length)
-                  for s in seeds]
-        rows, header = _trace_rows(traces)
-        _emit(rows, header, out, fmt,
-              {"surface": surface_path, "seeds": list(seeds),
-               "step": step, "max_length": max_length})
-    _wrap(run)
+    traces = [integrate_dupin_line(entry.surface, _pair(s, ","), step=step,
+                                   max_length=max_length) for s in seeds]
+    return (*_trace_rows(traces),
+            {"seeds": list(seeds), "step": step, "max_length": max_length})
 
 
-@main.command("darboux")
-@_surface_opt
-@_out_opt
-@_fmt_opt
-@click.option("--seed", "seeds", multiple=True, required=True)
-@click.option("--alpha0", default=None, type=float)
-@click.option("--step", default=0.005, type=float)
-@click.option("--max-length", default=5.0, type=float)
-@click.option("--orient", default=1, type=int)
-def cmd_darboux(surface_path, out, fmt, seeds, alpha0, step, max_length,
-                orient):
+@_table("darboux", _seed_opt,
+        click.option("--alpha0", default=None, type=float),
+        click.option("--step", default=0.005, type=float),
+        click.option("--max-length", default=5.0, type=float),
+        click.option("--orient", default=1, type=int))
+def cmd_darboux(entry, seeds, alpha0, step, max_length, orient):
     """Integrate fixed-angle direction traces and report angle criticals."""
-    def run():
-        entry = load_surface_spec(surface_path)
-        traces = []
-        crit_rows = []
-        for s in seeds:
-            uv = _parse_seed(s)
-            a0 = dupin_angle(entry.surface, uv) if alpha0 is None else alpha0
-            tr = integrate_darboux_line(entry.surface, uv, a0, step=step,
-                                        max_length=max_length, orient=orient)
-            for cp in darboux_critical_points(tr, entry.surface):
-                crit_rows.append([len(traces), cp.index, cp.u, cp.v,
-                                  cp.alpha, cp.relation_residual,
-                                  cp.tangency_gap, cp.genericity,
-                                  cp.is_extremum])
-            traces.append(tr)
-        rows, header = _trace_rows(traces, with_angles=True)
-        meta = {"surface": surface_path, "seeds": list(seeds),
-                "alpha0": alpha0, "step": step, "max_length": max_length,
-                "criticals_header": ["curve_id", "index", "u", "v", "alpha",
-                                     "relation_residual", "tangency_gap",
-                                     "genericity", "is_extremum"],
-                "criticals": [[_fmt(x) for x in r] for r in crit_rows]}
-        _emit(rows, header, out, fmt, meta)
-    _wrap(run)
+    traces = []
+    crit_rows = []
+    for s in seeds:
+        uv = _pair(s, ",")
+        a0 = dupin_angle(entry.surface, uv) if alpha0 is None else alpha0
+        tr = integrate_darboux_line(entry.surface, uv, a0, step=step,
+                                    max_length=max_length, orient=orient)
+        for cp in darboux_critical_points(tr, entry.surface):
+            crit_rows.append([len(traces), cp.index, cp.u, cp.v, cp.alpha,
+                              cp.relation_residual, cp.tangency_gap,
+                              cp.genericity, cp.is_extremum])
+        traces.append(tr)
+    meta = {"seeds": list(seeds), "alpha0": alpha0, "step": step,
+            "max_length": max_length,
+            "criticals_header": ["curve_id", "index", "u", "v", "alpha",
+                                 "relation_residual", "tangency_gap",
+                                 "genericity", "is_extremum"],
+            "criticals": [[_fmt(x) for x in r] for r in crit_rows]}
+    return (*_trace_rows(traces, with_angles=True), meta)
 
 
-@main.command("intersect")
-@_surface_opt
-@_out_opt
-@_fmt_opt
-@click.option("--psi-c", "psi_c", default=None, type=float)
-@click.option("--window", default=1.0, type=float)
-@click.option("--grid", default="128x128")
-def cmd_intersect(surface_path, out, fmt, psi_c, window, grid):
+@_table("intersect", click.option("--psi-c", "psi_c", default=None,
+                                  type=float),
+        click.option("--window", default=1.0, type=float),
+        click.option("--grid", default="128x128"))
+def cmd_intersect(entry, psi_c, window, grid):
     """Trace the intersection of a canonical graph with a cyclide."""
-    def run():
-        entry = load_surface_spec(surface_path)
-        coeffs = entry.params.get("invariants")
-        if coeffs is None:
-            raise ValueError("intersect needs a canonical surface spec")
-        # default: the osculating value from the prescribed invariants
-        pc = float(osculating_psi_c(coeffs)) if psi_c is None else psi_c
-        n = _square_grid(grid)
-        cs = trace_cyclide_intersection(coeffs, pc, window=window,
-                                        resolution=n)
-        header = ["curve_id", "component", "k", "x", "y"]
-        rows = []
-        for cid, pl in enumerate(cs.polylines):
-            comp = cs.component_of_polyline[cid]
-            for k in range(len(pl)):
-                rows.append([cid, comp, k, pl[k, 0], pl[k, 1]])
-        meta = {"surface": surface_path, "psi_c": pc, "window": window,
-                "resolution": n, "component_count": cs.component_count,
-                "origin_component_index": cs.origin_component_index,
-                "degenerate": cs.degenerate}
-        _emit(rows, header, out, fmt, meta)
-    _wrap(run)
+    coeffs = entry.params.get("invariants")
+    if coeffs is None:
+        raise ValueError("intersect needs a canonical surface spec")
+    # default: the osculating value from the prescribed invariants
+    pc = float(osculating_psi_c(coeffs)) if psi_c is None else psi_c
+    n = _square_grid(grid)
+    cs = trace_cyclide_intersection(coeffs, pc, window=window, resolution=n)
+    rows = []
+    for cid, pl in enumerate(cs.polylines):
+        comp = cs.component_of_polyline[cid]
+        for k in range(len(pl)):
+            rows.append([cid, comp, k, pl[k, 0], pl[k, 1]])
+    meta = {"psi_c": pc, "window": window, "resolution": n,
+            "component_count": cs.component_count,
+            "origin_component_index": cs.origin_component_index,
+            "degenerate": cs.degenerate}
+    return rows, ["curve_id", "component", "k", "x", "y"], meta
 
 
 @main.command("prescribe")
@@ -451,63 +432,59 @@ def cmd_prescribe(surface_path, out, grid):
     # imported here: no other command runs the pipeline
     from .prescribe import helcat_coframe, prescribe
 
-    def run():
-        entry = load_surface_spec(surface_path)
-        alpha_h = entry.params.get("alpha_h")
-        if alpha_h is None:
-            raise ValueError("prescribe expects a helcat surface spec")
-        n = _square_grid(grid)
-        # the coframe alone: prescribe reads nothing else of helcat_grid
-        x1, x2, f, kap = helcat_coframe(alpha_h, n)[:4]
-        _, rep = prescribe(kap, f, f[:, 0], x1, x2)
-        payload = {
-            "version": __version__,
-            "config": {"surface": surface_path, "grid": grid,
-                       "kappa": float(kap)},
-            "max_norm": {k: _fmt(v) for k, v in rep.max_norm.items()},
-            "rms": {k: _fmt(v) for k, v in rep.rms.items()},
-            "margin": rep.margin,
-            "order": rep.order,
-            "extra": {k: _fmt(v) for k, v in rep.extra.items()
-                      if k != "realizable"},
-            "realizable": bool(rep.extra["realizable"]),
-        }
-        _write(json.dumps(payload, indent=1, sort_keys=True) + "\n", out)
-    _wrap(run)
+    entry = load_surface_spec(surface_path)
+    alpha_h = entry.params.get("alpha_h")
+    if alpha_h is None:
+        raise ValueError("prescribe expects a helcat surface spec")
+    n = _square_grid(grid)
+    # the coframe alone: prescribe reads nothing else of helcat_grid
+    x1, x2, f, kap = helcat_coframe(alpha_h, n)[:4]
+    _, rep = prescribe(kap, f, f[:, 0], x1, x2)
+    payload = {
+        "version": __version__,
+        "config": {"surface": surface_path, "grid": grid,
+                   "kappa": float(kap)},
+        "max_norm": {k: _fmt(v) for k, v in rep.max_norm.items()},
+        "rms": {k: _fmt(v) for k, v in rep.rms.items()},
+        "margin": rep.margin,
+        "order": rep.order,
+        "extra": {k: _fmt(v) for k, v in rep.extra.items()
+                  if k != "realizable"},
+        "realizable": bool(rep.extra["realizable"]),
+    }
+    _write(json.dumps(payload, indent=1, sort_keys=True) + "\n", out)
 
 
 @main.command("verify")
 @_surface_opt
 @_out_opt
 @_fmt_opt
-@click.option("--seed", "seeds", multiple=True, required=True)
+@_seed_opt
 def cmd_verify(surface_path, out, fmt, seeds):
     """Compare psi_invariant with psi_from_thetas at seeds.
 
     The theta path recovers the canonical normal form's psi, which differs
     from psi_invariant by xi1(theta1) + xi2(theta2); the two agree only
     where that offset is below ``_TOL_XCHECK``."""
-    def run():
-        entry = load_surface_spec(surface_path)
-        header = ["u", "v", "psi_field", "psi_thetas", "gap", "status"]
-        rows = []
-        ok = True
-        for text in seeds:
-            u, v = _parse_seed(text)
-            s = invariant_sample(entry.surface, u, v)
-            try:
-                p2 = psi_from_thetas(entry.surface, u, v)
-                gap = abs(s.psi - p2)
-                status = "ok" if gap < _TOL_XCHECK else "mismatch"
-                ok = ok and gap < _TOL_XCHECK
-                rows.append([u, v, s.psi, p2, gap, status])
-            except DegenerateDenominator:
-                rows.append([u, v, s.psi, None, None, "degenerate"])
-        _emit(rows, header, out, fmt,
-              {"surface": surface_path, "seeds": list(seeds)})
-        if not ok:
-            sys.exit(1)
-    _wrap(run)
+    entry = load_surface_spec(surface_path)
+    header = ["u", "v", "psi_field", "psi_thetas", "gap", "status"]
+    rows = []
+    ok = True
+    for text in seeds:
+        u, v = _pair(text, ",")
+        s = invariant_sample(entry.surface, u, v)
+        try:
+            p2 = psi_from_thetas(entry.surface, u, v)
+            gap = abs(s.psi - p2)
+            status = "ok" if gap < _TOL_XCHECK else "mismatch"
+            ok = ok and gap < _TOL_XCHECK
+            rows.append([u, v, s.psi, p2, gap, status])
+        except DegenerateDenominator:
+            rows.append([u, v, s.psi, None, None, "degenerate"])
+    _emit(rows, header, out, fmt,
+          {"surface": surface_path, "seeds": list(seeds)})
+    if not ok:
+        sys.exit(1)
 
 
 @main.command("table1")
@@ -515,26 +492,22 @@ def cmd_verify(surface_path, out, fmt, seeds):
 @_fmt_opt
 def cmd_table1(out, fmt):
     """Reference-table reproduction with per-cell discrepancy report."""
-    def run():
-        header = ["alpha", "s", "computed", "reference", "abs_gap",
-                  "rel_gap", "note"]
-        rows = []
-        for name, al, refs in _TABLE_ROWS:
-            entry = make_helcat(al)
-            for s_val, ref in zip((0.0, 1.0, 2.0), refs):
-                c = osculating_cyclide(entry.surface, s_val, 0.3)
-                got = c.psi_c
-                gap = abs(got - ref)
-                rel = gap/abs(ref)
-                note = ""
-                if (name, int(s_val)) == _FLAGGED_CELL:
-                    note = ("flagged: reference cell inconsistent with "
-                            "neighbors; computed value reported")
-                elif gap > max(0.02, 0.02*abs(ref)):
-                    note = "discrepancy"
-                rows.append([name, s_val, got, ref, gap, rel, note])
-        _emit(rows, header, out, fmt, {})
-    _wrap(run)
+    header = ["alpha", "s", "computed", "reference", "abs_gap", "rel_gap",
+              "note"]
+    rows = []
+    for name, al, refs in _TABLE_ROWS:
+        entry = make_helcat(al)
+        for s_val, ref in zip((0.0, 1.0, 2.0), refs):
+            got = osculating_cyclide(entry.surface, s_val, 0.3).psi_c
+            gap = abs(got - ref)
+            note = ""
+            if (name, int(s_val)) == _FLAGGED_CELL:
+                note = ("flagged: reference cell inconsistent with "
+                        "neighbors; computed value reported")
+            elif gap > max(0.02, 0.02*abs(ref)):
+                note = "discrepancy"
+            rows.append([name, s_val, got, ref, gap, gap/abs(ref), note])
+    _emit(rows, header, out, fmt, {})
 
 
 if __name__ == "__main__":

@@ -399,10 +399,8 @@ print(json.dumps([code, sorted(m for m in sys.modules
 """
 
 
-# every command, and every spec kind at least once: no command loads scipy
-# or sympy (neither is a runtime dependency: both are in the `test` extra,
-# for the oracles and library paths that no command reaches)
-@pytest.mark.parametrize("command,spec", [
+# every command once, on small inputs, and every spec kind at least once
+_EVERY_COMMAND = [
     (["intersect", "--grid", "64x64"], "canonical"),
     (["prescribe", "--grid", "65x65"], "helcat"),
     (["dupin-lines", "--seed", "0.5,1.2"], "tube"),
@@ -412,9 +410,17 @@ print(json.dumps([code, sorted(m for m in sys.modules
     (["osculate", "--seed", "0.1,0.1"], "graph"),
     (["darboux", "--seed", "0.4,0.3", "--max-length", "0.05"], "helcat"),
     (["table1"], None),
-], ids=["intersect", "prescribe", "dupin-lines-tube", "verify-tube",
-        "invariants-torus", "classify-sphere", "osculate-graph",
-        "darboux-helcat", "table1"])
+]
+_EVERY_COMMAND_IDS = ["intersect", "prescribe", "dupin-lines-tube",
+                      "verify-tube", "invariants-torus", "classify-sphere",
+                      "osculate-graph", "darboux-helcat", "table1"]
+
+
+# no command loads scipy or sympy (neither is a runtime dependency: both
+# are in the `test` extra, for the oracles and library paths that no
+# command reaches)
+@pytest.mark.parametrize("command,spec", _EVERY_COMMAND,
+                         ids=_EVERY_COMMAND_IDS)
 def test_commands_load_neither_scipy_nor_sympy(specs, tmp_path, command,
                                                spec):
     out = tmp_path / "out.txt"
@@ -425,6 +431,49 @@ def test_commands_load_neither_scipy_nor_sympy(specs, tmp_path, command,
     assert code == 0
     assert out.stat().st_size > 0
     assert heavy == []
+
+
+# the benchmark's tracer rebinds these module globals of conformal.cli and
+# times each call: a command that reached one through a binding made at
+# import would leave its span, and the metric read off it, at 0
+@pytest.mark.parametrize("command,spec", _EVERY_COMMAND,
+                         ids=_EVERY_COMMAND_IDS)
+def test_commands_call_the_traced_names(runner, specs, tmp_path, monkeypatch,
+                                        command, spec):
+    import conformal.cli as cli
+    calls = []
+    for name in ("load_surface_spec", "_emit", "_write"):
+        orig = getattr(cli, name)
+
+        def counting(*args, _name=name, _orig=orig, **kwargs):
+            calls.append(_name)
+            return _orig(*args, **kwargs)
+
+        for key, val in list(vars(cli).items()):
+            if val is orig:
+                monkeypatch.setattr(cli, key, counting)
+    surface = [] if spec is None else ["--surface", specs[spec]]
+    res = runner.invoke(main, [*command, *surface, "--out",
+                               str(tmp_path / "out.txt")])
+    assert res.exit_code == 0
+    assert calls.count("load_surface_spec") == (spec is not None)
+    # prescribe writes its own report; every other command a table
+    assert calls.count("_emit") == (command[0] != "prescribe")
+    assert calls.count("_write") == 1
+
+
+@pytest.mark.parametrize("command,spec", _EVERY_COMMAND,
+                         ids=_EVERY_COMMAND_IDS)
+def test_every_command_reports_an_unwritable_out(runner, specs, tmp_path,
+                                                 command, spec):
+    # the group is the one error boundary: an OSError in any command exits 2
+    # with a JSON record, not a traceback
+    surface = [] if spec is None else ["--surface", specs[spec]]
+    res = runner.invoke(main, [*command, *surface, "--out",
+                               str(tmp_path / "missing" / "out.txt")])
+    assert res.exit_code == 2
+    assert json.loads(res.output.strip().splitlines()[-1])["error"] == \
+        "FileNotFoundError"
 
 
 # a bad center curve, radius or coefficient is a ValueError (exit 2), not a
@@ -494,6 +543,27 @@ def test_darboux_rejects_non_finite_alpha0(runner, specs, alpha0):
     # a non-finite start angle used to give a one-sample HitBoundary trace
     res = runner.invoke(main, ["darboux", "--surface", specs["helcat"],
                                "--seed", "0.4,0.3", f"--alpha0={alpha0}"])
+    assert res.exit_code == 2
+    assert json.loads(res.output.strip().splitlines()[-1])["error"] == \
+        "ValueError"
+
+
+# a non-finite coordinate used to sweep a grid of empty, DegenerateMetric
+# rows (exit 0), or to fail in the geometry as DegenerateMetric or
+# OutOfDomain (exit 3)
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("command", [
+    ["invariants", "--grid", "8x8", "--range", "{}:1,0:1"],
+    ["classify", "--grid", "8x8", "--range", "0:1,{}:1"],
+    ["osculate", "--seed", "{},0.3"],
+    ["verify", "--seed", "{},0.3"],
+    ["dupin-lines", "--seed", "0.4,{}"],
+    ["darboux", "--seed", "0.4,{}"],
+], ids=["invariants-range", "classify-range", "osculate-seed", "verify-seed",
+        "dupin-lines-seed", "darboux-seed"])
+def test_non_finite_range_and_seed_exit_2(runner, specs, command, value):
+    res = runner.invoke(main, [*command[:-1], command[-1].format(value),
+                               "--surface", specs["helcat"]])
     assert res.exit_code == 2
     assert json.loads(res.output.strip().splitlines()[-1])["error"] == \
         "ValueError"
