@@ -282,8 +282,9 @@ def make_canonical(theta1: float, theta2: float, psi: float, a: float,
 # isothermic test
 # --------------------------------------------------------------------------
 def _unit_dirs(surface: SurfacePatch, u: float, v: float, ref=None):
+    """X1 + X2, the (u, v) components of both principal directions."""
     pd = principal_data(eval_jet(surface, u, v), ref=ref)
-    return np.array([pd.X1, pd.X2])
+    return pd.X1 + pd.X2
 
 
 def _bracket_pq(surface: SurfacePatch, u: float, v: float, ref):
@@ -292,8 +293,7 @@ def _bracket_pq(surface: SurfacePatch, u: float, v: float, ref):
     lie, X1, X2 = _lie_bracket(
         lambda a, b: _unit_dirs(surface, a, b, ref), u, v, 1e-5)
     A = np.column_stack([X1, X2])
-    p, q = np.linalg.solve(A, lie)
-    return np.array([p, q])
+    return tuple(np.linalg.solve(A, lie))
 
 
 def isothermic_residual(surface: SurfacePatch, u: float, v: float) -> float:
@@ -301,10 +301,11 @@ def isothermic_residual(surface: SurfacePatch, u: float, v: float) -> float:
     the conformal factor making the curvature-line parametrization
     conformal; zero iff such a factor exists locally."""
     try:
-        ref = tuple(_unit_dirs(surface, u, v))
+        d = _unit_dirs(surface, u, v)
     except np.linalg.LinAlgError as exc:
         raise UmbilicPoint(str(exc))
-    X1, X2 = _unit_dirs(surface, u, v, ref)
+    # the frame at (u, v) is the one its neighbours are aligned to
+    X1, X2 = ref = d[:2], d[2:]
     dpu, dpv = _grad(lambda a, b: _bracket_pq(surface, a, b, ref), u, v,
                      1e-3)
     return float((X1[0]*dpu[0] + X1[1]*dpv[0])

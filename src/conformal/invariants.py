@@ -10,18 +10,25 @@ differences with frame continuity enforced by sign alignment to the center
 frame.  Every central difference of a point field is one of two stencils:
 :func:`_grad` (along u and along v) or :func:`_along` (along a parameter
 direction).
+
+A point field's value is a tuple of Python floats (a pair of thetas, a
+flux, two parameter directions), differenced componentwise, and a
+principal direction is a pair of floats: between a jet and an invariant
+the point path builds no numpy object.  Each operation keeps the operands
+and the order it had on arrays, so every value is the same to the bit.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from .errors import BoundaryTooClose, DegenerateDenominator, OutOfDomain
-from .surfaces import (PrincipalData, SurfacePatch, _divisor, _jet_forms,
-                       _sqrt, principal_data, principal_directions,
-                       shape_data)
+from .surfaces import (PrincipalData, SurfacePatch, _div, _divisor,
+                       _jet_forms, _sqrt, principal_data,
+                       principal_directions, shape_data)
 
 __all__ = [
     "InvariantSample", "psi_invariant", "fourth_order_coeffs",
@@ -69,15 +76,16 @@ def _curv_grads(surface: SurfacePatch, u: float, v: float):
 
 def theta_state(surface: SurfacePatch, u: float, v: float, ref=None):
     """(theta1, theta2, X1, X2, shape-dict) at a point, frame-aligned to
-    ``ref`` (a pair of previous principal directions) when given.  The
-    coordinates go on as Python floats, so the jets and the complex steps
-    around them run no numpy-scalar arithmetic."""
+    ``ref`` (a pair of previous principal directions) when given; X1 and
+    X2 are pairs of Python floats.  The coordinates go on as Python floats,
+    so the jets and the complex steps around them run no numpy-scalar
+    arithmetic."""
     u, v = float(u), float(v)
     S = shape_data(surface.jet_raw(u, v))
     X1, X2 = principal_directions(S, ref)
     (k1u, k1v), (k2u, k2v), _ = _curv_grads(surface, u, v)
     mu2 = _divisor(S["mu"]*S["mu"])
-    (a1, b1), (a2, b2) = X1.tolist(), X2.tolist()
+    (a1, b1), (a2, b2) = X1, X2
     return (a1*k1u + b1*k1v) / mu2, (a2*k2u + b2*k2v) / mu2, X1, X2, S
 
 
@@ -94,19 +102,27 @@ def _require_margin(surface: SurfacePatch, u: float, v: float, margin: float):
             f"point ({u}, {v}) closer than {margin:g} to the domain edge")
 
 
+def _central(fp, fm, h: float):
+    """(fp - fm)/(2h) componentwise, for two values of a tuple-valued
+    field."""
+    h2 = 2*h
+    return tuple([(p - m) / h2 for p, m in zip(fp, fm)])
+
+
 def _grad(field, u: float, v: float, h: float):
-    """Central differences (d/du, d/dv) of ``field`` at (u, v), step h; the
+    """Central differences (d/du, d/dv) of ``field`` at (u, v), step h, each
+    a tuple with one entry per component of the field's tuple value; the
     field is evaluated at (u + h, v), (u - h, v), (u, v + h), (u, v - h),
     in that order."""
-    return ((field(u + h, v) - field(u - h, v)) / (2*h),
-            (field(u, v + h) - field(u, v - h)) / (2*h))
+    return (_central(field(u + h, v), field(u - h, v), h),
+            _central(field(u, v + h), field(u, v - h), h))
 
 
 def _along(field, u: float, v: float, X, h: float):
-    """Central difference of ``field`` at (u, v) along the parameter
-    direction X, step h."""
-    return (field(u + h*X[0], v + h*X[1])
-            - field(u - h*X[0], v - h*X[1])) / (2*h)
+    """Central difference of the tuple-valued ``field`` at (u, v) along the
+    parameter direction X, step h."""
+    hu, hv = h*X[0], h*X[1]
+    return _central(field(u + hu, v + hv), field(u - hu, v - hv), h)
 
 
 def _unit_theta_derivs(surface: SurfacePatch, u: float, v: float):
@@ -114,8 +130,8 @@ def _unit_theta_derivs(surface: SurfacePatch, u: float, v: float):
     together with (theta1, theta2, X1, X2, shape-dict) at the point and the
     central differences (du, dv) of (theta1, theta2) they project."""
     t1, t2, X1, X2, S = theta_state(surface, u, v)
-    du, dv = _grad(lambda a, b: np.array(theta_state(
-        surface, a, b, (X1, X2))[:2]), u, v, _H_FLD)
+    du, dv = _grad(lambda a, b: theta_state(surface, a, b, (X1, X2))[:2],
+                   u, v, _H_FLD)
     D = {(i, j): X[0]*du[j - 1] + X[1]*dv[j - 1]
          for i, X in ((1, X1), (2, X2)) for j in (1, 2)}
     return D, t1, t2, X1, X2, S, (du, dv)
@@ -125,7 +141,8 @@ def xi_theta_derivs(surface: SurfacePatch, u: float, v: float):
     """xi_i(theta_j) = X_i . grad(theta_j) / mu for i, j in {1, 2}, together
     with (theta1, theta2, X1, X2, shape-dict) at the point."""
     D, t1, t2, X1, X2, S, _ = _unit_theta_derivs(surface, u, v)
-    return {k: d / S["mu"] for k, d in D.items()}, t1, t2, X1, X2, S
+    mu = S["mu"]
+    return {k: _div(d, mu) for k, d in D.items()}, t1, t2, X1, X2, S
 
 
 # --------------------------------------------------------------------------
@@ -137,7 +154,7 @@ def _laplace_H(surface: SurfacePatch, u: float, v: float, h: float) -> float:
         E, F, G, g, *_ = _jet_forms(surface.jet_raw(a, b))
         _, _, (Hu, Hv) = _curv_grads(surface, a, b)
         sg, gd = _sqrt(g), _divisor(g)
-        return np.array([sg*(G*Hu - F*Hv)/gd, sg*(E*Hv - F*Hu)/gd])
+        return sg*(G*Hu - F*Hv)/gd, sg*(E*Hv - F*Hu)/gd
 
     g0 = _jet_forms(surface.jet_raw(u, v))[3]
     du, dv = _grad(flux, u, v, h)
@@ -237,10 +254,11 @@ def psi_from_thetas(surface: SurfacePatch, u: float, v: float) -> float:
     # to the centre's
     def D(i, k, state, a, b):
         if k == 0:
-            return np.array(state[:2])
-        return _along(lambda p, q: D(i, k - 1, theta_state(surface, p, q, ref),
-                                     p, q),
-                      a, b, state[1 + i], _H_NEST[k - 1]) / state[4]["mu"]
+            return state[:2]
+        mu = state[4]["mu"]
+        return tuple([_div(d, mu) for d in _along(
+            lambda p, q: D(i, k - 1, theta_state(surface, p, q, ref), p, q),
+            a, b, state[1 + i], _H_NEST[k - 1])])
 
     x1t1, x1t2 = D(1, 1, centre, u, v)
     x2t1, x2t2 = D(2, 1, centre, u, v)
@@ -303,18 +321,24 @@ def bracket_residual(surface: SurfacePatch, u: float, v: float) -> float:
 
     def xi_fields(a, b):
         r1, r2, Y1, Y2, T = theta_state(surface, a, b, ref)
-        return np.array([Y1/T["mu"], Y2/T["mu"]])
+        mu = T["mu"]
+        return (_div(Y1[0], mu), _div(Y1[1], mu), _div(Y2[0], mu),
+                _div(Y2[1], mu))
 
     lie, xi1, xi2 = _lie_bracket(xi_fields, u, v, _H_FLD)
-    return float(np.max(np.abs(lie + 0.5*(t2*xi1 + t1*xi2))))
+    r = [abs(lie[k] + 0.5*(t2*xi1[k] + t1*xi2[k])) for k in (0, 1)]
+    # the larger, or NaN where either is, as numpy's max gives
+    return max(r) if r[0] == r[0] and r[1] == r[1] else math.nan
 
 
 def _lie_bracket(fields, u: float, v: float, h: float):
     """Central-difference Lie bracket [F1, F2] at (u, v) of two
-    parameter-space direction fields, ``fields(a, b) -> array([F1, F2])``
-    (each a (u, v) component pair).  Returns ``(bracket, F1, F2)`` with the
-    fields at (u, v)."""
+    parameter-space direction fields, ``fields(a, b) -> F1 + F2`` (the
+    (u, v) components of each, a flat 4-tuple).  Returns
+    ``(bracket, F1, F2)``, each a (u, v) pair, with the fields at (u, v)."""
     du, dv = _grad(fields, u, v, h)
-    F1, F2 = fields(u, v)
-    lie = (F1[0]*du[1] + F1[1]*dv[1]) - (F2[0]*du[0] + F2[1]*dv[0])
+    f = fields(u, v)
+    F1, F2 = f[:2], f[2:]
+    lie = tuple([(F1[0]*du[2 + k] + F1[1]*dv[2 + k])
+                 - (F2[0]*du[k] + F2[1]*dv[k]) for k in (0, 1)])
     return lie, F1, F2

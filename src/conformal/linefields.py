@@ -6,10 +6,20 @@ parameter plane, advancing by ambient arc length; direction-field signs are
 disambiguated per step by continuity.  Darboux traces carry the angle
 variable alpha and the rescaled arc length sigma (d sigma = (k1 - k2) ds)
 alongside the position samples.
+
+The integrators step on Python floats: a direction is a pair of floats, an
+angle's sine and cosine come from ``math``, the samples gather in flat
+``array("d")`` buffers, and the :class:`CurveTrace` arrays are made from
+them once, when a trace ends.  Each
+operation keeps the operands and the order it had on numpy arrays, so a
+trace is the same to the bit.  numpy stays where ``math`` rounds
+differently: ``np.cbrt`` (``math.cbrt`` also needs Python 3.11),
+``np.arctan``, ``np.tan`` and ``np.log``.
 """
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 from typing import List, Optional
 
@@ -18,7 +28,7 @@ import numpy as np
 from .errors import (AngleDegenerate, DupinPoint, OutOfDomain,
                      SeedIsDupinPoint)
 from .invariants import _along, theta_state
-from .surfaces import SurfacePatch, _require_frame
+from .surfaces import SurfacePatch, _div, _require_frame
 
 __all__ = [
     "CurveTrace", "integrate_dupin_line", "integrate_darboux_line",
@@ -28,9 +38,10 @@ __all__ = [
 
 _TOL_DUPIN = 1e-6     # |theta1| + |theta2| below this is the Dupin locus
 _THETA_FLOOR = 1e-12  # a |theta_i| below this is roundoff: 0 in the direction
-_MAX_TURN = np.pi/4   # a Dupin direction turning further in one step jumps
+_MAX_TURN = math.pi/4  # a Dupin direction turning further in one step jumps
 _ANGLE_EPS = 0.02     # a Darboux trace stops this close to alpha = 0, pi/2
 _H_GEN = 1e-4         # step of the genericity derivative at a critical
+_MAX_STEPS = 10**6    # a trace of more steps (max_length/step) is refused
 
 
 @dataclass
@@ -75,12 +86,23 @@ def _floor_thetas(t1, t2):
 def _dupin_vector(t1, t2, X1, X2):
     """cbrt(theta2) X1 + cbrt(theta1) X2 (thetas floored by
     :func:`_floor_thetas`), ambient-unit-normalized, in parameter
-    coordinates; None where both floored thetas are 0.  X1 and X2 are
-    orthonormal in the first fundamental form, so the ambient length of
-    c2 X1 + c1 X2 is hypot(c1, c2), whatever the parametrization."""
-    c1, c2 = (np.cbrt(t) for t in _floor_thetas(t1, t2))
+    coordinates, a pair of floats; None where both floored thetas are 0.
+    X1 and X2 are orthonormal in the first fundamental form, so the ambient
+    length of c2 X1 + c1 X2 is hypot(c1, c2), whatever the
+    parametrization."""
+    c1, c2 = (float(np.cbrt(t)) for t in _floor_thetas(t1, t2))
     norm = math.hypot(c1, c2)
-    return None if norm == 0.0 else (c2*X1 + c1*X2) / norm
+    if norm == 0.0:
+        return None
+    return (c2*X1[0] + c1*X2[0]) / norm, (c2*X1[1] + c1*X2[1]) / norm
+
+
+def _align(d, ref):
+    """``d`` or -d, whichever has a non-negative Euclidean product with
+    ``ref`` in the parameter plane.  The product is summed term by term;
+    numpy's dot may fuse it, which can change its sign only where the two
+    directions are perpendicular to roundoff."""
+    return (-d[0], -d[1]) if d[0]*ref[0] + d[1]*ref[1] < 0 else d
 
 
 def _dupin_dir(state):
@@ -101,8 +123,8 @@ def _turn(d, carried, S):
     def form(p, q):
         return E*p[0]*q[0] + F*(p[0]*q[1] + p[1]*q[0]) + G*p[1]*q[1]
 
-    a, b = d.tolist(), carried.tolist()
-    cos = abs(form(a, b)) / math.sqrt(form(a, a)*form(b, b))
+    cos = abs(form(d, carried)) / math.sqrt(form(d, d)
+                                            * form(carried, carried))
     return math.acos(min(cos, 1.0))
 
 
@@ -113,12 +135,18 @@ def _check_trace_args(step, max_length):
     """A trace advances by ``step`` of arc length a sample, so a zero step
     never reaches ``max_length`` and a negative one walks backwards; a
     ``max_length`` that is not finite and positive would end the trace at
-    its seed."""
-    if not (np.isfinite(step) and step > 0):
+    its seed.  Over ``_MAX_STEPS`` steps are refused too: a step below
+    about 2.2e-16 times the length so far no longer changes that length,
+    and the trace would grow without end."""
+    if not (math.isfinite(step) and step > 0):
         raise ValueError(f"step must be finite and positive, got {step!r}")
-    if not (np.isfinite(max_length) and max_length > 0):
+    if not (math.isfinite(max_length) and max_length > 0):
         raise ValueError(
             f"max_length must be finite and positive, got {max_length!r}")
+    if max_length/step > _MAX_STEPS:
+        raise ValueError(
+            f"max_length/step = {max_length/step:.3g} exceeds the limit of "
+            f"{_MAX_STEPS} steps per trace")
 
 
 def _seed_state(surface, u, v):
@@ -153,29 +181,30 @@ def integrate_dupin_line(surface: SurfacePatch, seed, step: float = 0.01,
     umbilic seed and SeedIsDupinPoint on the Dupin locus.
     """
     _check_trace_args(step, max_length)
-    u0, v0 = seed
-    state = np.array([u0, v0], dtype=float)
-    ts = _seed_state(surface, u0, v0)
+    u, v = float(seed[0]), float(seed[1])
+    ts = _seed_state(surface, u, v)
     try:
         prev = _dupin_dir(ts)
     except DupinPoint as exc:
         raise SeedIsDupinPoint(str(exc)) from exc
 
-    def f(u, v, prev_dir):
+    def f(a, b, prev_dir):
         try:
-            d = _dupin_dir(theta_state(surface, u, v))
+            d = _dupin_dir(theta_state(surface, a, b))
         except DupinPoint:
             # transversal theta zero: the unoriented field has a continuous
             # limit, approximated by the direction half a step back
             return prev_dir
-        return -d if d @ prev_dir < 0 else d
+        return _align(d, prev_dir)
 
-    uv = [state.copy()]
-    pos = [np.asarray(surface.position(u0, v0), dtype=float)]
+    p0 = surface.point(u, v)
+    uv = array("d", (u, v))
+    pos = array("d", p0)
     termination = "ReachedLength"
     closed = False
     in_band = False
     length = 0.0
+    h = step
     while length < max_length:
         try:
             k1 = _dupin_dir(ts)
@@ -189,26 +218,30 @@ def integrate_dupin_line(surface: SurfacePatch, seed, step: float = 0.01,
             if _turn(k1, prev, ts[4]) > _MAX_TURN:
                 termination = "HitSingularPoint"
                 break
-            if k1 @ prev < 0:
-                k1 = -k1
-        h = step
-        k2 = f(*(state + h/2*k1), k1)
-        k3 = f(*(state + h/2*k2), k1)
-        k4 = f(*(state + h*k3), k1)
-        new = state + h/6*(k1 + 2*k2 + 2*k3 + k4)
-        if not surface.contains(*new):
+            k1 = _align(k1, prev)
+        k2 = f(u + h/2*k1[0], v + h/2*k1[1], k1)
+        k3 = f(u + h/2*k2[0], v + h/2*k2[1], k1)
+        k4 = f(u + h*k3[0], v + h*k3[1], k1)
+        h6 = h/6
+        nu = u + h6*(k1[0] + 2*k2[0] + 2*k3[0] + k4[0])
+        nv = v + h6*(k1[1] + 2*k2[1] + 2*k3[1] + k4[1])
+        if not surface.contains(nu, nv):
             termination = "HitBoundary"
             break
         prev = k1
-        state = new
+        u, v = nu, nv
         length += h
-        uv.append(state.copy())
-        pos.append(np.asarray(surface.position(*state), dtype=float))
-        if length > 4*step and np.linalg.norm(pos[-1] - pos[0]) < 1.5*step:
+        p = surface.point(u, v)
+        uv.extend((u, v))
+        pos.extend(p)
+        # math.dist and numpy's norm may differ in the last bit, which
+        # decides only a distance within roundoff of 1.5 step
+        if length > 4*step and math.dist(p, p0) < 1.5*step:
             closed, termination = True, "Closed"
             break
-        ts = theta_state(surface, *state)
-    return CurveTrace(uv=np.array(uv), positions=np.array(pos),
+        ts = theta_state(surface, u, v)
+    return CurveTrace(uv=np.reshape(uv, (-1, 2)),
+                      positions=np.reshape(pos, (-1, 3)),
                       closed=closed, termination=termination)
 
 
@@ -239,68 +272,84 @@ def integrate_darboux_line(surface: SurfacePatch, seed, alpha0: float,
     _check_trace_args(step, max_length)
     if orient not in (1, -1):
         raise ValueError(f"orient must be 1 or -1, got {orient!r}")
-    if not np.isfinite(alpha0):
+    if not math.isfinite(alpha0):
         raise ValueError(f"alpha0 must be finite, got {alpha0!r}")
-    u0, v0 = seed
-    ts = _seed_state(surface, u0, v0)
-    if abs(np.sin(alpha0)*np.cos(alpha0)) < 1e-12:
+    u, v, a = float(seed[0]), float(seed[1]), float(alpha0)
+    ts = _seed_state(surface, u, v)
+    if abs(math.sin(a)*math.cos(a)) < 1e-12:
         raise AngleDegenerate(
             f"alpha0 = {alpha0!r} at a degeneracy of the angle equation")
-    ref_holder = {"ref": None}
+    ref = None
 
-    def rhs(state, ts=None):
-        su, sv, a = state
+    def rhs(su, sv, sa, ts=None):
+        nonlocal ref
         if ts is None:
-            ts = theta_state(surface, su, sv, ref_holder["ref"])
+            ts = theta_state(surface, su, sv, ref)
         t1, t2, X1, X2, S = ts
-        ref_holder["ref"] = (X1, X2)
-        vel = np.cos(a)*X1 + np.sin(a)*X2
+        ref = (X1, X2)
         dk = S["k1"] - S["k2"]
-        da = dk * (t1*np.cos(a)**3 + t2*np.sin(a)**3) / \
-            (12*np.sin(a)*np.cos(a))
-        return orient*np.array([vel[0], vel[1], da]), dk, (t1, t2, X1, X2)
+        c, s, da = _darboux_rate(sa, dk, t1, t2)
+        return ((orient*(c*X1[0] + s*X2[0]), orient*(c*X1[1] + s*X2[1]),
+                 orient*da), dk, ref)
 
-    state = np.array([u0, v0, alpha0], dtype=float)
     # the first stage of each step is the last evaluation of the step before:
     # the same point, aligned to the frame found there
-    k1v, dk, fr = rhs(state, ts)
-    uv = [state[:2].copy()]
-    pos = [np.asarray(surface.position(u0, v0), dtype=float)]
-    alphas = [alpha0]
-    sigmas = [0.0]
-    dalphas = [k1v[2]]
-    frames = [np.array(fr[2:])]
+    k1, dk, fr = rhs(u, v, a, ts)
+    uv = array("d", (u, v))
+    pos = array("d", surface.point(u, v))
+    alphas = array("d", [a])
+    sigmas = array("d", [0.0])
+    dalphas = array("d", [k1[2]])
+    frames = array("d", fr[0] + fr[1])
     termination = "ReachedLength"
     length = 0.0
     h = step
     while length < max_length:
-        k2v, _, _ = rhs(state + h/2*k1v)
-        k3v, _, _ = rhs(state + h/2*k2v)
-        k4v, _, _ = rhs(state + h*k3v)
-        new = state + h/6*(k1v + 2*k2v + 2*k3v + k4v)
-        if not surface.contains(new[0], new[1]):
+        k2, _, _ = rhs(u + h/2*k1[0], v + h/2*k1[1], a + h/2*k1[2])
+        k3, _, _ = rhs(u + h/2*k2[0], v + h/2*k2[1], a + h/2*k2[2])
+        k4, _, _ = rhs(u + h*k3[0], v + h*k3[1], a + h*k3[2])
+        h6 = h/6
+        nu = u + h6*(k1[0] + 2*k2[0] + 2*k3[0] + k4[0])
+        nv = v + h6*(k1[1] + 2*k2[1] + 2*k3[1] + k4[1])
+        na = a + h6*(k1[2] + 2*k2[2] + 2*k3[2] + k4[2])
+        if not surface.contains(nu, nv):
             termination = "HitBoundary"
             break
-        a = new[2] % np.pi
-        if min(abs(np.sin(a)), abs(np.cos(a))) < _ANGLE_EPS:
+        r = na % math.pi
+        if min(abs(math.sin(r)), abs(math.cos(r))) < _ANGLE_EPS:
             termination = "HitSingularPoint"
-        state = new
+        u, v, a = nu, nv, na
         length += h
-        uv.append(state[:2].copy())
-        pos.append(np.asarray(surface.position(*state[:2]), dtype=float))
-        alphas.append(state[2])
+        uv.extend((u, v))
+        pos.extend(surface.point(u, v))
+        alphas.append(a)
         sigmas.append(sigmas[-1] + dk*h)
-        k1v, dk, fr = rhs(new)
-        dalphas.append(k1v[2])
-        frames.append(np.array(fr[2:]))
+        k1, dk, fr = rhs(u, v, a)
+        dalphas.append(k1[2])
+        frames.extend(fr[0] + fr[1])
         if termination == "HitSingularPoint":
             break
-    closed = (len(pos) > 4
-              and np.linalg.norm(pos[-1] - pos[0]) < 2*step)
-    return CurveTrace(uv=np.array(uv), positions=np.array(pos),
+    positions = np.reshape(pos, (-1, 3))
+    closed = (len(positions) > 4
+              and np.linalg.norm(positions[-1] - positions[0]) < 2*step)
+    return CurveTrace(uv=np.reshape(uv, (-1, 2)), positions=positions,
                       closed=closed, termination=termination,
                       alpha=np.array(alphas), sigma=np.array(sigmas),
-                      dalpha=np.array(dalphas), frames=np.array(frames))
+                      dalpha=np.array(dalphas),
+                      frames=np.reshape(frames, (-1, 2, 2)))
+
+
+def _darboux_rate(a, dk, t1, t2):
+    """(cos a, sin a, d alpha/ds) of the Darboux flow at angle ``a``, with
+    k1 - k2 = ``dk``: dk (t1 cos^3 a + t2 sin^3 a) / (12 sin a cos a).
+    It raises nothing where numpy's float64 scalars raise nothing: at
+    sin a cos a = 0 the rate is numpy's +-inf or NaN, and at an infinite a
+    (a stage after such a rate) cosine and sine are NaN."""
+    try:
+        c, s = math.cos(a), math.sin(a)
+    except ValueError:
+        c = s = math.nan
+    return c, s, _div(dk * (t1*c**3 + t2*s**3), 12*s*c)
 
 
 def dupin_angle(surface: SurfacePatch, seed) -> float:
@@ -357,7 +406,7 @@ def darboux_critical_points(trace: CurveTrace, surface: SurfacePatch
         f = d[i] / (d[i] - d[i + 1])
         uc = (1 - f)*trace.uv[i] + f*trace.uv[i + 1]
         ac = (1 - f)*trace.alpha[i] + f*trace.alpha[i + 1]
-        ref = tuple(trace.frames[i]) if trace.frames is not None else None
+        ref = None if trace.frames is None else trace.frames[i].tolist()
         t1, t2, X1, X2, S = theta_state(surface, uc[0], uc[1], ref)
         rel = t2*np.tan(ac)**3 + t1
         gap = gen = float("nan")
@@ -373,9 +422,9 @@ def darboux_critical_points(trace: CurveTrace, surface: SurfacePatch
         if V is not None:
             def logth(a, b):
                 r1, r2, *_ = theta_state(surface, a, b, (X1, X2))
-                return np.log(abs(r1)) + np.log(abs(r2))
+                return (np.log(abs(r1)) + np.log(abs(r2)),)
 
-            gen = abs(_along(logth, uc[0], uc[1], V, _H_GEN)) / S["mu"]
+            gen = abs(_along(logth, uc[0], uc[1], V, _H_GEN)[0]) / S["mu"]
         j0, j1 = max(i - 1, 0), min(i + 2, len(d) - 1)
         window = trace.alpha[j0:j1 + 1]
         is_ext = bool(len(window) >= 3

@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import CanalPoint, DupinPoint, FitUnstable
 from .invariants import _quartic, _unit_theta_derivs, psi_invariant
-from .surfaces import SurfacePatch
+from .surfaces import SurfacePatch, _div
 
 __all__ = [
     "CyclideContact", "CanonicalProfile", "profile_coeffs",
@@ -100,12 +100,12 @@ def limit_direction_ratio(surface: SurfacePatch, u: float, v: float
 def _limit_ratio(derivs):
     """:func:`limit_direction_ratio` from a ``_unit_theta_derivs`` result."""
     du, dv = derivs[-1]
-    g = np.array([du[1], dv[1]])
-    norm = np.hypot(*g)
+    # numpy's hypot: math.hypot rounds differently in the last bit
+    norm = float(np.hypot(du[1], dv[1]))
     if norm < 1e-12:
         raise DupinPoint("theta2 gradient vanishes; no transversal limit")
-    g = g / norm
-    return (g[0]*du[0] + g[1]*dv[0]) / (g[0]*du[1] + g[1]*dv[1])
+    g0, g1 = du[1]/norm, dv[1]/norm
+    return _div(g0*du[0] + g1*dv[0], g0*du[1] + g1*dv[1])
 
 
 # --------------------------------------------------------------------------

@@ -22,7 +22,10 @@ fundamental-form arithmetic (E, F, G, the normal, L, M, N, the shape
 operator, H, K and mu), on those scalars with ``math``/``cmath`` square
 roots, and elementwise on arrays of points.  :func:`shape_data` wraps its
 scalars in a dict for one real point; the complex steps of the curvature
-gradients read H and mu from it directly.  A degenerate metric or a
+gradients read H and mu from it directly.  A principal direction is a pair
+of Python floats, its (u, v) components, and so is every parameter
+direction the layers above build from it, so the point path from a jet to
+a traced line holds no numpy object either.  A degenerate metric or a
 roundoff-negative H^2 - K gives NaN, as numpy's arrays did, so
 :func:`principal_data` raises :class:`DegenerateMetric` or
 :class:`UmbilicPoint` there.  :func:`eval_jet` is :meth:`SurfacePatch.jet_raw`
@@ -108,7 +111,11 @@ class SurfacePatch:
                 and v0 + margin <= v <= v1 - margin)
 
     def position(self, u, v) -> np.ndarray:
-        return np.array(self._jet_fn(u, v)[:3])
+        return np.array(self.point(u, v))
+
+    def point(self, u, v):
+        """x, y, z of r(u, v): Python floats at a real (u, v), no array."""
+        return self._jet_fn(u, v)[:3]
 
     # -- jets --------------------------------------------------------------
     def jet_raw(self, u, v):
@@ -136,8 +143,8 @@ class PrincipalData:
     H: float
     K: float
     mu: float
-    X1: np.ndarray       # parameter coordinates, metric-unit
-    X2: np.ndarray
+    X1: tuple            # (u, v) components, metric-unit
+    X2: tuple
 
 
 def _sqrt(x):
@@ -156,6 +163,14 @@ def _divisor(d):
     gives NaN as numpy's division does, not ZeroDivisionError.  Arrays and
     numpy scalars divide as numpy does and pass unchanged."""
     return _NAN if d.__class__ in (float, complex) and not d else d
+
+
+def _div(n, d):
+    """n/d on real Python scalars.  Where ``d`` is 0 Python raises
+    ZeroDivisionError; this gives numpy's float64 result instead, +-inf,
+    or NaN where ``n`` is 0 or NaN (:func:`_divisor` gives NaN in each
+    such case)."""
+    return n/d if d else n*math.copysign(math.inf, d)
 
 
 def _forms(ru, rv, ruu, ruv, rvv):
@@ -205,7 +220,8 @@ def shape_data(jet) -> dict:
 
 
 def principal_directions(S: dict, ref=None):
-    """Metric-unit principal directions in parameter coordinates.
+    """Metric-unit principal directions in parameter coordinates: X1 and X2,
+    each a pair of Python floats.
 
     Of the two eigenvector candidate expressions for each eigenvalue the
     better-conditioned one is used.  Signs follow ``ref`` (a previous frame)
@@ -225,14 +241,14 @@ def principal_directions(S: dict, ref=None):
     for (c, d), rf, axis in zip(cands, refs, (0, 1)):
         a, b = c if abs(c[0]) + abs(c[1]) >= abs(d[0]) + abs(d[1]) else d
         s = _divisor(_sqrt(E*a**2 + 2*F*a*b + G*b**2))
-        w = [a/s, b/s]
+        w = (a/s, b/s)
         if rf is not None:
             flip = (w[0]*rf[0] + w[1]*rf[1]).real < 0
         else:
             p, q = w[axis].real, w[1 - axis].real
             flip = q < 0 if abs(p) <= 1e-12*abs(q) else p < 0
-        out.append(np.array([-w[0], -w[1]] if flip else w))
-    return out
+        out.append((-w[0], -w[1]) if flip else w)
+    return tuple(out)
 
 
 def _require_frame(S: dict) -> None:
@@ -242,7 +258,7 @@ def _require_frame(S: dict) -> None:
     rounded below 0), so the principal frame is undefined.  On a
     complex-step jet the tolerance applies to the real part of mu."""
     scale = max(abs(S["E"]), abs(S["G"]))
-    if not np.isfinite(S["g"]) or abs(S["g"]) < 1e-14 * scale**2:
+    if not cmath.isfinite(S["g"]) or abs(S["g"]) < 1e-14 * scale**2:
         raise DegenerateMetric(f"det I = {S['g']!r}")
     if not S["mu"].real >= _TOL_UMB * max(abs(S["k1"]), abs(S["k2"]), 1.0):
         raise UmbilicPoint(f"k1 = {S['k1']!r}, k2 = {S['k2']!r}")

@@ -524,6 +524,37 @@ def test_line_tracers_reject_bad_step_and_orient(specs, tmp_path, command):
     assert code == 2
 
 
+_RUN_AND_RECORD = """
+import contextlib, io, json, sys
+from conformal.cli import main
+err = io.StringIO()
+with contextlib.redirect_stderr(err):
+    try:
+        main(sys.argv[1:], prog_name="cycl")
+        code = 0
+    except SystemExit as exc:
+        code = exc.code
+print(json.dumps([code, err.getvalue().strip().splitlines()[-1:]]))
+"""
+
+
+# a step too small for the length used to trace without end: below about
+# 2.2e-16 times the length so far, adding it leaves the length unchanged
+@pytest.mark.parametrize("command", [
+    ["darboux", "--alpha0", "0.7", "--step", "1e-300"],
+    ["darboux", "--alpha0", "0.7", "--step", "1e-20", "--max-length", "1"],
+    ["dupin-lines", "--step", "1e-300"],
+    ["dupin-lines", "--step", "1e-20", "--max-length", "1"],
+], ids=["darboux-1e-300", "darboux-1e-20", "dupin-1e-300", "dupin-1e-20"])
+def test_line_tracers_refuse_too_many_steps(specs, tmp_path, command):
+    stdout = _fresh_python(_RUN_AND_RECORD, *command, "--surface",
+                           specs["helcat"], "--seed", "0.3,0.3", "--out",
+                           str(tmp_path / "trace.csv"))
+    code, record = json.loads(stdout)
+    assert code == 2
+    assert json.loads(record[0])["error"] == "ValueError"
+
+
 @pytest.mark.parametrize("command", ["dupin-lines", "darboux"])
 @pytest.mark.parametrize("max_length", ["nan", "-1", "0", "inf"])
 def test_line_tracers_reject_bad_max_length(runner, specs, command,

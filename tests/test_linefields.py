@@ -1,3 +1,6 @@
+import math
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
@@ -170,7 +173,7 @@ def test_dupin_dir_and_turn_match_ambient_vectors(helcat_quarter,
     u, v = u0 + fu*(u1 - u0), v0 + fv*(v1 - v0)
     ts = theta_state(surface, u, v)
     try:
-        d = linefields._dupin_dir(ts)
+        d = np.asarray(linefields._dupin_dir(ts))
     except DupinPoint:
         assume(False)
     _, ru, rv, *_ = jet_vectors(surface.jet_raw(u, v))
@@ -181,7 +184,7 @@ def test_dupin_dir_and_turn_match_ambient_vectors(helcat_quarter,
     assert abs(np.linalg.norm(amb(d)) - 1.0) < 1e-12
     # d turned by phi in the tangent plane: X1 and X2 are orthonormal, and
     # d = p X1 + q X2 with p^2 + q^2 = 1
-    X1, X2 = ts[2], ts[3]
+    X1, X2 = np.asarray(ts[2]), np.asarray(ts[3])
     p, q = np.linalg.solve(np.column_stack([X1, X2]), d)
     carried = np.cos(phi)*d + np.sin(phi)*(-q*X1 + p*X2)
     a, b = amb(d), amb(carried)
@@ -242,6 +245,7 @@ def test_darboux_genericity_does_not_depend_on_the_frame(helcat_quarter, u,
     # the derivative along V; the reported genericity is its absolute value
     s = helcat_quarter.surface
     _, _, X1, X2, _ = theta_state(s, u, v)
+    X1, X2 = np.asarray(X1), np.asarray(X2)
     gen = _genericity_at(s, u, v, (X1, X2))
     assert gen > 0.0
     flipped = _genericity_at(s, u, v, (flip[0]*X1, flip[1]*X2))
@@ -333,3 +337,300 @@ def test_each_step_evaluates_four_theta_states(monkeypatch, helical_tube,
     tr = integrate_darboux_line(s, seed, a0, max_length=0.5)
     assert tr.termination == "ReachedLength"
     assert len(calls) == 1 + 4*(len(tr) - 1)
+
+
+# --------------------------------------------------------------------------
+# the float tracers against the array tracers they replaced
+# --------------------------------------------------------------------------
+def _array_state(surface, u, v, ref=None):
+    """theta_state with X1 and X2 as 2-element arrays."""
+    t1, t2, X1, X2, S = theta_state(surface, u, v, ref)
+    return t1, t2, np.array(X1), np.array(X2), S
+
+
+def _array_dupin_dir(state):
+    t1, t2, X1, X2, _ = state
+    if abs(t1) + abs(t2) < linefields._TOL_DUPIN:
+        raise DupinPoint("")
+    c1, c2 = (np.cbrt(t) for t in linefields._floor_thetas(t1, t2))
+    norm = math.hypot(c1, c2)
+    return None if norm == 0.0 else (c2*X1 + c1*X2) / norm
+
+
+def _array_dupin_line(surface, seed, step=0.01, max_length=10.0):
+    """The Dupin tracer as it stepped on numpy arrays."""
+    u0, v0 = seed
+    state = np.array([u0, v0], dtype=float)
+    linefields._seed_state(surface, u0, v0)
+    ts = _array_state(surface, u0, v0)
+    try:
+        prev = _array_dupin_dir(ts)
+    except DupinPoint as exc:
+        raise SeedIsDupinPoint(str(exc)) from exc
+
+    def f(u, v, prev_dir):
+        try:
+            d = _array_dupin_dir(_array_state(surface, u, v))
+        except DupinPoint:
+            return prev_dir
+        return -d if d @ prev_dir < 0 else d
+
+    uv = [state.copy()]
+    pos = [np.asarray(surface.position(u0, v0), dtype=float)]
+    termination = "ReachedLength"
+    closed = False
+    in_band = False
+    length = 0.0
+    while length < max_length:
+        try:
+            k1 = _array_dupin_dir(ts)
+        except DupinPoint:
+            if in_band:
+                termination = "HitSingularPoint"
+                break
+            in_band, k1 = True, prev
+        else:
+            in_band = False
+            if linefields._turn(k1.tolist(), prev.tolist(),
+                                ts[4]) > linefields._MAX_TURN:
+                termination = "HitSingularPoint"
+                break
+            if k1 @ prev < 0:
+                k1 = -k1
+        h = step
+        k2 = f(*(state + h/2*k1), k1)
+        k3 = f(*(state + h/2*k2), k1)
+        k4 = f(*(state + h*k3), k1)
+        new = state + h/6*(k1 + 2*k2 + 2*k3 + k4)
+        if not surface.contains(*new):
+            termination = "HitBoundary"
+            break
+        prev = k1
+        state = new
+        length += h
+        uv.append(state.copy())
+        pos.append(np.asarray(surface.position(*state), dtype=float))
+        if length > 4*step and np.linalg.norm(pos[-1] - pos[0]) < 1.5*step:
+            closed, termination = True, "Closed"
+            break
+        ts = _array_state(surface, *state)
+    return CurveTrace(uv=np.array(uv), positions=np.array(pos),
+                      closed=closed, termination=termination)
+
+
+def _array_darboux_line(surface, seed, alpha0, step=0.005, max_length=5.0,
+                        orient=1):
+    """The Darboux tracer as it stepped on numpy arrays."""
+    u0, v0 = seed
+    linefields._seed_state(surface, u0, v0)
+    ts = _array_state(surface, u0, v0)
+    ref_holder = {"ref": None}
+
+    def rhs(state, ts=None):
+        su, sv, a = state
+        if ts is None:
+            ts = _array_state(surface, su, sv, ref_holder["ref"])
+        t1, t2, X1, X2, S = ts
+        ref_holder["ref"] = (X1, X2)
+        vel = np.cos(a)*X1 + np.sin(a)*X2
+        dk = S["k1"] - S["k2"]
+        da = dk * (t1*np.cos(a)**3 + t2*np.sin(a)**3) / \
+            (12*np.sin(a)*np.cos(a))
+        return orient*np.array([vel[0], vel[1], da]), dk, (t1, t2, X1, X2)
+
+    state = np.array([u0, v0, alpha0], dtype=float)
+    k1v, dk, fr = rhs(state, ts)
+    uv = [state[:2].copy()]
+    pos = [np.asarray(surface.position(u0, v0), dtype=float)]
+    alphas = [alpha0]
+    sigmas = [0.0]
+    dalphas = [k1v[2]]
+    frames = [np.array(fr[2:])]
+    termination = "ReachedLength"
+    length = 0.0
+    h = step
+    while length < max_length:
+        k2v, _, _ = rhs(state + h/2*k1v)
+        k3v, _, _ = rhs(state + h/2*k2v)
+        k4v, _, _ = rhs(state + h*k3v)
+        new = state + h/6*(k1v + 2*k2v + 2*k3v + k4v)
+        if not surface.contains(new[0], new[1]):
+            termination = "HitBoundary"
+            break
+        a = new[2] % np.pi
+        if min(abs(np.sin(a)), abs(np.cos(a))) < linefields._ANGLE_EPS:
+            termination = "HitSingularPoint"
+        state = new
+        length += h
+        uv.append(state[:2].copy())
+        pos.append(np.asarray(surface.position(*state[:2]), dtype=float))
+        alphas.append(state[2])
+        sigmas.append(sigmas[-1] + dk*h)
+        k1v, dk, fr = rhs(new)
+        dalphas.append(k1v[2])
+        frames.append(np.array(fr[2:]))
+        if termination == "HitSingularPoint":
+            break
+    closed = (len(pos) > 4
+              and np.linalg.norm(pos[-1] - pos[0]) < 2*step)
+    return CurveTrace(uv=np.array(uv), positions=np.array(pos),
+                      closed=closed, termination=termination,
+                      alpha=np.array(alphas), sigma=np.array(sigmas),
+                      dalpha=np.array(dalphas), frames=np.array(frames))
+
+
+def _assert_same_trace(got, want):
+    assert (got.termination, bool(got.closed)) == \
+        (want.termination, bool(want.closed))
+    for name in ("uv", "positions", "alpha", "sigma", "dalpha", "frames"):
+        a, b = getattr(got, name), getattr(want, name)
+        if b is None:
+            assert a is None
+            continue
+        assert (a.dtype, a.shape) == (b.dtype, b.shape), name
+        assert a.tobytes() == b.tobytes(), name
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(which=st.sampled_from(["helicoid", "helcat", "catenoid", "tube"]),
+       fu=st.floats(0.05, 0.95), fv=st.floats(0.05, 0.95),
+       alpha0=st.floats(0.05, 1.52), orient=st.sampled_from([1, -1]),
+       step=st.floats(0.004, 0.05), max_length=st.floats(0.05, 1.5))
+@example(which="tube", fu=0.5, fv=0.6, alpha0=0.7, orient=1, step=0.01,
+         max_length=10.0)
+def test_float_tracers_match_the_array_tracers(helicoid, helcat_quarter,
+                                               catenoid, helical_tube,
+                                               which, fu, fv, alpha0,
+                                               orient, step, max_length):
+    # the same operations on the same operands in the same order: every
+    # sample, every carried frame and the stop reason agree to the bit
+    # (the example closes a Dupin trace on the tube)
+    surface = {"helicoid": helicoid, "helcat": helcat_quarter,
+               "catenoid": catenoid, "tube": helical_tube}[which].surface
+    (u0, u1), (v0, v1) = surface.domain
+    seed = (u0 + fu*(u1 - u0), v0 + fv*(v1 - v0))
+
+    def both(trace, reference, *args, **kwargs):
+        out = []
+        for fn in (trace, reference):
+            try:
+                out.append(fn(surface, seed, *args, **kwargs))
+            except Exception as exc:
+                out.append(type(exc))
+        if isinstance(out[1], type):
+            assert out[0] == out[1]
+        else:
+            _assert_same_trace(*out)
+
+    with np.errstate(all="ignore"):
+        both(integrate_dupin_line, _array_dupin_line, step=step,
+             max_length=max_length)
+        both(integrate_darboux_line, _array_darboux_line, alpha0,
+             step=step, max_length=max_length, orient=orient)
+
+
+@pytest.mark.parametrize("a", [0.0, -0.0, np.inf, -np.inf],
+                         ids=["0", "-0", "inf", "-inf"])
+@pytest.mark.parametrize("dk,t1,t2", [(0.5, 0.3, -0.2), (0.5, -0.3, 0.2),
+                                      (0.0, 0.3, 0.1), (0.5, 0.0, 0.2),
+                                      (0.5, np.nan, 0.1)])
+def test_darboux_rate_at_a_singular_angle_is_numpys(a, dk, t1, t2):
+    # at sin(a) cos(a) = 0 the rate is numpy's +-inf or NaN, and at the
+    # infinite angle of the stage after it cos and sin are NaN; Python
+    # floats would raise ZeroDivisionError or ValueError instead
+    with np.errstate(all="ignore"):
+        x = np.float64(a)
+        want = (np.cos(x), np.sin(x),
+                dk * (t1*np.cos(x)**3 + t2*np.sin(x)**3)
+                / (12*np.sin(x)*np.cos(x)))
+    got = linefields._darboux_rate(a, dk, t1, t2)
+    assert [type(g) for g in got] == [float]*3
+    np.testing.assert_equal(got, want)
+
+
+def test_a_stage_at_an_exact_zero_angle_traces_as_on_arrays(helcat_quarter):
+    # a step whose second stage lands on alpha = 0 exactly: the rate there
+    # is -inf, the third stage's angle is infinite and its direction NaN,
+    # so the step leaves the domain (HitBoundary), as it did on arrays
+    s = helcat_quarter.surface
+    seed, a0 = (0.5, 0.3), 0.1
+    t1, t2, _, _, S = theta_state(s, *seed)
+    _, _, da = linefields._darboux_rate(a0, S["k1"] - S["k2"], t1, t2)
+    h0 = -2*a0/da
+    step = next(h for h in (h0 + k*math.ulp(h0) for k in range(-64, 65))
+                if a0 + h/2*da == 0.0)
+    with np.errstate(all="ignore"):
+        want = _array_darboux_line(s, seed, a0, step=step,
+                                   max_length=5*step)
+    tr = integrate_darboux_line(s, seed, a0, step=step, max_length=5*step)
+    assert (tr.termination, len(tr)) == ("HitBoundary", 1)
+    _assert_same_trace(tr, want)
+
+
+class _CountingNumpy:
+    """Stands for numpy in one module: counts each attribute read."""
+
+    def __init__(self):
+        self.reads = Counter()
+
+    def __getattr__(self, name):
+        self.reads[name] += 1
+        return getattr(np, name)
+
+
+def test_tracers_use_no_numpy_per_step(monkeypatch, helcat_quarter,
+                                       helical_tube):
+    proxy = _CountingNumpy()
+    monkeypatch.setattr(linefields, "np", proxy)
+    orig = linefields.theta_state
+    states = []
+
+    def counted(*args, **kwargs):
+        states.append(1)
+        return orig(*args, **kwargs)
+
+    monkeypatch.setattr(linefields, "theta_state", counted)
+    s = helcat_quarter.surface
+    seed = (-0.05, 0.3)
+    a0 = _seed_alpha(s, seed)
+    reads = []
+    for max_length in (0.1, 0.5):
+        proxy.reads.clear()
+        tr = integrate_darboux_line(s, seed, a0, max_length=max_length)
+        assert tr.termination == "ReachedLength"
+        reads.append(dict(proxy.reads))
+    # building the trace's arrays at its end is all the numpy it uses
+    assert reads[0] == reads[1]
+    reads = []
+    for max_length in (0.1, 0.5):
+        proxy.reads.clear()
+        states.clear()
+        tr = integrate_dupin_line(helical_tube.surface, (0.5, 1.2),
+                                  max_length=max_length)
+        assert tr.termination == "ReachedLength"
+        # two cube roots per theta state's Dupin direction, which numpy
+        # rounds as math.cbrt does not
+        cbrt = proxy.reads.pop("cbrt")
+        reads.append((cbrt - 2*len(states), dict(proxy.reads)))
+    assert reads[0] == reads[1]
+
+
+def test_step_limit_of_a_trace(helcat_quarter):
+    # max_length/step at the limit is accepted (these traces end at the
+    # domain's edge), one ulp of max_length over it is refused
+    s = helcat_quarter.surface
+    step = 0.05
+    max_length = step*linefields._MAX_STEPS
+    assert max_length/step == linefields._MAX_STEPS
+    tr = integrate_darboux_line(s, (2.9, 0.3), 0.7, step=step,
+                                max_length=max_length)
+    assert tr.termination == "HitBoundary"
+    tr = integrate_dupin_line(s, (0.4, 0.3), step=step,
+                              max_length=max_length)
+    assert tr.termination == "HitBoundary"
+    over = np.nextafter(max_length, np.inf)
+    with pytest.raises(ValueError, match="steps"):
+        integrate_darboux_line(s, (2.9, 0.3), 0.7, step=step,
+                               max_length=over)
+    with pytest.raises(ValueError, match="steps"):
+        integrate_dupin_line(s, (0.4, 0.3), step=step, max_length=over)

@@ -482,5 +482,5 @@ def test_principal_data_gives_theta_state_frame(helcat_quarter, torus,
     for u, v in np.random.default_rng(3).uniform(-1.5, 1.5, (6, 2)):
         pd = principal_data(surface.jet_raw(u, v))
         _, _, X1, X2, _ = theta_state(surface, u, v)
-        assert pd.X1.tobytes() == X1.tobytes()
-        assert pd.X2.tobytes() == X2.tobytes()
+        assert np.asarray(pd.X1).tobytes() == np.asarray(X1).tobytes()
+        assert np.asarray(pd.X2).tobytes() == np.asarray(X2).tobytes()
