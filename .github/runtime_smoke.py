@@ -9,10 +9,14 @@ does not parse or has no rows or a row narrower or wider than its header
 (the writer assembles the rows' JSON text itself), if a ``prescribe``
 report does not read realizable (the helcat data comes from a real
 surface, at 769 points a side too, the benchmark's size), or if anything
-loaded either of them.
+loaded either of them.  It also runs ``cycl osculate`` on a graph of slope
+1e100, whose metric scale squared overflows a float, in a child process,
+and fails unless that exits 3 with a JSON record naming
+``DegenerateMetric`` and no traceback.
 """
 import importlib
 import json
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -36,6 +40,7 @@ SPECS = {
     "torus": "kind = torus\nR = 2\nr = 1\n",
     "canonical": ("kind = canonical\n"
                   "coeffs = 1, 2, 0, 3.5, 0.25, -0.5, -3.25\n"),
+    "steep": "kind = graph\ncoeffs = 1 0 1e100; 2 0 0.5; 0 2 -0.5\n",
 }
 COMMANDS = [
     (["table1"], None),
@@ -84,6 +89,15 @@ with tempfile.TemporaryDirectory() as tmp:
                 sys.exit(f"cycl {' '.join(args)}: not realizable, max-norms "
                          f"{report['max_norm']}")
         print(f"cycl {' '.join(args)}: ok")
+    steep = [sys.executable, "-m", "conformal.cli", "osculate", "--seed",
+             "0.1,0.1", "--surface", str(tmp / "steep.spec")]
+    done = subprocess.run(steep, capture_output=True, text=True, timeout=120)
+    lines = done.stderr.strip().splitlines()
+    record = json.loads(lines[-1]) if len(lines) == 1 else {}
+    if done.returncode != 3 or record.get("error") != "DegenerateMetric":
+        sys.exit(f"cycl osculate on a steep graph: exit {done.returncode}, "
+                 f"stderr {done.stderr!r}")
+    print("cycl osculate on a steep graph: DegenerateMetric, ok")
 
 inversion = MobiusMap.translation([0.0, 0.0, 5.0]).then(MobiusMap.inversion())
 moved = mobius_transform(make_torus(2.0, 1.0).surface, inversion)

@@ -9,8 +9,7 @@ families of residuals:
 * structural residuals — the four first-order relations tying (f1, f2,
   theta1, theta2, psi, b, c) together;
 * integrability residuals — the second- and fourth-order compatibility
-  conditions on (f1, f2, kappa) alone, with dedicated simplified forms when
-  kappa is constant.
+  conditions on (f1, f2, kappa) alone.
 
 All derivatives are second-order central differences; a margin of cells is
 excluded from every reported norm so that one-sided boundary stencils never
@@ -64,7 +63,6 @@ __all__ = [
     "psi_from_grid", "structural_residuals", "integrability_residuals",
     "prescribe", "helcat_coframe", "helcat_grid", "recovered_kappa",
     "second_order_condition", "fourth_order_condition",
-    "second_order_condition_const", "fourth_order_condition_const",
 ]
 
 _TOL_KAPPA = 1e-12
@@ -218,9 +216,10 @@ class _RowNorms:
 
     def __init__(self, shape: Tuple[int, int], margin: int):
         n1, n2 = shape
-        if n1 <= 2*margin or n2 <= 2*margin:
+        if n1 <= 2*margin + 1 or n2 <= 2*margin + 1:
             raise MarginTooSmall(
-                f"margin {margin} leaves no interior cells on shape {shape}")
+                f"margin {margin} leaves fewer than 2 interior cells a side "
+                f"on shape {shape}")
         self.shape, self.margin = shape, margin
         self.rows = {}      # name -> (3, interior rows): max, sum, count
 
@@ -430,65 +429,17 @@ def _pw(x, n: int):
     return _powers(x, n)[n]
 
 
-def second_order_condition_const(f1, f2, k, D: Callable):
-    """Second-order compatibility, constant direction ratio; ``k`` is the
-    reciprocal of the ratio."""
-    return (2*D(f1, 2, 2)/f1
-            + 2*k*(-D(f1, 2)*D(f2, 1) + f2*D(f1, 1, 2))/f2**2
-            - 2*D(f1, 2)**2/f1**2)
-
-
 def second_order_condition(f1, f2, k, D: Callable):
-    """Second-order compatibility for a varying direction ratio; ``k`` is
-    the reciprocal of the ratio (field)."""
+    """Second-order compatibility; ``k`` is the reciprocal of the direction
+    ratio, a field or a constant."""
     return 2*(-D(f1, 2)**2/f1**2 + D(f1, 2, 2)/f1
               + ((k*D(f2, 1))**2
                  + f2*(D(f1, 2)*D(k, 1) + k*D(f1, 1, 2)))/f2**2)
 
 
-def fourth_order_condition_const(f1, f2, k, D: Callable):
-    """Fourth-order compatibility, constant direction ratio ``k``."""
-    f1_1, f1_2 = D(f1, 1), D(f1, 2)
-    f1_11, f1_12, f1_22 = D(f1, 1, 1), D(f1, 1, 2), D(f1, 2, 2)
-    f1_111, f1_112, f1_222 = D(f1, 1, 1, 1), D(f1, 1, 1, 2), D(f1, 2, 2, 2)
-    f1_1112, f1_2222 = D(f1, 1, 1, 1, 2), D(f1, 2, 2, 2, 2)
-    f2_1, f2_2 = D(f2, 1), D(f2, 2)
-    f2_11, f2_22 = D(f2, 1, 1), D(f2, 2, 2)
-    f2_111, f2_222 = D(f2, 1, 1, 1), D(f2, 2, 2, 2)
-    F1, F2 = _powers(f1, 6), _powers(f2, 6)   # F1[n] is f1**n
-    U = (k*F1[6]*(-2*F2[4]*f1_2*f2_2 - 15*f1_2*_pw(f2_2, 3)
-                  + 2*F2[5]*f1_22
-                  + 5*f2*f2_2*(3*f2_2*f1_22 + 2*f1_2*f2_22)
-                  - F2[2]*(4*f1_22*f2_22 + 6*f2_2*f1_222 + f1_2*f2_222)
-                  + F2[3]*f1_2222)
-         + 15*F2[6]*f1_2*_pw(f1_1, 3)
-         + F1[4]*F2[2]*f1_2*(-3*k*f1_2**2*f2_2 + 3*k*f2*f1_2*f1_22
-                             + 2*F2[4]*f1_1)
-         + F1[5]*f2*(8*k*F2[4]*f1_2**2 + 18*k*f1_2**2*f2_2**2
-                     - k*f2*f1_2*(21*f2_2*f1_22 + 5*f1_2*f2_22)
-                     + k*F2[2]*(3*f1_22**2 + 5*f1_2*f1_222)
-                     - 2*F2[5]*f1_12)
-         + f1*F2[5]*f1_1*(30*k*f1_2**2*f1_1 - 15*f2*f1_1*f1_12
-                          + 2*f1_2*(6*f1_1*f2_1 - 5*f2*f1_11))
-         + F1[2]*F2[4]*(24*k**2*_pw(f1_2, 3)*f1_1
-                        + f1_2**2*(30*k*f1_1*f2_1 - 8*k*f2*f1_11)
-                        + f2*(4*f2*f1_12*f1_11
-                              + f1_1*(-9*f2_1*f1_12 + 6*f2*f1_112))
-                        + f1_2*(f1_1*(9*f2_1**2
-                                      - 6*f2*(6*k*f1_12 + f2_11))
-                                + f2*(-3*f2_1*f1_11 + f2*f1_111)))
-         + F1[3]*F2[3]*(
-             8*_pw(k, 3)*_pw(f1_2, 4) + 20*k**2*_pw(f1_2, 3)*f2_1
-             - 8*k*f1_2**2*(-2*f2_1**2 + f2*(3*k*f1_12 + f2_11))
-             + f1_2*(4*_pw(f2_1, 3) - f2*f2_1*(22*k*f1_12 + 5*f2_11)
-                     + F2[2]*(8*k*f1_112 + f2_111))
-             + f2*(-4*f2_1**2*f1_12 + 2*f2*f2_1*f1_112
-                   + f2*(6*k*f1_12**2 + 3*f1_12*f2_11 - f2*f1_1112))))
-    return -2/(F1[6]*F2[6])*U
-
-
 def fourth_order_condition(f1, f2, k, D: Callable):
-    """Fourth-order compatibility for a varying direction ratio ``k``."""
+    """Fourth-order compatibility; ``k`` is the direction ratio, a field or
+    a constant."""
     f1_1, f1_2 = D(f1, 1), D(f1, 2)
     f1_11, f1_12, f1_22 = D(f1, 1, 1), D(f1, 1, 2), D(f1, 2, 2)
     f1_111, f1_112, f1_222 = D(f1, 1, 1, 1), D(f1, 1, 1, 2), D(f1, 2, 2, 2)
@@ -540,7 +491,8 @@ def fourth_order_condition(f1, f2, k, D: Callable):
 
 def _grid_oracle(grid: FieldGrid, keep: slice, rows) -> Callable:
     """D(arr, *idx): rows ``keep`` of the differences of ``arr`` along
-    ``idx``, taken left to right on the whole grid.
+    ``idx``, taken left to right on the whole grid, or 0.0 if ``arr`` is a
+    float: a constant's derivative, for which no difference is taken.
 
     ``rows`` pairs arrays that are rows ``keep`` of a grid array with that
     array, whose differences D then takes.  Every prefix is cached, so each
@@ -552,6 +504,8 @@ def _grid_oracle(grid: FieldGrid, keep: slice, rows) -> Callable:
     cache = {(id(part), ()): (part, whole) for part, whole in rows}
 
     def D(arr, *idx):
+        if isinstance(arr, float):
+            return 0.0
         prev = cache.setdefault((id(arr), ()), (arr, arr))[1]
         for k in range(1, len(idx) + 1):
             key = (id(arr), idx[:k])
@@ -564,14 +518,10 @@ def _grid_oracle(grid: FieldGrid, keep: slice, rows) -> Callable:
 
 
 def _constant_ratio(grid: FieldGrid) -> Optional[float]:
-    """kappa's mean if kappa is constant to 1e-12, else None.  It picks the
-    forms of the conditions, so it is taken on the whole grid, never on a
-    block; a grid with no cell inside the margin raises MarginTooSmall."""
+    """kappa's mean if kappa is constant to 1e-12, else None.  Taken on the
+    whole grid, never on a block, so every block passes the conditions the
+    same kind of ratio."""
     grid.require("f1", "f2", "kappa")
-    n1, n2 = grid.shape
-    if n1 <= 2*_MARGIN + 1 or n2 <= 2*_MARGIN + 1:
-        raise MarginTooSmall(
-            f"grid {n1}x{n2} too small for margin {_MARGIN}")
     kap = np.asarray(grid.kappa, dtype=float)
     if float(np.max(kap) - np.min(kap)) < _TOL_KAPPA:
         return float(np.mean(kap))
@@ -580,33 +530,28 @@ def _constant_ratio(grid: FieldGrid) -> Optional[float]:
 
 def _compatibility(grid: FieldGrid, k0: Optional[float], keep: slice
                    ) -> Dict[str, np.ndarray]:
-    """Both conditions on the grid's rows ``keep`` through one oracle: the
-    constant-ratio forms at kappa = ``k0``, or the varying ones if ``k0``
-    is None.  The oracle takes the differences (see :func:`_grid_oracle`);
-    the conditions' own arithmetic runs on rows ``keep`` only."""
+    """Both conditions on the grid's rows ``keep`` through one oracle, with
+    kappa the float ``k0``, or the grid's kappa if ``k0`` is None.  A float
+    ratio has no differences to take (the oracle gives 0.0 for them): 16
+    differences against 22.  The oracle takes the differences (see
+    :func:`_grid_oracle`); the conditions' own arithmetic runs on rows
+    ``keep`` only."""
+    kap = np.asarray(grid.kappa, dtype=float) if k0 is None else k0
     whole = [np.asarray(grid.f1, dtype=float),
-             np.asarray(grid.f2, dtype=float)]
-    if k0 is None:
-        kap = np.asarray(grid.kappa, dtype=float)
-        whole += [1.0/kap, kap]
-    rows = [(arr[keep], arr) for arr in whole]
-    D = _grid_oracle(grid, keep, rows)
-    f1, f2, *ratios = (part for part, _ in rows)
-    if k0 is not None:
-        return {"integrability_2nd_const":
-                second_order_condition_const(f1, f2, 1.0/k0, D),
-                "integrability_4th_const":
-                fourth_order_condition_const(f1, f2, k0, D)}
-    return {"integrability_2nd": second_order_condition(f1, f2, ratios[0], D),
-            "integrability_4th": fourth_order_condition(f1, f2, ratios[1], D)}
+             np.asarray(grid.f2, dtype=float), 1.0/kap, kap]
+    parts = [arr if isinstance(arr, float) else arr[keep] for arr in whole]
+    D = _grid_oracle(grid, keep, zip(parts, whole))
+    f1, f2, inv, k = parts
+    return {"integrability_2nd": second_order_condition(f1, f2, inv, D),
+            "integrability_4th": fourth_order_condition(f1, f2, k, D)}
 
 
 def integrability_residuals(grid: FieldGrid) -> ResidualReport:
     """Residuals of the second- and fourth-order compatibility conditions on
-    (f1, f2, kappa), over all but ``_MARGIN`` cells at each edge.  When
-    kappa is constant to 1e-12 the dedicated constant-ratio forms are used;
-    the second-order condition takes the reciprocal 1/kappa as its ratio
-    argument, the fourth-order condition takes kappa itself.
+    (f1, f2, kappa), over all but ``_MARGIN`` cells at each edge.  The
+    second-order condition takes the reciprocal 1/kappa as its ratio
+    argument, the fourth-order condition takes kappa itself; a kappa
+    constant to 1e-12 goes in as a float (see :func:`_compatibility`).
     """
     return _norms(_compatibility(grid, _constant_ratio(grid), slice(None)),
                   _MARGIN)
@@ -663,9 +608,9 @@ def prescribe(kappa: np.ndarray, f2: np.ndarray, f1_boundary: np.ndarray,
     That envelope holds only while truncation error dominates.  The
     fourth-order residual takes fourth differences, whose roundoff grows
     like eps/h^4, while ``tol_real = 250 h^2`` falls.  On the
-    helicoid-catenoid grids at alpha = pi/4, ``integrability_4th_const``
-    reads 1.44e-4, 3.80e-4 and 1.33e-3 at n = 513, 769 and 1025, against
-    ``tol_real`` 9.5e-4, 4.2e-4 and 2.4e-4.  769 sits at 0.9 ``tol_real``,
+    helicoid-catenoid grids at alpha = pi/4, ``integrability_4th`` reads
+    1.37e-4, 3.77e-4 and 1.32e-3 at n = 513, 769 and 1025, against
+    ``tol_real`` 9.5e-4, 4.2e-4 and 2.4e-4.  769 sits at 0.89 ``tol_real``,
     and from about 1025 up data from a real surface is reported not
     realizable, from roundoff alone.
     """

@@ -240,7 +240,7 @@ def principal_directions(S: dict, ref=None):
     out = []
     for (c, d), rf, axis in zip(cands, refs, (0, 1)):
         a, b = c if abs(c[0]) + abs(c[1]) >= abs(d[0]) + abs(d[1]) else d
-        s = _divisor(_sqrt(E*a**2 + 2*F*a*b + G*b**2))
+        s = _divisor(_sqrt(E*(a*a) + 2*F*a*b + G*(b*b)))
         w = (a/s, b/s)
         if rf is not None:
             flip = (w[0]*rf[0] + w[1]*rf[1]).real < 0
@@ -258,7 +258,7 @@ def _require_frame(S: dict) -> None:
     rounded below 0), so the principal frame is undefined.  On a
     complex-step jet the tolerance applies to the real part of mu."""
     scale = max(abs(S["E"]), abs(S["G"]))
-    if not cmath.isfinite(S["g"]) or abs(S["g"]) < 1e-14 * scale**2:
+    if not cmath.isfinite(S["g"]) or abs(S["g"]) < 1e-14*(scale*scale):
         raise DegenerateMetric(f"det I = {S['g']!r}")
     if not S["mu"].real >= _TOL_UMB * max(abs(S["k1"]), abs(S["k2"]), 1.0):
         raise UmbilicPoint(f"k1 = {S['k1']!r}, k2 = {S['k2']!r}")

@@ -24,6 +24,8 @@ def specs(tmp_path_factory):
         "canonical": ("kind = canonical\n"
                       "coeffs = 1, 2, 0, 3.5, 0.25, -0.5, -3.25\n"),
         "graph": "kind = graph\ncoeffs = 2 0 0.5; 0 2 -0.5\n",
+        # slope 1e100: E is about 1e200, whose square overflows a float
+        "steep": "kind = graph\ncoeffs = 1 0 1e100; 2 0 0.5; 0 2 -0.5\n",
         "bad": "kind = nonagon\n",
         "malformed": "this is not a spec\n",
     }
@@ -244,7 +246,7 @@ def test_prescribe_realizable(runner, specs):
     assert res.exit_code == 0
     payload = json.loads(res.output)
     assert payload["realizable"] is True
-    assert "integrability_4th_const" in payload["max_norm"]
+    assert "integrability_4th" in payload["max_norm"]
 
 
 def test_prescribe_prints_realizable_once(runner, specs):
@@ -639,6 +641,29 @@ def test_tracer_seed_without_a_field_exits_3(runner, specs, command, spec,
                                "--seed", seed, "--max-length", "0.02"])
     assert res.exit_code == 3
     assert json.loads(res.output.strip().splitlines()[-1])["error"] == error
+
+
+@pytest.mark.parametrize("args", [
+    ["osculate", "--seed", "0.1,0.1"],
+    ["darboux", "--seed", "0.1,0.1", "--alpha0", "0.5"],
+], ids=["osculate", "darboux"])
+def test_steep_graph_is_a_degenerate_metric(runner, specs, args):
+    # the metric check squares E's scale by a product, which overflows to
+    # inf instead of raising OverflowError as a float ** does, and a det I
+    # below 1e-14 of inf reads degenerate: a JSON record, not a traceback
+    res = runner.invoke(main, [*args, "--surface", specs["steep"]])
+    assert res.exit_code == 3
+    assert json.loads(res.output.strip().splitlines()[-1])["error"] == \
+        "DegenerateMetric"
+
+
+def test_classify_masks_every_cell_of_a_steep_graph(runner, specs):
+    res = runner.invoke(main, ["classify", "--surface", specs["steep"],
+                               "--grid", "8x8", "--format", "json"])
+    assert res.exit_code == 0
+    header, rows, _ = _rows(res)
+    assert header == ["u", "v", "class"] and len(rows) == 64
+    assert {row[2] for row in rows} == {"DegenerateMetric"}
 
 
 # each option a command takes has a caller that sets it; a tolerance that

@@ -13,14 +13,12 @@ from conformal.errors import (KappaZero, MarginTooSmall, MissingField,
                               NonPositiveResult)
 from conformal import prescribe as prescribe_mod
 from conformal.invariants import _psi_numerator
-from conformal.prescribe import (FieldGrid, _RowNorms, _grid_oracle,
-                                 _norms, fourth_order_condition,
-                                 fourth_order_condition_const,
-                                 helcat_coframe, helcat_grid,
-                                 integrability_residuals, prescribe,
-                                 psi_from_grid, recovered_kappa,
-                                 second_order_condition,
-                                 second_order_condition_const, solve_f1,
+from conformal.prescribe import (FieldGrid, _RowNorms, _compatibility,
+                                 _grid_oracle, _norms,
+                                 fourth_order_condition, helcat_coframe,
+                                 helcat_grid, integrability_residuals,
+                                 prescribe, psi_from_grid, recovered_kappa,
+                                 second_order_condition, solve_f1,
                                  structural_residuals, thetas_from_f)
 
 
@@ -343,8 +341,8 @@ def test_conditions_vanish_on_exact_symbolic_data():
 
     pts = [(0.3, 0.7), (1.1, 0.2), (0.9, 1.4)]
     exprs = [
-        second_order_condition_const(f1, f2, 1/kap, D),
-        fourth_order_condition_const(f1, f2, kap, D),
+        second_order_condition(f1, f2, 1/kap, D),
+        fourth_order_condition(f1, f2, kap, D),
         second_order_condition(f1, f2, 1/(kap + 0*x1s), D),
         fourth_order_condition(f1, f2, kap + 0*x1s, D),
     ]
@@ -476,29 +474,61 @@ def test_grid_oracle_on_kept_rows_matches_whole_grid(varying):
 def test_grid_oracle_matches_explicit_chain(varying):
     # every difference the conditions ask for is bit-identical to the
     # explicit chain of one-axis differences, e.g. D(f1, 1, 1, 1, 2) is
-    # d2(d1(d1(d1(f1))))
+    # d2(d1(d1(d1(f1)))); a constant ratio, passed as a float, takes none
     g = _varying_grid() if varying else helcat_grid(np.pi/4, 33)
-    f1, f2, kap = g.f1, g.f2, g.kappa
+    f1, f2 = g.f1, g.f2
+    kap = g.kappa if varying else float(g.kappa[0, 0])
     D = _grid_oracle(g, slice(None), ())
     used = []
 
     def recording(arr, *idx):
-        used.append((arr, idx))
+        if isinstance(arr, float):
+            assert D(arr, *idx) == 0.0
+        else:
+            used.append((arr, idx))
         return D(arr, *idx)
 
-    if varying:
-        second_order_condition(f1, f2, 1.0/kap, recording)
-        fourth_order_condition(f1, f2, kap, recording)
-    else:
-        k0 = float(kap[0, 0])
-        second_order_condition_const(f1, f2, 1.0/k0, recording)
-        fourth_order_condition_const(f1, f2, k0, recording)
+    second_order_condition(f1, f2, 1.0/kap, recording)
+    fourth_order_condition(f1, f2, kap, recording)
     assert len({(id(a), idx) for a, idx in used}) == (22 if varying else 16)
     for arr, idx in used:
         chain = arr
         for i in idx:
             chain = g.d1(chain) if i == 1 else g.d2(chain)
         assert np.array_equal(D(arr, *idx), chain)
+
+
+@pytest.mark.parametrize("n", [33, 65])
+def test_float_ratio_is_the_constant_array_without_its_differences(
+        monkeypatch, n):
+    # a constant kappa passed as a float gives the conditions the floats a
+    # constant kappa array gives them inside the margin, where that array's
+    # differences are exactly 0; the float takes 16 differences, the array
+    # 22
+    g = helcat_grid(np.pi/4, n)
+    assert np.ptp(g.kappa) == 0.0
+    calls = []
+    for name in ("d1", "d2"):
+        def counted(self, arr, _diff=getattr(FieldGrid, name)):
+            calls.append(arr.shape)
+            return _diff(self, arr)
+        monkeypatch.setattr(FieldGrid, name, counted)
+
+    def run(k0):
+        calls.clear()
+        return _compatibility(g, k0, slice(None)), len(calls)
+
+    as_float, n_float = run(float(g.kappa[0, 0]))
+    as_array, n_array = run(None)
+    assert (n_float, n_array) == (16, 22)
+    assert list(as_float) == list(as_array) == ["integrability_2nd",
+                                                "integrability_4th"]
+    m = prescribe_mod._MARGIN
+    core = (slice(m, n - m), slice(m, n - m))
+    for name in as_float:
+        assert np.array_equal(as_float[name][core], as_array[name][core],
+                              equal_nan=True), name
+        assert np.all(np.isfinite(as_float[name][core]))
 
 
 def _prescribe_case(case):
@@ -652,7 +682,7 @@ def test_pipeline_scaling_keeps_recovered_ratio():
     # scaling the coframe is not a surface motion: the fourth-order
     # compatibility condition is inhomogeneous in (f1, f2) and genuinely
     # fails on the scaled data, so no verdict invariance is asserted
-    assert reps.max_norm["integrability_4th_const"] > 1.0
+    assert reps.max_norm["integrability_4th"] > 1.0
 
 
 def test_pipeline_adversarial_ratio_returns_report():
@@ -679,49 +709,45 @@ def test_prescribe_rejects_non_finite_input(field, bad):
 
 # --------------------------------------------------------------------------
 # regression battery: max-norm and RMS of every residual, recorded with the
-# conditions in their x**n form; a rewrite of their arithmetic must keep
-# them within 1e-10 relative
+# conditions in their x**n form (the constant-ratio cases' integrability
+# entries with the one form of each condition, kappa passed as a float); a
+# rewrite of their arithmetic must keep them within 1e-10 relative
 # --------------------------------------------------------------------------
 NAN = float("nan")
-_STRUCTURAL = ("structural_1", "structural_2", "structural_3",
-               "structural_4")
-_PINNED_NAMES = {
-    "const": _STRUCTURAL + ("integrability_2nd_const",
-                            "integrability_4th_const"),
-    "varying": _STRUCTURAL + ("integrability_2nd", "integrability_4th"),
-}
+_PINNED_NAMES = ("structural_1", "structural_2", "structural_3",
+                 "structural_4", "integrability_2nd", "integrability_4th")
 # (max_norm, rms) in _PINNED_NAMES order
 _PINNED = {
     ("0", 65): (
         [2.7755575615628914e-17, 3.288838644976977e-05, NAN, NAN,
-         5.372889703059158e-05, 0.00551676043388291],
+         8.313540161042354e-05, 0.00551676043388291],
         [5.215104411520295e-18, 2.087521131688704e-05, NAN, NAN,
-         1.4515713359058848e-05, 0.003806659626350537]),
+         2.3614364827639576e-05, 0.0038099414847294465]),
     ("0", 129): (
         [5.551115123125783e-17, 8.223489977865484e-06, NAN, NAN,
-         1.4519571796156594e-05, 0.0013814580277573527],
+         2.2174081835579784e-05, 0.0013814580277569087],
         [5.024631108104251e-18, 5.370924172926349e-06, NAN, NAN,
-         3.953388638356005e-06, 0.0009405965142052972]),
+         6.466268798332452e-06, 0.00094025739094771]),
     ("pi/4", 65): (
         [5.551115123125783e-17, 3.0386594402437295e-05, NAN, NAN,
-         0.0002450772074578648, 0.005177031975731709],
+         0.00024511175019181763, 0.005177033089902704],
         [1.5121621193864785e-17, 2.2930378798739807e-05, NAN, NAN,
-         0.00017005694548624992, 0.003627910490060435]),
+         0.00019883981063037917, 0.003559474607005693]),
     ("pi/4", 129): (
         [5.551115123125783e-17, 7.597630863914739e-06, NAN, NAN,
-         6.136477961167962e-05, 0.0012964797931533532],
+         6.13669388087601e-05, 0.0012964802721567993],
         [1.500598661822537e-17, 5.692802391358162e-06, NAN, NAN,
-         4.234874034271187e-05, 0.0009217969789364964]),
+         4.945388304383605e-05, 0.0009030749844462489]),
     ("pi/3", 65): (
         [5.551115123125783e-17, 2.2464700468918797e-05, NAN, NAN,
-         0.0003281522454810693, 0.004061422458776087],
+         0.00032817021654540923, 0.004061423037444277],
         [1.7027673635927156e-17, 1.770620552095324e-05, NAN, NAN,
-         0.00019882661988844996, 0.002918562415754831]),
+         0.00023428106323634406, 0.0028300033962158676]),
     ("pi/3", 129): (
         [5.551115123125783e-17, 5.616851214571006e-06, NAN, NAN,
-         8.215593815431926e-05, 0.001017091623167591],
+         8.215725025362275e-05, 0.0010170916512295164],
         [1.7274261038204755e-17, 4.349851459995036e-06, NAN, NAN,
-         5.017108316135812e-05, 0.000746125575310003]),
+         5.858412875730039e-05, 0.0007230751837975307]),
     ("varying", 257): (
         [2.7755575615628914e-17, 2.2409473723894457e-07, 1588967.4978804954,
          400509.7436145465, 0.2339693954852547, 0.4944608597662543],
@@ -740,12 +766,12 @@ def test_prescribe_reports_stay_pinned(case):
         X1, X2 = np.meshgrid(x, x, indexing="ij")
         _, rep = prescribe(1.0 + 0.3*X1*X2, np.exp(0.2*X1 - 0.1*X2),
                            2.0*np.ones_like(x), x, x)
-        names, realizable = _PINNED_NAMES["varying"], 0.0
+        realizable = 0.0
     else:
         g = helcat_grid(_ALPHAS[label], n)
         _, rep = prescribe(g.kappa, g.f2, g.f1[:, 0], g.x1, g.x2)
-        names, realizable = _PINNED_NAMES["const"], 1.0
-    want_max, want_rms = _PINNED[case]
+        realizable = 1.0
+    names, (want_max, want_rms) = _PINNED_NAMES, _PINNED[case]
     assert list(rep.max_norm) == list(names)
     # NaN stays NaN (equal_nan), everything else within 1e-10 relative
     np.testing.assert_allclose([rep.max_norm[k] for k in names], want_max,
@@ -757,16 +783,16 @@ def test_prescribe_reports_stay_pinned(case):
 
 def test_fourth_order_residual_crosses_tolerance_from_roundoff():
     # Why the helcat pi/4 family stops being realizable between 769 and
-    # 1025: integrability_4th_const takes fourth differences, whose
-    # roundoff grows like eps/h^4, while tol_real = 250 h^2 falls.  From
-    # 513 to 1025 the residual rises ~9x where a truncation error would fall
-    # 4x, sits at a few eps/h^4, and crosses the falling tolerance (at 769
-    # it reads 0.9 tol_real).
+    # 1025: integrability_4th takes fourth differences, whose roundoff
+    # grows like eps/h^4, while tol_real = 250 h^2 falls.  From 513 to 1025
+    # the residual rises ~10x where a truncation error would fall 4x, sits
+    # at a few eps/h^4, and crosses the falling tolerance (at 769 it reads
+    # 0.89 tol_real).
     res, tol, real = {}, {}, {}
     for n in (513, 1025):
         g = helcat_grid(np.pi/4, n)
         _, rep = prescribe(g.kappa, g.f2, g.f1[:, 0], g.x1, g.x2)
-        res[n] = rep.max_norm["integrability_4th_const"]
+        res[n] = rep.max_norm["integrability_4th"]
         tol[n], real[n] = rep.extra["tol_real"], rep.extra["realizable"]
         assert rep.worst() == res[n]
         del g, rep
