@@ -12,8 +12,7 @@ carries a hand-written order-2 jet: a dozen lines each, no symbolic work
 and no compile, evaluated alike on scalars, complex-step inputs and arrays
 of (u, v).  One body serves all three: its sin, cos, sinh and cosh come
 from ``math`` on a real scalar, ``cmath`` on a complex step and numpy on
-arrays (``surfaces._lib``).  Building or evaluating a catalog surface
-imports no sympy.
+arrays (``surfaces._lib``).
 
 The one-parameter minimal family (``make_helcat``) interpolates between the
 helicoid (parameter 0) and the catenoid (parameter pi/2); its invariants
@@ -28,14 +27,13 @@ from typing import Callable, Dict
 
 import numpy as np
 
-from .errors import CanalPoint, SelfIntersectingTube, UmbilicPoint
-from .invariants import _grad, _lie_bracket
+from .errors import CanalPoint, SelfIntersectingTube
 from .osculation import normal_form_monomials
-from .surfaces import _JET_IDX, SurfacePatch, _lib, eval_jet, principal_data
+from .surfaces import _JET_IDX, SurfacePatch, _lib
 
 __all__ = [
     "CatalogEntry", "make_helcat", "make_torus", "make_sphere", "make_tube",
-    "make_graph", "make_canonical", "isothermic_check",
+    "make_graph", "make_canonical",
 ]
 
 
@@ -276,52 +274,3 @@ def make_canonical(theta1: float, theta2: float, psi: float, a: float,
     entry = make_graph(poly, window=0.4)
     return CatalogEntry(surface=entry.surface,
                         params={"invariants": tuple(vals), "poly": poly})
-
-
-# --------------------------------------------------------------------------
-# isothermic test
-# --------------------------------------------------------------------------
-def _unit_dirs(surface: SurfacePatch, u: float, v: float, ref=None):
-    """X1 + X2, the (u, v) components of both principal directions."""
-    pd = principal_data(eval_jet(surface, u, v), ref=ref)
-    return pd.X1 + pd.X2
-
-
-def _bracket_pq(surface: SurfacePatch, u: float, v: float, ref):
-    """Decompose the commutator of the metric-unit curvature-direction
-    fields as [X1, X2] = p X1 + q X2."""
-    lie, X1, X2 = _lie_bracket(
-        lambda a, b: _unit_dirs(surface, a, b, ref), u, v, 1e-5)
-    A = np.column_stack([X1, X2])
-    return tuple(np.linalg.solve(A, lie))
-
-
-def isothermic_residual(surface: SurfacePatch, u: float, v: float) -> float:
-    """Compatibility residual X1(p) + X2(q) of the first-order system for
-    the conformal factor making the curvature-line parametrization
-    conformal; zero iff such a factor exists locally."""
-    try:
-        d = _unit_dirs(surface, u, v)
-    except np.linalg.LinAlgError as exc:
-        raise UmbilicPoint(str(exc))
-    # the frame at (u, v) is the one its neighbours are aligned to
-    X1, X2 = ref = d[:2], d[2:]
-    dpu, dpv = _grad(lambda a, b: _bracket_pq(surface, a, b, ref), u, v,
-                     1e-3)
-    return float((X1[0]*dpu[0] + X1[1]*dpv[0])
-                 + (X2[0]*dpu[1] + X2[1]*dpv[1]))
-
-
-def isothermic_check(entry: CatalogEntry, patch) -> bool:
-    """True iff the compatibility residual stays below 1e-4 at every
-    sample point of ``patch`` (an iterable of (u, v) pairs).
-
-    This is a faithful numerical verdict: any surface admitting conformal
-    curvature-line coordinates passes, which includes every member of the
-    minimal helicoid-catenoid family, tori, and other surfaces of
-    revolution.
-    """
-    for (u, v) in patch:
-        if abs(isothermic_residual(entry.surface, u, v)) >= 1e-4:
-            return False
-    return True

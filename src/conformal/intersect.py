@@ -24,14 +24,13 @@ from typing import List, Optional
 
 import numpy as np
 
-from .errors import ResolutionTooLow, UmbilicPoint, WindowTooLarge
+from .errors import ResolutionTooLow, WindowTooLarge
 from .osculation import cyclide_monomials, normal_form_monomials
 
 __all__ = [
     "PlanarCurveSet", "difference_coeffs", "difference_eval",
     "check_window", "trace_cyclide_intersection", "component_count_oracle",
-    "origin_branch_directions", "sphere_section_angle",
-    "measure_section_angle",
+    "origin_branch_directions", "measure_section_angle",
 ]
 
 
@@ -416,15 +415,6 @@ def origin_branch_directions(coeffs, psi_c: float):
 # --------------------------------------------------------------------------
 # tangent-sphere sections
 # --------------------------------------------------------------------------
-def sphere_section_angle(k1: float, k2: float, alpha: float) -> float:
-    """Predicted crossing angle 2*alpha of the two branches cut on the
-    surface by the tangent sphere of normal curvature
-    k = cos^2(alpha) k1 + sin^2(alpha) k2."""
-    if abs(k1 - k2) < 1e-12 * max(abs(k1), abs(k2), 1.0):
-        raise UmbilicPoint("section-angle law undefined at an umbilic")
-    return 2.0 * alpha
-
-
 def measure_section_angle(alpha: float) -> float:
     """Numerically measured branch-crossing angle at the origin.
 

@@ -19,11 +19,8 @@ and the order it had on arrays, so every value is the same to the bit.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional
-
-import numpy as np
 
 from .errors import BoundaryTooClose, DegenerateDenominator, OutOfDomain
 from .surfaces import (PrincipalData, SurfacePatch, _div, _divisor,
@@ -31,9 +28,8 @@ from .surfaces import (PrincipalData, SurfacePatch, _div, _divisor,
                        principal_directions, shape_data)
 
 __all__ = [
-    "InvariantSample", "psi_invariant", "fourth_order_coeffs",
-    "classify_point", "psi_from_thetas", "willmore_energy",
-    "bracket_residual", "invariant_sample", "theta_state",
+    "InvariantSample", "psi_invariant", "classify_point", "psi_from_thetas",
+    "invariant_sample", "theta_state",
 ]
 
 _H_FLD = 1e-5          # first outer-difference step for invariant fields
@@ -185,19 +181,13 @@ def psi_invariant(surface: SurfacePatch, u: float, v: float) -> float:
 # fourth-order coefficients and classification
 # --------------------------------------------------------------------------
 def _quartic(derivs):
-    """(a, b, c, d) in the invariant gauge from ``derivs``, the
-    :func:`xi_theta_derivs` tuple; ``osculation.profile_coeffs`` passes
+    """Canonical quartic coefficients (a, b, c, d) in the invariant gauge
+    (directional derivatives along xi_i = X_i/mu) from ``derivs``, the
+    :func:`xi_theta_derivs` tuple; ``osculation._profile_coeffs`` passes
     unit-speed derivatives with the D_2 row negated for the unit gauge."""
     xt, t1, t2, *_ = derivs
     return (3 + t1*t1 + xt[(1, 1)], -t1*t2 + xt[(2, 1)],
             t1*t2 + xt[(1, 2)], -3 - t2*t2 + xt[(2, 2)])
-
-
-def fourth_order_coeffs(surface: SurfacePatch, u: float, v: float):
-    """Canonical quartic coefficients (a, b, c, d) in the invariant gauge
-    (directional derivatives taken along xi_i = X_i/mu)."""
-    _require_margin(surface, u, v, 2*_H_FLD)
-    return _quartic(xi_theta_derivs(surface, u, v))
 
 
 def classify_point(theta1: float, theta2: float) -> str:
@@ -292,53 +282,3 @@ def _psi_numerator(t1, t2, x1t1, x1t2, x2t1, x2t2, x1x1t1, x1x1t2,
             - 3.5*(t2*x2x2t1 + t1*x1x1t2)
             - t1*x2x2t2 - t2*x1x1t1
             + x2x2x2t1 - x1x1x1t2)
-
-
-# --------------------------------------------------------------------------
-# Willmore energy and bracket residual
-# --------------------------------------------------------------------------
-def willmore_energy(surface: SurfacePatch, n: int) -> float:
-    """Grid quadrature of mu^2 dA over the patch's domain, midpoint rule on
-    n x n cells."""
-    (u0, u1), (v0, v1) = surface.domain
-    hu, hv = (u1 - u0)/n, (v1 - v0)/n
-    us = u0 + hu*(np.arange(n) + 0.5)
-    vs = v0 + hv*(np.arange(n) + 0.5)
-    total = 0.0
-    for a in us:
-        for b in vs:
-            _, _, _, g, *_, mu = _jet_forms(surface.jet_raw(a, b))
-            total += mu*mu * _sqrt(g)
-    return total * hu * hv
-
-
-def bracket_residual(surface: SurfacePatch, u: float, v: float) -> float:
-    """Max-norm residual of the commutator identity
-    [xi1, xi2] + (theta2 xi1 + theta1 xi2)/2 = 0 in parameter coordinates,
-    with the xi fields sign-aligned to the center frame."""
-    t1, t2, X1, X2, S = theta_state(surface, u, v)
-    ref = (X1, X2)
-
-    def xi_fields(a, b):
-        r1, r2, Y1, Y2, T = theta_state(surface, a, b, ref)
-        mu = T["mu"]
-        return (_div(Y1[0], mu), _div(Y1[1], mu), _div(Y2[0], mu),
-                _div(Y2[1], mu))
-
-    lie, xi1, xi2 = _lie_bracket(xi_fields, u, v, _H_FLD)
-    r = [abs(lie[k] + 0.5*(t2*xi1[k] + t1*xi2[k])) for k in (0, 1)]
-    # the larger, or NaN where either is, as numpy's max gives
-    return max(r) if r[0] == r[0] and r[1] == r[1] else math.nan
-
-
-def _lie_bracket(fields, u: float, v: float, h: float):
-    """Central-difference Lie bracket [F1, F2] at (u, v) of two
-    parameter-space direction fields, ``fields(a, b) -> F1 + F2`` (the
-    (u, v) components of each, a flat 4-tuple).  Returns
-    ``(bracket, F1, F2)``, each a (u, v) pair, with the fields at (u, v)."""
-    du, dv = _grad(fields, u, v, h)
-    f = fields(u, v)
-    F1, F2 = f[:2], f[2:]
-    lie = tuple([(F1[0]*du[2 + k] + F1[1]*dv[2 + k])
-                 - (F2[0]*du[k] + F2[1]*dv[k]) for k in (0, 1)])
-    return lie, F1, F2

@@ -9,8 +9,9 @@ single free cyclide invariant psi_c.
 
 The profile coefficient set used for the published-table computation takes
 unit-speed directional derivatives of the theta fields (distinct from the
-invariant-gauge set in :mod:`conformal.invariants`, which divides by mu);
-both gauges are exposed and unit-tested.  The profiles are matched along
+invariant-gauge set in :mod:`conformal.invariants`, which divides by mu):
+:class:`CyclideContact` carries the first and ``invariant_sample`` the
+second, and the two differ by factors of mu.  The profiles are matched along
 t_eff = -cbrt(theta1/theta2) (``_PROFILE_SIGN`` = -1): only there does the
 surface's cubic profile term (theta1 + theta2 t_eff^3)/6 vanish, as the
 cyclide's does, and it reproduces the published values.
@@ -27,8 +28,7 @@ from .invariants import _quartic, _unit_theta_derivs, psi_invariant
 from .surfaces import SurfacePatch, _div
 
 __all__ = [
-    "CyclideContact", "CanonicalProfile", "profile_coeffs",
-    "limit_direction_ratio", "osculating_cyclide",
+    "CyclideContact", "CanonicalProfile", "osculating_cyclide",
     "canonical_profile", "cyclide_profile", "verify_contact_order",
     "contact_order_details", "normal_form_jet", "normal_form_monomials",
     "cyclide_monomials", "osculating_psi_c",
@@ -66,9 +66,10 @@ class CanonicalProfile:
 # --------------------------------------------------------------------------
 # profile coefficients (unit-speed gauge)
 # --------------------------------------------------------------------------
-def profile_coeffs(surface: SurfacePatch, u: float, v: float):
-    """(a, b, c, d) with unit-speed directional derivatives D_i = X_i . grad
-    of the theta fields (no division by mu):
+def _profile_coeffs(derivs):
+    """((a, b, c, d), theta1, theta2) from a ``_unit_theta_derivs`` result,
+    with unit-speed directional derivatives D_i = X_i . grad of the theta
+    fields (no division by mu):
 
         a = 3 + theta1^2 + D1 theta1      b = -theta1 theta2 - D2 theta1
         c = theta1 theta2 + D1 theta2     d = -3 - theta2^2 - D2 theta2
@@ -78,27 +79,17 @@ def profile_coeffs(surface: SurfacePatch, u: float, v: float):
     ``invariants._quartic`` with D_2 negated (x - y and x + (-y) round
     alike).
     """
-    return _profile_coeffs(_unit_theta_derivs(surface, u, v))
-
-
-def _profile_coeffs(derivs):
-    """:func:`profile_coeffs` from a ``_unit_theta_derivs`` result."""
     D, t1, t2, *_ = derivs
     D = {k: -d if k[0] == 2 else d for k, d in D.items()}
     return _quartic((D, t1, t2)), t1, t2
 
 
-def limit_direction_ratio(surface: SurfacePatch, u: float, v: float
-                          ) -> float:
-    """Limit of theta1/theta2 at a point where both thetas vanish on a curve
-    crossed transversally: ratio of the directional derivatives of the two
-    fields along the unit gradient of theta2 (frame-consistent, so the
-    relative sign of the two fields is preserved)."""
-    return _limit_ratio(_unit_theta_derivs(surface, u, v))
-
-
 def _limit_ratio(derivs):
-    """:func:`limit_direction_ratio` from a ``_unit_theta_derivs`` result."""
+    """Limit of theta1/theta2 at a point where both thetas vanish on a curve
+    crossed transversally, from a ``_unit_theta_derivs`` result: ratio of
+    the directional derivatives of the two fields along the unit gradient
+    of theta2 (frame-consistent, so the relative sign of the two fields is
+    preserved)."""
     du, dv = derivs[-1]
     # numpy's hypot: math.hypot rounds differently in the last bit
     norm = float(np.hypot(du[1], dv[1]))
@@ -128,7 +119,7 @@ def osculating_cyclide(surface: SurfacePatch, u: float, v: float
     Its invariant is :func:`osculating_psi_c` of the unit-gauge profile
     coefficients and psi.  Where both thetas are below ``_TOL_THETA``,
     theta1/theta2 is replaced by its transversal limit,
-    :func:`limit_direction_ratio`, and the result is flagged
+    :func:`_limit_ratio`, and the result is flagged
     limit-derived (from the same theta gradients as the coefficients);
     where only one is, :class:`CanalPoint` is raised.
     """

@@ -61,7 +61,7 @@ from .invariants import _psi_numerator
 __all__ = [
     "FieldGrid", "ResidualReport", "solve_f1", "thetas_from_f",
     "psi_from_grid", "structural_residuals", "integrability_residuals",
-    "prescribe", "helcat_coframe", "helcat_grid", "recovered_kappa",
+    "prescribe", "helcat_coframe", "helcat_grid",
     "second_order_condition", "fourth_order_condition",
 ]
 
@@ -560,15 +560,6 @@ def integrability_residuals(grid: FieldGrid) -> ResidualReport:
 # --------------------------------------------------------------------------
 # pipeline
 # --------------------------------------------------------------------------
-def recovered_kappa(grid: FieldGrid) -> np.ndarray:
-    """Direction ratio recovered from the theta fields (theta1/theta2),
-    NaN-masked where |theta2| < 1e-12."""
-    grid.require("theta1", "theta2")
-    t2 = np.asarray(grid.theta2, dtype=float)
-    safe = np.where(np.abs(t2) < 1e-12, np.nan, t2)
-    return grid.theta1 / safe
-
-
 def _blocks(grid: FieldGrid):
     """(block, keep, lo, hi) for each block of ``_BLOCK`` rows [lo, hi):
     the block is a view of those rows and ``_HALO`` more on either side

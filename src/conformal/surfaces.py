@@ -3,16 +3,13 @@ data, and ambient Mobius transformations.
 
 Only the position map and its partial derivatives up to order 2 are evaluated
 exactly, by one jet callable per patch.  The catalog families, tubes
-included, hand it a closed-form jet; a patch built from a user's sympy
-expression (:meth:`SurfacePatch.from_sympy`) compiles its jet once, on first
-evaluation, so a patch whose jets are never read costs no symbolic work, and
-sympy is imported only by that constructor.  A Mobius map acts on a patch by
-pushing the order-2 jet through the chain rule, so a moved patch needs no
-symbolic work either; :func:`mobius_transform` refuses an inversion
-centered on the patch by Gauss-Newton steps on the same pushed jet, with
-numpy only.  Everything built on top of the jets (curvature gradients,
-invariant fields) lives in other modules and is obtained by differencing
-the pointwise quantities, never by deeper jets.
+included, hand it a closed-form jet, so no surface needs symbolic work and
+the package imports no sympy.  A Mobius map acts on a patch by pushing the
+order-2 jet through the chain rule; :func:`mobius_transform` refuses an
+inversion centered on the patch by Gauss-Newton steps on the same pushed
+jet, with numpy only.  Everything built on top of the jets (curvature
+gradients, invariant fields) lives in other modules and is obtained by
+differencing the pointwise quantities, never by deeper jets.
 
 A jet is flat, the one jet format: its 18 entries, x, y, z of r, r_u,
 r_v, r_uu, r_uv, r_vv (``_JET_IDX`` order), are Python floats (complex at
@@ -28,8 +25,7 @@ direction the layers above build from it, so the point path from a jet to
 a traced line holds no numpy object either.  A degenerate metric or a
 roundoff-negative H^2 - K gives NaN, as numpy's arrays did, so
 :func:`principal_data` raises :class:`DegenerateMetric` or
-:class:`UmbilicPoint` there.  :func:`eval_jet` is :meth:`SurfacePatch.jet_raw`
-with a domain check.
+:class:`UmbilicPoint` there.
 """
 from __future__ import annotations
 
@@ -39,12 +35,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (DegenerateMetric, InversionCenterOnSurface, OutOfDomain,
-                     UmbilicPoint)
+from .errors import DegenerateMetric, InversionCenterOnSurface, UmbilicPoint
 
 __all__ = [
-    "SurfacePatch", "PrincipalData", "MobiusMap",
-    "eval_jet", "principal_data", "mobius_transform",
+    "SurfacePatch", "PrincipalData", "MobiusMap", "principal_data",
+    "mobius_transform",
 ]
 
 _TOL_UMB = 1e-8
@@ -71,38 +66,12 @@ class SurfacePatch:
 
     ``jet_fn(u, v)`` returns the 18 entries of the flat jet (Python floats,
     complex at a complex step; at arrays of points, arrays or constants):
-    a closed form (see :func:`_lib`), one compiled from sympy, or one
-    pushed through a Mobius map.
+    a closed form (see :func:`_lib`) or one pushed through a Mobius map.
     """
 
     def __init__(self, domain, jet_fn):
         self.domain = tuple((float(a), float(b)) for a, b in domain)
         self._jet_fn = jet_fn
-
-    # -- constructors ------------------------------------------------------
-    @classmethod
-    def from_sympy(cls, expr, symbols, domain):
-        """Patch whose jets are the order-2 partials of a sympy position
-        matrix, compiled once, on first evaluation: a caller that never
-        evaluates a jet pays no ``sp.diff`` or ``lambdify``.  The second
-        partials differentiate the first (r_uv = d_v r_u)."""
-        import sympy as sp
-        us, vs = symbols
-        r = list(sp.Matrix(expr))
-        fn = None
-
-        def jet(u, v):
-            nonlocal fn
-            if fn is None:
-                ru, rv = [e.diff(us) for e in r], [e.diff(vs) for e in r]
-                flat = r + ru + rv + [e.diff(s) for d, s in (
-                    (ru, us), (ru, vs), (rv, vs)) for e in d]
-                fn = sp.lambdify((us, vs), flat, "numpy")
-            out, lib = fn(u, v), _lib(u + v)
-            return out if lib is np else [
-                (complex if lib is cmath else float)(e) for e in out]
-
-        return cls(domain, jet_fn=jet)
 
     # -- basic queries -----------------------------------------------------
     def contains(self, u, v, margin=0.0):
@@ -119,17 +88,10 @@ class SurfacePatch:
 
     # -- jets --------------------------------------------------------------
     def jet_raw(self, u, v):
-        """The flat order-2 jet without domain checks, at real or complex
-        (u, v); a numpy scalar coordinate goes in as a Python scalar."""
+        """The flat order-2 jet at real or complex (u, v), with no domain
+        check; a numpy scalar coordinate goes in as a Python scalar."""
         return self._jet_fn(u.item() if isinstance(u, np.generic) else u,
                             v.item() if isinstance(v, np.generic) else v)
-
-
-def eval_jet(surface: SurfacePatch, u: float, v: float):
-    """The flat order-2 jet of ``surface`` at an interior point."""
-    if not surface.contains(u, v):
-        raise OutOfDomain(f"({u}, {v}) outside {surface.domain}")
-    return surface.jet_raw(u, v)
 
 
 # --------------------------------------------------------------------------
@@ -264,7 +226,7 @@ def _require_frame(S: dict) -> None:
         raise UmbilicPoint(f"k1 = {S['k1']!r}, k2 = {S['k2']!r}")
 
 
-def principal_data(jet, ref=None) -> PrincipalData:
+def principal_data(jet) -> PrincipalData:
     """Curvatures and principal directions at a point from its flat jet,
     with the directions' signs set as :func:`principal_directions` sets
     them.
@@ -274,7 +236,7 @@ def principal_data(jet, ref=None) -> PrincipalData:
     """
     S = shape_data(jet)
     _require_frame(S)
-    X1, X2 = principal_directions(S, ref)
+    X1, X2 = principal_directions(S)
     return PrincipalData(k1=S["k1"], k2=S["k2"], H=S["H"], K=S["K"],
                          mu=S["mu"], X1=X1, X2=X2)
 
@@ -294,10 +256,6 @@ class MobiusMap:
     primitives: tuple
 
     # -- constructors ------------------------------------------------------
-    @staticmethod
-    def identity() -> "MobiusMap":
-        return MobiusMap(())
-
     @staticmethod
     def rotation(O) -> "MobiusMap":
         O = np.asarray(O, dtype=float)
@@ -394,21 +352,6 @@ class MobiusMap:
             elif prim[0] == "inversion":
                 sgn *= -1.0
         return sgn > 0
-
-    def inverse(self) -> "MobiusMap":
-        out = []
-        for prim in reversed(self.primitives):
-            kind = prim[0]
-            if kind == "rotation":
-                out.append(("rotation", prim[1].T))
-            elif kind == "translation":
-                out.append(("translation", -prim[1]))
-            elif kind == "dilation":
-                out.append(("dilation", 1.0 / prim[1]))
-            else:
-                out.append(("inversion",))
-        return MobiusMap(tuple(out))
-
 
 def _check_inversion_centers(surface: SurfacePatch, mmap: MobiusMap) -> None:
     """Raise InversionCenterOnSurface where y = P(r(u, v)), P the primitives

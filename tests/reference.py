@@ -1,0 +1,113 @@
+"""Reference code only the tests run: a sympy jet compiler, the Willmore
+energy, the commutator identity and the isothermic criterion.  Not
+collected; tests import it as they import ``conftest``."""
+import cmath
+import math
+
+import numpy as np
+import sympy as sp
+
+from conformal.invariants import _H_FLD, _grad, theta_state
+from conformal.surfaces import (SurfacePatch, _div, _jet_forms, _lib,
+                                _require_frame, _sqrt, principal_directions,
+                                shape_data)
+
+
+def sympy_patch(expr, symbols, domain):
+    """Patch whose jets are the order-2 partials of a sympy position
+    matrix, compiled once, on first evaluation.  The second partials
+    differentiate the first (r_uv = d_v r_u)."""
+    us, vs = symbols
+    r = list(sp.Matrix(expr))
+    fn = None
+
+    def jet(u, v):
+        nonlocal fn
+        if fn is None:
+            ru, rv = [e.diff(us) for e in r], [e.diff(vs) for e in r]
+            flat = r + ru + rv + [e.diff(s) for d, s in (
+                (ru, us), (ru, vs), (rv, vs)) for e in d]
+            fn = sp.lambdify((us, vs), flat, "numpy")
+        out, lib = fn(u, v), _lib(u + v)
+        return out if lib is np else [
+            (complex if lib is cmath else float)(e) for e in out]
+
+    return SurfacePatch(domain, jet_fn=jet)
+
+
+def willmore_energy(surface: SurfacePatch, n: int) -> float:
+    """Grid quadrature of mu^2 dA over the patch's domain, midpoint rule on
+    n x n cells."""
+    (u0, u1), (v0, v1) = surface.domain
+    hu, hv = (u1 - u0)/n, (v1 - v0)/n
+    us = u0 + hu*(np.arange(n) + 0.5)
+    vs = v0 + hv*(np.arange(n) + 0.5)
+    total = 0.0
+    for a in us:
+        for b in vs:
+            _, _, _, g, *_, mu = _jet_forms(surface.jet_raw(a, b))
+            total += mu*mu * _sqrt(g)
+    return total * hu * hv
+
+
+def _lie_bracket(fields, u: float, v: float, h: float):
+    """Central-difference Lie bracket [F1, F2] at (u, v) of two
+    parameter-space direction fields, ``fields(a, b) -> F1 + F2`` (the
+    (u, v) components of each, a flat 4-tuple).  Returns
+    ``(bracket, F1, F2)``, each a (u, v) pair, with the fields at (u, v)."""
+    du, dv = _grad(fields, u, v, h)
+    f = fields(u, v)
+    F1, F2 = f[:2], f[2:]
+    lie = tuple([(F1[0]*du[2 + k] + F1[1]*dv[2 + k])
+                 - (F2[0]*du[k] + F2[1]*dv[k]) for k in (0, 1)])
+    return lie, F1, F2
+
+
+def bracket_residual(surface: SurfacePatch, u: float, v: float) -> float:
+    """Max-norm residual of the commutator identity
+    [xi1, xi2] + (theta2 xi1 + theta1 xi2)/2 = 0 in parameter coordinates,
+    with the xi fields sign-aligned to the center frame."""
+    t1, t2, X1, X2, S = theta_state(surface, u, v)
+    ref = (X1, X2)
+
+    def xi_fields(a, b):
+        _, _, Y1, Y2, T = theta_state(surface, a, b, ref)
+        mu = T["mu"]
+        return (_div(Y1[0], mu), _div(Y1[1], mu), _div(Y2[0], mu),
+                _div(Y2[1], mu))
+
+    lie, xi1, xi2 = _lie_bracket(xi_fields, u, v, _H_FLD)
+    r = [abs(lie[k] + 0.5*(t2*xi1[k] + t1*xi2[k])) for k in (0, 1)]
+    # the larger, or NaN where either is, as numpy's max gives
+    return max(r) if r[0] == r[0] and r[1] == r[1] else math.nan
+
+
+def _unit_dirs(surface: SurfacePatch, u: float, v: float, ref=None):
+    """X1 + X2, the (u, v) components of both principal directions."""
+    S = shape_data(surface.jet_raw(u, v))
+    _require_frame(S)
+    X1, X2 = principal_directions(S, ref)
+    return X1 + X2
+
+
+def _bracket_pq(surface: SurfacePatch, u: float, v: float, ref):
+    """Decompose the commutator of the metric-unit curvature-direction
+    fields as [X1, X2] = p X1 + q X2."""
+    lie, X1, X2 = _lie_bracket(
+        lambda a, b: _unit_dirs(surface, a, b, ref), u, v, 1e-5)
+    A = np.column_stack([X1, X2])
+    return tuple(np.linalg.solve(A, lie))
+
+
+def isothermic_residual(surface: SurfacePatch, u: float, v: float) -> float:
+    """Compatibility residual X1(p) + X2(q) of the first-order system for
+    the conformal factor making the curvature-line parametrization
+    conformal; zero iff such a factor exists locally.  Every member of the
+    helicoid-catenoid family and every torus is isothermic."""
+    d = _unit_dirs(surface, u, v)
+    # the frame at (u, v) is the one its neighbours are aligned to
+    X1, X2 = ref = d[:2], d[2:]
+    dpu, dpv = _grad(lambda a, b: _bracket_pq(surface, a, b, ref), u, v,
+                     1e-3)
+    return float((X1[0]*dpu[0] + X1[1]*dpv[0])
+                 + (X2[0]*dpu[1] + X2[1]*dpv[1]))

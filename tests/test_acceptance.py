@@ -19,8 +19,8 @@ from conformal.errors import DegenerateDenominator, InversionCenterOnSurface
 from conformal.intersect import (component_count_oracle, difference_eval,
                                  measure_section_angle,
                                  trace_cyclide_intersection)
-from conformal.invariants import (bracket_residual, fourth_order_coeffs,
-                                  psi_from_thetas, psi_invariant, theta_state)
+from conformal.invariants import (invariant_sample, psi_from_thetas,
+                                  psi_invariant, theta_state)
 from conformal.linefields import (darboux_critical_points, fit_circle,
                                   integrate_darboux_line,
                                   integrate_dupin_line)
@@ -31,6 +31,7 @@ from conformal.prescribe import (FieldGrid, helcat_grid,
                                  integrability_residuals, prescribe,
                                  structural_residuals)
 from conformal.surfaces import MobiusMap, mobius_transform
+from reference import bracket_residual
 
 _TABLE_CELLS = [(name, al, s_val, ref)
                 for name, al, refs in _TABLE_ROWS
@@ -125,8 +126,9 @@ def test_torus_invariants_and_degeneracy(torus):
     for (u, v) in pts:
         t1, t2, *_ = theta_state(torus.surface, u, v)
         assert abs(t1) < 1e-6 and abs(t2) < 1e-6
-        a, b, c, d = fourth_order_coeffs(torus.surface, u, v)
-        assert np.allclose([a, b, c, d], [3.0, 0.0, 0.0, -3.0], atol=1e-4)
+        s = invariant_sample(torus.surface, u, v)
+        assert np.allclose([s.a, s.b, s.c, s.d], [3.0, 0.0, 0.0, -3.0],
+                           atol=1e-4)
     with pytest.raises(DegenerateDenominator):
         psi_from_thetas(torus.surface, 0.5, 0.8)
 
@@ -161,9 +163,10 @@ def test_contact_orders_generic_points(helcat_quarter):
 # --------------------------------------------------------------------------
 def test_bracket_identity_catalog(helcat_quarter, helicoid, catenoid, torus,
                                   helical_tube):
-    cases = [(helcat_quarter, (0.6, 0.4)), (helicoid, (0.8, 1.0)),
-             (catenoid, (0.7, 0.4)), (torus, (0.5, 0.8)),
-             (helical_tube, (0.5, 1.2))]
+    cases = [(helcat_quarter, (0.6, 0.4)), (helcat_quarter, (-1.1, 2.0)),
+             (helicoid, (0.8, 1.0)), (catenoid, (0.7, 0.4)),
+             (torus, (0.5, 0.8)), (torus, (-1.0, 2.0)),
+             (helical_tube, (0.5, 1.2)), (helical_tube, (1.5, 2.5))]
     for entry, (u, v) in cases:
         assert abs(bracket_residual(entry.surface, u, v)) < 1e-3
 
@@ -211,7 +214,7 @@ _PRIMITIVE = st.one_of(
 
 
 def _compose(spec):
-    m = MobiusMap.identity()
+    m = MobiusMap(())
     for kind, arg in spec:
         if kind == "rotation":
             # orthonormal factor of a perturbed identity; either determinant

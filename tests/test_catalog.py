@@ -4,14 +4,13 @@ import sympy as sp
 from hypothesis import example, given, settings, strategies as st
 
 from conftest import jet_vectors
-from conformal.catalog import (isothermic_check, isothermic_residual,
-                               make_canonical, make_graph, make_helcat,
+from conformal.catalog import (make_canonical, make_graph, make_helcat,
                                make_sphere, make_torus, make_tube)
-from conformal.surfaces import SurfacePatch
 from conformal.errors import CanalPoint, SelfIntersectingTube
 from conformal.invariants import (invariant_sample, psi_invariant,
                                   theta_state, xi_theta_derivs)
 from conformal.osculation import osculating_cyclide
+from reference import isothermic_residual, sympy_patch
 
 _U, _V = sp.symbols("u v", real=True)
 _PTS = [(-2.0, 0.0), (-1.0, 1.3), (-0.3, 3.0), (0.5, 0.0), (1.5, 1.3),
@@ -113,15 +112,18 @@ def test_canonical_rejects_nonfinite():
         make_canonical(1.0, np.nan, 0.0, 0.0, 0.0, 0.0, 0.0)
 
 
+def _isothermic(entry, pts):
+    return all(abs(isothermic_residual(entry.surface, u, v)) < 1e-4
+               for u, v in pts)
+
+
 def test_isothermic_verdicts(catenoid, helcat_quarter, torus):
     pts = [(0.7, 0.4), (1.2, 1.0), (-0.9, 2.0)]
-    assert isothermic_check(catenoid, pts)
+    assert _isothermic(catenoid, pts)
     # every member of the family is isothermic (curvature-line coordinates
     # admit a conformal rescaling), not just the rotational one
-    assert isothermic_check(helcat_quarter, pts)
-    assert isothermic_check(torus, [(0.5, 0.8), (1.0, 2.0)])
-    r = isothermic_residual(catenoid.surface, 0.7, 0.4)
-    assert abs(r) < 1e-4
+    assert _isothermic(helcat_quarter, pts)
+    assert _isothermic(torus, [(0.5, 0.8), (1.0, 2.0)])
 
 
 def test_isothermic_check_fails_off_the_isothermic_class():
@@ -130,7 +132,6 @@ def test_isothermic_check_fails_off_the_isothermic_class():
     e = make_canonical(1.0, 2.0, 0.0, 3.5, 0.25, -0.5, -3.25)
     pts = [(0.05, -0.1), (0.1, 0.1), (0.2, 0.15)]
     assert all(abs(isothermic_residual(e.surface, *p)) > 0.05 for p in pts)
-    assert not isothermic_check(e, pts)
 
 
 def _center_curve(curve):
@@ -205,11 +206,10 @@ def _close(got, want):
 
 
 def _check_jet(entry, expr, points):
-    """The entry's jet against a from_sympy compile of ``expr``: at real
+    """The entry's jet against a sympy_patch compile of ``expr``: at real
     points, at complex steps in u and in v (imaginary parts over h), and as
     one array call against a loop of scalar calls."""
-    oracle = SurfacePatch.from_sympy(sp.Matrix(expr), (_U, _V),
-                                     entry.surface.domain)
+    oracle = sympy_patch(sp.Matrix(expr), (_U, _V), entry.surface.domain)
 
     def jet(u, v):
         return jet_vectors(entry.surface.jet_raw(u, v))

@@ -367,9 +367,9 @@ def _fresh_python(code, *args):
 
 @pytest.mark.parametrize("module", ["sympy", "scipy", "conformal.prescribe"])
 def test_cli_import_leaves_out(module):
-    # sympy is imported by SurfacePatch.from_sympy only; scipy only by the
-    # intersection oracle and the branch-direction and section-angle root
-    # finder, which no command calls; the prescribe pipeline by its own
+    # no module of the package imports sympy; scipy only the intersection
+    # oracle and the branch-direction and section-angle root finder do,
+    # which no command calls; the prescribe pipeline loads with its own
     # command when it runs
     code = ("import sys, conformal.cli; "
             f"print(sorted(m for m in sys.modules if m == {module!r} "

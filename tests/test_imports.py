@@ -159,3 +159,77 @@ def test_no_unset_defaults():
                for p in sorted((root / d).rglob("*.py"))]
     sources = [p.read_text() for p in sorted(SRC.glob("*.py"))]
     assert unset_defaults(sources, callers) == []
+
+
+def unreached_functions(sources, callers) -> list:
+    """The name of each function or class in ``sources`` that nothing in
+    ``callers`` references by a ``Name``, an ``Attribute`` or a string
+    constant (a tracer names its targets by string).  Docstrings and
+    ``__all__`` do not count.  A decorator call other than ``dataclass``
+    (a click command's) registers what it decorates, so it counts as the
+    reference; ``staticmethod``, ``classmethod`` and ``property`` do not.
+    Dunder methods are left out: Python calls them."""
+    refs = set()
+    for text in callers:
+        tree = ast.parse(text)
+        # a statement that is only a string is a docstring
+        skip = {id(n.value) for n in ast.walk(tree) if isinstance(n, ast.Expr)}
+        for a in ast.walk(tree):
+            if isinstance(a, ast.Assign) and any(
+                    getattr(t, "id", None) == "__all__" for t in a.targets):
+                skip.update(id(n) for n in ast.walk(a.value))
+        for n in ast.walk(tree):
+            if isinstance(n, ast.Name):
+                refs.add(n.id)
+            elif isinstance(n, ast.Attribute):
+                refs.add(n.attr)
+            elif isinstance(n, ast.Constant) and id(n) not in skip:
+                refs.add(n.value)
+    return sorted({
+        fn.name for text in sources for fn in ast.walk(ast.parse(text))
+        if isinstance(fn, (ast.FunctionDef, ast.ClassDef))
+        and fn.name not in refs and not fn.name.startswith("__")
+        and not any(isinstance(d, ast.Call) and _called_name(d.func)
+                    != "dataclass" for d in fn.decorator_list)})
+
+
+def test_unreached_functions_are_found():
+    src = ("import click\nfrom dataclasses import dataclass\n"
+           "def used():\n    pass\ndef traced():\n    pass\n"
+           "def in_docs():\n    'in_docs'\ndef exported():\n    pass\n"
+           "@click.command('run')\ndef run():\n    used()\n"
+           "class A:\n    def __init__(self):\n        pass\n"
+           "    @staticmethod\n    def s():\n        pass\n"
+           "    @property\n    def p(self):\n        return 1\n"
+           "@dataclass(frozen=True)\nclass B:\n    x: int\n"
+           "__all__ = ['exported']\nTARGETS = [('mod', 'traced')]\nA()\n")
+    assert unreached_functions([src], [src]) == [
+        "B", "exported", "in_docs", "p", "s"]
+
+
+def test_every_function_is_reached():
+    # every function and class of the package is reached from a command,
+    # the benchmark or a CI script, except:
+    # - origin_branch_directions and measure_section_angle, the only callers
+    #   of intersect.brentq, which the benchmark's tracer patches; they go
+    #   with brentq once the tracer no longer targets it
+    # - structural_residuals and integrability_residuals, the documented
+    #   check of given (f1, f2, kappa) data and the whole-grid reference
+    #   that the block tests compare prescribe against
+    root = SRC.parents[1]
+    callers = [p.read_text() for d in ("src", "perfbench", ".github")
+               for p in sorted((root / d).rglob("*.py"))]
+    sources = [p.read_text() for p in sorted(SRC.glob("*.py"))]
+    assert unreached_functions(sources, callers) == [
+        "integrability_residuals", "measure_section_angle",
+        "origin_branch_directions", "structural_residuals"]
+
+
+def test_no_module_imports_sympy():
+    # numpy and click are the declared runtime; sympy is a test extra
+    for path in SRC.glob("*.py"):
+        for n in ast.walk(ast.parse(path.read_text())):
+            names = ([a.name for a in n.names] if isinstance(n, ast.Import)
+                     else [n.module or ""] if isinstance(n, ast.ImportFrom)
+                     else [])
+            assert "sympy" not in {m.split(".")[0] for m in names}, path.name

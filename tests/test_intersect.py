@@ -6,9 +6,7 @@ from scipy.optimize import brentq
 from conformal.errors import ResolutionTooLow, WindowTooLarge
 from conformal.intersect import (_march, _stitch, component_count_oracle,
                                  difference_coeffs, difference_eval,
-                                 measure_section_angle,
                                  origin_branch_directions,
-                                 sphere_section_angle,
                                  trace_cyclide_intersection)
 
 COEFFS = (1.0, 2.0, 0.0, 3.5, 0.25, -0.5, -3.25)
@@ -267,14 +265,3 @@ def test_origin_branch_direction():
     want = np.pi - np.arctan(np.cbrt(COEFFS[0]/COEFFS[1]))
     assert len(dirs) == 1
     assert abs(dirs[0] - want) < 1e-9
-
-
-def test_sphere_section_angles():
-    for al in (np.pi/6, np.pi/4, np.pi/3):
-        assert sphere_section_angle(1.0, -1.0, al) == pytest.approx(2*al)
-        meas = measure_section_angle(al)
-        assert abs(meas - 2*al) < 1e-2
-    # orthogonal crossing at the bisecting angle
-    assert abs(measure_section_angle(np.pi/4) - np.pi/2) < 1e-2
-    # tangential (cusp) case
-    assert measure_section_angle(0.0) < 5e-2

@@ -3,15 +3,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conformal import invariants
-from conformal.catalog import make_canonical
+from conformal.catalog import make_canonical, make_torus
 from conformal.errors import (BoundaryTooClose, DegenerateDenominator,
                               UmbilicPoint)
-from conformal.invariants import (bracket_residual, classify_point,
-                                  fourth_order_coeffs, invariant_sample,
-                                  psi_from_thetas, psi_invariant,
-                                  theta_state, willmore_energy,
+from conformal.invariants import (_quartic, classify_point,
+                                  invariant_sample, psi_from_thetas,
+                                  psi_invariant, theta_state,
                                   xi_theta_derivs)
 from conformal.surfaces import MobiusMap, SurfacePatch, mobius_transform
+from reference import willmore_energy
 
 
 def _helcat_psi(alpha, s):
@@ -60,7 +60,7 @@ def test_mobius_invariance_of_invariants(helcat_quarter):
     u, v = 0.8, 0.5
     t1, t2, *_ = theta_state(s, u, v)
     psi = psi_invariant(s, u, v)
-    a, b, c, d = fourth_order_coeffs(s, u, v)
+    s0 = invariant_sample(s, u, v)
     refl = np.diag([1.0, 1.0, -1.0])
     m = (MobiusMap.dilation(2.0)
          .then(MobiusMap.translation([2.5, -1.0, 4.0]))
@@ -72,8 +72,9 @@ def test_mobius_invariance_of_invariants(helcat_quarter):
     assert abs(abs(t1m) - abs(t1)) < 1e-7
     assert abs(abs(t2m) - abs(t2)) < 1e-7
     assert abs(psi_invariant(moved, u, v) - psi) < 1e-6
-    am, bm, cm, dm = fourth_order_coeffs(moved, u, v)
-    assert np.allclose([am, bm, cm, dm], [a, b, c, d], atol=1e-5)
+    sm = invariant_sample(moved, u, v)
+    assert np.allclose([sm.a, sm.b, sm.c, sm.d], [s0.a, s0.b, s0.c, s0.d],
+                       atol=1e-5)
 
 
 def test_psi_is_orientation_odd(helcat_quarter):
@@ -87,16 +88,6 @@ def test_psi_is_orientation_odd(helcat_quarter):
     assert not m.orientation_preserving
     moved = mobius_transform(s, m)
     assert abs(psi_invariant(moved, u, v) + psi) < 1e-6
-
-
-def test_bracket_identity(helcat_quarter, torus, helical_tube):
-    for entry, pts in [
-        (helcat_quarter, [(0.6, 0.4), (-1.1, 2.0)]),
-        (torus, [(0.5, 0.8), (-1.0, 2.0)]),
-        (helical_tube, [(0.5, 1.2), (1.5, 2.5)]),
-    ]:
-        for (u, v) in pts:
-            assert abs(bracket_residual(entry.surface, u, v)) < 1e-3
 
 
 def test_psi_from_thetas_degenerate_on_torus(torus):
@@ -160,9 +151,24 @@ def test_boundary_margin_enforced(helcat_quarter):
         psi_from_thetas(s, 2.999, 0.0)
 
 
-def test_willmore_energy_positive(torus):
+def test_willmore_energy_positive():
+    # on a torus of revolution the integral of K dA is 0, so the energy is
+    # that of H^2, pi^2 c^2/sqrt(c^2 - 1) with c = R/r
+    for R in (2.0, 3.0):
+        w = willmore_energy(make_torus(R, 1.0).surface, n=32)
+        want = np.pi**2*R*R/np.sqrt(R*R - 1.0)
+        assert abs(w - want) < 1e-12*want
+
+
+@pytest.mark.parametrize("m", [
+    MobiusMap.translation([0.0, 0.0, 5.0]).then(MobiusMap.inversion()),
+    MobiusMap.dilation(3.0)], ids=["inversion", "dilation"])
+def test_willmore_energy_is_mobius_invariant(torus, m):
+    # mu^2 dA is invariant point by point, so the quadrature on the same
+    # (u, v) grid is too
     w = willmore_energy(torus.surface, n=32)
-    assert w > 0.0
+    moved = willmore_energy(mobius_transform(torus.surface, m), n=32)
+    assert abs(moved - w) < 1e-12*w
 
 
 @settings(max_examples=12, derandomize=True, database=None, deadline=None)
@@ -173,4 +179,4 @@ def test_sample_matches_psi_and_coeffs_exactly(helcat_quarter, torus, which,
     surface = (helcat_quarter if which == "helcat" else torus).surface
     s = invariant_sample(surface, u, v)
     assert s.psi == psi_invariant(surface, u, v)
-    assert (s.a, s.b, s.c, s.d) == fourth_order_coeffs(surface, u, v)
+    assert (s.a, s.b, s.c, s.d) == _quartic(xi_theta_derivs(surface, u, v))

@@ -5,12 +5,13 @@ from hypothesis import given, settings, strategies as st
 from conformal.catalog import make_canonical, make_helcat
 from conformal.errors import CanalPoint
 from conformal.intersect import difference_coeffs
-from conformal.invariants import fourth_order_coeffs, theta_state
-from conformal.osculation import (_PROFILE_SIGN, canonical_profile,
+from conformal.invariants import (_unit_theta_derivs, invariant_sample,
+                                  theta_state)
+from conformal.osculation import (_PROFILE_SIGN, _limit_ratio,
+                                  _profile_coeffs, canonical_profile,
                                   contact_order_details, cyclide_monomials,
-                                  cyclide_profile, limit_direction_ratio,
-                                  osculating_cyclide, osculating_psi_c,
-                                  profile_coeffs, verify_contact_order)
+                                  cyclide_profile, osculating_cyclide,
+                                  osculating_psi_c, verify_contact_order)
 from conformal.surfaces import SurfacePatch
 
 _TABLE_SPOT = [
@@ -34,7 +35,7 @@ def test_limit_path_at_field_zero(helcat_quarter):
     assert c.limit_derived
     # both-zero crossing: the limit ratio equals the constant ratio of the
     # two fields off the zero set
-    ratio = limit_direction_ratio(helcat_quarter.surface, 0.0, 0.3)
+    ratio = _limit_ratio(_unit_theta_derivs(helcat_quarter.surface, 0.0, 0.3))
     kap = np.cos(np.pi/4)/(1.0 + np.sin(np.pi/4))
     assert abs(abs(ratio) - kap) < 1e-6
     assert abs(c.psi_c - 2.17) < 0.02
@@ -90,7 +91,8 @@ def test_cubic_profile_cancellation(helcat_quarter):
 def test_profile_coeffs_frame_insensitive(helcat_quarter):
     # the unit-gauge coefficient set is invariant under flipping either
     # principal direction, hence reproducible across frame conventions
-    (a, b, c, d), t1, t2 = profile_coeffs(helcat_quarter.surface, 0.9, 0.4)
+    (a, b, c, d), t1, t2 = _profile_coeffs(
+        _unit_theta_derivs(helcat_quarter.surface, 0.9, 0.4))
     assert np.isfinite([a, b, c, d, t1, t2]).all()
     # theta ratio equals the constant of the family
     kap = np.cos(np.pi/4)/(1.0 + np.sin(np.pi/4))
@@ -113,8 +115,10 @@ def test_profile_and_invariant_gauges_differ_by_mu(which, param, vals, fu,
         surface, u, v = make_helcat(param).surface, 2.5*fu, 6.0*fv
     else:
         surface, u, v = make_canonical(*vals).surface, 0.1*fu, 0.1*fv
-    (ap, bp, cp, dp), t1, t2 = profile_coeffs(surface, u, v)
-    ai, bi, ci, di = fourth_order_coeffs(surface, u, v)
+    (ap, bp, cp, dp), t1, t2 = _profile_coeffs(
+        _unit_theta_derivs(surface, u, v))
+    smp = invariant_sample(surface, u, v)
+    ai, bi, ci, di = smp.a, smp.b, smp.c, smp.d
     s1, s2, *_, S = theta_state(surface, u, v)
     assert (s1, s2) == (t1, t2)
     mu = S["mu"]

@@ -17,7 +17,7 @@ from conformal.prescribe import (FieldGrid, _RowNorms, _compatibility,
                                  _grid_oracle, _norms,
                                  fourth_order_condition, helcat_coframe,
                                  helcat_grid, integrability_residuals,
-                                 prescribe, psi_from_grid, recovered_kappa,
+                                 prescribe, psi_from_grid,
                                  second_order_condition, solve_f1,
                                  structural_residuals, thetas_from_f)
 
@@ -639,12 +639,18 @@ def test_perturbed_f1_breaks_integrability():
 # --------------------------------------------------------------------------
 # pipeline
 # --------------------------------------------------------------------------
+def _recovered_kappa(grid):
+    """theta1/theta2, NaN where |theta2| < 1e-12."""
+    t2 = grid.theta2
+    return grid.theta1/np.where(np.abs(t2) < 1e-12, np.nan, t2)
+
+
 def test_pipeline_realizable_for_unit_ratio():
     g0 = helcat_grid(0.0, 65)
     grid, rep = prescribe(np.ones_like(g0.f2), g0.f2, g0.f1[:, 0],
                           g0.x1, g0.x2)
     assert rep.extra["realizable"] == 1.0
-    al = np.arctan(np.cbrt(recovered_kappa(grid)))
+    al = np.arctan(np.cbrt(_recovered_kappa(grid)))
     assert np.nanmax(np.abs(al - np.pi/4)) < 1e-12
 
 
@@ -653,7 +659,7 @@ def test_pipeline_constant_ratio_family():
     grid, rep = prescribe(g.kappa, g.f2, g.f1[:, 0], g.x1, g.x2)
     assert rep.extra["realizable"] == 1.0
     kap = float(g.kappa[0, 0])
-    rec = recovered_kappa(grid)
+    rec = _recovered_kappa(grid)
     assert np.nanmax(np.abs(rec - kap)) < 1e-12
 
 
@@ -677,8 +683,8 @@ def test_pipeline_scaling_keeps_recovered_ratio():
     grids, reps = prescribe(np.ones_like(g0.f2), 2.0*g0.f2,
                             2.0*g0.f1[:, 0], g0.x1, g0.x2)
     assert np.allclose(grids.f1, 2.0*grid.f1)
-    assert np.nanmax(np.abs(recovered_kappa(grids)
-                            - recovered_kappa(grid))) < 1e-12
+    assert np.nanmax(np.abs(_recovered_kappa(grids)
+                            - _recovered_kappa(grid))) < 1e-12
     # scaling the coframe is not a surface motion: the fourth-order
     # compatibility condition is inhomogeneous in (f1, f2) and genuinely
     # fails on the scaled data, so no verdict invariance is asserted

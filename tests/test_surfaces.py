@@ -7,11 +7,12 @@ from conftest import jet_vectors
 from conformal.catalog import (make_canonical, make_graph, make_helcat,
                                make_sphere, make_torus, make_tube)
 from conformal.errors import (DegenerateMetric, InversionCenterOnSurface,
-                              OutOfDomain, UmbilicPoint)
+                              UmbilicPoint)
 from conformal.invariants import _curv_grads, theta_state
 from conformal.surfaces import (MobiusMap, SurfacePatch, _forms, _jet_forms,
-                                eval_jet, mobius_transform, principal_data,
+                                mobius_transform, principal_data,
                                 principal_directions, shape_data)
+from reference import sympy_patch
 
 
 def _sphere(radius=1.0):
@@ -19,20 +20,13 @@ def _sphere(radius=1.0):
     expr = sp.Matrix([radius*sp.cos(u)*sp.cos(v),
                       radius*sp.sin(u)*sp.cos(v),
                       radius*sp.sin(v)])
-    return SurfacePatch.from_sympy(expr, (u, v),
-                                   [(-np.pi, np.pi), (-1.4, 1.4)])
-
-
-def test_jet_domain_check(helcat_quarter):
-    s = helcat_quarter.surface
-    with pytest.raises(OutOfDomain):
-        eval_jet(s, 100.0, 0.0)
+    return sympy_patch(expr, (u, v), [(-np.pi, np.pi), (-1.4, 1.4)])
 
 
 def test_torus_principal_curvatures(torus):
     R, r = 2.0, 1.0
     for (u, v) in [(0.3, 0.5), (1.0, 2.0), (-1.2, -0.7)]:
-        pd = principal_data(eval_jet(torus.surface, u, v))
+        pd = principal_data(torus.surface.jet_raw(u, v))
         want = sorted([1.0/r, np.cos(v)/(R + r*np.cos(v))],
                       key=abs)
         got = sorted([pd.k1, pd.k2], key=abs)
@@ -43,11 +37,11 @@ def test_torus_principal_curvatures(torus):
 def test_sphere_is_umbilic():
     s = _sphere(2.0)
     with pytest.raises(UmbilicPoint):
-        principal_data(eval_jet(s, 0.3, 0.2))
+        principal_data(s.jet_raw(0.3, 0.2))
 
 
 def test_principal_directions_metric_unit(helcat_quarter):
-    j = eval_jet(helcat_quarter.surface, 0.7, 0.4)
+    j = helcat_quarter.surface.jet_raw(0.7, 0.4)
     pd = principal_data(j)
     _, ru, rv, *_ = jet_vectors(j)
     for X in (pd.X1, pd.X2):
@@ -75,7 +69,7 @@ def test_direction_sign_ignores_a_roundoff_component(w01):
 def test_tube_x1_points_along_plus_v(helical_tube, seed):
     # X1 is parallel to the v axis on the helix tube; its u component is
     # roundoff of either sign (1.5e-17 in size at (1.5, 2.5))
-    X1 = principal_data(eval_jet(helical_tube.surface, *seed)).X1
+    X1 = principal_data(helical_tube.surface.jet_raw(*seed)).X1
     assert abs(X1[0]) <= 1e-12*abs(X1[1])
     assert X1[1] > 0
 
@@ -284,8 +278,11 @@ def test_mobius_composition_and_inverse():
          .then(MobiusMap.inversion()))
     x = np.array([0.3, 1.2, -0.7])
     y = m.apply(x)
-    back = m.inverse().apply(y)
-    assert np.allclose(back, x, atol=1e-12)
+    # the inverse primitives in reverse order undo the map
+    back = (MobiusMap.inversion().then(MobiusMap.dilation(1.0/3.0))
+            .then(MobiusMap.translation([-0.5, 0.2, -1.0]))
+            .then(MobiusMap.rotation(rot.T)))
+    assert np.allclose(back.apply(y), x, atol=1e-12)
     xs = sp.Matrix([sp.Rational(3, 10), sp.Rational(12, 10),
                     sp.Rational(-7, 10)])
     ys = np.array([float(t) for t in _apply_sympy(m, xs)])
@@ -334,9 +331,8 @@ def test_moved_jets_match_sympy_recompile(kind):
                          .then(MobiusMap.dilation(2.5))
                          .then(MobiusMap.translation([1.0, 0.0, -0.5])))
          }[kind]
-    moved = mobius_transform(SurfacePatch.from_sympy(expr, uv, _TORUS_DOMAIN),
-                             m)
-    ref = SurfacePatch.from_sympy(_apply_sympy(m, expr), uv, _TORUS_DOMAIN)
+    moved = mobius_transform(sympy_patch(expr, uv, _TORUS_DOMAIN), m)
+    ref = sympy_patch(_apply_sympy(m, expr), uv, _TORUS_DOMAIN)
     rng = np.random.default_rng(11)
     h = 1e-20
     for u, v in rng.uniform(-3.0, 3.0, (8, 2)):
@@ -461,10 +457,6 @@ def test_jets_are_python_scalars(which):
         jet = surface.jet_raw(u, v)
         assert len(jet) == 18
         assert all(type(x) is float for x in jet)
-        # eval_jet is the same flat jet, bit for bit
-        checked = eval_jet(surface, u, v)
-        assert [type(x) for x in checked] == [float]*18
-        assert np.array(checked).tobytes() == np.array(jet).tobytes()
         for du, dv in [(1j*h, 0.0), (0.0, 1j*h)]:
             jet = surface.jet_raw(u + du, v + dv)
             assert len(jet) == 18
