@@ -1,4 +1,4 @@
-"""Every ``cycl`` command once, on small inputs, and one Mobius map with an
+"""Every ``cycl`` command once, on small inputs, and two Mobius maps with an
 inversion, on an install of the declared runtime alone (numpy and click).
 
     pip install -e . && python .github/runtime_smoke.py
@@ -12,7 +12,11 @@ surface, at 769 points a side too, the benchmark's size), or if anything
 loaded either of them.  It also runs ``cycl osculate`` on a graph of slope
 1e100, whose metric scale squared overflows a float, in a child process,
 and fails unless that exits 3 with a JSON record naming
-``DegenerateMetric`` and no traceback.
+``DegenerateMetric`` and no traceback.  A torus moved by a translated
+inversion must give a jet of 18 Python floats whose r is the map applied
+to the base position (to 1e-12), and the acceptance battery's
+orientation-preserving inversion (translation, inversion, reflection) must
+keep psi on helcat pi/4 at (0.8, 0.5) to 1e-6.
 """
 import importlib
 import json
@@ -30,8 +34,9 @@ for name in HEAVY:
         continue
     sys.exit(f"{name} is importable: install without extras to run this")
 
-from conformal.catalog import make_torus
+from conformal.catalog import make_helcat, make_torus
 from conformal.cli import main
+from conformal.invariants import psi_invariant
 from conformal.surfaces import MobiusMap, mobius_transform
 
 SPECS = {
@@ -100,9 +105,28 @@ with tempfile.TemporaryDirectory() as tmp:
     print("cycl osculate on a steep graph: DegenerateMetric, ok")
 
 inversion = MobiusMap.translation([0.0, 0.0, 5.0]).then(MobiusMap.inversion())
-moved = mobius_transform(make_torus(2.0, 1.0).surface, inversion)
+torus = make_torus(2.0, 1.0).surface
+moved = mobius_transform(torus, inversion)
+jet = moved.jet_raw(0.3, 0.4)
+if len(jet) != 18 or any(type(x) is not float for x in jet):
+    sys.exit(f"moved jet: {[type(x).__name__ for x in jet]}, want 18 floats")
+gap = max(abs(a - b) for a, b in zip(
+    jet[:3], inversion.apply(torus.position(0.3, 0.4))))
+if not gap <= 1e-12:
+    sys.exit(f"moved r(0.3, 0.4) is {gap:g} off the mapped position")
 print(f"mobius_transform with an inversion: ok, r(0.3, 0.4) = "
       f"{moved.position(0.3, 0.4)}")
+battery = (MobiusMap.translation([2.5, -1.0, 4.0])
+           .then(MobiusMap.inversion())
+           .then(MobiusMap.rotation([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0],
+                                     [0.0, 0.0, -1.0]])))
+helcat = make_helcat(0.7853981633974483).surface
+gap = abs(psi_invariant(mobius_transform(helcat, battery), 0.8, 0.5)
+          - psi_invariant(helcat, 0.8, 0.5))
+if not gap <= 1e-6:
+    sys.exit(f"psi on helcat pi/4 at (0.8, 0.5) moved by {gap:g} under the "
+             "translated inversion")
+print(f"psi under the translated inversion: ok, moved by {gap:.1e}")
 
 loaded = sorted(m for m in sys.modules if m.split(".")[0] in HEAVY)
 if loaded:

@@ -4,27 +4,27 @@ data, and ambient Mobius transformations.
 Only the position map and its partial derivatives up to order 2 are evaluated
 exactly, by one jet callable per patch.  The catalog families, tubes
 included, hand it a closed-form jet, so no surface needs symbolic work and
-the package imports no sympy.  A Mobius map acts on a patch by pushing the
-order-2 jet through the chain rule; :func:`mobius_transform` refuses an
-inversion centered on the patch by Gauss-Newton steps on the same pushed
-jet, with numpy only.  Everything built on top of the jets (curvature
-gradients, invariant fields) lives in other modules and is obtained by
-differencing the pointwise quantities, never by deeper jets.
+the package imports no sympy.  Everything built on top of the jets
+(curvature gradients, invariant fields) lives in other modules and is
+obtained by differencing the pointwise quantities, never by deeper jets.
 
-A jet is flat, the one jet format: its 18 entries, x, y, z of r, r_u,
-r_v, r_uu, r_uv, r_vv (``_JET_IDX`` order), are Python floats (complex at
-a complex step), so between a jet and the curvature scalars the point
-kernel holds no arrays.  :func:`_forms` is the one copy of the
-fundamental-form arithmetic (E, F, G, the normal, L, M, N, the shape
-operator, H, K and mu), on those scalars with ``math``/``cmath`` square
-roots, and elementwise on arrays of points.  :func:`shape_data` wraps its
-scalars in a dict for one real point; the complex steps of the curvature
-gradients read H and mu from it directly.  A principal direction is a pair
-of Python floats, its (u, v) components, and so is every parameter
-direction the layers above build from it, so the point path from a jet to
-a traced line holds no numpy object either.  A degenerate metric or a
-roundoff-negative H^2 - K gives NaN, as numpy's arrays did, so
-:func:`principal_data` raises :class:`DegenerateMetric` or
+A jet is flat, the one jet format: its 18 entries, x, y, z of r, r_u, r_v,
+r_uu, r_uv, r_vv (``_JET_IDX`` order), are Python floats (complex at a
+complex step), so between a jet and the curvature scalars the point kernel
+holds no arrays.  A Mobius map moves a patch by pushing its jet through
+the chain rule entry by entry (:meth:`MobiusMap.apply_jet`), so a moved
+jet is floats too; :func:`mobius_transform` refuses an inversion centered
+on the patch by Gauss-Newton steps on that pushed jet.  :func:`_forms` is
+the one copy of the fundamental-form arithmetic (E, F, G, the normal, L,
+M, N, the shape operator, H, K and mu), on those scalars with
+``math``/``cmath`` square roots, and elementwise on arrays of points.
+:func:`shape_data` wraps its scalars in a dict for one real point; the
+complex steps of the curvature gradients read H and mu from it directly.
+A principal direction is a pair of Python floats, its (u, v) components,
+and so is every parameter direction the layers above build from it, so the
+point path from a jet to a traced line holds no numpy object either.  A
+degenerate metric or a roundoff-negative H^2 - K gives NaN, as numpy's
+arrays did, so :func:`principal_data` raises :class:`DegenerateMetric` or
 :class:`UmbilicPoint` there.
 """
 from __future__ import annotations
@@ -249,9 +249,11 @@ class MobiusMap:
     """Composition of primitive ambient maps, applied left to right.
 
     Primitives: ``("rotation", O)`` with orthonormal 3x3 O (any sign of
-    determinant), ``("translation", t)`` with a finite 3-vector t,
-    ``("dilation", s)`` with finite s > 0 and ``("inversion",)`` for
-    x -> x / |x|^2.  The constructors raise ValueError on other inputs.
+    determinant) as three rows of three Python floats, ``("translation",
+    t)`` with a finite 3-vector t as three floats, ``("dilation", s)`` with
+    finite s > 0 and ``("inversion",)`` for x -> x / |x|^2.  The
+    constructors raise ValueError on other inputs; maps of equal
+    primitives compare equal and hash alike.
     """
     primitives: tuple
 
@@ -259,16 +261,17 @@ class MobiusMap:
     @staticmethod
     def rotation(O) -> "MobiusMap":
         O = np.asarray(O, dtype=float)
-        if not np.allclose(O @ O.T, np.eye(3), atol=1e-12):
-            raise ValueError("rotation matrix must be orthonormal")
-        return MobiusMap((("rotation", O),))
+        if O.shape != (3, 3) or not np.allclose(O @ O.T, np.eye(3),
+                                                atol=1e-12):
+            raise ValueError("rotation must be a 3x3 orthonormal matrix")
+        return MobiusMap((("rotation", tuple(map(tuple, O.tolist()))),))
 
     @staticmethod
     def translation(t) -> "MobiusMap":
         t = np.asarray(t, dtype=float)
         if t.shape != (3,) or not np.isfinite(t).all():
             raise ValueError("translation must be a finite 3-vector")
-        return MobiusMap((("translation", t),))
+        return MobiusMap((("translation", tuple(t.tolist())),))
 
     @staticmethod
     def dilation(s: float) -> "MobiusMap":
@@ -290,56 +293,37 @@ class MobiusMap:
         for prim in self.primitives:
             kind = prim[0]
             if kind == "rotation":
-                y = y @ prim[1].T
+                y = y @ np.asarray(prim[1]).T
             elif kind == "translation":
-                y = y + prim[1]
+                y = y + np.asarray(prim[1])
             elif kind == "dilation":
                 y = prim[1] * y
             else:
-                n2 = np.sum(y*y, axis=-1, keepdims=True)
-                y = y / n2
+                y = y / np.sum(y*y, axis=-1, keepdims=True)
         return y
 
-    def apply_jet(self, derivs) -> list:
-        """Push an order-2 jet (3-vectors in ``_JET_IDX`` order: r, r_u, r_v,
-        r_uu, r_uv, r_vv) through the map by the chain rule,
-
-            y_u = J r_u,    y_uv = J r_uv + D^2(r_u, r_v).
-
-        Every product is plain (non-conjugating), so complex-step inputs stay
-        holomorphic."""
-        r, ru, rv, ruu, ruv, rvv = derivs
+    def apply_jet(self, jet):
+        """Push a flat order-2 jet (18 entries, ``_JET_IDX`` order) through
+        the map by the chain rule, y_u = J r_u and y_uv = J r_uv + D^2(r_u,
+        r_v), entry by entry: Python floats stay floats, complex steps stay
+        holomorphic (every product is plain, non-conjugating) and arrays of
+        points go elementwise, as in the catalog jets."""
+        j = jet
         for prim in self.primitives:
             kind = prim[0]
             if kind == "rotation":
-                O = prim[1]
-                r, ru, rv, ruu, ruv, rvv = (O @ r, O @ ru, O @ rv, O @ ruu,
-                                            O @ ruv, O @ rvv)
+                (a, b, c), (d, e, f), (g, h, i) = prim[1]
+                j = [t for k in range(0, 18, 3) for x, y, z in (j[k:k + 3],)
+                     for t in (a*x + b*y + c*z, d*x + e*y + f*z,
+                               g*x + h*y + i*z)]
             elif kind == "translation":
-                r = r + prim[1]
+                t = prim[1]
+                j = [j[0] + t[0], j[1] + t[1], j[2] + t[2], *j[3:]]
             elif kind == "dilation":
-                s = prim[1]
-                r, ru, rv, ruu, ruv, rvv = (s*r, s*ru, s*rv, s*ruu, s*ruv,
-                                            s*rvv)
+                j = [prim[1]*t for t in j]
             else:
-                # x -> x/n with n = |x|^2:
-                #   J p     = p/n - 2 x (x.p)/n^2
-                #   D2(p,q) = -2 [p (x.q) + q (x.p) + x (p.q)]/n^2
-                #             + 8 x (x.p)(x.q)/n^3
-                n = r @ r
-
-                def jac(p):
-                    return p/n - 2*r*(r @ p)/n**2
-
-                def d2(p, q):
-                    xp, xq = r @ p, r @ q
-                    return (-2*(p*xq + q*xp + r*(p @ q))/n**2
-                            + 8*r*xp*xq/n**3)
-
-                r, ru, rv, ruu, ruv, rvv = (
-                    r/n, jac(ru), jac(rv), jac(ruu) + d2(ru, ru),
-                    jac(ruv) + d2(ru, rv), jac(rvv) + d2(rv, rv))
-        return [r, ru, rv, ruu, ruv, rvv]
+                j = _invert_jet(j)
+        return j
 
     @property
     def orientation_preserving(self) -> bool:
@@ -348,10 +332,36 @@ class MobiusMap:
         sgn = 1.0
         for prim in self.primitives:
             if prim[0] == "rotation":
-                sgn *= np.sign(np.linalg.det(prim[1]))
+                sgn *= np.sign(np.linalg.det(np.asarray(prim[1])))
             elif prim[0] == "inversion":
                 sgn *= -1.0
         return sgn > 0
+
+
+def _dot(p, q):
+    return p[0]*q[0] + p[1]*q[1] + p[2]*q[2]
+
+
+def _invert_jet(j) -> list:
+    """Flat jet ``j`` pushed through x -> x/|x|^2.  With a = 1/|x|^2, J p =
+    a p - 2 a^2 (x.p) x and D^2(A, B) = 8 a^3 (x.A)(x.B) x - 2 a^2 [A (x.B)
+    + B (x.A) + x (A.B)], so the second derivative p of r that pairs first
+    derivatives A and B goes to a p - 2 a^2 [A (x.B) + B (x.A) + x k], k =
+    x.p + A.B - 4 a (x.A)(x.B).  The jet at x = 0 is NaN."""
+    x, ru, rv = j[0:3], j[3:6], j[6:9]
+    a = 1/_divisor(_dot(x, x))
+    b, xu, xv = 2*a*a, _dot(x, ru), _dot(x, rv)
+    out = [a*t for t in x]
+    for p, xp in ((ru, xu), (rv, xv)):
+        out += [a*pt - b*xp*xt for pt, xt in zip(p, x)]
+    for k, A, B, xA, xB in ((9, ru, ru, xu, xu), (12, ru, rv, xu, xv),
+                            (15, rv, rv, xv, xv)):
+        p = j[k:k + 3]
+        c = _dot(x, p) + _dot(A, B) - 4*a*xA*xB
+        out += [a*pt - b*(At*xB + Bt*xA + c*xt)
+                for pt, At, Bt, xt in zip(p, A, B, x)]
+    return out
+
 
 def _check_inversion_centers(surface: SurfacePatch, mmap: MobiusMap) -> None:
     """Raise InversionCenterOnSurface where y = P(r(u, v)), P the primitives
@@ -373,14 +383,13 @@ def _check_inversion_centers(surface: SurfacePatch, mmap: MobiusMap) -> None:
             for k in np.argsort(dists)[:4]:
                 x = np.array(uv[k])
                 for _ in range(8):
-                    y, yu, yv = partial.apply_jet(
-                        np.reshape(surface.jet_raw(*x), (6, 3)))[:3]
-                    d = math.sqrt(y @ y)
+                    y = partial.apply_jet(surface.jet_raw(*x))[:9]
+                    d = math.sqrt(_dot(y, y))
                     dmin = min(dmin, d)
                     if not d > 0:
                         break
-                    x = np.clip(x - np.linalg.lstsq(
-                        np.column_stack([yu, yv]), y, rcond=None)[0], lo, hi)
+                    x = np.clip(x - np.linalg.lstsq(np.column_stack(
+                        [y[3:6], y[6:9]]), y[:3], rcond=None)[0], lo, hi)
             if dmin < 1e-6 * max(np.max(dists), 1.0):
                 raise InversionCenterOnSurface(
                     f"surface passes within {dmin:g} of an inversion center")
@@ -388,17 +397,8 @@ def _check_inversion_centers(surface: SurfacePatch, mmap: MobiusMap) -> None:
 
 
 def mobius_transform(surface: SurfacePatch, mmap: MobiusMap) -> SurfacePatch:
-    """Surface whose position map is the composition ``mmap o r``.
-
-    The moved patch evaluates the base's order-2 jet and pushes it through
-    the map by the chain rule (:meth:`MobiusMap.apply_jet`), with no
-    symbolic work; ``tolist`` keeps the moved entries Python scalars.
-    """
+    """Surface whose position map is the composition ``mmap o r``: its jet
+    is the base's flat jet pushed by :meth:`MobiusMap.apply_jet`."""
     _check_inversion_centers(surface, mmap)
-    base = surface._jet_fn
-
-    def moved_jet(u, v):
-        return np.concatenate(
-            mmap.apply_jet(np.reshape(base(u, v), (6, 3)))).tolist()
-
-    return SurfacePatch(surface.domain, jet_fn=moved_jet)
+    base, push = surface._jet_fn, mmap.apply_jet
+    return SurfacePatch(surface.domain, jet_fn=lambda u, v: push(base(u, v)))

@@ -1,6 +1,7 @@
-"""Reference code only the tests run: a sympy jet compiler, the Willmore
-energy, the commutator identity and the isothermic criterion.  Not
-collected; tests import it as they import ``conftest``."""
+"""Reference code only the tests run: a sympy jet compiler, the numpy
+chain rule of a Mobius map, the Willmore energy, the commutator identity
+and the isothermic criterion.  Not collected; tests import it as they
+import ``conftest``."""
 import cmath
 import math
 
@@ -8,9 +9,9 @@ import numpy as np
 import sympy as sp
 
 from conformal.invariants import _H_FLD, _grad, theta_state
-from conformal.surfaces import (SurfacePatch, _div, _jet_forms, _lib,
-                                _require_frame, _sqrt, principal_directions,
-                                shape_data)
+from conformal.surfaces import (MobiusMap, SurfacePatch, _div, _jet_forms,
+                                _lib, _require_frame, _sqrt,
+                                principal_directions, shape_data)
 
 
 def sympy_patch(expr, symbols, domain):
@@ -33,6 +34,49 @@ def sympy_patch(expr, symbols, domain):
             (complex if lib is cmath else float)(e) for e in out]
 
     return SurfacePatch(domain, jet_fn=jet)
+
+
+def push_jet(mmap: MobiusMap, derivs) -> list:
+    """Push an order-2 jet, six numpy 3-vectors in ``_JET_IDX`` order (r,
+    r_u, r_v, r_uu, r_uv, r_vv), through ``mmap`` by the chain rule on
+    numpy vectors, primitive by primitive,
+
+        y_u = J r_u,    y_uv = J r_uv + D^2(r_u, r_v).
+
+    Every product is plain (non-conjugating), so complex-step inputs stay
+    holomorphic.  Tests compare :meth:`MobiusMap.apply_jet`, the flat
+    chain rule, with it."""
+    r, ru, rv, ruu, ruv, rvv = derivs
+    for prim in mmap.primitives:
+        kind = prim[0]
+        if kind == "rotation":
+            O = np.asarray(prim[1])
+            r, ru, rv, ruu, ruv, rvv = (O @ r, O @ ru, O @ rv, O @ ruu,
+                                        O @ ruv, O @ rvv)
+        elif kind == "translation":
+            r = r + np.asarray(prim[1])
+        elif kind == "dilation":
+            s = prim[1]
+            r, ru, rv, ruu, ruv, rvv = (s*r, s*ru, s*rv, s*ruu, s*ruv, s*rvv)
+        else:
+            # x -> x/n with n = |x|^2:
+            #   J p     = p/n - 2 x (x.p)/n^2
+            #   D2(p,q) = -2 [p (x.q) + q (x.p) + x (p.q)]/n^2
+            #             + 8 x (x.p)(x.q)/n^3
+            n = r @ r
+
+            def jac(p):
+                return p/n - 2*r*(r @ p)/n**2
+
+            def d2(p, q):
+                xp, xq = r @ p, r @ q
+                return (-2*(p*xq + q*xp + r*(p @ q))/n**2
+                        + 8*r*xp*xq/n**3)
+
+            r, ru, rv, ruu, ruv, rvv = (
+                r/n, jac(ru), jac(rv), jac(ruu) + d2(ru, ru),
+                jac(ruv) + d2(ru, rv), jac(rvv) + d2(rv, rv))
+    return [r, ru, rv, ruu, ruv, rvv]
 
 
 def willmore_energy(surface: SurfacePatch, n: int) -> float:

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import MOBIUS_PRIMITIVE, compose_mobius
 from conformal.catalog import make_helcat, make_torus, make_tube
 from conformal.cli import _TABLE_ROWS
 from conformal.errors import DegenerateDenominator, InversionCenterOnSurface
@@ -204,37 +205,12 @@ def test_mobius_invariance_battery(idx, helcat_quarter, torus):
         assert abs(psi_invariant(moved, u, v) - psi) < 1e-5
 
 
-_COORD = st.floats(-3.0, 3.0)
-_PRIMITIVE = st.one_of(
-    st.tuples(st.just("rotation"),
-              st.lists(st.floats(-1.0, 1.0), min_size=9, max_size=9)),
-    st.tuples(st.just("translation"), st.tuples(_COORD, _COORD, _COORD)),
-    st.tuples(st.just("dilation"), st.floats(-1.0, 1.0)),
-    st.tuples(st.just("inversion"), st.none()))
-
-
-def _compose(spec):
-    m = MobiusMap(())
-    for kind, arg in spec:
-        if kind == "rotation":
-            # orthonormal factor of a perturbed identity; either determinant
-            q, _ = np.linalg.qr(np.reshape(arg, (3, 3)) + 2*np.eye(3))
-            m = m.then(MobiusMap.rotation(q))
-        elif kind == "translation":
-            m = m.then(MobiusMap.translation(arg))
-        elif kind == "dilation":
-            m = m.then(MobiusMap.dilation(3.0**arg))
-        else:
-            m = m.then(MobiusMap.inversion())
-    return m
-
-
 @settings(max_examples=60, derandomize=True, database=None, deadline=None)
-@given(st.lists(_PRIMITIVE, min_size=1, max_size=4))
+@given(st.lists(MOBIUS_PRIMITIVE, min_size=1, max_size=4))
 def test_mobius_invariance_random_compositions(helcat_quarter, torus, spec):
     # an orientation-reversing map flips the normal: k1 and k2 trade
     # places, so theta1 and theta2 swap and the odd invariant psi flips sign
-    m = _compose(spec)
+    m = compose_mobius(spec)
     for entry, (u, v) in [(helcat_quarter, (0.8, 0.5)),
                           (torus, (0.5, 0.8))]:
         s = entry.surface

@@ -3,7 +3,7 @@ import pytest
 import sympy as sp
 from hypothesis import given, settings, strategies as st
 
-from conftest import jet_vectors
+from conftest import MOBIUS_PRIMITIVE, compose_mobius, jet_vectors
 from conformal.catalog import (make_canonical, make_graph, make_helcat,
                                make_sphere, make_torus, make_tube)
 from conformal.errors import (DegenerateMetric, InversionCenterOnSurface,
@@ -12,7 +12,7 @@ from conformal.invariants import _curv_grads, theta_state
 from conformal.surfaces import (MobiusMap, SurfacePatch, _forms, _jet_forms,
                                 mobius_transform, principal_data,
                                 principal_directions, shape_data)
-from reference import sympy_patch
+from reference import push_jet, sympy_patch
 
 
 def _sphere(radius=1.0):
@@ -82,8 +82,35 @@ def test_mobius_map_rejects_bad_inputs():
               [[1.0, 2.0, 3.0]]):
         with pytest.raises(ValueError):
             MobiusMap.translation(t)
+    for O in ([[1.0, 0.0], [0.0, 1.0]], np.eye(3, 4),
+              [[1.0, 0.0, 0.0], [0.0, np.nan, 0.0], [0.0, 0.0, 1.0]],
+              [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 2.0]]):
+        with pytest.raises(ValueError,
+                           match="rotation must be a 3x3 orthonormal matrix"):
+            MobiusMap.rotation(O)
     m = MobiusMap.translation((1, 2, 3)).then(MobiusMap.dilation(2))
     assert np.array_equal(m.apply([0.0, 0.0, 0.0]), [2.0, 4.0, 6.0])
+
+
+def test_mobius_maps_compare_and_hash_by_value():
+    t = MobiusMap.translation([1, 2, 3])
+    assert t == MobiusMap.translation(np.array([1.0, 2.0, 3.0]))
+    assert hash(t) == hash(MobiusMap.translation((1.0, 2.0, 3.0)))
+    assert t != MobiusMap.translation([1, 2, 4])
+    assert MobiusMap.rotation(np.eye(3)) != MobiusMap.rotation(
+        np.diag([1.0, 1.0, -1.0]))
+    th = 0.4
+    rot = [[1.0, 0.0, 0.0], [0.0, np.cos(th), -np.sin(th)],
+           [0.0, np.sin(th), np.cos(th)]]
+
+    def chain():
+        return (MobiusMap.rotation(rot).then(t).then(MobiusMap.inversion())
+                .then(MobiusMap.dilation(2.5)))
+
+    a, b = chain(), chain()
+    assert a == b and hash(a) == hash(b) and len({a, b, t}) == 2
+    # composition is ordered: the same primitives in another order differ
+    assert t.then(MobiusMap.dilation(2.5)) != MobiusMap.dilation(2.5).then(t)
 
 
 def _shape_ref(jet):
@@ -421,13 +448,16 @@ def test_moved_patch_compiles_its_base_once(monkeypatch, mmap):
     assert calls == []
     moved = mobius_transform(base, mmap)
     for _ in range(3):
-        got = jet_vectors(moved.jet_raw(0.3, 0.2))
-        want = mmap.apply_jet(jet_vectors(base.jet_raw(0.3, 0.2)))
-        assert all(np.array_equal(g, w) for g, w in zip(got, want))
+        assert moved.jet_raw(0.3, 0.2) == mmap.apply_jet(
+            base.jet_raw(0.3, 0.2))
     assert len(calls) == 1
 
 
 _TORUS = make_torus(2.0, 1.0).surface
+# 0.4 rad about x, the benchmark's rot2
+_ROT_X = MobiusMap.rotation([[1.0, 0.0, 0.0],
+                             [0.0, np.cos(0.4), -np.sin(0.4)],
+                             [0.0, np.sin(0.4), np.cos(0.4)]])
 _SCALAR_PATCHES = {
     "helcat": lambda: make_helcat(np.pi/4).surface,
     "torus": lambda: _TORUS,
@@ -443,6 +473,9 @@ _SCALAR_PATCHES = {
         2.0).then(MobiusMap.translation([0.5, 0.0, 0.0]))),
     "moved-inversion": lambda: mobius_transform(_TORUS, MobiusMap.translation(
         [0.0, 0.0, 5.0]).then(MobiusMap.inversion())),
+    "moved-rotation": lambda: mobius_transform(_TORUS, _ROT_X),
+    "moved-composition": lambda: mobius_transform(_TORUS, _ROT_X.then(
+        MobiusMap.translation([0.0, 0.0, 5.0])).then(MobiusMap.inversion())),
 }
 
 
@@ -462,6 +495,103 @@ def test_jets_are_python_scalars(which):
             assert len(jet) == 18
             kinds = {type(x) for x in jet}
             assert complex in kinds and kinds <= {float, complex}
+
+
+_MOVED = {
+    "rotation": _ROT_X,
+    "similarity": _ROT_X.then(MobiusMap.translation([1.5, -2.0, 0.7])).then(
+        MobiusMap.dilation(3.0)),
+    "inversion": MobiusMap.translation([2.5, -1.0, 4.0]).then(
+        MobiusMap.inversion()).then(MobiusMap.rotation(
+            np.diag([1.0, 1.0, -1.0]))),
+}
+
+
+@pytest.mark.parametrize("which", list(_MOVED))
+def test_moved_patch_is_elementwise(which):
+    # a moved patch at arrays of points gives, at each point, the jet it
+    # gives there alone, so a batched layer can evaluate it unchanged: bit
+    # for bit at real points; at a complex step numpy's complex products
+    # and quotients round differently from Python's in the last bit, so
+    # there the imaginary parts agree to roundoff
+    moved = mobius_transform(_TORUS, _MOVED[which])
+    us, vs = np.random.default_rng(8).uniform(-3.0, 3.0, (2, 9))
+    for du, dv in [(0.0, 0.0), (1j*_H_STEP, 0.0), (0.0, 1j*_H_STEP)]:
+        batched = np.array(jet_vectors(moved.jet_raw(us + du, vs + dv)))
+        for k, (u, v) in enumerate(zip(us, vs)):
+            point = np.array(jet_vectors(moved.jet_raw(u + du, v + dv)))
+            assert np.array_equal(batched[..., k].real, point.real)
+            assert np.allclose(batched[..., k].imag, point.imag, rtol=0,
+                               atol=1e-15*np.max(np.abs(point.imag)))
+
+
+def _assert_push_close(got, want):
+    # 1e-13 of the largest entry of the same derivative order, in the real
+    # and the imaginary parts apart
+    got, want = np.array(jet_vectors(got)), np.array(want)
+    for part in (np.real, np.imag):
+        g, w = part(got), part(want)
+        for rows in ([0], [1, 2], [3, 4, 5]):
+            assert (np.max(np.abs(g[rows] - w[rows]))
+                    <= 1e-13*np.max(np.abs(w[rows])))
+
+
+@settings(max_examples=120, derandomize=True, database=None, deadline=None)
+@given(st.lists(MOBIUS_PRIMITIVE, min_size=1, max_size=4),
+       st.sampled_from(["helcat", "torus"]), st.floats(-3.0, 3.0),
+       st.floats(-3.0, 3.0))
+def test_flat_push_matches_numpy_reference(helcat_quarter, torus, spec,
+                                           which, u, v):
+    # the flat chain rule against the numpy one of tests/reference.py, at a
+    # real point, at complex steps and at arrays of points
+    m = compose_mobius(spec)
+    base = {"helcat": helcat_quarter, "torus": torus}[which].surface
+    for du, dv in [(0.0, 0.0), (1j*_H_STEP, 0.0), (0.0, 1j*_H_STEP)]:
+        jet = base.jet_raw(u + du, v + dv)
+        got = m.apply_jet(jet)
+        assert len(got) == 18
+        assert {type(x) for x in got} <= {float, type(u + du + v + dv)}
+        _assert_push_close(got, push_jet(m, jet_vectors(jet)))
+    us, vs = np.array([u, v, u - v]), np.array([v, u, u + v])
+    batched = jet_vectors(m.apply_jet(base.jet_raw(us, vs)))
+    for k in range(3):
+        _assert_push_close([t for b in batched for t in b[:, k]], push_jet(
+            m, jet_vectors(base.jet_raw(us[k], vs[k]))))
+
+
+_SIGNED_PERMUTATION = st.tuples(st.permutations(range(3)),
+                                st.lists(st.sampled_from([1.0, -1.0]),
+                                         min_size=3, max_size=3))
+_EXACT_PRIMITIVE = st.one_of(
+    st.tuples(st.just("permutation"), _SIGNED_PERMUTATION),
+    MOBIUS_PRIMITIVE.filter(lambda p: p[0] in ("translation", "dilation")))
+
+
+@settings(max_examples=120, derandomize=True, database=None, deadline=None)
+@given(st.lists(_EXACT_PRIMITIVE, min_size=1, max_size=4),
+       st.sampled_from(["helcat", "torus"]), st.floats(-3.0, 3.0),
+       st.floats(-3.0, 3.0))
+def test_flat_push_is_bit_identical_on_similarities(helcat_quarter, torus,
+                                                    spec, which, u, v):
+    # translations, dilations and signed permutations do the same IEEE
+    # operations in both chain rules: a rotation's products by 0 and 1 are
+    # exact, so a sum of three of them rounds as numpy's product does.
+    # Only the sign of a zero may differ (numpy's product can give +0 where
+    # the sum of three products gives -0), and adding 0.0 makes every zero +0
+    m = MobiusMap(())
+    for kind, arg in spec:
+        if kind == "permutation":
+            perm, signs = arg
+            m = m.then(MobiusMap.rotation(np.eye(3)[list(perm)]*signs))
+        else:
+            m = m.then(compose_mobius([(kind, arg)]))
+    base = {"helcat": helcat_quarter, "torus": torus}[which].surface
+    for du, dv in [(0.0, 0.0), (1j*_H_STEP, 0.0), (0.0, 1j*_H_STEP)]:
+        jet = base.jet_raw(u + du, v + dv)
+        got = np.array(jet_vectors(m.apply_jet(jet)))
+        want = np.array(push_jet(m, jet_vectors(jet)))
+        assert (got + 0.0).tobytes() == (want + 0.0).astype(
+            got.dtype).tobytes()
 
 
 @pytest.mark.parametrize("which", ["helcat", "torus", "tube"])
