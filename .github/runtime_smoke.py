@@ -9,14 +9,17 @@ does not parse or has no rows or a row narrower or wider than its header
 (the writer assembles the rows' JSON text itself), if a ``prescribe``
 report does not read realizable (the helcat data comes from a real
 surface, at 769 points a side too, the benchmark's size), or if anything
-loaded either of them.  It also runs ``cycl osculate`` on a graph of slope
-1e100, whose metric scale squared overflows a float, in a child process,
-and fails unless that exits 3 with a JSON record naming
-``DegenerateMetric`` and no traceback.  A torus moved by a translated
-inversion must give a jet of 18 Python floats whose r is the map applied
-to the base position (to 1e-12), and the acceptance battery's
-orientation-preserving inversion (translation, inversion, reflection) must
-keep psi on helcat pi/4 at (0.8, 0.5) to 1e-6.
+loaded either of them.  It also runs ``cycl osculate`` in a child process
+on a graph of slope 1e100, whose metric scale squared overflows a float,
+and on the unit sphere, where every point is umbilic, and fails unless
+each exits 3 with a JSON record naming ``DegenerateMetric`` and
+``UmbilicPoint`` and no traceback.  A torus moved by a translated
+inversion must give a jet of 18 Python floats whose r is the base
+position translated and inverted by hand (to 1e-12), an inversion
+centered on a torus point must raise ``InversionCenterOnSurface``, and
+the acceptance battery's orientation-preserving inversion (translation,
+inversion, reflection) must keep psi on helcat pi/4 at (0.8, 0.5) to
+1e-6.
 """
 import importlib
 import json
@@ -36,6 +39,7 @@ for name in HEAVY:
 
 from conformal.catalog import make_helcat, make_torus
 from conformal.cli import main
+from conformal.errors import InversionCenterOnSurface
 from conformal.invariants import psi_invariant
 from conformal.surfaces import MobiusMap, mobius_transform
 
@@ -46,6 +50,7 @@ SPECS = {
     "canonical": ("kind = canonical\n"
                   "coeffs = 1, 2, 0, 3.5, 0.25, -0.5, -3.25\n"),
     "steep": "kind = graph\ncoeffs = 1 0 1e100; 2 0 0.5; 0 2 -0.5\n",
+    "sphere": "kind = sphere\nradius = 1.0\n",
 }
 COMMANDS = [
     (["table1"], None),
@@ -94,15 +99,18 @@ with tempfile.TemporaryDirectory() as tmp:
                 sys.exit(f"cycl {' '.join(args)}: not realizable, max-norms "
                          f"{report['max_norm']}")
         print(f"cycl {' '.join(args)}: ok")
-    steep = [sys.executable, "-m", "conformal.cli", "osculate", "--seed",
-             "0.1,0.1", "--surface", str(tmp / "steep.spec")]
-    done = subprocess.run(steep, capture_output=True, text=True, timeout=120)
-    lines = done.stderr.strip().splitlines()
-    record = json.loads(lines[-1]) if len(lines) == 1 else {}
-    if done.returncode != 3 or record.get("error") != "DegenerateMetric":
-        sys.exit(f"cycl osculate on a steep graph: exit {done.returncode}, "
-                 f"stderr {done.stderr!r}")
-    print("cycl osculate on a steep graph: DegenerateMetric, ok")
+    for spec, seed, error in [("steep", "0.1,0.1", "DegenerateMetric"),
+                              ("sphere", "0.1,0.2", "UmbilicPoint")]:
+        args = [sys.executable, "-m", "conformal.cli", "osculate", "--seed",
+                seed, "--surface", str(tmp / f"{spec}.spec")]
+        done = subprocess.run(args, capture_output=True, text=True,
+                              timeout=120)
+        lines = done.stderr.strip().splitlines()
+        record = json.loads(lines[-1]) if len(lines) == 1 else {}
+        if done.returncode != 3 or record.get("error") != error:
+            sys.exit(f"cycl osculate on {spec}: exit {done.returncode}, "
+                     f"stderr {done.stderr!r}")
+        print(f"cycl osculate on {spec}: {error}, ok")
 
 inversion = MobiusMap.translation([0.0, 0.0, 5.0]).then(MobiusMap.inversion())
 torus = make_torus(2.0, 1.0).surface
@@ -110,12 +118,21 @@ moved = mobius_transform(torus, inversion)
 jet = moved.jet_raw(0.3, 0.4)
 if len(jet) != 18 or any(type(x) is not float for x in jet):
     sys.exit(f"moved jet: {[type(x).__name__ for x in jet]}, want 18 floats")
-gap = max(abs(a - b) for a, b in zip(
-    jet[:3], inversion.apply(torus.position(0.3, 0.4))))
+p = torus.point(0.3, 0.4)
+x, y, z = p[0], p[1], p[2] + 5.0
+n = x*x + y*y + z*z
+gap = max(abs(a - b) for a, b in zip(jet[:3], (x/n, y/n, z/n)))
 if not gap <= 1e-12:
     sys.exit(f"moved r(0.3, 0.4) is {gap:g} off the mapped position")
 print(f"mobius_transform with an inversion: ok, r(0.3, 0.4) = "
-      f"{moved.position(0.3, 0.4)}")
+      f"{moved.point(0.3, 0.4)}")
+try:
+    mobius_transform(torus, MobiusMap.translation([-t for t in p]).then(
+        MobiusMap.inversion()))
+except InversionCenterOnSurface:
+    print("inversion centered on the torus: InversionCenterOnSurface, ok")
+else:
+    sys.exit("an inversion centered on a torus point was accepted")
 battery = (MobiusMap.translation([2.5, -1.0, 4.0])
            .then(MobiusMap.inversion())
            .then(MobiusMap.rotation([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0],

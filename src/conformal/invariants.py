@@ -90,10 +90,10 @@ def theta_state(surface: SurfacePatch, u: float, v: float, ref=None):
 # --------------------------------------------------------------------------
 def _require_margin(surface: SurfacePatch, u: float, v: float, margin: float):
     """OutOfDomain outside the domain, BoundaryTooClose inside it but closer
-    than ``margin`` to its edge."""
+    than ``margin`` to its edge; margin 0 checks the domain alone."""
     if not surface.contains(u, v):
         raise OutOfDomain(f"({u}, {v}) outside {surface.domain}")
-    if not surface.contains(u, v, margin=margin):
+    if margin and not surface.contains(u, v, margin=margin):
         raise BoundaryTooClose(
             f"point ({u}, {v}) closer than {margin:g} to the domain edge")
 
@@ -170,8 +170,10 @@ def _psi(surface: SurfacePatch, u: float, v: float, derivs) -> float:
 
 def psi_invariant(surface: SurfacePatch, u: float, v: float) -> float:
     """Third conformal invariant (see :func:`_psi`); the combination is
-    Mobius-invariant, while its mean-curvature part alone is not."""
+    Mobius-invariant, while its mean-curvature part alone is not.
+    OutOfDomain outside the domain, before any jet."""
     u, v = float(u), float(v)
+    _require_margin(surface, u, v, 0.0)
     principal_data(surface.jet_raw(u, v))
     _require_margin(surface, u, v, 2*_H_FLD)
     return _psi(surface, u, v, xi_theta_derivs(surface, u, v))
@@ -207,7 +209,9 @@ def classify_point(theta1: float, theta2: float) -> str:
 
 def invariant_sample(surface: SurfacePatch, u: float, v: float,
                      with_coeffs: bool = True) -> InvariantSample:
-    """Assemble the full pointwise package (thetas, psi, a..d, class)."""
+    """Assemble the full pointwise package (thetas, psi, a..d, class);
+    OutOfDomain outside the domain, before any jet."""
+    _require_margin(surface, u, v, 0.0)
     pd = principal_data(surface.jet_raw(u, v))
     derivs = xi_theta_derivs(surface, u, v)
     _, t1, t2, *_ = derivs

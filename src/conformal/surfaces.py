@@ -13,19 +13,21 @@ r_uu, r_uv, r_vv (``_JET_IDX`` order), are Python floats (complex at a
 complex step), so between a jet and the curvature scalars the point kernel
 holds no arrays.  A Mobius map moves a patch by pushing its jet through
 the chain rule entry by entry (:meth:`MobiusMap.apply_jet`), so a moved
-jet is floats too; :func:`mobius_transform` refuses an inversion centered
-on the patch by Gauss-Newton steps on that pushed jet.  :func:`_forms` is
-the one copy of the fundamental-form arithmetic (E, F, G, the normal, L,
-M, N, the shape operator, H, K and mu), on those scalars with
-``math``/``cmath`` square roots, and elementwise on arrays of points.
-:func:`shape_data` wraps its scalars in a dict for one real point; the
-complex steps of the curvature gradients read H and mu from it directly.
-A principal direction is a pair of Python floats, its (u, v) components,
-and so is every parameter direction the layers above build from it, so the
-point path from a jet to a traced line holds no numpy object either.  A
-degenerate metric or a roundoff-negative H^2 - K gives NaN, as numpy's
-arrays did, so :func:`principal_data` raises :class:`DegenerateMetric` or
-:class:`UmbilicPoint` there.
+jet is floats too.  That chain rule is the map's one action on points:
+:func:`mobius_transform` refuses an inversion centered on the patch by
+pushing one jet at the arrays of a 24x24 grid through it, then taking
+Gauss-Newton steps on the pushed scalar jet from the nearest samples.
+:func:`_forms` is the one copy of the fundamental-form arithmetic (E, F,
+G, the normal, L, M, N, the shape operator, H, K and mu), on those
+scalars with ``math``/``cmath`` square roots, and elementwise on arrays
+of points.  :func:`shape_data` wraps its scalars in a dict for one real
+point; the complex steps of the curvature gradients read H and mu from
+it directly.  A principal direction is a pair of Python floats, its (u,
+v) components, and so is every parameter direction the layers above
+build from it, so the point path from a jet to a traced line holds no
+numpy object either.  A degenerate metric or a roundoff-negative H^2 - K
+gives NaN, as numpy's arrays did, so :func:`principal_data` raises
+:class:`DegenerateMetric` or :class:`UmbilicPoint` there.
 """
 from __future__ import annotations
 
@@ -42,7 +44,7 @@ __all__ = [
     "mobius_transform",
 ]
 
-_TOL_UMB = 1e-8
+_TOL_UMB = 1e-7
 _NAN = float("nan")
 
 
@@ -78,9 +80,6 @@ class SurfacePatch:
         (u0, u1), (v0, v1) = self.domain
         return (u0 + margin <= u <= u1 - margin
                 and v0 + margin <= v <= v1 - margin)
-
-    def position(self, u, v) -> np.ndarray:
-        return np.array(self.point(u, v))
 
     def point(self, u, v):
         """x, y, z of r(u, v): Python floats at a real (u, v), no array."""
@@ -218,7 +217,9 @@ def _require_frame(S: dict) -> None:
     shape dict ``S`` is singular, and :class:`UmbilicPoint` where k1 - k2
     falls under the (relative) umbilic tolerance or is NaN (H*H - K
     rounded below 0), so the principal frame is undefined.  On a
-    complex-step jet the tolerance applies to the real part of mu."""
+    complex-step jet the tolerance applies to the real part of mu.  It
+    lies above mu's roundoff floor at an umbilic: H^2 - K rounds to about
+    eps k^2, so mu there reaches sqrt(eps) |k|, 1.5e-8 |k|."""
     scale = max(abs(S["E"]), abs(S["G"]))
     if not cmath.isfinite(S["g"]) or abs(S["g"]) < 1e-14*(scale*scale):
         raise DegenerateMetric(f"det I = {S['g']!r}")
@@ -287,21 +288,6 @@ class MobiusMap:
         return MobiusMap(self.primitives + other.primitives)
 
     # -- application -------------------------------------------------------
-    def apply(self, x) -> np.ndarray:
-        """Apply to points (shape (..., 3))."""
-        y = np.asarray(x, dtype=float)
-        for prim in self.primitives:
-            kind = prim[0]
-            if kind == "rotation":
-                y = y @ np.asarray(prim[1]).T
-            elif kind == "translation":
-                y = y + np.asarray(prim[1])
-            elif kind == "dilation":
-                y = prim[1] * y
-            else:
-                y = y / np.sum(y*y, axis=-1, keepdims=True)
-        return y
-
     def apply_jet(self, jet):
         """Push a flat order-2 jet (18 entries, ``_JET_IDX`` order) through
         the map by the chain rule, y_u = J r_u and y_uv = J r_uv + D^2(r_u,
@@ -365,23 +351,27 @@ def _invert_jet(j) -> list:
 
 def _check_inversion_centers(surface: SurfacePatch, mmap: MobiusMap) -> None:
     """Raise InversionCenterOnSurface where y = P(r(u, v)), P the primitives
-    before an inversion, comes within 1e-6 (relative) of 0: from each of the
-    4 nearest samples of a 24x24 grid, 8 Gauss-Newton steps x -= lstsq([y_u
-    y_v], y) on the jet pushed through P, clamped to the domain, stopping at
-    |y| = 0 or NaN (an earlier center); the least |y| seen is the distance."""
+    before an inversion, comes within 1e-6 (relative) of 0.  One jet at the
+    arrays of a 24x24 grid is pushed through each such P, and y is read
+    from the first three pushed entries (a constant entry broadcast to the
+    grid); from each of the 4 samples of least |y|, 8 Gauss-Newton steps x
+    -= lstsq([y_u y_v], y) on the scalar jet pushed through P, clamped to
+    the domain, stopping at |y| = 0 or NaN (an earlier center); the least
+    |y| seen is the distance."""
     if not any(prim[0] == "inversion" for prim in mmap.primitives):
         return
     lo, hi = np.array(surface.domain).T
-    uv = [(a, b) for a in np.linspace(lo[0], hi[0], 24)
-          for b in np.linspace(lo[1], hi[1], 24)]
-    pts = np.array([surface.position(a, b) for a, b in uv])
+    us = np.repeat(np.linspace(lo[0], hi[0], 24), 24)
+    vs = np.tile(np.linspace(lo[1], hi[1], 24), 24)
+    grid = surface.jet_raw(us, vs)
     partial = MobiusMap(())
     for prim in mmap.primitives:
         if prim[0] == "inversion":
-            dists = np.linalg.norm(partial.apply(pts), axis=-1)
+            y = partial.apply_jet(grid)[:3]
+            dists = np.broadcast_to(np.sqrt(_dot(y, y)), us.shape)
             dmin = math.inf
             for k in np.argsort(dists)[:4]:
-                x = np.array(uv[k])
+                x = np.array([us[k], vs[k]])
                 for _ in range(8):
                     y = partial.apply_jet(surface.jet_raw(*x))[:9]
                     d = math.sqrt(_dot(y, y))

@@ -1,7 +1,7 @@
 """Reference code only the tests run: a sympy jet compiler, the numpy
-chain rule of a Mobius map, the Willmore energy, the commutator identity
-and the isothermic criterion.  Not collected; tests import it as they
-import ``conftest``."""
+chain rule of a Mobius map, the inversion-center check sampled point by
+point, the Willmore energy, the commutator identity and the isothermic
+criterion.  Not collected; tests import it as they import ``conftest``."""
 import cmath
 import math
 
@@ -9,8 +9,9 @@ import numpy as np
 import sympy as sp
 
 from conformal.invariants import _H_FLD, _grad, theta_state
-from conformal.surfaces import (MobiusMap, SurfacePatch, _div, _jet_forms,
-                                _lib, _require_frame, _sqrt,
+from conformal.errors import InversionCenterOnSurface
+from conformal.surfaces import (MobiusMap, SurfacePatch, _div, _dot,
+                                _jet_forms, _lib, _require_frame, _sqrt,
                                 principal_directions, shape_data)
 
 
@@ -77,6 +78,41 @@ def push_jet(mmap: MobiusMap, derivs) -> list:
                 r/n, jac(ru), jac(rv), jac(ruu) + d2(ru, ru),
                 jac(ruv) + d2(ru, rv), jac(rvv) + d2(rv, rv))
     return [r, ru, rv, ruu, ruv, rvv]
+
+
+def check_inversion_centers_pointwise(surface: SurfacePatch,
+                                      mmap: MobiusMap) -> None:
+    """``surfaces._check_inversion_centers`` with its 24x24 grid sampled
+    point by point: 576 scalar positions, each mapped by :func:`push_jet`
+    on a jet with zero derivatives.  The Gauss-Newton refinement is the
+    same; tests compare the two checks' verdicts."""
+    if not any(prim[0] == "inversion" for prim in mmap.primitives):
+        return
+    lo, hi = np.array(surface.domain).T
+    uv = [(a, b) for a in np.linspace(lo[0], hi[0], 24)
+          for b in np.linspace(lo[1], hi[1], 24)]
+    pts = [np.array(surface.point(a, b)) for a, b in uv]
+    zero = np.zeros(3)
+    partial = MobiusMap(())
+    for prim in mmap.primitives:
+        if prim[0] == "inversion":
+            dists = np.linalg.norm([push_jet(partial, [p] + [zero]*5)[0]
+                                    for p in pts], axis=-1)
+            dmin = math.inf
+            for k in np.argsort(dists)[:4]:
+                x = np.array(uv[k])
+                for _ in range(8):
+                    y = partial.apply_jet(surface.jet_raw(*x))[:9]
+                    d = math.sqrt(_dot(y, y))
+                    dmin = min(dmin, d)
+                    if not d > 0:
+                        break
+                    x = np.clip(x - np.linalg.lstsq(np.column_stack(
+                        [y[3:6], y[6:9]]), y[:3], rcond=None)[0], lo, hi)
+            if dmin < 1e-6 * max(np.max(dists), 1.0):
+                raise InversionCenterOnSurface(
+                    f"surface passes within {dmin:g} of an inversion center")
+        partial = partial.then(MobiusMap((prim,)))
 
 
 def willmore_energy(surface: SurfacePatch, n: int) -> float:

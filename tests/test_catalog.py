@@ -81,7 +81,7 @@ def test_tube_rejects_self_intersection():
 def test_graph_window():
     e = make_graph({(2, 0): 0.5, (0, 2): -0.5}, window=0.7)
     assert e.surface.domain[0] == (-0.7, 0.7)
-    p = e.surface.position(0.1, 0.2)
+    p = e.surface.point(0.1, 0.2)
     assert np.allclose(p, [0.1, 0.2, 0.005 - 0.02])
 
 

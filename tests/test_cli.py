@@ -65,10 +65,9 @@ def test_invariants_sphere_all_umbilic(runner, specs):
     assert res.exit_code == 0
     header, rows, _ = _rows(res)
     icls = header.index("class")
-    labels = [r[icls] for r in rows]
-    # jet noise near the detection threshold can leave a few points
-    # unlabeled, but none of them may produce a finite invariant
-    assert labels.count("Umbilic") > len(rows)/2
+    # mu's roundoff floor, about 1.5e-8 |k|, lies under the umbilic
+    # tolerance, so no point of the sphere passes as non-umbilic
+    assert all(r[icls] == "Umbilic" for r in rows)
     assert all(r[header.index("psi")] is None for r in rows)
 
 
@@ -108,17 +107,20 @@ def test_invariants_rows_name_their_mask(runner, specs):
 
 
 def test_classify_rows_name_their_error(runner, specs):
-    # the last grid row sits on the pole of the sphere, where the metric
-    # degenerates; the sweep reports it per row instead of aborting
+    # the grid runs from v = 1.2 past the sphere's domain edge, v = 1.4, to
+    # the pole; the sweep reports each row's error instead of aborting:
+    # every point inside is umbilic, every point past the edge (the pole
+    # row, where the metric degenerates, included) is out of the domain
     res = runner.invoke(main, ["classify", "--surface", specs["sphere"],
                                "--grid", "8x8", "--range",
                                f"-1:1,1.2:{np.pi/2!r}", "--format", "json"])
     assert res.exit_code == 0
     header, rows, _ = _rows(res)
     icls = header.index("class")
-    pole = [r[icls] for r in rows if r[1] > 1.57]
-    assert pole == ["DegenerateMetric"]*8
-    assert "DegenerateMetric" not in [r[icls] for r in rows if r[1] < 1.57]
+    assert len(rows) == 64
+    assert [r[icls] for r in rows] == [
+        "OutOfDomain" if r[1] > 1.4 else "Umbilic" for r in rows]
+    assert sum(r[1] > 1.4 for r in rows) == 32
 
 
 def test_osculate(runner, specs):
@@ -614,6 +616,22 @@ def test_seed_outside_domain_is_out_of_domain(runner, specs, command):
         "OutOfDomain"
 
 
+@pytest.mark.parametrize("command", ["invariants", "classify"])
+@pytest.mark.parametrize("spec,rng", [("helcat", "4:5,8:9"),
+                                      ("torus", "100:101,100:101")])
+def test_sweep_outside_domain_is_out_of_domain(runner, specs, command, spec,
+                                               rng):
+    # helcat's domain is [-3, 3] x [-7, 7] and the torus's [-pi, pi]^2: no
+    # cell of either range is classified, whatever its jet would give
+    res = runner.invoke(main, [command, "--surface", specs[spec], "--grid",
+                               "8x8", "--range", rng, "--format", "json"])
+    assert res.exit_code == 0
+    header, rows, _ = _rows(res)
+    assert len(rows) == 64
+    assert all(r[-1] == "OutOfDomain" for r in rows)
+    assert all(x is None for r in rows for x in r[2:-1])
+
+
 @pytest.mark.parametrize("alpha0", [[], ["--alpha0", "0"]],
                          ids=["dupin-angle", "alpha0-zero"])
 def test_darboux_on_canal_tube_exits_3(runner, specs, alpha0):
@@ -630,15 +648,20 @@ def test_darboux_on_canal_tube_exits_3(runner, specs, alpha0):
 @pytest.mark.parametrize("command,spec,seed,error", [
     ("dupin-lines", "sphere", "0.3,0.2", "UmbilicPoint"),
     ("darboux", "sphere", "0.3,0.2", "UmbilicPoint"),
+    ("darboux", "sphere", "0.1,0.2", "UmbilicPoint"),
+    ("osculate", "sphere", "0.1,0.2", "UmbilicPoint"),
     ("darboux", "helcat", "0,0", "SeedIsDupinPoint"),
-], ids=["dupin-lines-umbilic", "darboux-umbilic", "darboux-dupin-point"])
+], ids=["dupin-lines-umbilic", "darboux-umbilic", "darboux-umbilic-0.1",
+        "osculate-umbilic", "darboux-dupin-point"])
 def test_tracer_seed_without_a_field_exits_3(runner, specs, command, spec,
                                              seed, error):
-    # every sphere point is umbilic, so it has no principal frame; on helcat
-    # both thetas are exactly 0 at (0, 0), so the default Darboux angle
-    # (the Dupin direction's) is undefined.  Neither is a one-sample trace
+    # every sphere point is umbilic, so it has no principal frame and no
+    # osculating cyclide; on helcat both thetas are exactly 0 at (0, 0), so
+    # the default Darboux angle (the Dupin direction's) is undefined.  None
+    # of these is a one-sample trace or an empty row
+    length = [] if command == "osculate" else ["--max-length", "0.02"]
     res = runner.invoke(main, [command, "--surface", specs[spec],
-                               "--seed", seed, "--max-length", "0.02"])
+                               "--seed", seed, *length])
     assert res.exit_code == 3
     assert json.loads(res.output.strip().splitlines()[-1])["error"] == error
 

@@ -376,7 +376,7 @@ def _array_dupin_line(surface, seed, step=0.01, max_length=10.0):
         return -d if d @ prev_dir < 0 else d
 
     uv = [state.copy()]
-    pos = [np.asarray(surface.position(u0, v0), dtype=float)]
+    pos = [np.asarray(surface.point(u0, v0), dtype=float)]
     termination = "ReachedLength"
     closed = False
     in_band = False
@@ -409,7 +409,7 @@ def _array_dupin_line(surface, seed, step=0.01, max_length=10.0):
         state = new
         length += h
         uv.append(state.copy())
-        pos.append(np.asarray(surface.position(*state), dtype=float))
+        pos.append(np.asarray(surface.point(*state), dtype=float))
         if length > 4*step and np.linalg.norm(pos[-1] - pos[0]) < 1.5*step:
             closed, termination = True, "Closed"
             break
@@ -441,7 +441,7 @@ def _array_darboux_line(surface, seed, alpha0, step=0.005, max_length=5.0,
     state = np.array([u0, v0, alpha0], dtype=float)
     k1v, dk, fr = rhs(state, ts)
     uv = [state[:2].copy()]
-    pos = [np.asarray(surface.position(u0, v0), dtype=float)]
+    pos = [np.asarray(surface.point(u0, v0), dtype=float)]
     alphas = [alpha0]
     sigmas = [0.0]
     dalphas = [k1v[2]]
@@ -463,7 +463,7 @@ def _array_darboux_line(surface, seed, alpha0, step=0.005, max_length=5.0,
         state = new
         length += h
         uv.append(state[:2].copy())
-        pos.append(np.asarray(surface.position(*state[:2]), dtype=float))
+        pos.append(np.asarray(surface.point(*state[:2]), dtype=float))
         alphas.append(state[2])
         sigmas.append(sigmas[-1] + dk*h)
         k1v, dk, fr = rhs(new)

@@ -9,10 +9,12 @@ from conformal.catalog import (make_canonical, make_graph, make_helcat,
 from conformal.errors import (DegenerateMetric, InversionCenterOnSurface,
                               UmbilicPoint)
 from conformal.invariants import _curv_grads, theta_state
-from conformal.surfaces import (MobiusMap, SurfacePatch, _forms, _jet_forms,
+from conformal.surfaces import (MobiusMap, SurfacePatch,
+                                _check_inversion_centers, _forms, _jet_forms,
                                 mobius_transform, principal_data,
                                 principal_directions, shape_data)
-from reference import push_jet, sympy_patch
+from reference import (check_inversion_centers_pointwise, push_jet,
+                       sympy_patch)
 
 
 def _sphere(radius=1.0):
@@ -21,6 +23,32 @@ def _sphere(radius=1.0):
                       radius*sp.sin(u)*sp.cos(v),
                       radius*sp.sin(v)])
     return sympy_patch(expr, (u, v), [(-np.pi, np.pi), (-1.4, 1.4)])
+
+
+# each a map of the sphere of radius R; the translation scales with R, so
+# the inversion center stays off the sphere
+_SPHERE_MOVES = {
+    "none": lambda R: MobiusMap(()),
+    "translated-inversion": lambda R: MobiusMap.translation(
+        [0.5*R, -R, 2.0*R]).then(MobiusMap.inversion()),
+    "rotation-dilation": lambda R: MobiusMap.rotation(
+        [[np.cos(0.9), 0.0, -np.sin(0.9)], [0.0, 1.0, 0.0],
+         [np.sin(0.9), 0.0, np.cos(0.9)]]).then(MobiusMap.dilation(7.0)),
+}
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(st.sampled_from([0.01, 0.7, 1.0, 3.0, 100.0]),
+       st.sampled_from(list(_SPHERE_MOVES)), st.floats(-np.pi, np.pi),
+       st.floats(-1.4, 1.4))
+def test_sphere_points_are_umbilic(radius, move, u, v):
+    # the roundoff in H^2 - K, about eps k^2, puts mu's floor near
+    # sqrt(eps) |k| = 1.5e-8 |k|: the umbilic tolerance must lie above it,
+    # at every radius and after a Mobius map
+    s = mobius_transform(make_sphere(radius).surface,
+                         _SPHERE_MOVES[move](radius))
+    with pytest.raises(UmbilicPoint):
+        principal_data(s.jet_raw(u, v))
 
 
 def test_torus_principal_curvatures(torus):
@@ -89,7 +117,7 @@ def test_mobius_map_rejects_bad_inputs():
                            match="rotation must be a 3x3 orthonormal matrix"):
             MobiusMap.rotation(O)
     m = MobiusMap.translation((1, 2, 3)).then(MobiusMap.dilation(2))
-    assert np.array_equal(m.apply([0.0, 0.0, 0.0]), [2.0, 4.0, 6.0])
+    assert m.apply_jet([0.0]*18) == [2.0, 4.0, 6.0] + [0.0]*15
 
 
 def test_mobius_maps_compare_and_hash_by_value():
@@ -303,13 +331,14 @@ def test_mobius_composition_and_inverse():
          .then(MobiusMap.translation([0.5, -0.2, 1.0]))
          .then(MobiusMap.dilation(3.0))
          .then(MobiusMap.inversion()))
-    x = np.array([0.3, 1.2, -0.7])
-    y = m.apply(x)
+    x = [0.3, 1.2, -0.7]
+    # a point is a jet with zero derivatives
+    y = m.apply_jet(x + [0.0]*15)[:3]
     # the inverse primitives in reverse order undo the map
     back = (MobiusMap.inversion().then(MobiusMap.dilation(1.0/3.0))
             .then(MobiusMap.translation([-0.5, 0.2, -1.0]))
             .then(MobiusMap.rotation(rot.T)))
-    assert np.allclose(back.apply(y), x, atol=1e-12)
+    assert np.allclose(back.apply_jet(y + [0.0]*15)[:3], x, atol=1e-12)
     xs = sp.Matrix([sp.Rational(3, 10), sp.Rational(12, 10),
                     sp.Rational(-7, 10)])
     ys = np.array([float(t) for t in _apply_sympy(m, xs)])
@@ -377,14 +406,16 @@ def test_moved_jets_match_sympy_recompile(kind):
 def test_mobius_transform_moves_positions(torus):
     m = MobiusMap.translation([0.0, 0.0, 5.0]).then(MobiusMap.inversion())
     moved = mobius_transform(torus.surface, m)
+    zero = np.zeros(3)
     for (u, v) in [(0.3, 0.4), (1.0, -1.0)]:
-        assert np.allclose(moved.position(u, v),
-                           m.apply(torus.surface.position(u, v)), atol=1e-10)
+        r = np.array(torus.surface.point(u, v))
+        assert np.allclose(moved.point(u, v),
+                           push_jet(m, [r] + [zero]*5)[0], atol=1e-10)
 
 
 def test_inversion_center_on_surface_rejected(torus):
     # center at a surface point of the torus
-    p = torus.surface.position(0.0, 0.0)
+    p = np.array(torus.surface.point(0.0, 0.0))
     m = MobiusMap.translation(-p).then(MobiusMap.inversion())
     with pytest.raises(InversionCenterOnSurface):
         mobius_transform(torus.surface, m)
@@ -397,9 +428,9 @@ def test_inversion_center_search_stays_in_domain(helcat_quarter):
     s = helcat_quarter.surface
     inv = MobiusMap.inversion()
     moved = mobius_transform(s, inv.then(inv))
-    assert np.allclose(moved.position(0.8, 0.5), s.position(0.8, 0.5),
+    assert np.allclose(moved.point(0.8, 0.5), s.point(0.8, 0.5),
                        rtol=0, atol=1e-12)
-    p = s.position(0.3, 0.2)
+    p = np.array(s.point(0.3, 0.2))
     with pytest.raises(InversionCenterOnSurface):
         mobius_transform(s, MobiusMap.translation(-p).then(inv))
 
@@ -429,6 +460,56 @@ def test_inversion_center_at_any_surface_point_rejected(which, fu, fv):
         mobius_transform(s, MobiusMap.translation(-r).then(inv))
     mobius_transform(s, MobiusMap.translation(
         -(r + 1e-3*n/np.linalg.norm(n))).then(inv))
+
+
+def _verdict(check, surface, mmap):
+    try:
+        check(surface, mmap)
+    except InversionCenterOnSurface:
+        return True
+    return False
+
+
+@pytest.mark.parametrize("which", list(_CENTER_SURFACES))
+@settings(max_examples=40, derandomize=True, database=None, deadline=None)
+@given(st.floats(0.0, 1.0), st.floats(0.0, 1.0),
+       st.sampled_from([0.0, 1e-8, 1e-6, 1e-4, 1e-2]),
+       st.tuples(*[st.floats(-1.0, 1.0)]*3).filter(
+           lambda d: np.linalg.norm(d) > 0.1),
+       st.lists(MOBIUS_PRIMITIVE, max_size=3))
+def test_grid_jet_check_matches_pointwise_sampling(which, fu, fv, offset,
+                                                   direction, spec):
+    # the check samples its grid by one jet at arrays of points; the
+    # per-point sampler of tests/reference.py gives the same verdict on an
+    # inversion centered at a surface point, or just off it, followed by a
+    # random composition (which may invert again)
+    s = _CENTER_SURFACES[which]
+    (u0, u1), (v0, v1) = s.domain
+    r = np.array(s.point(u0 + fu*(u1 - u0), v0 + fv*(v1 - v0)))
+    d = np.array(direction)/np.linalg.norm(direction)
+    m = MobiusMap.translation(-(r + offset*d)).then(
+        MobiusMap.inversion()).then(compose_mobius(spec))
+    with np.errstate(all="ignore"):
+        assert (_verdict(_check_inversion_centers, s, m)
+                == _verdict(check_inversion_centers_pointwise, s, m))
+
+
+@pytest.mark.parametrize("which", list(_CENTER_SURFACES))
+def test_inversion_center_grid_is_one_jet(which):
+    # the 24x24 grid costs one jet at arrays of points; every other jet is
+    # a Gauss-Newton step at one point, 8 from each of 4 samples
+    s = _CENTER_SURFACES[which]
+    calls = []
+
+    def counting(u, v):
+        calls.append(np.shape(u))
+        return s.jet_raw(u, v)
+
+    m = MobiusMap.translation([0.0, 0.0, 50.0]).then(MobiusMap.inversion())
+    mobius_transform(SurfacePatch(s.domain, counting), m)
+    assert calls[0] == (576,)
+    assert 1 < len(calls) <= 1 + 4*8
+    assert all(shape == () for shape in calls[1:])
 
 
 @pytest.mark.parametrize("mmap", [
