@@ -8,8 +8,10 @@ runtime), if a command exits non-zero or writes nothing, if a JSON report
 does not parse or has no rows or a row narrower or wider than its header
 (the writer assembles the rows' JSON text itself), if a ``prescribe``
 report does not read realizable (the helcat data comes from a real
-surface, at 769 points a side too, the benchmark's size), or if anything
-loaded either of them.  It also runs ``cycl osculate`` in a child process
+surface, at 769 points a side too, the benchmark's size), if helcat's
+``osculate`` rows do not read contact order 4 (at a generic seed and at one
+on the Dupin locus, the latter ``limit_derived``), or if anything loaded
+either of them.  It also runs ``cycl osculate`` in a child process
 on a graph of slope 1e100, whose metric scale squared overflows a float,
 and on the unit sphere, where every point is umbilic, and fails unless
 each exits 3 with a JSON record naming ``DegenerateMetric`` and
@@ -56,7 +58,10 @@ COMMANDS = [
     (["table1"], None),
     (["invariants", "--grid", "8x8"], "torus"),
     (["classify", "--grid", "8x8"], "helcat"),
-    (["osculate", "--seed", "0.7,0.4"], "helcat"),
+    # a generic seed and one on the Dupin locus, where the direction is
+    # the thetas' transversal limit
+    (["osculate", "--seed", "0.7,0.4", "--seed", "0.0,0.3", "--format",
+      "json"], "helcat"),
     (["dupin-lines", "--seed", "0.5,1.2"], "tube"),
     (["darboux", "--seed", "0.4,0.3", "--max-length", "0.05"], "helcat"),
     (["verify", "--seed", "0.5,1.2"], "tube"),
@@ -93,6 +98,14 @@ with tempfile.TemporaryDirectory() as tmp:
             if not report["rows"] or any(len(row) != width
                                          for row in report["rows"]):
                 sys.exit(f"cycl {' '.join(args)}: rows not {width} wide")
+        if args[0] == "osculate":
+            report = json.loads(out.read_text())
+            col = {name: i for i, name in enumerate(report["header"])}
+            got = [(row[col["contact_order"]], row[col["limit_derived"]])
+                   for row in report["rows"]]
+            if got != [(4, "false"), (4, "true")]:
+                sys.exit(f"cycl {' '.join(args)}: (contact_order, "
+                         f"limit_derived) {got}")
         if args[0] == "prescribe":
             report = json.loads(out.read_text())
             if report["realizable"] is not True:

@@ -46,10 +46,6 @@ class CanalPoint(ToolkitError):
     matching degenerates and no unique osculating cyclide exists."""
 
 
-class FitUnstable(ToolkitError):
-    """Log-log slope regression residual exceeded its threshold."""
-
-
 # ------------------------------------------------------------ line fields
 class SeedIsDupinPoint(ToolkitError):
     """Trace seeded on the Dupin locus, where the field is undefined."""

@@ -1,11 +1,12 @@
 """Distinguished tangency direction and the osculating cyclide.
 
 Everything here works in the canonical graph normal form at the queried
-point (:func:`normal_form_jet`) and in the cyclide pencil's form
-(:func:`cyclide_monomials`), the definitions :mod:`conformal.catalog` and
-:mod:`conformal.intersect` build on too.  Along the line y = t x of the
-tangent plane both become quartic profiles, and order-4 contact pins the
-single free cyclide invariant psi_c.
+point (:func:`normal_form_monomials`) and in the cyclide pencil's form
+(:func:`cyclide_monomials`), both monomial dicts and the definitions
+:mod:`conformal.catalog` and :mod:`conformal.intersect` build on too.
+Along the line y = t x of the tangent plane (:func:`_on_line`) both become
+quartic profiles: order-4 contact pins the single free cyclide invariant
+psi_c, and the contact order is read from the profiles' difference.
 
 The profile coefficient set used for the published-table computation takes
 unit-speed directional derivatives of the theta fields (distinct from the
@@ -19,19 +20,16 @@ cyclide's does, and it reproduces the published values.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb, factorial
 
 import numpy as np
 
-from .errors import CanalPoint, DupinPoint, FitUnstable
+from .errors import CanalPoint, DupinPoint
 from .invariants import _quartic, _unit_theta_derivs, psi_invariant
 from .surfaces import SurfacePatch, _div
 
 __all__ = [
-    "CyclideContact", "CanonicalProfile", "osculating_cyclide",
-    "canonical_profile", "cyclide_profile", "verify_contact_order",
-    "contact_order_details", "normal_form_jet", "normal_form_monomials",
-    "cyclide_monomials", "osculating_psi_c",
+    "CyclideContact", "osculating_cyclide", "verify_contact_order",
+    "normal_form_monomials", "cyclide_monomials", "osculating_psi_c",
 ]
 
 _TOL_THETA = 1e-6
@@ -50,17 +48,6 @@ class CyclideContact:
     theta2: float
     psi: float
     coeffs: tuple            # unit-gauge (a, b, c, d)
-
-
-@dataclass(frozen=True)
-class CanonicalProfile:
-    """Quartic coefficients (c2, c3, c4) of z restricted to y = t x."""
-    c2: float
-    c3: float
-    c4: float
-
-    def eval(self, x):
-        return self.c2*x**2 + self.c3*x**3 + self.c4*x**4
 
 
 # --------------------------------------------------------------------------
@@ -144,18 +131,13 @@ def osculating_cyclide(surface: SurfacePatch, u: float, v: float
 # --------------------------------------------------------------------------
 # profiles and contact order
 # --------------------------------------------------------------------------
-def normal_form_jet(theta1, theta2, psi, a, b, c, d) -> dict:
-    """The canonical graph z = (x^2 - y^2)/2 + (theta1 x^3 + theta2 y^3)/6
-    + (a x^4 + 4b x^3 y + 6 psi x^2 y^2 + 4c x y^3 + d y^4)/24 by its
-    derivatives at the origin, {(i, j): d^(i+j) z / dx^i dy^j}."""
-    return {(2, 0): 1.0, (0, 2): -1.0, (3, 0): theta1, (0, 3): theta2,
-            (4, 0): a, (3, 1): b, (2, 2): psi, (1, 3): c, (0, 4): d}
-
-
 def normal_form_monomials(theta1, theta2, psi, a, b, c, d) -> dict:
-    """The canonical graph as {(i, j): weight of x^i y^j = z_ij / i! j!}."""
-    return {(i, j): q/(factorial(i)*factorial(j)) for (i, j), q in
-            normal_form_jet(theta1, theta2, psi, a, b, c, d).items()}
+    """The canonical graph z = (x^2 - y^2)/2 + (theta1 x^3 + theta2 y^3)/6
+    + (a x^4 + 4b x^3 y + 6 psi x^2 y^2 + 4c x y^3 + d y^4)/24 as
+    {(i, j): weight of x^i y^j}."""
+    return {(2, 0): 0.5, (0, 2): -0.5, (3, 0): theta1/6, (0, 3): theta2/6,
+            (4, 0): a/24, (3, 1): b/6, (2, 2): psi/4, (1, 3): c/6,
+            (0, 4): d/24}
 
 
 def cyclide_monomials(psi_c) -> dict:
@@ -166,25 +148,12 @@ def cyclide_monomials(psi_c) -> dict:
 
 
 def _on_line(terms, t):
-    """[c0, ..., c4] with c_n the sum of terms[i, j] t^j over i + j = n."""
+    """Profile [c0, ..., c4] of a monomial dict along y = t x: c_n is the
+    sum of terms[i, j] t^j over i + j = n."""
     c = [0.0]*5
     for (i, j), w in terms.items():
         c[i + j] += w*t**j
     return c
-
-
-def canonical_profile(theta1, theta2, psi, coeffs, t) -> CanonicalProfile:
-    """Surface profile along y = t x of the canonical graph form: the n-th
-    derivative of z(x, t x) over n!, sum_j C(n, j) z_(n-j, j) t^j / n!."""
-    jet = normal_form_jet(theta1, theta2, psi, *coeffs)
-    c = _on_line({(i, j): comb(i + j, j)*q for (i, j), q in jet.items()}, t)
-    return CanonicalProfile(c2=c[2]/2, c3=c[3]/6, c4=c[4]/24)
-
-
-def cyclide_profile(psi_c, t) -> CanonicalProfile:
-    """Cyclide profile along y = t x (no cubic term by construction)."""
-    c = _on_line(cyclide_monomials(psi_c), t)
-    return CanonicalProfile(c2=c[2], c3=c[3], c4=c[4])
 
 
 def osculating_psi_c(invariants, t=None) -> float:
@@ -192,54 +161,28 @@ def osculating_psi_c(invariants, t=None) -> float:
     ``invariants`` = (theta1, theta2, psi, a, b, c, d) along the direction
     t^3 = theta1/theta2 (default: that cube root), with sign _PROFILE_SIGN:
     psi_c enters the cyclide's quartic profile term as psi_c t^2/6."""
-    theta1, theta2, psi, *coeffs = invariants
+    theta1, theta2 = invariants[:2]
     if t is None:
         t = _contact_direction(theta1, theta2)
     t_eff = _PROFILE_SIGN * t
-    gap = (canonical_profile(theta1, theta2, psi, coeffs, t_eff).c4
-           - cyclide_profile(0.0, t_eff).c4)
+    gap = (_on_line(normal_form_monomials(*invariants), t_eff)[4]
+           - _on_line(cyclide_monomials(0.0), t_eff)[4])
     return (6.0/t_eff**2) * gap
 
 
-def contact_order_details(prof_a: CanonicalProfile, prof_b: CanonicalProfile):
-    """Leading-order analysis of the profile difference on a dyadic ladder.
-
-    Returns (order, slope, exact_through_quartic).  If all three coefficient
-    differences are at noise level the models agree identically through
-    order 4; the generic remainder of the truncated expansions is then one
-    order beyond the quartic, reported as slope 5 with the exact flag rather
-    than a fit of machine noise.  Otherwise the log-log slope of
-    |difference| over x = 0.5 * 2^-k, k < 8, is fitted and
-    order = round(slope) - 1; a fit residual above 0.15 is FitUnstable.
-    """
-    dc = np.array([prof_a.c2 - prof_b.c2,
-                   prof_a.c3 - prof_b.c3,
-                   prof_a.c4 - prof_b.c4])
-    scale = max(abs(prof_a.c2), abs(prof_a.c3), abs(prof_a.c4), 1.0)
-    if np.all(np.abs(dc) < 1e-10 * scale):
-        return 4, 5.0, True
-    xs = 0.5 * 0.5**np.arange(8)
-    ds = np.abs(prof_a.eval(xs) - prof_b.eval(xs))
-    mask = ds > 0
-    if mask.sum() < 3:
-        return 4, 5.0, True
-    logx, logd = np.log(xs[mask]), np.log(ds[mask])
-    A = np.vstack([logx, np.ones_like(logx)]).T
-    sol, res, *_ = np.linalg.lstsq(A, logd, rcond=None)
-    slope = sol[0]
-    resid = np.sqrt(res[0]/len(logx)) if len(res) else 0.0
-    if resid > 0.15:
-        raise FitUnstable(f"log-log fit residual {resid:.3g} > 0.15")
-    return int(round(slope)) - 1, float(slope), False
-
-
 def verify_contact_order(contact: CyclideContact) -> int:
-    """Numerically verified contact order between the surface and its
-    osculating cyclide (``contact.psi_c``) in the contact direction, signed
-    by ``_PROFILE_SIGN``."""
+    """Contact order between the surface and its osculating cyclide
+    (``contact.psi_c``) along the contact direction, signed by
+    ``_PROFILE_SIGN``: n - 1 for the lowest n at which the two profiles'
+    coefficients differ by 1e-10 of the surface's largest one (or of 1),
+    and 4 where they agree through the quartic.  The quadratic
+    coefficients are the same literals on both sides, so n starts at 3."""
     t_eff = _PROFILE_SIGN * contact.t
-    prof_s = canonical_profile(contact.theta1, contact.theta2, contact.psi,
-                               contact.coeffs, t_eff)
-    prof_c = cyclide_profile(contact.psi_c, t_eff)
-    order, _, _ = contact_order_details(prof_s, prof_c)
-    return order
+    surf = _on_line(normal_form_monomials(
+        contact.theta1, contact.theta2, contact.psi, *contact.coeffs), t_eff)
+    cyc = _on_line(cyclide_monomials(contact.psi_c), t_eff)
+    tol = 1e-10 * max(abs(surf[2]), abs(surf[3]), abs(surf[4]), 1.0)
+    for n in (3, 4):
+        if abs(surf[n] - cyc[n]) >= tol:
+            return n - 1
+    return 4

@@ -219,11 +219,14 @@ def _require_frame(S: dict) -> None:
     rounded below 0), so the principal frame is undefined.  On a
     complex-step jet the tolerance applies to the real part of mu.  It
     lies above mu's roundoff floor at an umbilic: H^2 - K rounds to about
-    eps k^2, so mu there reaches sqrt(eps) |k|, 1.5e-8 |k|."""
+    eps k^2, so mu there reaches sqrt(eps) |k|, 1.5e-8 |k|.  The tolerance
+    is relative to max(|k1|, |k2|) alone, so the test does not depend on
+    scale, as the thetas do not; the comparison is strict, so a planar
+    point (k1 = k2 = mu = 0) raises too."""
     scale = max(abs(S["E"]), abs(S["G"]))
     if not cmath.isfinite(S["g"]) or abs(S["g"]) < 1e-14*(scale*scale):
         raise DegenerateMetric(f"det I = {S['g']!r}")
-    if not S["mu"].real >= _TOL_UMB * max(abs(S["k1"]), abs(S["k2"]), 1.0):
+    if not S["mu"].real > _TOL_UMB * max(abs(S["k1"]), abs(S["k2"])):
         raise UmbilicPoint(f"k1 = {S['k1']!r}, k2 = {S['k2']!r}")
 
 

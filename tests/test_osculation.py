@@ -1,3 +1,6 @@
+import dataclasses
+from math import factorial
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,11 +10,11 @@ from conformal.errors import CanalPoint
 from conformal.intersect import difference_coeffs
 from conformal.invariants import (_unit_theta_derivs, invariant_sample,
                                   theta_state)
-from conformal.osculation import (_PROFILE_SIGN, _limit_ratio,
-                                  _profile_coeffs, canonical_profile,
-                                  contact_order_details, cyclide_monomials,
-                                  cyclide_profile, osculating_cyclide,
-                                  osculating_psi_c, verify_contact_order)
+from conformal.osculation import (_PROFILE_SIGN, CyclideContact,
+                                  _limit_ratio, _on_line, _profile_coeffs,
+                                  cyclide_monomials, normal_form_monomials,
+                                  osculating_cyclide, osculating_psi_c,
+                                  verify_contact_order)
 from conformal.surfaces import SurfacePatch
 
 _TABLE_SPOT = [
@@ -65,17 +68,10 @@ def test_canal_point_rejected(catenoid):
 
 def test_contact_order_exact_and_perturbed(helcat_quarter):
     c = osculating_cyclide(helcat_quarter.surface, 1.0, 0.3)
-    t_eff = _PROFILE_SIGN * c.t
-    prof_s = canonical_profile(c.theta1, c.theta2, c.psi, c.coeffs, t_eff)
-    prof_c = cyclide_profile(c.psi_c, t_eff)
-    order, slope, exact = contact_order_details(prof_s, prof_c)
-    assert order == 4 and exact and slope >= 4.8
-    for dpc in (1.0, -1.0):
-        prof_p = cyclide_profile(c.psi_c + dpc, t_eff)
-        order, slope, exact = contact_order_details(prof_s, prof_p)
-        assert order == 3 and not exact
-        assert 3.8 <= slope <= 4.2
     assert verify_contact_order(c) == 4
+    for dpc in (1.0, -1.0):
+        assert verify_contact_order(
+            dataclasses.replace(c, psi_c=c.psi_c + dpc)) == 3
 
 
 def test_cubic_profile_cancellation(helcat_quarter):
@@ -83,9 +79,10 @@ def test_cubic_profile_cancellation(helcat_quarter):
     # surface profile vanishes, matching the cyclide's cubic-free profile
     c = osculating_cyclide(helcat_quarter.surface, 1.0, 0.3)
     t_eff = _PROFILE_SIGN * c.t
-    prof = canonical_profile(c.theta1, c.theta2, c.psi, c.coeffs, t_eff)
+    prof = _on_line(normal_form_monomials(c.theta1, c.theta2, c.psi,
+                                          *c.coeffs), t_eff)
     scale = max(abs(c.theta1), abs(c.theta2))
-    assert abs(prof.c3) < 1e-9 * scale
+    assert abs(prof[3]) < 1e-9 * scale
 
 
 def test_profile_coeffs_frame_insensitive(helcat_quarter):
@@ -131,14 +128,6 @@ def test_profile_and_invariant_gauges_differ_by_mu(which, param, vals, fu,
         assert abs(got - want) <= 1e-12*scale
 
 
-def _on_line(mono, t):
-    """(c2, c3, c4) of a monomial dict restricted to y = t x."""
-    c = [0.0]*5
-    for (i, j), w in mono.items():
-        c[i + j] += w*t**j
-    return np.array(c[2:])
-
-
 @settings(max_examples=80, derandomize=True, database=None, deadline=None)
 @given(vals=st.lists(st.floats(-5.0, 5.0), min_size=7, max_size=7),
        psi_c=st.floats(-20.0, 20.0), t=st.floats(0.1, 3.0),
@@ -166,17 +155,51 @@ def test_normal_form_cyclide_and_difference_agree(vals, psi_c, t, sign, xy):
                     if k[0] + k[1] > 2}
     assert poly[(2, 0)] == cyc[(2, 0)] and poly[(0, 2)] == cyc[(0, 2)]
     # on the line y = t x it is the surface profile minus the cyclide's
-    prof_s = canonical_profile(t1, t2, psi, (a, b, c, d), t)
-    prof_c = cyclide_profile(psi_c, t)
-    got = np.array([prof_s.c2 - prof_c.c2, prof_s.c3 - prof_c.c3,
-                    prof_s.c4 - prof_c.c4])
+    prof_s = _on_line(poly, t)
+    prof_c = _on_line(cyc, t)
+    got = np.subtract(prof_s, prof_c)[2:]
     scale = 1e-12*(1.0 + abs(psi_c) + sum(map(abs, vals)))*max(1.0, t**4)
-    assert np.allclose(got, _on_line(diff, t), rtol=0, atol=scale)
+    assert np.allclose(got, _on_line(diff, t)[2:], rtol=0, atol=scale)
     # the matched psi_c zeroes the quartic term along t_eff = -t
     pc = osculating_psi_c(vals, t)
-    gap = (canonical_profile(t1, t2, psi, (a, b, c, d), -t).c4
-           - cyclide_profile(pc, -t).c4)
+    gap = _on_line(poly, -t)[4] - _on_line(cyclide_monomials(pc), -t)[4]
     assert abs(gap) <= scale
     if min(abs(t1), abs(t2)) > 0.1:
         assert osculating_psi_c(vals) == osculating_psi_c(
             vals, np.cbrt(t1/t2))
+
+
+@settings(max_examples=40, derandomize=True, database=None, deadline=None)
+@given(vals=st.lists(st.floats(-5.0, 5.0), min_size=7, max_size=7))
+def test_normal_form_monomials_are_the_derivatives_over_factorials(vals):
+    # z_ij / (i! j!) of the canonical graph's derivatives at the origin,
+    # key by key, in the same order and bit for bit
+    t1, t2, psi, a, b, c, d = vals
+    jet = {(2, 0): 1.0, (0, 2): -1.0, (3, 0): t1, (0, 3): t2,
+           (4, 0): a, (3, 1): b, (2, 2): psi, (1, 3): c, (0, 4): d}
+    want = [((i, j), q/(factorial(i)*factorial(j)))
+            for (i, j), q in jet.items()]
+    assert list(normal_form_monomials(*vals).items()) == want
+
+
+_THETA = st.floats(0.1, 5.0).flatmap(
+    lambda m: st.sampled_from([m, -m]))
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(t1=_THETA, t2=_THETA,
+       rest=st.lists(st.floats(-5.0, 5.0), min_size=5, max_size=5),
+       frac=st.floats(1e-6, 1e3), sign=st.sampled_from([1.0, -1.0]))
+def test_contact_order_of_random_invariants(t1, t2, rest, frac, sign):
+    # 4 at the matched psi_c, 3 with psi_c moved off it, 2 off the
+    # direction where the surface's cubic profile term cancels
+    psi, *coeffs = rest
+    t = float(np.cbrt(t1/t2))
+    pc = osculating_psi_c((t1, t2, psi, *coeffs), t)
+    c = CyclideContact(t=t, alpha=float(np.arctan(abs(t))), psi_c=pc,
+                       limit_derived=False, theta1=t1, theta2=t2, psi=psi,
+                       coeffs=tuple(coeffs))
+    assert verify_contact_order(c) == 4
+    moved = pc + sign*frac*(1.0 + abs(pc))
+    assert verify_contact_order(dataclasses.replace(c, psi_c=moved)) == 3
+    assert verify_contact_order(dataclasses.replace(c, t=2*t)) == 2

@@ -8,7 +8,7 @@ from conformal.catalog import (make_canonical, make_graph, make_helcat,
                                make_sphere, make_torus, make_tube)
 from conformal.errors import (DegenerateMetric, InversionCenterOnSurface,
                               UmbilicPoint)
-from conformal.invariants import _curv_grads, theta_state
+from conformal.invariants import _curv_grads, invariant_sample, theta_state
 from conformal.surfaces import (MobiusMap, SurfacePatch,
                                 _check_inversion_centers, _forms, _jet_forms,
                                 mobius_transform, principal_data,
@@ -60,6 +60,22 @@ def test_torus_principal_curvatures(torus):
         got = sorted([pd.k1, pd.k2], key=abs)
         assert np.allclose(np.abs(got), np.abs(want), atol=1e-10)
         assert abs(abs(pd.K) - abs(want[0]*want[1])) < 1e-10
+
+
+def test_umbilic_test_does_not_depend_on_scale():
+    # a dilation leaves the thetas, psi and the class where they were: only
+    # the planar point and the spheres, at any radius, are umbilic
+    helcat = make_helcat(np.pi/4).surface
+    base = invariant_sample(helcat, 0.8, 0.5)
+    for s in (1e-7, 1.0, 1e7, 1e12):
+        got = invariant_sample(
+            mobius_transform(helcat, MobiusMap.dilation(s)), 0.8, 0.5)
+        assert got.classification == "Generic"
+        for name in ("theta1", "theta2", "psi"):
+            assert abs(getattr(got, name) - getattr(base, name)) <= 1e-10
+    for entry in (make_graph({}), make_sphere(1e-7), make_sphere(1e7)):
+        with pytest.raises(UmbilicPoint):
+            principal_data(entry.surface.jet_raw(0.1, 0.2))
 
 
 def test_sphere_is_umbilic():
