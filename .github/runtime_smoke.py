@@ -15,13 +15,15 @@ either of them.  It also runs ``cycl osculate`` in a child process
 on a graph of slope 1e100, whose metric scale squared overflows a float,
 and on the unit sphere, where every point is umbilic, and fails unless
 each exits 3 with a JSON record naming ``DegenerateMetric`` and
-``UmbilicPoint`` and no traceback.  A torus moved by a translated
-inversion must give a jet of 18 Python floats whose r is the base
-position translated and inverted by hand (to 1e-12), an inversion
-centered on a torus point must raise ``InversionCenterOnSurface``, and
-the acceptance battery's orientation-preserving inversion (translation,
-inversion, reflection) must keep psi on helcat pi/4 at (0.8, 0.5) to
-1e-6.
+``UmbilicPoint`` and no traceback.  The torus ``invariants`` JSON sweep
+must read Dupin with psi = -1 and a..d = (3, 0, 0, -3) (each to 1e-6) on
+every row off the domain's edge, and BoundaryTooClose on every other.  A
+torus moved by a translated inversion must give a jet of 18 Python floats
+whose r is the base position translated and inverted by hand (to 1e-12),
+an inversion centered on a torus point must raise
+``InversionCenterOnSurface``, and the acceptance battery's
+orientation-preserving inversion (translation, inversion, reflection) must
+keep psi on helcat pi/4 at (0.8, 0.5) to 1e-6.
 """
 import importlib
 import json
@@ -106,6 +108,22 @@ with tempfile.TemporaryDirectory() as tmp:
             if got != [(4, "false"), (4, "true")]:
                 sys.exit(f"cycl {' '.join(args)}: (contact_order, "
                          f"limit_derived) {got}")
+        if args[0] == "invariants" and "json" in args:
+            # the torus is a Dupin cyclide: psi = 4 r^2/R^2 - 2 = -1 and
+            # a..d = (3, 0, 0, -3) at every point off the domain's edge
+            report = json.loads(out.read_text())
+            col = {name: i for i, name in enumerate(report["header"])}
+            want = {"psi": -1.0, "a": 3.0, "b": 0.0, "c": 0.0, "d": -3.0}
+            for row in report["rows"]:
+                cls = row[col["class"]]
+                if row[col["psi"]] is None:
+                    ok = cls == "BoundaryTooClose"
+                else:
+                    ok = cls == "Dupin" and all(
+                        abs(row[col[k]] - w) <= 1e-6 for k, w in want.items())
+                if not ok:
+                    sys.exit(f"cycl {' '.join(args)}: row {row}, want Dupin "
+                             f"with {want} or BoundaryTooClose")
         if args[0] == "prescribe":
             report = json.loads(out.read_text())
             if report["realizable"] is not True:

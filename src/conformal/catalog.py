@@ -41,11 +41,12 @@ __all__ = [
 class CatalogEntry:
     """Immutable catalog surface: patch + parameters + optional oracles.
 
-    ``oracle`` maps field names ('theta1', 'theta2', 'psi', 'kappa',
-    'psi_c') to callables of the first surface parameter u (every oracle in
-    the catalog is constant in v; 'kappa', a constant, takes no argument).
-    Oracles that read 0 mark the special cases: both thetas on the torus
-    (a Dupin cyclide), theta1 on a tube (a canal surface).
+    ``oracle`` maps field names ('theta1', 'theta2', 'psi', 'a', 'b', 'c',
+    'd', 'kappa', 'psi_c') to callables of the first surface parameter u
+    (every oracle in the catalog is constant in v; 'kappa', a constant,
+    takes no argument).  Oracles that read 0 mark the special cases: both
+    thetas on the torus (a Dupin cyclide), theta1 on a tube (a canal
+    surface).
     """
     surface: SurfacePatch
     params: Dict[str, object]
@@ -148,16 +149,37 @@ def _revolution_jet(R: float, r: float):
     return jet
 
 
+def _constant(x: float) -> Callable:
+    """An oracle that reads ``x`` at every u (an array at an array)."""
+    return lambda s: x + 0.0*np.asarray(s)
+
+
 def make_torus(R: float, r: float) -> CatalogEntry:
-    """Torus of revolution (a cyclide: both curvature fields vanish)."""
+    """Torus of revolution, a Dupin cyclide, with constant oracles:
+
+        theta1 = theta2 = 0    (a, b, c, d) = (3, 0, 0, -3)
+        psi = 4 r^2/R^2 - 2
+
+    Both curvature fields vanish, and with them every theta term of psi
+    and a..d.  What is left of psi is mu^-3 (Lap H + 2 mu^2 H).  With
+    rho = R + r cos v the metric is diag(rho^2, r^2), and along the normal
+    r_u x r_v (outward) the principal curvatures are -1/r and -cos v/rho.
+    So H = -(R + 2r cos v)/(2 r rho) and mu = R/(2 r rho) depend on v
+    alone, Lap H = (rho H_v)_v/(r^2 rho) = R (R cos v + r)/(2 r^2 rho^3),
+    and mu^-3 (Lap H + 2 mu^2 H) = 2(2r^2 - R^2)/R^2.  psi changes sign
+    with the normal, so an orientation-reversing Mobius map negates it.
+    """
     R, r = float(R), float(r)
     if not (math.isfinite(R) and R > r > 0):
         raise ValueError("need finite R > r > 0")
     patch = SurfacePatch([(-np.pi, np.pi), (-np.pi, np.pi)],
                          jet_fn=_revolution_jet(R, r))
-    zero = lambda s: 0.0*np.asarray(s)
+    zero = _constant(0.0)
     return CatalogEntry(surface=patch, params={"R": R, "r": r},
-                        oracle={"theta1": zero, "theta2": zero})
+                        oracle={"theta1": zero, "theta2": zero,
+                                "psi": _constant(4.0*r*r/(R*R) - 2.0),
+                                "a": _constant(3.0), "b": zero, "c": zero,
+                                "d": _constant(-3.0)})
 
 
 def make_sphere(radius: float) -> CatalogEntry:
@@ -219,10 +241,9 @@ def make_tube(curve, radius: float) -> CatalogEntry:
                 pvv*cu - q*su, pvv*su + q*cu, -ra*sv)
 
     patch = SurfacePatch([(-10.0, 10.0), (-10.0, 10.0)], jet_fn=jet)
-    zero = lambda s: 0.0*np.asarray(s)
     return CatalogEntry(surface=patch,
                         params={"curve": tuple(curve), "radius": radius},
-                        oracle={"theta1": zero})
+                        oracle={"theta1": _constant(0.0)})
 
 
 # --------------------------------------------------------------------------

@@ -195,7 +195,8 @@ def _quartic(derivs):
 def classify_point(theta1: float, theta2: float) -> str:
     """One of Generic / CanalTheta1 / CanalTheta2 / Dupin: a theta below
     ``_TOL_CANAL`` (1e-6) in absolute value counts as 0.  The thetas are
-    Mobius-invariant, so one absolute threshold serves every scale."""
+    Mobius-invariant, so one absolute threshold serves every scale.  The
+    osculating cyclide and the Dupin tracers ask this rule too."""
     small1 = abs(theta1) < _TOL_CANAL
     small2 = abs(theta2) < _TOL_CANAL
     if small1 and small2:

@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import (AngleDegenerate, DupinPoint, OutOfDomain,
                      SeedIsDupinPoint)
-from .invariants import _along, theta_state
+from .invariants import _along, classify_point, theta_state
 from .surfaces import SurfacePatch, _div, _require_frame
 
 __all__ = [
@@ -36,7 +36,6 @@ __all__ = [
     "CriticalPoint",
 ]
 
-_TOL_DUPIN = 1e-6     # |theta1| + |theta2| below this is the Dupin locus
 _THETA_FLOOR = 1e-12  # a |theta_i| below this is roundoff: 0 in the direction
 _MAX_TURN = math.pi/4  # a Dupin direction turning further in one step jumps
 _ANGLE_EPS = 0.02     # a Darboux trace stops this close to alpha = 0, pi/2
@@ -107,10 +106,10 @@ def _align(d, ref):
 
 def _dupin_dir(state):
     """Unoriented :func:`_dupin_vector` from a :func:`theta_state` tuple;
-    DupinPoint where |theta1| + |theta2| is below ``_TOL_DUPIN``."""
+    DupinPoint where :func:`classify_point` reads the point Dupin."""
     t1, t2, X1, X2, _ = state
-    if abs(t1) + abs(t2) < _TOL_DUPIN:
-        raise DupinPoint(f"|theta1|+|theta2| = {abs(t1)+abs(t2):.3e}")
+    if classify_point(t1, t2) == "Dupin":
+        raise DupinPoint(f"theta1 = {t1:.3e}, theta2 = {t2:.3e}")
     return _dupin_vector(t1, t2, X1, X2)
 
 
@@ -169,7 +168,7 @@ def integrate_dupin_line(surface: SurfacePatch, seed, step: float = 0.01,
     or at the Dupin locus (HitSingularPoint).  Transversal crossings of an
     isolated theta zero pass through: the field direction has a continuous
     unoriented limit there, so a step whose start sample lies inside the
-    tolerance band (|theta1| + |theta2| below ``_TOL_DUPIN``) takes the
+    band that :func:`classify_point` reads as Dupin takes the
     carried direction as its first stage, as its other stages already do
     inside the band.  Where the next step-start sample is in the band too,
     or where the sample's unoriented ambient direction turns from the
@@ -360,8 +359,8 @@ def dupin_angle(surface: SurfacePatch, seed) -> float:
     UmbilicPoint at an umbilic seed and SeedIsDupinPoint where both thetas
     vanish, so the direction is undefined."""
     t1, t2, *_ = _seed_state(surface, *seed)
-    if abs(t1) + abs(t2) < _TOL_DUPIN:
-        raise SeedIsDupinPoint(f"|theta1|+|theta2| = {abs(t1)+abs(t2):.3e}")
+    if classify_point(t1, t2) == "Dupin":
+        raise SeedIsDupinPoint(f"theta1 = {t1:.3e}, theta2 = {t2:.3e}")
     t1, t2 = _floor_thetas(t1, t2)
     # numpy's division: theta2 = 0 gives an infinite slope, not an error
     return float(-np.arctan(np.cbrt(np.divide(-t1, t2))))

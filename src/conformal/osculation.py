@@ -6,7 +6,10 @@ point (:func:`normal_form_monomials`) and in the cyclide pencil's form
 :mod:`conformal.catalog` and :mod:`conformal.intersect` build on too.
 Along the line y = t x of the tangent plane (:func:`_on_line`) both become
 quartic profiles: order-4 contact pins the single free cyclide invariant
-psi_c, and the contact order is read from the profiles' difference.
+psi_c, and the contact order is read from the profiles' difference.  The
+cyclide is itself a normal form, at (theta1, theta2, psi, a, b, c, d) =
+(0, 0, 2 psi_c/3, 3, 0, 0, -3): a Dupin cyclide's thetas vanish, and so
+psi_c = 3 psi/2 for the cyclide's own psi.
 
 The profile coefficient set used for the published-table computation takes
 unit-speed directional derivatives of the theta fields (distinct from the
@@ -24,7 +27,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CanalPoint, DupinPoint
-from .invariants import _quartic, _unit_theta_derivs, psi_invariant
+from .invariants import (_quartic, _unit_theta_derivs, classify_point,
+                         psi_invariant)
 from .surfaces import SurfacePatch, _div
 
 __all__ = [
@@ -32,7 +36,6 @@ __all__ = [
     "normal_form_monomials", "cyclide_monomials", "osculating_psi_c",
 ]
 
-_TOL_THETA = 1e-6
 _PROFILE_SIGN = -1      # sign of the contact direction (module docstring)
 
 
@@ -90,9 +93,9 @@ def _limit_ratio(derivs):
 # direction and cyclide
 # --------------------------------------------------------------------------
 def _contact_direction(theta1, theta2) -> float:
-    """t = cbrt(theta1/theta2); CanalPoint where one theta vanishes."""
-    if min(abs(theta1), abs(theta2)) < _TOL_THETA * max(abs(theta1),
-                                                        abs(theta2), 1.0):
+    """t = cbrt(theta1/theta2); CanalPoint unless :func:`classify_point`
+    reads the point Generic."""
+    if classify_point(theta1, theta2) != "Generic":
         raise CanalPoint(
             f"one theta vanishes (theta1={theta1:.3e}, theta2={theta2:.3e});"
             " quartic matching degenerates")
@@ -104,16 +107,16 @@ def osculating_cyclide(surface: SurfacePatch, u: float, v: float
     """Unique cyclide with order-4 contact at a non-canal point.
 
     Its invariant is :func:`osculating_psi_c` of the unit-gauge profile
-    coefficients and psi.  Where both thetas are below ``_TOL_THETA``,
-    theta1/theta2 is replaced by its transversal limit,
-    :func:`_limit_ratio`, and the result is flagged
-    limit-derived (from the same theta gradients as the coefficients);
-    where only one is, :class:`CanalPoint` is raised.
+    coefficients and psi.  Where :func:`classify_point` reads the point
+    Dupin, theta1/theta2 is replaced by its transversal limit,
+    :func:`_limit_ratio`, and the result is flagged limit-derived (from the
+    same theta gradients as the coefficients); where it reads a canal
+    class, :class:`CanalPoint` is raised.
     """
     derivs = _unit_theta_derivs(surface, u, v)
     coeffs, t1, t2 = _profile_coeffs(derivs)
     psi = psi_invariant(surface, u, v)
-    limit_derived = bool(max(abs(t1), abs(t2)) < _TOL_THETA)
+    limit_derived = classify_point(t1, t2) == "Dupin"
     if limit_derived:
         t = float(np.cbrt(_limit_ratio(derivs)))
     else:
@@ -142,9 +145,9 @@ def normal_form_monomials(theta1, theta2, psi, a, b, c, d) -> dict:
 
 def cyclide_monomials(psi_c) -> dict:
     """The cyclide of invariant ``psi_c``, z = (x^2 - y^2)/2 +
-    (x^4 - y^4)/8 + psi_c x^2 y^2/6, as {(i, j): weight of x^i y^j}."""
-    return {(2, 0): 0.5, (0, 2): -0.5,
-            (4, 0): 1.0/8.0, (2, 2): psi_c/6.0, (0, 4): -1.0/8.0}
+    (x^4 - y^4)/8 + psi_c x^2 y^2/6: the normal form of a Dupin cyclide
+    (module docstring)."""
+    return normal_form_monomials(0.0, 0.0, 2*psi_c/3, 3.0, 0.0, 0.0, -3.0)
 
 
 def _on_line(terms, t):

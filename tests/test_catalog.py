@@ -3,13 +3,15 @@ import pytest
 import sympy as sp
 from hypothesis import example, given, settings, strategies as st
 
-from conftest import jet_vectors
+from conftest import MOBIUS_PRIMITIVE, compose_mobius, jet_vectors
 from conformal.catalog import (make_canonical, make_graph, make_helcat,
                                make_sphere, make_torus, make_tube)
-from conformal.errors import CanalPoint, SelfIntersectingTube
+from conformal.errors import (CanalPoint, InversionCenterOnSurface,
+                              SelfIntersectingTube)
 from conformal.invariants import (invariant_sample, psi_invariant,
                                   theta_state, xi_theta_derivs)
 from conformal.osculation import osculating_cyclide
+from conformal.surfaces import mobius_transform
 from reference import isothermic_residual, sympy_patch
 
 _U, _V = sp.symbols("u v", real=True)
@@ -58,6 +60,35 @@ def test_torus_flags_and_thetas(torus):
     for (u, v) in [(0.5, 0.8), (-1.0, 2.0)]:
         t1, t2, *_ = theta_state(torus.surface, u, v)
         assert abs(t1) < 1e-6 and abs(t2) < 1e-6
+
+
+@settings(max_examples=40, derandomize=True, database=None, deadline=None)
+@given(ratio=st.floats(1.01, 5.0), r=st.floats(0.2, 2.0),
+       u=st.floats(-3.0, 3.0), v=st.floats(-3.0, 3.0),
+       spec=st.lists(MOBIUS_PRIMITIVE, max_size=3))
+@example(ratio=2.0, r=1.0, u=0.5, v=0.8,
+         spec=[("translation", (0.0, 0.0, 5.0)), ("inversion", None)])
+def test_torus_oracles_under_random_mobius_maps(ratio, r, u, v, spec):
+    # a Dupin cyclide: psi = 4 r^2/R^2 - 2, negated by an orientation-
+    # reversing map (psi = -1 on torus(2, 1) reads +1 through the
+    # translated inversion), a..d = (3, 0, 0, -3), and both thetas vanish
+    R = ratio*r
+    e = make_torus(R, r)
+    m = compose_mobius(spec)
+    try:
+        moved = mobius_transform(e.surface, m)
+    except InversionCenterOnSurface:
+        return
+    samp = invariant_sample(moved, u, v)
+    psi = 4*r*r/(R*R) - 2
+    assert e.oracle["psi"](u) == pytest.approx(psi, rel=1e-15)
+    if not m.orientation_preserving:
+        psi = -psi
+    assert abs(samp.psi - psi) < 1e-8*max(1.0, abs(psi))
+    for k, want in zip("abcd", (3.0, 0.0, 0.0, -3.0)):
+        assert e.oracle[k](u) == want
+        assert abs(getattr(samp, k) - want) < 1e-8
+    assert samp.classification == "Dupin"
 
 
 def test_tube_flags_and_thetas(helical_tube):

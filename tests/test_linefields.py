@@ -8,7 +8,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 from conftest import jet_vectors
 from conformal import linefields
 from conformal.errors import AngleDegenerate, DupinPoint, SeedIsDupinPoint
-from conformal.invariants import theta_state
+from conformal.invariants import classify_point, theta_state
 from conformal.linefields import (CurveTrace, darboux_critical_points,
                                   fit_circle, integrate_darboux_line,
                                   integrate_dupin_line)
@@ -112,13 +112,13 @@ def test_trace_crosses_a_theta_zero_circle_and_closes(helical_tube):
 def test_step_start_samples_on_the_zero_circles_do_not_stop_a_trace(
         helical_tube):
     # a v-step of pi/110 puts a step-start sample on each zero circle,
-    # inside the tolerance band, whichever way the trace runs: those steps
+    # inside the Dupin band, whichever way the trace runs: those steps
     # carry the direction through, and the trace closes
     s = helical_tube.surface
     h = np.pi/110
     tr = integrate_dupin_line(s, (0.5, 5*h), step=0.35*h)
     assert tr.closed
-    band = [abs(t1) + abs(t2) < linefields._TOL_DUPIN
+    band = [classify_point(t1, t2) == "Dupin"
             for t1, t2, *_ in (theta_state(s, *p) for p in tr.uv)]
     assert sum(band) == 2
     _, r, _ = fit_circle(tr.positions)
@@ -350,7 +350,7 @@ def _array_state(surface, u, v, ref=None):
 
 def _array_dupin_dir(state):
     t1, t2, X1, X2, _ = state
-    if abs(t1) + abs(t2) < linefields._TOL_DUPIN:
+    if classify_point(t1, t2) == "Dupin":
         raise DupinPoint("")
     c1, c2 = (np.cbrt(t) for t in linefields._floor_thetas(t1, t2))
     norm = math.hypot(c1, c2)

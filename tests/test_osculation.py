@@ -6,10 +6,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conformal.catalog import make_canonical, make_helcat
-from conformal.errors import CanalPoint
+from conformal.errors import CanalPoint, SeedIsDupinPoint
 from conformal.intersect import difference_coeffs
-from conformal.invariants import (_unit_theta_derivs, invariant_sample,
-                                  theta_state)
+from conformal.invariants import (_unit_theta_derivs, classify_point,
+                                  invariant_sample, theta_state)
+from conformal.linefields import dupin_angle
 from conformal.osculation import (_PROFILE_SIGN, CyclideContact,
                                   _limit_ratio, _on_line, _profile_coeffs,
                                   cyclide_monomials, normal_form_monomials,
@@ -203,3 +204,44 @@ def test_contact_order_of_random_invariants(t1, t2, rest, frac, sign):
     moved = pc + sign*frac*(1.0 + abs(pc))
     assert verify_contact_order(dataclasses.replace(c, psi_c=moved)) == 3
     assert verify_contact_order(dataclasses.replace(c, t=2*t)) == 2
+
+
+# thetas at the origin of a canonical graph, with their class there
+_THETA_CASES = [((6e-7, 6e-7), "Dupin"), ((9e-7, -9e-7), "Dupin"),
+                ((5e-6, 10.0), "Generic"), ((0.5, 2.0), "Generic"),
+                ((5e-7, 10.0), "CanalTheta1")]
+
+
+@pytest.mark.parametrize("thetas, cls", _THETA_CASES,
+                         ids=[str(t) for t, _ in _THETA_CASES])
+def test_one_vanishing_theta_rule(thetas, cls):
+    # classify_point decides where thetas vanish; the osculating cyclide
+    # (limit-derived on the Dupin locus, CanalPoint on a canal class) and
+    # the Dupin angle (SeedIsDupinPoint on the Dupin locus) follow it
+    s = make_canonical(*thetas, 0.0, 3.5, 0.25, -0.5, -3.25).surface
+    t1, t2, *_ = theta_state(s, 0.0, 0.0)
+    assert classify_point(t1, t2) == cls
+    if cls.startswith("Canal"):
+        with pytest.raises(CanalPoint):
+            osculating_cyclide(s, 0.0, 0.0)
+    else:
+        assert osculating_cyclide(s, 0.0, 0.0).limit_derived == (
+            cls == "Dupin")
+    if cls == "Dupin":
+        with pytest.raises(SeedIsDupinPoint):
+            dupin_angle(s, (0.0, 0.0))
+    else:
+        assert np.isfinite(dupin_angle(s, (0.0, 0.0)))
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(psi=st.floats(-10.0, 10.0), t=st.floats(0.1, 10.0),
+       sign=st.sampled_from([1.0, -1.0]))
+def test_cyclide_psi_c_is_three_halves_its_psi(psi, t, sign):
+    # the cyclide is the normal form at (0, 0, 2 psi_c/3, 3, 0, 0, -3), so
+    # its own osculating cyclide has psi_c = 3 psi/2 along every direction
+    t = sign*t
+    got = osculating_psi_c((0.0, 0.0, psi, 3.0, 0.0, 0.0, -3.0), t)
+    assert abs(got - 1.5*psi) <= 1e-13*(1.0 + abs(psi))*(t*t + 1.0/(t*t))
+    assert cyclide_monomials(got) == pytest.approx(
+        normal_form_monomials(0.0, 0.0, psi, 3.0, 0.0, 0.0, -3.0))

@@ -13,8 +13,8 @@ from conformal.errors import (KappaZero, MarginTooSmall, MissingField,
                               NonPositiveResult)
 from conformal import prescribe as prescribe_mod
 from conformal.invariants import _psi_numerator
-from conformal.prescribe import (FieldGrid, _RowNorms, _compatibility,
-                                 _grid_oracle, _norms,
+from conformal.prescribe import (FieldGrid, ResidualReport, _RowNorms,
+                                 _compatibility, _grid_oracle, _norms,
                                  fourth_order_condition, helcat_coframe,
                                  helcat_grid, integrability_residuals,
                                  prescribe, psi_from_grid,
@@ -398,8 +398,11 @@ def test_norms_all_masked_and_margin_guard():
     r[0, 0] = 1.0      # outside the interior
     row = np.ones((12, 12))
     row[5] = np.nan
-    rep = _norms({"masked": r, "zero": np.zeros((12, 12)), "row": row}, 2)
-    assert np.isnan(rep.max_norm["masked"]) and np.isnan(rep.rms["masked"])
+    # psi's mask may empty structural_3, which then leaves the verdict
+    rep = _norms({"structural_3": r, "zero": np.zeros((12, 12)),
+                  "row": row}, 2)
+    assert np.isnan(rep.max_norm["structural_3"])
+    assert np.isnan(rep.rms["structural_3"])
     assert rep.max_norm["zero"] == rep.rms["zero"] == 0.0
     assert rep.max_norm["row"] == rep.rms["row"] == 1.0
     assert rep.worst() == 1.0
@@ -408,6 +411,30 @@ def test_norms_all_masked_and_margin_guard():
             _norms({"r": np.zeros(shape)}, 2)
     with pytest.raises(MarginTooSmall):
         structural_residuals(helcat_grid(np.pi/4, 17), margin=9)
+
+
+@pytest.mark.parametrize("name", ["integrability_4th", "structural_1"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_worst_reads_other_non_finite_norms_as_inf(name, bad):
+    rep = ResidualReport(max_norm={"structural_3": np.nan,
+                                   "structural_4": np.nan, name: bad,
+                                   "row": 1.0}, rms={}, margin=2)
+    assert rep.worst() == np.inf
+    rep.max_norm[name] = 2.0
+    assert rep.worst() == 2.0
+    rep.max_norm["structural_4"] = np.inf
+    assert rep.worst() == np.inf
+
+
+@pytest.mark.parametrize("scale", [1e-55, 1e-60])
+def test_underflowed_fourth_order_residual_is_not_realizable(scale):
+    # f1^6 f2^6 underflows: integrability_4th reads NaN, and a NaN norm
+    # that psi's mask did not make reads not realizable
+    g = helcat_grid(np.pi/4, 65)
+    _, rep = prescribe(g.kappa, scale*g.f2, scale*g.f1[:, 0], g.x1, g.x2)
+    assert np.isnan(rep.max_norm["integrability_4th"])
+    assert rep.worst() == np.inf
+    assert rep.extra["realizable"] == 0.0
 
 
 def _varying_grid(n=33):
