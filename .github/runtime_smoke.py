@@ -17,7 +17,9 @@ and on the unit sphere, where every point is umbilic, and fails unless
 each exits 3 with a JSON record naming ``DegenerateMetric`` and
 ``UmbilicPoint`` and no traceback.  The torus ``invariants`` JSON sweep
 must read Dupin with psi = -1 and a..d = (3, 0, 0, -3) (each to 1e-6) on
-every row off the domain's edge, and BoundaryTooClose on every other.  A
+every row off the domain's edge, and BoundaryTooClose on every other.  The
+64x64 ``intersect`` JSON on the canonical spec must read 2 components, the
+origin on component 0 and not degenerate.  A
 torus moved by a translated inversion must give a jet of 18 Python floats
 whose r is the base position translated and inverted by hand (to 1e-12),
 an inversion centered on a torus point must raise
@@ -124,6 +126,13 @@ with tempfile.TemporaryDirectory() as tmp:
                 if not ok:
                     sys.exit(f"cycl {' '.join(args)}: row {row}, want Dupin "
                              f"with {want} or BoundaryTooClose")
+        if args[0] == "intersect" and "json" in args:
+            got = {k: json.loads(out.read_text())["config"][k] for k in (
+                "component_count", "origin_component_index", "degenerate")}
+            want = {"component_count": 2, "origin_component_index": 0,
+                    "degenerate": False}
+            if got != want:
+                sys.exit(f"cycl {' '.join(args)}: {got}, want {want}")
         if args[0] == "prescribe":
             report = json.loads(out.read_text())
             if report["realizable"] is not True:

@@ -411,11 +411,10 @@ def cmd_intersect(entry, psi_c, window, grid):
     pc = float(osculating_psi_c(coeffs)) if psi_c is None else psi_c
     n = _square_grid(grid)
     cs = trace_cyclide_intersection(coeffs, pc, window=window, resolution=n)
-    rows = []
-    for cid, pl in enumerate(cs.polylines):
-        comp = cs.component_of_polyline[cid]
-        for k in range(len(pl)):
-            rows.append([cid, comp, k, pl[k, 0], pl[k, 1]])
+    rows = [[cid, comp, k, x, y]
+            for cid, (pl, comp) in enumerate(zip(cs.polylines,
+                                                 cs.component_of_polyline))
+            for k, (x, y) in enumerate(pl.tolist())]
     meta = {"psi_c": pc, "window": window, "resolution": n,
             "component_count": cs.component_count,
             "origin_component_index": cs.origin_component_index,

@@ -4,11 +4,13 @@ and the tangent-sphere section-angle law.
 Both surfaces are quartic graphs over the common tangent plane; their
 difference F(x, y) has no quadratic part, so the zero set near the origin is
 governed by the cubic (and, at special parameter values, quartic) terms.
-Curves are extracted by marching squares on a numpy sign mask: every grid
-edge whose end values differ in sign is refined once, all such edges
-together, by bisection to machine precision, and each cell's segments come
-from one case table.  The origin cell is subdivided 4x4 and traced the same
-way, because F vanishes to order >= 3 there.
+Curves are extracted by marching squares on numpy sign masks, of the grid
+and of a 4x4 subdivision of its origin cell, because F vanishes to order
+>= 3 there.  Every edge of either grid whose end values differ in sign is
+refined once by one bisection to machine precision, all such edges of both
+grids together, and each cell's segments come from one case table.  The
+segments are joined into polylines on integer vertex ids, one per endpoint
+rounded to 9 decimals.
 
 The tracer needs numpy only, and importing this module loads no scipy.
 scipy is imported on first use by the paths that need it:
@@ -135,157 +137,152 @@ _BISECTIONS = 64
 def _bisect(F, lo, hi, pos_lo):
     """Zeros of F on many grid edges at once.
 
-    Edge k runs from point ``lo[k]`` to point ``hi[k]`` (rows of (n, 2)
-    arrays), and ``pos_lo[k]`` says F > 0 at ``lo[k]`` and not at ``hi[k]``.
-    Each bracket is halved ``_BISECTIONS`` times (the coordinate an edge
-    keeps fixed stays exact), and the end with the smaller |F| is returned.
+    Edge k runs from point ``lo[:, k]`` to point ``hi[:, k]`` (columns of
+    (2, n) arrays), and ``pos_lo[k]`` says F > 0 at ``lo[:, k]`` and not at
+    ``hi[:, k]``.  Each bracket is halved ``_BISECTIONS`` times (the
+    coordinate an edge keeps fixed stays exact), and the end with the
+    smaller |F| is returned, as a row of an (n, 2) array.
     """
-    def f(p):
-        return F(p[:, 0], p[:, 1])
-
     for _ in range(_BISECTIONS):
         mid = 0.5*(lo + hi)
-        up = ((f(mid) > 0) == pos_lo)[:, None]
+        up = (F(*mid) > 0) == pos_lo
         lo, hi = np.where(up, mid, lo), np.where(up, hi, mid)
-    return np.where((np.abs(f(lo)) <= np.abs(f(hi)))[:, None], lo, hi)
+    return np.where(np.abs(F(*lo)) <= np.abs(F(*hi)), lo, hi).T
 
 
-def _march(F, xs, ys, skip=None):
-    """Marching-squares segments of the zero set of F on the grid xs x ys.
+def _march(F, grids):
+    """Marching-squares segments of the zero set of F on each of ``grids``.
 
-    A grid point counts as positive when F > 0 there.  Every edge whose ends
-    differ is refined once, by :func:`_bisect`, and both of its cells share
-    that root.  ``skip`` is a cell (i, j) to leave out.  Returns the
-    segments as an (m, 2, 2) array of endpoints in row-major cell order,
-    and the flat index of each segment's cell.
+    Each grid is a triple (xs, ys, skip): the grid xs x ys, and a cell
+    (i, j) to leave out, or None.  F is evaluated once a grid, on the
+    broadcast axes, and a grid point counts as positive when F > 0 there.
+    Every edge whose ends differ is refined once, by one :func:`_bisect`
+    call for all the grids, and both of its cells share that root.  Returns
+    a pair per grid: its segments as an (m, 2, 2) array of endpoints in
+    row-major cell order, and the flat index of each segment's cell.
     """
-    P = np.stack(np.meshgrid(xs, ys, indexing="ij"), axis=-1)
-    f = F(P[..., 0], P[..., 1])
-    pos = f > 0
-    ix, jx = np.nonzero(pos[:-1, :] != pos[1:, :])     # edges along x
-    iy, jy = np.nonzero(pos[:, :-1] != pos[:, 1:])     # edges along y
-    nx = len(ix)
-    roots = _bisect(F, np.concatenate([P[ix, jx], P[iy, jy]]),
-                    np.concatenate([P[ix + 1, jx], P[iy, jy + 1]]),
-                    np.concatenate([pos[ix, jx], pos[iy, jy]]))
-    root_x = np.full((len(xs) - 1, len(ys)), -1)
-    root_x[ix, jx] = np.arange(nx)
-    root_y = np.full((len(xs), len(ys) - 1), -1)
-    root_y[iy, jy] = nx + np.arange(len(iy))
+    lo, hi, pos_lo, found, base = [], [], [], [], 0
+    for xs, ys, skip in grids:
+        f = F(xs[:, None], ys[None, :])
+        pos = f > 0
+        cross_x = pos[:-1, :] != pos[1:, :]                # edges along x
+        cross_y = pos[:, :-1] != pos[:, 1:]                # edges along y
+        ix, jx = divmod(np.flatnonzero(cross_x), len(ys))
+        iy, jy = divmod(np.flatnonzero(cross_y), len(ys) - 1)
+        i, j = np.concatenate([ix, iy]), np.concatenate([jx, jy])
+        along_x = np.arange(len(i)) < len(ix)
+        lo.append([xs[i], ys[j]])
+        hi.append([xs[i + along_x], ys[j + ~along_x]])
+        pos_lo.append(pos[i, j])
+        root_x = np.full(cross_x.shape, -1)
+        root_x[ix, jx] = base + np.arange(len(ix))
+        root_y = np.full(cross_y.shape, -1)
+        root_y[iy, jy] = base + len(ix) + np.arange(len(iy))
+        base += len(i)
+        # a cell whose corners differ crosses one of its edges 0, 1 and 2:
+        # were none of them crossed, c0 = c1 = c2 = c3
+        mixed = cross_x[:, :-1] | cross_y[1:, :] | cross_x[:, 1:]
+        if skip is not None:
+            mixed[skip] = False
+        cell = np.flatnonzero(mixed)
+        ci, cj = divmod(cell, len(ys) - 1)
+        code = (pos[ci, cj] + 2*pos[ci + 1, cj] + 4*pos[ci + 1, cj + 1]
+                + 8*pos[ci, cj + 1])
+        saddle = (code == 5) | (code == 10)
+        # the asymptotic decider: the asymptotes of the cell's bilinear
+        # interpolant cross at its saddle point, strictly inside a saddle
+        # cell (the denominator has the strict sign of f00), and the sign of
+        # F there says which diagonal corners connect.  On a bilinear F that
+        # is the sign of the saddle value (f00 f11 - f10 f01)/(f00 + f11 -
+        # f10 - f01)
+        si, sj = ci[saddle], cj[saddle]
+        f00, f10, f11, f01 = (f[si, sj], f[si + 1, sj], f[si + 1, sj + 1],
+                              f[si, sj + 1])
+        den = f00 + f11 - f10 - f01
+        code[saddle] += 16*(F(xs[si] + (f00 - f01)/den*(xs[si + 1] - xs[si]),
+                              ys[sj] + (f00 - f10)/den*(ys[sj + 1] - ys[sj]))
+                            > 0)
+        edge_root = np.stack([root_x[ci, cj], root_y[ci + 1, cj],
+                              root_x[ci, cj + 1], root_y[ci, cj]], axis=1)
+        pairs = _CASES[code]                            # (m, 2 slots, 2)
+        ends = np.take_along_axis(edge_root,
+                                  pairs.reshape(len(code), 4) % 4,
+                                  axis=1).reshape(-1, 2)
+        used = pairs.reshape(-1, 2)[:, 0] >= 0
+        found.append((ends[used], np.repeat(cell, 2)[used]))
+    roots = _bisect(F, np.hstack(lo), np.hstack(hi), np.concatenate(pos_lo))
+    return [(roots[ends], cell) for ends, cell in found]
 
-    code = (pos[:-1, :-1] + 2*pos[1:, :-1] + 4*pos[1:, 1:]
-            + 8*pos[:-1, 1:])
-    if skip is not None:
-        code[skip] = 0
-    ci, cj = np.nonzero((code != 0) & (code != 15))
-    code = code[ci, cj]
-    saddle = (code == 5) | (code == 10)
-    # the asymptotic decider: the asymptotes of the cell's bilinear
-    # interpolant cross at its saddle point, strictly inside a saddle cell
-    # (the denominator has the strict sign of f00), and the sign of F there
-    # says which diagonal corners connect.  On a bilinear F that is the
-    # sign of the saddle value (f00 f11 - f10 f01)/(f00 + f11 - f10 - f01)
-    si, sj = ci[saddle], cj[saddle]
-    f00, f10, f11, f01 = (f[si, sj], f[si + 1, sj], f[si + 1, sj + 1],
-                          f[si, sj + 1])
-    den = f00 + f11 - f10 - f01
-    code[saddle] += 16*(F(xs[si] + (f00 - f01)/den*(xs[si + 1] - xs[si]),
-                          ys[sj] + (f00 - f10)/den*(ys[sj + 1] - ys[sj]))
-                        > 0)
-    edge_root = np.stack([root_x[ci, cj], root_y[ci + 1, cj],
-                          root_x[ci, cj + 1], root_y[ci, cj]], axis=1)
-    pairs = _CASES[code]                                # (m, 2 slots, 2)
-    ends = np.take_along_axis(edge_root, pairs.reshape(len(code), 4) % 4,
-                              axis=1).reshape(-1, 2)
-    used = pairs.reshape(-1, 2)[:, 0] >= 0
-    cell = np.repeat(ci*(len(ys) - 1) + cj, 2)[used]
-    return roots[ends[used]], cell
 
-
-# endpoints closer than this are one vertex to _stitch (_key rounds to 9
-# decimals)
+# endpoints closer than this are one vertex to _stitch (9 decimals)
 _JOIN_TOL = 1e-9
-
-
-def _key(p):
-    return (round(p[0], 9), round(p[1], 9))
-
-
-class _UnionFind:
-    def __init__(self):
-        self.parent = {}
-
-    def find(self, x):
-        self.parent.setdefault(x, x)
-        while self.parent[x] != x:
-            self.parent[x] = self.parent[self.parent[x]]
-            x = self.parent[x]
-        return x
-
-    def union(self, a, b):
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[rb] = ra
 
 
 def _stitch(segments):
     """Join segments into polylines by shared endpoints; return polylines
     plus a component label per polyline (components join wherever any vertex
-    is shared, including self-crossings).  Endpoints are matched by their
-    coordinates rounded to 9 decimals; the polylines carry the unrounded
-    coordinates."""
-    uf = _UnionFind()
-    adj = {}
-    at = {}
-    for pa, pb in segments:
-        ka, kb = _key(pa), _key(pb)
-        if ka == kb:
-            continue
-        uf.union(ka, kb)
-        adj.setdefault(ka, []).append(kb)
-        adj.setdefault(kb, []).append(ka)
-        at.setdefault(ka, pa)
-        at.setdefault(kb, pb)
+    is shared, including self-crossings).
+
+    ``segments`` holds (m, 2, 2) endpoints.  Endpoints are one vertex where
+    their coordinates rounded to 9 decimals agree, and vertex ids rank the
+    rounded pairs lexicographically.  ``np.round`` scales, as
+    ``rint(x*1e9)/1e9``, so it can differ from Python's correctly rounded
+    ``round(x, 9)`` only within an ulp of a half-way point.  A segment whose
+    ends are one vertex is dropped, and segments between the same two
+    vertices are one edge.  Walks start at odd-degree vertices (open curve
+    ends), then at any vertex with an edge left, each in id order, and leave
+    a vertex by its first unused edge in segment order.  Polylines carry
+    each vertex's first endpoint, unrounded."""
+    segs = np.asarray(segments, dtype=float).reshape(-1, 2, 2)
+    keys = np.round(segs, 9)
+    keep = (keys[:, 0] != keys[:, 1]).any(axis=1)
+    pts, keys = segs[keep].reshape(-1, 2), keys[keep].reshape(-1, 2)
+    # endpoint order[r] has rank r: a run of equal keys is one vertex, and
+    # the stable sort puts its first endpoint in segment order first
+    order = np.lexsort((keys[:, 1], keys[:, 0]))
+    ranked = keys[order]
+    new = (np.diff(ranked, axis=0, prepend=np.nan) != 0).any(axis=1)
+    vid = np.empty_like(order)
+    vid[order] = np.cumsum(new) - 1
+    start = np.flatnonzero(new)
+    nv = len(start)
+    a, b = vid[0::2], vid[1::2]
+    # in rank order: each endpoint's edge, one id per vertex pair, and the
+    # vertex at its other end
+    edge = (np.minimum(a, b)*nv + np.maximum(a, b))[order >> 1].tolist()
+    nbr = vid[order ^ 1].tolist()
+    nxt, end = start.tolist(), start[1:].tolist() + [len(order)]
     used = set()
-    polylines = []
 
-    def walk(start):
-        chain = [start]
-        cur = start
-        while True:
-            nxt = None
-            for kb in adj[cur]:
-                e = (min(cur, kb), max(cur, kb))
-                if e not in used:
-                    nxt = kb
-                    used.add(e)
-                    break
-            if nxt is None:
-                break
-            chain.append(nxt)
-            cur = nxt
-        return chain
+    def free(v):
+        # advance v's first unused edge, nxt[v]; False once it has none
+        while nxt[v] < end[v] and edge[nxt[v]] in used:
+            nxt[v] += 1
+        return nxt[v] < end[v]
 
-    # start walks at odd-degree vertices first (open curve endpoints)
-    keys = sorted(adj.keys())
-    for k in keys:
-        if len(adj[k]) % 2 == 1:
-            while any((min(k, kb), max(k, kb)) not in used for kb in adj[k]):
-                polylines.append(walk(k))
-    for k in keys:
-        while any((min(k, kb), max(k, kb)) not in used for kb in adj[k]):
-            polylines.append(walk(k))
+    chains = []
+    odd = [v for v in range(nv) if (end[v] - nxt[v]) % 2]
+    for v in odd + list(range(nv)):
+        while free(v):
+            chain = [v]
+            while free(chain[-1]):
+                i = nxt[chain[-1]]
+                used.add(edge[i])
+                chain.append(nbr[i])
+            chains.append(chain)
+    root = list(range(nv))
 
-    comp_roots = []
-    comp_of = []
-    for chain in polylines:
-        root = uf.find(chain[0])
-        if root not in comp_roots:
-            comp_roots.append(root)
-        comp_of.append(comp_roots.index(root))
-    arrays = [np.array([at[k] for k in chain], dtype=float)
-              for chain in polylines]
-    return arrays, comp_of, len(comp_roots)
+    def find(v):
+        while root[v] != v:
+            root[v] = v = root[root[v]]
+        return v
+
+    for u, w in zip(a.tolist(), b.tolist()):
+        root[find(w)] = find(u)
+    labels = {}
+    comp_of = [labels.setdefault(find(c[0]), len(labels)) for c in chains]
+    first = pts[order[new]]
+    return [first[c] for c in chains], comp_of, len(labels)
 
 
 def trace_cyclide_intersection(coeffs, psi_c: float, window: float = 1.0,
@@ -305,12 +302,15 @@ def trace_cyclide_intersection(coeffs, psi_c: float, window: float = 1.0,
     origin count one branch per side), matching the dense sign-sampling
     oracle.  Branch structure at the origin itself is reported separately by
     :func:`origin_branch_directions`.  Raises ValueError unless ``window``
-    is finite and positive and ``psi_c`` is finite.
+    is finite and positive, ``psi_c`` is finite and ``coeffs`` are 7
+    finite numbers.
     """
     if not (np.isfinite(window) and window > 0):
         raise ValueError(f"window must be finite and positive, got {window!r}")
     if not np.isfinite(psi_c):
         raise ValueError(f"psi_c must be finite, got {psi_c!r}")
+    if len(coeffs) != 7 or not np.isfinite(coeffs).all():
+        raise ValueError(f"coeffs must be 7 finite numbers, got {coeffs!r}")
     if resolution < 16:
         raise ResolutionTooLow(f"resolution {resolution} < 16")
     # an odd cell count gives an even number of grid points, so no gridline
@@ -327,17 +327,17 @@ def trace_cyclide_intersection(coeffs, psi_c: float, window: float = 1.0,
     h = xs[1] - xs[0]
     # origin cell indices (origin strictly inside: grid point count is even)
     i0 = int(np.searchsorted(xs, 0.0)) - 1
-    segs, cell = _march(F, xs, xs, skip=(i0, i0))
     sub = np.linspace(xs[i0], xs[i0 + 1], 5)
+    (segs, cell), (inner, _) = _march(F, [(xs, xs, (i0, i0)),
+                                          (sub, sub, None)])
     k = int(np.searchsorted(cell, i0*cells + i0))
-    segs = np.concatenate([segs[:k], _march(F, sub, sub)[0], segs[k:]])
+    segs = np.concatenate([segs[:k], inner, segs[k:]])
     # cut the zero set at the origin (see docstring): drop segments whose
     # endpoints both fall inside a sub-cell-sized disk around it
     r_cut = 0.45 * h
     segs = segs[np.hypot(segs[..., 0], segs[..., 1]).max(axis=1) > r_cut]
-    polylines, comp_of, ncomp = _stitch(segs.tolist())
-    origin_idx = None
-    best = np.inf
+    polylines, comp_of, ncomp = _stitch(segs)
+    origin_idx, best = None, np.inf
     for idx, pl in enumerate(polylines):
         dmin = float(np.min(np.hypot(pl[:, 0], pl[:, 1])))
         # distances within the join tolerance tie, and the first polyline

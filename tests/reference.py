@@ -1,7 +1,9 @@
 """Reference code only the tests run: a sympy jet compiler, the numpy
 chain rule of a Mobius map, the inversion-center check sampled point by
-point, the Willmore energy, the commutator identity and the isothermic
-criterion.  Not collected; tests import it as they import ``conftest``."""
+point, the Willmore energy, the commutator identity, the isothermic
+criterion, and the intersection tracer's marching squares with one
+bisection per grid and its stitch on tuple keys.  Not collected; tests
+import it as they import ``conftest``."""
 import cmath
 import math
 
@@ -10,6 +12,8 @@ import sympy as sp
 
 from conformal.invariants import _H_FLD, _grad, theta_state
 from conformal.errors import InversionCenterOnSurface
+from conformal.intersect import (_BISECTIONS, _CASES, _JOIN_TOL,
+                                 difference_eval)
 from conformal.surfaces import (MobiusMap, SurfacePatch, _div, _dot,
                                 _jet_forms, _lib, _require_frame, _sqrt,
                                 principal_directions, shape_data)
@@ -191,3 +195,167 @@ def isothermic_residual(surface: SurfacePatch, u: float, v: float) -> float:
                      1e-3)
     return float((X1[0]*dpu[0] + X1[1]*dpv[0])
                  + (X2[0]*dpu[1] + X2[1]*dpv[1]))
+
+
+def bisect_reference(F, lo, hi, pos_lo):
+    """Zeros of F on grid edges from ``lo[k]`` to ``hi[k]``, rows of (n, 2)
+    arrays, with F > 0 at ``lo[k]`` where ``pos_lo[k]``: ``_BISECTIONS``
+    halvings of each bracket, then the end with the smaller |F|."""
+    def f(p):
+        return F(p[:, 0], p[:, 1])
+
+    for _ in range(_BISECTIONS):
+        mid = 0.5*(lo + hi)
+        up = ((f(mid) > 0) == pos_lo)[:, None]
+        lo, hi = np.where(up, mid, lo), np.where(up, hi, mid)
+    return np.where((np.abs(f(lo)) <= np.abs(f(hi)))[:, None], lo, hi)
+
+
+def march_reference(F, xs, ys, skip=None):
+    """Marching-squares segments of the zero set of F on the grid xs x ys,
+    F evaluated on a stacked ``meshgrid`` and the crossed edges refined by
+    their own :func:`bisect_reference` call; ``skip`` is a cell (i, j) to
+    leave out.  Returns the (m, 2, 2) segments in row-major cell order and
+    each one's flat cell index."""
+    P = np.stack(np.meshgrid(xs, ys, indexing="ij"), axis=-1)
+    f = F(P[..., 0], P[..., 1])
+    pos = f > 0
+    ix, jx = np.nonzero(pos[:-1, :] != pos[1:, :])
+    iy, jy = np.nonzero(pos[:, :-1] != pos[:, 1:])
+    nx = len(ix)
+    roots = bisect_reference(F, np.concatenate([P[ix, jx], P[iy, jy]]),
+                             np.concatenate([P[ix + 1, jx], P[iy, jy + 1]]),
+                             np.concatenate([pos[ix, jx], pos[iy, jy]]))
+    root_x = np.full((len(xs) - 1, len(ys)), -1)
+    root_x[ix, jx] = np.arange(nx)
+    root_y = np.full((len(xs), len(ys) - 1), -1)
+    root_y[iy, jy] = nx + np.arange(len(iy))
+    code = (pos[:-1, :-1] + 2*pos[1:, :-1] + 4*pos[1:, 1:]
+            + 8*pos[:-1, 1:])
+    if skip is not None:
+        code[skip] = 0
+    ci, cj = np.nonzero((code != 0) & (code != 15))
+    code = code[ci, cj]
+    saddle = (code == 5) | (code == 10)
+    si, sj = ci[saddle], cj[saddle]
+    f00, f10, f11, f01 = (f[si, sj], f[si + 1, sj], f[si + 1, sj + 1],
+                          f[si, sj + 1])
+    den = f00 + f11 - f10 - f01
+    code[saddle] += 16*(F(xs[si] + (f00 - f01)/den*(xs[si + 1] - xs[si]),
+                          ys[sj] + (f00 - f10)/den*(ys[sj + 1] - ys[sj]))
+                        > 0)
+    edge_root = np.stack([root_x[ci, cj], root_y[ci + 1, cj],
+                          root_x[ci, cj + 1], root_y[ci, cj]], axis=1)
+    pairs = _CASES[code]
+    ends = np.take_along_axis(edge_root, pairs.reshape(len(code), 4) % 4,
+                              axis=1).reshape(-1, 2)
+    used = pairs.reshape(-1, 2)[:, 0] >= 0
+    cell = np.repeat(ci*(len(ys) - 1) + cj, 2)[used]
+    return roots[ends[used]], cell
+
+
+def _key(p):
+    return (round(p[0], 9), round(p[1], 9))
+
+
+class _UnionFind:
+    def __init__(self):
+        self.parent = {}
+
+    def find(self, x):
+        self.parent.setdefault(x, x)
+        while self.parent[x] != x:
+            self.parent[x] = self.parent[self.parent[x]]
+            x = self.parent[x]
+        return x
+
+    def union(self, a, b):
+        ra, rb = self.find(a), self.find(b)
+        if ra != rb:
+            self.parent[rb] = ra
+
+
+def stitch_reference(segments):
+    """Polylines, a component label per polyline and the component count
+    of segments ``((ax, ay), (bx, by))``, joined where their endpoints
+    rounded by Python's ``round(x, 9)`` agree: dict adjacency on those
+    tuple keys, walks from the odd-degree keys first, then from every key,
+    in sorted key order, and a union-find on the keys."""
+    uf = _UnionFind()
+    adj = {}
+    at = {}
+    for pa, pb in segments:
+        ka, kb = _key(pa), _key(pb)
+        if ka == kb:
+            continue
+        uf.union(ka, kb)
+        adj.setdefault(ka, []).append(kb)
+        adj.setdefault(kb, []).append(ka)
+        at.setdefault(ka, pa)
+        at.setdefault(kb, pb)
+    used = set()
+    polylines = []
+
+    def walk(start):
+        chain = [start]
+        cur = start
+        while True:
+            nxt = None
+            for kb in adj[cur]:
+                e = (min(cur, kb), max(cur, kb))
+                if e not in used:
+                    nxt = kb
+                    used.add(e)
+                    break
+            if nxt is None:
+                break
+            chain.append(nxt)
+            cur = nxt
+        return chain
+
+    keys = sorted(adj.keys())
+    for k in keys:
+        if len(adj[k]) % 2 == 1:
+            while any((min(k, kb), max(k, kb)) not in used for kb in adj[k]):
+                polylines.append(walk(k))
+    for k in keys:
+        while any((min(k, kb), max(k, kb)) not in used for kb in adj[k]):
+            polylines.append(walk(k))
+
+    comp_roots = []
+    comp_of = []
+    for chain in polylines:
+        root = uf.find(chain[0])
+        if root not in comp_roots:
+            comp_roots.append(root)
+        comp_of.append(comp_roots.index(root))
+    arrays = [np.array([at[k] for k in chain], dtype=float)
+              for chain in polylines]
+    return arrays, comp_of, len(comp_roots)
+
+
+def trace_reference(coeffs, psi_c, resolution):
+    """``trace_cyclide_intersection`` on [-1, 1]^2 by two
+    :func:`march_reference` calls (the grid, then the origin cell's 4x4
+    sub-grid) and :func:`stitch_reference`: the polylines, their component
+    labels, the component count and the origin component index."""
+    F = difference_eval(coeffs, psi_c)
+    cells = resolution + 1 if resolution % 2 == 0 else resolution
+    xs = np.linspace(-1.0, 1.0, cells + 1)
+    h = xs[1] - xs[0]
+    i0 = int(np.searchsorted(xs, 0.0)) - 1
+    segs, cell = march_reference(F, xs, xs, skip=(i0, i0))
+    sub = np.linspace(xs[i0], xs[i0 + 1], 5)
+    k = int(np.searchsorted(cell, i0*cells + i0))
+    segs = np.concatenate([segs[:k], march_reference(F, sub, sub)[0],
+                           segs[k:]])
+    segs = segs[np.hypot(segs[..., 0], segs[..., 1]).max(axis=1) > 0.45*h]
+    polylines, comp_of, ncomp = stitch_reference(segs.tolist())
+    origin_idx = None
+    best = np.inf
+    for idx, pl in enumerate(polylines):
+        dmin = float(np.min(np.hypot(pl[:, 0], pl[:, 1])))
+        if dmin < min(best - _JOIN_TOL, 1.5*h):
+            best = dmin
+            origin_idx = comp_of[idx]
+    return polylines, comp_of, ncomp, origin_idx

@@ -8,6 +8,7 @@ from conformal.intersect import (_march, _stitch, component_count_oracle,
                                  difference_coeffs, difference_eval,
                                  origin_branch_directions,
                                  trace_cyclide_intersection)
+from reference import stitch_reference, trace_reference
 
 COEFFS = (1.0, 2.0, 0.0, 3.5, 0.25, -0.5, -3.25)
 PSI_OSC = 0.2409225992051419
@@ -153,7 +154,7 @@ def _reference_trace(coeffs, psi_c, resolution):
     r_cut = 0.45*(xs[1] - xs[0])
     segments = [s for s in segments
                 if max(np.hypot(*s[0]), np.hypot(*s[1])) > r_cut]
-    return _stitch(segments)
+    return stitch_reference(segments)
 
 
 @settings(max_examples=15, derandomize=True, database=None, deadline=None)
@@ -168,6 +169,83 @@ def test_sign_mask_tracer_matches_per_cell_reference(dpsi, resolution):
     assert [len(p) for p in cs.polylines] == [len(p) for p in ref_pl]
     for got, want in zip(cs.polylines, ref_pl):
         assert np.max(np.abs(got - want)) < 1e-9
+
+
+# canonical 7-tuples whose quartic block stays below the quadratic one on
+# the unit window: sum |a/24, b/6, psi/4, c/6, d/24| <= 0.25 + 0.1333 + 0.1
+_canonical = st.tuples(st.floats(-3.0, 3.0), st.floats(-3.0, 3.0),
+                       st.floats(-0.4, 0.4), st.floats(-3.0, 3.0),
+                       st.floats(-0.4, 0.4), st.floats(-0.4, 0.4),
+                       st.floats(-3.0, 3.0))
+
+
+@settings(max_examples=40, derandomize=True, database=None, deadline=None)
+@given(coeffs=_canonical, psi_c=st.floats(-6.0, 6.0),
+       resolution=st.sampled_from([64, 128, 256]))
+@example(coeffs=COEFFS, psi_c=PSI_OSC, resolution=256)
+def test_trace_matches_two_march_tuple_key_reference(coeffs, psi_c,
+                                                     resolution):
+    # one bisection for both grids and the integer-id stitch give the
+    # polylines, labels, count and origin index of two marches and a stitch
+    # on tuple keys, bit for bit
+    cs = trace_cyclide_intersection(coeffs, psi_c, resolution=resolution)
+    assume(not cs.degenerate)
+    ref_pl, ref_comp, ref_count, ref_origin = trace_reference(
+        coeffs, psi_c, resolution)
+    assert len(cs.polylines) == len(ref_pl)
+    assert all(np.array_equal(got, want)
+               for got, want in zip(cs.polylines, ref_pl))
+    assert cs.component_of_polyline == ref_comp
+    assert cs.component_count == ref_count
+    assert cs.origin_component_index == ref_origin
+
+
+_LOOP = [((0.0, 0.0), (1.0, 0.0)), ((1.0, 0.0), (1.0, 1.0)),
+         ((1.0, 1.0), (0.0, 1.0)), ((0.0, 1.0), (0.0, 0.0))]
+
+
+@pytest.mark.parametrize("segments", [
+    [],
+    # a zero-length segment (its ends share a key) beside a real one
+    [((0.5, 0.5), (0.5 + 1e-12, 0.5)), ((0.0, 0.0), (1.0, 1.0))],
+    # a figure eight: two loops through (0, 0), a vertex of degree 4
+    [((0.0, 0.0), (1.0, 1.0)), ((1.0, 1.0), (2.0, 0.0)),
+     ((2.0, 0.0), (1.0, -1.0)), ((1.0, -1.0), (0.0, 0.0)),
+     ((0.0, 0.0), (-1.0, 1.0)), ((-1.0, 1.0), (-2.0, 0.0)),
+     ((-2.0, 0.0), (-1.0, -1.0)), ((-1.0, -1.0), (0.0, 0.0))],
+    # an open path listed out of order, its shared ends 1e-12 apart
+    [((2.0, 0.0), (3.0, 1.0)), ((0.0, 0.0), (1.0, 0.5)),
+     ((1.0, 0.5 + 1e-12), (2.0, 0.0))],
+    _LOOP,
+    # a closed loop, an open path apart from it, and a repeated segment
+    _LOOP + [((5.0, 5.0), (6.0, 5.0)), ((6.0, 5.0), (5.0, 5.0))],
+], ids=["empty", "zero-length", "figure-eight", "open-path", "closed-loop",
+        "two-components"])
+def test_stitch_edge_cases_match_tuple_key_reference(segments):
+    got_pl, got_comp, got_count = _stitch(np.array(segments))
+    want_pl, want_comp, want_count = stitch_reference(segments)
+    assert len(got_pl) == len(want_pl)
+    assert all(np.array_equal(g, w) for g, w in zip(got_pl, want_pl))
+    assert (got_comp, got_count) == (want_comp, want_count)
+
+
+def test_join_keys_round_as_python_round_does():
+    # np.round scales (rint(x*1e9)/1e9) and can differ from the correctly
+    # rounded round(x, 9) only within an ulp of a half-way point: on the
+    # pencil's traces no endpoint coordinate does
+    from unittest import mock
+    seen = []
+
+    def spy(segs):
+        seen.append(np.array(segs).ravel())
+        return _stitch(segs)
+
+    with mock.patch("conformal.intersect._stitch", spy):
+        for dpsi in (0.0, 4.0, -4.0):
+            trace_cyclide_intersection(COEFFS, PSI_OSC + dpsi, resolution=256)
+    xs = np.concatenate(seen)
+    assert len(xs) > 5000
+    assert np.array_equal(np.round(xs, 9), [round(x, 9) for x in xs.tolist()])
 
 
 def _bilinear(vals):
@@ -191,7 +269,7 @@ def test_case_table_matches_reference_cell(code, centre):
     xs = np.array([0.0, 1.0])
     want = _ref_cell_segments(F, [(0.0, 0.0), (1.0, 0.0), (1.0, 1.0),
                                   (0.0, 1.0)], vals)
-    got, cell = _march(F, xs, xs)
+    [(got, cell)] = _march(F, [(xs, xs, None)])
     assert len(got) == len(want) == (2 if code in (5, 10) else 1)
     assert np.allclose(got, np.array(want), atol=1e-15)
     assert list(cell) == [0]*len(want)
@@ -214,7 +292,7 @@ def test_saddle_segments_stay_in_one_asymptote_quadrant(mags, code):
     den = f00 + f11 - f10 - f01
     sx, sy = (f00 - f01)/den, (f00 - f10)/den
     xs = np.array([0.0, 1.0])
-    got, _ = _march(_bilinear(vals), xs, xs)
+    [(got, _)] = _march(_bilinear(vals), [(xs, xs, None)])
     assert len(got) == 2
     for (ax, ay), (bx, by) in got:
         assert (ax - sx)*(bx - sx) > 0 and (ay - sy)*(by - sy) > 0
@@ -253,6 +331,17 @@ def test_degenerate_difference_detected():
 def test_window_validity_check():
     with pytest.raises(WindowTooLarge):
         trace_cyclide_intersection(COEFFS, PSI_OSC + 4.0, window=1.2)
+
+
+@pytest.mark.parametrize("k,value", [(3, np.nan), (0, np.inf),
+                                     (6, -np.inf)])
+def test_non_finite_coeffs_rejected(k, value):
+    # a NaN weight made F NaN everywhere: an empty set, not degenerate, 0
+    # components; theta1 = inf gave 2 components
+    coeffs = list(COEFFS)
+    coeffs[k] = value
+    with pytest.raises(ValueError, match="7 finite numbers"):
+        trace_cyclide_intersection(tuple(coeffs), PSI_OSC)
 
 
 def test_resolution_floor():
