@@ -155,15 +155,15 @@ def _march(F, grids):
 
     Each grid is a triple (xs, ys, skip): the grid xs x ys, and a cell
     (i, j) to leave out, or None.  F is evaluated once a grid, on the
-    broadcast axes, and a grid point counts as positive when F > 0 there.
-    Every edge whose ends differ is refined once, by one :func:`_bisect`
-    call for all the grids, and both of its cells share that root.  Returns
+    broadcast axes and broadcast to the grid (an F of x or y alone keeps one
+    axis); a grid point counts as positive when F > 0 there.  Each edge
+    whose ends differ is refined once, by one :func:`_bisect` call for all
+    the grids, and both of its cells share that root.  Returns
     a pair per grid: its segments as an (m, 2, 2) array of endpoints in
-    row-major cell order, and the flat index of each segment's cell.
-    """
+    row-major cell order, and the flat index of each segment's cell."""
     lo, hi, pos_lo, found, base = [], [], [], [], 0
     for xs, ys, skip in grids:
-        f = F(xs[:, None], ys[None, :])
+        f = np.broadcast_to(F(xs[:, None], ys[None, :]), (len(xs), len(ys)))
         pos = f > 0
         cross_x = pos[:-1, :] != pos[1:, :]                # edges along x
         cross_y = pos[:, :-1] != pos[:, 1:]                # edges along y

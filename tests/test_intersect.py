@@ -183,6 +183,14 @@ _canonical = st.tuples(st.floats(-3.0, 3.0), st.floats(-3.0, 3.0),
 @given(coeffs=_canonical, psi_c=st.floats(-6.0, 6.0),
        resolution=st.sampled_from([64, 128, 256]))
 @example(coeffs=COEFFS, psi_c=PSI_OSC, resolution=256)
+# differences of x alone (F = x^3/6, then x^4/24, which keeps its sign) or
+# of y alone (F = y^3/6): F on the grid's broadcast axes keeps one axis
+@example(coeffs=(1.0, 0.0, 0.0, 3.0, 0.0, 0.0, -3.0), psi_c=0.0,
+         resolution=64)
+@example(coeffs=(0.0, 0.0, 0.0, 4.0, 0.0, 0.0, -3.0), psi_c=0.0,
+         resolution=128)
+@example(coeffs=(0.0, 1.0, 0.0, 3.0, 0.0, 0.0, -3.0), psi_c=0.0,
+         resolution=256)
 def test_trace_matches_two_march_tuple_key_reference(coeffs, psi_c,
                                                      resolution):
     # one bisection for both grids and the integer-id stitch give the
