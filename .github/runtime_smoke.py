@@ -13,9 +13,12 @@ surface, at 769 points a side too, the benchmark's size), if helcat's
 on the Dupin locus, the latter ``limit_derived``), or if anything loaded
 either of them.  It also runs ``cycl osculate`` in a child process
 on a graph of slope 1e100, whose metric scale squared overflows a float,
-and on the unit sphere, where every point is umbilic, and fails unless
-each exits 3 with a JSON record naming ``DegenerateMetric`` and
-``UmbilicPoint`` and no traceback.  The torus ``invariants`` JSON sweep
+on the unit sphere, where every point is umbilic, and on helcat at
+(1000, 0), far outside its domain, and ``cycl intersect --window 1e200``
+on the canonical spec, whose window^4 overflows a float; it fails unless
+each exits 3 with a JSON record naming ``DegenerateMetric``,
+``UmbilicPoint``, ``OutOfDomain`` and ``WindowTooLarge`` and no
+traceback.  The torus ``invariants`` JSON sweep
 must read Dupin with psi = -1 and a..d = (3, 0, 0, -3) (each to 1e-6) on
 every row off the domain's edge, and BoundaryTooClose on every other.  The
 64x64 ``intersect`` JSON on the canonical spec must read 2 components, the
@@ -139,18 +142,22 @@ with tempfile.TemporaryDirectory() as tmp:
                 sys.exit(f"cycl {' '.join(args)}: not realizable, max-norms "
                          f"{report['max_norm']}")
         print(f"cycl {' '.join(args)}: ok")
-    for spec, seed, error in [("steep", "0.1,0.1", "DegenerateMetric"),
-                              ("sphere", "0.1,0.2", "UmbilicPoint")]:
-        args = [sys.executable, "-m", "conformal.cli", "osculate", "--seed",
-                seed, "--surface", str(tmp / f"{spec}.spec")]
-        done = subprocess.run(args, capture_output=True, text=True,
+    for args, spec, error in [
+            (["osculate", "--seed", "0.1,0.1"], "steep", "DegenerateMetric"),
+            (["osculate", "--seed", "0.1,0.2"], "sphere", "UmbilicPoint"),
+            (["osculate", "--seed", "1000,0"], "helcat", "OutOfDomain"),
+            (["intersect", "--window", "1e200"], "canonical",
+             "WindowTooLarge")]:
+        cmd = [sys.executable, "-m", "conformal.cli", *args, "--surface",
+               str(tmp / f"{spec}.spec")]
+        done = subprocess.run(cmd, capture_output=True, text=True,
                               timeout=120)
         lines = done.stderr.strip().splitlines()
         record = json.loads(lines[-1]) if len(lines) == 1 else {}
         if done.returncode != 3 or record.get("error") != error:
-            sys.exit(f"cycl osculate on {spec}: exit {done.returncode}, "
-                     f"stderr {done.stderr!r}")
-        print(f"cycl osculate on {spec}: {error}, ok")
+            sys.exit(f"cycl {' '.join(args)} on {spec}: exit "
+                     f"{done.returncode}, stderr {done.stderr!r}")
+        print(f"cycl {' '.join(args)} on {spec}: {error}, ok")
 
 inversion = MobiusMap.translation([0.0, 0.0, 5.0]).then(MobiusMap.inversion())
 torus = make_torus(2.0, 1.0).surface

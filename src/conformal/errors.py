@@ -36,6 +36,12 @@ class DegenerateDenominator(ToolkitError):
     is not determined by the theta fields."""
 
 
+class ScaleOverflow(ToolkitError):
+    """A result from finite input leaves the float range: a power (mu^3 in
+    psi, a contact slope t^4 in a profile) or a field differenced for psi
+    overflows."""
+
+
 # ------------------------------------------------------------- osculation
 class DupinPoint(ToolkitError):
     """Both conformal principal curvatures vanish."""

@@ -94,13 +94,18 @@ def difference_eval(coeffs, psi_c):
 def check_window(coeffs, window: float):
     """Truncation-validity check: the quartic block of the canonical graph
     (the sum of its |weights|) must stay below the quadratic one at the
-    window edge."""
+    window edge.  A window whose fourth power leaves the float range is too
+    large whatever the weights."""
     mono = normal_form_monomials(*coeffs)
     q4 = sum(abs(w) for (i, j), w in mono.items() if i + j == 4)
     q2 = mono[(2, 0)]
-    if q4 * window**4 >= q2 * window**2:
+    try:
+        w4 = window**4
+    except OverflowError:
+        raise WindowTooLarge(f"window {window}: window^4 overflows") from None
+    if q4 * w4 >= q2 * window**2:
         raise WindowTooLarge(
-            f"quartic bound {q4*window**4:.3g} >= quadratic {q2*window**2:.3g} "
+            f"quartic bound {q4*w4:.3g} >= quadratic {q2*window**2:.3g} "
             f"at window {window}")
 
 

@@ -19,12 +19,14 @@ and the order it had on arrays, so every value is the same to the bit.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
-from .errors import BoundaryTooClose, DegenerateDenominator, OutOfDomain
+from .errors import (BoundaryTooClose, DegenerateDenominator, OutOfDomain,
+                     ScaleOverflow)
 from .surfaces import (PrincipalData, SurfacePatch, _div, _divisor,
-                       _jet_forms, _sqrt, principal_data,
+                       _jet_forms, _require_frame, _sqrt, principal_data,
                        principal_directions, shape_data)
 
 __all__ = [
@@ -90,7 +92,9 @@ def theta_state(surface: SurfacePatch, u: float, v: float, ref=None):
 # --------------------------------------------------------------------------
 def _require_margin(surface: SurfacePatch, u: float, v: float, margin: float):
     """OutOfDomain outside the domain, BoundaryTooClose inside it but closer
-    than ``margin`` to its edge; margin 0 checks the domain alone."""
+    than ``margin`` to its edge; margin 0 checks the domain alone.  Each
+    point query calls it at 0 before its first jet, ``_require_frame`` on
+    its first shape dict, then this at its stencil's margin."""
     if not surface.contains(u, v):
         raise OutOfDomain(f"({u}, {v}) outside {surface.domain}")
     if margin and not surface.contains(u, v, margin=margin):
@@ -160,12 +164,20 @@ def _laplace_H(surface: SurfacePatch, u: float, v: float, h: float) -> float:
 def _psi(surface: SurfacePatch, u: float, v: float, derivs) -> float:
     """psi at (u, v) from ``derivs``, the :func:`xi_theta_derivs` tuple
     there: mu^-3 (Lap H + 2 mu^2 H) - (theta1^2 - theta2^2)/2
-    + (xi1(theta1) + xi2(theta2))/2."""
+    + (xi1(theta1) + xi2(theta2))/2; ScaleOverflow where it leaves the
+    float range (mu^3 overflows, or a field on the stencil did)."""
     xt, t1, t2, _, _, S = derivs
     mu = S["mu"]
     lap = _laplace_H(surface, u, v, _H_FLD)
-    return ((lap + 2*mu*mu*S["H"]) / mu**3 - (t1*t1 - t2*t2)/2
-            + (xt[(1, 1)] + xt[(2, 2)])/2)
+    try:
+        mu3 = mu**3
+    except OverflowError:
+        raise ScaleOverflow(f"mu^3 overflows at mu = {mu!r}") from None
+    psi = (_div(lap + 2*mu*mu*S["H"], mu3) - (t1*t1 - t2*t2)/2
+           + (xt[(1, 1)] + xt[(2, 2)])/2)
+    if not math.isfinite(psi):
+        raise ScaleOverflow(f"psi = {psi!r} at mu = {mu!r}")
+    return psi
 
 
 def psi_invariant(surface: SurfacePatch, u: float, v: float) -> float:
@@ -238,10 +250,14 @@ def psi_from_thetas(surface: SurfacePatch, u: float, v: float) -> float:
     Dupin cyclides and on the helically-symmetric minimal family the
     denominator vanishes identically and psi is not determined by thetas).
     The steps ``_H_NEST`` grow with nesting depth, as noise amplifies as h^-k.
-    Each of the 45 points of the nested stencils is evaluated once.
+    Each of the 45 points of the nested stencils is evaluated once.  Entry
+    by :func:`_require_margin`'s rule: an umbilic or planar point raises;
+    so does ScaleOverflow where psi is not finite.
     """
-    _require_margin(surface, u, v, 3*_H_NEST[2])
+    _require_margin(surface, u, v, 0.0)
     centre = theta_state(surface, u, v)
+    _require_frame(centre[4])
+    _require_margin(surface, u, v, 3*_H_NEST[2])
     t1, t2, *ref, _ = centre
 
     # xi_i^k of the pair (theta1, theta2) at (a, b), whose theta state is
@@ -269,7 +285,10 @@ def psi_from_thetas(surface: SurfacePatch, u: float, v: float) -> float:
     num = _psi_numerator(t1, t2, x1t1, x1t2, x2t1, x2t2, x1x1t1, x1x1t2,
                          x2x2t1, x2x2t2, D(1, 3, centre, u, v)[1],
                          D(2, 3, centre, u, v)[0])
-    return num / den
+    psi = _div(num, den)
+    if not math.isfinite(psi):
+        raise ScaleOverflow(f"psi from thetas = {psi!r}")
+    return psi
 
 
 def _psi_numerator(t1, t2, x1t1, x1t2, x2t1, x2t2, x1x1t1, x1x1t2,

@@ -25,9 +25,8 @@ from typing import List, Optional
 
 import numpy as np
 
-from .errors import (AngleDegenerate, DupinPoint, OutOfDomain,
-                     SeedIsDupinPoint)
-from .invariants import _along, classify_point, theta_state
+from .errors import AngleDegenerate, DupinPoint, SeedIsDupinPoint
+from .invariants import _along, _require_margin, classify_point, theta_state
 from .surfaces import SurfacePatch, _div, _require_frame
 
 __all__ = [
@@ -149,12 +148,11 @@ def _check_trace_args(step, max_length):
 
 
 def _seed_state(surface, u, v):
-    """:func:`theta_state` at a trace's seed.  A seed outside the domain
-    has no trace at all (OutOfDomain), and at an umbilic the principal
-    frame, and so every line field built on it, is undefined (UmbilicPoint,
-    or DegenerateMetric where the metric is singular)."""
-    if not surface.contains(u, v):
-        raise OutOfDomain(f"seed {(u, v)} outside {surface.domain}")
+    """:func:`theta_state` at a trace's seed, by ``_require_margin``'s rule.
+    A seed outside the domain has no trace at all (OutOfDomain), and at an
+    umbilic the principal frame, and every line field built on it, is
+    undefined (UmbilicPoint, or DegenerateMetric for a singular metric)."""
+    _require_margin(surface, u, v, 0.0)
     ts = theta_state(surface, u, v)
     _require_frame(ts[4])
     return ts

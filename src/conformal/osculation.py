@@ -26,10 +26,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CanalPoint, DupinPoint
-from .invariants import (_quartic, _unit_theta_derivs, classify_point,
-                         psi_invariant)
-from .surfaces import SurfacePatch, _div
+from .errors import CanalPoint, DupinPoint, ScaleOverflow
+from .invariants import (_quartic, _require_margin, _unit_theta_derivs,
+                         classify_point, psi_invariant)
+from .surfaces import SurfacePatch, _div, _require_frame
 
 __all__ = [
     "CyclideContact", "osculating_cyclide", "verify_contact_order",
@@ -111,9 +111,11 @@ def osculating_cyclide(surface: SurfacePatch, u: float, v: float
     Dupin, theta1/theta2 is replaced by its transversal limit,
     :func:`_limit_ratio`, and the result is flagged limit-derived (from the
     same theta gradients as the coefficients); where it reads a canal
-    class, :class:`CanalPoint` is raised.
+    class, :class:`CanalPoint` is raised.  Entry: ``_require_margin``'s rule.
     """
+    _require_margin(surface, u, v, 0.0)
     derivs = _unit_theta_derivs(surface, u, v)
+    _require_frame(derivs[5])
     coeffs, t1, t2 = _profile_coeffs(derivs)
     psi = psi_invariant(surface, u, v)
     limit_derived = classify_point(t1, t2) == "Dupin"
@@ -152,10 +154,14 @@ def cyclide_monomials(psi_c) -> dict:
 
 def _on_line(terms, t):
     """Profile [c0, ..., c4] of a monomial dict along y = t x: c_n is the
-    sum of terms[i, j] t^j over i + j = n."""
+    sum of terms[i, j] t^j over i + j = n; ScaleOverflow where a power t^j
+    leaves the float range."""
     c = [0.0]*5
-    for (i, j), w in terms.items():
-        c[i + j] += w*t**j
+    try:
+        for (i, j), w in terms.items():
+            c[i + j] += w*t**j
+    except OverflowError:
+        raise ScaleOverflow(f"a power of t = {t!r} overflows") from None
     return c
 
 

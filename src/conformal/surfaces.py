@@ -98,14 +98,11 @@ class SurfacePatch:
 # --------------------------------------------------------------------------
 @dataclass(frozen=True)
 class PrincipalData:
-    """Pointwise curvature package; k1 > k2 strictly."""
+    """Pointwise curvatures; k1 > k2 strictly, mu = (k1 - k2)/2."""
     k1: float
     k2: float
     H: float
-    K: float
     mu: float
-    X1: tuple            # (u, v) components, metric-unit
-    X2: tuple
 
 
 def _sqrt(x):
@@ -231,18 +228,13 @@ def _require_frame(S: dict) -> None:
 
 
 def principal_data(jet) -> PrincipalData:
-    """Curvatures and principal directions at a point from its flat jet,
-    with the directions' signs set as :func:`principal_directions` sets
-    them.
-
-    Raises :class:`UmbilicPoint` or :class:`DegenerateMetric` where
-    :func:`_require_frame` does.
-    """
+    """k1, k2, H and mu at a point from its flat jet; the point's frame is
+    chosen in ``invariants.theta_state`` alone.  Raises
+    :class:`UmbilicPoint` or :class:`DegenerateMetric` where
+    :func:`_require_frame` does."""
     S = shape_data(jet)
     _require_frame(S)
-    X1, X2 = principal_directions(S)
-    return PrincipalData(k1=S["k1"], k2=S["k2"], H=S["H"], K=S["K"],
-                         mu=S["mu"], X1=X1, X2=X2)
+    return PrincipalData(k1=S["k1"], k2=S["k2"], H=S["H"], mu=S["mu"])
 
 
 # --------------------------------------------------------------------------

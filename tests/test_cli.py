@@ -1,8 +1,11 @@
+import hashlib
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import example, given, settings, strategies as st
 
 from conformal.cli import main
 
@@ -687,6 +690,64 @@ def test_classify_masks_every_cell_of_a_steep_graph(runner, specs):
     header, rows, _ = _rows(res)
     assert header == ["u", "v", "class"] and len(rows) == 64
     assert {row[2] for row in rows} == {"DegenerateMetric"}
+
+
+# the error contract on extreme finite inputs: seeds far outside helcat's
+# domain, windows and canonical theta1 up to 1e300, and graph curvature
+# scales up to 1e110
+_HELCAT = "kind = helcat\nalpha_h = 0.7853981633974483\n"
+_CANONICAL = "kind = canonical\ncoeffs = {!r}, 2, 0, 3.5, 0.25, -0.5, -3.25\n"
+_SCALED = "kind = graph\ncoeffs = 2 0 {0!r}; 0 2 {1!r}; 3 0 {0!r}\n"
+_BIG = _SCALED.format(1e110, -1e110)
+_FAR = st.floats(4.0, 1e300).flatmap(lambda x: st.sampled_from([x, -x]))
+_ANY = st.floats(-1e300, 1e300)
+_SHORT = ["--max-length", "0.05"]
+
+
+def _seed_case(command, uv):
+    extra = _SHORT if command in ("dupin-lines", "darboux") else []
+    return _HELCAT, [command, "--seed", "%r,%r" % uv, *extra]
+
+
+_CONTRACT_CASES = st.one_of(
+    st.builds(_seed_case,
+              st.sampled_from(["osculate", "verify", "dupin-lines",
+                               "darboux"]),
+              st.tuples(_FAR, _ANY) | st.tuples(_ANY, _FAR.map(lambda x: 2*x))),
+    st.floats(1e-3, 1e300).map(lambda w: (
+        _CANONICAL.format(1.0), ["intersect", "--grid", "32x32", "--window",
+                                 repr(w)])),
+    _ANY.map(lambda t1: (_CANONICAL.format(t1),
+                         ["intersect", "--grid", "32x32"])),
+    st.builds(lambda s, args: (_SCALED.format(s, -s), args),
+              st.floats(-300.0, 110.0).map(lambda e: 10.0**e),
+              st.sampled_from([["invariants", "--grid", "8x8"],
+                               ["verify", "--seed", "0,0"],
+                               ["osculate", "--seed", "0,0"]])))
+
+
+@settings(max_examples=100, derandomize=True, database=None, deadline=None)
+@given(case=_CONTRACT_CASES)
+@example(case=(_HELCAT, ["osculate", "--seed", "1000,0"]))
+@example(case=(_BIG, ["invariants", "--grid", "9x9", "--range",
+                      "-1e-120:1e-120,-1e-120:1e-120"]))
+@example(case=(_BIG, ["verify", "--seed", "0,0"]))
+@example(case=(_BIG, ["osculate", "--seed", "0,0"]))
+@example(case=(_CANONICAL.format(1.0), ["intersect", "--window", "1e200"]))
+@example(case=(_CANONICAL.format(1e308), ["intersect"]))
+def test_extreme_finite_inputs_keep_the_error_contract(runner, specs, case):
+    # exit 0, or 2 or 3 with one JSON error record on stderr: a float
+    # overflow is a typed error, never a traceback (exit 1)
+    text, args = case
+    path = (Path(specs["helcat"]).parent
+            / f"{hashlib.sha1(text.encode()).hexdigest()}.spec")
+    path.write_text(text)
+    res = runner.invoke(main, [*args, "--surface", str(path)])
+    assert res.exit_code in (0, 2, 3), (args, text, res.exception)
+    if res.exit_code:
+        lines = res.stderr.strip().splitlines()
+        assert len(lines) == 1
+        assert set(json.loads(lines[0])) == {"error", "message"}
 
 
 # each option a command takes has a caller that sets it; a tolerance that

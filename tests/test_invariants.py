@@ -3,13 +3,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conformal import invariants
-from conformal.catalog import make_canonical, make_torus
+from conformal.catalog import (make_canonical, make_graph, make_sphere,
+                               make_torus)
 from conformal.errors import (BoundaryTooClose, DegenerateDenominator,
-                              UmbilicPoint)
+                              OutOfDomain, UmbilicPoint)
 from conformal.invariants import (_quartic, classify_point,
                                   invariant_sample, psi_from_thetas,
                                   psi_invariant, theta_state,
                                   xi_theta_derivs)
+from conformal.linefields import dupin_angle
+from conformal.osculation import osculating_cyclide
 from conformal.surfaces import MobiusMap, SurfacePatch, mobius_transform
 from reference import willmore_energy
 
@@ -125,6 +128,36 @@ def test_psi_from_thetas_evaluates_each_point_once(helical_tube, monkeypatch):
     psi_from_thetas(helical_tube.surface, 0.5, 1.2)
     assert len(calls) == 135
     assert len(set(calls)) == 135
+
+
+_QUERIES = {"invariant_sample": invariant_sample,
+            "psi_invariant": psi_invariant,
+            "psi_from_thetas": psi_from_thetas,
+            "osculating_cyclide": osculating_cyclide,
+            "dupin_angle": lambda surface, u, v: dupin_angle(surface, (u, v))}
+
+
+@pytest.mark.parametrize("query", sorted(_QUERIES))
+def test_point_queries_share_one_entry_rule(helcat_quarter, monkeypatch,
+                                            query):
+    # OutOfDomain before the first jet (helcat's jet overflows at u = 1000),
+    # then UmbilicPoint on the first shape dict: on the unit sphere and on
+    # the plane, where the frame is undefined and the thetas are NaN
+    calls = []
+    jet_raw = SurfacePatch.jet_raw
+
+    def counted(self, u, v):
+        calls.append((u, v))
+        return jet_raw(self, u, v)
+
+    monkeypatch.setattr(SurfacePatch, "jet_raw", counted)
+    with pytest.raises(OutOfDomain):
+        _QUERIES[query](helcat_quarter.surface, 1000.0, 0.0)
+    assert calls == []
+    for entry, point in ((make_sphere(1.0), (0.3, 0.2)),
+                         (make_graph({}), (0.1, 0.1))):
+        with pytest.raises(UmbilicPoint):
+            _QUERIES[query](entry.surface, *point)
 
 
 @pytest.mark.parametrize("point", [(0.1, 0.1), (0.0, 0.0)])

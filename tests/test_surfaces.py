@@ -59,7 +59,7 @@ def test_torus_principal_curvatures(torus):
                       key=abs)
         got = sorted([pd.k1, pd.k2], key=abs)
         assert np.allclose(np.abs(got), np.abs(want), atol=1e-10)
-        assert abs(abs(pd.K) - abs(want[0]*want[1])) < 1e-10
+        assert abs(abs(pd.k1*pd.k2) - abs(want[0]*want[1])) < 1e-10
 
 
 def test_umbilic_test_does_not_depend_on_scale():
@@ -86,13 +86,13 @@ def test_sphere_is_umbilic():
 
 def test_principal_directions_metric_unit(helcat_quarter):
     j = helcat_quarter.surface.jet_raw(0.7, 0.4)
-    pd = principal_data(j)
+    X1, X2 = principal_directions(shape_data(j))
     _, ru, rv, *_ = jet_vectors(j)
-    for X in (pd.X1, pd.X2):
+    for X in (X1, X2):
         amb = X[0]*ru + X[1]*rv
         assert abs(np.linalg.norm(amb) - 1.0) < 1e-10
-    amb1 = pd.X1[0]*ru + pd.X1[1]*rv
-    amb2 = pd.X2[0]*ru + pd.X2[1]*rv
+    amb1 = X1[0]*ru + X1[1]*rv
+    amb2 = X2[0]*ru + X2[1]*rv
     assert abs(amb1 @ amb2) < 1e-10
 
 
@@ -113,7 +113,8 @@ def test_direction_sign_ignores_a_roundoff_component(w01):
 def test_tube_x1_points_along_plus_v(helical_tube, seed):
     # X1 is parallel to the v axis on the helix tube; its u component is
     # roundoff of either sign (1.5e-17 in size at (1.5, 2.5))
-    X1 = principal_data(helical_tube.surface.jet_raw(*seed)).X1
+    X1, _ = principal_directions(shape_data(
+        helical_tube.surface.jet_raw(*seed)))
     assert abs(X1[0]) <= 1e-12*abs(X1[1])
     assert X1[1] > 0
 
@@ -690,16 +691,3 @@ def test_flat_push_is_bit_identical_on_similarities(helcat_quarter, torus,
         assert (got + 0.0).tobytes() == (want + 0.0).astype(
             got.dtype).tobytes()
 
-
-@pytest.mark.parametrize("which", ["helcat", "torus", "tube"])
-def test_principal_data_gives_theta_state_frame(helcat_quarter, torus,
-                                                helical_tube, which):
-    # one frame per point: principal_data and theta_state read X1 and X2
-    # off the same jet by the same rule, bit for bit
-    surface = {"helcat": helcat_quarter, "torus": torus,
-               "tube": helical_tube}[which].surface
-    for u, v in np.random.default_rng(3).uniform(-1.5, 1.5, (6, 2)):
-        pd = principal_data(surface.jet_raw(u, v))
-        _, _, X1, X2, _ = theta_state(surface, u, v)
-        assert np.asarray(pd.X1).tobytes() == np.asarray(X1).tobytes()
-        assert np.asarray(pd.X2).tobytes() == np.asarray(X2).tobytes()
