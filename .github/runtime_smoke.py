@@ -15,10 +15,13 @@ either of them.  It also runs ``cycl osculate`` in a child process
 on a graph of slope 1e100, whose metric scale squared overflows a float,
 on the unit sphere, where every point is umbilic, and on helcat at
 (1000, 0), far outside its domain, and ``cycl intersect --window 1e200``
-on the canonical spec, whose window^4 overflows a float; it fails unless
-each exits 3 with a JSON record naming ``DegenerateMetric``,
-``UmbilicPoint``, ``OutOfDomain`` and ``WindowTooLarge`` and no
-traceback.  The torus ``invariants`` JSON sweep
+on the canonical spec, whose window^4 overflows a float, and ``cycl
+dupin-lines`` at (0, 0) on a canonical spec of leading weight 1e308, where
+the thetas come out NaN; it fails unless each exits 3 with a JSON record
+naming ``DegenerateMetric``, ``UmbilicPoint``, ``OutOfDomain``,
+``WindowTooLarge`` and ``ScaleOverflow`` and no traceback.  ``cycl
+classify`` on a tube spec with an empty curve must exit 2 with a
+``ValueError`` record.  The torus ``invariants`` JSON sweep
 must read Dupin with psi = -1 and a..d = (3, 0, 0, -3) (each to 1e-6) on
 every row off the domain's edge, and BoundaryTooClose on every other.  The
 64x64 ``intersect`` JSON on the canonical spec must read 2 components, the
@@ -60,6 +63,9 @@ SPECS = {
                   "coeffs = 1, 2, 0, 3.5, 0.25, -0.5, -3.25\n"),
     "steep": "kind = graph\ncoeffs = 1 0 1e100; 2 0 0.5; 0 2 -0.5\n",
     "sphere": "kind = sphere\nradius = 1.0\n",
+    "nan-thetas": ("kind = canonical\n"
+                   "coeffs = 1e308, 2, 0, 3.5, 0.25, -0.5, -3.25\n"),
+    "no-curve": "kind = tube\ncurve =\nradius = 0.3\n",
 }
 COMMANDS = [
     (["table1"], None),
@@ -142,19 +148,23 @@ with tempfile.TemporaryDirectory() as tmp:
                 sys.exit(f"cycl {' '.join(args)}: not realizable, max-norms "
                          f"{report['max_norm']}")
         print(f"cycl {' '.join(args)}: ok")
-    for args, spec, error in [
-            (["osculate", "--seed", "0.1,0.1"], "steep", "DegenerateMetric"),
-            (["osculate", "--seed", "0.1,0.2"], "sphere", "UmbilicPoint"),
-            (["osculate", "--seed", "1000,0"], "helcat", "OutOfDomain"),
-            (["intersect", "--window", "1e200"], "canonical",
-             "WindowTooLarge")]:
+    for args, spec, code, error in [
+            (["osculate", "--seed", "0.1,0.1"], "steep", 3,
+             "DegenerateMetric"),
+            (["osculate", "--seed", "0.1,0.2"], "sphere", 3, "UmbilicPoint"),
+            (["osculate", "--seed", "1000,0"], "helcat", 3, "OutOfDomain"),
+            (["intersect", "--window", "1e200"], "canonical", 3,
+             "WindowTooLarge"),
+            (["dupin-lines", "--seed", "0,0", "--max-length", "0.05"],
+             "nan-thetas", 3, "ScaleOverflow"),
+            (["classify", "--grid", "8x8"], "no-curve", 2, "ValueError")]:
         cmd = [sys.executable, "-m", "conformal.cli", *args, "--surface",
                str(tmp / f"{spec}.spec")]
         done = subprocess.run(cmd, capture_output=True, text=True,
                               timeout=120)
         lines = done.stderr.strip().splitlines()
         record = json.loads(lines[-1]) if len(lines) == 1 else {}
-        if done.returncode != 3 or record.get("error") != error:
+        if done.returncode != code or record.get("error") != error:
             sys.exit(f"cycl {' '.join(args)} on {spec}: exit "
                      f"{done.returncode}, stderr {done.stderr!r}")
         print(f"cycl {' '.join(args)} on {spec}: {error}, ok")

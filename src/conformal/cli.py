@@ -156,7 +156,7 @@ def load_surface_spec(path: str) -> CatalogEntry:
     radius (sphere, default 1, or tube),
     curve ("circle <R>" or "helix <A> <B>"), coeffs (7 comma- or
     space-separated numbers for canonical; "i j c; ..." monomials for
-    graph).
+    graph, each (i, j) once).  A malformed value is a ValueError.
     """
     kv = {}
     with open(path) as fh:
@@ -174,16 +174,18 @@ def load_surface_spec(path: str) -> CatalogEntry:
     if kind == "torus":
         return make_torus(float(kv["R"]), float(kv["r"]))
     if kind == "tube":
-        parts = kv["curve"].split()
-        curve = (parts[0],) + tuple(float(p) for p in parts[1:])
-        return make_tube(curve, float(kv["radius"]))
+        name, *nums = kv["curve"].split() or [""]
+        return make_tube((name, *map(float, nums)), float(kv["radius"]))
     if kind == "graph":
         poly = {}
         for term in kv["coeffs"].split(";"):
             term = term.strip()
             if term:
                 i, j, cc = term.split()
-                poly[(int(i), int(j))] = float(cc)
+                key = int(i), int(j)
+                if key in poly:
+                    raise ValueError("graph coeffs repeat x^%d y^%d" % key)
+                poly[key] = float(cc)
         return make_graph(poly)
     if kind == "sphere":
         return make_sphere(float(kv.get("radius", 1.0)))
@@ -301,8 +303,7 @@ def _sweep(entry, grid, rng, header, values):
 
 def _invariant_cells(surface, u, v):
     s = invariant_sample(surface, u, v)
-    pd = s.pd
-    return [pd.k1, pd.k2, pd.H, pd.mu, s.theta1, s.theta2, s.psi, s.a, s.b,
+    return [s.k1, s.k2, s.H, s.mu, s.theta1, s.theta2, s.psi, s.a, s.b,
             s.c, s.d, s.classification]
 
 

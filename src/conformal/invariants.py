@@ -25,9 +25,9 @@ from typing import Optional
 
 from .errors import (BoundaryTooClose, DegenerateDenominator, OutOfDomain,
                      ScaleOverflow)
-from .surfaces import (PrincipalData, SurfacePatch, _div, _divisor,
-                       _jet_forms, _require_frame, _sqrt, principal_data,
-                       principal_directions, shape_data)
+from .surfaces import (SurfacePatch, _div, _divisor, _jet_forms,
+                       _require_frame, _sqrt, principal_directions,
+                       shape_data)
 
 __all__ = [
     "InvariantSample", "psi_invariant", "classify_point", "psi_from_thetas",
@@ -43,7 +43,12 @@ _H_NEST = (1e-4, 2e-3, 1e-2)   # psi_from_thetas steps, by nesting depth
 
 @dataclass(frozen=True)
 class InvariantSample:
-    """Full pointwise conformal package at one parameter point."""
+    """Full pointwise conformal package at one parameter point: k1, k2, H
+    and mu from its shape dict, then the thetas, psi, a..d and class."""
+    k1: float
+    k2: float
+    H: float
+    mu: float
     theta1: float
     theta2: float
     psi: Optional[float]
@@ -52,7 +57,6 @@ class InvariantSample:
     c: Optional[float]
     d: Optional[float]
     classification: str
-    pd: PrincipalData
 
 
 # --------------------------------------------------------------------------
@@ -88,18 +92,47 @@ def theta_state(surface: SurfacePatch, u: float, v: float, ref=None):
 
 
 # --------------------------------------------------------------------------
-# field differencing helpers
+# entry of a point query, and field differencing helpers
 # --------------------------------------------------------------------------
 def _require_margin(surface: SurfacePatch, u: float, v: float, margin: float):
     """OutOfDomain outside the domain, BoundaryTooClose inside it but closer
-    than ``margin`` to its edge; margin 0 checks the domain alone.  Each
-    point query calls it at 0 before its first jet, ``_require_frame`` on
-    its first shape dict, then this at its stencil's margin."""
+    than ``margin`` to its edge; margin 0 checks the domain alone.  Only
+    :func:`_shape_at` and :func:`_state_at` call it, at 0 before their jet
+    and at the query's margin after the frame check."""
     if not surface.contains(u, v):
         raise OutOfDomain(f"({u}, {v}) outside {surface.domain}")
     if margin and not surface.contains(u, v, margin=margin):
         raise BoundaryTooClose(
             f"point ({u}, {v}) closer than {margin:g} to the domain edge")
+
+
+def _require_finite(t1: float, t2: float) -> None:
+    """ScaleOverflow where theta1 or theta2 is not finite (a complex step
+    overflowed where the frame is defined): NaN thetas have no class."""
+    if not (math.isfinite(t1) and math.isfinite(t2)):
+        raise ScaleOverflow(f"theta1 = {t1!r}, theta2 = {t2!r}")
+
+
+def _shape_at(surface: SurfacePatch, u: float, v: float, margin: float):
+    """The shape dict of the jet at (u, v), by a point query's one entry
+    rule: OutOfDomain before the jet, ``surfaces._require_frame`` on the
+    dict, then BoundaryTooClose closer than ``margin`` to the edge."""
+    _require_margin(surface, u, v, 0.0)
+    S = shape_data(surface.jet_raw(u, v))
+    _require_frame(S)
+    _require_margin(surface, u, v, margin)
+    return S
+
+
+def _state_at(surface: SurfacePatch, u: float, v: float, margin: float):
+    """:func:`theta_state` at (u, v) by :func:`_shape_at`'s rule, on the
+    state's shape dict, with :func:`_require_finite` before the margin."""
+    _require_margin(surface, u, v, 0.0)
+    state = theta_state(surface, u, v)
+    _require_frame(state[4])
+    _require_finite(state[0], state[1])
+    _require_margin(surface, u, v, margin)
+    return state
 
 
 def _central(fp, fm, h: float):
@@ -125,11 +158,12 @@ def _along(field, u: float, v: float, X, h: float):
     return _central(field(u + hu, v + hv), field(u - hu, v - hv), h)
 
 
-def _unit_theta_derivs(surface: SurfacePatch, u: float, v: float):
+def _unit_theta_derivs(surface: SurfacePatch, u: float, v: float, centre):
     """X_i . grad(theta_j) for i, j in {1, 2} (unit speed, step ``_H_FLD``),
     together with (theta1, theta2, X1, X2, shape-dict) at the point and the
-    central differences (du, dv) of (theta1, theta2) they project."""
-    t1, t2, X1, X2, S = theta_state(surface, u, v)
+    central differences (du, dv) of (theta1, theta2) they project, from
+    ``centre``, the caller's :func:`theta_state` tuple at (u, v)."""
+    t1, t2, X1, X2, S = centre
     du, dv = _grad(lambda a, b: theta_state(surface, a, b, (X1, X2))[:2],
                    u, v, _H_FLD)
     D = {(i, j): X[0]*du[j - 1] + X[1]*dv[j - 1]
@@ -140,7 +174,8 @@ def _unit_theta_derivs(surface: SurfacePatch, u: float, v: float):
 def xi_theta_derivs(surface: SurfacePatch, u: float, v: float):
     """xi_i(theta_j) = X_i . grad(theta_j) / mu for i, j in {1, 2}, together
     with (theta1, theta2, X1, X2, shape-dict) at the point."""
-    D, t1, t2, X1, X2, S, _ = _unit_theta_derivs(surface, u, v)
+    D, t1, t2, X1, X2, S, _ = _unit_theta_derivs(surface, u, v,
+                                                 theta_state(surface, u, v))
     mu = S["mu"]
     return {k: _div(d, mu) for k, d in D.items()}, t1, t2, X1, X2, S
 
@@ -183,11 +218,9 @@ def _psi(surface: SurfacePatch, u: float, v: float, derivs) -> float:
 def psi_invariant(surface: SurfacePatch, u: float, v: float) -> float:
     """Third conformal invariant (see :func:`_psi`); the combination is
     Mobius-invariant, while its mean-curvature part alone is not.
-    OutOfDomain outside the domain, before any jet."""
+    Entry by :func:`_shape_at` at margin ``2*_H_FLD``."""
     u, v = float(u), float(v)
-    _require_margin(surface, u, v, 0.0)
-    principal_data(surface.jet_raw(u, v))
-    _require_margin(surface, u, v, 2*_H_FLD)
+    _shape_at(surface, u, v, 2*_H_FLD)
     return _psi(surface, u, v, xi_theta_derivs(surface, u, v))
 
 
@@ -222,21 +255,21 @@ def classify_point(theta1: float, theta2: float) -> str:
 
 def invariant_sample(surface: SurfacePatch, u: float, v: float,
                      with_coeffs: bool = True) -> InvariantSample:
-    """Assemble the full pointwise package (thetas, psi, a..d, class);
-    OutOfDomain outside the domain, before any jet."""
-    _require_margin(surface, u, v, 0.0)
-    pd = principal_data(surface.jet_raw(u, v))
+    """Assemble the full pointwise package; entry by :func:`_shape_at`, at
+    margin ``2*_H_FLD`` with the coefficients and 0 without, then
+    :func:`_require_finite` on the thetas."""
+    S = _shape_at(surface, u, v, 2*_H_FLD if with_coeffs else 0.0)
     derivs = xi_theta_derivs(surface, u, v)
     _, t1, t2, *_ = derivs
+    _require_finite(t1, t2)
     psi = a = b = c = d = None
     if with_coeffs:
-        _require_margin(surface, u, v, 2*_H_FLD)
         psi = _psi(surface, u, v, derivs)
         a, b, c, d = _quartic(derivs)
-    return InvariantSample(theta1=t1, theta2=t2, psi=psi,
+    return InvariantSample(k1=S["k1"], k2=S["k2"], H=S["H"], mu=S["mu"],
+                           theta1=t1, theta2=t2, psi=psi,
                            a=a, b=b, c=c, d=d,
-                           classification=classify_point(t1, t2),
-                           pd=pd)
+                           classification=classify_point(t1, t2))
 
 
 # --------------------------------------------------------------------------
@@ -251,13 +284,11 @@ def psi_from_thetas(surface: SurfacePatch, u: float, v: float) -> float:
     denominator vanishes identically and psi is not determined by thetas).
     The steps ``_H_NEST`` grow with nesting depth, as noise amplifies as h^-k.
     Each of the 45 points of the nested stencils is evaluated once.  Entry
-    by :func:`_require_margin`'s rule: an umbilic or planar point raises;
-    so does ScaleOverflow where psi is not finite.
+    by :func:`_state_at` at margin ``3*_H_NEST[2]``: an umbilic or planar
+    point raises, and so do NaN thetas; ScaleOverflow also where psi is
+    not finite.
     """
-    _require_margin(surface, u, v, 0.0)
-    centre = theta_state(surface, u, v)
-    _require_frame(centre[4])
-    _require_margin(surface, u, v, 3*_H_NEST[2])
+    centre = _state_at(surface, u, v, 3*_H_NEST[2])
     t1, t2, *ref, _ = centre
 
     # xi_i^k of the pair (theta1, theta2) at (a, b), whose theta state is

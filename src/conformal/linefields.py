@@ -26,8 +26,8 @@ from typing import List, Optional
 import numpy as np
 
 from .errors import AngleDegenerate, DupinPoint, SeedIsDupinPoint
-from .invariants import _along, _require_margin, classify_point, theta_state
-from .surfaces import SurfacePatch, _div, _require_frame
+from .invariants import _along, _state_at, classify_point, theta_state
+from .surfaces import SurfacePatch, _div
 
 __all__ = [
     "CurveTrace", "integrate_dupin_line", "integrate_darboux_line",
@@ -147,17 +147,6 @@ def _check_trace_args(step, max_length):
             f"{_MAX_STEPS} steps per trace")
 
 
-def _seed_state(surface, u, v):
-    """:func:`theta_state` at a trace's seed, by ``_require_margin``'s rule.
-    A seed outside the domain has no trace at all (OutOfDomain), and at an
-    umbilic the principal frame, and every line field built on it, is
-    undefined (UmbilicPoint, or DegenerateMetric for a singular metric)."""
-    _require_margin(surface, u, v, 0.0)
-    ts = theta_state(surface, u, v)
-    _require_frame(ts[4])
-    return ts
-
-
 def integrate_dupin_line(surface: SurfacePatch, seed, step: float = 0.01,
                          max_length: float = 10.0) -> CurveTrace:
     """Trace the Dupin line through ``seed`` with ambient-arc-length steps.
@@ -174,12 +163,12 @@ def integrate_dupin_line(surface: SurfacePatch, seed, step: float = 0.01,
     the trace stops.  The theta state at a step's start serves both tests
     and the first stage.
     Raises ValueError unless ``step`` and ``max_length`` are finite and
-    positive, OutOfDomain for a seed outside the domain, UmbilicPoint at an
-    umbilic seed and SeedIsDupinPoint on the Dupin locus.
+    positive, ``_state_at``'s errors at the seed (OutOfDomain, UmbilicPoint,
+    ScaleOverflow) and SeedIsDupinPoint on the Dupin locus.
     """
     _check_trace_args(step, max_length)
     u, v = float(seed[0]), float(seed[1])
-    ts = _seed_state(surface, u, v)
+    ts = _state_at(surface, u, v, 0.0)
     try:
         prev = _dupin_dir(ts)
     except DupinPoint as exc:
@@ -260,10 +249,10 @@ def integrate_darboux_line(surface: SurfacePatch, seed, alpha0: float,
     where the rate is singular.
     ``orient=-1`` traverses the same Darboux line in the opposite direction.
     Raises ValueError unless ``step`` and ``max_length`` are finite and
-    positive, ``alpha0`` is finite and ``orient`` is 1 or -1, OutOfDomain
-    for a seed outside the domain, UmbilicPoint at an umbilic seed, and
-    AngleDegenerate where |sin(alpha0) cos(alpha0)| < 1e-12: there the rate
-    is singular, or 0/0 where the right side vanishes too (on a canal
+    positive, ``alpha0`` is finite and ``orient`` is 1 or -1, the errors of
+    ``_state_at`` at the seed (OutOfDomain, UmbilicPoint, ScaleOverflow),
+    and AngleDegenerate where |sin(alpha0) cos(alpha0)| < 1e-12: there the
+    rate is singular, or 0/0 where the right side vanishes too (on a canal
     surface, whose Dupin angle is 0).
     """
     _check_trace_args(step, max_length)
@@ -272,7 +261,7 @@ def integrate_darboux_line(surface: SurfacePatch, seed, alpha0: float,
     if not math.isfinite(alpha0):
         raise ValueError(f"alpha0 must be finite, got {alpha0!r}")
     u, v, a = float(seed[0]), float(seed[1]), float(alpha0)
-    ts = _seed_state(surface, u, v)
+    ts = _state_at(surface, u, v, 0.0)
     if abs(math.sin(a)*math.cos(a)) < 1e-12:
         raise AngleDegenerate(
             f"alpha0 = {alpha0!r} at a degeneracy of the angle equation")
@@ -353,10 +342,10 @@ def dupin_angle(surface: SurfacePatch, seed) -> float:
     """Angle alpha of the Dupin direction cbrt(theta2) X1 + cbrt(theta1) X2
     against X1 at ``seed``, tan(alpha) = cbrt(theta1/theta2), in
     [-pi/2, pi/2]: the default start angle of a Darboux line, on thetas
-    floored as in :func:`_dupin_dir`.  Raises
-    UmbilicPoint at an umbilic seed and SeedIsDupinPoint where both thetas
-    vanish, so the direction is undefined."""
-    t1, t2, *_ = _seed_state(surface, *seed)
+    floored as in :func:`_dupin_dir`.  Raises the errors of ``_state_at``
+    at the seed (OutOfDomain, UmbilicPoint, ScaleOverflow for NaN thetas)
+    and SeedIsDupinPoint where both thetas vanish."""
+    t1, t2, *_ = _state_at(surface, *seed, 0.0)
     if classify_point(t1, t2) == "Dupin":
         raise SeedIsDupinPoint(f"theta1 = {t1:.3e}, theta2 = {t2:.3e}")
     t1, t2 = _floor_thetas(t1, t2)

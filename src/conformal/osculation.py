@@ -27,9 +27,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CanalPoint, DupinPoint, ScaleOverflow
-from .invariants import (_quartic, _require_margin, _unit_theta_derivs,
+from .invariants import (_quartic, _state_at, _unit_theta_derivs,
                          classify_point, psi_invariant)
-from .surfaces import SurfacePatch, _div, _require_frame
+from .surfaces import SurfacePatch, _div
 
 __all__ = [
     "CyclideContact", "osculating_cyclide", "verify_contact_order",
@@ -111,11 +111,10 @@ def osculating_cyclide(surface: SurfacePatch, u: float, v: float
     Dupin, theta1/theta2 is replaced by its transversal limit,
     :func:`_limit_ratio`, and the result is flagged limit-derived (from the
     same theta gradients as the coefficients); where it reads a canal
-    class, :class:`CanalPoint` is raised.  Entry: ``_require_margin``'s rule.
+    class, :class:`CanalPoint` is raised.  Entry by
+    ``invariants._state_at`` at margin 0, so NaN thetas raise ScaleOverflow.
     """
-    _require_margin(surface, u, v, 0.0)
-    derivs = _unit_theta_derivs(surface, u, v)
-    _require_frame(derivs[5])
+    derivs = _unit_theta_derivs(surface, u, v, _state_at(surface, u, v, 0.0))
     coeffs, t1, t2 = _profile_coeffs(derivs)
     psi = psi_invariant(surface, u, v)
     limit_derived = classify_point(t1, t2) == "Dupin"

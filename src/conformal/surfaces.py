@@ -26,7 +26,7 @@ it directly.  A principal direction is a pair of Python floats, its (u,
 v) components, and so is every parameter direction the layers above
 build from it, so the point path from a jet to a traced line holds no
 numpy object either.  A degenerate metric or a roundoff-negative H^2 - K
-gives NaN, as numpy's arrays did, so :func:`principal_data` raises
+gives NaN, as numpy's arrays did, so :func:`_require_frame` raises
 :class:`DegenerateMetric` or :class:`UmbilicPoint` there.
 """
 from __future__ import annotations
@@ -39,10 +39,7 @@ import numpy as np
 
 from .errors import DegenerateMetric, InversionCenterOnSurface, UmbilicPoint
 
-__all__ = [
-    "SurfacePatch", "PrincipalData", "MobiusMap", "principal_data",
-    "mobius_transform",
-]
+__all__ = ["SurfacePatch", "MobiusMap", "mobius_transform"]
 
 _TOL_UMB = 1e-7
 _NAN = float("nan")
@@ -96,15 +93,6 @@ class SurfacePatch:
 # --------------------------------------------------------------------------
 # curvature data
 # --------------------------------------------------------------------------
-@dataclass(frozen=True)
-class PrincipalData:
-    """Pointwise curvatures; k1 > k2 strictly, mu = (k1 - k2)/2."""
-    k1: float
-    k2: float
-    H: float
-    mu: float
-
-
 def _sqrt(x):
     """numpy's square root on one Python scalar or array: the principal
     root of a complex, NaN (not a ValueError) for a negative float, as
@@ -168,13 +156,14 @@ def _jet_forms(jet):
 
 
 def shape_data(jet) -> dict:
-    """First/second fundamental forms and shape operator at one point from
-    its flat order-2 jet: :func:`_forms` on Python scalars, real or
-    complex-step, in a dict of scalars; ``w`` holds the shape operator's
-    entries (w00, w01, w10, w11)."""
-    E, F, G, g, _, L, M, N, w, H, K, mu = _jet_forms(jet)
-    return dict(E=E, F=F, G=G, g=g, L=L, M=M, N=N, w=w,
-                H=H, K=K, mu=mu, k1=H + mu, k2=H - mu)
+    """First fundamental form and shape operator at one point from its flat
+    order-2 jet: :func:`_forms` on Python scalars, real or complex-step, in
+    a dict of the scalars code reads, E, F, G, g, w (the shape operator's
+    entries (w00, w01, w10, w11)), H, mu, k1 = H + mu and k2 = H - mu.  L,
+    M, N and K stay in :func:`_forms`'s tuple: nothing reads them from the
+    dict."""
+    E, F, G, g, _, _, _, _, w, H, _, mu = _jet_forms(jet)
+    return dict(E=E, F=F, G=G, g=g, w=w, H=H, mu=mu, k1=H + mu, k2=H - mu)
 
 
 def principal_directions(S: dict, ref=None):
@@ -219,22 +208,13 @@ def _require_frame(S: dict) -> None:
     eps k^2, so mu there reaches sqrt(eps) |k|, 1.5e-8 |k|.  The tolerance
     is relative to max(|k1|, |k2|) alone, so the test does not depend on
     scale, as the thetas do not; the comparison is strict, so a planar
-    point (k1 = k2 = mu = 0) raises too."""
+    point (k1 = k2 = mu = 0) raises too.  Only the two entry functions of
+    a point query, ``invariants._shape_at`` and ``_state_at``, call it."""
     scale = max(abs(S["E"]), abs(S["G"]))
     if not cmath.isfinite(S["g"]) or abs(S["g"]) < 1e-14*(scale*scale):
         raise DegenerateMetric(f"det I = {S['g']!r}")
     if not S["mu"].real > _TOL_UMB * max(abs(S["k1"]), abs(S["k2"])):
         raise UmbilicPoint(f"k1 = {S['k1']!r}, k2 = {S['k2']!r}")
-
-
-def principal_data(jet) -> PrincipalData:
-    """k1, k2, H and mu at a point from its flat jet; the point's frame is
-    chosen in ``invariants.theta_state`` alone.  Raises
-    :class:`UmbilicPoint` or :class:`DegenerateMetric` where
-    :func:`_require_frame` does."""
-    S = shape_data(jet)
-    _require_frame(S)
-    return PrincipalData(k1=S["k1"], k2=S["k2"], H=S["H"], mu=S["mu"])
 
 
 # --------------------------------------------------------------------------

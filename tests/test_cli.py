@@ -750,6 +750,51 @@ def test_extreme_finite_inputs_keep_the_error_contract(runner, specs, case):
         assert set(json.loads(lines[0])) == {"error", "message"}
 
 
+# at u = 0 on this canonical graph the complex steps overflow to NaN thetas
+# where the frame is defined (every other point reads DegenerateMetric): a
+# NaN theta is ScaleOverflow, never a class; an empty tube curve and a
+# repeated graph monomial are spec errors (exit 2), not an IndexError
+# traceback or a silently replaced weight
+_NAN_THETAS = _CANONICAL.format(1e308)
+
+
+@pytest.mark.parametrize("text,args,code,error", [
+    (_NAN_THETAS, ["classify", "--grid", "9x9"], 0, None),
+    (_NAN_THETAS, ["dupin-lines", "--seed", "0,0", *_SHORT], 3,
+     "ScaleOverflow"),
+    (_NAN_THETAS, ["darboux", "--seed", "0,0", "--alpha0", "0.5", *_SHORT],
+     3, "ScaleOverflow"),
+    (_NAN_THETAS, ["darboux", "--seed", "0,0", *_SHORT], 3, "ScaleOverflow"),
+    ("kind = tube\ncurve =\nradius = 0.3\n", ["classify", "--grid", "8x8"],
+     2, "ValueError"),
+    ("kind = graph\ncoeffs = 2 0 1; 2 0 3\n", ["classify", "--grid", "8x8"],
+     2, "ValueError"),
+], ids=["nan-thetas-classify", "nan-thetas-dupin", "nan-thetas-darboux",
+        "nan-thetas-dupin-angle", "tube-empty-curve", "graph-repeat"])
+def test_nan_thetas_and_bad_specs_keep_the_error_contract(
+        runner, tmp_path, text, args, code, error):
+    spec = tmp_path / "case.spec"
+    spec.write_text(text)
+    res = runner.invoke(main, [*args, "--surface", str(spec)])
+    assert res.exit_code == code, (res.exception, res.stderr)
+    assert res.exception is None or isinstance(res.exception, SystemExit)
+    assert "Traceback" not in res.output
+    if error is None:
+        assert res.stderr == ""
+        lines = res.stdout.strip().splitlines()
+        assert lines[0] == "u,v,class" and len(lines) == 82
+        rows = [row.split(",") for row in lines[1:]]
+        assert {c for u, _, c in rows if u == "0"} == {"ScaleOverflow"}
+        assert {c for u, _, c in rows if u != "0"} == {"DegenerateMetric"}
+        return
+    lines = res.stderr.strip().splitlines()
+    assert len(lines) == 1
+    record = json.loads(lines[0])
+    assert record["error"] == error
+    if text.startswith("kind = graph"):
+        assert "x^2 y^0" in record["message"]
+
+
 # each option a command takes has a caller that sets it; a tolerance that
 # every caller leaves at its default is a module constant, not a flag
 _OPTIONS = {

@@ -234,3 +234,39 @@ def test_no_module_imports_sympy():
                      else [n.module or ""] if isinstance(n, ast.ImportFrom)
                      else [])
             assert "sympy" not in {m.split(".")[0] for m in names}, path.name
+
+
+def enclosing_calls(names, sources) -> list:
+    """``module.function`` for each call of a name in ``names`` (by
+    :func:`_called_name`) in ``sources``, a {module: text} dict, named by
+    the innermost function that holds the call (``module`` at module
+    level)."""
+    found = set()
+
+    def visit(node, module, where):
+        for child in ast.iter_child_nodes(node):
+            if (isinstance(child, ast.Call)
+                    and _called_name(child.func) in names):
+                found.add(where)
+            visit(child, module, f"{module}.{child.name}" if isinstance(
+                child, (ast.FunctionDef, ast.AsyncFunctionDef)) else where)
+
+    for module, text in sources.items():
+        visit(ast.parse(text), module, module)
+    return sorted(found)
+
+
+def test_enclosing_calls_are_found():
+    src = ("def f():\n    g()\n    def h():\n        return mod.g(1)\n"
+           "def k():\n    return f()\ng()\n")
+    assert enclosing_calls({"g"}, {"m": src}) == ["m", "m.f", "m.h"]
+
+
+def test_point_queries_enter_by_two_functions():
+    # the entry rule of a point query (the domain, the frame of the point's
+    # shape dict, the margin) is written once, in the two entry functions:
+    # no other function calls its checks
+    sources = {p.stem: p.read_text() for p in sorted(SRC.glob("*.py"))}
+    assert enclosing_calls({"_require_margin", "_require_frame"},
+                           sources) == ["invariants._shape_at",
+                                        "invariants._state_at"]

@@ -11,7 +11,8 @@ from conformal.invariants import (_quartic, classify_point,
                                   invariant_sample, psi_from_thetas,
                                   psi_invariant, theta_state,
                                   xi_theta_derivs)
-from conformal.linefields import dupin_angle
+from conformal.linefields import (dupin_angle, integrate_darboux_line,
+                                  integrate_dupin_line)
 from conformal.osculation import osculating_cyclide
 from conformal.surfaces import MobiusMap, SurfacePatch, mobius_transform
 from reference import willmore_energy
@@ -134,7 +135,12 @@ _QUERIES = {"invariant_sample": invariant_sample,
             "psi_invariant": psi_invariant,
             "psi_from_thetas": psi_from_thetas,
             "osculating_cyclide": osculating_cyclide,
-            "dupin_angle": lambda surface, u, v: dupin_angle(surface, (u, v))}
+            "dupin_angle": lambda surface, u, v: dupin_angle(surface, (u, v)),
+            "integrate_dupin_line": lambda surface, u, v: integrate_dupin_line(
+                surface, (u, v), max_length=0.05),
+            "integrate_darboux_line":
+                lambda surface, u, v: integrate_darboux_line(
+                    surface, (u, v), 0.5, max_length=0.05)}
 
 
 @pytest.mark.parametrize("query", sorted(_QUERIES))

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from conftest import jet_vectors
-from conformal import linefields
+from conformal import invariants, linefields
 from conformal.errors import AngleDegenerate, DupinPoint, SeedIsDupinPoint
 from conformal.invariants import classify_point, theta_state
 from conformal.linefields import (CurveTrace, darboux_critical_points,
@@ -150,6 +150,7 @@ def test_dupin_trace_stop_rule(monkeypatch, helical_tube, edits, stop):
         return t1, t2, X1, X2, S
 
     monkeypatch.setattr(linefields, "theta_state", edited)
+    monkeypatch.setattr(invariants, "theta_state", edited)
     tr = integrate_dupin_line(helical_tube.surface, (0.5, 1.2),
                               max_length=0.1)
     if stop is None:
@@ -323,6 +324,7 @@ def test_each_step_evaluates_four_theta_states(monkeypatch, helical_tube,
         return orig(*args, **kwargs)
 
     monkeypatch.setattr(linefields, "theta_state", counted)
+    monkeypatch.setattr(invariants, "theta_state", counted)
     # a closed Dupin trace: the seed state, then three stages per step and
     # the start of each later step, which serves the stop test and stage 1
     tr = integrate_dupin_line(helical_tube.surface, (0.5, 1.2))
@@ -361,7 +363,7 @@ def _array_dupin_line(surface, seed, step=0.01, max_length=10.0):
     """The Dupin tracer as it stepped on numpy arrays."""
     u0, v0 = seed
     state = np.array([u0, v0], dtype=float)
-    linefields._seed_state(surface, u0, v0)
+    invariants._state_at(surface, u0, v0, 0.0)
     ts = _array_state(surface, u0, v0)
     try:
         prev = _array_dupin_dir(ts)
@@ -422,7 +424,7 @@ def _array_darboux_line(surface, seed, alpha0, step=0.005, max_length=5.0,
                         orient=1):
     """The Darboux tracer as it stepped on numpy arrays."""
     u0, v0 = seed
-    linefields._seed_state(surface, u0, v0)
+    invariants._state_at(surface, u0, v0, 0.0)
     ts = _array_state(surface, u0, v0)
     ref_holder = {"ref": None}
 

@@ -39,7 +39,9 @@ def test_limit_path_at_field_zero(helcat_quarter):
     assert c.limit_derived
     # both-zero crossing: the limit ratio equals the constant ratio of the
     # two fields off the zero set
-    ratio = _limit_ratio(_unit_theta_derivs(helcat_quarter.surface, 0.0, 0.3))
+    s = helcat_quarter.surface
+    ratio = _limit_ratio(_unit_theta_derivs(s, 0.0, 0.3,
+                                            theta_state(s, 0.0, 0.3)))
     kap = np.cos(np.pi/4)/(1.0 + np.sin(np.pi/4))
     assert abs(abs(ratio) - kap) < 1e-6
     assert abs(c.psi_c - 2.17) < 0.02
@@ -89,8 +91,9 @@ def test_cubic_profile_cancellation(helcat_quarter):
 def test_profile_coeffs_frame_insensitive(helcat_quarter):
     # the unit-gauge coefficient set is invariant under flipping either
     # principal direction, hence reproducible across frame conventions
+    s = helcat_quarter.surface
     (a, b, c, d), t1, t2 = _profile_coeffs(
-        _unit_theta_derivs(helcat_quarter.surface, 0.9, 0.4))
+        _unit_theta_derivs(s, 0.9, 0.4, theta_state(s, 0.9, 0.4)))
     assert np.isfinite([a, b, c, d, t1, t2]).all()
     # theta ratio equals the constant of the family
     kap = np.cos(np.pi/4)/(1.0 + np.sin(np.pi/4))
@@ -114,7 +117,7 @@ def test_profile_and_invariant_gauges_differ_by_mu(which, param, vals, fu,
     else:
         surface, u, v = make_canonical(*vals).surface, 0.1*fu, 0.1*fv
     (ap, bp, cp, dp), t1, t2 = _profile_coeffs(
-        _unit_theta_derivs(surface, u, v))
+        _unit_theta_derivs(surface, u, v, theta_state(surface, u, v)))
     smp = invariant_sample(surface, u, v)
     ai, bi, ci, di = smp.a, smp.b, smp.c, smp.d
     s1, s2, *_, S = theta_state(surface, u, v)

@@ -11,7 +11,7 @@ from conformal.errors import (DegenerateMetric, InversionCenterOnSurface,
 from conformal.invariants import _curv_grads, invariant_sample, theta_state
 from conformal.surfaces import (MobiusMap, SurfacePatch,
                                 _check_inversion_centers, _forms, _jet_forms,
-                                mobius_transform, principal_data,
+                                _require_frame, mobius_transform,
                                 principal_directions, shape_data)
 from reference import (check_inversion_centers_pointwise, push_jet,
                        sympy_patch)
@@ -48,18 +48,19 @@ def test_sphere_points_are_umbilic(radius, move, u, v):
     s = mobius_transform(make_sphere(radius).surface,
                          _SPHERE_MOVES[move](radius))
     with pytest.raises(UmbilicPoint):
-        principal_data(s.jet_raw(u, v))
+        _require_frame(shape_data(s.jet_raw(u, v)))
 
 
 def test_torus_principal_curvatures(torus):
     R, r = 2.0, 1.0
     for (u, v) in [(0.3, 0.5), (1.0, 2.0), (-1.2, -0.7)]:
-        pd = principal_data(torus.surface.jet_raw(u, v))
+        S = shape_data(torus.surface.jet_raw(u, v))
+        _require_frame(S)
         want = sorted([1.0/r, np.cos(v)/(R + r*np.cos(v))],
                       key=abs)
-        got = sorted([pd.k1, pd.k2], key=abs)
+        got = sorted([S["k1"], S["k2"]], key=abs)
         assert np.allclose(np.abs(got), np.abs(want), atol=1e-10)
-        assert abs(abs(pd.k1*pd.k2) - abs(want[0]*want[1])) < 1e-10
+        assert abs(abs(S["k1"]*S["k2"]) - abs(want[0]*want[1])) < 1e-10
 
 
 def test_umbilic_test_does_not_depend_on_scale():
@@ -75,13 +76,13 @@ def test_umbilic_test_does_not_depend_on_scale():
             assert abs(getattr(got, name) - getattr(base, name)) <= 1e-10
     for entry in (make_graph({}), make_sphere(1e-7), make_sphere(1e7)):
         with pytest.raises(UmbilicPoint):
-            principal_data(entry.surface.jet_raw(0.1, 0.2))
+            _require_frame(shape_data(entry.surface.jet_raw(0.1, 0.2)))
 
 
 def test_sphere_is_umbilic():
     s = _sphere(2.0)
     with pytest.raises(UmbilicPoint):
-        principal_data(s.jet_raw(0.3, 0.2))
+        _require_frame(shape_data(s.jet_raw(0.3, 0.2)))
 
 
 def test_principal_directions_metric_unit(helcat_quarter):
@@ -225,8 +226,9 @@ def test_scalar_kernel_matches_numpy_reference(helcat_quarter, torus,
     d = surface.jet_raw(u, v)
     got, want = shape_data(d), _shape_ref(d)
     # the record is scalar: of the reference's W and n arrays it keeps
-    # only W's entries, as w
-    assert set(got) == set(want) - {"W", "n"} | {"w"}
+    # only W's entries, as w, and it holds no L, M, N or K (the core's
+    # tuple does, see the next test)
+    assert set(got) == set(want) - {"W", "n", "L", "M", "N", "K"} | {"w"}
     kind = float if step is None else complex
     assert all(type(x) is kind for key, x in got.items() if key != "w")
     assert len(got["w"]) == 4 and all(type(x) is kind for x in got["w"])
@@ -322,14 +324,14 @@ def _umbilic_jet(u, v):
 def test_degenerate_jets_raise_typed_errors(jet_fn, error, step):
     # the scalar core divides by zero here (g = 0, |n| = 0, or a zero
     # eigenvector candidate at the umbilic): the outcome is a typed error
-    # from principal_data and NaN thetas from theta_state, as with numpy's
+    # from _require_frame and NaN thetas from theta_state, as with numpy's
     # arrays, never a ZeroDivisionError or a math domain ValueError
     patch = SurfacePatch([(-1.0, 1.0), (-1.0, 1.0)], jet_fn)
     u = 1j*_H_STEP if step == "u" else 0.0
     v = 1j*_H_STEP if step == "v" else 0.0
-    with pytest.raises(error):
-        principal_data(patch.jet_raw(u, v))
     S = shape_data(patch.jet_raw(u, v))
+    with pytest.raises(error):
+        _require_frame(S)
     principal_directions(S)
     if step is None:
         t1, t2, X1, X2, _ = theta_state(patch, 0.0, 0.0)
