@@ -20,8 +20,11 @@ dupin-lines`` at (0, 0) on a canonical spec of leading weight 1e308, where
 the thetas come out NaN; it fails unless each exits 3 with a JSON record
 naming ``DegenerateMetric``, ``UmbilicPoint``, ``OutOfDomain``,
 ``WindowTooLarge`` and ``ScaleOverflow`` and no traceback.  ``cycl
-classify`` on a tube spec with an empty curve must exit 2 with a
-``ValueError`` record.  The torus ``invariants`` JSON sweep
+classify`` on a tube spec with an empty curve, and ``cycl osculate`` on a
+torus spec that gives ``R`` twice, on a sphere spec with a key its kind
+does not read and on a graph with an x^100000 term must each exit 2 with
+a ``ValueError`` record naming the key or the monomial.  The torus
+``invariants`` JSON sweep
 must read Dupin with psi = -1 and a..d = (3, 0, 0, -3) (each to 1e-6) on
 every row off the domain's edge, and BoundaryTooClose on every other.  The
 64x64 ``intersect`` JSON on the canonical spec must read 2 components, the
@@ -66,6 +69,9 @@ SPECS = {
     "nan-thetas": ("kind = canonical\n"
                    "coeffs = 1e308, 2, 0, 3.5, 0.25, -0.5, -3.25\n"),
     "no-curve": "kind = tube\ncurve =\nradius = 0.3\n",
+    "repeated-key": "kind = torus\nR = 2\nr = 1\nR = 3\n",
+    "unknown-key": "kind = sphere\nraduis = 0.5\n",
+    "huge-exponent": "kind = graph\ncoeffs = 100000 0 1; 2 0 0.5; 0 2 -0.5\n",
 }
 COMMANDS = [
     (["table1"], None),
@@ -148,7 +154,7 @@ with tempfile.TemporaryDirectory() as tmp:
                 sys.exit(f"cycl {' '.join(args)}: not realizable, max-norms "
                          f"{report['max_norm']}")
         print(f"cycl {' '.join(args)}: ok")
-    for args, spec, code, error in [
+    for args, spec, code, error, *needle in [
             (["osculate", "--seed", "0.1,0.1"], "steep", 3,
              "DegenerateMetric"),
             (["osculate", "--seed", "0.1,0.2"], "sphere", 3, "UmbilicPoint"),
@@ -157,14 +163,21 @@ with tempfile.TemporaryDirectory() as tmp:
              "WindowTooLarge"),
             (["dupin-lines", "--seed", "0,0", "--max-length", "0.05"],
              "nan-thetas", 3, "ScaleOverflow"),
-            (["classify", "--grid", "8x8"], "no-curve", 2, "ValueError")]:
+            (["classify", "--grid", "8x8"], "no-curve", 2, "ValueError"),
+            (["osculate", "--seed", "0.1,0.2"], "repeated-key", 2,
+             "ValueError", "'R'"),
+            (["osculate", "--seed", "0.1,0.2"], "unknown-key", 2,
+             "ValueError", "'raduis'"),
+            (["osculate", "--seed", "0.1,0.2"], "huge-exponent", 2,
+             "ValueError", "x^100000 y^0")]:
         cmd = [sys.executable, "-m", "conformal.cli", *args, "--surface",
                str(tmp / f"{spec}.spec")]
         done = subprocess.run(cmd, capture_output=True, text=True,
                               timeout=120)
         lines = done.stderr.strip().splitlines()
         record = json.loads(lines[-1]) if len(lines) == 1 else {}
-        if done.returncode != code or record.get("error") != error:
+        if (done.returncode != code or record.get("error") != error
+                or not all(n in record["message"] for n in needle)):
             sys.exit(f"cycl {' '.join(args)} on {spec}: exit "
                      f"{done.returncode}, stderr {done.stderr!r}")
         print(f"cycl {' '.join(args)} on {spec}: {error}, ok")

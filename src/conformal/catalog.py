@@ -249,12 +249,21 @@ def make_tube(curve, radius: float) -> CatalogEntry:
 # --------------------------------------------------------------------------
 # graphs
 # --------------------------------------------------------------------------
+_GRAPH_MAX_EXPONENT = 64    # the largest exponent of x or y in a monomial
+
+
 def make_graph(poly: Dict[tuple, float], window: float = 1.0) -> CatalogEntry:
-    """Graph z = sum c_ij x^i y^j over a square window."""
+    """Graph z = sum c_ij x^i y^j over a square window, each exponent at
+    most ``_GRAPH_MAX_EXPONENT``: the jet builds the power lists up to the
+    largest one on every call."""
     if not all(min(i, j) >= 0 and math.isfinite(cc)
                for (i, j), cc in poly.items()):
         raise ValueError("graph needs finite coefficients of x^i y^j, "
                          "i, j >= 0")
+    for i, j in poly:
+        if max(i, j) > _GRAPH_MAX_EXPONENT:
+            raise ValueError(f"graph monomial x^{i} y^{j} has an exponent "
+                             f"above {_GRAPH_MAX_EXPONENT}")
     # monomials (coefficient, power of u, power of v) of z and of its
     # partials z_u, z_v, z_uu, z_uv, z_vv; d^k/dx^k x^n = perm(n, k) x^(n-k)
     parts = [[(float(cc)*math.perm(i, di)*math.perm(j, dj), i - di, j - dj)

@@ -149,14 +149,21 @@ def _fail(exc: Exception, code: int):
 # --------------------------------------------------------------------------
 # surface spec files
 # --------------------------------------------------------------------------
+# the keys each kind of spec reads, beside ``kind``
+_SPEC_KEYS = {"helcat": ("alpha_h",), "torus": ("R", "r"),
+              "tube": ("curve", "radius"), "graph": ("coeffs",),
+              "sphere": ("radius",), "canonical": ("coeffs",)}
+
+
 def load_surface_spec(path: str) -> CatalogEntry:
     """Parse a key = value spec file into a catalog entry.
 
-    Keys: kind (helcat|torus|sphere|tube|graph|canonical), alpha_h, R, r,
-    radius (sphere, default 1, or tube),
-    curve ("circle <R>" or "helix <A> <B>"), coeffs (7 comma- or
-    space-separated numbers for canonical; "i j c; ..." monomials for
-    graph, each (i, j) once).  A malformed value is a ValueError.
+    Keys: kind (helcat|torus|sphere|tube|graph|canonical), and those of
+    ``_SPEC_KEYS`` its kind reads: alpha_h, R, r, radius (sphere, default
+    1, or tube), curve ("circle <R>" or "helix <A> <B>"), coeffs (7 comma-
+    or space-separated numbers for canonical; "i j c; ..." monomials for
+    graph, each (i, j) once).  A malformed value, a key given twice and a
+    key the kind does not read are each a ValueError.
     """
     kv = {}
     with open(path) as fh:
@@ -166,9 +173,16 @@ def load_surface_spec(path: str) -> CatalogEntry:
                 continue
             if "=" not in line:
                 raise ValueError(f"bad spec line: {line!r}")
-            key, val = line.split("=", 1)
-            kv[key.strip()] = val.strip()
+            key, val = (part.strip() for part in line.split("=", 1))
+            if key in kv:
+                raise ValueError(f"spec key {key!r} is given twice")
+            kv[key] = val
     kind = kv.get("kind")
+    if kind not in _SPEC_KEYS:
+        raise ValueError(f"unknown surface kind {kind!r}")
+    for key in kv:
+        if key != "kind" and key not in _SPEC_KEYS[kind]:
+            raise ValueError(f"spec key {key!r} is not read by kind {kind}")
     if kind == "helcat":
         return make_helcat(float(kv["alpha_h"]))
     if kind == "torus":
@@ -194,7 +208,6 @@ def load_surface_spec(path: str) -> CatalogEntry:
         if len(nums) != 7:
             raise ValueError("canonical coeffs needs 7 numbers")
         return make_canonical(*nums)
-    raise ValueError(f"unknown surface kind {kind!r}")
 
 
 def _parse_grid(text):

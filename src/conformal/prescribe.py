@@ -36,10 +36,11 @@ The terminal stages compute only the rows they keep.  The compatibility
 conditions and the structural residuals take their x1 differences on the
 whole block, halo rows included, and do the rest of their arithmetic on the
 block's own rows: an x2 difference stays in its row.  The first pass
-integrates f1 and derives the thetas on the own rows too.  psi, b and c
-cover the whole block, since R3 and R4 take x1 differences of them.  An x2
-difference of a C-contiguous array, as every array made here and its row
-blocks are, runs on the flat index (see :func:`_difference`).
+integrates f1 and derives the thetas on the own rows too.  psi, b and c,
+all from one call of :func:`psi_from_grid`, cover the whole block, since
+R3 and R4 take x1 differences of them.  An x2 difference of a
+C-contiguous array, as every array made here and its row blocks are, runs
+on the flat index (see :func:`_difference`).
 
 The pipeline needs numpy only: ``f1`` is integrated by a cumulative
 trapezoid written in numpy, so neither importing this module nor running
@@ -56,7 +57,7 @@ import numpy as np
 from .catalog import make_helcat
 from .errors import (KappaZero, MarginTooSmall, MissingField,
                      NonPositiveResult)
-from .invariants import _psi_numerator
+from .invariants import _psi_numerator, _quartic
 
 __all__ = [
     "FieldGrid", "ResidualReport", "solve_f1", "thetas_from_f",
@@ -323,26 +324,16 @@ def thetas_from_f(grid: FieldGrid, keep: slice = slice(None)):
     return theta1, theta2, gap
 
 
-def bc_from_thetas(grid: FieldGrid):
-    """Off-diagonal invariants from the theta fields:
-
-        b = -theta1 theta2 + d2(theta1)/f2
-        c =  theta1 theta2 + d1(theta2)/f1
-    """
-    grid.require("f1", "f2", "theta1", "theta2")
-    b = -grid.theta1*grid.theta2 + grid.d2(grid.theta1)/grid.f2
-    c = grid.theta1*grid.theta2 + grid.d1(grid.theta2)/grid.f1
-    return b, c
-
-
-def psi_from_grid(grid: FieldGrid) -> np.ndarray:
-    """Fourth-order invariant recovered from the theta fields alone, using
-    the coframe derivations xi_i = (1/f_i) d_i as grid differences.  Cells
-    where the genericity denominator xi1(theta2) + xi2(theta1) falls below
-    2 h^2 (relative to the local derivative scale) are masked NaN.  That
-    tolerance sits a factor ~8 above the central-difference noise floor of
-    the denominator, so data on which the denominator vanishes identically
-    is masked rather than amplified into garbage.
+def psi_from_grid(grid: FieldGrid):
+    """(psi, b, c) from the theta fields alone, using the coframe
+    derivations xi_i = (1/f_i) d_i as grid differences.  One set of first
+    derivatives xi_i(theta_j) serves all three, so the grid writes no
+    invariant formula of its own: b and c come from ``_quartic``, psi is
+    ``_psi_numerator`` over xi1(theta2) + xi2(theta1).  psi is masked NaN
+    where that genericity denominator falls below 2 h^2 (relative to the
+    local derivative scale), a factor ~8 above its central-difference noise
+    floor, so data on which it vanishes identically is masked rather than
+    amplified into garbage.
     """
     tol_gen = 2.0 * max(grid.h1, grid.h2)**2
     grid.require("f1", "f2", "theta1", "theta2")
@@ -356,6 +347,8 @@ def psi_from_grid(grid: FieldGrid) -> np.ndarray:
     t1, t2 = grid.theta1, grid.theta2
     x1t1, x1t2 = xi1(t1), xi1(t2)
     x2t1, x2t2 = xi2(t1), xi2(t2)
+    _, b, c, _ = _quartic(({(1, 1): x1t1, (1, 2): x1t2, (2, 1): x2t1,
+                            (2, 2): x2t2}, t1, t2))
     x1x1t1, x1x1t2 = xi1(x1t1), xi1(x1t2)
     x2x2t1, x2x2t2 = xi2(x2t1), xi2(x2t2)
     x1x1x1t2 = xi1(x1x1t2)
@@ -369,7 +362,7 @@ def psi_from_grid(grid: FieldGrid) -> np.ndarray:
                        np.maximum(np.abs(x2t1), np.abs(x2t2)))
     np.maximum(scale, 1.0, out=scale)
     psi = np.where(np.abs(den) < tol_gen*scale, np.nan, num/np.where(den == 0, 1.0, den))
-    return psi
+    return psi, b, c
 
 
 # --------------------------------------------------------------------------
@@ -384,15 +377,17 @@ def structural_residuals(grid: FieldGrid, margin: int) -> ResidualReport:
         R4 = -f1 d2(b) + f2 d1(psi) + f1 f2 (b theta2 + theta1 (psi - 2))
 
     over all but ``margin`` cells at each edge.  Every field must be on the
-    grid (:func:`bc_from_thetas` derives ``b`` and ``c``).
+    grid; given thetas get their ``b`` and ``c`` from :func:`psi_from_grid`
+    (as :func:`prescribe` and :func:`helcat_grid` do).
     """
     return _norms(_structural(grid, slice(None)), margin)
 
 
 def _structural(grid: FieldGrid, keep: slice) -> Dict[str, np.ndarray]:
     """The arrays R1..R4 of :func:`structural_residuals` on the grid's rows
-    ``keep``.  An x1 difference is taken on the whole grid; an x2 difference
-    stays in its row, so it and all the rest run on rows ``keep`` only."""
+    ``keep`` (b and c as there).  An x1 difference is taken on the whole
+    grid; an x2 difference stays in its row, so it and the rest run on rows
+    ``keep`` only."""
     grid.require("f1", "f2", "theta1", "theta2", "psi", "b", "c")
     f1, f2, t1, t2, psi, b, c = (
         getattr(grid, name)[keep]
@@ -633,8 +628,7 @@ def prescribe(kappa: np.ndarray, f2: np.ndarray, f1_boundary: np.ndarray,
         # last, the heap shrank and regrew by about 6 MB in every block
         # (at 769, 48k minor faults a call against 6.7k)
         compat = _compatibility(blk, k0, keep)
-        blk.b, blk.c = bc_from_thetas(blk)
-        blk.psi = psi_from_grid(blk)
+        blk.psi, blk.b, blk.c = psi_from_grid(blk)
         grid.b[lo:hi], grid.c[lo:hi] = blk.b[keep], blk.c[keep]
         grid.psi[lo:hi] = blk.psi[keep]
         norms.add(_structural(blk, keep), lo)
@@ -673,7 +667,7 @@ def helcat_grid(alpha_h: float, n: int) -> FieldGrid:
     """Exact coframe data of the helicoid-catenoid family on the grid of
     :func:`helcat_coframe`: theta2 and psi are :func:`make_helcat`'s
     oracles at the rotated coordinate s, theta1 = kappa*theta2, and b and
-    c come from the thetas.
+    c come from the thetas by :func:`psi_from_grid`.
     """
     x1, x2, f, kap, S = helcat_coframe(alpha_h, n)
     oracle = make_helcat(alpha_h).oracle
@@ -681,5 +675,5 @@ def helcat_grid(alpha_h: float, n: int) -> FieldGrid:
     grid = FieldGrid(x1=x1, x2=x2, f1=f.copy(), f2=f.copy(),
                      theta1=kap*theta2, theta2=theta2, psi=oracle["psi"](S),
                      kappa=kap + np.zeros_like(f))
-    grid.b, grid.c = bc_from_thetas(grid)
+    _, grid.b, grid.c = psi_from_grid(grid)
     return grid

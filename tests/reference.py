@@ -1,9 +1,10 @@
 """Reference code only the tests run: a sympy jet compiler, the numpy
 chain rule of a Mobius map, the inversion-center check sampled point by
 point, the Willmore energy, the commutator identity, the isothermic
-criterion, and the intersection tracer's marching squares with one
-bisection per grid and its stitch on tuple keys.  Not collected; tests
-import it as they import ``conftest``."""
+criterion, the intersection tracer's marching squares with one
+bisection per grid and its stitch on tuple keys, and the prescribe grid's
+b and c written out.  Not collected; tests import it as they import
+``conftest``."""
 import cmath
 import math
 
@@ -359,3 +360,16 @@ def trace_reference(coeffs, psi_c, resolution):
             best = dmin
             origin_idx = comp_of[idx]
     return polylines, comp_of, ncomp, origin_idx
+
+
+def bc_reference(grid):
+    """The off-diagonal invariants of a ``prescribe.FieldGrid`` from its
+    theta fields, each expression written out:
+
+        b = -theta1 theta2 + d2(theta1)/f2
+        c =  theta1 theta2 + d1(theta2)/f1
+    """
+    grid.require("f1", "f2", "theta1", "theta2")
+    b = -grid.theta1*grid.theta2 + grid.d2(grid.theta1)/grid.f2
+    c = grid.theta1*grid.theta2 + grid.d1(grid.theta2)/grid.f1
+    return b, c

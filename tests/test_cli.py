@@ -8,6 +8,7 @@ from click.testing import CliRunner
 from hypothesis import example, given, settings, strategies as st
 
 from conformal.cli import main
+from conformal.surfaces import SurfacePatch
 
 
 @pytest.fixture(scope="module")
@@ -752,31 +753,54 @@ def test_extreme_finite_inputs_keep_the_error_contract(runner, specs, case):
 
 # at u = 0 on this canonical graph the complex steps overflow to NaN thetas
 # where the frame is defined (every other point reads DegenerateMetric): a
-# NaN theta is ScaleOverflow, never a class; an empty tube curve and a
-# repeated graph monomial are spec errors (exit 2), not an IndexError
-# traceback or a silently replaced weight
+# NaN theta is ScaleOverflow, never a class; an empty tube curve, a
+# repeated graph monomial, a spec key given twice or not read by its kind
+# and a graph exponent above 64 are spec errors (exit 2) before any jet is
+# evaluated, not an IndexError traceback, a silently replaced weight or
+# value, a silently ignored key, or jets that build 1e5 powers each (19 ms
+# a jet), and the message names the monomial or the key
 _NAN_THETAS = _CANONICAL.format(1e308)
+_HUGE_EXPONENT = "kind = graph\ncoeffs = 100000 0 1; 2 0 0.5; 0 2 -0.5\n"
+_OSCULATE = ["osculate", "--seed", "0.1,0.2"]
 
 
-@pytest.mark.parametrize("text,args,code,error", [
-    (_NAN_THETAS, ["classify", "--grid", "9x9"], 0, None),
+@pytest.mark.parametrize("text,args,code,error,needle", [
+    (_NAN_THETAS, ["classify", "--grid", "9x9"], 0, None, None),
     (_NAN_THETAS, ["dupin-lines", "--seed", "0,0", *_SHORT], 3,
-     "ScaleOverflow"),
+     "ScaleOverflow", None),
     (_NAN_THETAS, ["darboux", "--seed", "0,0", "--alpha0", "0.5", *_SHORT],
-     3, "ScaleOverflow"),
-    (_NAN_THETAS, ["darboux", "--seed", "0,0", *_SHORT], 3, "ScaleOverflow"),
+     3, "ScaleOverflow", None),
+    (_NAN_THETAS, ["darboux", "--seed", "0,0", *_SHORT], 3, "ScaleOverflow",
+     None),
     ("kind = tube\ncurve =\nradius = 0.3\n", ["classify", "--grid", "8x8"],
-     2, "ValueError"),
+     2, "ValueError", None),
     ("kind = graph\ncoeffs = 2 0 1; 2 0 3\n", ["classify", "--grid", "8x8"],
-     2, "ValueError"),
+     2, "ValueError", "x^2 y^0"),
+    ("kind = torus\nR = 2\nr = 1\nR = 3\n", _OSCULATE, 2, "ValueError",
+     "'R'"),
+    ("kind = sphere\nraduis = 0.5\n", _OSCULATE, 2, "ValueError",
+     "'raduis'"),
+    (_HUGE_EXPONENT, _OSCULATE, 2, "ValueError", "x^100000 y^0"),
 ], ids=["nan-thetas-classify", "nan-thetas-dupin", "nan-thetas-darboux",
-        "nan-thetas-dupin-angle", "tube-empty-curve", "graph-repeat"])
+        "nan-thetas-dupin-angle", "tube-empty-curve", "graph-repeat",
+        "spec-repeated-key", "spec-unknown-key", "graph-exponent"])
 def test_nan_thetas_and_bad_specs_keep_the_error_contract(
-        runner, tmp_path, text, args, code, error):
+        runner, tmp_path, monkeypatch, text, args, code, error, needle):
+    jets = []
+    init = SurfacePatch.__init__
+
+    def counted(self, domain, jet_fn):
+        def jet(u, v):
+            jets.append((u, v))
+            return jet_fn(u, v)
+        init(self, domain, jet)
+
+    monkeypatch.setattr(SurfacePatch, "__init__", counted)
     spec = tmp_path / "case.spec"
     spec.write_text(text)
     res = runner.invoke(main, [*args, "--surface", str(spec)])
     assert res.exit_code == code, (res.exception, res.stderr)
+    assert (jets == []) == (code == 2)
     assert res.exception is None or isinstance(res.exception, SystemExit)
     assert "Traceback" not in res.output
     if error is None:
@@ -791,8 +815,8 @@ def test_nan_thetas_and_bad_specs_keep_the_error_contract(
     assert len(lines) == 1
     record = json.loads(lines[0])
     assert record["error"] == error
-    if text.startswith("kind = graph"):
-        assert "x^2 y^0" in record["message"]
+    if needle is not None:
+        assert needle in record["message"]
 
 
 # each option a command takes has a caller that sets it; a tolerance that

@@ -20,6 +20,7 @@ from conformal.prescribe import (FieldGrid, ResidualReport, _RowNorms,
                                  prescribe, psi_from_grid,
                                  second_order_condition, solve_f1,
                                  structural_residuals, thetas_from_f)
+from reference import bc_reference
 
 
 def _uniform(n=33):
@@ -205,7 +206,7 @@ def test_field_grid_rejects_non_finite(field, bad):
 # --------------------------------------------------------------------------
 def test_psi_from_grid_masks_degenerate_family():
     g = helcat_grid(np.pi/4, 65)
-    psi = psi_from_grid(g)
+    psi, _, _ = psi_from_grid(g)
     assert np.all(~np.isfinite(psi))
 
 
@@ -243,7 +244,7 @@ def test_psi_from_grid_against_symbolic():
                   f2=sp.lambdify((x, y), f2s, "numpy")(X, Y),
                   theta1=sp.lambdify((x, y), t1s, "numpy")(X, Y),
                   theta2=sp.lambdify((x, y), t2s, "numpy")(X, Y))
-    psi = psi_from_grid(g)
+    psi, _, _ = psi_from_grid(g)
     diff = np.abs(psi - exact(X, Y))
     # compare away from the genericity denominator's zero locus, where any
     # grid noise in the numerator is amplified without bound
@@ -251,6 +252,27 @@ def test_psi_from_grid_against_symbolic():
     core = np.s_[4:-4, 4:-4]
     gap = np.nanmax(diff[core])
     assert gap < 5e-2     # third-nested differences at h = 1/128
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(data=st.data(), n1=st.integers(3, 12), n2=st.integers(3, 40),
+       start=st.tuples(st.floats(-2.0, 2.0), st.floats(-2.0, 2.0)),
+       length=st.tuples(st.floats(0.1, 3.0), st.floats(0.1, 20.0)))
+def test_psi_from_grid_b_and_c_match_reference(data, n1, n2, start, length):
+    # b and c come from _quartic on psi's first coframe derivatives: the
+    # written-out expressions' floats, bit for bit, on random coframe grids
+    shape = (n1, n2)
+    f1, f2 = (data.draw(hnp.arrays(float, shape, elements=_ENTRY))
+              for _ in range(2))
+    t1, t2 = (data.draw(hnp.arrays(float, shape,
+                                   elements=st.floats(-50.0, 50.0)))
+              for _ in range(2))
+    x1, x2 = (np.linspace(a, a + w, n) for a, w, n in zip(start, length,
+                                                          shape))
+    g = FieldGrid(x1=x1, x2=x2, f1=f1, f2=f2, theta1=t1, theta2=t2)
+    _, b, c = psi_from_grid(g)
+    for got, want in zip((b, c), bc_reference(g)):
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 def test_psi_numerator_same_on_scalars_and_arrays():
@@ -461,12 +483,12 @@ def test_integrability_takes_each_difference_once(monkeypatch, varying,
     assert len(calls) == expected
 
 
-@pytest.mark.parametrize("case, expected", [("const", 37), ("varying", 43)])
+@pytest.mark.parametrize("case, expected", [("const", 35), ("varying", 41)])
 def test_prescribe_difference_count(monkeypatch, case, expected):
     # one block over 33 x 33.  The first pass takes d1(f2) for f1, and
     # d2(f1) and d1(f2) for the thetas: 3.  The second takes the
-    # conditions' 16 (22 with a varying ratio), b and c's 2, psi's 10 and
-    # R1..R4's 6.
+    # conditions' 16 (22 with a varying ratio), psi's 10 (b and c read
+    # psi's first 4) and R1..R4's 6.
     args = _prescribe_case(case)
     calls = []
     for name in ("d1", "d2"):
