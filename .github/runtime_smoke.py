@@ -8,7 +8,11 @@ runtime), if a command exits non-zero or writes nothing, if a JSON report
 does not parse or has no rows or a row narrower or wider than its header
 (the writer assembles the rows' JSON text itself), if a ``prescribe``
 report does not read realizable (the helcat data comes from a real
-surface, at 769 points a side too, the benchmark's size), if helcat's
+surface, at 769 points a side too, the benchmark's size) or does not read
+``psi_masked_fraction`` 1 and both ``structural_3`` and ``structural_4``
+max-norms masked (helcat is isothermic, so psi's genericity denominator
+vanishes, and the pipeline skips the arithmetic that is NaN there), if
+helcat's
 ``osculate`` rows do not read contact order 4 (at a generic seed and at one
 on the Dupin locus, the latter ``limit_derived``), or if anything loaded
 either of them.  It also runs ``cycl osculate`` in a child process
@@ -22,8 +26,9 @@ naming ``DegenerateMetric``, ``UmbilicPoint``, ``OutOfDomain``,
 ``WindowTooLarge`` and ``ScaleOverflow`` and no traceback.  ``cycl
 classify`` on a tube spec with an empty curve, and ``cycl osculate`` on a
 torus spec that gives ``R`` twice, on a sphere spec with a key its kind
-does not read and on a graph with an x^100000 term must each exit 2 with
-a ``ValueError`` record naming the key or the monomial.  The torus
+does not read, on a helcat spec without ``alpha_h`` and on a graph with
+an x^100000 term must each exit 2 with a ``ValueError`` record naming the
+key or the monomial.  The torus
 ``invariants`` JSON sweep
 must read Dupin with psi = -1 and a..d = (3, 0, 0, -3) (each to 1e-6) on
 every row off the domain's edge, and BoundaryTooClose on every other.  The
@@ -72,6 +77,7 @@ SPECS = {
     "repeated-key": "kind = torus\nR = 2\nr = 1\nR = 3\n",
     "unknown-key": "kind = sphere\nraduis = 0.5\n",
     "huge-exponent": "kind = graph\ncoeffs = 100000 0 1; 2 0 0.5; 0 2 -0.5\n",
+    "missing-key": "kind = helcat\n",
 }
 COMMANDS = [
     (["table1"], None),
@@ -153,6 +159,13 @@ with tempfile.TemporaryDirectory() as tmp:
             if report["realizable"] is not True:
                 sys.exit(f"cycl {' '.join(args)}: not realizable, max-norms "
                          f"{report['max_norm']}")
+            masked = (report["extra"]["psi_masked_fraction"],
+                      report["max_norm"]["structural_3"],
+                      report["max_norm"]["structural_4"])
+            if masked != ("1", "", ""):
+                sys.exit(f"cycl {' '.join(args)}: psi_masked_fraction and "
+                         f"structural_3/4 max-norms {masked}, want "
+                         "('1', '', '')")
         print(f"cycl {' '.join(args)}: ok")
     for args, spec, code, error, *needle in [
             (["osculate", "--seed", "0.1,0.1"], "steep", 3,
@@ -168,6 +181,8 @@ with tempfile.TemporaryDirectory() as tmp:
              "ValueError", "'R'"),
             (["osculate", "--seed", "0.1,0.2"], "unknown-key", 2,
              "ValueError", "'raduis'"),
+            (["osculate", "--seed", "0.1,0.2"], "missing-key", 2,
+             "ValueError", "'alpha_h' is missing: kind helcat"),
             (["osculate", "--seed", "0.1,0.2"], "huge-exponent", 2,
              "ValueError", "x^100000 y^0")]:
         cmd = [sys.executable, "-m", "conformal.cli", *args, "--surface",

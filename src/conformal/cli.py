@@ -149,10 +149,12 @@ def _fail(exc: Exception, code: int):
 # --------------------------------------------------------------------------
 # surface spec files
 # --------------------------------------------------------------------------
-# the keys each kind of spec reads, beside ``kind``
+# the keys each kind of spec reads, beside ``kind``; each is required but
+# a sphere's radius, which defaults to 1
 _SPEC_KEYS = {"helcat": ("alpha_h",), "torus": ("R", "r"),
               "tube": ("curve", "radius"), "graph": ("coeffs",),
               "sphere": ("radius",), "canonical": ("coeffs",)}
+_SPEC_OPTIONAL = {("sphere", "radius")}
 
 
 def load_surface_spec(path: str) -> CatalogEntry:
@@ -162,8 +164,9 @@ def load_surface_spec(path: str) -> CatalogEntry:
     ``_SPEC_KEYS`` its kind reads: alpha_h, R, r, radius (sphere, default
     1, or tube), curve ("circle <R>" or "helix <A> <B>"), coeffs (7 comma-
     or space-separated numbers for canonical; "i j c; ..." monomials for
-    graph, each (i, j) once).  A malformed value, a key given twice and a
-    key the kind does not read are each a ValueError.
+    graph, each (i, j) once).  A malformed value, a key given twice, a key
+    the kind does not read and a key it needs but is not given are each a
+    ValueError.
     """
     kv = {}
     with open(path) as fh:
@@ -183,6 +186,10 @@ def load_surface_spec(path: str) -> CatalogEntry:
     for key in kv:
         if key != "kind" and key not in _SPEC_KEYS[kind]:
             raise ValueError(f"spec key {key!r} is not read by kind {kind}")
+    for key in _SPEC_KEYS[kind]:
+        if key not in kv and (kind, key) not in _SPEC_OPTIONAL:
+            raise ValueError(f"spec key {key!r} is missing: kind {kind} "
+                             "needs it")
     if kind == "helcat":
         return make_helcat(float(kv["alpha_h"]))
     if kind == "torus":

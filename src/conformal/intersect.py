@@ -68,13 +68,15 @@ def difference_eval(coeffs, psi_c):
     scalars), by Horner in x over polynomials in y, also by Horner: few
     temporaries and no pow (numpy's x**3 and x**4 call pow per element).
     The steps that are exact no-ops, 0*y + c and + 0.0, are skipped: they
-    could change only the sign of a zero."""
+    could change only the sign of a zero.  Once the x steps' array has the
+    shape of the points, they run in place on it."""
     mono = difference_coeffs(coeffs, psi_c)
     # rows[k]: the coefficients of x^(4-k) y^j, highest j first
     rows = [[mono.get((i, j), 0.0) for j in range(4 - i, -1, -1)]
             for i in range(4, -1, -1)]
 
     def F(x, y):
+        whole = np.broadcast_shapes(np.shape(x), np.shape(y))
         out = None                      # None: still exactly 0
         for row in rows:
             ci = None
@@ -83,10 +85,13 @@ def difference_eval(coeffs, psi_c):
                     ci = ci*y
                 if c:
                     ci = c if ci is None else ci + c
+            # out is an array F made, never x, y or a caller's array
+            own = np.ndim(out) > 0 and np.shape(out) == whole
             if out is not None:
-                out = out*x
+                out = np.multiply(out, x, out=out) if own else out*x
             if ci is not None:
-                out = ci if out is None else out + ci
+                out = ci if out is None else (
+                    np.add(out, ci, out=out) if own else out + ci)
         return 0.0*(x*y) if out is None else out
     return F
 
@@ -361,7 +366,12 @@ def trace_cyclide_intersection(coeffs, psi_c: float, window: float = 1.0,
 def component_count_oracle(coeffs, psi_c: float) -> int:
     """Brute-force component count on [-1, 1]^2: dense sign sampling (1601
     points a side) and labeling of the sign-change mask with
-    8-connectivity."""
+    8-connectivity.
+
+    Blind spot: the sample axis contains 0.0 exactly, so a zero set that
+    lies on a coordinate axis has sign 0 at every sample on it and shows
+    no sign change there.  On F = x^3/6 or y^3/6 it reads 0 components
+    where, with the origin removed, there are 2."""
     F = difference_eval(coeffs, psi_c)
     xs = np.linspace(-1.0, 1.0, 1601)
     X, Y = np.meshgrid(xs, xs, indexing="ij")

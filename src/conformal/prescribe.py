@@ -42,6 +42,16 @@ R3 and R4 take x1 differences of them.  An x2 difference of a
 C-contiguous array, as every array made here and its row blocks are, runs
 on the flat index (see :func:`_difference`).
 
+What the pipeline skips has a known result, so each skip is exact.  Where
+psi's genericity mask keeps fewer than half the cells, psi's numerator and
+quotient run on the kept cells alone.  R3 and R4 take psi at each cell, so NaN propagation makes them NaN wherever
+psi is: a block whose interior psi is all NaN skips them and their four
+differences, and reports NaN rows for them.  A constant ratio's derivatives
+are ``_ZERO``, the derivative of a constant, whose products drop out of
+their sums with no array operation.  ``cycl prescribe`` runs
+helicoid-catenoid coframes, whose ratio is constant and which are
+isothermic, so psi is masked on the whole interior and every skip applies.
+
 The pipeline needs numpy only: ``f1`` is integrated by a cumulative
 trapezoid written in numpy, so neither importing this module nor running
 :func:`prescribe` loads scipy or sympy.
@@ -229,22 +239,51 @@ class _RowNorms:
         self.shape, self.margin = shape, margin
         self.rows = {}      # name -> (3, interior rows): max, sum, count
 
-    def add(self, res: Dict[str, np.ndarray], lo: int):
+    def _span(self, lo: int, n: int):
+        """(a, b): the interior rows [a, b) among the grid's rows
+        [lo, lo + n), or None if there are none."""
+        a, b = max(lo, self.margin), min(lo + n, self.shape[0] - self.margin)
+        return (a, b) if a < b else None
+
+    def reads(self, r: np.ndarray, lo: int) -> bool:
+        """Whether an interior cell of ``r``, whose rows are the grid's
+        rows from ``lo`` on, is not NaN.  Where none is, a residual that
+        takes ``r`` at each of its cells is NaN at every cell it reports."""
+        span, m = self._span(lo, len(r)), self.margin
+        return span is not None and not np.isnan(
+            r[span[0] - lo:span[1] - lo, m:self.shape[1] - m]).all()
+
+    def add(self, res: Dict[str, Optional[np.ndarray]], lo: int,
+            n: Optional[int] = None):
         """Reduce each residual array, whose rows are the grid's rows from
-        ``lo`` on."""
+        ``lo`` on.  None stands for ``n`` rows of NaN: each reads max NaN,
+        sum 0 and count 0, as such an array would.
+
+        A row is reduced with one sum of squares; only a row whose sum is
+        not finite (a NaN or inf cell, or squares that overflow) is summed
+        again over its finite cells, and its finite cells counted."""
         (n1, n2), m = self.shape, self.margin
         for name, r in res.items():
             rows = self.rows.setdefault(name, np.empty((3, n1 - 2*m)))
-            a, b = max(lo, m), min(lo + len(r), n1 - m)
-            if a >= b:
+            span = self._span(lo, n if r is None else len(r))
+            if span is None:
+                continue
+            a, b = span
+            out = rows[:, a - m:b - m]
+            if r is None:
+                out[:] = ((np.nan,), (0.0,), (0.0,))
                 continue
             core = r[a - lo:b - lo, m:n2 - m]
-            out = rows[:, a - m:b - m]
             np.fmax.reduce(np.abs(core), axis=1, out=out[0])
-            finite = np.isfinite(core)
-            np.add.reduce(np.where(finite, core*core, 0.0), axis=1,
-                          out=out[1])
-            out[2] = np.count_nonzero(finite, axis=1)
+            np.add.reduce(core*core, axis=1, out=out[1])
+            out[2] = core.shape[1]
+            bad = np.flatnonzero(~np.isfinite(out[1]))
+            if len(bad):
+                part = core[bad]
+                finite = np.isfinite(part)
+                out[1, bad] = np.add.reduce(np.where(finite, part*part, 0.0),
+                                            axis=1)
+                out[2, bad] = np.count_nonzero(finite, axis=1)
 
     def report(self) -> ResidualReport:
         """All-masked residuals report NaN norms (the verdict reads them
@@ -333,7 +372,9 @@ def psi_from_grid(grid: FieldGrid):
     where that genericity denominator falls below 2 h^2 (relative to the
     local derivative scale), a factor ~8 above its central-difference noise
     floor, so data on which it vanishes identically is masked rather than
-    amplified into garbage.
+    amplified into garbage.  Where the mask keeps fewer than half the
+    cells, the numerator and the quotient are evaluated on the kept cells
+    alone; elementwise, they give each the floats the whole array would.
     """
     tol_gen = 2.0 * max(grid.h1, grid.h2)**2
     grid.require("f1", "f2", "theta1", "theta2")
@@ -354,14 +395,24 @@ def psi_from_grid(grid: FieldGrid):
     x1x1x1t2 = xi1(x1x1t2)
     x2x2x2t1 = xi2(x2x2t1)
 
-    num = _psi_numerator(t1, t2, x1t1, x1t2, x2t1, x2t2, x1x1t1, x1x1t2,
-                         x2x2t1, x2x2t2, x1x1x1t2, x2x2x2t1)
     den = x1t2 + x2t1
     # pairwise maxima, so that no (5, n1, n2) stack is built
     scale = np.maximum(np.maximum(np.abs(x1t1), np.abs(x1t2)),
                        np.maximum(np.abs(x2t1), np.abs(x2t2)))
     np.maximum(scale, 1.0, out=scale)
-    psi = np.where(np.abs(den) < tol_gen*scale, np.nan, num/np.where(den == 0, 1.0, den))
+    # a NaN comparison keeps its cell.  The kept cells are gathered where
+    # they are fewer than half; a gather of most cells costs more than the
+    # arithmetic it saves, so then the whole array is taken
+    kept = ~(np.abs(den) < tol_gen*scale)
+    at = (np.flatnonzero(kept) if 2*np.count_nonzero(kept) < kept.size
+          else slice(None))
+    num = _psi_numerator(*(np.ravel(a)[at] for a in (
+        t1, t2, x1t1, x1t2, x2t1, x2t2, x1x1t1, x1x1t2, x2x2t1, x2x2t2,
+        x1x1x1t2, x2x2x2t1)))
+    d = np.ravel(den)[at]
+    psi = np.full(den.shape, np.nan)
+    psi.reshape(-1)[at] = num/np.where(d == 0, 1.0, d)
+    psi[~kept] = np.nan
     return psi, b, c
 
 
@@ -383,23 +434,26 @@ def structural_residuals(grid: FieldGrid, margin: int) -> ResidualReport:
     return _norms(_structural(grid, slice(None)), margin)
 
 
-def _structural(grid: FieldGrid, keep: slice) -> Dict[str, np.ndarray]:
+def _structural(grid: FieldGrid, keep: slice, with_psi: bool = True
+                ) -> Dict[str, Optional[np.ndarray]]:
     """The arrays R1..R4 of :func:`structural_residuals` on the grid's rows
     ``keep`` (b and c as there).  An x1 difference is taken on the whole
     grid; an x2 difference stays in its row, so it and the rest run on rows
-    ``keep`` only."""
+    ``keep`` only.  Without ``with_psi``, R3 and R4 are None, for rows that
+    are NaN wherever psi is (see :meth:`_RowNorms.add`)."""
     grid.require("f1", "f2", "theta1", "theta2", "psi", "b", "c")
     f1, f2, t1, t2, psi, b, c = (
         getattr(grid, name)[keep]
         for name in ("f1", "f2", "theta1", "theta2", "psi", "b", "c"))
-    return {
-        "structural_1": grid.d2(f1) + 0.5*f1*f2*t2,
-        "structural_2": grid.d1(grid.f2)[keep] - 0.5*f1*f2*t1,
-        "structural_3": f1*grid.d2(psi) - f2*grid.d1(grid.c)[keep]
-                        - f1*f2*(c*t1 + t2*(psi + 2.0)),
-        "structural_4": -f1*grid.d2(b) + f2*grid.d1(grid.psi)[keep]
-                        + f1*f2*(b*t2 + t1*(psi - 2.0)),
-    }
+    res = {"structural_1": grid.d2(f1) + 0.5*f1*f2*t2,
+           "structural_2": grid.d1(grid.f2)[keep] - 0.5*f1*f2*t1,
+           "structural_3": None, "structural_4": None}
+    if with_psi:
+        res["structural_3"] = (f1*grid.d2(psi) - f2*grid.d1(grid.c)[keep]
+                               - f1*f2*(c*t1 + t2*(psi + 2.0)))
+        res["structural_4"] = (-f1*grid.d2(b) + f2*grid.d1(grid.psi)[keep]
+                               + f1*f2*(b*t2 + t1*(psi - 2.0)))
+    return res
 
 
 # --------------------------------------------------------------------------
@@ -489,10 +543,38 @@ def fourth_order_condition(f1, f2, k, D: Callable):
     return 2/(F1[6]*F2[6])*T
 
 
+class _Zero:
+    """The derivative of a constant, exactly 0: a product with it is
+    itself and a sum drops it (``_ZERO - x`` is ``-x``), with no array
+    operation.  ``__array_ufunc__ = None`` makes ndarray operators defer to
+    it.  For a finite y, x + 0.0*y is x up to a zero's sign, which no norm
+    reads, so the conditions read what they read with 0.0."""
+    __array_ufunc__ = None
+
+    def __mul__(self, other):
+        return self
+
+    __rmul__ = __mul__
+
+    def __neg__(self):
+        return self
+
+    def __add__(self, other):
+        return other
+
+    __radd__ = __rsub__ = __add__
+
+    def __sub__(self, other):
+        return -other
+
+
+_ZERO = _Zero()
+
+
 def _grid_oracle(grid: FieldGrid, keep: slice, rows) -> Callable:
     """D(arr, *idx): rows ``keep`` of the differences of ``arr`` along
-    ``idx``, taken left to right on the whole grid, or 0.0 if ``arr`` is a
-    float: a constant's derivative, for which no difference is taken.
+    ``idx``, taken left to right on the whole grid, or ``_ZERO`` if ``arr``
+    is a float: a constant's derivative, for which no difference is taken.
 
     ``rows`` pairs arrays that are rows ``keep`` of a grid array with that
     array, whose differences D then takes.  Every prefix is cached, so each
@@ -505,7 +587,7 @@ def _grid_oracle(grid: FieldGrid, keep: slice, rows) -> Callable:
 
     def D(arr, *idx):
         if isinstance(arr, float):
-            return 0.0
+            return _ZERO
         prev = cache.setdefault((id(arr), ()), (arr, arr))[1]
         for k in range(1, len(idx) + 1):
             key = (id(arr), idx[:k])
@@ -532,8 +614,8 @@ def _compatibility(grid: FieldGrid, k0: Optional[float], keep: slice
                    ) -> Dict[str, np.ndarray]:
     """Both conditions on the grid's rows ``keep`` through one oracle, with
     kappa the float ``k0``, or the grid's kappa if ``k0`` is None.  A float
-    ratio has no differences to take (the oracle gives 0.0 for them): 16
-    differences against 22.  The oracle takes the differences (see
+    ratio has no differences to take (the oracle gives ``_ZERO`` for them):
+    16 differences against 22.  The oracle takes the differences (see
     :func:`_grid_oracle`); the conditions' own arithmetic runs on rows
     ``keep`` only."""
     kap = np.asarray(grid.kappa, dtype=float) if k0 is None else k0
@@ -631,7 +713,8 @@ def prescribe(kappa: np.ndarray, f2: np.ndarray, f1_boundary: np.ndarray,
         blk.psi, blk.b, blk.c = psi_from_grid(blk)
         grid.b[lo:hi], grid.c[lo:hi] = blk.b[keep], blk.c[keep]
         grid.psi[lo:hi] = blk.psi[keep]
-        norms.add(_structural(blk, keep), lo)
+        norms.add(_structural(blk, keep, norms.reads(grid.psi[lo:hi], lo)),
+                  lo, hi - lo)
         norms.add(compat, lo)
     h = max(grid.h1, grid.h2)
     tol_real = 10.0 * _BASELINE_C * h * h

@@ -2,8 +2,10 @@
 chain rule of a Mobius map, the inversion-center check sampled point by
 point, the Willmore energy, the commutator identity, the isothermic
 criterion, the intersection tracer's marching squares with one
-bisection per grid and its stitch on tuple keys, and the prescribe grid's
-b and c written out.  Not collected; tests import it as they import
+bisection per grid and its stitch on tuple keys, the surface-cyclide
+difference by Horner steps that each make a new array, the prescribe grid's
+b and c written out, its psi assembled on the whole array, and the masked
+row reduction of its norms.  Not collected; tests import it as they import
 ``conftest``."""
 import cmath
 import math
@@ -14,7 +16,8 @@ import sympy as sp
 from conformal.invariants import _H_FLD, _grad, theta_state
 from conformal.errors import InversionCenterOnSurface
 from conformal.intersect import (_BISECTIONS, _CASES, _JOIN_TOL,
-                                 difference_eval)
+                                 difference_coeffs, difference_eval)
+from conformal.invariants import _psi_numerator
 from conformal.surfaces import (MobiusMap, SurfacePatch, _div, _dot,
                                 _jet_forms, _lib, _require_frame, _sqrt,
                                 principal_directions, shape_data)
@@ -198,6 +201,30 @@ def isothermic_residual(surface: SurfacePatch, u: float, v: float) -> float:
                  + (X2[0]*dpu[1] + X2[1]*dpv[1]))
 
 
+def difference_eval_reference(coeffs, psi_c):
+    """``intersect.difference_eval``'s F with every Horner step a new
+    array (``out*x``, then ``+ ci``), none in place."""
+    mono = difference_coeffs(coeffs, psi_c)
+    rows = [[mono.get((i, j), 0.0) for j in range(4 - i, -1, -1)]
+            for i in range(4, -1, -1)]
+
+    def F(x, y):
+        out = None
+        for row in rows:
+            ci = None
+            for c in row:
+                if ci is not None:
+                    ci = ci*y
+                if c:
+                    ci = c if ci is None else ci + c
+            if out is not None:
+                out = out*x
+            if ci is not None:
+                out = ci if out is None else out + ci
+        return 0.0*(x*y) if out is None else out
+    return F
+
+
 def bisect_reference(F, lo, hi, pos_lo):
     """Zeros of F on grid edges from ``lo[k]`` to ``hi[k]``, rows of (n, 2)
     arrays, with F > 0 at ``lo[k]`` where ``pos_lo[k]``: ``_BISECTIONS``
@@ -373,3 +400,42 @@ def bc_reference(grid):
     b = -grid.theta1*grid.theta2 + grid.d2(grid.theta1)/grid.f2
     c = grid.theta1*grid.theta2 + grid.d1(grid.theta2)/grid.f1
     return b, c
+
+
+def psi_reference(grid):
+    """psi of ``prescribe.psi_from_grid`` with its numerator and quotient
+    taken on the whole array, masked afterwards by one ``np.where``."""
+    tol_gen = 2.0 * max(grid.h1, grid.h2)**2
+    grid.require("f1", "f2", "theta1", "theta2")
+
+    def xi1(arr):
+        return grid.d1(arr) / grid.f1
+
+    def xi2(arr):
+        return grid.d2(arr) / grid.f2
+
+    t1, t2 = grid.theta1, grid.theta2
+    x1t1, x1t2 = xi1(t1), xi1(t2)
+    x2t1, x2t2 = xi2(t1), xi2(t2)
+    x1x1t1, x1x1t2 = xi1(x1t1), xi1(x1t2)
+    x2x2t1, x2x2t2 = xi2(x2t1), xi2(x2t2)
+    num = _psi_numerator(t1, t2, x1t1, x1t2, x2t1, x2t2, x1x1t1, x1x1t2,
+                         x2x2t1, x2x2t2, xi1(x1x1t2), xi2(x2x2t1))
+    den = x1t2 + x2t1
+    scale = np.maximum(np.maximum(np.abs(x1t1), np.abs(x1t2)),
+                       np.maximum(np.abs(x2t1), np.abs(x2t2)))
+    np.maximum(scale, 1.0, out=scale)
+    return np.where(np.abs(den) < tol_gen*scale, np.nan,
+                    num/np.where(den == 0, 1.0, den))
+
+
+def row_norms_reference(core):
+    """(3, rows) of ``prescribe._RowNorms``: each row's max |r| with NaN
+    skipped, its sum of r^2 over finite cells and its count of them, each
+    row reduced over all its cells by masks."""
+    out = np.empty((3, len(core)))
+    np.fmax.reduce(np.abs(core), axis=1, out=out[0])
+    finite = np.isfinite(core)
+    np.add.reduce(np.where(finite, core*core, 0.0), axis=1, out=out[1])
+    out[2] = np.count_nonzero(finite, axis=1)
+    return out

@@ -7,7 +7,7 @@ import pytest
 from click.testing import CliRunner
 from hypothesis import example, given, settings, strategies as st
 
-from conformal.cli import main
+from conformal.cli import load_surface_spec, main
 from conformal.surfaces import SurfacePatch
 
 
@@ -781,9 +781,22 @@ _OSCULATE = ["osculate", "--seed", "0.1,0.2"]
     ("kind = sphere\nraduis = 0.5\n", _OSCULATE, 2, "ValueError",
      "'raduis'"),
     (_HUGE_EXPONENT, _OSCULATE, 2, "ValueError", "x^100000 y^0"),
+    # a key the kind needs: named with the kind, not a bare KeyError
+    ("kind = helcat\n", _OSCULATE, 2, "ValueError",
+     "'alpha_h' is missing: kind helcat"),
+    ("kind = torus\nR = 2\n", _OSCULATE, 2, "ValueError",
+     "'r' is missing: kind torus"),
+    ("kind = tube\ncurve = circle 2\n", _OSCULATE, 2, "ValueError",
+     "'radius' is missing: kind tube"),
+    ("kind = graph\n", _OSCULATE, 2, "ValueError",
+     "'coeffs' is missing: kind graph"),
+    ("kind = canonical\n", _OSCULATE, 2, "ValueError",
+     "'coeffs' is missing: kind canonical"),
 ], ids=["nan-thetas-classify", "nan-thetas-dupin", "nan-thetas-darboux",
         "nan-thetas-dupin-angle", "tube-empty-curve", "graph-repeat",
-        "spec-repeated-key", "spec-unknown-key", "graph-exponent"])
+        "spec-repeated-key", "spec-unknown-key", "graph-exponent",
+        "missing-helcat", "missing-torus", "missing-tube", "missing-graph",
+        "missing-canonical"])
 def test_nan_thetas_and_bad_specs_keep_the_error_contract(
         runner, tmp_path, monkeypatch, text, args, code, error, needle):
     jets = []
@@ -817,6 +830,14 @@ def test_nan_thetas_and_bad_specs_keep_the_error_contract(
     assert record["error"] == error
     if needle is not None:
         assert needle in record["message"]
+
+
+def test_sphere_spec_radius_is_optional(tmp_path):
+    # the one key a kind reads but does not need: a sphere without it is
+    # the unit sphere
+    spec = tmp_path / "sphere.spec"
+    spec.write_text("kind = sphere\n")
+    assert load_surface_spec(str(spec)).params == {"radius": 1.0}
 
 
 # each option a command takes has a caller that sets it; a tolerance that

@@ -8,7 +8,8 @@ from conformal.intersect import (_march, _stitch, component_count_oracle,
                                  difference_coeffs, difference_eval,
                                  origin_branch_directions,
                                  trace_cyclide_intersection)
-from reference import stitch_reference, trace_reference
+from reference import (difference_eval_reference, stitch_reference,
+                       trace_reference)
 
 COEFFS = (1.0, 2.0, 0.0, 3.5, 0.25, -0.5, -3.25)
 PSI_OSC = 0.2409225992051419
@@ -206,6 +207,14 @@ def test_trace_matches_two_march_tuple_key_reference(coeffs, psi_c,
     assert cs.component_of_polyline == ref_comp
     assert cs.component_count == ref_count
     assert cs.origin_component_index == ref_origin
+    # F's Horner steps in place, on the grid's broadcast axes, on its
+    # meshgrid and on points along one axis: every step a new array's floats
+    F, ref = (make(coeffs, psi_c) for make in (difference_eval,
+                                               difference_eval_reference))
+    xs = np.linspace(-1.0, 1.0, resolution + 2 - resolution % 2)
+    X, Y = np.meshgrid(xs, xs, indexing="ij")
+    for x, y in ((xs[:, None], xs[None, :]), (X, Y), (xs, xs[::-1])):
+        assert np.array_equal(F(x, y), ref(x, y))
 
 
 _LOOP = [((0.0, 0.0), (1.0, 0.0)), ((1.0, 0.0), (1.0, 1.0)),

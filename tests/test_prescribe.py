@@ -20,7 +20,7 @@ from conformal.prescribe import (FieldGrid, ResidualReport, _RowNorms,
                                  prescribe, psi_from_grid,
                                  second_order_condition, solve_f1,
                                  structural_residuals, thetas_from_f)
-from reference import bc_reference
+from reference import bc_reference, psi_reference, row_norms_reference
 
 
 def _uniform(n=33):
@@ -275,6 +275,46 @@ def test_psi_from_grid_b_and_c_match_reference(data, n1, n2, start, length):
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
+def _run_psi_case(case):
+    """prescribe on 65 x 65: helcat, whose psi is masked but at the edges,
+    or a varying ratio, whose psi is kept on most cells."""
+    if case == "varying":
+        return prescribe(*_prescribe_case("varying", 65))
+    g = (_varying_grid(65) if case == "varying helcat"
+         else helcat_grid(_ALPHAS[case.split()[1]], 65))
+    return prescribe(g.kappa, g.f2, g.f1[:, 0], g.x1, g.x2)
+
+
+def _psi_case_grid(case):
+    """The grid of :func:`_run_psi_case`, with its f1 and thetas, or a
+    random coframe grid."""
+    if case == "random":
+        rng = np.random.default_rng(36)
+        shape = (29, 41)
+        return FieldGrid(x1=np.linspace(0.0, 1.3, 29),
+                         x2=np.linspace(-0.4, 2.0, 41),
+                         f1=rng.uniform(0.5, 2.0, shape),
+                         f2=rng.uniform(0.5, 2.0, shape),
+                         theta1=rng.uniform(-5.0, 5.0, shape),
+                         theta2=rng.uniform(-5.0, 5.0, shape))
+    return _run_psi_case(case)[0]
+
+
+@pytest.mark.parametrize("case", ["helcat 0", "helcat pi/4", "helcat pi/3",
+                                  "varying helcat", "varying", "random"])
+def test_psi_from_grid_matches_whole_array_reference(case):
+    # the numerator and the quotient run on the kept cells only, gathered
+    # (helcat keeps its edges alone) or on the whole array (most cells
+    # kept): psi is the whole-array assembly's, masked cells and all, bit
+    # for bit
+    g = _psi_case_grid(case)
+    psi, _, _ = psi_from_grid(g)
+    want = psi_reference(g)
+    assert psi.shape == want.shape and psi.tobytes() == want.tobytes()
+    kept = np.isfinite(psi).mean()
+    assert 0.0 < kept < 0.2 if case.startswith("helcat") else kept > 0.5
+
+
 def test_psi_numerator_same_on_scalars_and_arrays():
     # the pointwise psi_from_thetas and the grid psi_from_grid share one
     # numerator; its scalar and array evaluations agree bit for bit
@@ -415,6 +455,41 @@ def test_norms_do_not_depend_on_blocks(seed):
     assert got.max_norm == whole.max_norm and got.rms == whole.rms
 
 
+_NORM_ENTRY = st.one_of(
+    st.sampled_from([np.nan, np.inf, -np.inf, 1e200, -1e200, 0.0]),
+    st.floats(-1e3, 1e3))
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(data=st.data(), n1=st.integers(4, 14), n2=st.integers(4, 14),
+       margin=st.integers(0, 1))
+def test_row_norms_match_masked_reference(data, n1, n2, margin):
+    # one sum of squares a row, and the masked sum where it is not finite:
+    # the masked reduction's rows bit for bit, on rows holding NaN, +-inf
+    # and finite entries whose squares overflow
+    r = data.draw(hnp.arrays(float, (n1, n2), elements=_NORM_ENTRY))
+    norms = _RowNorms((n1, n2), margin)
+    norms.add({"r": r}, 0)
+    want = row_norms_reference(r[margin:n1 - margin, margin:n2 - margin])
+    assert norms.rows["r"].tobytes() == want.tobytes()
+
+
+def test_row_norms_none_reads_as_nan_rows():
+    # None for rows of NaN gives the rows an all-NaN array gives, beside
+    # rows of numbers in the same residual
+    r = np.arange(12*7, dtype=float).reshape(12, 7)
+    nan = np.full((5, 7), np.nan)
+    got, want = _RowNorms((12, 7), 2), _RowNorms((12, 7), 2)
+    for norms, block in ((got, None), (want, nan)):
+        norms.add({"r": r[:4]}, 0)
+        norms.add({"r": block}, 4, 5)
+        norms.add({"r": r[9:]}, 9)
+    assert got.rows["r"].tobytes() == want.rows["r"].tobytes()
+    assert got.report() == want.report()
+    assert not got.reads(nan, 4) and got.reads(r, 0)
+    assert not got.reads(r[:2], 0)      # rows in the margin only
+
+
 def test_norms_all_masked_and_margin_guard():
     r = np.full((12, 12), np.nan)
     r[0, 0] = 1.0      # outside the interior
@@ -483,12 +558,13 @@ def test_integrability_takes_each_difference_once(monkeypatch, varying,
     assert len(calls) == expected
 
 
-@pytest.mark.parametrize("case, expected", [("const", 35), ("varying", 41)])
+@pytest.mark.parametrize("case, expected", [("const", 31), ("varying", 41)])
 def test_prescribe_difference_count(monkeypatch, case, expected):
     # one block over 33 x 33.  The first pass takes d1(f2) for f1, and
     # d2(f1) and d1(f2) for the thetas: 3.  The second takes the
     # conditions' 16 (22 with a varying ratio), psi's 10 (b and c read
-    # psi's first 4) and R1..R4's 6.
+    # psi's first 4) and R1..R4's 6.  With a constant ratio psi is masked
+    # on the whole core, so R3 and R4 take none of their 4.
     args = _prescribe_case(case)
     calls = []
     for name in ("d1", "d2"):
@@ -532,7 +608,7 @@ def test_grid_oracle_matches_explicit_chain(varying):
 
     def recording(arr, *idx):
         if isinstance(arr, float):
-            assert D(arr, *idx) == 0.0
+            assert D(arr, *idx) is prescribe_mod._ZERO
         else:
             used.append((arr, idx))
         return D(arr, *idx)
@@ -545,6 +621,38 @@ def test_grid_oracle_matches_explicit_chain(varying):
         for i in idx:
             chain = g.d1(chain) if i == 1 else g.d2(chain)
         assert np.array_equal(D(arr, *idx), chain)
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e-3, 1e-55, 1e150])
+@pytest.mark.parametrize("alpha", ["0", "pi/4", "pi/3"])
+def test_zero_sentinel_gives_the_floats_of_zero(monkeypatch, alpha, scale):
+    # the derivatives of a float ratio as _ZERO, which drops its products
+    # from the sums, or as 0.0, whose products are array operations: both
+    # conditions read the same bits on every block of a helcat coframe,
+    # scaled to underflow (1e-55) and to overflow (1e150) in f1^6 f2^6
+    g = helcat_grid(_ALPHAS[alpha], 129)
+    with np.errstate(all="ignore"):
+        grid, _ = prescribe(g.kappa, scale*g.f2, scale*g.f1[:, 0], g.x1,
+                            g.x2)
+        k0 = prescribe_mod._constant_ratio(grid)
+        assert isinstance(k0, float)
+        for blk, keep, _, _ in prescribe_mod._blocks(grid):
+            got = _compatibility(blk, k0, keep)
+            with monkeypatch.context() as m:
+                m.setattr(prescribe_mod, "_ZERO", 0.0)
+                want = _compatibility(blk, k0, keep)
+            for name in want:
+                assert got[name].tobytes() == want[name].tobytes(), name
+
+
+def test_zero_sentinel_arithmetic():
+    Z, arr = prescribe_mod._ZERO, np.array([1.5, -2.0])
+    for product in (Z*arr, arr*Z, 3*Z, Z*np.float64(2.0), -Z, Z*Z, Z + Z,
+                    Z - Z):
+        assert product is Z
+    for left, right in ((Z + arr, arr), (arr + Z, arr), (arr - Z, arr),
+                        (Z - arr, -arr)):
+        assert np.array_equal(left, right) and left is not Z
 
 
 @pytest.mark.parametrize("n", [33, 65])
@@ -580,10 +688,10 @@ def test_float_ratio_is_the_constant_array_without_its_differences(
         assert np.all(np.isfinite(as_float[name][core]))
 
 
-def _prescribe_case(case):
-    """prescribe's arguments on 33 x 33: a constant ratio or a varying
+def _prescribe_case(case, n=33):
+    """prescribe's arguments on n x n: a constant ratio or a varying
     one."""
-    g = helcat_grid(np.pi/4, 33)
+    g = helcat_grid(np.pi/4, n)
     if case == "const":
         return g.kappa, g.f2, g.f1[:, 0], g.x1, g.x2
     X1, X2 = np.meshgrid(g.x1, g.x2, indexing="ij")
@@ -611,6 +719,40 @@ def test_prescribe_blocks_match_one_block(monkeypatch, case, rows):
         assert np.array_equal(list(got.values()), list(want.values()),
                               equal_nan=True), part
     assert rep.margin == rep_whole.margin
+
+
+@pytest.mark.parametrize("case", ["helcat 0", "helcat pi/4", "helcat pi/3",
+                                  "varying helcat", "varying"])
+def test_psi_residual_skip_keeps_the_report(monkeypatch, case):
+    # R3 and R4 are NaN wherever psi is: a block whose interior psi is all
+    # NaN skips them, and the fields and every report entry are the ones
+    # computing them gives, bit for bit; helcat's read NaN norms either way
+    def run(skip):
+        calls = []
+        for name in ("d1", "d2"):
+            def counted(self, arr, _diff=getattr(FieldGrid, name)):
+                calls.append(arr.shape)
+                return _diff(self, arr)
+            monkeypatch.setattr(FieldGrid, name, counted)
+        if not skip:
+            monkeypatch.setattr(_RowNorms, "reads", lambda self, r, lo: True)
+        grid, rep = _run_psi_case(case)
+        monkeypatch.undo()
+        return grid, rep, len(calls)
+
+    (grid, rep, n_skip), (full, rep_full, n_full) = run(True), run(False)
+    for name in ("f1", "theta1", "theta2", "b", "c", "psi"):
+        assert getattr(grid, name).tobytes() == getattr(full, name).tobytes()
+    for part in ("max_norm", "rms", "extra"):
+        got, want = getattr(rep, part), getattr(rep_full, part)
+        assert list(got) == list(want)
+        assert np.array(list(got.values())).tobytes() == np.array(
+            list(want.values())).tobytes(), part
+    helcat = case.startswith("helcat")
+    for name in prescribe_mod._PSI_RESIDUALS:
+        assert np.isnan(rep.max_norm[name]) == helcat
+    # 65 rows are two blocks, each of which skips R3 and R4's 4 differences
+    assert n_full - n_skip == (8 if helcat else 0)
 
 
 @pytest.mark.parametrize("stage", ["integrability_residuals", "prescribe"])
